@@ -92,9 +92,10 @@ def per_class_accuracy(labels: Sequence[ClassLabel],
 
 def evaluate(predictor, test_set: Sequence[tuple[object, ClassLabel]],
              setting: str = "imbalanced", seed: int = 0) -> EvalReport:
-    """Run predictor.predict over (features, label) pairs and assemble all
-    metrics. The balanced setting first subsamples equal class counts with the
-    given seed."""
+    """Predict every (features, label) pair and assemble all metrics: one
+    predictor.predict_batch call where the predictor has one, else
+    predictor.predict per example. The balanced setting first subsamples
+    equal class counts with the given seed."""
     if setting not in SETTINGS:
         raise ValueError(f"setting must be one of {SETTINGS}")
     pairs = list(test_set)
@@ -103,7 +104,11 @@ def evaluate(predictor, test_set: Sequence[tuple[object, ClassLabel]],
     if not pairs:
         raise ValueError("empty evaluation set")
     labels = [label for _, label in pairs]
-    predictions = [predictor.predict(features)[0] for features, _ in pairs]
+    features = [item for item, _ in pairs]
+    if hasattr(predictor, "predict_batch"):
+        predictions = predictor.predict_batch(features)
+    else:
+        predictions = [predictor.predict(item)[0] for item in features]
     return EvalReport(
         accuracy=accuracy(labels, predictions),
         macro_f1=macro_f1(labels, predictions),

@@ -22,14 +22,8 @@ __all__ = [
     "read_embeddings", "NameModel", "gradient_check", "train_name_cnn",
     "TrainConfig", "effective_weight_histogram", "example_weights",
     "inverse_class_weights", "UnigramModel", "train_unigram",
-    "predict", "save_model", "load_model",
+    "save_model", "load_model",
 ]
-
-
-def predict(model, features):
-    """(ClassLabel, 4-vector of probabilities); ties break toward the fixed
-    class order because argmax picks the first maximum."""
-    return model.predict(features)
 
 
 _MODEL_KINDS = {

@@ -6,6 +6,14 @@ connected layers -> softmax over the four classes. Names are truncated at 50
 characters before encoding. Forward, backward, and the update loop are plain
 numpy with manual gradients; gradient_check verifies them against central
 finite differences.
+
+The convolution is computed as 2D GEMMs over the flattened (batch x window)
+axis (im2col; Chellapilla, Puri & Simard 2006): the forward pass, the filter
+gradient and the window-input gradient are each one BLAS matrix product, and
+the embedding gradient is a one-hot sparse matrix product. A batch is padded
+to its longest name, but windows that start in the padding are masked out of
+the max-pool, so a name's probabilities do not depend on the other names in
+its batch.
 """
 from __future__ import annotations
 
@@ -15,16 +23,20 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
+from scipy import sparse
 
 from ..filters import CLASS_ORDER, ClassLabel
-from .training import (N_CLASSES, TrainConfig, example_weights, inverse_class_weights,
-                       label_indices, one_hot, softmax)
+from .training import (N_CLASSES, TrainConfig, argmax_labels, example_weights,
+                       inverse_class_weights, label_indices, one_hot, softmax)
 
 EMBED_DIM = 256
 N_FILTERS = 256
 FILTER_WIDTH = 3
 HIDDEN = 256
 MAX_NAME_LEN = 50
+# names per forward pass when predicting; bounds the (B*P, 3*De) window matrix
+PREDICT_CHUNK = 16
 PAD_INDEX = 0
 OOV_INDEX = 1
 
@@ -73,19 +85,30 @@ def init_params(vocab_size: int, meta_dim: int, seed: int) -> dict[str, np.ndarr
 
 def _forward(params: dict[str, np.ndarray], ids: np.ndarray,
              metas: np.ndarray) -> tuple[np.ndarray, dict]:
-    X = params["E"][ids]  # (B, L, De)
-    positions = ids.shape[1] - FILTER_WIDTH + 1
-    X_win = np.concatenate([X[:, k:positions + k] for k in range(FILTER_WIDTH)],
-                           axis=2)  # (B, P, 3*De)
-    Z = X_win @ params["Wc"].T + params["bc"]  # (B, P, F)
-    A = np.maximum(Z, 0.0)
+    batch = ids.shape[0]
+    windows = sliding_window_view(ids, FILTER_WIDTH, axis=1)  # (B, P, 3)
+    positions = windows.shape[1]
+    # im2col: one row of concatenated embeddings per window, so the
+    # convolution is a single (B*P, 3*De) x (3*De, F) GEMM
+    X_win = params["E"][windows].reshape(batch * positions,
+                                         FILTER_WIDTH * EMBED_DIM)
+    A = X_win @ params["Wc"].T + params["bc"]
+    np.maximum(A, 0.0, out=A)  # ReLU in place: Z itself is not needed later
+    A = A.reshape(batch, positions, N_FILTERS)
+    # windows starting in the padding would make a name's pooled features
+    # depend on the longest name in its batch; ReLU output is >= 0 and argmax
+    # takes the first maximum, so zeroing them pools exactly the windows a
+    # one-row batch has
+    lengths = np.count_nonzero(ids != PAD_INDEX, axis=1)
+    n_windows = np.maximum(lengths, FILTER_WIDTH) - FILTER_WIDTH + 1
+    A[np.arange(positions) >= n_windows[:, None]] = 0.0
     amax = A.argmax(axis=1)  # (B, F)
     H = np.take_along_axis(A, amax[:, None, :], axis=1)[:, 0, :]
     G = np.concatenate([H, metas], axis=1)
     U = G @ params["W1"] + params["b1"]
     A1 = np.maximum(U, 0.0)
     logits = A1 @ params["W2"] + params["b2"]
-    cache = {"ids": ids, "X_win": X_win, "Z": Z, "amax": amax, "G": G,
+    cache = {"windows": windows, "X_win": X_win, "amax": amax, "G": G,
              "U": U, "A1": A1}
     return logits, cache
 
@@ -125,20 +148,24 @@ def loss_and_grads(params: dict, ids: np.ndarray, metas: np.ndarray,
     dG = dU @ params["W1"].T
     dH = dG[:, :N_FILTERS]
 
-    # route pooled gradient to the argmax positions only
-    dA = np.zeros_like(cache["Z"])
-    np.put_along_axis(dA, cache["amax"][:, None, :], dH[:, None, :], axis=1)
-    dZ = dA * (cache["Z"] > 0)
-    grads["bc"] = dZ.sum(axis=(0, 1))
-    grads["Wc"] = np.einsum("bpf,bpd->fd", dZ, cache["X_win"]) + l2 * params["Wc"]
-    dX_win = dZ @ params["Wc"]  # (B, P, 3*De)
-    batch, positions = dZ.shape[0], dZ.shape[1]
-    dX = np.zeros((batch, ids.shape[1], EMBED_DIM))
-    for k in range(FILTER_WIDTH):
-        dX[:, k:positions + k] += dX_win[:, :, k * EMBED_DIM:(k + 1) * EMBED_DIM]
-    dE = np.zeros_like(params["E"])
-    np.add.at(dE, cache["ids"].ravel(), dX.reshape(-1, EMBED_DIM))
-    grads["E"] = dE
+    # route pooled gradient to the argmax positions only; ReLU passes it
+    # where the pooled value is positive
+    dH_active = dH * (cache["G"][:, :N_FILTERS] > 0)
+    batch, positions = cache["windows"].shape[:2]
+    dZ = np.zeros((batch, positions, N_FILTERS))
+    np.put_along_axis(dZ, cache["amax"][:, None, :], dH_active[:, None, :],
+                      axis=1)
+    dZ = dZ.reshape(batch * positions, N_FILTERS)
+    grads["bc"] = dH_active.sum(axis=0)
+    grads["Wc"] = dZ.T @ cache["X_win"] + l2 * params["Wc"]
+    dX_win = dZ @ params["Wc"]  # (B*P, 3*De)
+    # scatter-add every window slot's gradient into its character's
+    # embedding row as a one-hot (V, B*P*3) sparse matrix product
+    slots = cache["windows"].ravel()
+    one_hot_slots = sparse.csc_matrix(
+        (np.ones(slots.size), slots, np.arange(slots.size + 1)),
+        shape=(params["E"].shape[0], slots.size))
+    grads["E"] = one_hot_slots @ dX_win.reshape(-1, EMBED_DIM)
     return loss, grads
 
 
@@ -151,9 +178,14 @@ class NameModel:
 
     def predict_proba_batch(self, names: Sequence[str],
                             metas: np.ndarray) -> np.ndarray:
-        ids = encode_names(names, self.char_vocab, self.max_len)
-        logits, _ = _forward(self.params, ids, np.atleast_2d(metas))
-        return softmax(logits)
+        metas = np.atleast_2d(metas)
+        probs = []
+        for start in range(0, len(names), PREDICT_CHUNK):
+            chunk = slice(start, start + PREDICT_CHUNK)
+            ids = encode_names(names[chunk], self.char_vocab, self.max_len)
+            logits, _ = _forward(self.params, ids, metas[chunk])
+            probs.append(softmax(logits))
+        return np.concatenate(probs) if probs else np.zeros((0, N_CLASSES))
 
     def predict_proba(self, features: tuple[str, np.ndarray]) -> np.ndarray:
         name, meta = features
@@ -162,6 +194,12 @@ class NameModel:
     def predict(self, features) -> tuple[ClassLabel, np.ndarray]:
         probs = self.predict_proba(features)
         return CLASS_ORDER[int(np.argmax(probs))], probs
+
+    def predict_batch(self, features: Sequence[tuple[str, np.ndarray]]
+                      ) -> list[ClassLabel]:
+        names = [name for name, _ in features]
+        metas = np.vstack([meta for _, meta in features])
+        return argmax_labels(self.predict_proba_batch(names, metas))
 
     def to_dict(self) -> dict:
         return {
@@ -198,8 +236,7 @@ def _unpack(items):
 
 def _dev_macro_f1(model: NameModel, names, metas, labels) -> float:
     from ..evaluation import macro_f1
-    probs = model.predict_proba_batch(names, metas)
-    predictions = [CLASS_ORDER[int(i)] for i in probs.argmax(axis=1)]
+    predictions = argmax_labels(model.predict_proba_batch(names, metas))
     return macro_f1(labels, predictions)
 
 

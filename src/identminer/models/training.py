@@ -89,6 +89,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return exp / exp.sum(axis=-1, keepdims=True)
 
 
+def argmax_labels(probs: np.ndarray) -> list[ClassLabel]:
+    """Most probable class of each row; ties break toward the fixed class
+    order because argmax picks the first maximum."""
+    return [CLASS_ORDER[int(i)] for i in probs.argmax(axis=1)]
+
+
 def one_hot(indices: np.ndarray, n_classes: int = N_CLASSES) -> np.ndarray:
     out = np.zeros((len(indices), n_classes), dtype=np.float64)
     out[np.arange(len(indices)), indices] = 1.0

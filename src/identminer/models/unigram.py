@@ -3,13 +3,14 @@ weighted cross-entropy, L2 regularization, and mini-batch gradient descent."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 from scipy import sparse
 
 from ..filters import CLASS_ORDER, ClassLabel
-from .training import (N_CLASSES, TrainConfig, example_weights, inverse_class_weights,
-                       label_indices, one_hot, softmax)
+from .training import (N_CLASSES, TrainConfig, argmax_labels, example_weights,
+                       inverse_class_weights, label_indices, one_hot, softmax)
 
 
 @dataclass
@@ -33,6 +34,13 @@ class UnigramModel:
     def predict(self, features) -> tuple[ClassLabel, np.ndarray]:
         probs = self.predict_proba(features)
         return CLASS_ORDER[int(np.argmax(probs))], probs
+
+    def predict_batch(self, features: Sequence) -> list[ClassLabel]:
+        """Labels of many feature rows (sparse count rows or dense embedding
+        vectors) from one matrix product."""
+        rows = (sparse.vstack(features, format="csr")
+                if sparse.issparse(features[0]) else np.vstack(features))
+        return argmax_labels(self.predict_proba_matrix(rows))
 
     def to_dict(self) -> dict:
         return {

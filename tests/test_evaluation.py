@@ -6,7 +6,7 @@ from identminer.evaluation import (EvalReport, accuracy, confusion_matrix,
                                    evaluate, format_report_table, macro_f1,
                                    per_class_accuracy)
 from identminer.filters import CLASS_ORDER
-from identminer.models import MajorityBaseline
+from identminer.models import MajorityBaseline, RandomBaseline
 
 from helpers import skewed_labels
 
@@ -114,6 +114,38 @@ def test_evaluate_balanced_majority_hits_exact_constants():
     report = evaluate(majority, items, setting="balanced", seed=0)
     assert report.accuracy == 0.25
     assert report.macro_f1 == 0.1
+
+
+class _BatchEcho:
+    """Batch predictor that records its calls; per-example predict is off."""
+
+    def __init__(self):
+        self.batches = []
+
+    def predict(self, features):
+        raise AssertionError("evaluate should predict in one batch")
+
+    def predict_batch(self, features):
+        self.batches.append(list(features))
+        return list(features)
+
+
+def test_evaluate_predicts_in_one_batch_call():
+    test_set = [(W, W), (B, W), (HL, HL), (A, A)] * 3
+    predictor = _BatchEcho()
+    report = evaluate(predictor, test_set)
+    assert predictor.batches == [[features for features, _ in test_set]]
+    assert report == evaluate(_Echo(), test_set)
+
+
+def test_evaluate_random_baseline_keeps_per_example_draws():
+    items = [(None, label) for label in CLASS_ORDER for _ in range(25)]
+    report = evaluate(RandomBaseline(seed=4), items)
+    fresh = RandomBaseline(seed=4)
+    draws = [fresh.predict(None)[0] for _ in items]
+    assert report.accuracy == accuracy([label for _, label in items], draws)
+    assert report.confusion == confusion_matrix([label for _, label in items],
+                                                draws)
 
 
 def test_evaluate_rejects_unknown_setting_and_empty():

@@ -4,12 +4,12 @@ import pytest
 from identminer.filters import CLASS_ORDER
 from identminer.models import (NameModel, TrainConfig, load_model, save_model,
                                train_name_cnn)
-from identminer.models.namecnn import (FILTER_WIDTH, MAX_NAME_LEN, OOV_INDEX,
-                                       PAD_INDEX, build_char_vocab,
+from identminer.models.namecnn import (EMBED_DIM, FILTER_WIDTH, MAX_NAME_LEN,
+                                       OOV_INDEX, PAD_INDEX, build_char_vocab,
                                        encode_names, gradient_check,
                                        init_params, loss_and_grads,
                                        loss_only)
-from identminer.models.training import label_indices
+from identminer.models.training import label_indices, one_hot, softmax
 
 W, B, HL, A = CLASS_ORDER
 
@@ -21,6 +21,15 @@ def toy_items(per_class=8):
         for i in range(per_class):
             items.append((ch * (4 + i), np.zeros(5), label, "crowd"))
     return items
+
+
+def mixed_length_names(count, min_len, max_len, seed):
+    """Random names over a small alphabet with lengths drawn from
+    [min_len, max_len], the first one at max_len so the batch is padded."""
+    rng = np.random.default_rng(seed)
+    lengths = rng.integers(min_len, max_len + 1, size=count)
+    lengths[0] = max_len
+    return ["".join(rng.choice(list("abcdefgh xyz"), size=n)) for n in lengths]
 
 
 def tiny_model(names=("ab", "cd", "ee"), seed=1):
@@ -81,6 +90,87 @@ def test_gradient_check_with_sample_weights():
     err = gradient_check(model, ["ab", "cd", "ee"], metas, [W, W, A],
                          sample_weights=[0.2, 1.0, 2.0], step=1e-5)
     assert err < 1e-4
+
+
+def test_gradient_check_at_realistic_shape():
+    # 16 names of 3-50 characters: up to 48 windows per name, padded windows
+    # in every row but the longest, so a batch/position mix-up in the
+    # flattened GEMMs would show
+    names = mixed_length_names(16, 3, MAX_NAME_LEN, seed=4)
+    model = tiny_model(names, seed=2)
+    rng = np.random.default_rng(5)
+    metas = rng.normal(size=(16, 5))
+    labels = [CLASS_ORDER[i % 4] for i in range(16)]
+    weights = rng.uniform(0.2, 2.0, size=16)
+    err = gradient_check(model, names, metas, labels, sample_weights=weights,
+                         step=1e-5, coords_per_tensor=15)
+    assert err < 1e-4
+
+
+def reference_loss_and_grads(params, ids, metas, y_idx, weights, l2):
+    """Per-batch 3D formulation: window concatenation, batched matmul,
+    einsum filter gradient and np.add.at embedding scatter, with the same
+    padding mask as the model."""
+    positions = ids.shape[1] - FILTER_WIDTH + 1
+    X = params["E"][ids]
+    X_win = np.concatenate([X[:, k:positions + k] for k in range(FILTER_WIDTH)],
+                           axis=2)
+    Z = X_win @ params["Wc"].T + params["bc"]
+    lengths = (ids != PAD_INDEX).sum(axis=1)
+    last_start = np.maximum(lengths, FILTER_WIDTH) - FILTER_WIDTH
+    valid = np.arange(positions)[None, :] <= last_start[:, None]
+    A = np.where(valid[:, :, None], np.maximum(Z, 0.0), 0.0)
+    amax = A.argmax(axis=1)
+    H = np.take_along_axis(A, amax[:, None, :], axis=1)[:, 0, :]
+    G = np.concatenate([H, metas], axis=1)
+    U = G @ params["W1"] + params["b1"]
+    A1 = np.maximum(U, 0.0)
+    probs = softmax(A1 @ params["W2"] + params["b2"])
+    total = weights.sum()
+    loss = (-(weights * np.log(probs[np.arange(len(y_idx)), y_idx])).sum()
+            / total
+            + 0.5 * l2 * sum((params[k] ** 2).sum() for k in ("Wc", "W1", "W2")))
+
+    grads = {}
+    dlogits = (probs - one_hot(y_idx)) * (weights / total)[:, None]
+    grads["W2"] = A1.T @ dlogits + l2 * params["W2"]
+    grads["b2"] = dlogits.sum(axis=0)
+    dU = (dlogits @ params["W2"].T) * (U > 0)
+    grads["W1"] = G.T @ dU + l2 * params["W1"]
+    grads["b1"] = dU.sum(axis=0)
+    dH = (dU @ params["W1"].T)[:, :H.shape[1]]
+    dA = np.zeros_like(Z)
+    np.put_along_axis(dA, amax[:, None, :], dH[:, None, :], axis=1)
+    dZ = dA * (Z > 0)
+    grads["bc"] = dZ.sum(axis=(0, 1))
+    grads["Wc"] = np.einsum("bpf,bpd->fd", dZ, X_win) + l2 * params["Wc"]
+    dX_win = dZ @ params["Wc"]
+    dX = np.zeros(X.shape)
+    for k in range(FILTER_WIDTH):
+        dX[:, k:positions + k] += dX_win[:, :, k * EMBED_DIM:(k + 1) * EMBED_DIM]
+    grads["E"] = np.zeros_like(params["E"])
+    np.add.at(grads["E"], ids.ravel(), dX.reshape(-1, EMBED_DIM))
+    return loss, grads
+
+
+def test_loss_and_grads_matches_reference_formulation():
+    # lengths 0-50: names shorter than the filter width, padded windows, and
+    # the full 48 windows
+    names = mixed_length_names(24, 0, MAX_NAME_LEN, seed=6)
+    model = tiny_model(names, seed=3)
+    ids = encode_names(names, model.char_vocab)
+    rng = np.random.default_rng(7)
+    metas = rng.normal(size=(24, 5))
+    y_idx = rng.integers(0, 4, size=24)
+    weights = rng.uniform(0.2, 2.0, size=24)
+    loss, grads = loss_and_grads(model.params, ids, metas, y_idx, weights,
+                                 l2=1e-4)
+    ref_loss, ref_grads = reference_loss_and_grads(model.params, ids, metas,
+                                                   y_idx, weights, 1e-4)
+    np.testing.assert_allclose(loss, ref_loss, rtol=1e-10)
+    assert set(grads) == set(ref_grads)
+    for key, ref in ref_grads.items():
+        np.testing.assert_allclose(grads[key], ref, rtol=1e-10, err_msg=key)
 
 
 def test_loss_and_grads_matches_loss_only():
@@ -158,11 +248,20 @@ def test_name_model_round_trip(tmp_path):
 
 
 def test_predict_proba_batch_matches_single():
-    items = toy_items(per_class=2)
-    model = train_name_cnn(items, TrainConfig(epochs=1, batch_size=8))
-    names = ["aaaa", "bbbb"]
-    metas = np.zeros((2, 5))
-    batch = model.predict_proba_batch(names, metas)
-    for i, name in enumerate(names):
-        single = model.predict_proba((name, metas[i]))
-        assert np.allclose(batch[i], single)
+    # windows in the padding must stay out of the max-pool: through the
+    # trained pad embedding they would make a name's probabilities depend on
+    # the longest name in its batch
+    names = mixed_length_names(200, 0, 40, seed=8)
+    rng = np.random.default_rng(9)
+    items = [(name, rng.normal(size=5), CLASS_ORDER[len(name) % 4], "crowd")
+             for name in names]
+    model = train_name_cnn(items, TrainConfig(epochs=3, batch_size=64, seed=1),
+                           min_char_count=1)
+    probe = names[:40] + ["", "a", "ab", "abc"]
+    metas = np.vstack([item[1] for item in items[:40]] + [np.zeros((4, 5))])
+    batch = model.predict_proba_batch(probe, metas)
+    single = np.vstack([model.predict_proba((name, meta))
+                        for name, meta in zip(probe, metas)])
+    np.testing.assert_allclose(batch, single, rtol=0, atol=1e-12)
+    assert model.predict_batch(list(zip(probe, metas))) == \
+        [model.predict((name, meta))[0] for name, meta in zip(probe, metas)]

@@ -120,6 +120,17 @@ def test_train_unigram_fits_separable_data():
     assert correct == 40
 
 
+@pytest.mark.parametrize("dense", [True, False])
+def test_unigram_predict_batch_matches_per_row_predict(dense):
+    config = TrainConfig(learning_rate=0.5, epochs=5, seed=0, batch_size=8)
+    model = train_unigram(separable_items(dense=dense), config)
+    rng = np.random.default_rng(1)
+    rows = [rng.poisson(1.0, size=4).astype(float) for _ in range(30)]
+    if not dense:
+        rows = [sparse.csr_matrix(row) for row in rows]
+    assert model.predict_batch(rows) == [model.predict(row)[0] for row in rows]
+
+
 def test_train_unigram_rejects_degenerate_input():
     with pytest.raises(ValueError):
         train_unigram([], TrainConfig())
