@@ -13,7 +13,7 @@ import numpy as np
 
 from .filters import ClassLabel
 from .ingest import UserRecord
-from .textprep import Token, tokenize
+from .textprep import WORD_KINDS, Token, tokenize
 from .util import mean
 
 _MISSING = (None, "", "missing")
@@ -34,6 +34,18 @@ class GroupLexicalStats:
     contractions_per_tweet: float
     type_token_ratio: float
     hashtags_per_tweet: float
+
+    @classmethod
+    def from_samples(cls, group: ClassLabel,
+                     samples: Sequence[dict]) -> "GroupLexicalStats":
+        """Macro-average of the per-user means (see user_lexical_means)."""
+        return cls(
+            group=group,
+            lexical_diversity=mean([stats["ld"] for stats in samples]),
+            contractions_per_tweet=mean([stats["cpt"] for stats in samples]),
+            type_token_ratio=mean([stats["ttr"] for stats in samples]),
+            hashtags_per_tweet=mean([stats["hpt"] for stats in samples]),
+        )
 
 
 @dataclass
@@ -76,9 +88,12 @@ def lexical_diversity(tokens: Sequence[Token], stopwords: frozenset[str]) -> flo
 
 
 def user_lexical_means(user: UserRecord, stopwords: frozenset[str],
-                       max_tweets: int = 200, contractions=None) -> dict | None:
+                       max_tweets: int = 200, contractions=None,
+                       word_counts: Counter | None = None) -> dict | None:
     """Per-user means over tweets of TTR, LD, contractions/tweet, and
-    hashtags/tweet; None for users with no tweets."""
+    hashtags/tweet; None for users with no tweets. Each tweet is tokenized
+    once; given word_counts, the tweet's word and contraction tokens are
+    added to it in the same pass."""
     tweets = user.tweets[:max_tweets]
     if not tweets:
         return None
@@ -89,7 +104,27 @@ def user_lexical_means(user: UserRecord, stopwords: frozenset[str],
         ld.append(lexical_diversity(tokens, stopwords))
         cpt.append(sum(1 for tok in tokens if tok.kind == "contraction"))
         hpt.append(sum(1 for tok in tokens if tok.kind == "hashtag"))
+        if word_counts is not None:
+            word_counts.update(tok.text for tok in tokens
+                               if tok.kind in WORD_KINDS)
     return {"ttr": mean(ttr), "ld": mean(ld), "cpt": mean(cpt), "hpt": mean(hpt)}
+
+
+def group_lexical_pass(users: Iterable[UserRecord], stopwords: frozenset[str],
+                       max_tweets: int = 200, contractions=None
+                       ) -> tuple[list[dict], Counter]:
+    """One pass over a group's users, streaming one user at a time: the
+    per-user lexical means of users with tweets (the Mann-Whitney samples,
+    whose macro-average is GroupLexicalStats) and the group's word and
+    contraction counts (the input for distinctive_keywords)."""
+    samples = []
+    counts: Counter[str] = Counter()
+    for user in users:
+        stats = user_lexical_means(user, stopwords, max_tweets, contractions,
+                                   word_counts=counts)
+        if stats is not None:
+            samples.append(stats)
+    return samples, counts
 
 
 def group_lexical_stats(users_by_group: dict[ClassLabel, Sequence[UserRecord]],
@@ -97,19 +132,10 @@ def group_lexical_stats(users_by_group: dict[ClassLabel, Sequence[UserRecord]],
                         contractions=None) -> dict[ClassLabel, GroupLexicalStats]:
     """Macro-average the per-user means within each group; users without
     tweets are skipped."""
-    out = {}
-    for group, users in users_by_group.items():
-        per_user = [user_lexical_means(user, stopwords, max_tweets, contractions)
-                    for user in users]
-        per_user = [stats for stats in per_user if stats is not None]
-        out[group] = GroupLexicalStats(
-            group=group,
-            lexical_diversity=mean([stats["ld"] for stats in per_user]),
-            contractions_per_tweet=mean([stats["cpt"] for stats in per_user]),
-            type_token_ratio=mean([stats["ttr"] for stats in per_user]),
-            hashtags_per_tweet=mean([stats["hpt"] for stats in per_user]),
-        )
-    return out
+    return {group: GroupLexicalStats.from_samples(
+                group, group_lexical_pass(users, stopwords, max_tweets,
+                                          contractions)[0])
+            for group, users in users_by_group.items()}
 
 
 def _midranks(values: Sequence[float]) -> list[float]:
@@ -383,12 +409,7 @@ def group_token_counts(users: Iterable[UserRecord], max_tweets: int = 200,
                        contractions=None) -> Counter:
     """Token counts over a group's tweets (word and contraction kinds), the
     input for distinctive_keywords."""
-    counts: Counter[str] = Counter()
-    for user in users:
-        for tweet in user.tweets[:max_tweets]:
-            counts.update(tok.text for tok in tokenize(tweet.text, contractions=contractions)
-                          if tok.kind in ("word", "contraction"))
-    return counts
+    return group_lexical_pass(users, frozenset(), max_tweets, contractions)[1]
 
 
 def is_emoticon(text: str, emoticons: frozenset[str] | None = None) -> bool:

@@ -27,7 +27,8 @@ from .models import (TrainConfig, UnigramModel, baseline_majority,
                      baseline_random, build_vocab, effective_weight_histogram,
                      example_weights, featurize_user, inverse_class_weights,
                      load_model, name_meta_features, read_embeddings,
-                     save_model, train_name_cnn, train_unigram)
+                     save_model, train_name_cnn, train_unigram,
+                     user_word_counts)
 from .scorer import ScoreParams, read_tuning_tsv, score_description, tune_params
 from .textprep import SelfReportLexicon, build_selfreport_lexicon
 from .util import DataError, config_hash, pmap_ordered, stage_seed, write_json
@@ -503,16 +504,17 @@ def cmd_train(args: argparse.Namespace) -> int:
                 model = train_unigram(train_items, train_config)
             else:
                 stopwords = resources.load_stopwords()
-                vocab = build_vocab([record for _, record in pairs],
+                word_counts = [user_word_counts(record,
+                                                int(config["max_tweets"]))
+                               for _, record in pairs]
+                vocab = build_vocab(word_counts,
                                     min_count=int(config["min_count"]),
-                                    stopwords=stopwords,
-                                    max_tweets=int(config["max_tweets"]))
+                                    stopwords=stopwords)
                 if not vocab:
                     raise DataError("empty vocabulary; not enough tweet text")
                 train_items = [
-                    (featurize_user(record, vocab, int(config["max_tweets"])),
-                     user.label, user.source)
-                    for user, record in pairs]
+                    (featurize_user(counts, vocab), user.label, user.source)
+                    for counts, (user, _) in zip(word_counts, pairs)]
                 result["vocab_size"] = len(vocab)
                 model = train_unigram(train_items, train_config, vocab=vocab,
                                       stopwords=stopwords)
@@ -573,7 +575,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 raise DataError("model was trained on embedding features; "
                                 "pass --embeddings")
             test_set = [
-                (featurize_user(record, model.vocab, int(config["max_tweets"])),
+                (featurize_user(user_word_counts(record,
+                                                 int(config["max_tweets"])),
+                                model.vocab),
                  user.label)
                 for user, record in pairs]
 
@@ -610,13 +614,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     stopwords = resources.load_stopwords()
     max_tweets = int(config["max_tweets"])
 
-    lexical = analytics.group_lexical_stats(groups, stopwords, max_tweets)
-    samples = {
-        label: [stats for stats in
-                (analytics.user_lexical_means(record, stopwords, max_tweets)
-                 for record in groups[label])
-                if stats is not None]
-        for label in present}
+    # one pass per group: each tweet is tokenized once for the lexical
+    # means and the keyword counts
+    samples: dict = {}
+    counts: dict = {}
+    for label in present:
+        samples[label], counts[label] = analytics.group_lexical_pass(
+            groups[label], stopwords, max_tweets)
+    lexical = {label: analytics.GroupLexicalStats.from_samples(label,
+                                                               samples[label])
+               for label in present}
     mwu: dict = {}
     for metric in ("ttr", "ld", "cpt", "hpt"):
         table = {}
@@ -633,8 +640,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         mwu[metric] = table
 
     behavior = analytics.behavioral_profile(groups, max_tweets)
-    counts = {label: analytics.group_token_counts(groups[label], max_tweets)
-              for label in present}
     background: Counter = Counter()
     for counter in counts.values():
         background.update(counter)

@@ -164,7 +164,8 @@ def parse_user_line(line: str, line_no: int,
         profile = _parse_profile(obj.get("profile"), snapshot, counter)
         return UserRecord(user_id=user_id, name=str(name), description=str(description),
                           tweets=tweets, profile=profile, snapshot_time=snapshot)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
+        # OverflowError: int() of an infinite count such as 1e400 or Infinity
         return ParseFailure(line_no, str(exc))
 
 

@@ -9,8 +9,8 @@ import json
 import numpy as np
 
 from .baselines import MajorityBaseline, RandomBaseline, baseline_majority, baseline_random
-from .features import (build_vocab, featurize_user, featurize_users,
-                       name_meta_features, read_embeddings)
+from .features import (build_vocab, featurize_user, name_meta_features,
+                       read_embeddings, user_word_counts)
 from .namecnn import NameModel, gradient_check, train_name_cnn
 from .training import (TrainConfig, effective_weight_histogram, example_weights,
                        inverse_class_weights)
@@ -18,7 +18,7 @@ from .unigram import UnigramModel, train_unigram
 
 __all__ = [
     "MajorityBaseline", "RandomBaseline", "baseline_majority", "baseline_random",
-    "build_vocab", "featurize_user", "featurize_users", "name_meta_features",
+    "build_vocab", "featurize_user", "user_word_counts", "name_meta_features",
     "read_embeddings", "NameModel", "gradient_check", "train_name_cnn",
     "TrainConfig", "effective_weight_histogram", "example_weights",
     "inverse_class_weights", "UnigramModel", "train_unigram",

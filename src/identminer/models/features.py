@@ -1,62 +1,54 @@
 """Feature extraction: bag-of-words vocab and sparse count vectors over a
 user's recent tweets, metadata features for the name model, and import of
-externally computed per-user embeddings."""
+externally computed per-user embeddings.
+
+Each user's tweets are tokenized once, into a word Counter (user_word_counts);
+the vocabulary and the feature vectors are both built from those counters."""
 from __future__ import annotations
 
 import math
 from collections import Counter
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 from scipy import sparse
 
 from ..ingest import UserRecord
-from ..textprep import tokenize
-
-_COUNTED_KINDS = ("word", "contraction")
+from ..textprep import WORD_KINDS, tokenize
 
 
-def _tweet_words(user: UserRecord, max_tweets: int,
-                 contractions=None) -> Iterable[str]:
-    for tweet in user.tweets[:max_tweets]:
-        for token in tokenize(tweet.text, contractions=contractions):
-            if token.kind in _COUNTED_KINDS:
-                yield token.text
-
-
-def build_vocab(dev_users: Sequence[UserRecord], min_count: int = 2,
-                stopwords: frozenset[str] = frozenset(),
-                max_tweets: int = 200, contractions=None) -> dict[str, int]:
-    """Non-stopwords occurring at least min_count times across the dev users'
-    tweets, indexed in lexicographic order."""
+def user_word_counts(user: UserRecord, max_tweets: int = 200,
+                     contractions=None) -> Counter[str]:
+    """Word and contraction token counts over the user's newest max_tweets
+    tweets."""
     counts: Counter[str] = Counter()
-    for user in dev_users:
-        counts.update(_tweet_words(user, max_tweets, contractions))
+    for tweet in user.tweets[:max_tweets]:
+        counts.update(token.text for token in tokenize(tweet.text, contractions)
+                      if token.kind in WORD_KINDS)
+    return counts
+
+
+def build_vocab(word_counts: Iterable[Counter], min_count: int = 2,
+                stopwords: frozenset[str] = frozenset()) -> dict[str, int]:
+    """Non-stopwords occurring at least min_count times across the dev users'
+    word counts, indexed in lexicographic order."""
+    counts: Counter[str] = Counter()
+    for user_counts in word_counts:
+        counts.update(user_counts)
     kept = sorted(word for word, count in counts.items()
                   if count >= min_count and word not in stopwords)
     return {word: i for i, word in enumerate(kept)}
 
 
-def featurize_user(user: UserRecord, vocab: dict[str, int],
-                   max_tweets: int = 200, contractions=None) -> sparse.csr_matrix:
-    """1 x |vocab| token-count vector over the user's newest max_tweets tweets."""
-    counts: Counter[int] = Counter()
-    for word in _tweet_words(user, max_tweets, contractions):
-        col = vocab.get(word)
-        if col is not None:
-            counts[col] += 1
-    cols = sorted(counts)
-    data = [float(counts[col]) for col in cols]
+def featurize_user(word_counts: Counter, vocab: dict[str, int]) -> sparse.csr_matrix:
+    """1 x |vocab| token-count vector from one user's word counts; words
+    outside the vocabulary are dropped."""
+    by_col = {vocab[word]: count for word, count in word_counts.items()
+              if word in vocab}
+    cols = sorted(by_col)
+    data = [float(by_col[col]) for col in cols]
     return sparse.csr_matrix((data, (np.zeros(len(cols), dtype=np.int64), cols)),
                              shape=(1, len(vocab)))
-
-
-def featurize_users(users: Sequence[UserRecord], vocab: dict[str, int],
-                    max_tweets: int = 200, contractions=None) -> sparse.csr_matrix:
-    if not users:
-        return sparse.csr_matrix((0, len(vocab)))
-    return sparse.vstack([featurize_user(user, vocab, max_tweets, contractions)
-                          for user in users], format="csr")
 
 
 def name_meta_features(user: UserRecord) -> np.ndarray:

@@ -49,11 +49,6 @@ def load_colors(path=None) -> frozenset[str]:
 
 
 @lru_cache(maxsize=None)
-def load_person_keywords(path=None) -> frozenset[str]:
-    return load_wordlist(path or _packaged("person_keywords.txt"))
-
-
-@lru_cache(maxsize=None)
 def load_emoticons(path=None) -> frozenset[str]:
     # emoticons are case- and punctuation-sensitive; no lowercasing
     return frozenset(_read_lines(path or _packaged("emoticons.txt")))

@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence, TypeVar
+from typing import Sequence
 
 from .filters import QueryMatch
 from .textprep import SelfReportLexicon, TaggedToken
-
-T = TypeVar("T")
 
 WEIGHTINGS = ("simple", "tfidf")
 
@@ -140,17 +138,6 @@ def tune_params(tuning_set: Sequence[tuple[Sequence[TaggedToken], QueryMatch, bo
     if best_params is None:
         raise ValueError("no grid point yields a positive prediction")
     return best_params
-
-
-def threshold_users(users_with_scores: Iterable[tuple[T, Sequence[float]]],
-                    params: ScoreParams) -> list[tuple[T, Sequence[float]]]:
-    """Keep entries whose maximum score reaches the threshold (inclusive).
-    Entries with no scores are dropped."""
-    kept = []
-    for user, scores in users_with_scores:
-        if scores and max(scores) >= params.threshold:
-            kept.append((user, scores))
-    return kept
 
 
 def read_tuning_tsv(path) -> list[tuple[str, str, str]]:

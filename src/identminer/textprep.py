@@ -5,13 +5,20 @@ The tokenizer is regex-based: URLs, @mentions, #hashtags, emoji (including
 zero-width-joiner sequences), apostrophe contractions from a shipped list, and
 punctuation runs each become single tokens; everything else splits on
 whitespace and is lowercased.
+
+Token records are immutable named tuples: a ``Token`` is (text, kind,
+char_span) and a ``TaggedToken`` is (token, pos). They hash, sort and compare
+as tuples, so a Token equals the plain tuple of its fields. A tuple is several
+times cheaper to build than a frozen dataclass, and tokenize builds one per
+token of every tweet and description.
 """
 from __future__ import annotations
 
+import functools
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator
+from typing import Iterable, NamedTuple
 
 PENN_TAGS = frozenset({
     "CC", "CD", "DT", "EX", "FW", "IN", "JJ", "JJR", "JJS", "LS", "MD",
@@ -57,17 +64,24 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     text: str
     kind: str  # word | hashtag | mention | url | emoji | punct | contraction
     char_span: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class TaggedToken:
+class TaggedToken(NamedTuple):
     token: Token
     pos: str
+
+
+# Token(...) runs the named tuple's Python-level __new__ for every token;
+# tuple.__new__ bound to the class builds the same object without that frame
+_new_token = functools.partial(tuple.__new__, Token)
+_new_tagged = functools.partial(tuple.__new__, TaggedToken)
+
+# token kinds that count as words in bag-of-words features and keyword counts
+WORD_KINDS = ("word", "contraction")
 
 
 @dataclass
@@ -97,9 +111,16 @@ class TagLexicon:
         return cls(tags=tags, default_tag=default_tag)
 
 
-def _default_contractions() -> frozenset[str]:
+# the packaged contraction list, bound on first use (resources imports this
+# module, so it cannot be loaded at import time)
+_default_contractions: frozenset[str] | None = None
+
+
+def _load_default_contractions() -> frozenset[str]:
+    global _default_contractions
     from . import resources
-    return resources.load_contractions()
+    _default_contractions = resources.load_contractions()
+    return _default_contractions
 
 
 def tokenize(text: str, contractions: frozenset[str] | None = None) -> list[Token]:
@@ -109,18 +130,18 @@ def tokenize(text: str, contractions: frozenset[str] | None = None) -> list[Toke
     inter-token whitespace reconstructs the input exactly.
     """
     if contractions is None:
-        contractions = _default_contractions()
+        contractions = _default_contractions or _load_default_contractions()
     tokens: list[Token] = []
+    append = tokens.append
     for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
-        raw = match.group()
-        lowered = raw.lower()
+        lowered = match.group().lower()
         if kind == "word" and ("'" in lowered or "’" in lowered):
             normalized = lowered.replace("’", "'")
             if normalized in contractions:
-                tokens.append(Token(normalized, "contraction", match.span()))
+                append(_new_token((normalized, "contraction", match.span())))
                 continue
-        tokens.append(Token(lowered, kind, match.span()))
+        append(_new_token((lowered, kind, match.span())))
     return tokens
 
 
@@ -131,7 +152,7 @@ def pos_tag(tokens: Iterable[Token], lexicon: TagLexicon) -> list[TaggedToken]:
     for token in tokens:
         sentinel = SENTINEL_TAGS.get(token.kind)
         pos = sentinel if sentinel is not None else lexicon.tag(token.text)
-        tagged.append(TaggedToken(token, pos))
+        tagged.append(_new_tagged((token, pos)))
     return tagged
 
 

@@ -5,8 +5,9 @@ import pytest
 import scipy.stats
 
 from identminer.analytics import (DISCARD, behavioral_profile,
-                                  distinctive_keywords, group_lexical_stats,
-                                  group_token_counts, is_emoticon,
+                                  distinctive_keywords, group_lexical_pass,
+                                  group_lexical_stats, group_token_counts,
+                                  is_emoticon,
                                   kendall_tau_top_k,
                                   krippendorff_alpha_nominal,
                                   lexical_diversity, majority_vote,
@@ -252,6 +253,21 @@ def test_user_lexical_means_honors_max_tweets():
     stats = user_lexical_means(user, frozenset(), max_tweets=1,
                                contractions=CONTR)
     assert stats["hpt"] == 0.0  # only the newest tweet counted
+
+
+def test_group_lexical_pass_gives_samples_and_counts_in_one_pass():
+    busy = make_user("u1", tweets=(
+        make_tweet("i'm happy #fun", hours=-1.0),
+        make_tweet("go go go", hours=-2.0),
+        make_tweet("old words", hours=-3.0),
+    ))
+    idle = make_user("u2")
+    stopwords = frozenset({"happy"})
+    samples, counts = group_lexical_pass([busy, idle], stopwords,
+                                         max_tweets=2, contractions=CONTR)
+    assert samples == [user_lexical_means(busy, stopwords, max_tweets=2,
+                                          contractions=CONTR)]
+    assert counts == {"i'm": 1, "happy": 1, "go": 3}
 
 
 def test_group_lexical_stats_skips_tweetless_and_macro_averages():

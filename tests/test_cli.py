@@ -107,6 +107,20 @@ def test_malformed_corpus_lines_are_tolerated(tmp_path):
     assert summary["n_parse_failures"] == 3
 
 
+def test_non_finite_count_lines_are_counted_and_skipped(tmp_path):
+    good = json.dumps(user_payload("u1", description="i am a farmer"))
+    overflow = [json.dumps(user_payload(f"x{i}", profile={field: "VALUE"}))
+                .replace('"VALUE"', value)
+                for i, (field, value) in enumerate(
+                    [("followers_count", "1e400"), ("statuses_count", "Infinity")])]
+    corpus = write_jsonl(tmp_path / "c.jsonl", [good, *overflow])
+    out = tmp_path / "out"
+    assert run("lexicon-build", "--corpus", str(corpus), "--out", str(out)) == 0
+    summary = json.loads((out / "lexicon_summary.json").read_text())
+    assert summary["n_users"] == 1
+    assert summary["n_parse_failures"] == 2
+
+
 # ---------------------------------------------------------------------------
 # dataset-build
 
@@ -430,6 +444,70 @@ def test_analyze_end_to_end(tmp_path):
     assert result["kendall_tau"]["k=20"]["W|B"] == -1.0
     assert result["behavior"]["W"]["pct_iphone"] == 100.0
     assert result["behavior"]["W"]["avg_statuses"] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# one tokenization per tweet
+
+def counting_tokenize(monkeypatch) -> list[str]:
+    """Wrap textprep.tokenize in every identminer module that binds it; the
+    returned list receives the text of each call."""
+    from identminer import textprep
+    original = textprep.tokenize
+    calls: list[str] = []
+
+    def counted(text, *args, **kwargs):
+        calls.append(text)
+        return original(text, *args, **kwargs)
+
+    patched = set()
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "identminer"
+                and getattr(module, "tokenize", None) is original):
+            monkeypatch.setattr(module, "tokenize", counted)
+            patched.add(name)
+    assert {"identminer.textprep", "identminer.analytics",
+            "identminer.models.features"} <= patched
+    return calls
+
+
+def test_train_evaluate_and_analyze_tokenize_each_tweet_once(tmp_path,
+                                                            monkeypatch):
+    """Every tweet among each user's newest max_tweets is tokenized exactly
+    once per run; older tweets not at all."""
+    words = {"W": "alpha", "B": "bravo", "HL": "charlie", "A": "delta"}
+    payloads, users, in_scope = [], [], []
+    for label in CLASS_ORDER:
+        for j in range(2):
+            user_id = f"{label.value.lower()}{j}"
+            # 1 or 3 tweets, newest first; every text is distinct
+            texts = [f"{words[label.value]} chat {user_id} n{k}"
+                     for k in range(1 + 2 * j)]
+            payloads.append(user_payload(user_id, tweets=tuple(
+                tweet_payload(text, hours=-1.0 - k)
+                for k, text in enumerate(texts))))
+            users.append(LabeledUser(user_id=user_id, label=label,
+                                     source="crowd", score=None))
+            in_scope += texts[:2]
+    corpus = write_jsonl(tmp_path / "corpus.jsonl", payloads)
+    data = tmp_path / "data.tsv"
+    write_dataset_tsv(users, data)
+    config = write_config(tmp_path, "cfg.json", max_tweets=2, epochs=2)
+    calls = counting_tokenize(monkeypatch)
+    common = ("--config", str(config), "--corpus", str(corpus))
+
+    assert run("train", "--model", "unigram", *common, "--train-data",
+               str(data), "--out", str(tmp_path / "train")) == 0
+    assert sorted(calls) == sorted(in_scope)
+    calls.clear()
+    assert run("evaluate", *common, "--model-file",
+               str(tmp_path / "train" / "model.json"), "--test-data", str(data),
+               "--out", str(tmp_path / "eval")) == 0
+    assert sorted(calls) == sorted(in_scope)
+    calls.clear()
+    assert run("analyze", *common, "--data", str(data),
+               "--out", str(tmp_path / "analyze")) == 0
+    assert sorted(calls) == sorted(in_scope)
 
 
 # ---------------------------------------------------------------------------

@@ -83,6 +83,17 @@ def test_negative_counts_rejected():
     assert isinstance(parse_user_line(json.dumps(payload), 1), ParseFailure)
 
 
+@pytest.mark.parametrize("field", ["followers_count", "statuses_count"])
+@pytest.mark.parametrize("value", ["1e400", "Infinity", "-Infinity", "NaN"])
+def test_non_finite_counts_become_failures(field, value):
+    # json.loads reads all four as floats that int() cannot convert
+    line = json.dumps(user_payload("u1", profile={field: "VALUE"}))
+    line = line.replace('"VALUE"', value)
+    result = parse_user_line(line, 7)
+    assert isinstance(result, ParseFailure)
+    assert result.line_no == 7
+
+
 def test_account_created_after_snapshot_rejected():
     payload = user_payload("u1", hours=0,
                            profile={"account_created_at": iso(hours=5)})

@@ -9,10 +9,10 @@ from identminer.models import (MajorityBaseline, RandomBaseline, TrainConfig,
                                UnigramModel, baseline_majority,
                                baseline_random, build_vocab,
                                effective_weight_histogram, example_weights,
-                               featurize_user, featurize_users,
-                               inverse_class_weights, load_model,
-                               name_meta_features, read_embeddings,
-                               save_model, train_unigram)
+                               featurize_user, inverse_class_weights,
+                               load_model, name_meta_features,
+                               read_embeddings, save_model, train_unigram,
+                               user_word_counts)
 from identminer.models.training import label_indices, one_hot, softmax
 from identminer.models.unigram import weighted_ce_loss
 
@@ -238,12 +238,23 @@ def vocab_corpus():
     ]
 
 
+def vocab_counts():
+    return [user_word_counts(user) for user in vocab_corpus()]
+
+
+def test_user_word_counts_words_and_contractions_only():
+    user = make_user("u1", tweets=(
+        make_tweet("i'm happy happy #tag @mike https://x.co :)", hours=-1.0),))
+    assert user_word_counts(user, contractions=frozenset({"i'm"})) == {
+        "i'm": 1, "happy": 2}
+
+
 def test_build_vocab_lexicographic_with_min_count():
-    vocab = build_vocab(vocab_corpus(), min_count=2,
+    vocab = build_vocab(vocab_counts(), min_count=2,
                         stopwords=frozenset({"the"}))
     assert vocab == {"brunch": 0, "gaming": 1, "garden": 2}
     # min_count 1 admits the rest, still sorted
-    vocab = build_vocab(vocab_corpus(), min_count=1,
+    vocab = build_vocab(vocab_counts(), min_count=1,
                         stopwords=frozenset({"the"}))
     assert list(vocab) == sorted(vocab)
     assert "time" in vocab
@@ -252,24 +263,23 @@ def test_build_vocab_lexicographic_with_min_count():
 def test_build_vocab_respects_max_tweets():
     user = make_user("v1", tweets=(make_tweet("newest newest", hours=-1),
                                    make_tweet("older older", hours=-2)))
-    vocab = build_vocab([user], min_count=2, max_tweets=1)
+    vocab = build_vocab([user_word_counts(user, max_tweets=1)], min_count=2)
     assert "newest" in vocab and "older" not in vocab
 
 
 def test_featurize_user_counts():
-    vocab = build_vocab(vocab_corpus(), min_count=2,
+    vocab = build_vocab(vocab_counts(), min_count=2,
                         stopwords=frozenset({"the"}))
-    row = featurize_user(vocab_corpus()[0], vocab)
+    first, second = vocab_counts()
+    row = featurize_user(first, vocab)
     assert row.shape == (1, 3)
     assert row.toarray().tolist() == [[2.0, 1.0, 1.0]]
-    matrix = featurize_users(vocab_corpus(), vocab)
-    assert matrix.shape == (2, 3)
-    assert matrix.toarray()[1].tolist() == [1.0, 1.0, 1.0]
+    assert featurize_user(second, vocab).toarray().tolist() == [[1.0, 1.0, 1.0]]
 
 
 def test_featurize_user_ignores_oov():
-    row = featurize_user(make_user("x", tweets=(make_tweet("nothing known"),)),
-                         {"brunch": 0})
+    counts = user_word_counts(make_user("x", tweets=(make_tweet("nothing known"),)))
+    row = featurize_user(counts, {"brunch": 0})
     assert row.toarray().tolist() == [[0.0]]
 
 

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from identminer.textprep import (SENTINEL_TAGS, SelfReportLexicon, TagLexicon,
-                                 build_selfreport_lexicon,
+                                 TaggedToken, Token, build_selfreport_lexicon,
                                  description_selfreport_words,
                                  extract_selfreport_candidates, pos_tag,
                                  tokenize)
@@ -41,6 +41,41 @@ def test_tokenize_curly_apostrophe_contraction():
     tokens = tokenize("i’m tired")
     assert tokens[0].text == "i'm"
     assert tokens[0].kind == "contraction"
+
+
+def test_tokenize_every_kind_with_spans():
+    text = "Wow, check https://x.co/a @Bob #Fun \U0001F600 I\u2019m done!!"
+    assert tokenize(text) == [
+        Token("wow", "word", (0, 3)),
+        Token(",", "punct", (3, 4)),
+        Token("check", "word", (5, 10)),
+        Token("https://x.co/a", "url", (11, 25)),
+        Token("@bob", "mention", (26, 30)),
+        Token("#fun", "hashtag", (31, 35)),
+        Token("\U0001F600", "emoji", (36, 37)),
+        Token("i'm", "contraction", (38, 41)),
+        Token("done", "word", (42, 46)),
+        Token("!!", "punct", (46, 48)),
+    ]
+
+
+def test_token_records_are_immutable_hashable_and_named():
+    token = Token("farmer", "word", (0, 6))
+    tagged = TaggedToken(token, "NN")
+    assert (token.text, token.kind, token.char_span) == ("farmer", "word", (0, 6))
+    assert tagged.token is token and tagged.pos == "NN"
+    for record, name in ((token, "text"), (token, "char_span"),
+                         (tagged, "token"), (tagged, "pos")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(TypeError):
+        token[0] = "x"
+    assert {token, Token("farmer", "word", (0, 6))} == {token}
+    assert len({tagged, TaggedToken(Token("farmer", "word", (0, 6)), "NN"),
+                TaggedToken(token, "JJ")}) == 2
+    assert repr(token) == "Token(text='farmer', kind='word', char_span=(0, 6))"
+    # a tuple subclass: equal to the plain tuple of its fields
+    assert token == ("farmer", "word", (0, 6))
 
 
 def test_tokenize_hyphenated_word_is_one_token():
