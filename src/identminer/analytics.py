@@ -410,10 +410,3 @@ def group_token_counts(users: Iterable[UserRecord], max_tweets: int = 200,
     """Token counts over a group's tweets (word and contraction kinds), the
     input for distinctive_keywords."""
     return group_lexical_pass(users, frozenset(), max_tweets, contractions)[1]
-
-
-def is_emoticon(text: str, emoticons: frozenset[str] | None = None) -> bool:
-    if emoticons is None:
-        from . import resources
-        emoticons = resources.load_emoticons()
-    return text in emoticons

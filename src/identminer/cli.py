@@ -18,20 +18,24 @@ from collections import Counter
 from pathlib import Path
 
 from . import analytics, resources
-from .datasets import (build_cb, build_hf, build_qb, match_reports,
-                       merge_candidates, read_dataset_tsv, write_dataset_tsv)
+from .datasets import (build_cb, hf_users, merge_candidates, qb_users,
+                       read_dataset_tsv, scan_descriptions, score_reports,
+                       write_dataset_tsv)
 from .evaluation import evaluate, format_report_table
-from .filters import CLASS_ORDER, FILTER_NAMES, FilterConfig, apply_filter_chain
-from .ingest import ParseFailure, UserRecord, dedupe_latest, parse_user_line
+from .filters import CLASS_ORDER, FILTER_NAMES, FilterConfig
+from .ingest import ParseFailure, UserRecord, dedupe_latest, load_users
 from .models import (TrainConfig, UnigramModel, baseline_majority,
                      baseline_random, build_vocab, effective_weight_histogram,
                      example_weights, featurize_user, inverse_class_weights,
                      load_model, name_meta_features, read_embeddings,
                      save_model, train_name_cnn, train_unigram,
                      user_word_counts)
-from .scorer import ScoreParams, read_tuning_tsv, score_description, tune_params
-from .textprep import SelfReportLexicon, build_selfreport_lexicon
-from .util import DataError, config_hash, pmap_ordered, stage_seed, write_json
+from .scorer import (GRID_THRESHOLDS, GRID_WINDOWS, WEIGHTINGS, ScoreParams,
+                     precision_recall, read_tuning_tsv, score_description,
+                     score_grid, tune_params)
+from .textprep import (SelfReportCounter, SelfReportLexicon,
+                       build_selfreport_lexicon)
+from .util import DataError, config_hash, stage_seed, write_json
 
 logger = logging.getLogger("identminer")
 
@@ -59,9 +63,9 @@ DEFAULTS = {
     "sage_lambda": 1.0,
     "top_n": 20,
     "tau_ks": [20, 50],
-    "grid_windows": list(range(1, 11)),
-    "grid_thresholds": [round(0.05 * i, 2) for i in range(1, 20)],
-    "grid_weightings": ["simple", "tfidf"],
+    "grid_windows": list(GRID_WINDOWS),
+    "grid_thresholds": list(GRID_THRESHOLDS),
+    "grid_weightings": list(WEIGHTINGS),
 }
 
 _PATH_KEYS = ("corpus", "out", "lexicon", "tag_lexicon", "tuning", "train_data",
@@ -96,7 +100,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, help="root random seed")
         p.add_argument("--workers", type=int, default=1,
-                       help="corpus-level parallelism (results are invariant)")
+                       help="accepted for compatibility; every run is serial "
+                            "and results are invariant")
         p.add_argument("--tag-lexicon", dest="tag_lexicon",
                        help="word<TAB>tag TSV overriding the bundled tagger")
         p.add_argument("--lexicon", help="self-report lexicon TSV")
@@ -196,33 +201,21 @@ def _out_dir(paths: dict) -> Path:
     return out
 
 
-def _load_corpus(path: str, workers: int = 1) -> tuple[list[UserRecord], int]:
+def _load_corpus(path: str) -> tuple[list[UserRecord], int]:
     """Deduplicated user records (latest snapshot per user) plus the count of
-    lines that failed to parse. Per-line parsing is pure, so it fans out over
-    workers without changing the result."""
+    lines that failed to parse."""
+    records: list[UserRecord] = []
+    failures = 0
     with open(path, "rb") as handle:
-        lines = handle.readlines()
-
-    def parse(pair):
-        line_no, raw = pair
-        try:
-            text = raw.decode("utf-8")
-        except UnicodeDecodeError:
-            return ParseFailure(line_no, "invalid UTF-8")
-        text = text.rstrip("\r\n")
-        if not text.strip():
-            return ParseFailure(line_no, "blank line")
-        return parse_user_line(text, line_no)
-
-    results = pmap_ordered(parse, list(enumerate(lines, start=1)), workers)
-    records = [r for r in results if isinstance(r, UserRecord)]
-    failures = len(results) - len(records)
-    for failure in results:
-        if isinstance(failure, ParseFailure):
-            logger.debug("line %d skipped: %s", failure.line_no, failure.reason)
+        for result in load_users(handle):
+            if isinstance(result, ParseFailure):
+                failures += 1
+                logger.debug("line %d skipped: %s", result.line_no, result.reason)
+            else:
+                records.append(result)
     ordered = list(dedupe_latest(records).values())
     logger.info("corpus: %d lines, %d parsed, %d failures, %d unique users",
-                len(lines), len(records), failures, len(ordered))
+                len(records) + failures, len(records), failures, len(ordered))
     return ordered, failures
 
 
@@ -249,18 +242,23 @@ def _score_params(config: dict) -> ScoreParams:
         raise DataError(str(exc)) from exc
 
 
-def _lexicon(paths: dict, config: dict, records, tag_lexicon) -> SelfReportLexicon:
+def _description_pass(paths: dict, config: dict, records, tag_lexicon):
+    """The one pass over the descriptions: (lexicon, unscored reports of the
+    users matching exactly one class). The lexicon is read from --lexicon, or
+    else counted from the same tagged tokens that the query matching uses."""
     if paths.get("lexicon"):
         try:
-            return SelfReportLexicon.from_tsv(_require(paths, "lexicon"))
+            lexicon = SelfReportLexicon.from_tsv(_require(paths, "lexicon"))
         except ValueError as exc:
             raise DataError(str(exc)) from exc
-    lexicon = build_selfreport_lexicon(records, tag_lexicon,
-                                       allow_im=config["allow_im"])
+        return lexicon, scan_descriptions(records, tag_lexicon)
+    counter = SelfReportCounter(tag_lexicon, allow_im=config["allow_im"])
+    reports = scan_descriptions(records, tag_lexicon, counter)
+    lexicon = counter.lexicon()
     if not lexicon.os_counts:
         raise DataError("self-report lexicon is empty; corpus has no "
                         "first-person statements (or pass --lexicon)")
-    return lexicon
+    return lexicon, reports
 
 
 def _result_base(config: dict, command: str) -> dict:
@@ -273,7 +271,7 @@ def cmd_lexicon_build(args: argparse.Namespace) -> int:
     corpus_path = _require(paths, "corpus")
     tag_lexicon = _tag_lexicon(paths)
     out = _out_dir(paths)
-    records, failures = _load_corpus(corpus_path, args.workers)
+    records, failures = _load_corpus(corpus_path)
     lexicon = build_selfreport_lexicon(records, tag_lexicon,
                                        allow_im=config["allow_im"])
     lexicon.to_tsv(out / "selfreport_lexicon.tsv")
@@ -288,32 +286,27 @@ def cmd_lexicon_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _filter_accounting(reports, filter_config: FilterConfig, colors, blocklist):
+def _filter_accounting(reports, filter_config: FilterConfig):
     """Removal table: users removed with only each enabled filter on, removals
     attributed to the chain filter that fired first under the full config,
     and the pass count. A multi-match user passes when any match passes;
-    removed users attribute to the rejecting filter of their first match."""
+    removed users attribute to the rejecting filter of their first match.
+    All three come from the one filter-chain outcome of each match."""
     enabled = [name for name, flag in
                zip(FILTER_NAMES, (filter_config.color, filter_config.plural,
                                   filter_config.bigram, filter_config.quote))
                if flag]
-    solo_configs = {name: FilterConfig.from_names([name]) for name in enabled}
     solo_removed = {name: 0 for name in enabled}
     chain_removed = Counter()
     passed = 0
     for report in reports:
-        for name, solo in solo_configs.items():
-            if not any(apply_filter_chain(report.tagged, report.raw_text, match,
-                                          solo, colors, blocklist).passed
-                       for match in report.matches):
+        for name in enabled:
+            if all(name in outcome.rejected_by for outcome in report.outcomes):
                 solo_removed[name] += 1
-        outcomes = [apply_filter_chain(report.tagged, report.raw_text, match,
-                                       filter_config, colors, blocklist)
-                    for match in report.matches]
-        if any(outcome.passed for outcome in outcomes):
+        if any(outcome.passed for outcome in report.outcomes):
             passed += 1
-        elif outcomes:
-            chain_removed[outcomes[0].rejecting_filter] += 1
+        else:
+            chain_removed[report.outcomes[0].rejecting_filter] += 1
     return {
         "removed_with_single_filter": solo_removed,
         "removed_by_filter_chain": dict(sorted(chain_removed.items())),
@@ -335,31 +328,26 @@ def cmd_dataset_build(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     out = _out_dir(paths)
-    records, _ = _load_corpus(corpus_path, args.workers)
-    lexicon = _lexicon(paths, config, records, tag_lexicon)
+    records, _ = _load_corpus(corpus_path)
+    lexicon, reports = _description_pass(paths, config, records, tag_lexicon)
     params = _score_params(config)
+    # qb reads no filter verdicts
+    score_reports(reports, lexicon, params,
+                  None if kind == "qb" else filter_config, colors, blocklist)
 
     stats = _result_base(config, "dataset-build")
     stats["kind"] = kind
     stats["n_users"] = len(records)
 
     if kind == "qb":
-        users = build_qb(records, tag_lexicon, lexicon, params,
-                         workers=args.workers)
+        users = qb_users(reports)
     elif kind == "hf":
-        reports = match_reports(records, tag_lexicon, lexicon, params,
-                                workers=args.workers)
         stats["n_matched"] = len(reports)
-        stats["filter_accounting"] = _filter_accounting(
-            reports, filter_config, colors, blocklist)
-        users = build_hf(records, tag_lexicon, lexicon, params, filter_config,
-                         colors, blocklist, workers=args.workers)
+        stats["filter_accounting"] = _filter_accounting(reports, filter_config)
+        users = hf_users(reports, params.threshold)
     else:
-        qb = build_qb(records, tag_lexicon, lexicon, params,
-                      workers=args.workers)
-        hf = build_hf(records, tag_lexicon, lexicon, params, filter_config,
-                      colors, blocklist, workers=args.workers)
-        candidates = merge_candidates(qb, hf)
+        candidates = merge_candidates(qb_users(reports),
+                                      hf_users(reports, params.threshold))
         try:
             users = build_cb(candidates, k=config["cb_k"])
         except ValueError as exc:
@@ -381,8 +369,8 @@ def cmd_tune(args: argparse.Namespace) -> int:
     tuning_path = _require(paths, "tuning")
     tag_lexicon = _tag_lexicon(paths)
     out = _out_dir(paths)
-    records, _ = _load_corpus(corpus_path, args.workers)
-    lexicon = _lexicon(paths, config, records, tag_lexicon)
+    records, _ = _load_corpus(corpus_path)
+    lexicon, reports = _description_pass(paths, config, records, tag_lexicon)
 
     try:
         rows = read_tuning_tsv(tuning_path)
@@ -398,34 +386,28 @@ def cmd_tune(args: argparse.Namespace) -> int:
             continue
         labels[user_id] = verdict == "yes"
 
-    reports = match_reports(records, tag_lexicon, lexicon, _score_params(config),
-                            workers=args.workers)
-    # the first query match stands in for the user
+    # the first query match stands in for the user; tune_params scores it
+    # under each grid point, so the reports are not scored here
     tuning_set = [(report.tagged, report.matches[0], labels[report.user_id])
                   for report in reports if report.user_id in labels]
-    grid = [ScoreParams(window, threshold, weighting)
-            for weighting in config["grid_weightings"]
-            for window in config["grid_windows"]
-            for threshold in config["grid_thresholds"]]
+    grid = score_grid(config["grid_windows"], config["grid_thresholds"],
+                      config["grid_weightings"])
     try:
         best = tune_params(tuning_set, lexicon, grid)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
 
-    scores = [score_description(tagged, match, lexicon, best).value
-              for tagged, match, _ in tuning_set]
-    truth = [label for _, _, label in tuning_set]
-    predicted = [score >= best.threshold for score in scores]
-    tp = sum(1 for p, t in zip(predicted, truth) if p and t)
-    fp = sum(1 for p, t in zip(predicted, truth) if p and not t)
-    fn = sum(1 for p, t in zip(predicted, truth) if not p and t)
+    precision, recall = precision_recall(
+        [score_description(tagged, match, lexicon, best).value
+         for tagged, match, _ in tuning_set],
+        [label for _, _, label in tuning_set], best.threshold)
     result = _result_base(config, "tune")
     result.update({
         "window": best.window,
         "threshold": best.threshold,
         "weighting": best.weighting,
-        "precision": tp / (tp + fp) if tp + fp else None,
-        "recall": tp / (tp + fn) if tp + fn else 0.0,
+        "precision": precision,
+        "recall": recall,
         "n_examples": len(tuning_set),
         "n_discarded": len(votes) - len(labels),
     })
@@ -478,7 +460,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         return 0
 
     corpus_path = _require(paths, "corpus")
-    records, _ = _load_corpus(corpus_path, args.workers)
+    records, _ = _load_corpus(corpus_path)
     pairs = _dataset_with_records(dataset,
                                   {record.user_id: record for record in records})
     train_config = TrainConfig(
@@ -558,7 +540,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         test_set = [(None, user.label) for user in dataset]
     else:
         corpus_path = _require(paths, "corpus")
-        records, _ = _load_corpus(corpus_path, args.workers)
+        records, _ = _load_corpus(corpus_path)
         pairs = _dataset_with_records(
             dataset, {record.user_id: record for record in records})
         if kind == "NameModel":
@@ -603,7 +585,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     corpus_path = _require(paths, "corpus")
     data_path = _require(paths, "data")
     out = _out_dir(paths)
-    records, _ = _load_corpus(corpus_path, args.workers)
+    records, _ = _load_corpus(corpus_path)
     dataset = _read_dataset(data_path)
     pairs = _dataset_with_records(dataset,
                                   {record.user_id: record for record in records})

@@ -14,11 +14,12 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .filters import (CLASS_ORDER, PERSON_KEYWORDS, ClassLabel, FilterConfig,
-                      QueryMatch, apply_filter_chain, assign_class,
-                      find_query_matches, person_bigram_match)
+                      FilterOutcome, QueryMatch, apply_filter_chain,
+                      assign_class, find_query_matches, person_bigram_match)
 from .scorer import ScoreParams, score_description
-from .textprep import SelfReportLexicon, TagLexicon, TaggedToken, pos_tag, tokenize
-from .util import ceil_fraction, pmap_ordered
+from .textprep import (SelfReportCounter, SelfReportLexicon, TagLexicon,
+                       TaggedToken, pos_tag, tokenize)
+from .util import ceil_fraction
 
 T = TypeVar("T")
 
@@ -52,76 +53,108 @@ class DatasetSplit:
 
 @dataclass
 class UserMatchReport:
-    """Per-user query analysis shared by the dataset builders."""
+    """Per-user query analysis shared by the dataset builders and tune;
+    score_reports fills scores and outcomes, both aligned with matches."""
     user_id: str
     label: ClassLabel
     tagged: list[TaggedToken]
     raw_text: str
     matches: list[QueryMatch]
-    scores: list[float]  # aligned with matches
+    scores: list[float] = field(default_factory=list)
+    outcomes: list[FilterOutcome] | None = None
 
 
-def analyze_record(record, tag_lexicon: TagLexicon, lexicon: SelfReportLexicon,
-                   params: ScoreParams, query_map=None,
-                   contractions=None) -> UserMatchReport | None:
-    """Tag, match, classify, and score one user; None unless the description
-    matches exactly one class."""
-    tagged = pos_tag(tokenize(record.description, contractions=contractions),
-                     tag_lexicon)
-    matches = find_query_matches(tagged, query_map)
-    label = assign_class(matches)
-    if not isinstance(label, ClassLabel):
-        return None
-    scores = [score_description(tagged, match, lexicon, params).value
-              for match in matches]
-    return UserMatchReport(record.user_id, label, tagged, record.description,
-                           matches, scores)
+def scan_descriptions(corpus: Iterable, tag_lexicon: TagLexicon,
+                      counter: SelfReportCounter | None = None,
+                      query_map=None, contractions=None) -> list[UserMatchReport]:
+    """The one pass over the descriptions: each is tokenized and tagged once
+    and added to counter (the O_s/O lexicon counts) if given; an unscored
+    report is kept, in corpus order, if its matches name exactly one class."""
+    reports = []
+    for record in corpus:
+        tagged = pos_tag(tokenize(record.description, contractions=contractions),
+                         tag_lexicon)
+        if counter is not None:
+            counter.add(tagged)
+        matches = find_query_matches(tagged, query_map)
+        label = assign_class(matches)
+        if isinstance(label, ClassLabel):
+            reports.append(UserMatchReport(record.user_id, label, tagged,
+                                           record.description, matches))
+    return reports
+
+
+def score_reports(reports: list[UserMatchReport], lexicon: SelfReportLexicon,
+                  params: ScoreParams, filter_config: FilterConfig | None = None,
+                  colors: frozenset[str] = frozenset(),
+                  blocklist: frozenset[tuple[str, str]] = frozenset()
+                  ) -> list[UserMatchReport]:
+    """Score every match against the final lexicon and, given filter_config,
+    run the filter chain once per match. Fills the reports in place and
+    returns them."""
+    for report in reports:
+        report.scores = [score_description(report.tagged, match, lexicon,
+                                           params).value
+                         for match in report.matches]
+        if filter_config is not None:
+            report.outcomes = [
+                apply_filter_chain(report.tagged, report.raw_text, match,
+                                   filter_config, colors, blocklist)
+                for match in report.matches]
+    return reports
 
 
 def match_reports(corpus: Iterable, tag_lexicon: TagLexicon,
                   lexicon: SelfReportLexicon, params: ScoreParams,
                   query_map=None, contractions=None,
                   workers: int = 1) -> list[UserMatchReport]:
-    """Analyze every corpus user; keep only those matching exactly one class."""
-    results = pmap_ordered(
-        lambda record: analyze_record(record, tag_lexicon, lexicon, params,
-                                      query_map, contractions),
-        corpus, workers)
-    return [report for report in results if report is not None]
+    """Scored reports of the users matching exactly one class, for a lexicon
+    known up front. The pass is serial; workers is accepted and ignored."""
+    return score_reports(scan_descriptions(corpus, tag_lexicon, None, query_map,
+                                           contractions), lexicon, params)
+
+
+def qb_users(reports: Iterable[UserMatchReport],
+             person_keywords: frozenset[str] = PERSON_KEYWORDS) -> list[LabeledUser]:
+    """Users with a query match followed by a person keyword, scored by the
+    max over all their matches."""
+    return [LabeledUser(report.user_id, report.label, max(report.scores), "QB")
+            for report in reports
+            if any(person_bigram_match(report.tagged, match, person_keywords)
+                   for match in report.matches)]
+
+
+def hf_users(reports: Iterable[UserMatchReport],
+             threshold: float) -> list[LabeledUser]:
+    """Users with a match that passed the filter chain and scores at or above
+    the threshold. The threshold applies to the max over passing matches
+    only. The reports must carry filter outcomes."""
+    out = []
+    for report in reports:
+        passing = [score for score, outcome in zip(report.scores, report.outcomes)
+                   if outcome.passed]
+        if passing and max(passing) >= threshold:
+            out.append(LabeledUser(report.user_id, report.label, max(passing), "HF"))
+    return out
 
 
 def build_qb(corpus: Iterable, tag_lexicon: TagLexicon,
              lexicon: SelfReportLexicon, params: ScoreParams,
              person_keywords: frozenset[str] = PERSON_KEYWORDS,
-             query_map=None, contractions=None, workers: int = 1) -> list[LabeledUser]:
-    out = []
-    for report in match_reports(corpus, tag_lexicon, lexicon, params,
-                                query_map, contractions, workers):
-        if any(person_bigram_match(report.tagged, match, person_keywords)
-               for match in report.matches):
-            out.append(LabeledUser(report.user_id, report.label,
-                                   max(report.scores), "QB"))
-    return out
+             query_map=None, contractions=None) -> list[LabeledUser]:
+    return qb_users(match_reports(corpus, tag_lexicon, lexicon, params,
+                                  query_map, contractions), person_keywords)
 
 
 def build_hf(corpus: Iterable, tag_lexicon: TagLexicon,
              lexicon: SelfReportLexicon, params: ScoreParams,
              filter_config: FilterConfig, colors: frozenset[str],
              blocklist: frozenset[tuple[str, str]],
-             query_map=None, contractions=None, workers: int = 1) -> list[LabeledUser]:
-    """Users with a fully-filtered passing match scoring at or above the
-    threshold. The threshold applies to the max over passing matches only."""
-    out = []
-    for report in match_reports(corpus, tag_lexicon, lexicon, params,
-                                query_map, contractions, workers):
-        passing_scores = [
-            score for match, score in zip(report.matches, report.scores)
-            if apply_filter_chain(report.tagged, report.raw_text, match,
-                                  filter_config, colors, blocklist).passed]
-        if passing_scores and max(passing_scores) >= params.threshold:
-            out.append(LabeledUser(report.user_id, report.label,
-                                   max(passing_scores), "HF"))
-    return out
+             query_map=None, contractions=None) -> list[LabeledUser]:
+    reports = scan_descriptions(corpus, tag_lexicon, None, query_map,
+                                contractions)
+    score_reports(reports, lexicon, params, filter_config, colors, blocklist)
+    return hf_users(reports, params.threshold)
 
 
 def merge_candidates(qb: Sequence[LabeledUser],

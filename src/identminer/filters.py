@@ -73,10 +73,17 @@ class QueryMatch:
 class FilterOutcome:
     passed: bool
     rejecting_filter: str | None = None
+    # every filter that rejected, in chain order; defaults to rejecting_filter
+    rejected_by: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.passed == (self.rejecting_filter is not None):
             raise ValueError("rejecting_filter must be set iff passed is false")
+        first = () if self.passed else (self.rejecting_filter,)
+        if not self.rejected_by:
+            object.__setattr__(self, "rejected_by", first)
+        elif self.rejected_by[:1] != first:
+            raise ValueError("rejected_by must begin with rejecting_filter")
 
 
 PASSED = FilterOutcome(True, None)
@@ -227,22 +234,18 @@ def apply_filter_chain(tagged: Sequence[TaggedToken], raw_text: str,
                        match: QueryMatch, config: FilterConfig,
                        colors: frozenset[str],
                        blocklist: frozenset[tuple[str, str]]) -> FilterOutcome:
-    """Enabled filters run in the order color, plural, bigram, quote; the
-    first rejection wins."""
-    if config.color:
-        outcome = color_filter(tagged, match, colors)
-        if not outcome.passed:
-            return outcome
-    if config.plural:
-        outcome = plural_filter(tagged, match)
-        if not outcome.passed:
-            return outcome
-    if config.bigram:
-        outcome = blocklist_bigram_filter(tagged, match, blocklist)
-        if not outcome.passed:
-            return outcome
-    if config.quote:
-        outcome = quote_filter(raw_text, match)
-        if not outcome.passed:
-            return outcome
-    return PASSED
+    """Every enabled filter runs once, in the order color, plural, bigram,
+    quote; the first rejection wins. The outcome's rejected_by lists every
+    enabled filter that rejects, so the same evaluation also tells whether
+    each filter alone would reject the match."""
+    verdicts = (
+        color_filter(tagged, match, colors) if config.color else PASSED,
+        plural_filter(tagged, match) if config.plural else PASSED,
+        blocklist_bigram_filter(tagged, match, blocklist) if config.bigram else PASSED,
+        quote_filter(raw_text, match) if config.quote else PASSED,
+    )
+    rejected_by = tuple(verdict.rejecting_filter for verdict in verdicts
+                        if not verdict.passed)
+    if not rejected_by:
+        return PASSED
+    return FilterOutcome(False, rejected_by[0], rejected_by)

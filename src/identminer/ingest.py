@@ -8,6 +8,7 @@ in an optional per-field missingness counter.
 from __future__ import annotations
 
 import json
+import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
@@ -91,6 +92,16 @@ def _parse_tweet(obj: dict, missingness: Counter) -> Tweet:
     return Tweet(text=text, source_app=str(source), created_at=created, **flags)
 
 
+def _count(value, key: str) -> int:
+    count = int(value)
+    if count < 0:
+        raise ValueError(f"{key} is negative")
+    # the behavioral statistics and the name model take float(count)
+    if count > sys.float_info.max:
+        raise ValueError(f"{key} is too large for a float")
+    return count
+
+
 def _parse_profile(obj, snapshot: datetime, missingness: Counter) -> ProfileMeta:
     if obj is None:
         missingness["profile"] += 1
@@ -108,9 +119,7 @@ def _parse_profile(obj, snapshot: datetime, missingness: Counter) -> ProfileMeta
         missingness["profile.statuses_count"] += 1
         statuses = 0
     else:
-        statuses = int(obj["statuses_count"])
-        if statuses < 0:
-            raise ValueError("statuses_count is negative")
+        statuses = _count(obj["statuses_count"], "statuses_count")
     if "account_created_at" not in obj or obj["account_created_at"] is None:
         missingness["profile.account_created_at"] += 1
         created = None
@@ -122,9 +131,7 @@ def _parse_profile(obj, snapshot: datetime, missingness: Counter) -> ProfileMeta
         missingness["profile.followers_count"] += 1
         followers = 0
     else:
-        followers = int(obj["followers_count"])
-        if followers < 0:
-            raise ValueError("followers_count is negative")
+        followers = _count(obj["followers_count"], "followers_count")
     return ProfileMeta(statuses_count=statuses, account_created_at=created,
                        followers_count=followers, **bools)
 
@@ -136,6 +143,9 @@ def parse_user_line(line: str, line_no: int,
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         return ParseFailure(line_no, f"bad JSON: {exc.msg}")
+    except ValueError as exc:
+        # an integer literal past Python's int conversion limit (4300 digits)
+        return ParseFailure(line_no, f"bad JSON: {exc}")
     if not isinstance(obj, dict):
         return ParseFailure(line_no, "record is not an object")
     try:

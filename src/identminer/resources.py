@@ -49,12 +49,6 @@ def load_colors(path=None) -> frozenset[str]:
 
 
 @lru_cache(maxsize=None)
-def load_emoticons(path=None) -> frozenset[str]:
-    # emoticons are case- and punctuation-sensitive; no lowercasing
-    return frozenset(_read_lines(path or _packaged("emoticons.txt")))
-
-
-@lru_cache(maxsize=None)
 def load_bigram_blocklist(path=None) -> frozenset[tuple[str, str]]:
     pairs = []
     for line in _read_lines(path or _packaged("bigram_blocklist.txt")):

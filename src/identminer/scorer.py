@@ -16,6 +16,9 @@ from .filters import QueryMatch
 from .textprep import SelfReportLexicon, TaggedToken
 
 WEIGHTINGS = ("simple", "tfidf")
+# the default tuning grid: every weighting x window x threshold
+GRID_WINDOWS = tuple(range(1, 11))
+GRID_THRESHOLDS = tuple(round(0.05 * i, 2) for i in range(1, 20))
 
 
 @dataclass(frozen=True)
@@ -76,7 +79,7 @@ def score_description(tagged: Sequence[TaggedToken], match: QueryMatch,
     return SelfReportScore(value, match, contributing)
 
 
-def _precision_recall(scores: Sequence[float], labels: Sequence[bool],
+def precision_recall(scores: Sequence[float], labels: Sequence[bool],
                       threshold: float) -> tuple[float | None, float]:
     tp = fp = fn = 0
     for score, label in zip(scores, labels):
@@ -92,12 +95,16 @@ def _precision_recall(scores: Sequence[float], labels: Sequence[bool],
     return precision, recall
 
 
-def default_grid() -> list[ScoreParams]:
-    thresholds = [round(0.05 * i, 2) for i in range(1, 20)]
+def score_grid(windows: Sequence[int], thresholds: Sequence[float],
+               weightings: Sequence[str]) -> list[ScoreParams]:
     return [ScoreParams(window, threshold, weighting)
-            for weighting in WEIGHTINGS
-            for window in range(1, 11)
+            for weighting in weightings
+            for window in windows
             for threshold in thresholds]
+
+
+def default_grid() -> list[ScoreParams]:
+    return score_grid(GRID_WINDOWS, GRID_THRESHOLDS, WEIGHTINGS)
 
 
 def tune_params(tuning_set: Sequence[tuple[Sequence[TaggedToken], QueryMatch, bool]],
@@ -126,7 +133,7 @@ def tune_params(tuning_set: Sequence[tuple[Sequence[TaggedToken], QueryMatch, bo
             score_cache[cache_key] = [
                 score_description(tagged, match, lexicon, params).value
                 for tagged, match, _ in tuning_set]
-        precision, recall = _precision_recall(
+        precision, recall = precision_recall(
             score_cache[cache_key], labels, params.threshold)
         if precision is None:
             continue

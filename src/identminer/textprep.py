@@ -256,44 +256,50 @@ class SelfReportLexicon:
         return cls(os_counts=os_counts, o_counts=o_counts)
 
 
-def description_selfreport_words(description: str, tag_lexicon: TagLexicon,
-                                 allow_im: bool = False,
-                                 contractions: frozenset[str] | None = None
-                                 ) -> tuple[set[str], set[str]]:
-    """(kept self-report words, all token texts) for one description.
+def selfreport_words(tagged: list[TaggedToken], tag_lexicon: TagLexicon,
+                     allow_im: bool = False) -> set[str]:
+    """Kept self-report words of one tagged description.
 
     Kept words must be singular (no NNS/NNPS) and their extracted tag must
     equal the lexicon majority tag, so out-of-vocabulary words never enter S.
     """
-    tokens = tokenize(description, contractions=contractions)
-    tagged = pos_tag(tokens, tag_lexicon)
-    kept = set()
-    for word, pos in extract_selfreport_candidates(tagged, allow_im=allow_im):
-        if pos in PLURAL_TAGS:
-            continue
-        if tag_lexicon.tags.get(word) != pos:
-            continue
-        kept.add(word)
-    return kept, {token.text for token in tokens}
+    return {word for word, pos
+            in extract_selfreport_candidates(tagged, allow_im=allow_im)
+            if pos not in PLURAL_TAGS and tag_lexicon.tags.get(word) == pos}
+
+
+class SelfReportCounter:
+    """O_s and O counts, added one tagged description at a time.
+
+    Counting is per-description: a description mentioning a word twice still
+    contributes one to each counter. Counters of corpus shards merge by
+    addition.
+    """
+
+    def __init__(self, tag_lexicon: TagLexicon, allow_im: bool = False):
+        self.tag_lexicon = tag_lexicon
+        self.allow_im = allow_im
+        self.os_counter: Counter[str] = Counter()
+        self.o_counter: Counter[str] = Counter()
+
+    def add(self, tagged: list[TaggedToken]) -> None:
+        self.os_counter.update(selfreport_words(tagged, self.tag_lexicon,
+                                                self.allow_im))
+        self.o_counter.update({tt.token.text for tt in tagged})
+
+    def lexicon(self) -> SelfReportLexicon:
+        os_counts = dict(self.os_counter)
+        o_counts = {word: self.o_counter[word] for word in os_counts}
+        return SelfReportLexicon(os_counts=os_counts, o_counts=o_counts)
 
 
 def build_selfreport_lexicon(corpus: Iterable, tag_lexicon: TagLexicon,
                              allow_im: bool = False,
                              contractions: frozenset[str] | None = None
                              ) -> SelfReportLexicon:
-    """Count O_s and O per description over the corpus (UserRecord iterable).
-
-    Counting is per-description: a description mentioning a word twice still
-    contributes one to each counter. Per-shard counters merge by addition.
-    """
-    os_counter: Counter[str] = Counter()
-    o_counter: Counter[str] = Counter()
+    """Count O_s and O per description over the corpus (UserRecord iterable)."""
+    counter = SelfReportCounter(tag_lexicon, allow_im=allow_im)
     for record in corpus:
-        kept, token_texts = description_selfreport_words(
-            record.description, tag_lexicon, allow_im=allow_im,
-            contractions=contractions)
-        os_counter.update(kept)
-        o_counter.update(token_texts)
-    os_counts = dict(os_counter)
-    o_counts = {word: o_counter[word] for word in os_counts}
-    return SelfReportLexicon(os_counts=os_counts, o_counts=o_counts)
+        counter.add(pos_tag(tokenize(record.description,
+                                     contractions=contractions), tag_lexicon))
+    return counter.lexicon()

@@ -1,10 +1,9 @@
-"""Small shared helpers: canonical JSON, config hashing, seed derivation, ordered parallel map."""
+"""Small shared helpers: canonical JSON, config hashing, seed derivation, ordered map."""
 from __future__ import annotations
 
 import hashlib
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -37,12 +36,11 @@ def ceil_fraction(fraction: float, n: int) -> int:
 
 
 def pmap_ordered(fn: Callable[[T], U], items: Iterable[T], workers: int = 1) -> list[U]:
-    """Map preserving input order. Thread pool when workers > 1; results are
-    identical to the serial map because executor.map keeps submission order."""
-    if workers <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    """Serial ordered map; workers is ignored. Nothing in the pipeline calls
+    it (a thread pool over pure-Python parsing and tagging measured slower
+    than this loop); the benchmark tracer (perfbench/spans.py) wraps it by
+    name."""
+    return [fn(x) for x in items]
 
 
 def write_json(path, obj) -> None:

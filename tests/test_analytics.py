@@ -7,7 +7,6 @@ import scipy.stats
 from identminer.analytics import (DISCARD, behavioral_profile,
                                   distinctive_keywords, group_lexical_pass,
                                   group_lexical_stats, group_token_counts,
-                                  is_emoticon,
                                   kendall_tau_top_k,
                                   krippendorff_alpha_nominal,
                                   lexical_diversity, majority_vote,
@@ -462,10 +461,3 @@ def test_group_token_counts_honors_max_tweets():
     ))
     counts = group_token_counts([user], max_tweets=1, contractions=CONTR)
     assert counts == {"new": 1, "words": 1}
-
-
-def test_is_emoticon():
-    assert is_emoticon(":)", frozenset({":)"}))
-    assert not is_emoticon("hello", frozenset({":)"}))
-    assert is_emoticon(":)")  # packaged emoticon list
-    assert not is_emoticon("word")

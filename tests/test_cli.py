@@ -2,15 +2,16 @@ import json
 import shutil
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 from identminer.cli import main
 from identminer.datasets import LabeledUser, read_dataset_tsv, write_dataset_tsv
-from identminer.filters import CLASS_ORDER
+from identminer.filters import CLASS_ORDER, FILTER_NAMES
 from identminer.textprep import SelfReportLexicon
 
-from helpers import (PLANT_HEADS, planted_payloads, planted_users,
+from helpers import (PLANT_HEADS, make_user, planted_payloads, planted_users,
                      tweet_payload, user_payload, write_jsonl)
 
 W, B, HL, A = CLASS_ORDER
@@ -119,6 +120,35 @@ def test_non_finite_count_lines_are_counted_and_skipped(tmp_path):
     summary = json.loads((out / "lexicon_summary.json").read_text())
     assert summary["n_users"] == 1
     assert summary["n_parse_failures"] == 2
+
+
+def test_count_too_large_for_a_float_is_a_parse_failure(tmp_path, monkeypatch,
+                                                        caplog):
+    """analyze and train --model namecnn take float(count); a line whose count
+    no float can hold is counted as a parse failure and its user dropped."""
+    corpus, data = tweet_group_fixture(tmp_path)
+    huge = [json.dumps(user_payload(f"w{8 + i}", name="aaaaa",
+                                    profile={field: "VALUE"}))
+            .replace('"VALUE"', "9" * 401)
+            for i, field in enumerate(("statuses_count", "followers_count"))]
+    with open(corpus, "a", encoding="utf-8") as handle:
+        handle.write("".join(line + "\n" for line in huge))
+    users = read_dataset_tsv(data) + [
+        LabeledUser(user_id=f"w{8 + i}", label=W, source="crowd", score=None)
+        for i in range(2)]
+    write_dataset_tsv(users, data)
+    monkeypatch.setenv("IDENTMINER_LOG", "info")
+    config = write_config(tmp_path, "cfg.json", epochs=2, batch_size=8,
+                          min_char_count=1)
+    assert run("analyze", "--corpus", str(corpus), "--data", str(data),
+               "--out", str(tmp_path / "analyze")) == 0
+    assert run("train", "--model", "namecnn", "--config", str(config),
+               "--corpus", str(corpus), "--train-data", str(data),
+               "--out", str(tmp_path / "train")) == 0
+    result = json.loads((tmp_path / "train" / "train_result.json").read_text())
+    assert result["n_usable"] == 8
+    loads = [m for m in caplog.messages if m.startswith("corpus: ")]
+    assert loads == ["corpus: 10 lines, 8 parsed, 2 failures, 8 unique users"] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -449,26 +479,32 @@ def test_analyze_end_to_end(tmp_path):
 # ---------------------------------------------------------------------------
 # one tokenization per tweet
 
-def counting_tokenize(monkeypatch) -> list[str]:
-    """Wrap textprep.tokenize in every identminer module that binds it; the
-    returned list receives the text of each call."""
+def counting_calls(monkeypatch, function: str, modules: set[str]) -> list:
+    """Wrap textprep.<function> in every identminer module that binds it; the
+    returned list receives the first argument of each call. Each of modules
+    must be among the patched ones."""
     from identminer import textprep
-    original = textprep.tokenize
-    calls: list[str] = []
+    original = getattr(textprep, function)
+    calls: list = []
 
-    def counted(text, *args, **kwargs):
-        calls.append(text)
-        return original(text, *args, **kwargs)
+    def counted(first, *args, **kwargs):
+        calls.append(first)
+        return original(first, *args, **kwargs)
 
     patched = set()
     for name, module in list(sys.modules.items()):
         if (name.split(".")[0] == "identminer"
-                and getattr(module, "tokenize", None) is original):
-            monkeypatch.setattr(module, "tokenize", counted)
+                and getattr(module, function, None) is original):
+            monkeypatch.setattr(module, function, counted)
             patched.add(name)
-    assert {"identminer.textprep", "identminer.analytics",
-            "identminer.models.features"} <= patched
+    assert modules <= patched
     return calls
+
+
+def counting_tokenize(monkeypatch) -> list[str]:
+    return counting_calls(monkeypatch, "tokenize",
+                          {"identminer.textprep", "identminer.analytics",
+                           "identminer.models.features"})
 
 
 def test_train_evaluate_and_analyze_tokenize_each_tweet_once(tmp_path,
@@ -508,6 +544,162 @@ def test_train_evaluate_and_analyze_tokenize_each_tweet_once(tmp_path,
     assert run("analyze", *common, "--data", str(data),
                "--out", str(tmp_path / "analyze")) == 0
     assert sorted(calls) == sorted(in_scope)
+
+
+# ---------------------------------------------------------------------------
+# one pass per description
+
+def test_description_stages_tokenize_and_tag_each_description_once(
+        tmp_path, monkeypatch):
+    """lexicon-build, dataset-build qb/hf/cb and tune tokenize and tag the
+    description of every deduplicated user exactly once per run."""
+    payloads = planted_payloads() + [
+        user_payload("qb1", description="i am a black woman"),
+        # an older snapshot of t000 is superseded and never tokenized
+        user_payload("t000", description="an old white nurse bio", hours=-5.0),
+        "not json",
+    ]
+    corpus = write_jsonl(tmp_path / "corpus.jsonl", payloads)
+    descriptions = sorted([row["description"] for row in planted_payloads()]
+                          + ["i am a black woman"])
+    votes = [("t000", "yes"), ("t001", "yes"), ("fc00", "no"), ("fp00", "no")]
+    tuning = tmp_path / "tuning.tsv"
+    tuning.write_text("".join(f"{user}\t{label}\ta1\n" for user, label in votes),
+                      encoding="utf-8")
+    tokenized = counting_calls(monkeypatch, "tokenize",
+                               {"identminer.textprep", "identminer.datasets"})
+    tagged = counting_calls(monkeypatch, "pos_tag",
+                            {"identminer.textprep", "identminer.datasets"})
+    stages = {
+        "lexicon": ("lexicon-build",),
+        "qb": ("dataset-build", "--kind", "qb"),
+        "hf": ("dataset-build", "--kind", "hf"),
+        "cb": ("dataset-build", "--kind", "cb"),
+        "tune": ("tune", "--tuning", str(tuning)),
+    }
+    for stage, argv in stages.items():
+        tokenized.clear()
+        tagged.clear()
+        assert run(*argv, "--corpus", str(corpus),
+                   "--out", str(tmp_path / stage)) == 0, stage
+        assert sorted(tokenized) == descriptions, stage
+        assert len(tagged) == len(descriptions), stage
+
+
+def test_dataset_build_runs_each_filter_at_most_once_per_match(
+        planted_corpus, tmp_path, monkeypatch):
+    from identminer import filters
+    runs: Counter = Counter()
+
+    def counted(name, original, key):
+        def wrapper(*args):
+            runs[name, key(*args)] += 1
+            return original(*args)
+        return wrapper
+
+    # a query match is its description's token list (or text) plus its index
+    by_tags = lambda tagged, match, *_: (id(tagged), match.token_index)  # noqa: E731
+    by_text = lambda raw_text, match: (id(raw_text), match.token_index)  # noqa: E731
+    for name, attr, key in (("color", "color_filter", by_tags),
+                            ("plural", "plural_filter", by_tags),
+                            ("bigram_blocklist", "blocklist_bigram_filter",
+                             by_tags),
+                            ("quote", "quote_filter", by_text)):
+        monkeypatch.setattr(filters, attr,
+                            counted(name, getattr(filters, attr), key))
+    for kind in ("hf", "cb"):
+        runs.clear()
+        assert run("dataset-build", "--kind", kind, "--corpus",
+                   str(planted_corpus), "--out", str(tmp_path / kind)) == 0
+        assert {name for name, _ in runs} == set(FILTER_NAMES), kind
+        assert max(runs.values()) == 1, kind
+
+
+# single-class descriptions with two query matches each, whose matches trip
+# different filters: a user can pass on its second match, or be removed by
+# the chain but by no single filter
+MULTI_MATCH_ROWS = (
+    ("mm1", 'proud latina "latin jazz" lover'),
+    ("mm2", '"latina" latin jazz fan'),
+    ("mm3", "latino people love latinx people"),
+    ("mm4", "i am a latina nurse and latino people fan"),
+    ("mm5", "asian fusion and asian people"),
+    ("mm6", '"i am a latina nurse" latino fan'),
+    ("mm7", "latino music fan, i am a proud latina teacher"),
+    ("mm8", "i am an asian writer and asian people watcher"),
+)
+
+
+def reference_hf(records, params):
+    """dataset_hf.tsv lines and filter_accounting, computed the way they were
+    before one filter-chain evaluation per match: the chain once per single
+    filter and once with every filter on."""
+    from identminer import resources
+    from identminer.filters import (ClassLabel, FilterConfig,
+                                    apply_filter_chain, assign_class,
+                                    find_query_matches)
+    from identminer.scorer import score_description
+    from identminer.textprep import build_selfreport_lexicon, pos_tag, tokenize
+
+    tags = resources.load_tag_lexicon()
+    colors = resources.load_colors()
+    blocklist = resources.load_bigram_blocklist()
+    lexicon = build_selfreport_lexicon(records, tags)
+    solo = {name: FilterConfig.from_names([name]) for name in FILTER_NAMES}
+    solo_removed = dict.fromkeys(FILTER_NAMES, 0)
+    chain_removed: Counter = Counter()
+    passed = matched = 0
+    lines = []
+    for record in records:
+        text = record.description
+        tagged = pos_tag(tokenize(text), tags)
+        matches = find_query_matches(tagged)
+        label = assign_class(matches)
+        if not isinstance(label, ClassLabel):
+            continue
+        matched += 1
+        for name, config in solo.items():
+            if not any(apply_filter_chain(tagged, text, match, config, colors,
+                                          blocklist).passed
+                       for match in matches):
+                solo_removed[name] += 1
+        outcomes = [apply_filter_chain(tagged, text, match, FilterConfig(),
+                                       colors, blocklist) for match in matches]
+        if any(outcome.passed for outcome in outcomes):
+            passed += 1
+        else:
+            chain_removed[outcomes[0].rejecting_filter] += 1
+        scores = [score_description(tagged, match, lexicon, params).value
+                  for match, outcome in zip(matches, outcomes) if outcome.passed]
+        if scores and max(scores) >= params.threshold:
+            lines.append(f"{record.user_id}\t{label.value}\t{max(scores)!r}\tHF\n")
+    accounting = {"removed_with_single_filter": solo_removed,
+                  "removed_by_filter_chain": dict(sorted(chain_removed.items())),
+                  "passed_filters": passed, "total_matched": matched}
+    return "".join(lines), accounting
+
+
+def test_dataset_build_hf_matches_reference_filter_accounting(tmp_path):
+    from identminer.scorer import ScoreParams
+    rows = [(row["user_id"], row["description"]) for row in planted_payloads()]
+    rows += MULTI_MATCH_ROWS
+    corpus = write_jsonl(tmp_path / "corpus.jsonl",
+                         [user_payload(user_id, description=description)
+                          for user_id, description in rows])
+    out = tmp_path / "out"
+    assert run("dataset-build", "--kind", "hf", "--corpus", str(corpus),
+               "--out", str(out)) == 0
+    records = [make_user(user_id, description=description)
+               for user_id, description in rows]
+    lines, accounting = reference_hf(records, ScoreParams())
+    assert (out / "dataset_hf.tsv").read_text(encoding="utf-8") == lines
+    stats = json.loads((out / "dataset_hf_stats.json").read_text())
+    assert stats["filter_accounting"] == accounting
+    assert stats["n_matched"] == accounting["total_matched"] == 208
+    # the multi-match rows reach both branches the single-match rows do not
+    multi = {user_id for user_id, _ in MULTI_MATCH_ROWS}
+    hf_ids = {line.split("\t")[0] for line in lines.splitlines()}
+    assert hf_ids & multi and multi - hf_ids
 
 
 # ---------------------------------------------------------------------------

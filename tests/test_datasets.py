@@ -3,15 +3,15 @@ import random
 import pytest
 
 from identminer import resources
-from identminer.datasets import (DatasetSplit, LabeledUser, analyze_record,
-                                 balance_subsample, build_cb, build_hf,
-                                 build_qb, match_reports, merge,
-                                 merge_candidates, read_dataset_tsv,
+from identminer.datasets import (DatasetSplit, LabeledUser, balance_subsample, build_cb, build_hf,
+                                 build_qb, hf_users, match_reports, merge,
+                                 merge_candidates, qb_users, read_dataset_tsv,
+                                 scan_descriptions, score_reports,
                                  split_manifest, split_train_dev,
                                  write_dataset_tsv)
 from identminer.filters import CLASS_ORDER, ClassLabel, FilterConfig
 from identminer.scorer import ScoreParams
-from identminer.textprep import build_selfreport_lexicon
+from identminer.textprep import SelfReportCounter, build_selfreport_lexicon
 
 from helpers import make_user, planted_users, tag_lexicon
 
@@ -42,16 +42,14 @@ def small_lexicon(corpus=None):
 # ---------------------------------------------------------------------------
 # match analysis
 
-def test_analyze_record_single_class_only():
+def test_match_reports_single_class_only():
     lexicon = small_lexicon()
     params = ScoreParams()
-    report = analyze_record(small_corpus()[0], tag_lexicon(), lexicon, params)
+    [report] = match_reports(small_corpus()[:1], tag_lexicon(), lexicon, params)
     assert report.label is B
     assert len(report.matches) == len(report.scores) == 1
-    assert analyze_record(small_corpus()[3], tag_lexicon(), lexicon,
-                          params) is None  # ambiguous
-    assert analyze_record(small_corpus()[4], tag_lexicon(), lexicon,
-                          params) is None  # no match
+    assert match_reports(small_corpus()[3:], tag_lexicon(), lexicon,
+                         params) == []  # ambiguous, no match
 
 
 @pytest.mark.parametrize("workers", [1, 3])
@@ -60,6 +58,35 @@ def test_match_reports_keeps_corpus_order(workers):
     reports = match_reports(small_corpus(), tag_lexicon(), lexicon,
                             ScoreParams(), workers=workers)
     assert [r.user_id for r in reports] == ["u1", "u2", "u3"]
+
+
+def test_scan_descriptions_counts_the_lexicon_from_the_same_pass():
+    records, _, _ = planted_users()
+    counter = SelfReportCounter(tag_lexicon())
+    scanned = scan_descriptions(records, tag_lexicon(), counter)
+    lexicon = counter.lexicon()
+    assert lexicon == build_selfreport_lexicon(records, tag_lexicon())
+    assert all(report.scores == [] and report.outcomes is None
+               for report in scanned)
+    scored = score_reports(scanned, lexicon, ScoreParams(), FilterConfig(),
+                           COLORS, BLOCKLIST)
+    reference = match_reports(records, tag_lexicon(), lexicon, ScoreParams())
+    assert [(r.user_id, r.matches, r.scores) for r in scored] == \
+        [(r.user_id, r.matches, r.scores) for r in reference]
+    assert all(len(report.outcomes) == len(report.matches) for report in scored)
+
+
+def test_qb_and_hf_users_read_one_report_list():
+    records, true_ids, _ = planted_users()
+    lexicon = build_selfreport_lexicon(records, tag_lexicon())
+    params = ScoreParams()
+    reports = score_reports(scan_descriptions(records, tag_lexicon()), lexicon,
+                            params, FilterConfig(), COLORS, BLOCKLIST)
+    assert qb_users(reports) == build_qb(records, tag_lexicon(), lexicon, params)
+    hf = hf_users(reports, params.threshold)
+    assert hf == build_hf(records, tag_lexicon(), lexicon, params,
+                          FilterConfig(), COLORS, BLOCKLIST)
+    assert {user.user_id for user in hf} == true_ids
 
 
 # ---------------------------------------------------------------------------
@@ -86,7 +113,7 @@ def test_build_qb_score_is_max_over_all_matches():
     lexicon = small_lexicon(corpus + small_corpus())
     users = build_qb(corpus, tag_lexicon(), lexicon, ScoreParams())
     assert len(users) == 1
-    report = analyze_record(corpus[0], tag_lexicon(), lexicon, ScoreParams())
+    [report] = match_reports(corpus[:1], tag_lexicon(), lexicon, ScoreParams())
     assert len(report.scores) == 2
     assert report.scores[1] > report.scores[0]
     assert users[0].score == max(report.scores)

@@ -188,6 +188,25 @@ def test_filter_outcome_consistency_enforced():
         FilterOutcome(False, None)
 
 
+def test_filter_outcome_rejected_by():
+    assert FilterOutcome(True).rejected_by == ()
+    assert FilterOutcome(False, "color").rejected_by == ("color",)
+    both = FilterOutcome(False, "color", ("color", "quote"))
+    assert both.rejected_by == ("color", "quote")
+    with pytest.raises(ValueError):
+        FilterOutcome(False, "quote", ("color", "quote"))
+    with pytest.raises(ValueError):
+        FilterOutcome(True, None, ("color",))
+
+
+def test_chain_lists_every_rejecting_filter_in_chain_order():
+    # trips color (red elsewhere) and plural (people next), nothing else
+    text = "red black people fans"
+    assert chain(text).rejected_by == ("color", "plural")
+    assert chain(text, config=FilterConfig(color=False)).rejected_by == ("plural",)
+    assert chain(text, config=FilterConfig.none()).rejected_by == ()
+
+
 def test_chain_first_rejection_wins():
     # trips both color (red elsewhere) and plural (people next)
     text = "red black people fans"

@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 from collections import Counter
 from datetime import timezone
 
@@ -92,6 +93,29 @@ def test_non_finite_counts_become_failures(field, value):
     result = parse_user_line(line, 7)
     assert isinstance(result, ParseFailure)
     assert result.line_no == 7
+
+
+@pytest.mark.parametrize("field", ["followers_count", "statuses_count"])
+@pytest.mark.parametrize("literal", [
+    "9" * 401,
+    str(int(sys.float_info.max) + 1),
+    "9" * 5000,  # past Python's int conversion limit of 4300 digits
+], ids=["401_digits", "float_max_plus_1", "5000_digits"])
+def test_counts_too_large_for_a_float_become_failures(field, literal):
+    # the behavioral statistics and the name model take float(count)
+    line = json.dumps(user_payload("u1", profile={field: "VALUE"}))
+    result = parse_user_line(line.replace('"VALUE"', literal), 7)
+    assert isinstance(result, ParseFailure)
+    assert result.line_no == 7
+
+
+@pytest.mark.parametrize("field", ["followers_count", "statuses_count"])
+def test_largest_float_sized_count_parses(field):
+    count = int(sys.float_info.max)
+    line = json.dumps(user_payload("u1", profile={field: count}))
+    result = parse_user_line(line, 1)
+    assert isinstance(result, UserRecord)
+    assert getattr(result.profile, field) == count
 
 
 def test_account_created_after_snapshot_rejected():

@@ -4,9 +4,8 @@ import pytest
 
 from identminer.textprep import (SENTINEL_TAGS, SelfReportLexicon, TagLexicon,
                                  TaggedToken, Token, build_selfreport_lexicon,
-                                 description_selfreport_words,
                                  extract_selfreport_candidates, pos_tag,
-                                 tokenize)
+                                 selfreport_words, tokenize)
 
 from helpers import make_user, tag, tag_lexicon
 
@@ -164,12 +163,8 @@ def test_extraction_multiple_triggers():
 
 def test_selfreport_words_drop_plurals_and_oov():
     # "people" is NNS; "zorgle" is out of vocabulary
-    kept, tokens = description_selfreport_words("i am a white people",
-                                                tag_lexicon())
-    assert kept == {"white"}
-    kept, _ = description_selfreport_words("i am a zorgle", tag_lexicon())
-    assert kept == set()
-    assert "people" in tokens
+    assert selfreport_words(tag("i am a white people"), tag_lexicon()) == {"white"}
+    assert selfreport_words(tag("i am a zorgle"), tag_lexicon()) == set()
 
 
 def test_lexicon_rejects_impossible_counts():
