@@ -9,8 +9,6 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 from .filters import ClassLabel
 from .ingest import UserRecord
 from .textprep import WORD_KINDS, Token, tokenize
@@ -351,10 +349,6 @@ def behavioral_profile(users_by_group: dict[ClassLabel, Sequence[UserRecord]],
     return out
 
 
-def _soft_threshold(values: np.ndarray, amount: float) -> np.ndarray:
-    return np.sign(values) * np.maximum(np.abs(values) - amount, 0.0)
-
-
 def sage_deviations(group_counts: dict[str, float],
                     background_counts: dict[str, float],
                     lam: float = 1.0, max_iter: int = 5000,
@@ -364,6 +358,9 @@ def sage_deviations(group_counts: dict[str, float],
     lam = 0 is the closed-form log-odds ratio. Zero group counts get a 0.01
     pseudo-count; every group word must exist in the background with a
     positive count."""
+    # imported here, so that loading this module does not load numpy
+    import numpy as np
+
     vocab = sorted(background_counts)
     for word, count in background_counts.items():
         if count <= 0:
@@ -387,7 +384,10 @@ def sage_deviations(group_counts: dict[str, float],
             probs = np.exp(shifted)
             probs /= probs.sum()
             grad = counts - total * probs
-            updated = _soft_threshold(eta + step * grad, lam * step)
+            # soft threshold: the proximal step of the L1 penalty
+            moved = eta + step * grad
+            updated = np.sign(moved) * np.maximum(np.abs(moved) - lam * step,
+                                                  0.0)
             if np.max(np.abs(updated - eta)) < tol:
                 eta = updated
                 break

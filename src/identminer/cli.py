@@ -24,12 +24,9 @@ from .datasets import (build_cb, hf_users, merge_candidates, qb_users,
 from .evaluation import evaluate, format_report_table
 from .filters import CLASS_ORDER, FILTER_NAMES, FilterConfig
 from .ingest import ParseFailure, UserRecord, dedupe_latest, load_users
-from .models import (TrainConfig, UnigramModel, baseline_majority,
-                     baseline_random, build_vocab, effective_weight_histogram,
-                     example_weights, featurize_user, inverse_class_weights,
-                     load_model, name_meta_features, read_embeddings,
-                     save_model, train_name_cnn, train_unigram,
-                     user_word_counts)
+# the numeric model modules (numpy, scipy) are imported only in the train
+# and evaluate branches that use them
+from .models import baseline_majority, baseline_random, load_model, save_model
 from .scorer import (GRID_THRESHOLDS, GRID_WINDOWS, WEIGHTINGS, ScoreParams,
                      precision_recall, read_tuning_tsv, score_description,
                      score_grid, tune_params)
@@ -247,10 +244,13 @@ def _description_pass(paths: dict, config: dict, records, tag_lexicon):
     users matching exactly one class). The lexicon is read from --lexicon, or
     else counted from the same tagged tokens that the query matching uses."""
     if paths.get("lexicon"):
+        lexicon_path = _require(paths, "lexicon")
         try:
-            lexicon = SelfReportLexicon.from_tsv(_require(paths, "lexicon"))
+            lexicon = SelfReportLexicon.from_tsv(lexicon_path)
         except ValueError as exc:
             raise DataError(str(exc)) from exc
+        if not lexicon.os_counts:
+            raise DataError(f"self-report lexicon is empty: {lexicon_path}")
         return lexicon, scan_descriptions(records, tag_lexicon)
     counter = SelfReportCounter(tag_lexicon, allow_im=config["allow_im"])
     reports = scan_descriptions(records, tag_lexicon, counter)
@@ -390,9 +390,9 @@ def cmd_tune(args: argparse.Namespace) -> int:
     # under each grid point, so the reports are not scored here
     tuning_set = [(report.tagged, report.matches[0], labels[report.user_id])
                   for report in reports if report.user_id in labels]
-    grid = score_grid(config["grid_windows"], config["grid_thresholds"],
-                      config["grid_weightings"])
     try:
+        grid = score_grid(config["grid_windows"], config["grid_thresholds"],
+                          config["grid_weightings"])
         best = tune_params(tuning_set, lexicon, grid)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
@@ -459,6 +459,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         write_json(out / "train_result.json", result)
         return 0
 
+    from .models.training import (TrainConfig, effective_weight_histogram,
+                                  example_weights, inverse_class_weights)
     corpus_path = _require(paths, "corpus")
     records, _ = _load_corpus(corpus_path)
     pairs = _dataset_with_records(dataset,
@@ -474,6 +476,9 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     try:
         if model_name == "unigram":
+            from .models.features import (build_vocab, featurize_user,
+                                          read_embeddings, user_word_counts)
+            from .models.unigram import train_unigram
             if paths.get("embeddings"):
                 table = read_embeddings(_require(paths, "embeddings"))
                 pairs = [(user, record) for user, record in pairs
@@ -501,6 +506,8 @@ def cmd_train(args: argparse.Namespace) -> int:
                 model = train_unigram(train_items, train_config, vocab=vocab,
                                       stopwords=stopwords)
         elif model_name == "namecnn":
+            from .models.features import name_meta_features
+            from .models.namecnn import train_name_cnn
             train_items = [
                 (record.name, name_meta_features(record), user.label, user.source)
                 for user, record in pairs]
@@ -544,16 +551,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         pairs = _dataset_with_records(
             dataset, {record.user_id: record for record in records})
         if kind == "NameModel":
+            from .models.features import name_meta_features
             test_set = [((record.name, name_meta_features(record)), user.label)
                         for user, record in pairs]
         elif paths.get("embeddings"):
+            from .models.features import read_embeddings
             table = read_embeddings(_require(paths, "embeddings"))
             test_set = [(table[user.user_id], user.label)
                         for user, _ in pairs if user.user_id in table]
             if not test_set:
                 raise DataError("no embeddings match the test user ids")
         else:
-            if isinstance(model, UnigramModel) and not model.vocab:
+            from .models.features import featurize_user, user_word_counts
+            if not model.vocab:
                 raise DataError("model was trained on embedding features; "
                                 "pass --embeddings")
             test_set = [

@@ -143,8 +143,10 @@ def parse_user_line(line: str, line_no: int,
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         return ParseFailure(line_no, f"bad JSON: {exc.msg}")
-    except ValueError as exc:
-        # an integer literal past Python's int conversion limit (4300 digits)
+    except (ValueError, RecursionError) as exc:
+        # ValueError: an integer literal past Python's int conversion limit
+        # (4300 digits); RecursionError: arrays or objects nested deeper than
+        # the decoder's recursion limit
         return ParseFailure(line_no, f"bad JSON: {exc}")
     if not isinstance(obj, dict):
         return ParseFailure(line_no, "record is not an object")

@@ -1,41 +1,68 @@
 """Classifiers: unigram bag-of-words logistic regression over recent tweets,
 a character-CNN over display names plus profile metadata, and the random /
 majority baselines. All training is deterministic given (data order, seed,
-config)."""
+config).
+
+Only the baselines load with this package. The numpy/scipy submodules
+(features, namecnn, training, unigram) load on first use of one of their
+names (a PEP 562 module __getattr__), so the baseline and description-path
+subcommands never import numpy."""
 from __future__ import annotations
 
+import importlib
 import json
-
-import numpy as np
+import sys
 
 from .baselines import MajorityBaseline, RandomBaseline, baseline_majority, baseline_random
-from .features import (build_vocab, featurize_user, name_meta_features,
-                       read_embeddings, user_word_counts)
-from .namecnn import NameModel, gradient_check, train_name_cnn
-from .training import (TrainConfig, effective_weight_histogram, example_weights,
-                       inverse_class_weights)
-from .unigram import UnigramModel, train_unigram
+
+# re-exported name -> the submodule that defines it, loaded on first access
+_LAZY = {
+    "build_vocab": "features", "featurize_user": "features",
+    "name_meta_features": "features", "read_embeddings": "features",
+    "user_word_counts": "features",
+    "NameModel": "namecnn", "gradient_check": "namecnn",
+    "train_name_cnn": "namecnn",
+    "TrainConfig": "training", "effective_weight_histogram": "training",
+    "example_weights": "training", "inverse_class_weights": "training",
+    "UnigramModel": "unigram", "train_unigram": "unigram",
+}
 
 __all__ = [
     "MajorityBaseline", "RandomBaseline", "baseline_majority", "baseline_random",
-    "build_vocab", "featurize_user", "user_word_counts", "name_meta_features",
-    "read_embeddings", "NameModel", "gradient_check", "train_name_cnn",
-    "TrainConfig", "effective_weight_histogram", "example_weights",
-    "inverse_class_weights", "UnigramModel", "train_unigram",
-    "save_model", "load_model",
+    *_LAZY, "save_model", "load_model",
 ]
 
 
+def _from_submodule(module: str, name: str):
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = _from_submodule(_LAZY[name], name)
+    globals()[name] = value  # later lookups bypass this hook
+    return value
+
+
+# saved "kind" -> (submodule, class)
 _MODEL_KINDS = {
-    "unigram": UnigramModel,
-    "namecnn": NameModel,
-    "baseline_random": RandomBaseline,
-    "baseline_majority": MajorityBaseline,
+    "unigram": ("unigram", "UnigramModel"),
+    "namecnn": ("namecnn", "NameModel"),
+    "baseline_random": ("baselines", "RandomBaseline"),
+    "baseline_majority": ("baselines", "MajorityBaseline"),
 }
 
 
 def save_model(model, path) -> None:
-    if not any(isinstance(model, cls) for cls in _MODEL_KINDS.values()):
+    # a model class whose submodule was never imported has no instances, so
+    # only the loaded submodules are looked at
+    classes = []
+    for module, cls in _MODEL_KINDS.values():
+        loaded = sys.modules.get(f"{__name__}.{module}")
+        if loaded is not None:
+            classes.append(getattr(loaded, cls))
+    if not isinstance(model, tuple(classes)):
         raise TypeError(f"cannot serialize {type(model).__name__}")
     with open(path, "w", encoding="utf-8") as handle:
         json.dump(model.to_dict(), handle, sort_keys=True)
@@ -48,4 +75,4 @@ def load_model(path):
     kind = payload.get("kind")
     if kind not in _MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
-    return _MODEL_KINDS[kind].from_dict(payload)
+    return _from_submodule(*_MODEL_KINDS[kind]).from_dict(payload)

@@ -1,14 +1,16 @@
 """Random and majority baselines with the same predict interface as the
-trained models."""
+trained models. numpy loads only for predict_proba; predict_batch returns
+labels alone, so evaluating a baseline builds no array."""
 from __future__ import annotations
 
 import random
 from collections import Counter
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from ..filters import CLASS_ORDER, ClassLabel
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class RandomBaseline:
@@ -19,10 +21,16 @@ class RandomBaseline:
         self._rng = random.Random(seed)
 
     def predict_proba(self, features) -> np.ndarray:
+        import numpy as np
         return np.full(len(CLASS_ORDER), 1.0 / len(CLASS_ORDER))
 
     def predict(self, features) -> tuple[ClassLabel, np.ndarray]:
         return self._rng.choice(CLASS_ORDER), self.predict_proba(features)
+
+    def predict_batch(self, features: Sequence) -> list[ClassLabel]:
+        """One draw per example, in order: the same labels as calling
+        predict on each."""
+        return [self._rng.choice(CLASS_ORDER) for _ in features]
 
     def to_dict(self) -> dict:
         return {"kind": "baseline_random", "version": 1, "seed": self.seed}
@@ -39,12 +47,16 @@ class MajorityBaseline:
         self.majority = majority
 
     def predict_proba(self, features) -> np.ndarray:
+        import numpy as np
         probs = np.zeros(len(CLASS_ORDER))
         probs[CLASS_ORDER.index(self.majority)] = 1.0
         return probs
 
     def predict(self, features) -> tuple[ClassLabel, np.ndarray]:
         return self.majority, self.predict_proba(features)
+
+    def predict_batch(self, features: Sequence) -> list[ClassLabel]:
+        return [self.majority] * len(features)
 
     def to_dict(self) -> dict:
         return {"kind": "baseline_majority", "version": 1,

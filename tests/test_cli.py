@@ -1,8 +1,11 @@
+import importlib
 import json
+import os
 import shutil
 import subprocess
 import sys
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -106,6 +109,17 @@ def test_malformed_corpus_lines_are_tolerated(tmp_path):
     summary = json.loads((out / "lexicon_summary.json").read_text())
     assert summary["n_users"] == 1
     assert summary["n_parse_failures"] == 3
+
+
+def test_deeply_nested_line_is_counted_and_skipped(tmp_path):
+    corpus = write_jsonl(tmp_path / "c.jsonl",
+                         [user_payload("u1", description="i am a farmer"),
+                          "[" * 100000])
+    out = tmp_path / "out"
+    assert run("lexicon-build", "--corpus", str(corpus), "--out", str(out)) == 0
+    summary = json.loads((out / "lexicon_summary.json").read_text())
+    assert summary["n_users"] == 1
+    assert summary["n_parse_failures"] == 1
 
 
 def test_non_finite_count_lines_are_counted_and_skipped(tmp_path):
@@ -218,6 +232,18 @@ def test_dataset_build_with_prebuilt_lexicon(planted_corpus, tmp_path):
     assert len(read_dataset_tsv(out / "dataset_hf.tsv")) == 100
 
 
+def test_dataset_build_with_empty_lexicon_is_a_data_error(planted_corpus,
+                                                          tmp_path, capsys):
+    lexicon = tmp_path / "empty.tsv"
+    lexicon.write_text("", encoding="utf-8")
+    out = tmp_path / "out"
+    assert run("dataset-build", "--kind", "hf", "--corpus", str(planted_corpus),
+               "--lexicon", str(lexicon), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err == f"identminer: data error: self-report lexicon is empty: {lexicon}\n"
+    assert not (out / "dataset_hf.tsv").exists()
+
+
 def test_dataset_build_cb_planted_true_rows(tmp_path):
     payloads = [row for row in planted_payloads() if row["user_id"].startswith("t")]
     corpus = write_jsonl(tmp_path / "true.jsonl", payloads)
@@ -255,7 +281,8 @@ def test_dataset_build_requires_kind(planted_corpus, tmp_path):
 # ---------------------------------------------------------------------------
 # tune
 
-def test_tune_end_to_end(tmp_path):
+def tune_fixture(tmp_path):
+    """Five descriptions with one query match each and their tuning votes."""
     corpus = write_jsonl(tmp_path / "c.jsonl", [
         user_payload("pos1", description="i am a black farmer"),
         user_payload("pos2", description="i am a proud black woman"),
@@ -271,6 +298,11 @@ def test_tune_end_to_end(tmp_path):
     tuning = tmp_path / "tuning.tsv"
     tuning.write_text("".join(f"{u}\t{l}\t{a}\n" for u, l, a in votes),
                       encoding="utf-8")
+    return corpus, tuning
+
+
+def test_tune_end_to_end(tmp_path):
+    corpus, tuning = tune_fixture(tmp_path)
     out = tmp_path / "out"
     assert run("tune", "--corpus", str(corpus), "--tuning", str(tuning),
                "--out", str(out)) == 0
@@ -287,6 +319,15 @@ def test_tune_end_to_end(tmp_path):
 def test_tune_requires_tuning_file(planted_corpus, tmp_path):
     assert run("tune", "--corpus", str(planted_corpus),
                "--out", str(tmp_path / "out")) == 2
+
+
+def test_tune_invalid_grid_is_a_data_error(tmp_path, capsys):
+    corpus, tuning = tune_fixture(tmp_path)
+    config = write_config(tmp_path, "cfg.json", grid_windows=[0])
+    assert run("tune", "--config", str(config), "--corpus", str(corpus),
+               "--tuning", str(tuning), "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err == "identminer: data error: window must be >= 1\n"
 
 
 # ---------------------------------------------------------------------------
@@ -452,6 +493,78 @@ def test_train_evaluate_random_baseline(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# what each subcommand imports
+
+# runs the CLI commands in argv[1] (JSON [[name, argv], ...]) in this fresh
+# process and prints, as JSON, which of numpy and scipy are loaded after the
+# import and after each command
+IMPORT_PROBE = """
+import json, sys
+from identminer.cli import main
+
+def numeric():
+    return sorted({name.split(".")[0] for name in sys.modules}
+                  & {"numpy", "scipy"})
+
+loaded = {"import identminer.cli": numeric()}
+for name, argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0, name
+    loaded[name] = numeric()
+print(json.dumps(loaded))
+"""
+
+
+def modules_loaded_by(commands) -> dict[str, list[str]]:
+    import identminer
+    src = str(Path(identminer.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE,
+                           json.dumps(commands)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
+def test_text_and_baseline_subcommands_load_neither_numpy_nor_scipy(
+        planted_corpus, tmp_path):
+    tune_corpus, tuning = tune_fixture(tmp_path)
+    corpus = ("--corpus", str(planted_corpus))
+    data = str(tmp_path / "hf" / "dataset_hf.tsv")
+    commands = [
+        ("lexicon-build", ["lexicon-build", *corpus,
+                           "--out", str(tmp_path / "lex")]),
+        *[(f"dataset-build {kind}",
+           ["dataset-build", "--kind", kind, *corpus,
+            "--out", str(tmp_path / kind)]) for kind in ("qb", "hf", "cb")],
+        ("tune", ["tune", "--corpus", str(tune_corpus), "--tuning", str(tuning),
+                  "--out", str(tmp_path / "tune")]),
+    ]
+    for model in ("baseline-majority", "baseline-random"):
+        model_dir = tmp_path / model
+        commands += [
+            (f"train {model}", ["train", "--model", model, "--train-data", data,
+                                "--out", str(model_dir)]),
+            (f"evaluate {model}", ["evaluate", "--model-file",
+                                   str(model_dir / "model.json"),
+                                   "--test-data", data,
+                                   "--out", str(tmp_path / f"eval-{model}")]),
+        ]
+    loaded = modules_loaded_by(commands)
+    assert list(loaded) == ["import identminer.cli"] + [n for n, _ in commands]
+    assert loaded == {name: [] for name in loaded}
+
+
+def test_analyze_loads_no_scipy(tmp_path):
+    corpus, data = tweet_group_fixture(tmp_path)
+    loaded = modules_loaded_by([("analyze", [
+        "analyze", "--corpus", str(corpus), "--data", str(data),
+        "--out", str(tmp_path / "out")])])
+    assert loaded["import identminer.cli"] == []
+    assert "scipy" not in loaded["analyze"]  # SAGE needs numpy, nothing scipy
+
+
+# ---------------------------------------------------------------------------
 # analyze
 
 def test_analyze_end_to_end(tmp_path):
@@ -482,8 +595,11 @@ def test_analyze_end_to_end(tmp_path):
 def counting_calls(monkeypatch, function: str, modules: set[str]) -> list:
     """Wrap textprep.<function> in every identminer module that binds it; the
     returned list receives the first argument of each call. Each of modules
-    must be among the patched ones."""
+    must be among the patched ones; they are imported first, because the
+    CLI loads some (the model modules) only in the branch that uses them."""
     from identminer import textprep
+    for name in modules:
+        importlib.import_module(name)
     original = getattr(textprep, function)
     calls: list = []
 

@@ -118,6 +118,17 @@ def test_largest_float_sized_count_parses(field):
     assert getattr(result.profile, field) == count
 
 
+@pytest.mark.parametrize("line", ["[" * 100000, "[" * 100000 + "]" * 100000,
+                                  '{"a":' * 100000],
+                         ids=["unclosed_arrays", "closed_arrays", "objects"])
+def test_deeply_nested_json_becomes_a_failure(line):
+    # nesting past the decoder's recursion limit raises RecursionError
+    result = parse_user_line(line, 3)
+    assert isinstance(result, ParseFailure)
+    assert result.line_no == 3
+    assert result.reason.startswith("bad JSON: ")
+
+
 def test_account_created_after_snapshot_rejected():
     payload = user_payload("u1", hours=0,
                            profile={"account_created_at": iso(hours=5)})

@@ -332,6 +332,31 @@ def test_random_baseline_seeded():
     assert len(set(seq_a)) > 1
 
 
+def test_baseline_predict_batch_matches_repeated_predict():
+    features = [None] * 40
+    batched, single = baseline_random(5), baseline_random(5)
+    assert batched.predict_batch(features) == \
+           [single.predict(None)[0] for _ in features]
+    # the same draws were consumed, so the streams continue in step
+    assert batched.predict_batch(features[:5]) == \
+           [single.predict(None)[0] for _ in range(5)]
+    assert batched.predict_batch([]) == []
+    majority = baseline_majority([HL, HL, W])
+    assert majority.predict_batch(features) == \
+           [majority.predict(None)[0] for _ in features]
+    assert majority.predict_batch([]) == []
+
+
+def test_save_and_load_reject_unknown_models(tmp_path):
+    with pytest.raises(TypeError):
+        save_model(object(), tmp_path / "x.json")
+    assert not (tmp_path / "x.json").exists()
+    odd = tmp_path / "odd.json"
+    odd.write_text('{"kind": "svm"}', encoding="utf-8")
+    with pytest.raises(ValueError):
+        load_model(odd)
+
+
 def test_baseline_round_trip(tmp_path):
     save_model(baseline_majority([W]), tmp_path / "maj.json")
     maj = load_model(tmp_path / "maj.json")
