@@ -86,7 +86,7 @@ def lexical_diversity(tokens: Sequence[Token], stopwords: frozenset[str]) -> flo
 
 
 def user_lexical_means(user: UserRecord, stopwords: frozenset[str],
-                       max_tweets: int = 200, contractions=None,
+                       max_tweets: int = 200,
                        word_counts: Counter | None = None) -> dict | None:
     """Per-user means over tweets of TTR, LD, contractions/tweet, and
     hashtags/tweet; None for users with no tweets. Each tweet is tokenized
@@ -97,7 +97,7 @@ def user_lexical_means(user: UserRecord, stopwords: frozenset[str],
         return None
     ttr, ld, cpt, hpt = [], [], [], []
     for tweet in tweets:
-        tokens = tokenize(tweet.text, contractions=contractions)
+        tokens = tokenize(tweet.text)
         ttr.append(type_token_ratio(tokens))
         ld.append(lexical_diversity(tokens, stopwords))
         cpt.append(sum(1 for tok in tokens if tok.kind == "contraction"))
@@ -109,8 +109,7 @@ def user_lexical_means(user: UserRecord, stopwords: frozenset[str],
 
 
 def group_lexical_pass(users: Iterable[UserRecord], stopwords: frozenset[str],
-                       max_tweets: int = 200, contractions=None
-                       ) -> tuple[list[dict], Counter]:
+                       max_tweets: int = 200) -> tuple[list[dict], Counter]:
     """One pass over a group's users, streaming one user at a time: the
     per-user lexical means of users with tweets (the Mann-Whitney samples,
     whose macro-average is GroupLexicalStats) and the group's word and
@@ -118,7 +117,7 @@ def group_lexical_pass(users: Iterable[UserRecord], stopwords: frozenset[str],
     samples = []
     counts: Counter[str] = Counter()
     for user in users:
-        stats = user_lexical_means(user, stopwords, max_tweets, contractions,
+        stats = user_lexical_means(user, stopwords, max_tweets,
                                    word_counts=counts)
         if stats is not None:
             samples.append(stats)
@@ -126,13 +125,12 @@ def group_lexical_pass(users: Iterable[UserRecord], stopwords: frozenset[str],
 
 
 def group_lexical_stats(users_by_group: dict[ClassLabel, Sequence[UserRecord]],
-                        stopwords: frozenset[str], max_tweets: int = 200,
-                        contractions=None) -> dict[ClassLabel, GroupLexicalStats]:
+                        stopwords: frozenset[str], max_tweets: int = 200
+                        ) -> dict[ClassLabel, GroupLexicalStats]:
     """Macro-average the per-user means within each group; users without
     tweets are skipped."""
     return {group: GroupLexicalStats.from_samples(
-                group, group_lexical_pass(users, stopwords, max_tweets,
-                                          contractions)[0])
+                group, group_lexical_pass(users, stopwords, max_tweets)[0])
             for group, users in users_by_group.items()}
 
 
@@ -405,8 +403,8 @@ def distinctive_keywords(group_counts: dict[str, float],
     return [word for _, word in ranked[:top_n]]
 
 
-def group_token_counts(users: Iterable[UserRecord], max_tweets: int = 200,
-                       contractions=None) -> Counter:
+def group_token_counts(users: Iterable[UserRecord],
+                       max_tweets: int = 200) -> Counter:
     """Token counts over a group's tweets (word and contraction kinds), the
     input for distinctive_keywords."""
-    return group_lexical_pass(users, frozenset(), max_tweets, contractions)[1]
+    return group_lexical_pass(users, frozenset(), max_tweets)[1]

@@ -12,7 +12,9 @@ from __future__ import annotations
 import argparse
 import json
 import logging
+import math
 import os
+import reprlib
 import sys
 from collections import Counter
 from pathlib import Path
@@ -68,6 +70,50 @@ DEFAULTS = {
 _PATH_KEYS = ("corpus", "out", "lexicon", "tag_lexicon", "tuning", "train_data",
               "test_data", "model_file", "embeddings", "data",
               "colors_file", "blocklist_file")
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_count(value) -> bool:
+    return _is_int(value) and value >= 1
+
+
+def _is_number(value) -> bool:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer no float can hold
+        return False
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _list_of(check):
+    return lambda value: isinstance(value, list) and all(map(check, value))
+
+
+# the type rule of every DEFAULTS and path key: (what it must be, check, keys)
+CONFIG_RULES = (
+    ("an integer", _is_int, ("window", "min_count", "epochs", "batch_size",
+                             "min_char_count", "seed")),
+    ("an integer >= 1", _is_count, ("max_tweets", "top_n")),
+    ("an integer >= 1 or null", lambda v: v is None or _is_count(v), ("cb_k",)),
+    ("a finite number", _is_number, ("threshold", "learning_rate", "l2_strength",
+                                     "instance_downweight", "sage_lambda")),
+    ("true or false", lambda v: isinstance(v, bool), ("allow_im",)),
+    ("a string", _is_str, ("weighting", "setting", "model")),
+    ("a string or null", lambda v: v is None or _is_str(v),
+     ("kind", *_PATH_KEYS)),
+    ("a list of integers", _list_of(_is_int), ("grid_windows",)),
+    ("a list of integers >= 1", _list_of(_is_count), ("tau_ks",)),
+    ("a list of finite numbers", _list_of(_is_number), ("grid_thresholds",)),
+    ("a list of strings", _list_of(_is_str), ("filters", "grid_weightings")),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -156,7 +202,9 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, dict]:
         try:
             with open(args.config, encoding="utf-8") as handle:
                 loaded = json.load(handle)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
+            # ValueError covers JSONDecodeError and an integer literal past
+            # the int conversion limit; RecursionError deep nesting
             raise DataError(f"bad config JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise DataError("config file must hold a JSON object")
@@ -180,6 +228,12 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, dict]:
     if filters_flag is not None:
         config["filters"] = [name for name in filters_flag.split(",")
                              if name.strip()]
+    values = {**paths, **config}
+    for rule, check, keys in CONFIG_RULES:
+        for key in keys:
+            if not check(values[key]):
+                raise DataError(f"config key {key!r} must be {rule}, "
+                                f"got {reprlib.repr(values[key])}")
     return config, paths
 
 
@@ -228,15 +282,6 @@ def _filter_resources(paths: dict):
     blocklist = (resources.load_bigram_blocklist(_require(paths, "blocklist_file"))
                  if paths.get("blocklist_file") else resources.load_bigram_blocklist())
     return colors, blocklist
-
-
-def _score_params(config: dict) -> ScoreParams:
-    try:
-        return ScoreParams(window=int(config["window"]),
-                           threshold=float(config["threshold"]),
-                           weighting=config["weighting"])
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
 
 
 def _description_pass(paths: dict, config: dict, records, tag_lexicon):
@@ -325,12 +370,13 @@ def cmd_dataset_build(args: argparse.Namespace) -> int:
     colors, blocklist = _filter_resources(paths)
     try:
         filter_config = FilterConfig.from_names(config["filters"])
+        params = ScoreParams(config["window"], config["threshold"],
+                             config["weighting"])
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     out = _out_dir(paths)
     records, _ = _load_corpus(corpus_path)
     lexicon, reports = _description_pass(paths, config, records, tag_lexicon)
-    params = _score_params(config)
     # qb reads no filter verdicts
     score_reports(reports, lexicon, params,
                   None if kind == "qb" else filter_config, colors, blocklist)
@@ -465,16 +511,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     records, _ = _load_corpus(corpus_path)
     pairs = _dataset_with_records(dataset,
                                   {record.user_id: record for record in records})
-    train_config = TrainConfig(
-        learning_rate=float(config["learning_rate"]),
-        epochs=int(config["epochs"]),
-        l2_strength=float(config["l2_strength"]),
-        instance_downweight=float(config["instance_downweight"]),
-        seed=stage_seed(config["seed"], "train"),
-        batch_size=int(config["batch_size"]),
-    )
 
     try:
+        train_config = TrainConfig(
+            learning_rate=config["learning_rate"],
+            epochs=config["epochs"],
+            l2_strength=config["l2_strength"],
+            instance_downweight=config["instance_downweight"],
+            seed=stage_seed(config["seed"], "train"),
+            batch_size=config["batch_size"],
+        )
         if model_name == "unigram":
             from .models.features import (build_vocab, featurize_user,
                                           read_embeddings, user_word_counts)
@@ -491,11 +537,9 @@ def cmd_train(args: argparse.Namespace) -> int:
                 model = train_unigram(train_items, train_config)
             else:
                 stopwords = resources.load_stopwords()
-                word_counts = [user_word_counts(record,
-                                                int(config["max_tweets"]))
+                word_counts = [user_word_counts(record, config["max_tweets"])
                                for _, record in pairs]
-                vocab = build_vocab(word_counts,
-                                    min_count=int(config["min_count"]),
+                vocab = build_vocab(word_counts, min_count=config["min_count"],
                                     stopwords=stopwords)
                 if not vocab:
                     raise DataError("empty vocabulary; not enough tweet text")
@@ -512,7 +556,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                 (record.name, name_meta_features(record), user.label, user.source)
                 for user, record in pairs]
             model = train_name_cnn(train_items, train_config,
-                                   min_char_count=int(config["min_char_count"]))
+                                   min_char_count=config["min_char_count"])
             result["char_vocab_size"] = len(model.char_vocab)
         else:
             raise DataError(f"unknown model {model_name!r}")
@@ -567,8 +611,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 raise DataError("model was trained on embedding features; "
                                 "pass --embeddings")
             test_set = [
-                (featurize_user(user_word_counts(record,
-                                                 int(config["max_tweets"])),
+                (featurize_user(user_word_counts(record, config["max_tweets"]),
                                 model.vocab),
                  user.label)
                 for user, record in pairs]
@@ -604,7 +647,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         groups.setdefault(user.label, []).append(record)
     present = [label for label in CLASS_ORDER if label in groups]
     stopwords = resources.load_stopwords()
-    max_tweets = int(config["max_tweets"])
+    max_tweets = config["max_tweets"]
 
     # one pass per group: each tweet is tokenized once for the lexical
     # means and the keyword counts
@@ -635,13 +678,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     background: Counter = Counter()
     for counter in counts.values():
         background.update(counter)
-    tau_ks = [int(k) for k in config["tau_ks"]]
-    top_n = int(config["top_n"])
+    tau_ks = config["tau_ks"]
+    top_n = config["top_n"]
     list_len = max([top_n] + tau_ks)
     try:
         keywords = {
             label: analytics.distinctive_keywords(
-                counts[label], background, lam=float(config["sage_lambda"]),
+                counts[label], background, lam=config["sage_lambda"],
                 top_n=list_len)
             for label in present}
     except ValueError as exc:

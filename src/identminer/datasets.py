@@ -1,5 +1,5 @@
-"""Builders for the three weakly-labeled datasets (QB, HF, CB), merging with
-externally labeled sets, and seeded splitting / class balancing.
+"""Builders for the three weakly-labeled datasets (QB, HF, CB), their TSV
+format, and seeded class balancing.
 
 QB: users whose description has a query keyword immediately followed by a
 person keyword. HF: users with at least one query match that survives all
@@ -13,20 +13,17 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .filters import (CLASS_ORDER, PERSON_KEYWORDS, ClassLabel, FilterConfig,
-                      FilterOutcome, QueryMatch, apply_filter_chain,
-                      assign_class, find_query_matches, person_bigram_match)
+from .filters import (CLASS_ORDER, ClassLabel, FilterConfig, FilterOutcome,
+                      QueryMatch, apply_filter_chain, assign_class,
+                      find_query_matches, person_bigram_match)
 from .scorer import ScoreParams, score_description
 from .textprep import (SelfReportCounter, SelfReportLexicon, TagLexicon,
                        TaggedToken, pos_tag, tokenize)
-from .util import ceil_fraction
 
 T = TypeVar("T")
 
 SOURCES = ("QB", "HF", "CB", "crowd", "survey")
 AUTO_SOURCES = frozenset({"QB", "HF", "CB"})
-# an externally annotated label beats an automatically derived one on collision
-_SOURCE_PRIORITY = {"QB": 0, "HF": 0, "CB": 0, "crowd": 1, "survey": 1}
 
 
 @dataclass(frozen=True)
@@ -44,14 +41,6 @@ class LabeledUser:
 
 
 @dataclass
-class DatasetSplit:
-    train: list[LabeledUser]
-    dev: list[LabeledUser]
-    test: list[LabeledUser]
-    seed: int
-
-
-@dataclass
 class UserMatchReport:
     """Per-user query analysis shared by the dataset builders and tune;
     score_reports fills scores and outcomes, both aligned with matches."""
@@ -65,18 +54,17 @@ class UserMatchReport:
 
 
 def scan_descriptions(corpus: Iterable, tag_lexicon: TagLexicon,
-                      counter: SelfReportCounter | None = None,
-                      query_map=None, contractions=None) -> list[UserMatchReport]:
+                      counter: SelfReportCounter | None = None
+                      ) -> list[UserMatchReport]:
     """The one pass over the descriptions: each is tokenized and tagged once
     and added to counter (the O_s/O lexicon counts) if given; an unscored
     report is kept, in corpus order, if its matches name exactly one class."""
     reports = []
     for record in corpus:
-        tagged = pos_tag(tokenize(record.description, contractions=contractions),
-                         tag_lexicon)
+        tagged = pos_tag(tokenize(record.description), tag_lexicon)
         if counter is not None:
             counter.add(tagged)
-        matches = find_query_matches(tagged, query_map)
+        matches = find_query_matches(tagged)
         label = assign_class(matches)
         if isinstance(label, ClassLabel):
             reports.append(UserMatchReport(record.user_id, label, tagged,
@@ -105,22 +93,19 @@ def score_reports(reports: list[UserMatchReport], lexicon: SelfReportLexicon,
 
 
 def match_reports(corpus: Iterable, tag_lexicon: TagLexicon,
-                  lexicon: SelfReportLexicon, params: ScoreParams,
-                  query_map=None, contractions=None,
-                  workers: int = 1) -> list[UserMatchReport]:
+                  lexicon: SelfReportLexicon,
+                  params: ScoreParams) -> list[UserMatchReport]:
     """Scored reports of the users matching exactly one class, for a lexicon
-    known up front. The pass is serial; workers is accepted and ignored."""
-    return score_reports(scan_descriptions(corpus, tag_lexicon, None, query_map,
-                                           contractions), lexicon, params)
+    known up front."""
+    return score_reports(scan_descriptions(corpus, tag_lexicon), lexicon, params)
 
 
-def qb_users(reports: Iterable[UserMatchReport],
-             person_keywords: frozenset[str] = PERSON_KEYWORDS) -> list[LabeledUser]:
+def qb_users(reports: Iterable[UserMatchReport]) -> list[LabeledUser]:
     """Users with a query match followed by a person keyword, scored by the
     max over all their matches."""
     return [LabeledUser(report.user_id, report.label, max(report.scores), "QB")
             for report in reports
-            if any(person_bigram_match(report.tagged, match, person_keywords)
+            if any(person_bigram_match(report.tagged, match)
                    for match in report.matches)]
 
 
@@ -139,20 +124,15 @@ def hf_users(reports: Iterable[UserMatchReport],
 
 
 def build_qb(corpus: Iterable, tag_lexicon: TagLexicon,
-             lexicon: SelfReportLexicon, params: ScoreParams,
-             person_keywords: frozenset[str] = PERSON_KEYWORDS,
-             query_map=None, contractions=None) -> list[LabeledUser]:
-    return qb_users(match_reports(corpus, tag_lexicon, lexicon, params,
-                                  query_map, contractions), person_keywords)
+             lexicon: SelfReportLexicon, params: ScoreParams) -> list[LabeledUser]:
+    return qb_users(match_reports(corpus, tag_lexicon, lexicon, params))
 
 
 def build_hf(corpus: Iterable, tag_lexicon: TagLexicon,
              lexicon: SelfReportLexicon, params: ScoreParams,
              filter_config: FilterConfig, colors: frozenset[str],
-             blocklist: frozenset[tuple[str, str]],
-             query_map=None, contractions=None) -> list[LabeledUser]:
-    reports = scan_descriptions(corpus, tag_lexicon, None, query_map,
-                                contractions)
+             blocklist: frozenset[tuple[str, str]]) -> list[LabeledUser]:
+    reports = scan_descriptions(corpus, tag_lexicon)
     score_reports(reports, lexicon, params, filter_config, colors, blocklist)
     return hf_users(reports, params.threshold)
 
@@ -196,30 +176,6 @@ def build_cb(candidates: Sequence[LabeledUser], k: int | None = None) -> list[La
     return out
 
 
-def split_train_dev(users: Sequence[LabeledUser], train_fraction: float = 0.6,
-                    seed: int = 0, stratified: bool = False) -> DatasetSplit:
-    """Seeded shuffle, then the first ceil(train_fraction * n) go to train.
-
-    stratified applies the same rule per class and concatenates in fixed
-    class order.
-    """
-    rng = random.Random(seed)
-    if not stratified:
-        pool = list(users)
-        rng.shuffle(pool)
-        cut = ceil_fraction(train_fraction, len(pool))
-        return DatasetSplit(pool[:cut], pool[cut:], [], seed)
-    train: list[LabeledUser] = []
-    dev: list[LabeledUser] = []
-    for label in CLASS_ORDER:
-        pool = [user for user in users if user.label == label]
-        rng.shuffle(pool)
-        cut = ceil_fraction(train_fraction, len(pool))
-        train.extend(pool[:cut])
-        dev.extend(pool[cut:])
-    return DatasetSplit(train, dev, [], seed)
-
-
 def _default_label(item) -> ClassLabel:
     return item.label
 
@@ -240,19 +196,6 @@ def balance_subsample(items: Sequence[T], seed: int,
         if label in groups:
             out.extend(rng.sample(groups[label], m))
     return out
-
-
-def merge(a: Sequence[LabeledUser], b: Sequence[LabeledUser]) -> list[LabeledUser]:
-    """Concatenate, resolving user_id collisions by source priority: crowd and
-    survey entries beat QB/HF/CB; equal priority keeps the first seen."""
-    kept: dict[str, LabeledUser] = {}
-    for user in list(a) + list(b):
-        current = kept.get(user.user_id)
-        if current is None:
-            kept[user.user_id] = user
-        elif _SOURCE_PRIORITY[user.source] > _SOURCE_PRIORITY[current.source]:
-            kept[user.user_id] = user
-    return list(kept.values())
 
 
 def write_dataset_tsv(users: Sequence[LabeledUser], path) -> None:
@@ -277,13 +220,3 @@ def read_dataset_tsv(path) -> list[LabeledUser]:
             users.append(LabeledUser(user_id, ClassLabel.from_code(code),
                                      score, source))
     return users
-
-
-def split_manifest(split: DatasetSplit, train_fraction: float = 0.6) -> dict:
-    return {
-        "seed": split.seed,
-        "train_fraction": train_fraction,
-        "train": [user.user_id for user in split.train],
-        "dev": [user.user_id for user in split.dev],
-        "test": [user.user_id for user in split.test],
-    }

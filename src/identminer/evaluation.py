@@ -92,9 +92,8 @@ def per_class_accuracy(labels: Sequence[ClassLabel],
 
 def evaluate(predictor, test_set: Sequence[tuple[object, ClassLabel]],
              setting: str = "imbalanced", seed: int = 0) -> EvalReport:
-    """Predict every (features, label) pair and assemble all metrics: one
-    predictor.predict_batch call where the predictor has one, else
-    predictor.predict per example. The balanced setting first subsamples
+    """Predict every (features, label) pair in one predictor.predict_batch
+    call and assemble all metrics. The balanced setting first subsamples
     equal class counts with the given seed."""
     if setting not in SETTINGS:
         raise ValueError(f"setting must be one of {SETTINGS}")
@@ -105,10 +104,7 @@ def evaluate(predictor, test_set: Sequence[tuple[object, ClassLabel]],
         raise ValueError("empty evaluation set")
     labels = [label for _, label in pairs]
     features = [item for item, _ in pairs]
-    if hasattr(predictor, "predict_batch"):
-        predictions = predictor.predict_batch(features)
-    else:
-        predictions = [predictor.predict(item)[0] for item in features]
+    predictions = predictor.predict_batch(features)
     return EvalReport(
         accuracy=accuracy(labels, predictions),
         macro_f1=macro_f1(labels, predictions),

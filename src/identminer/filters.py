@@ -97,10 +97,6 @@ class FilterConfig:
     quote: bool = True
 
     @classmethod
-    def none(cls) -> "FilterConfig":
-        return cls(False, False, False, False)
-
-    @classmethod
     def from_names(cls, names: Iterable[str]) -> "FilterConfig":
         valid = {"color", "plural", "bigram", "quote"}
         chosen = set()
@@ -115,36 +111,14 @@ class FilterConfig:
             chosen.add(name)
         return cls(**{name: name in chosen for name in valid})
 
-    @classmethod
-    def from_dict(cls, obj: dict) -> "FilterConfig":
-        return cls(color=bool(obj.get("color", True)),
-                   plural=bool(obj.get("plural", True)),
-                   bigram=bool(obj.get("bigram", True)),
-                   quote=bool(obj.get("quote", True)))
 
-
-def find_query_matches(tagged: Sequence[TaggedToken],
-                       query_map: dict[str, ClassLabel] | None = None,
-                       match_two_token: bool = False) -> list[QueryMatch]:
-    """Whole-token keyword matches, one QueryMatch per occurrence.
-
-    match_two_token additionally matches the split spelling "african american"
-    as the african-american keyword (extension, off by default).
-    """
-    if query_map is None:
-        query_map = DEFAULT_QUERY_MAP
+def find_query_matches(tagged: Sequence[TaggedToken]) -> list[QueryMatch]:
+    """Whole-token keyword matches, one QueryMatch per occurrence."""
     matches = []
     for i, tt in enumerate(tagged):
-        label = query_map.get(tt.token.text)
+        label = DEFAULT_QUERY_MAP.get(tt.token.text)
         if label is not None:
             matches.append(QueryMatch(tt.token.text, label, i, tt.token.char_span))
-            continue
-        if (match_two_token and "african-american" in query_map
-                and tt.token.text == "african" and i + 1 < len(tagged)
-                and tagged[i + 1].token.text == "american"):
-            span = (tt.token.char_span[0], tagged[i + 1].token.char_span[1])
-            matches.append(QueryMatch("african-american",
-                                      query_map["african-american"], i, span))
     return matches
 
 
@@ -223,11 +197,10 @@ def quote_filter(raw_text: str, match: QueryMatch) -> FilterOutcome:
     return PASSED
 
 
-def person_bigram_match(tagged: Sequence[TaggedToken], match: QueryMatch,
-                        person_keywords: frozenset[str] = PERSON_KEYWORDS) -> bool:
+def person_bigram_match(tagged: Sequence[TaggedToken], match: QueryMatch) -> bool:
     """True iff the token right after the query is a person keyword."""
     nxt = match.token_index + 1
-    return nxt < len(tagged) and tagged[nxt].token.text in person_keywords
+    return nxt < len(tagged) and tagged[nxt].token.text in PERSON_KEYWORDS
 
 
 def apply_filter_chain(tagged: Sequence[TaggedToken], raw_text: str,

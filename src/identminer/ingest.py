@@ -206,8 +206,7 @@ def load_users(stream: IO, missingness: Counter | None = None
 
 def dedupe_latest(records: Iterable[UserRecord]) -> dict[str, UserRecord]:
     """Keep each user's record with the largest snapshot_time; on a tie the
-    later stream position wins. Merge is associative and commutative up to the
-    tie rule, so partial maps from parallel shards can be folded in any order."""
+    later stream position wins."""
     latest: dict[str, UserRecord] = {}
     for record in records:
         current = latest.get(record.user_id)

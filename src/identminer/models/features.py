@@ -16,14 +16,16 @@ from scipy import sparse
 from ..ingest import UserRecord
 from ..textprep import WORD_KINDS, tokenize
 
+# width of an externally computed user embedding row
+EMBEDDING_DIM = 768
 
-def user_word_counts(user: UserRecord, max_tweets: int = 200,
-                     contractions=None) -> Counter[str]:
+
+def user_word_counts(user: UserRecord, max_tweets: int = 200) -> Counter[str]:
     """Word and contraction token counts over the user's newest max_tweets
     tweets."""
     counts: Counter[str] = Counter()
     for tweet in user.tweets[:max_tweets]:
-        counts.update(token.text for token in tokenize(tweet.text, contractions)
+        counts.update(token.text for token in tokenize(tweet.text)
                       if token.kind in WORD_KINDS)
     return counts
 
@@ -64,8 +66,8 @@ def name_meta_features(user: UserRecord) -> np.ndarray:
     ], dtype=np.float64)
 
 
-def read_embeddings(path, expected_dim: int = 768) -> dict[str, np.ndarray]:
-    """user_id<TAB>floats rows; every row must have expected_dim values."""
+def read_embeddings(path) -> dict[str, np.ndarray]:
+    """user_id<TAB>floats rows; every row must have EMBEDDING_DIM values."""
     out: dict[str, np.ndarray] = {}
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -76,9 +78,9 @@ def read_embeddings(path, expected_dim: int = 768) -> dict[str, np.ndarray]:
             user_id, values = parts[0], parts[1:]
             if len(values) == 1:
                 values = values[0].split()
-            if len(values) != expected_dim:
+            if len(values) != EMBEDDING_DIM:
                 raise ValueError(
-                    f"{path}:{line_no}: expected {expected_dim} floats, "
+                    f"{path}:{line_no}: expected {EMBEDDING_DIM} floats, "
                     f"got {len(values)}")
             out[user_id] = np.array([float(v) for v in values], dtype=np.float64)
     return out

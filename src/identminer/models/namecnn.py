@@ -254,11 +254,8 @@ def train_name_cnn(train, config: TrainConfig, dev=None,
     char_vocab = build_char_vocab(names, min_count=min_char_count, max_len=max_len)
     ids = encode_names(names, char_vocab, max_len)
     y_idx = label_indices(labels)
-    if config.class_weights is not None:
-        class_weights = np.asarray(config.class_weights, dtype=np.float64)
-    else:
-        class_weights = inverse_class_weights(labels)
-    sample_weights = example_weights(labels, sources, class_weights,
+    sample_weights = example_weights(labels, sources,
+                                     inverse_class_weights(labels),
                                      config.instance_downweight)
 
     params = init_params(len(char_vocab) + 2, metas.shape[1], config.seed)

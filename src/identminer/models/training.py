@@ -19,7 +19,6 @@ class TrainConfig:
     learning_rate: float = 0.1
     epochs: int = 100
     l2_strength: float = 1e-4
-    class_weights: Sequence[float] | None = None  # None -> inverse frequency
     instance_downweight: float = 1.0  # applied to QB/HF/CB-source examples
     seed: int = 0
     batch_size: int = 64

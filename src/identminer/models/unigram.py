@@ -65,10 +65,7 @@ class UnigramModel:
 def weighted_ce_loss(weights: np.ndarray, bias: np.ndarray, X, y_idx: np.ndarray,
                      sample_weights: np.ndarray, l2: float) -> float:
     """Weighted-mean cross-entropy plus 0.5 * l2 * ||W||^2 (bias unpenalized)."""
-    if sparse.issparse(X):
-        logits = np.asarray(X @ weights.T) + bias
-    else:
-        logits = X @ weights.T + bias
+    logits = np.asarray(X @ weights.T) + bias
     probs = softmax(logits)
     picked = np.clip(probs[np.arange(len(y_idx)), y_idx], 1e-300, None)
     ce = -(sample_weights * np.log(picked)).sum() / sample_weights.sum()
@@ -95,11 +92,8 @@ def train_unigram(train, config: TrainConfig,
     y_idx = label_indices(labels)
     n, n_features = X.shape
 
-    if config.class_weights is not None:
-        class_weights = np.asarray(config.class_weights, dtype=np.float64)
-    else:
-        class_weights = inverse_class_weights(labels)
-    sample_weights = example_weights(labels, sources, class_weights,
+    sample_weights = example_weights(labels, sources,
+                                     inverse_class_weights(labels),
                                      config.instance_downweight)
 
     W = np.zeros((N_CLASSES, n_features), dtype=np.float64)
@@ -111,17 +105,11 @@ def train_unigram(train, config: TrainConfig,
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
             Xb = X[batch]
-            if sparse.issparse(Xb):
-                logits = np.asarray(Xb @ W.T) + b
-            else:
-                logits = Xb @ W.T + b
-            probs = softmax(logits)
+            # sparse and dense rows take the same products
+            probs = softmax(np.asarray(Xb @ W.T) + b)
             wb = sample_weights[batch]
             delta = (probs - Y[batch]) * wb[:, None] / wb.sum()
-            if sparse.issparse(Xb):
-                grad_W = np.asarray(Xb.T @ delta).T + config.l2_strength * W
-            else:
-                grad_W = (Xb.T @ delta).T + config.l2_strength * W
+            grad_W = np.asarray(Xb.T @ delta).T + config.l2_strength * W
             grad_b = delta.sum(axis=0)
             W -= config.learning_rate * grad_W
             b -= config.learning_rate * grad_b

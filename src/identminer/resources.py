@@ -60,9 +60,9 @@ def load_bigram_blocklist(path=None) -> frozenset[tuple[str, str]]:
 
 
 @lru_cache(maxsize=None)
-def load_tag_lexicon(path=None, default_tag: str = "NN") -> TagLexicon:
+def load_tag_lexicon(path=None) -> TagLexicon:
     source = path or _packaged("tag_lexicon.tsv")
     if hasattr(source, "read_text"):
         with importlib_resources.as_file(source) as real_path:
-            return TagLexicon.from_tsv(real_path, default_tag=default_tag)
-    return TagLexicon.from_tsv(source, default_tag=default_tag)
+            return TagLexicon.from_tsv(real_path)
+    return TagLexicon.from_tsv(source)

@@ -86,15 +86,14 @@ WORD_KINDS = ("word", "contraction")
 
 @dataclass
 class TagLexicon:
-    """Context-free tagger: word -> majority Penn tag, default for OOV."""
+    """Context-free tagger: word -> majority Penn tag, NN for OOV."""
     tags: dict[str, str]
-    default_tag: str = "NN"
 
     def tag(self, word: str) -> str:
-        return self.tags.get(word, self.default_tag)
+        return self.tags.get(word, "NN")
 
     @classmethod
-    def from_tsv(cls, path, default_tag: str = "NN") -> "TagLexicon":
+    def from_tsv(cls, path) -> "TagLexicon":
         tags: dict[str, str] = {}
         with open(path, encoding="utf-8") as handle:
             for line_no, line in enumerate(handle, start=1):
@@ -108,7 +107,7 @@ class TagLexicon:
                 if tag not in PENN_TAGS:
                     raise ValueError(f"{path}:{line_no}: {tag!r} is not a Penn tag")
                 tags[word] = tag
-        return cls(tags=tags, default_tag=default_tag)
+        return cls(tags=tags)
 
 
 # the packaged contraction list, bound on first use (resources imports this
@@ -123,14 +122,13 @@ def _load_default_contractions() -> frozenset[str]:
     return _default_contractions
 
 
-def tokenize(text: str, contractions: frozenset[str] | None = None) -> list[Token]:
+def tokenize(text: str) -> list[Token]:
     """Split text into typed tokens with character spans.
 
     Joining the source slices of consecutive tokens with the original
     inter-token whitespace reconstructs the input exactly.
     """
-    if contractions is None:
-        contractions = _default_contractions or _load_default_contractions()
+    contractions = _default_contractions or _load_default_contractions()
     tokens: list[Token] = []
     append = tokens.append
     for match in _TOKEN_RE.finditer(text):
@@ -224,10 +222,6 @@ class SelfReportLexicon:
                     f"bad counts for {word!r}: O_s={os_count}, O={o_count}")
         self.total_selfreport = sum(self.os_counts.values())
 
-    @property
-    def words(self) -> frozenset[str]:
-        return frozenset(self.os_counts)
-
     def __contains__(self, word: str) -> bool:
         return word in self.os_counts
 
@@ -272,8 +266,7 @@ class SelfReportCounter:
     """O_s and O counts, added one tagged description at a time.
 
     Counting is per-description: a description mentioning a word twice still
-    contributes one to each counter. Counters of corpus shards merge by
-    addition.
+    contributes one to each counter.
     """
 
     def __init__(self, tag_lexicon: TagLexicon, allow_im: bool = False):
@@ -294,12 +287,9 @@ class SelfReportCounter:
 
 
 def build_selfreport_lexicon(corpus: Iterable, tag_lexicon: TagLexicon,
-                             allow_im: bool = False,
-                             contractions: frozenset[str] | None = None
-                             ) -> SelfReportLexicon:
+                             allow_im: bool = False) -> SelfReportLexicon:
     """Count O_s and O per description over the corpus (UserRecord iterable)."""
     counter = SelfReportCounter(tag_lexicon, allow_im=allow_im)
     for record in corpus:
-        counter.add(pos_tag(tokenize(record.description,
-                                     contractions=contractions), tag_lexicon))
+        counter.add(pos_tag(tokenize(record.description), tag_lexicon))
     return counter.lexicon()

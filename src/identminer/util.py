@@ -3,7 +3,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -28,11 +27,6 @@ def stage_seed(root_seed: int, stage: str) -> int:
     digest = hashlib.sha256(f"{root_seed}:{stage}".encode("utf-8")).digest()
     # keep below 2**32 so any RNG backend accepts it
     return int.from_bytes(digest[:4], "big")
-
-
-def ceil_fraction(fraction: float, n: int) -> int:
-    # round first: 0.6 * 5 is 3.0000000000000004 in binary floating point
-    return math.ceil(round(fraction * n, 9))
 
 
 def pmap_ordered(fn: Callable[[T], U], items: Iterable[T], workers: int = 1) -> list[U]:

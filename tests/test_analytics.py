@@ -18,7 +18,6 @@ from identminer.textprep import tokenize
 from helpers import make_profile, make_tweet, make_user
 
 W, B, HL, A = CLASS_ORDER
-CONTR = frozenset({"i'm"})
 
 
 # ---------------------------------------------------------------------------
@@ -216,12 +215,12 @@ def test_majority_vote_rejects_unknown_label():
 def test_type_token_ratio():
     assert type_token_ratio(["a", "b", "a"]) == pytest.approx(2.0 / 3.0)
     assert type_token_ratio([]) == 0.0
-    tokens = tokenize("go go go", contractions=CONTR)
+    tokens = tokenize("go go go")
     assert type_token_ratio(tokens) == pytest.approx(1.0 / 3.0)
 
 
 def test_lexical_diversity_drops_urls_mentions_stopwords():
-    tokens = tokenize("the cat sat @mike https://x.co", contractions=CONTR)
+    tokens = tokenize("the cat sat @mike https://x.co")
     assert len(tokens) == 5
     ld = lexical_diversity(tokens, frozenset({"the"}))
     assert ld == pytest.approx(2.0 / 5.0)
@@ -233,7 +232,7 @@ def test_user_lexical_means_hand_fixture():
         make_tweet("i'm happy #fun", hours=-1.0),
         make_tweet("go go go", hours=-2.0),
     ))
-    stats = user_lexical_means(user, frozenset({"happy"}), contractions=CONTR)
+    stats = user_lexical_means(user, frozenset({"happy"}))
     assert stats["ttr"] == pytest.approx((1.0 + 1.0 / 3.0) / 2.0)
     assert stats["ld"] == pytest.approx((2.0 / 3.0 + 1.0) / 2.0)
     assert stats["cpt"] == pytest.approx(0.5)
@@ -249,8 +248,7 @@ def test_user_lexical_means_honors_max_tweets():
         make_tweet("one two three", hours=-1.0),
         make_tweet("#x #y", hours=-2.0),
     ))
-    stats = user_lexical_means(user, frozenset(), max_tweets=1,
-                               contractions=CONTR)
+    stats = user_lexical_means(user, frozenset(), max_tweets=1)
     assert stats["hpt"] == 0.0  # only the newest tweet counted
 
 
@@ -263,17 +261,15 @@ def test_group_lexical_pass_gives_samples_and_counts_in_one_pass():
     idle = make_user("u2")
     stopwords = frozenset({"happy"})
     samples, counts = group_lexical_pass([busy, idle], stopwords,
-                                         max_tweets=2, contractions=CONTR)
-    assert samples == [user_lexical_means(busy, stopwords, max_tweets=2,
-                                          contractions=CONTR)]
+                                         max_tweets=2)
+    assert samples == [user_lexical_means(busy, stopwords, max_tweets=2)]
     assert counts == {"i'm": 1, "happy": 1, "go": 3}
 
 
 def test_group_lexical_stats_skips_tweetless_and_macro_averages():
     busy = make_user("u1", tweets=(make_tweet("i'm happy #fun"),))
     idle = make_user("u2")
-    stats = group_lexical_stats({W: [busy, idle]}, frozenset({"happy"}),
-                                contractions=CONTR)[W]
+    stats = group_lexical_stats({W: [busy, idle]}, frozenset({"happy"}))[W]
     assert stats.group is W
     assert stats.type_token_ratio == pytest.approx(1.0)
     assert stats.lexical_diversity == pytest.approx(2.0 / 3.0)
@@ -285,10 +281,8 @@ def test_group_lexical_stats_invariant_under_user_duplication():
     user = make_user("u1", tweets=(make_tweet("i'm happy #fun"),
                                    make_tweet("go go go", hours=-2.0)))
     clone = make_user("u2", tweets=user.tweets)
-    single = group_lexical_stats({B: [user]}, frozenset(),
-                                 contractions=CONTR)[B]
-    doubled = group_lexical_stats({B: [user, clone]}, frozenset(),
-                                  contractions=CONTR)[B]
+    single = group_lexical_stats({B: [user]}, frozenset())[B]
+    doubled = group_lexical_stats({B: [user, clone]}, frozenset())[B]
     assert single.type_token_ratio == pytest.approx(doubled.type_token_ratio)
     assert single.lexical_diversity == pytest.approx(doubled.lexical_diversity)
     assert single.contractions_per_tweet == pytest.approx(
@@ -450,7 +444,7 @@ def test_sage_deviations_input_validation():
 def test_group_token_counts_words_and_contractions_only():
     user = make_user("u1", tweets=(
         make_tweet("i'm happy happy #tag @mike https://x.co", hours=-1.0),))
-    counts = group_token_counts([user], contractions=CONTR)
+    counts = group_token_counts([user])
     assert counts == {"i'm": 1, "happy": 2}
 
 
@@ -459,5 +453,5 @@ def test_group_token_counts_honors_max_tweets():
         make_tweet("new words", hours=-1.0),
         make_tweet("old words", hours=-5.0),
     ))
-    counts = group_token_counts([user], max_tweets=1, contractions=CONTR)
+    counts = group_token_counts([user], max_tweets=1)
     assert counts == {"new": 1, "words": 1}

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import os
@@ -832,6 +833,60 @@ def test_rerun_outputs_are_byte_identical(planted_corpus, tmp_path):
     assert (outs[1] / "dataset_hf_stats.json").read_bytes() == stats
 
 
+# sha256 of every file the description stages write on the fixtures below.
+# These stages are pure Python, so the digests are the same on every
+# platform. A deliberate change to their output updates the constants and
+# says why in CHANGES.md.
+DESCRIPTION_STAGE_DIGESTS = {
+    "lexicon/lexicon_summary.json":
+        "4c77ed327168876ebc21dff11ad635abd742adf7092154cfd31e5d23052a1c72",
+    "lexicon/selfreport_lexicon.tsv":
+        "65c2df4e73533d226ccdc3ae1500a482647d5589fe0d0931185b68720ccde6d5",
+    "dataset_qb/dataset_qb.tsv":  # empty
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    "dataset_qb/dataset_qb_stats.json":
+        "57b6c77a599e2b4d31c74925bfefe56d837c8e371050eb6975c7d50e68b389e7",
+    "dataset_hf/dataset_hf.tsv":
+        "d5a45463301746213f84944dc2c7d26b6dc9e5272de48ca98d9f397253da2da5",
+    "dataset_hf/dataset_hf_stats.json":
+        "795fd117869fda32f60257039dee7d497b7372cd4cae36f20b0650a6746ec870",
+    "dataset_cb/dataset_cb.tsv":
+        "5fd515649e6bcf1bc95365296f319f5698082007be11d9b23acec0a8143cd9c2",
+    "dataset_cb/dataset_cb_stats.json":
+        "d9aa9e5afaa22549e9ebb28ebde129c079d8ab323271a9ac94135dd17bc1c141",
+    "dataset_qb_tune/dataset_qb.tsv":
+        "de309c7ec6f5efcaf74c71856ede6910b96a6fcfbcf781571693a9f66e895ee0",
+    "dataset_qb_tune/dataset_qb_stats.json":
+        "1839a5a60322e504f484dbde770895a3c0ad5b580edc1e5d3d08724d316f8ef3",
+    "tune/tune_result.json":
+        "8313a2f5655704072c9597c221e4aab9e3179eaa3ae7f2c3274ca8e7fc720ec0",
+}
+
+
+def test_description_stage_outputs_match_recorded_digests(planted_corpus,
+                                                          tmp_path):
+    tune_corpus, tuning = tune_fixture(tmp_path)
+    steps = {
+        "lexicon": ["lexicon-build", "--corpus", str(planted_corpus)],
+        **{f"dataset_{kind}": ["dataset-build", "--kind", kind,
+                               "--corpus", str(planted_corpus)]
+           for kind in ("qb", "hf", "cb")},
+        # the planted corpus has no person bigram; this one has
+        "dataset_qb_tune": ["dataset-build", "--kind", "qb",
+                            "--corpus", str(tune_corpus)],
+        "tune": ["tune", "--corpus", str(tune_corpus),
+                 "--tuning", str(tuning)],
+    }
+    digests = {}
+    for name, argv in steps.items():
+        out = tmp_path / name
+        assert run(*argv, "--out", str(out)) == 0
+        for path in sorted(out.iterdir()):
+            digests[f"{name}/{path.name}"] = hashlib.sha256(
+                path.read_bytes()).hexdigest()
+    assert digests == DESCRIPTION_STAGE_DIGESTS
+
+
 def test_workers_do_not_change_outputs(planted_corpus, tmp_path):
     out1, out4 = tmp_path / "w1", tmp_path / "w4"
     assert run("dataset-build", "--kind", "hf", "--corpus",
@@ -864,6 +919,89 @@ def test_config_values_apply_and_flags_override(planted_corpus, tmp_path):
     assert stats["filter_accounting"]["passed_filters"] == 100
 
 
+def config_check_commands(tmp_path) -> dict[str, list[str]]:
+    """One valid invocation of each subcommand that reads the checked keys."""
+    planted = write_jsonl(tmp_path / "corpus.jsonl", planted_payloads())
+    tune_corpus, tuning = tune_fixture(tmp_path)
+    group_corpus, data = tweet_group_fixture(tmp_path)
+    return {
+        "lexicon-build": ["lexicon-build", "--corpus", str(planted)],
+        "dataset-build": ["dataset-build", "--kind", "cb",
+                          "--corpus", str(planted)],
+        "tune": ["tune", "--corpus", str(tune_corpus),
+                 "--tuning", str(tuning)],
+        "train": ["train", "--model", "unigram", "--corpus", str(group_corpus),
+                  "--train-data", str(data)],
+        "analyze": ["analyze", "--corpus", str(group_corpus),
+                    "--data", str(data)],
+    }
+
+
+@pytest.mark.parametrize("command,key,value", [
+    ("tune", "grid_windows", ["a"]),
+    ("tune", "grid_thresholds", [0.1, "0.2"]),
+    ("tune", "grid_weightings", "simple"),
+    ("dataset-build", "cb_k", -1),
+    ("dataset-build", "cb_k", 0),
+    ("dataset-build", "cb_k", "3"),
+    ("dataset-build", "cb_k", True),
+    ("dataset-build", "window", "5"),
+    ("dataset-build", "window", 5.9),
+    ("dataset-build", "window", 5.0),
+    ("dataset-build", "threshold", "0.35"),
+    ("dataset-build", "filters", "color"),
+    ("lexicon-build", "kind", 1),  # every key is checked in every command
+    ("lexicon-build", "allow_im", "false"),
+    ("lexicon-build", "allow_im", 0),
+    ("lexicon-build", "seed", 1.5),
+    ("lexicon-build", "tag_lexicon", 5),  # a path key
+    ("analyze", "max_tweets", -1),
+    ("analyze", "max_tweets", 0),
+    ("analyze", "top_n", "a"),
+    ("analyze", "tau_ks", [20, 0]),
+    ("analyze", "sage_lambda", float("inf")),
+    ("train", "learning_rate", "x"),
+    ("train", "learning_rate", float("nan")),
+    pytest.param("train", "learning_rate", 10 ** 400,
+                 id="train-learning_rate-beyond-float"),
+    ("train", "epochs", True),
+    ("train", "epochs", 0),
+    ("train", "learning_rate", 0),
+])
+def test_bad_config_value_is_a_data_error(tmp_path, capsys, command, key,
+                                          value):
+    config = write_config(tmp_path, "cfg.json", **{key: value})
+    argv = config_check_commands(tmp_path)[command]
+    assert run(*argv, "--config", str(config),
+               "--out", str(tmp_path / "out")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("identminer: data error: ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert key in err
+
+
+def test_every_config_key_has_one_type_rule():
+    from identminer.cli import _PATH_KEYS, CONFIG_RULES, DEFAULTS
+    ruled = [key for _, _, keys in CONFIG_RULES for key in keys]
+    assert sorted(ruled) == sorted([*DEFAULTS, *_PATH_KEYS])
+    values = {**dict.fromkeys(_PATH_KEYS), **DEFAULTS}
+    assert all(check(values[key])
+               for _, check, keys in CONFIG_RULES for key in keys)
+
+
+def test_integer_for_a_number_key_trains_the_same_model(tmp_path):
+    commands = config_check_commands(tmp_path)
+    models = []
+    for rate in (1, 1.0):
+        config = write_config(tmp_path, f"cfg{rate!r}.json", learning_rate=rate,
+                              epochs=3, batch_size=4)
+        out = tmp_path / f"out{rate!r}"
+        assert run(*commands["train"], "--config", str(config),
+                   "--out", str(out)) == 0
+        models.append((out / "model.json").read_bytes())
+    assert models[0] == models[1]
+
+
 def test_unknown_config_key_is_a_data_error(planted_corpus, tmp_path):
     config = write_config(tmp_path, "cfg.json", not_a_real_option=1)
     assert run("lexicon-build", "--config", str(config), "--corpus",
@@ -878,6 +1016,12 @@ def test_bad_config_json_is_a_data_error(planted_corpus, tmp_path):
     config.write_text("[1, 2]", encoding="utf-8")
     assert run("lexicon-build", "--config", str(config), "--corpus",
                str(planted_corpus), "--out", str(tmp_path / "out")) == 2
+    # past the int conversion limit, and past the decoder's recursion limit
+    for text in ('{"seed": ' + "1" * 5000 + "}",
+                 '{"seed": ' + "[" * 100000 + "]" * 100000 + "}"):
+        config.write_text(text, encoding="utf-8")
+        assert run("lexicon-build", "--config", str(config), "--corpus",
+                   str(planted_corpus), "--out", str(tmp_path / "out")) == 2
 
 
 def test_missing_corpus_exits_2_without_partial_output(tmp_path):

@@ -3,11 +3,10 @@ import random
 import pytest
 
 from identminer import resources
-from identminer.datasets import (DatasetSplit, LabeledUser, balance_subsample, build_cb, build_hf,
-                                 build_qb, hf_users, match_reports, merge,
+from identminer.datasets import (LabeledUser, balance_subsample, build_cb,
+                                 build_hf, build_qb, hf_users, match_reports,
                                  merge_candidates, qb_users, read_dataset_tsv,
                                  scan_descriptions, score_reports,
-                                 split_manifest, split_train_dev,
                                  write_dataset_tsv)
 from identminer.filters import CLASS_ORDER, ClassLabel, FilterConfig
 from identminer.scorer import ScoreParams
@@ -52,12 +51,12 @@ def test_match_reports_single_class_only():
                          params) == []  # ambiguous, no match
 
 
-@pytest.mark.parametrize("workers", [1, 3])
-def test_match_reports_keeps_corpus_order(workers):
+@pytest.mark.parametrize("copies", [1, 3])
+def test_match_reports_keeps_corpus_order(copies):
     lexicon = small_lexicon()
-    reports = match_reports(small_corpus(), tag_lexicon(), lexicon,
-                            ScoreParams(), workers=workers)
-    assert [r.user_id for r in reports] == ["u1", "u2", "u3"]
+    reports = match_reports(small_corpus() * copies, tag_lexicon(), lexicon,
+                            ScoreParams())
+    assert [r.user_id for r in reports] == ["u1", "u2", "u3"] * copies
 
 
 def test_scan_descriptions_counts_the_lexicon_from_the_same_pass():
@@ -237,34 +236,7 @@ def test_build_cb_rejects_scoreless_candidates():
 
 
 # ---------------------------------------------------------------------------
-# splits and balancing
-
-def test_split_train_dev_partitions():
-    users = cb_fixture()
-    split = split_train_dev(users, train_fraction=0.6, seed=5)
-    assert len(split.train) + len(split.dev) == len(users)
-    assert len(split.train) == 11  # ceil(0.6 * 18)
-    ids = {u.user_id for u in split.train} | {u.user_id for u in split.dev}
-    assert ids == {u.user_id for u in users}
-
-
-def test_split_train_dev_deterministic_by_seed():
-    users = cb_fixture()
-    a = split_train_dev(users, seed=5)
-    b = split_train_dev(users, seed=5)
-    c = split_train_dev(users, seed=6)
-    assert [u.user_id for u in a.train] == [u.user_id for u in b.train]
-    assert [u.user_id for u in a.train] != [u.user_id for u in c.train]
-
-
-def test_split_train_dev_stratified_keeps_per_class_fractions():
-    users = cb_fixture()
-    split = split_train_dev(users, train_fraction=0.5, seed=1, stratified=True)
-    for label, count in [(W, 5), (B, 3), (HL, 4), (A, 6)]:
-        in_train = sum(1 for u in split.train if u.label is label)
-        expected = -(-count // 2)  # ceil
-        assert in_train == expected
-
+# balancing
 
 def test_balance_subsample_uses_present_classes():
     items = [lu(f"w{i}", W, 0.5) for i in range(6)] + \
@@ -281,17 +253,6 @@ def test_balance_subsample_custom_label_getter():
     balanced = balance_subsample(pairs, seed=1, label_of=lambda p: p[1])
     assert sum(1 for _, label in balanced if label is B) == 3
     assert sum(1 for _, label in balanced if label is W) == 3
-
-
-def test_merge_prefers_external_labels():
-    auto = [lu("x", B, 0.9, "HF"), lu("y", W, 0.8, "QB")]
-    external = [LabeledUser("x", W, None, "crowd")]
-    merged = {u.user_id: u for u in merge(auto, external)}
-    assert merged["x"].source == "crowd" and merged["x"].label is W
-    assert merged["y"].source == "QB"
-    # equal priority: first seen wins
-    again = merge(external, [LabeledUser("x", B, None, "survey")])
-    assert {u.source for u in again} == {"crowd"}
 
 
 def test_labeled_user_validation():
@@ -323,10 +284,3 @@ def test_dataset_tsv_rejects_malformed(tmp_path):
     path.write_text("u1\tQ\t0.5\tHF\n", encoding="utf-8")
     with pytest.raises(ValueError):
         read_dataset_tsv(path)
-
-
-def test_split_manifest_lists_ids():
-    split = DatasetSplit([lu("a", W, 1.0)], [lu("b", B, 0.5)], [], seed=3)
-    manifest = split_manifest(split, train_fraction=0.6)
-    assert manifest == {"seed": 3, "train_fraction": 0.6,
-                        "train": ["a"], "dev": ["b"], "test": []}

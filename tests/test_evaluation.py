@@ -85,8 +85,8 @@ def test_per_class_accuracy_absent_class_is_zero():
 class _Echo:
     """Predictor whose features already are the intended label."""
 
-    def predict(self, features):
-        return features, None
+    def predict_batch(self, features):
+        return list(features)
 
 
 def test_evaluate_imbalanced_end_to_end():

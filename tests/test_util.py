@@ -3,9 +3,8 @@ import math
 
 import pytest
 
-from identminer.util import (DataError, canonical_json, ceil_fraction,
-                             config_hash, mean, pmap_ordered, stage_seed,
-                             write_json)
+from identminer.util import (DataError, canonical_json, config_hash, mean,
+                             pmap_ordered, stage_seed, write_json)
 
 
 def test_canonical_json_is_key_order_invariant():
@@ -30,20 +29,6 @@ def test_stage_seed_is_stable_and_stage_dependent():
     assert stage_seed(1, "split") != stage_seed(0, "split")
     seed = stage_seed(0, "split")
     assert 0 <= seed < 2 ** 32
-
-
-def test_ceil_fraction_basics():
-    assert ceil_fraction(0.6, 10) == 6
-    assert ceil_fraction(0.5, 7) == 4
-    assert ceil_fraction(0.6, 0) == 0
-    assert ceil_fraction(0.01, 1) == 1
-
-
-def test_ceil_fraction_tolerates_float_representation():
-    # 0.7 * 10 is 7.000000000000001 in binary floating point; a naive
-    # ceil would return 8
-    assert ceil_fraction(0.7, 10) == 7
-    assert ceil_fraction(1 / 3, 3) == 1
 
 
 @pytest.mark.parametrize("workers", [1, 4])
