@@ -6,7 +6,7 @@ match query keywords, score candidate self-reports by nearby evidence words,
 filter false positives, assemble labeled datasets, train and evaluate
 classifiers, and compare groups on lexical and behavioral measures.
 """
-from .filters import CLASS_ORDER, ClassLabel, FilterConfig
+from .filters import CLASS_ORDER, ClassLabel
 from .ingest import ProfileMeta, Tweet, UserRecord, load_users
 from .scorer import ScoreParams, score_description
 from .textprep import SelfReportLexicon, TagLexicon, pos_tag, tokenize
@@ -15,7 +15,7 @@ from .util import DataError
 __version__ = "0.1.0"
 
 __all__ = [
-    "CLASS_ORDER", "ClassLabel", "FilterConfig",
+    "CLASS_ORDER", "ClassLabel",
     "ProfileMeta", "Tweet", "UserRecord", "load_users",
     "ScoreParams", "score_description",
     "SelfReportLexicon", "TagLexicon", "pos_tag", "tokenize",

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .filters import ClassLabel
@@ -23,45 +22,6 @@ class _Discard:
 
 
 DISCARD = _Discard()
-
-
-@dataclass
-class GroupLexicalStats:
-    group: ClassLabel
-    lexical_diversity: float
-    contractions_per_tweet: float
-    type_token_ratio: float
-    hashtags_per_tweet: float
-
-    @classmethod
-    def from_samples(cls, group: ClassLabel,
-                     samples: Sequence[dict]) -> "GroupLexicalStats":
-        """Macro-average of the per-user means (see user_lexical_means)."""
-        return cls(
-            group=group,
-            lexical_diversity=mean([stats["ld"] for stats in samples]),
-            contractions_per_tweet=mean([stats["cpt"] for stats in samples]),
-            type_token_ratio=mean([stats["ttr"] for stats in samples]),
-            hashtags_per_tweet=mean([stats["hpt"] for stats in samples]),
-        )
-
-
-@dataclass
-class BehavioralProfile:
-    group: ClassLabel
-    pct_android: float
-    pct_iphone: float
-    pct_desktop: float
-    pct_profile_url: float
-    pct_custom_image: float
-    pct_geo_enabled: float
-    pct_geotagged: float
-    avg_statuses: float
-    avg_tweets_per_month: float
-    # micro-averaged: pooled over every tweet in the group
-    pct_tweets_mention: float
-    pct_tweets_image: float
-    pct_tweets_url: float
 
 
 def _texts(tokens: Sequence) -> list[str]:
@@ -112,7 +72,7 @@ def group_lexical_pass(users: Iterable[UserRecord], stopwords: frozenset[str],
                        max_tweets: int = 200) -> tuple[list[dict], Counter]:
     """One pass over a group's users, streaming one user at a time: the
     per-user lexical means of users with tweets (the Mann-Whitney samples,
-    whose macro-average is GroupLexicalStats) and the group's word and
+    whose macro-average is lexical_table) and the group's word and
     contraction counts (the input for distinctive_keywords)."""
     samples = []
     counts: Counter[str] = Counter()
@@ -124,13 +84,24 @@ def group_lexical_pass(users: Iterable[UserRecord], stopwords: frozenset[str],
     return samples, counts
 
 
+def lexical_table(samples: Sequence[dict]) -> dict[str, float]:
+    """Macro-average of the per-user means (see user_lexical_means), keyed by
+    the analyze_result.json names."""
+    return {
+        "lexical_diversity": mean([stats["ld"] for stats in samples]),
+        "contractions_per_tweet": mean([stats["cpt"] for stats in samples]),
+        "type_token_ratio": mean([stats["ttr"] for stats in samples]),
+        "hashtags_per_tweet": mean([stats["hpt"] for stats in samples]),
+    }
+
+
 def group_lexical_stats(users_by_group: dict[ClassLabel, Sequence[UserRecord]],
                         stopwords: frozenset[str], max_tweets: int = 200
-                        ) -> dict[ClassLabel, GroupLexicalStats]:
+                        ) -> dict[ClassLabel, dict[str, float]]:
     """Macro-average the per-user means within each group; users without
     tweets are skipped."""
-    return {group: GroupLexicalStats.from_samples(
-                group, group_lexical_pass(users, stopwords, max_tweets)[0])
+    return {group: lexical_table(
+                group_lexical_pass(users, stopwords, max_tweets)[0])
             for group, users in users_by_group.items()}
 
 
@@ -284,9 +255,11 @@ def _device(source_app: str) -> set[str]:
 
 
 def behavioral_profile(users_by_group: dict[ClassLabel, Sequence[UserRecord]],
-                       max_tweets: int = 200) -> dict[ClassLabel, BehavioralProfile]:
-    """Table of per-group behavioral features. Percent rows are macro (share
-    of users) except the per-tweet rows, which pool every tweet in the group.
+                       max_tweets: int = 200
+                       ) -> dict[ClassLabel, dict[str, float]]:
+    """Table of per-group behavioral features, keyed by the
+    analyze_result.json names. Percent rows are macro (share of users) except
+    the per-tweet (pct_tweets_*) rows, which pool every tweet in the group.
     Tweets/month divides statuses_count by months since account creation
     (floored at one month); users without a creation time are skipped there."""
     out = {}
@@ -329,21 +302,20 @@ def behavioral_profile(users_by_group: dict[ClassLabel, Sequence[UserRecord]],
         def pooled_share(key: str) -> float:
             return pooled[key] * 100.0 / pooled_total if pooled_total else 0.0
 
-        out[group] = BehavioralProfile(
-            group=group,
-            pct_android=share("android"),
-            pct_iphone=share("iphone"),
-            pct_desktop=share("desktop"),
-            pct_profile_url=share("profile_url"),
-            pct_custom_image=share("custom_image"),
-            pct_geo_enabled=share("geo_enabled"),
-            pct_geotagged=share("geotagged"),
-            avg_statuses=mean(statuses),
-            avg_tweets_per_month=mean(tweets_per_month),
-            pct_tweets_mention=pooled_share("mention"),
-            pct_tweets_image=pooled_share("image"),
-            pct_tweets_url=pooled_share("url"),
-        )
+        out[group] = {
+            "pct_android": share("android"),
+            "pct_iphone": share("iphone"),
+            "pct_desktop": share("desktop"),
+            "pct_profile_url": share("profile_url"),
+            "pct_custom_image": share("custom_image"),
+            "pct_geo_enabled": share("geo_enabled"),
+            "pct_geotagged": share("geotagged"),
+            "avg_statuses": mean(statuses),
+            "avg_tweets_per_month": mean(tweets_per_month),
+            "pct_tweets_mention": pooled_share("mention"),
+            "pct_tweets_image": pooled_share("image"),
+            "pct_tweets_url": pooled_share("url"),
+        }
     return out
 
 

@@ -24,7 +24,7 @@ from .datasets import (build_cb, hf_users, merge_candidates, qb_users,
                        read_dataset_tsv, scan_descriptions, score_reports,
                        write_dataset_tsv)
 from .evaluation import evaluate, format_report_table
-from .filters import CLASS_ORDER, FILTER_NAMES, FilterConfig
+from .filters import CLASS_ORDER, enabled_filters
 from .ingest import ParseFailure, UserRecord, dedupe_latest, load_users
 # the numeric model modules (numpy, scipy) are imported only in the train
 # and evaluate branches that use them
@@ -247,6 +247,7 @@ def _require(paths: dict, key: str) -> str:
 
 
 def _out_dir(paths: dict) -> Path:
+    """Create --out; called only after every input has been read."""
     out = Path(paths["out"])
     out.mkdir(parents=True, exist_ok=True)
     return out
@@ -270,17 +271,29 @@ def _load_corpus(path: str) -> tuple[list[UserRecord], int]:
     return ordered, failures
 
 
+def _read_input(paths: dict, key: str, read):
+    """read(path) of the input file named by key. A malformed file, or one
+    that is not UTF-8 (UnicodeDecodeError is a ValueError), is a data error."""
+    path = _require(paths, key)
+    try:
+        return read(path)
+    except ValueError as exc:
+        raise DataError(f"bad {key} file {path}: {exc}") from exc
+
+
+def _resource(paths: dict, key: str, load):
+    """The user's file for key if one is given, else the packaged one."""
+    return _read_input(paths, key, load) if paths.get(key) else load()
+
+
 def _tag_lexicon(paths: dict):
-    if paths.get("tag_lexicon"):
-        return resources.load_tag_lexicon(_require(paths, "tag_lexicon"))
-    return resources.load_tag_lexicon()
+    return _resource(paths, "tag_lexicon", resources.load_tag_lexicon)
 
 
 def _filter_resources(paths: dict):
-    colors = (resources.load_colors(_require(paths, "colors_file"))
-              if paths.get("colors_file") else resources.load_colors())
-    blocklist = (resources.load_bigram_blocklist(_require(paths, "blocklist_file"))
-                 if paths.get("blocklist_file") else resources.load_bigram_blocklist())
+    colors = _resource(paths, "colors_file", resources.load_colors)
+    blocklist = _resource(paths, "blocklist_file",
+                          resources.load_bigram_blocklist)
     return colors, blocklist
 
 
@@ -315,10 +328,10 @@ def cmd_lexicon_build(args: argparse.Namespace) -> int:
     config, paths = _resolve(args)
     corpus_path = _require(paths, "corpus")
     tag_lexicon = _tag_lexicon(paths)
-    out = _out_dir(paths)
     records, failures = _load_corpus(corpus_path)
     lexicon = build_selfreport_lexicon(records, tag_lexicon,
                                        allow_im=config["allow_im"])
+    out = _out_dir(paths)
     lexicon.to_tsv(out / "selfreport_lexicon.tsv")
     summary = _result_base(config, "lexicon-build")
     summary.update({
@@ -331,27 +344,24 @@ def cmd_lexicon_build(args: argparse.Namespace) -> int:
     return 0
 
 
-def _filter_accounting(reports, filter_config: FilterConfig):
+def _filter_accounting(reports, filters: tuple[str, ...]):
     """Removal table: users removed with only each enabled filter on, removals
     attributed to the chain filter that fired first under the full config,
     and the pass count. A multi-match user passes when any match passes;
-    removed users attribute to the rejecting filter of their first match.
-    All three come from the one filter-chain outcome of each match."""
-    enabled = [name for name, flag in
-               zip(FILTER_NAMES, (filter_config.color, filter_config.plural,
-                                  filter_config.bigram, filter_config.quote))
-               if flag]
-    solo_removed = {name: 0 for name in enabled}
+    removed users attribute to the first rejecting filter of their first
+    match. All three come from the one filter-chain outcome of each match."""
+    solo_removed = {name: 0 for name in filters}
     chain_removed = Counter()
     passed = 0
     for report in reports:
-        for name in enabled:
-            if all(name in outcome.rejected_by for outcome in report.outcomes):
+        outcomes = report.outcomes
+        for name in filters:
+            if all(name in outcome for outcome in outcomes):
                 solo_removed[name] += 1
-        if any(outcome.passed for outcome in report.outcomes):
+        if any(not outcome for outcome in outcomes):
             passed += 1
         else:
-            chain_removed[report.outcomes[0].rejecting_filter] += 1
+            chain_removed[outcomes[0][0]] += 1
     return {
         "removed_with_single_filter": solo_removed,
         "removed_by_filter_chain": dict(sorted(chain_removed.items())),
@@ -369,17 +379,16 @@ def cmd_dataset_build(args: argparse.Namespace) -> int:
     tag_lexicon = _tag_lexicon(paths)
     colors, blocklist = _filter_resources(paths)
     try:
-        filter_config = FilterConfig.from_names(config["filters"])
+        filters = enabled_filters(config["filters"])
         params = ScoreParams(config["window"], config["threshold"],
                              config["weighting"])
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    out = _out_dir(paths)
     records, _ = _load_corpus(corpus_path)
     lexicon, reports = _description_pass(paths, config, records, tag_lexicon)
     # qb reads no filter verdicts
     score_reports(reports, lexicon, params,
-                  None if kind == "qb" else filter_config, colors, blocklist)
+                  None if kind == "qb" else filters, colors, blocklist)
 
     stats = _result_base(config, "dataset-build")
     stats["kind"] = kind
@@ -389,7 +398,7 @@ def cmd_dataset_build(args: argparse.Namespace) -> int:
         users = qb_users(reports)
     elif kind == "hf":
         stats["n_matched"] = len(reports)
-        stats["filter_accounting"] = _filter_accounting(reports, filter_config)
+        stats["filter_accounting"] = _filter_accounting(reports, filters)
         users = hf_users(reports, params.threshold)
     else:
         candidates = merge_candidates(qb_users(reports),
@@ -404,6 +413,7 @@ def cmd_dataset_build(args: argparse.Namespace) -> int:
         label.value: sum(1 for user in users if user.label == label)
         for label in CLASS_ORDER}
     stats["n_output"] = len(users)
+    out = _out_dir(paths)
     write_dataset_tsv(users, out / f"dataset_{kind}.tsv")
     write_json(out / f"dataset_{kind}_stats.json", stats)
     return 0
@@ -414,7 +424,6 @@ def cmd_tune(args: argparse.Namespace) -> int:
     corpus_path = _require(paths, "corpus")
     tuning_path = _require(paths, "tuning")
     tag_lexicon = _tag_lexicon(paths)
-    out = _out_dir(paths)
     records, _ = _load_corpus(corpus_path)
     lexicon, reports = _description_pass(paths, config, records, tag_lexicon)
 
@@ -444,7 +453,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
         raise DataError(str(exc)) from exc
 
     precision, recall = precision_recall(
-        [score_description(tagged, match, lexicon, best).value
+        [score_description(tagged, match, lexicon, best)
          for tagged, match, _ in tuning_set],
         [label for _, _, label in tuning_set], best.threshold)
     result = _result_base(config, "tune")
@@ -457,7 +466,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
         "n_examples": len(tuning_set),
         "n_discarded": len(votes) - len(labels),
     })
-    write_json(out / "tune_result.json", result)
+    write_json(_out_dir(paths) / "tune_result.json", result)
     return 0
 
 
@@ -482,28 +491,29 @@ def _read_dataset(path):
     return dataset
 
 
+def _write_model(paths: dict, model, result: dict) -> int:
+    out = _out_dir(paths)
+    save_model(model, out / "model.json")
+    write_json(out / "train_result.json", result)
+    return 0
+
+
 def cmd_train(args: argparse.Namespace) -> int:
     config, paths = _resolve(args)
     model_name = config["model"]
     dataset = _read_dataset(_require(paths, "train_data"))
-    out = _out_dir(paths)
 
     result = _result_base(config, "train")
     result["model"] = model_name
     result["n_train"] = len(dataset)
-    model_path = out / "model.json"
 
     if model_name == "baseline-majority":
         model = baseline_majority([user.label for user in dataset])
         result["majority"] = model.majority.value
-        save_model(model, model_path)
-        write_json(out / "train_result.json", result)
-        return 0
+        return _write_model(paths, model, result)
     if model_name == "baseline-random":
         model = baseline_random(stage_seed(config["seed"], "baseline"))
-        save_model(model, model_path)
-        write_json(out / "train_result.json", result)
-        return 0
+        return _write_model(paths, model, result)
 
     from .models.training import (TrainConfig, effective_weight_histogram,
                                   example_weights, inverse_class_weights)
@@ -526,7 +536,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                                           read_embeddings, user_word_counts)
             from .models.unigram import train_unigram
             if paths.get("embeddings"):
-                table = read_embeddings(_require(paths, "embeddings"))
+                table = _read_input(paths, "embeddings", read_embeddings)
                 pairs = [(user, record) for user, record in pairs
                          if user.user_id in table]
                 if not pairs:
@@ -571,9 +581,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     result["n_usable"] = len(pairs)
     result["class_weights"] = class_weights.tolist()
     result["effective_weight_histogram"] = effective_weight_histogram(weights)
-    save_model(model, model_path)
-    write_json(out / "train_result.json", result)
-    return 0
+    return _write_model(paths, model, result)
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
@@ -581,10 +589,12 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     model_path = _require(paths, "model_file")
     try:
         model = load_model(model_path)
-    except (ValueError, json.JSONDecodeError) as exc:
+    except KeyError as exc:
+        raise DataError(f"bad model file: missing field {exc}") from exc
+    except (ValueError, TypeError, AttributeError) as exc:
+        # TypeError and AttributeError: a field of the wrong JSON type
         raise DataError(f"bad model file: {exc}") from exc
     dataset = _read_dataset(_require(paths, "test_data"))
-    out = _out_dir(paths)
 
     kind = type(model).__name__
     if kind in ("RandomBaseline", "MajorityBaseline"):
@@ -600,7 +610,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                         for user, record in pairs]
         elif paths.get("embeddings"):
             from .models.features import read_embeddings
-            table = read_embeddings(_require(paths, "embeddings"))
+            table = _read_input(paths, "embeddings", read_embeddings)
             test_set = [(table[user.user_id], user.label)
                         for user, _ in pairs if user.user_id in table]
             if not test_set:
@@ -623,6 +633,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         raise DataError(str(exc)) from exc
     result = _result_base(config, "evaluate")
     result.update(report.to_dict())
+    out = _out_dir(paths)
     write_json(out / "eval_result.json", result)
     table = format_report_table([(kind, report)])
     (out / "eval_report.txt").write_text(table + "\n", encoding="utf-8")
@@ -637,7 +648,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     config, paths = _resolve(args)
     corpus_path = _require(paths, "corpus")
     data_path = _require(paths, "data")
-    out = _out_dir(paths)
     records, _ = _load_corpus(corpus_path)
     dataset = _read_dataset(data_path)
     pairs = _dataset_with_records(dataset,
@@ -656,9 +666,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     for label in present:
         samples[label], counts[label] = analytics.group_lexical_pass(
             groups[label], stopwords, max_tweets)
-    lexical = {label: analytics.GroupLexicalStats.from_samples(label,
-                                                               samples[label])
-               for label in present}
     mwu: dict = {}
     for metric in ("ttr", "ld", "cpt", "hpt"):
         table = {}
@@ -709,34 +716,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     result = _result_base(config, "analyze")
     result.update({
         "groups": {label.value: len(groups[label]) for label in present},
-        "lexical": {
-            label.value: {
-                "lexical_diversity": lexical[label].lexical_diversity,
-                "contractions_per_tweet": lexical[label].contractions_per_tweet,
-                "type_token_ratio": lexical[label].type_token_ratio,
-                "hashtags_per_tweet": lexical[label].hashtags_per_tweet,
-            } for label in present},
+        "lexical": {label.value: analytics.lexical_table(samples[label])
+                    for label in present},
         "mann_whitney": mwu,
-        "behavior": {
-            label.value: {
-                "pct_android": behavior[label].pct_android,
-                "pct_iphone": behavior[label].pct_iphone,
-                "pct_desktop": behavior[label].pct_desktop,
-                "pct_profile_url": behavior[label].pct_profile_url,
-                "pct_custom_image": behavior[label].pct_custom_image,
-                "pct_geo_enabled": behavior[label].pct_geo_enabled,
-                "pct_geotagged": behavior[label].pct_geotagged,
-                "avg_statuses": behavior[label].avg_statuses,
-                "avg_tweets_per_month": behavior[label].avg_tweets_per_month,
-                "pct_tweets_mention": behavior[label].pct_tweets_mention,
-                "pct_tweets_image": behavior[label].pct_tweets_image,
-                "pct_tweets_url": behavior[label].pct_tweets_url,
-            } for label in present},
+        "behavior": {label.value: behavior[label] for label in present},
         "distinctive_keywords": {label.value: keywords[label][:top_n]
                                  for label in present},
         "kendall_tau": tau,
     })
-    write_json(out / "analyze_result.json", result)
+    write_json(_out_dir(paths) / "analyze_result.json", result)
     return 0
 
 

@@ -13,9 +13,8 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence, TypeVar
 
-from .filters import (CLASS_ORDER, ClassLabel, FilterConfig, FilterOutcome,
-                      QueryMatch, apply_filter_chain, assign_class,
-                      find_query_matches, person_bigram_match)
+from .filters import (CLASS_ORDER, ClassLabel, QueryMatch, apply_filter_chain,
+                      assign_class, find_query_matches, person_bigram_match)
 from .scorer import ScoreParams, score_description
 from .textprep import (SelfReportCounter, SelfReportLexicon, TagLexicon,
                        TaggedToken, pos_tag, tokenize)
@@ -43,14 +42,16 @@ class LabeledUser:
 @dataclass
 class UserMatchReport:
     """Per-user query analysis shared by the dataset builders and tune;
-    score_reports fills scores and outcomes, both aligned with matches."""
+    score_reports fills scores and outcomes, both aligned with matches. An
+    outcome is the tuple of rejecting filter names, empty when the match
+    passed."""
     user_id: str
     label: ClassLabel
     tagged: list[TaggedToken]
     raw_text: str
     matches: list[QueryMatch]
     scores: list[float] = field(default_factory=list)
-    outcomes: list[FilterOutcome] | None = None
+    outcomes: list[tuple[str, ...]] | None = None
 
 
 def scan_descriptions(corpus: Iterable, tag_lexicon: TagLexicon,
@@ -73,21 +74,21 @@ def scan_descriptions(corpus: Iterable, tag_lexicon: TagLexicon,
 
 
 def score_reports(reports: list[UserMatchReport], lexicon: SelfReportLexicon,
-                  params: ScoreParams, filter_config: FilterConfig | None = None,
+                  params: ScoreParams, filters: tuple[str, ...] | None = None,
                   colors: frozenset[str] = frozenset(),
                   blocklist: frozenset[tuple[str, str]] = frozenset()
                   ) -> list[UserMatchReport]:
-    """Score every match against the final lexicon and, given filter_config,
-    run the filter chain once per match. Fills the reports in place and
-    returns them."""
+    """Score every match against the final lexicon and, given the enabled
+    filters, run the filter chain once per match. Fills the reports in place
+    and returns them."""
     for report in reports:
-        report.scores = [score_description(report.tagged, match, lexicon,
-                                           params).value
-                         for match in report.matches]
-        if filter_config is not None:
+        report.scores = [
+            score_description(report.tagged, match, lexicon, params)
+            for match in report.matches]
+        if filters is not None:
             report.outcomes = [
                 apply_filter_chain(report.tagged, report.raw_text, match,
-                                   filter_config, colors, blocklist)
+                                   filters, colors, blocklist)
                 for match in report.matches]
     return reports
 
@@ -117,7 +118,7 @@ def hf_users(reports: Iterable[UserMatchReport],
     out = []
     for report in reports:
         passing = [score for score, outcome in zip(report.scores, report.outcomes)
-                   if outcome.passed]
+                   if not outcome]
         if passing and max(passing) >= threshold:
             out.append(LabeledUser(report.user_id, report.label, max(passing), "HF"))
     return out
@@ -130,10 +131,10 @@ def build_qb(corpus: Iterable, tag_lexicon: TagLexicon,
 
 def build_hf(corpus: Iterable, tag_lexicon: TagLexicon,
              lexicon: SelfReportLexicon, params: ScoreParams,
-             filter_config: FilterConfig, colors: frozenset[str],
+             filters: tuple[str, ...], colors: frozenset[str],
              blocklist: frozenset[tuple[str, str]]) -> list[LabeledUser]:
     reports = scan_descriptions(corpus, tag_lexicon)
-    score_reports(reports, lexicon, params, filter_config, colors, blocklist)
+    score_reports(reports, lexicon, params, filters, colors, blocklist)
     return hf_users(reports, params.threshold)
 
 

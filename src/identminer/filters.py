@@ -1,6 +1,7 @@
 """Racial-keyword query matching, class assignment, the four false-positive
 filters (color co-occurrence, plural successor, bigram blocklist, quoted
-span), and the person-keyword bigram matcher behind the QB dataset.
+span), and the person-keyword bigram matcher behind the QB dataset. Each
+filter returns True when it rejects the match.
 """
 from __future__ import annotations
 
@@ -69,47 +70,20 @@ class QueryMatch:
     char_span: tuple[int, int]
 
 
-@dataclass(frozen=True)
-class FilterOutcome:
-    passed: bool
-    rejecting_filter: str | None = None
-    # every filter that rejected, in chain order; defaults to rejecting_filter
-    rejected_by: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        if self.passed == (self.rejecting_filter is not None):
-            raise ValueError("rejecting_filter must be set iff passed is false")
-        first = () if self.passed else (self.rejecting_filter,)
-        if not self.rejected_by:
-            object.__setattr__(self, "rejected_by", first)
-        elif self.rejected_by[:1] != first:
-            raise ValueError("rejected_by must begin with rejecting_filter")
-
-
-PASSED = FilterOutcome(True, None)
-
-
-@dataclass(frozen=True)
-class FilterConfig:
-    color: bool = True
-    plural: bool = True
-    bigram: bool = True
-    quote: bool = True
-
-    @classmethod
-    def from_names(cls, names: Iterable[str]) -> "FilterConfig":
-        valid = {"color", "plural", "bigram", "quote"}
-        chosen = set()
-        for name in names:
-            name = name.strip()
-            if not name:
-                continue
-            if name == "bigram_blocklist":
-                name = "bigram"
-            if name not in valid:
-                raise ValueError(f"unknown filter {name!r}")
-            chosen.add(name)
-        return cls(**{name: name in chosen for name in valid})
+def enabled_filters(names: Iterable[str]) -> tuple[str, ...]:
+    """The named filters as FILTER_NAMES entries, in chain order. "bigram"
+    names bigram_blocklist; blank names are skipped."""
+    chosen = set()
+    for name in names:
+        name = name.strip()
+        if not name:
+            continue
+        if name == "bigram":
+            name = "bigram_blocklist"
+        if name not in FILTER_NAMES:
+            raise ValueError(f"unknown filter {name!r}")
+        chosen.add(name)
+    return tuple(name for name in FILTER_NAMES if name in chosen)
 
 
 def find_query_matches(tagged: Sequence[TaggedToken]) -> list[QueryMatch]:
@@ -133,35 +107,28 @@ def assign_class(matches: Sequence[QueryMatch]):
 
 
 def color_filter(tagged: Sequence[TaggedToken], match: QueryMatch,
-                 colors: frozenset[str]) -> FilterOutcome:
-    """Reject when a color word other than the query occurrence itself appears
+                 colors: frozenset[str]) -> bool:
+    """True when a color word other than the query occurrence itself appears
     anywhere in the description."""
-    for i, tt in enumerate(tagged):
-        if i == match.token_index:
-            continue
-        if tt.token.kind == "word" and tt.token.text in colors:
-            return FilterOutcome(False, "color")
-    return PASSED
+    return any(tt.token.kind == "word" and tt.token.text in colors
+               for i, tt in enumerate(tagged) if i != match.token_index)
 
 
-def plural_filter(tagged: Sequence[TaggedToken], match: QueryMatch) -> FilterOutcome:
-    """Reject when the token right after the query is a plural noun."""
+def plural_filter(tagged: Sequence[TaggedToken], match: QueryMatch) -> bool:
+    """True when the token right after the query is a plural noun."""
     nxt = match.token_index + 1
-    if nxt < len(tagged) and tagged[nxt].pos in PLURAL_TAGS:
-        return FilterOutcome(False, "plural")
-    return PASSED
+    return nxt < len(tagged) and tagged[nxt].pos in PLURAL_TAGS
 
 
 def blocklist_bigram_filter(tagged: Sequence[TaggedToken], match: QueryMatch,
-                            blocklist: frozenset[tuple[str, str]]) -> FilterOutcome:
-    """Reject when (query, next token) or (previous token, query) is a
+                            blocklist: frozenset[tuple[str, str]]) -> bool:
+    """True when (query, next token) or (previous token, query) is a
     blocklisted bigram. Both sides are checked."""
     i = match.token_index
-    if i + 1 < len(tagged) and (match.keyword, tagged[i + 1].token.text) in blocklist:
-        return FilterOutcome(False, "bigram_blocklist")
-    if i > 0 and (tagged[i - 1].token.text, match.keyword) in blocklist:
-        return FilterOutcome(False, "bigram_blocklist")
-    return PASSED
+    return ((i + 1 < len(tagged)
+             and (match.keyword, tagged[i + 1].token.text) in blocklist)
+            or (i > 0
+                and (tagged[i - 1].token.text, match.keyword) in blocklist))
 
 
 _QUOTE_FAMILIES = (('"', '"'), ("“", "”"))
@@ -188,13 +155,10 @@ def _quoted_spans(raw_text: str) -> list[tuple[int, int]]:
     return spans
 
 
-def quote_filter(raw_text: str, match: QueryMatch) -> FilterOutcome:
-    """Reject when the query occurrence lies inside a balanced quote pair."""
+def quote_filter(raw_text: str, match: QueryMatch) -> bool:
+    """True when the query occurrence lies inside a balanced quote pair."""
     start, end = match.char_span
-    for a, b in _quoted_spans(raw_text):
-        if a < start and end - 1 < b:
-            return FilterOutcome(False, "quote")
-    return PASSED
+    return any(a < start and end - 1 < b for a, b in _quoted_spans(raw_text))
 
 
 def person_bigram_match(tagged: Sequence[TaggedToken], match: QueryMatch) -> bool:
@@ -204,21 +168,19 @@ def person_bigram_match(tagged: Sequence[TaggedToken], match: QueryMatch) -> boo
 
 
 def apply_filter_chain(tagged: Sequence[TaggedToken], raw_text: str,
-                       match: QueryMatch, config: FilterConfig,
+                       match: QueryMatch, filters: tuple[str, ...],
                        colors: frozenset[str],
-                       blocklist: frozenset[tuple[str, str]]) -> FilterOutcome:
-    """Every enabled filter runs once, in the order color, plural, bigram,
-    quote; the first rejection wins. The outcome's rejected_by lists every
-    enabled filter that rejects, so the same evaluation also tells whether
-    each filter alone would reject the match."""
+                       blocklist: frozenset[tuple[str, str]]
+                       ) -> tuple[str, ...]:
+    """The names of the enabled filters that reject the match, in chain
+    order; empty when it passes. Every enabled filter runs once, so the same
+    evaluation tells both the first rejection and whether each filter alone
+    would reject the match."""
     verdicts = (
-        color_filter(tagged, match, colors) if config.color else PASSED,
-        plural_filter(tagged, match) if config.plural else PASSED,
-        blocklist_bigram_filter(tagged, match, blocklist) if config.bigram else PASSED,
-        quote_filter(raw_text, match) if config.quote else PASSED,
+        ("color", "color" in filters and color_filter(tagged, match, colors)),
+        ("plural", "plural" in filters and plural_filter(tagged, match)),
+        ("bigram_blocklist", "bigram_blocklist" in filters
+         and blocklist_bigram_filter(tagged, match, blocklist)),
+        ("quote", "quote" in filters and quote_filter(raw_text, match)),
     )
-    rejected_by = tuple(verdict.rejecting_filter for verdict in verdicts
-                        if not verdict.passed)
-    if not rejected_by:
-        return PASSED
-    return FilterOutcome(False, rejected_by[0], rejected_by)
+    return tuple(name for name, rejects in verdicts if rejects)

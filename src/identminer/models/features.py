@@ -67,7 +67,8 @@ def name_meta_features(user: UserRecord) -> np.ndarray:
 
 
 def read_embeddings(path) -> dict[str, np.ndarray]:
-    """user_id<TAB>floats rows; every row must have EMBEDDING_DIM values."""
+    """user_id<TAB>floats rows; every row must have EMBEDDING_DIM finite
+    values."""
     out: dict[str, np.ndarray] = {}
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -82,5 +83,8 @@ def read_embeddings(path) -> dict[str, np.ndarray]:
                 raise ValueError(
                     f"{path}:{line_no}: expected {EMBEDDING_DIM} floats, "
                     f"got {len(values)}")
-            out[user_id] = np.array([float(v) for v in values], dtype=np.float64)
+            row = np.array([float(v) for v in values], dtype=np.float64)
+            if not np.isfinite(row).all():
+                raise ValueError(f"{path}:{line_no}: values must be finite")
+            out[user_id] = row
     return out

@@ -9,7 +9,7 @@ same sum agree bitwise in 64-bit arithmetic.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 from .filters import QueryMatch
@@ -36,16 +36,9 @@ class ScoreParams:
             raise ValueError(f"weighting must be one of {WEIGHTINGS}")
 
 
-@dataclass
-class SelfReportScore:
-    value: float
-    query: QueryMatch
-    contributing: list[tuple[str, int, float]] = field(default_factory=list)
-
-
 def score_description(tagged: Sequence[TaggedToken], match: QueryMatch,
                       lexicon: SelfReportLexicon,
-                      params: ScoreParams) -> SelfReportScore:
+                      params: ScoreParams) -> float:
     """Score one query occurrence against the description's window.
 
     The window is two-sided and measured in word tokens; the query token
@@ -59,9 +52,8 @@ def score_description(tagged: Sequence[TaggedToken], match: QueryMatch,
         query_pos = word_positions.index(match.token_index)
     except ValueError:
         # query token is not word-kind; nothing is word-distance-comparable
-        return SelfReportScore(0.0, match, [])
+        return 0.0
     value = 0.0
-    contributing: list[tuple[str, int, float]] = []
     for pos, token_index in enumerate(word_positions):
         distance = abs(pos - query_pos)
         if distance == 0 or distance > params.window:
@@ -75,8 +67,7 @@ def score_description(tagged: Sequence[TaggedToken], match: QueryMatch,
         if params.weighting == "tfidf":
             term = term * math.log(lexicon.total_selfreport / os_count)
         value += term
-        contributing.append((word, distance, term))
-    return SelfReportScore(value, match, contributing)
+    return value
 
 
 def precision_recall(scores: Sequence[float], labels: Sequence[bool],
@@ -131,7 +122,7 @@ def tune_params(tuning_set: Sequence[tuple[Sequence[TaggedToken], QueryMatch, bo
         cache_key = (params.window, params.weighting)
         if cache_key not in score_cache:
             score_cache[cache_key] = [
-                score_description(tagged, match, lexicon, params).value
+                score_description(tagged, match, lexicon, params)
                 for tagged, match, _ in tuning_set]
         precision, recall = precision_recall(
             score_cache[cache_key], labels, params.threshold)

@@ -19,8 +19,8 @@ from identminer.cli import main as cli_main
 from identminer.datasets import (LabeledUser, build_cb, build_hf, build_qb,
                                  match_reports, merge_candidates)
 from identminer.evaluation import accuracy, macro_f1
-from identminer.filters import (CLASS_ORDER, FILTER_NAMES, FilterConfig,
-                                apply_filter_chain, find_query_matches)
+from identminer.filters import (CLASS_ORDER, FILTER_NAMES, apply_filter_chain,
+                                find_query_matches)
 from identminer.models import (NameModel, TrainConfig, example_weights,
                                inverse_class_weights, train_name_cnn,
                                train_unigram)
@@ -87,7 +87,7 @@ def test_criterion_2_score_oracle_equivalence(capsys):
             matches.append(match_at(tagged, rng.randrange(len(tagged))))
             for match in matches:
                 got = score_description(tagged, match, lexicon, params)
-                assert got.value == oracle_score(tagged, match, lexicon, params)
+                assert got == oracle_score(tagged, match, lexicon, params)
                 compared += 1
         assert compared >= 1000
 
@@ -105,7 +105,7 @@ def test_criterion_2_score_oracle_equivalence(capsys):
                 params = ScoreParams(window=5, weighting=weighting)
                 high = score_description(near, near_match, lexicon, params)
                 low = score_description(far, far_match, lexicon, params)
-                assert high.value > low.value
+                assert high > low
 
 
 def _tag(text, lexicon):
@@ -123,8 +123,7 @@ def test_criterion_3_planted_corpus_filtering(capsys):
         colors = resources.load_colors()
         blocklist = resources.load_bigram_blocklist()
 
-        dataset = build_hf(records, tags, lexicon, params,
-                           FilterConfig.from_names(list(FILTER_NAMES)),
+        dataset = build_hf(records, tags, lexicon, params, FILTER_NAMES,
                            colors, blocklist)
         assert {user.user_id for user in dataset} == true_ids
 
@@ -132,12 +131,11 @@ def test_criterion_3_planted_corpus_filtering(capsys):
         assert len(reports) == 200
         solo_removed = {}
         for name in FILTER_NAMES:
-            solo = FilterConfig.from_names([name])
             solo_removed[name] = sum(
                 1 for report in reports
-                if not any(apply_filter_chain(report.tagged, report.raw_text,
-                                              match, solo, colors,
-                                              blocklist).passed
+                if not any(not apply_filter_chain(report.tagged,
+                                                  report.raw_text, match,
+                                                  (name,), colors, blocklist)
                            for match in report.matches))
         assert solo_removed == {name: 25 for name in FILTER_NAMES}
         assert sum(solo_removed.values()) == 100
@@ -147,12 +145,13 @@ def test_criterion_3_planted_corpus_filtering(capsys):
         # more filters can only shrink the passing set
         pass_sets = {}
         for bits in itertools.product((False, True), repeat=4):
-            config = FilterConfig(*bits)
+            filters = tuple(name for name, bit in zip(FILTER_NAMES, bits)
+                            if bit)
             pass_sets[bits] = {
                 report.user_id for report in reports
-                if any(apply_filter_chain(report.tagged, report.raw_text,
-                                          match, config, colors,
-                                          blocklist).passed
+                if any(not apply_filter_chain(report.tagged, report.raw_text,
+                                              match, filters, colors,
+                                              blocklist)
                        for match in report.matches)}
         for small, large in itertools.product(pass_sets, repeat=2):
             if all(x <= y for x, y in zip(small, large)):
@@ -198,8 +197,7 @@ def test_criterion_4_cb_balance(capsys):
         lexicon = build_selfreport_lexicon(records, tags)
         params = ScoreParams()
         qb = build_qb(records, tags, lexicon, params)
-        hf = build_hf(records, tags, lexicon, params,
-                      FilterConfig.from_names(list(FILTER_NAMES)),
+        hf = build_hf(records, tags, lexicon, params, FILTER_NAMES,
                       resources.load_colors(),
                       resources.load_bigram_blocklist())
         cb = build_cb(merge_candidates(qb, hf))

@@ -270,11 +270,12 @@ def test_group_lexical_stats_skips_tweetless_and_macro_averages():
     busy = make_user("u1", tweets=(make_tweet("i'm happy #fun"),))
     idle = make_user("u2")
     stats = group_lexical_stats({W: [busy, idle]}, frozenset({"happy"}))[W]
-    assert stats.group is W
-    assert stats.type_token_ratio == pytest.approx(1.0)
-    assert stats.lexical_diversity == pytest.approx(2.0 / 3.0)
-    assert stats.contractions_per_tweet == pytest.approx(1.0)
-    assert stats.hashtags_per_tweet == pytest.approx(1.0)
+    assert set(stats) == {"type_token_ratio", "lexical_diversity",
+                          "contractions_per_tweet", "hashtags_per_tweet"}
+    assert stats["type_token_ratio"] == pytest.approx(1.0)
+    assert stats["lexical_diversity"] == pytest.approx(2.0 / 3.0)
+    assert stats["contractions_per_tweet"] == pytest.approx(1.0)
+    assert stats["hashtags_per_tweet"] == pytest.approx(1.0)
 
 
 def test_group_lexical_stats_invariant_under_user_duplication():
@@ -283,18 +284,20 @@ def test_group_lexical_stats_invariant_under_user_duplication():
     clone = make_user("u2", tweets=user.tweets)
     single = group_lexical_stats({B: [user]}, frozenset())[B]
     doubled = group_lexical_stats({B: [user, clone]}, frozenset())[B]
-    assert single.type_token_ratio == pytest.approx(doubled.type_token_ratio)
-    assert single.lexical_diversity == pytest.approx(doubled.lexical_diversity)
-    assert single.contractions_per_tweet == pytest.approx(
-        doubled.contractions_per_tweet)
-    assert single.hashtags_per_tweet == pytest.approx(
-        doubled.hashtags_per_tweet)
+    assert single["type_token_ratio"] == pytest.approx(
+        doubled["type_token_ratio"])
+    assert single["lexical_diversity"] == pytest.approx(
+        doubled["lexical_diversity"])
+    assert single["contractions_per_tweet"] == pytest.approx(
+        doubled["contractions_per_tweet"])
+    assert single["hashtags_per_tweet"] == pytest.approx(
+        doubled["hashtags_per_tweet"])
 
 
 def test_group_lexical_stats_all_tweetless_is_zero():
     stats = group_lexical_stats({A: [make_user("u1")]}, frozenset())[A]
-    assert stats.type_token_ratio == 0.0
-    assert stats.lexical_diversity == 0.0
+    assert stats["type_token_ratio"] == 0.0
+    assert stats["lexical_diversity"] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -317,20 +320,20 @@ def two_user_group():
 
 def test_behavioral_profile_hand_fixture():
     profile = behavioral_profile({W: two_user_group()})[W]
-    assert profile.group is W
-    assert profile.pct_android == 50.0
-    assert profile.pct_iphone == 50.0
-    assert profile.pct_desktop == 50.0  # the web client counts as desktop
-    assert profile.pct_profile_url == 50.0
-    assert profile.pct_custom_image == 50.0
-    assert profile.pct_geo_enabled == 50.0
-    assert profile.pct_geotagged == 50.0
-    assert profile.avg_statuses == 65.0
+    assert len(profile) == 12
+    assert profile["pct_android"] == 50.0
+    assert profile["pct_iphone"] == 50.0
+    assert profile["pct_desktop"] == 50.0  # the web client counts as desktop
+    assert profile["pct_profile_url"] == 50.0
+    assert profile["pct_custom_image"] == 50.0
+    assert profile["pct_geo_enabled"] == 50.0
+    assert profile["pct_geotagged"] == 50.0
+    assert profile["avg_statuses"] == 65.0
     # only u1 has a creation time: 60.875 days is exactly two months
-    assert profile.avg_tweets_per_month == pytest.approx(50.0)
-    assert profile.pct_tweets_mention == pytest.approx(100.0 / 3.0)
-    assert profile.pct_tweets_image == pytest.approx(100.0 / 3.0)
-    assert profile.pct_tweets_url == pytest.approx(100.0 / 3.0)
+    assert profile["avg_tweets_per_month"] == pytest.approx(50.0)
+    assert profile["pct_tweets_mention"] == pytest.approx(100.0 / 3.0)
+    assert profile["pct_tweets_image"] == pytest.approx(100.0 / 3.0)
+    assert profile["pct_tweets_url"] == pytest.approx(100.0 / 3.0)
 
 
 def test_behavioral_profile_tweet_duplication_moves_pooled_rows_only():
@@ -342,33 +345,33 @@ def test_behavioral_profile_tweet_duplication_moves_pooled_rows_only():
     noisy = make_user("u1", tweets=tuple(u1.tweets) + (extra,),
                       profile=u1.profile)
     bumped = behavioral_profile({W: [noisy, users[1]]})[W]
-    assert bumped.pct_android == base.pct_android
-    assert bumped.pct_geotagged == base.pct_geotagged
-    assert bumped.avg_statuses == base.avg_statuses
-    assert bumped.pct_tweets_mention == pytest.approx(50.0)  # 2 of 4 tweets
-    assert bumped.pct_tweets_mention != base.pct_tweets_mention
+    assert bumped["pct_android"] == base["pct_android"]
+    assert bumped["pct_geotagged"] == base["pct_geotagged"]
+    assert bumped["avg_statuses"] == base["avg_statuses"]
+    assert bumped["pct_tweets_mention"] == pytest.approx(50.0)  # 2 of 4 tweets
+    assert bumped["pct_tweets_mention"] != base["pct_tweets_mention"]
 
 
 def test_behavioral_profile_months_floor():
     user = make_user("u1", profile=make_profile(
         statuses_count=42, account_created_hours=-1.0))
     profile = behavioral_profile({HL: [user]})[HL]
-    assert profile.avg_tweets_per_month == 42.0
+    assert profile["avg_tweets_per_month"] == 42.0
 
 
 def test_behavioral_profile_ios_source_counts_as_iphone():
     user = make_user("u1", tweets=(
         make_tweet("hi", source_app="Tweetbot for iOS"),))
     profile = behavioral_profile({A: [user]})[A]
-    assert profile.pct_iphone == 100.0
-    assert profile.pct_android == 0.0
+    assert profile["pct_iphone"] == 100.0
+    assert profile["pct_android"] == 0.0
 
 
 def test_behavioral_profile_empty_group_is_all_zero():
     profile = behavioral_profile({B: []})[B]
-    assert profile.pct_android == 0.0
-    assert profile.pct_tweets_url == 0.0
-    assert profile.avg_statuses == 0.0
+    assert profile["pct_android"] == 0.0
+    assert profile["pct_tweets_url"] == 0.0
+    assert profile["avg_statuses"] == 0.0
 
 
 # ---------------------------------------------------------------------------

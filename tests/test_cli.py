@@ -2,6 +2,7 @@ import hashlib
 import importlib
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -14,9 +15,10 @@ from identminer.cli import main
 from identminer.datasets import LabeledUser, read_dataset_tsv, write_dataset_tsv
 from identminer.filters import CLASS_ORDER, FILTER_NAMES
 from identminer.textprep import SelfReportLexicon
+from identminer.util import canonical_json
 
-from helpers import (PLANT_HEADS, make_user, planted_payloads, planted_users,
-                     tweet_payload, user_payload, write_jsonl)
+from helpers import (PLANT_HEADS, iso, make_user, planted_payloads,
+                     planted_users, tweet_payload, user_payload, write_jsonl)
 
 W, B, HL, A = CLASS_ORDER
 
@@ -590,6 +592,67 @@ def test_analyze_end_to_end(tmp_path):
     assert result["behavior"]["W"]["avg_statuses"] == 0.0
 
 
+def varied_group_fixture(tmp_path):
+    """Five users per class whose seeded tweets, clients and profiles differ
+    from user to user, so that every lexical, behavioral and Mann-Whitney
+    value of analyze is defined and differs between groups."""
+    rng = random.Random(2024)
+    vocab = ("alpha", "bravo", "chat", "the", "go", "i'm", "don't", "#fun",
+             "@pal", "https://x.example/p", "ok")
+    clients = ("Twitter for Android", "Twitter for iPhone", "Twitter Web App",
+               "Tweetbot for iOS", "Buffer")
+    payloads, users = [], []
+    for label in CLASS_ORDER:
+        for j in range(5):
+            user_id = f"{label.value.lower()}{j}"
+            tweets = tuple(
+                tweet_payload(
+                    " ".join(rng.choice(vocab)
+                             for _ in range(rng.randrange(1, 8))),
+                    hours=-1.0 - k, source_app=rng.choice(clients),
+                    has_image=rng.random() < 0.3, has_url=rng.random() < 0.3,
+                    mentions_user=rng.random() < 0.3,
+                    geotagged=rng.random() < 0.1)
+                for k in range(rng.randrange(1, 6)))
+            created = (iso(-rng.randrange(1, 20000)) if rng.random() < 0.8
+                       else None)
+            profile = {"statuses_count": rng.randrange(0, 5000),
+                       "account_created_at": created,
+                       "has_profile_url": rng.random() < 0.5,
+                       "has_custom_image": rng.random() < 0.5,
+                       "geo_enabled": rng.random() < 0.5}
+            payloads.append(user_payload(user_id, tweets=tweets,
+                                         profile=profile))
+            users.append(LabeledUser(user_id=user_id, label=label,
+                                     source="crowd", score=None))
+    corpus = write_jsonl(tmp_path / "varied_corpus.jsonl", payloads)
+    data = tmp_path / "varied_data.tsv"
+    write_dataset_tsv(users, data)
+    return corpus, data
+
+
+# canonical_json of the analyze_result.json parts computed in pure Python
+# (SAGE keywords and Kendall tau use numpy), recorded before the lexical and
+# behavioral tables became plain dicts
+ANALYZE_PURE_PYTHON_DIGEST = (
+    "278097941142e1c4016ad2594c45b6f86cfab58c76579d963711e20440054cb3")
+
+
+def test_analyze_pure_python_tables_match_recorded_digest(tmp_path):
+    corpus, data = varied_group_fixture(tmp_path)
+    out = tmp_path / "out"
+    assert run("analyze", "--corpus", str(corpus), "--data", str(data),
+               "--out", str(out)) == 0
+    result = json.loads((out / "analyze_result.json").read_text())
+    assert result["groups"] == {"W": 5, "B": 5, "HL": 5, "A": 5}
+    assert all(test is not None for table in result["mann_whitney"].values()
+               for test in table.values())
+    tables = {key: result[key]
+              for key in ("groups", "lexical", "behavior", "mann_whitney")}
+    digest = hashlib.sha256(canonical_json(tables).encode("utf-8")).hexdigest()
+    assert digest == ANALYZE_PURE_PYTHON_DIGEST
+
+
 # ---------------------------------------------------------------------------
 # one tokenization per tweet
 
@@ -752,9 +815,8 @@ def reference_hf(records, params):
     before one filter-chain evaluation per match: the chain once per single
     filter and once with every filter on."""
     from identminer import resources
-    from identminer.filters import (ClassLabel, FilterConfig,
-                                    apply_filter_chain, assign_class,
-                                    find_query_matches)
+    from identminer.filters import (ClassLabel, apply_filter_chain,
+                                    assign_class, find_query_matches)
     from identminer.scorer import score_description
     from identminer.textprep import build_selfreport_lexicon, pos_tag, tokenize
 
@@ -762,7 +824,6 @@ def reference_hf(records, params):
     colors = resources.load_colors()
     blocklist = resources.load_bigram_blocklist()
     lexicon = build_selfreport_lexicon(records, tags)
-    solo = {name: FilterConfig.from_names([name]) for name in FILTER_NAMES}
     solo_removed = dict.fromkeys(FILTER_NAMES, 0)
     chain_removed: Counter = Counter()
     passed = matched = 0
@@ -775,19 +836,19 @@ def reference_hf(records, params):
         if not isinstance(label, ClassLabel):
             continue
         matched += 1
-        for name, config in solo.items():
-            if not any(apply_filter_chain(tagged, text, match, config, colors,
-                                          blocklist).passed
+        for name in FILTER_NAMES:
+            if not any(not apply_filter_chain(tagged, text, match, (name,),
+                                              colors, blocklist)
                        for match in matches):
                 solo_removed[name] += 1
-        outcomes = [apply_filter_chain(tagged, text, match, FilterConfig(),
+        outcomes = [apply_filter_chain(tagged, text, match, FILTER_NAMES,
                                        colors, blocklist) for match in matches]
-        if any(outcome.passed for outcome in outcomes):
+        if any(not outcome for outcome in outcomes):
             passed += 1
         else:
-            chain_removed[outcomes[0].rejecting_filter] += 1
-        scores = [score_description(tagged, match, lexicon, params).value
-                  for match, outcome in zip(matches, outcomes) if outcome.passed]
+            chain_removed[outcomes[0][0]] += 1
+        scores = [score_description(tagged, match, lexicon, params)
+                  for match, outcome in zip(matches, outcomes) if not outcome]
         if scores and max(scores) >= params.threshold:
             lines.append(f"{record.user_id}\t{label.value}\t{max(scores)!r}\tHF\n")
     accounting = {"removed_with_single_filter": solo_removed,
@@ -978,6 +1039,114 @@ def test_bad_config_value_is_a_data_error(tmp_path, capsys, command, key,
     assert err.startswith("identminer: data error: ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert key in err
+
+
+def bad_input_commands(tmp_path) -> dict[str, list[str]]:
+    """One invocation per malformed user-supplied resource or model file."""
+    planted = write_jsonl(tmp_path / "corpus.jsonl", planted_payloads())
+    group_corpus, data = tweet_group_fixture(tmp_path)
+    penn = tmp_path / "penn.tsv"
+    penn.write_text("a\tXX\n", encoding="utf-8")
+    latin1 = tmp_path / "latin1.tsv"
+    latin1.write_bytes(b"caf\xe9\tNN\n")
+    trigram = tmp_path / "trigram.txt"
+    trigram.write_text("one two three\n", encoding="utf-8")
+    blocklist_config = write_config(tmp_path, "blocklist.json",
+                                    blocklist_file=str(trigram))
+    narrow = tmp_path / "narrow.tsv"
+    narrow.write_text("w0\t0.1 0.2 0.3\n", encoding="utf-8")
+    infinite = tmp_path / "infinite.tsv"
+    infinite.write_text("w0\t" + " ".join(["1e999"] * 768) + "\n",
+                        encoding="utf-8")
+    # a zero unigram model over embeddings, so evaluate reaches --embeddings
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"kind": "unigram", "vocab": {},
+                                 "weights": [0.0] * (4 * 768),
+                                 "shape": [4, 768], "bias": [0.0] * 4}),
+                     encoding="utf-8")
+    shapeless = tmp_path / "shapeless.json"
+    shapeless.write_text('{"kind": "unigram"}', encoding="utf-8")
+    # a name model whose params is a number instead of an object
+    mistyped = tmp_path / "mistyped.json"
+    mistyped.write_text(json.dumps({"kind": "namecnn", "params": 5,
+                                    "char_vocab": {}, "meta_dim": 5,
+                                    "max_len": 10}), encoding="utf-8")
+    listed = tmp_path / "listed.json"
+    listed.write_text("[1, 2]", encoding="utf-8")
+    evaluate = ["evaluate", "--test-data", str(data), "--corpus",
+                str(group_corpus)]
+    return {
+        "tag-lexicon-not-penn": ["lexicon-build", "--corpus", str(planted),
+                                 "--tag-lexicon", str(penn)],
+        "tag-lexicon-not-utf8": ["lexicon-build", "--corpus", str(planted),
+                                 "--tag-lexicon", str(latin1)],
+        "blocklist-not-bigram": ["dataset-build", "--kind", "hf", "--corpus",
+                                 str(planted), "--config",
+                                 str(blocklist_config)],
+        "evaluate-embeddings-narrow": [*evaluate, "--model-file", str(model),
+                                       "--embeddings", str(narrow)],
+        "evaluate-model-no-shape": [*evaluate, "--model-file",
+                                    str(shapeless)],
+        "evaluate-model-params-mistyped": [*evaluate, "--model-file",
+                                           str(mistyped)],
+        "evaluate-model-not-object": [*evaluate, "--model-file",
+                                      str(listed)],
+        "train-embeddings-infinite": ["train", "--model", "unigram",
+                                      "--train-data", str(data), "--corpus",
+                                      str(group_corpus), "--embeddings",
+                                      str(infinite)],
+        "evaluate-embeddings-infinite": [*evaluate, "--model-file",
+                                         str(model), "--embeddings",
+                                         str(infinite)],
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "tag-lexicon-not-penn", "tag-lexicon-not-utf8", "blocklist-not-bigram",
+    "evaluate-embeddings-narrow", "evaluate-model-no-shape",
+    "evaluate-model-params-mistyped", "evaluate-model-not-object",
+    "train-embeddings-infinite", "evaluate-embeddings-infinite",
+])
+def test_malformed_input_file_is_a_data_error(tmp_path, capsys, case):
+    argv = bad_input_commands(tmp_path)[case]
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("identminer: data error: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+    if case.endswith("infinite"):
+        assert "infinite.tsv:1: values must be finite" in err
+    assert not out.exists()
+
+
+def test_failed_run_leaves_no_out_dir(tmp_path):
+    # a corpus with no first-person statement: the lexicon comes out empty
+    corpus = write_jsonl(tmp_path / "plain.jsonl",
+                         [user_payload("u1", description="black coffee")])
+    group_corpus, data = tweet_group_fixture(tmp_path)
+    stranger = write_jsonl(tmp_path / "stranger.jsonl",
+                           [user_payload("zz", tweets=(tweet_payload("hi"),))])
+    # evaluate reads the corpus only for a unigram or name model
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps({"kind": "unigram", "vocab": {"hi": 0},
+                                 "weights": [0.0] * 4, "shape": [4, 1],
+                                 "bias": [0.0] * 4}), encoding="utf-8")
+    no_epochs = write_config(tmp_path, "epochs.json", epochs=0)
+    failing = {
+        "hf": ["dataset-build", "--kind", "hf", "--corpus", str(corpus)],
+        "train": ["train", "--model", "unigram", "--train-data", str(data),
+                  "--corpus", str(group_corpus), "--config", str(no_epochs)],
+        # no dataset id is in the corpus
+        "evaluate": ["evaluate", "--model-file", str(model),
+                     "--test-data", str(data), "--corpus", str(stranger)],
+        "analyze": ["analyze", "--data", str(data), "--corpus",
+                    str(stranger)],
+    }
+    for name, argv in failing.items():
+        out = tmp_path / f"out_{name}"
+        assert run(*argv, "--out", str(out)) == 2, name
+        assert not out.exists(), name
 
 
 def test_every_config_key_has_one_type_rule():

@@ -8,7 +8,7 @@ from identminer.datasets import (LabeledUser, balance_subsample, build_cb,
                                  merge_candidates, qb_users, read_dataset_tsv,
                                  scan_descriptions, score_reports,
                                  write_dataset_tsv)
-from identminer.filters import CLASS_ORDER, ClassLabel, FilterConfig
+from identminer.filters import CLASS_ORDER, FILTER_NAMES, ClassLabel
 from identminer.scorer import ScoreParams
 from identminer.textprep import SelfReportCounter, build_selfreport_lexicon
 
@@ -67,7 +67,7 @@ def test_scan_descriptions_counts_the_lexicon_from_the_same_pass():
     assert lexicon == build_selfreport_lexicon(records, tag_lexicon())
     assert all(report.scores == [] and report.outcomes is None
                for report in scanned)
-    scored = score_reports(scanned, lexicon, ScoreParams(), FilterConfig(),
+    scored = score_reports(scanned, lexicon, ScoreParams(), FILTER_NAMES,
                            COLORS, BLOCKLIST)
     reference = match_reports(records, tag_lexicon(), lexicon, ScoreParams())
     assert [(r.user_id, r.matches, r.scores) for r in scored] == \
@@ -80,11 +80,11 @@ def test_qb_and_hf_users_read_one_report_list():
     lexicon = build_selfreport_lexicon(records, tag_lexicon())
     params = ScoreParams()
     reports = score_reports(scan_descriptions(records, tag_lexicon()), lexicon,
-                            params, FilterConfig(), COLORS, BLOCKLIST)
+                            params, FILTER_NAMES, COLORS, BLOCKLIST)
     assert qb_users(reports) == build_qb(records, tag_lexicon(), lexicon, params)
     hf = hf_users(reports, params.threshold)
     assert hf == build_hf(records, tag_lexicon(), lexicon, params,
-                          FilterConfig(), COLORS, BLOCKLIST)
+                          FILTER_NAMES, COLORS, BLOCKLIST)
     assert {user.user_id for user in hf} == true_ids
 
 
@@ -125,7 +125,7 @@ def test_build_hf_passes_exactly_the_planted_true_positives():
     records, true_ids, _ = planted_users()
     lexicon = build_selfreport_lexicon(records, tag_lexicon())
     users = build_hf(records, tag_lexicon(), lexicon, ScoreParams(),
-                     FilterConfig(), COLORS, BLOCKLIST)
+                     FILTER_NAMES, COLORS, BLOCKLIST)
     assert {u.user_id for u in users} == true_ids
     assert all(u.source == "HF" and u.score >= 0.35 for u in users)
     labels = {u.user_id: u.label for u in users}
@@ -141,11 +141,12 @@ def test_build_hf_threshold_applies_to_passing_matches_only():
               make_user("h2", description="i am a hispanic farmer")]
     lexicon = build_selfreport_lexicon(corpus, tag_lexicon())
     users = build_hf(corpus, tag_lexicon(), lexicon, ScoreParams(),
-                     FilterConfig(), COLORS, BLOCKLIST)
+                     FILTER_NAMES, COLORS, BLOCKLIST)
     assert [u.user_id for u in users] == ["h2"]
     # with the quote filter off the rejected match counts and h1 re-enters
     users = build_hf(corpus, tag_lexicon(), lexicon, ScoreParams(),
-                     FilterConfig(quote=False), COLORS, BLOCKLIST)
+                     ("color", "plural", "bigram_blocklist"), COLORS,
+                     BLOCKLIST)
     assert {u.user_id for u in users} == {"h1", "h2"}
 
 
@@ -154,7 +155,7 @@ def test_build_hf_threshold_boundary_is_inclusive():
     lexicon = build_selfreport_lexicon(records, tag_lexicon())
     # true profiles score exactly 1.0: a threshold equal to the score keeps them
     users = build_hf(records, tag_lexicon(), lexicon,
-                     ScoreParams(threshold=1.0), FilterConfig(), COLORS,
+                     ScoreParams(threshold=1.0), FILTER_NAMES, COLORS,
                      BLOCKLIST)
     assert {u.user_id for u in users} == true_ids
     assert all(u.score == 1.0 for u in users)

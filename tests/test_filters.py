@@ -1,14 +1,15 @@
 import itertools
-import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from identminer import resources
-from identminer.filters import (AMBIGUOUS, CLASS_ORDER, FILTER_NAMES,
-                                NO_MATCH, ClassLabel, FilterConfig,
-                                FilterOutcome, apply_filter_chain,
-                                assign_class, blocklist_bigram_filter,
-                                color_filter, find_query_matches,
+from identminer.filters import (AMBIGUOUS, CLASS_ORDER, DEFAULT_QUERY_MAP,
+                                FILTER_NAMES, NO_MATCH, ClassLabel,
+                                apply_filter_chain, assign_class,
+                                blocklist_bigram_filter, color_filter,
+                                enabled_filters, find_query_matches,
                                 person_bigram_match, plural_filter,
                                 quote_filter)
 
@@ -16,7 +17,7 @@ from helpers import tag
 
 COLORS = resources.load_colors()
 BLOCKLIST = resources.load_bigram_blocklist()
-NO_FILTERS = FilterConfig(False, False, False, False)
+NO_FILTERS = ()
 
 
 def first_match(text):
@@ -25,10 +26,10 @@ def first_match(text):
     return matches[0]
 
 
-def chain(text, config=FilterConfig()):
+def chain(text, filters=FILTER_NAMES):
     tagged = tag(text)
     match = first_match(text)
-    return apply_filter_chain(tagged, text, match, config, COLORS, BLOCKLIST)
+    return apply_filter_chain(tagged, text, match, filters, COLORS, BLOCKLIST)
 
 
 # ---------------------------------------------------------------------------
@@ -89,62 +90,60 @@ def test_assign_class_order_independent(rng):
 
 
 # ---------------------------------------------------------------------------
-# individual filters
+# individual filters (True means the filter rejects the match)
 
 def test_color_filter_rejects_second_color():
     text = "black and red outfit"
-    outcome = color_filter(tag(text), first_match(text), COLORS)
-    assert outcome == FilterOutcome(False, "color")
+    assert color_filter(tag(text), first_match(text), COLORS) is True
 
 
 def test_color_filter_ignores_query_occurrence_itself():
     text = "black belt holder"
-    assert color_filter(tag(text), first_match(text), COLORS).passed
+    assert not color_filter(tag(text), first_match(text), COLORS)
 
 
 def test_color_filter_counts_other_query_colors():
     text = "black and white movies"
     matches = find_query_matches(tag(text))
     for match in matches:
-        assert not color_filter(tag(text), match, COLORS).passed
+        assert color_filter(tag(text), match, COLORS)
 
 
 def test_plural_filter_rejects_plural_successor():
     text = "white people watcher"
-    outcome = plural_filter(tag(text), first_match(text))
-    assert outcome == FilterOutcome(False, "plural")
+    assert plural_filter(tag(text), first_match(text)) is True
 
 
 def test_plural_filter_passes_singular_and_end_of_text():
     text = "white person here"
-    assert plural_filter(tag(text), first_match(text)).passed
+    assert not plural_filter(tag(text), first_match(text))
     text = "i am black"
-    assert plural_filter(tag(text), first_match(text)).passed
+    assert not plural_filter(tag(text), first_match(text))
 
 
 def test_blocklist_checks_both_sides():
     text = "black sheep of the family"
-    outcome = blocklist_bigram_filter(tag(text), first_match(text), BLOCKLIST)
-    assert outcome == FilterOutcome(False, "bigram_blocklist")
+    assert blocklist_bigram_filter(tag(text), first_match(text),
+                                   BLOCKLIST) is True
     text = "jet black everything"
-    outcome = blocklist_bigram_filter(tag(text), first_match(text), BLOCKLIST)
-    assert outcome == FilterOutcome(False, "bigram_blocklist")
+    assert blocklist_bigram_filter(tag(text), first_match(text),
+                                   BLOCKLIST) is True
     text = "black sky tonight"
-    assert blocklist_bigram_filter(tag(text), first_match(text), BLOCKLIST).passed
+    assert not blocklist_bigram_filter(tag(text), first_match(text), BLOCKLIST)
 
 
 def test_quote_filter_rejects_quoted_query():
     text = '"i am black" she said'
-    assert quote_filter(text, first_match(text)) == FilterOutcome(False, "quote")
+    assert quote_filter(text, first_match(text)) is True
     text = "she said “i am black” once"
-    assert quote_filter(text, first_match(text)) == FilterOutcome(False, "quote")
+    assert quote_filter(text, first_match(text)) is True
 
 
 def test_quote_filter_passes_outside_and_unbalanced():
     text = 'she said "hi" and i am black'
-    assert quote_filter(text, first_match(text)).passed
+    assert not quote_filter(text, first_match(text))
     text = 'just one " then i am black'
-    assert quote_filter(text, first_match(text)).passed
+    assert not quote_filter(text, first_match(text))
 
 
 def test_person_bigram_match():
@@ -157,60 +156,41 @@ def test_person_bigram_match():
 
 
 # ---------------------------------------------------------------------------
-# configuration and the chain
+# filter selection and the chain
 
-def test_filter_config_from_names():
-    config = FilterConfig.from_names(["color", "quote"])
-    assert config == FilterConfig(color=True, plural=False, bigram=False,
-                                  quote=True)
-    # long name used in reports is accepted too
-    assert FilterConfig.from_names(["bigram_blocklist"]).bigram
-    assert FilterConfig.from_names([]) == NO_FILTERS
-    with pytest.raises(ValueError):
-        FilterConfig.from_names(["sparkle"])
-
-
-def test_filter_outcome_consistency_enforced():
-    with pytest.raises(ValueError):
-        FilterOutcome(True, "color")
-    with pytest.raises(ValueError):
-        FilterOutcome(False, None)
-
-
-def test_filter_outcome_rejected_by():
-    assert FilterOutcome(True).rejected_by == ()
-    assert FilterOutcome(False, "color").rejected_by == ("color",)
-    both = FilterOutcome(False, "color", ("color", "quote"))
-    assert both.rejected_by == ("color", "quote")
-    with pytest.raises(ValueError):
-        FilterOutcome(False, "quote", ("color", "quote"))
-    with pytest.raises(ValueError):
-        FilterOutcome(True, None, ("color",))
+def test_enabled_filters():
+    assert enabled_filters(["quote", "color"]) == ("color", "quote")
+    # the short config name and the long name used in reports both work
+    assert enabled_filters(["bigram"]) == ("bigram_blocklist",)
+    assert enabled_filters(["bigram_blocklist"]) == ("bigram_blocklist",)
+    assert enabled_filters(["quote", "bigram", "plural", "color"]) == \
+        FILTER_NAMES
+    assert enabled_filters([]) == NO_FILTERS
+    assert enabled_filters([" ", ""]) == NO_FILTERS
+    with pytest.raises(ValueError, match="unknown filter 'sparkle'"):
+        enabled_filters(["sparkle"])
 
 
 def test_chain_lists_every_rejecting_filter_in_chain_order():
     # trips color (red elsewhere) and plural (people next), nothing else
     text = "red black people fans"
-    assert chain(text).rejected_by == ("color", "plural")
-    assert chain(text, config=FilterConfig(color=False)).rejected_by == ("plural",)
-    assert chain(text, config=NO_FILTERS).rejected_by == ()
+    assert chain(text) == ("color", "plural")
+    assert chain(text, ("plural", "bigram_blocklist", "quote")) == ("plural",)
+    assert chain(text, NO_FILTERS) == ()
 
 
 def test_chain_first_rejection_wins():
     # trips both color (red elsewhere) and plural (people next)
     text = "red black people fans"
-    outcome = chain(text)
-    assert outcome.rejecting_filter == "color"
-    outcome = chain(text, config=FilterConfig(color=False))
-    assert outcome.rejecting_filter == "plural"
-    outcome = chain(text, config=FilterConfig(color=False, plural=False))
-    assert outcome.passed
+    assert chain(text)[0] == "color"
+    assert chain(text, ("plural", "bigram_blocklist", "quote"))[0] == "plural"
+    assert chain(text, ("bigram_blocklist", "quote")) == ()
 
 
 def test_chain_respects_disabled_filters():
     text = "black and red outfit"
-    assert not chain(text).passed
-    assert chain(text, config=NO_FILTERS).passed
+    assert chain(text)
+    assert chain(text, NO_FILTERS) == ()
 
 
 def test_chain_rejecting_names_match_report_names():
@@ -221,18 +201,13 @@ def test_chain_rejecting_names_match_report_names():
         '"i am black" she said': "quote",
     }
     for text, expected in cases.items():
-        assert chain(text).rejecting_filter == expected
+        assert chain(text)[0] == expected
         assert expected in FILTER_NAMES
 
 
-def _subset_configs():
+def _subsets():
     for bits in itertools.product((False, True), repeat=4):
-        yield FilterConfig(*bits)
-
-
-def _enabled(config):
-    return {f for f in ("color", "plural", "bigram", "quote")
-            if getattr(config, f)}
+        yield tuple(name for name, bit in zip(FILTER_NAMES, bits) if bit)
 
 
 def test_chain_pass_set_shrinks_as_filters_enable(rng):
@@ -242,17 +217,50 @@ def test_chain_pass_set_shrinks_as_filters_enable(rng):
     for _ in range(120):
         n = rng.randrange(1, 5)
         texts.append(" ".join(rng.choice(fragments) for _ in range(n)))
-    configs = list(_subset_configs())
+    subsets = list(_subsets())
     checked = 0
     for text in texts:
         tagged = tag(text)
         for match in find_query_matches(tagged):
-            passed = {config: apply_filter_chain(tagged, text, match, config,
-                                                 COLORS, BLOCKLIST).passed
-                      for config in configs}
-            for config_a in configs:
-                for config_b in configs:
-                    if _enabled(config_a) <= _enabled(config_b) and passed[config_b]:
-                        assert passed[config_a]
+            passed = {filters: not apply_filter_chain(tagged, text, match,
+                                                      filters, COLORS,
+                                                      BLOCKLIST)
+                      for filters in subsets}
+            for small in subsets:
+                for large in subsets:
+                    if set(small) <= set(large) and passed[large]:
+                        assert passed[small]
                         checked += 1
     assert checked > 0
+
+
+# every kind of word a filter looks at: query words, colors, plural nouns,
+# blocklisted neighbours, quotes, and neutral filler
+DESCRIPTION_WORDS = st.sampled_from(
+    sorted(DEFAULT_QUERY_MAP) + ["red", "blue", "people", "fans", "girls",
+                                 "sheep", "coffee", "jet", "pitch", "farmer",
+                                 "woman", "i", "am", "a", "!",
+                                 '"', "“", "”", '"i', 'black"'])
+
+
+def _alone(name, tagged, text, match):
+    """Whether the one named filter rejects the match, asked directly."""
+    return {"color": lambda: color_filter(tagged, match, COLORS),
+            "plural": lambda: plural_filter(tagged, match),
+            "bigram_blocklist": lambda: blocklist_bigram_filter(tagged, match,
+                                                                BLOCKLIST),
+            "quote": lambda: quote_filter(text, match)}[name]()
+
+
+@settings(max_examples=200, deadline=None)
+@given(words=st.lists(DESCRIPTION_WORDS, min_size=1, max_size=12),
+       filters=st.lists(st.sampled_from(FILTER_NAMES), unique=True))
+def test_chain_is_the_enabled_filters_that_reject_alone(words, filters):
+    text = " ".join(words)
+    tagged = tag(text)
+    for match in find_query_matches(tagged):
+        expected = tuple(name for name in FILTER_NAMES
+                         if name in filters
+                         and _alone(name, tagged, text, match))
+        assert apply_filter_chain(tagged, text, match, tuple(filters),
+                                  COLORS, BLOCKLIST) == expected

@@ -62,23 +62,27 @@ def test_score_counts_each_occurrence_once_per_distance():
     text = "proud ! farmer black woman farmer"
     got = score(text, 3)
     # proud:(1/2)(1/2)  farmer:(1)(1)  woman:(1)(1/4)  farmer:(1/2)(1)
-    assert got.value == 0.25 + 1.0 + 0.25 + 0.5
-    assert [(w, d) for w, d, _ in got.contributing] == [
-        ("proud", 2), ("farmer", 1), ("woman", 1), ("farmer", 2)]
+    assert got == 0.25 + 1.0 + 0.25 + 0.5
+    # one lexicon word at a time, with O_s = O: the sum of 1/distance over
+    # that word's occurrences, so each occurrence's own distance shows
+    for word, expected in (("proud", 1 / 2), ("farmer", 1 / 1 + 1 / 2),
+                           ("woman", 1 / 1)):
+        lexicon = SelfReportLexicon(os_counts={word: 1}, o_counts={word: 1})
+        assert score(text, 3, lexicon=lexicon) == expected
 
 
 def test_score_window_cuts_far_words():
     text = "proud ! farmer black woman farmer"
-    assert score(text, 3, window=1).value == 1.0 + 0.25
+    assert score(text, 3, window=1) == 1.0 + 0.25
 
 
 def test_score_excludes_query_token_itself():
     # "black" is in the lexicon but the matched occurrence contributes nothing
     got = score("black farmer", 0)
-    assert got.value == 1.0
+    assert got == 1.0
     # a second occurrence of the query word does contribute, as a normal word
     got = score("black black farmer", 0)
-    assert got.value == (1.0 / 1) * (1 / 9) + (1.0 / 2) * (2 / 2)
+    assert got == (1.0 / 1) * (1 / 9) + (1.0 / 2) * (2 / 2)
 
 
 def test_score_tfidf_weighting():
@@ -87,13 +91,13 @@ def test_score_tfidf_weighting():
     assert total == 5
     expected = (0.25 * math.log(total / 1) + 1.0 * math.log(total / 2)
                 + 0.25 * math.log(total / 1) + 0.5 * math.log(total / 2))
-    assert score(text, 3, weighting="tfidf").value == pytest.approx(expected, abs=1e-15)
+    assert score(text, 3, weighting="tfidf") == pytest.approx(expected, abs=1e-15)
 
 
 def test_score_nonword_query_token_is_zero():
     text = "farmer ! woman"
     got = score(text, 1)
-    assert got.value == 0.0 and got.contributing == []
+    assert got == 0.0
 
 
 def test_score_empty_lexicon_errors():
@@ -117,13 +121,24 @@ def test_score_params_validation():
 
 def test_score_is_sum_of_contributions():
     text = "proud ! farmer black woman farmer proud woman"
+    # every lexicon word around the query "black", in token order, with its
+    # word distance; a window keeps the ones within it
+    around = [("proud", 2), ("farmer", 1), ("woman", 1), ("farmer", 2),
+              ("proud", 3), ("woman", 4)]
+    lexicon = small_lexicon()
     for window in (1, 2, 3, 8):
         for weighting in WEIGHTINGS:
             got = score(text, 3, window=window, weighting=weighting)
             total = 0.0
-            for _, _, term in got.contributing:
+            for word, distance in around:
+                if distance > window:
+                    continue
+                os_count = lexicon.os_counts[word]
+                term = (1.0 / distance) * (os_count / lexicon.o_counts[word])
+                if weighting == "tfidf":
+                    term = term * math.log(5 / os_count)
                 total += term
-            assert got.value == total
+            assert got == total
 
 
 def test_score_decays_with_distance():
@@ -131,7 +146,7 @@ def test_score_decays_with_distance():
     values = []
     for pad in range(4):
         text = "black " + "zz " * pad + "farmer"
-        values.append(score(text, 0, window=3).value)
+        values.append(score(text, 0, window=3))
     assert values[0] > values[1] > values[2] > 0.0
     assert values[3] == 0.0  # beyond the window
     assert values[0] == 2 * values[1]
@@ -148,7 +163,7 @@ def test_score_bounded_by_harmonic_window_sum():
             got = score_description(tagged, match, small_lexicon(),
                                     ScoreParams(window=window))
             bound = sum(2.0 / d for d in range(1, window + 1))
-            assert got.value <= bound + 1e-12
+            assert got <= bound + 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -193,7 +208,7 @@ def test_score_matches_oracle_bitwise_on_random_inputs():
         matches.append(match_at(tagged, rng.randrange(len(tagged))))
         for match in matches:
             got = score_description(tagged, match, lexicon, params)
-            assert got.value == oracle_score(tagged, match, lexicon, params)
+            assert got == oracle_score(tagged, match, lexicon, params)
             compared += 1
     assert compared >= 1000
 
@@ -297,4 +312,4 @@ def test_farmer_closer_than_padded_version_scores_higher():
                                            lexicon, params)
             score_far = score_description(far, find_query_matches(far)[0],
                                           lexicon, params)
-            assert score_near.value > score_far.value
+            assert score_near > score_far
