@@ -321,16 +321,24 @@ def behavioral_profile(users_by_group: dict[ClassLabel, Sequence[UserRecord]],
 
 def sage_deviations(group_counts: dict[str, float],
                     background_counts: dict[str, float],
-                    lam: float = 1.0, max_iter: int = 5000,
-                    tol: float = 1e-10) -> dict[str, float]:
+                    lam: float = 1.0) -> dict[str, float]:
     """Additive log-odds deviations eta of the group's word distribution from
-    the background log-frequencies, with L1 shrinkage lam (proximal gradient).
-    lam = 0 is the closed-form log-odds ratio. Zero group counts get a 0.01
-    pseudo-count; every group word must exist in the background with a
-    positive count."""
-    # imported here, so that loading this module does not load numpy
-    import numpy as np
+    the background log-frequencies with L1 shrinkage lam (SAGE, Eisenstein,
+    Ahmed & Xing 2011): the exact maximizer of sum_i c_i log p_i -
+    lam * sum_i |eta_i|, where p is proportional to b * exp(eta), c the group
+    counts and b the normalized background. lam = 0 is the closed-form
+    log-odds ratio. Zero group counts get a 0.01 pseudo-count; every group
+    word must exist in the background with a positive count, and lam must be
+    a finite number >= 0.
 
+    Given t = log Z, the penalty is separable and each weight has a closed
+    form; t is the root of a monotone equation that is closed-form between
+    the sorted breakpoints. When that equation is zero on a whole segment
+    (the zero band is empty and the signs balance), every t in it is optimal
+    and eta only shifts by a constant; the segment's midpoint is taken, which
+    leaves no weight exactly at zero."""
+    if not 0 <= lam < math.inf:
+        raise ValueError(f"lam must be a finite number >= 0, got {lam!r}")
     vocab = sorted(background_counts)
     for word, count in background_counts.items():
         if count <= 0:
@@ -338,31 +346,67 @@ def sage_deviations(group_counts: dict[str, float],
     for word, count in group_counts.items():
         if count > 0 and word not in background_counts:
             raise ValueError(f"group word {word!r} missing from background")
-    counts = np.array([group_counts.get(word, 0.0) for word in vocab], dtype=np.float64)
-    counts[counts == 0.0] = 0.01
-    total = counts.sum()
-    bg = np.array([background_counts[word] for word in vocab], dtype=np.float64)
-    log_bg = np.log(bg / bg.sum())
-    if lam == 0:
-        eta = np.log(counts / total) - log_bg
+    counts = [group_counts.get(word, 0) or 0.01 for word in vocab]
+    total = math.fsum(counts)
+    bg_total = math.fsum(background_counts.values())
+    bg = [background_counts[word] / bg_total for word in vocab]
+    if lam == 0 or not vocab:
+        return {word: math.log(count / total) - math.log(b)
+                for word, count, b in zip(vocab, counts, bg)}
+
+    # eta_i(t) = max(t - up_i, 0) + min(t - down_i, 0): negative below
+    # down_i, zero between, positive above up_i (never when c_i <= lam)
+    n = len(vocab)
+    down = [math.log(total * b / (count + lam)) for count, b in zip(counts, bg)]
+    up = [math.log(total * b / (count - lam)) if count > lam else math.inf
+          for count, b in zip(counts, bg)]
+
+    # Sweeping t upwards, word i joins the zero band at down_i and leaves it
+    # at up_i. With B the background mass of the zero band and
+    # S = sum_zero c + lam * (n_up - n_down), sum_i b_i exp(eta_i(t)) =
+    # B + (1 - S / total) * e^t, so the root solves e^t = total * B / S and
+    # total * B * e^-t - S falls monotonically. Breakpoint j is word
+    # owners[j] joining the band when j < n and leaving it otherwise; the
+    # stable sort keeps each word's join before its leave on a tie. Every
+    # breakpoint raises n_up - n_down by one, so after k of them it is k - n.
+    rises = [i for i, point in enumerate(up) if point < math.inf]
+    points = down + [up[i] for i in rises]
+    owners = list(range(n)) + rises
+    order = sorted(range(len(points)), key=points.__getitem__)
+    if sum(1 if j < n else -1 for j in order[:n]) == 0:
+        # after n breakpoints n_up = n_down; with the zero band empty too,
+        # B = S = 0 and every t up to breakpoint n solves: take the midpoint
+        t = (points[order[n - 1]] + points[order[n]]) / 2.0
     else:
-        eta = np.zeros(len(vocab))
-        step = 1.0 / total
-        for _ in range(max_iter):
-            shifted = log_bg + eta
-            shifted -= shifted.max()
-            probs = np.exp(shifted)
-            probs /= probs.sum()
-            grad = counts - total * probs
-            # soft threshold: the proximal step of the L1 penalty
-            moved = eta + step * grad
-            updated = np.sign(moved) * np.maximum(np.abs(moved) - lam * step,
-                                                  0.0)
-            if np.max(np.abs(updated - eta)) < tol:
-                eta = updated
+        # the first breakpoint p with total * B * e^-p <= S, compared in logs
+        mass, excess, k = 0.0, -lam * n, len(order)
+        for index, j in enumerate(order):
+            sign = 1.0 if j < n else -1.0
+            mass += sign * bg[owners[j]]
+            excess += lam + sign * counts[owners[j]]
+            if excess > 0 and (mass <= 0 or math.log(total * mass) - points[j]
+                               <= math.log(excess)):
+                k = index
                 break
-            eta = updated
-    return dict(zip(vocab, eta))
+        k = max(k, 1)
+        # the root lies between breakpoints k-1 and k; that segment's B and S
+        # are summed afresh, free of the running sums' cancellation
+        band = [False] * n
+        for j in order[:k]:
+            band[owners[j]] = j < n
+        mass = math.fsum(b for b, inside in zip(bg, band) if inside)
+        excess = (math.fsum(c for c, inside in zip(counts, band) if inside)
+                  + lam * (k - n))
+        lo = points[order[k - 1]]
+        hi = points[order[k]] if k < len(order) else math.inf
+        if excess <= 0:
+            t = hi
+        elif mass == 0:
+            t = lo
+        else:
+            t = min(max(math.log(total * mass / excess), lo), hi)
+    return {word: max(t - u, 0.0) + min(t - d, 0.0)
+            for word, d, u in zip(vocab, down, up)}
 
 
 def distinctive_keywords(group_counts: dict[str, float],

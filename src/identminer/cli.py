@@ -104,7 +104,9 @@ CONFIG_RULES = (
     ("an integer >= 1", _is_count, ("max_tweets", "top_n")),
     ("an integer >= 1 or null", lambda v: v is None or _is_count(v), ("cb_k",)),
     ("a finite number", _is_number, ("threshold", "learning_rate", "l2_strength",
-                                     "instance_downweight", "sage_lambda")),
+                                     "instance_downweight")),
+    ("a finite number >= 0", lambda v: _is_number(v) and v >= 0,
+     ("sage_lambda",)),
     ("true or false", lambda v: isinstance(v, bool), ("allow_im",)),
     ("a string", _is_str, ("weighting", "setting", "model")),
     ("a string or null", lambda v: v is None or _is_str(v),

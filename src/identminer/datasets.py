@@ -9,6 +9,7 @@ defaulting to the smallest class count.
 """
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Iterable, Sequence, TypeVar
@@ -207,17 +208,28 @@ def write_dataset_tsv(users: Sequence[LabeledUser], path) -> None:
 
 
 def read_dataset_tsv(path) -> list[LabeledUser]:
+    """Rows of a dataset TSV. Raises ValueError naming the file and line for
+    a row that is malformed, repeats a user id or has a non-finite score."""
     users = []
+    seen: set[str] = set()
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
             parts = line.split("\t")
-            if len(parts) != 4:
-                raise ValueError(f"{path}:{line_no}: expected 4 tab-separated fields")
-            user_id, code, score_text, source = parts
-            score = float(score_text) if score_text else None
-            users.append(LabeledUser(user_id, ClassLabel.from_code(code),
-                                     score, source))
+            try:
+                if len(parts) != 4:
+                    raise ValueError("expected 4 tab-separated fields")
+                user_id, code, score_text, source = parts
+                if user_id in seen:
+                    raise ValueError(f"repeated user id {user_id!r}")
+                score = float(score_text) if score_text else None
+                if score is not None and not math.isfinite(score):
+                    raise ValueError(f"score {score_text!r} is not finite")
+                users.append(LabeledUser(user_id, ClassLabel.from_code(code),
+                                         score, source))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
+            seen.add(user_id)
     return users

@@ -54,7 +54,12 @@ class ParseFailure:
     reason: str
 
 
-_OPTIONAL_TWEET_FLAGS = ("has_image", "has_url", "mentions_user", "geotagged")
+# (key, field name in missingness counts and failure reasons)
+_TWEET_FLAGS = tuple((key, f"tweet.{key}") for key in (
+    "has_image", "has_url", "mentions_user", "geotagged"))
+_PROFILE_FLAGS = tuple((key, f"profile.{key}") for key in (
+    "has_profile_url", "has_custom_image", "geo_enabled"))
+_ABSENT = object()
 
 
 def parse_timestamp(raw: str) -> datetime:
@@ -69,6 +74,48 @@ def parse_timestamp(raw: str) -> datetime:
     return parsed.astimezone(timezone.utc)
 
 
+def _flags(obj: dict, keys: tuple, missingness: Counter) -> dict[str, bool]:
+    """The (key, field name) flags of obj, each a JSON boolean; an absent
+    flag is false and counted as missing."""
+    flags = {}
+    for key, field in keys:
+        value = obj.get(key, _ABSENT)
+        if value is _ABSENT:
+            missingness[field] += 1
+            value = False
+        elif not isinstance(value, bool):
+            raise ValueError(f"{field} must be true or false")
+        flags[key] = value
+    return flags
+
+
+def _text(obj: dict, key: str, field: str, missingness: Counter) -> str:
+    """A JSON string; absent or null is "" and counted as missing."""
+    value = obj.get(key)
+    if value is None:
+        missingness[field] += 1
+        return ""
+    if not isinstance(value, str):
+        raise ValueError(f"{field} must be a string or null")
+    return value
+
+
+def _count(obj: dict, key: str, missingness: Counter) -> int:
+    """A JSON integer in [0, float max]; absent is 0 and counted as missing."""
+    if key not in obj:
+        missingness[f"profile.{key}"] += 1
+        return 0
+    count = obj[key]
+    if not isinstance(count, int) or isinstance(count, bool):
+        raise ValueError(f"{key} must be an integer")
+    if count < 0:
+        raise ValueError(f"{key} is negative")
+    # the behavioral statistics and the name model take float(count)
+    if count > sys.float_info.max:
+        raise ValueError(f"{key} is too large for a float")
+    return count
+
+
 def _parse_tweet(obj: dict, missingness: Counter) -> Tweet:
     if not isinstance(obj, dict):
         raise ValueError("tweet is not an object")
@@ -78,28 +125,9 @@ def _parse_tweet(obj: dict, missingness: Counter) -> Tweet:
     if "created_at" not in obj:
         raise ValueError("tweet created_at missing")
     created = parse_timestamp(obj["created_at"])
-    source = obj.get("source_app")
-    if source is None:
-        missingness["tweet.source_app"] += 1
-        source = ""
-    flags = {}
-    for key in _OPTIONAL_TWEET_FLAGS:
-        if key not in obj:
-            missingness[f"tweet.{key}"] += 1
-            flags[key] = False
-        else:
-            flags[key] = bool(obj[key])
-    return Tweet(text=text, source_app=str(source), created_at=created, **flags)
-
-
-def _count(value, key: str) -> int:
-    count = int(value)
-    if count < 0:
-        raise ValueError(f"{key} is negative")
-    # the behavioral statistics and the name model take float(count)
-    if count > sys.float_info.max:
-        raise ValueError(f"{key} is too large for a float")
-    return count
+    source = _text(obj, "source_app", "tweet.source_app", missingness)
+    return Tweet(text=text, source_app=source, created_at=created,
+                 **_flags(obj, _TWEET_FLAGS, missingness))
 
 
 def _parse_profile(obj, snapshot: datetime, missingness: Counter) -> ProfileMeta:
@@ -108,18 +136,8 @@ def _parse_profile(obj, snapshot: datetime, missingness: Counter) -> ProfileMeta
         obj = {}
     if not isinstance(obj, dict):
         raise ValueError("profile is not an object")
-    bools = {}
-    for key in ("has_profile_url", "has_custom_image", "geo_enabled"):
-        if key not in obj:
-            missingness[f"profile.{key}"] += 1
-            bools[key] = False
-        else:
-            bools[key] = bool(obj[key])
-    if "statuses_count" not in obj:
-        missingness["profile.statuses_count"] += 1
-        statuses = 0
-    else:
-        statuses = _count(obj["statuses_count"], "statuses_count")
+    bools = _flags(obj, _PROFILE_FLAGS, missingness)
+    statuses = _count(obj, "statuses_count", missingness)
     if "account_created_at" not in obj or obj["account_created_at"] is None:
         missingness["profile.account_created_at"] += 1
         created = None
@@ -127,11 +145,7 @@ def _parse_profile(obj, snapshot: datetime, missingness: Counter) -> ProfileMeta
         created = parse_timestamp(obj["account_created_at"])
         if created > snapshot:
             raise ValueError("account_created_at is after snapshot_time")
-    if "followers_count" not in obj:
-        missingness["profile.followers_count"] += 1
-        followers = 0
-    else:
-        followers = _count(obj["followers_count"], "followers_count")
+    followers = _count(obj, "followers_count", missingness)
     return ProfileMeta(statuses_count=statuses, account_created_at=created,
                        followers_count=followers, **bools)
 
@@ -157,14 +171,8 @@ def parse_user_line(line: str, line_no: int,
         if "snapshot_time" not in obj:
             raise ValueError("snapshot_time missing")
         snapshot = parse_timestamp(obj["snapshot_time"])
-        name = obj.get("name")
-        if name is None:
-            counter["name"] += 1
-            name = ""
-        description = obj.get("description")
-        if description is None:
-            counter["description"] += 1
-            description = ""
+        name = _text(obj, "name", "name", counter)
+        description = _text(obj, "description", "description", counter)
         raw_tweets = obj.get("tweets")
         if raw_tweets is None:
             counter["tweets"] += 1
@@ -174,10 +182,11 @@ def parse_user_line(line: str, line_no: int,
         tweets = [_parse_tweet(t, counter) for t in raw_tweets]
         tweets.sort(key=lambda t: t.created_at, reverse=True)
         profile = _parse_profile(obj.get("profile"), snapshot, counter)
-        return UserRecord(user_id=user_id, name=str(name), description=str(description),
+        return UserRecord(user_id=user_id, name=name, description=description,
                           tweets=tweets, profile=profile, snapshot_time=snapshot)
     except (ValueError, TypeError, OverflowError) as exc:
-        # OverflowError: int() of an infinite count such as 1e400 or Infinity
+        # OverflowError: a timestamp whose UTC conversion leaves the datetime
+        # range, such as 0001-01-01T00:00:00+01:00
         return ParseFailure(line_no, str(exc))
 
 

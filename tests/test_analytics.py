@@ -1,8 +1,15 @@
+import importlib.util
 import math
+import random
+import time
+from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from identminer.analytics import (DISCARD, behavioral_profile,
                                   distinctive_keywords, group_lexical_pass,
@@ -12,7 +19,9 @@ from identminer.analytics import (DISCARD, behavioral_profile,
                                   lexical_diversity, majority_vote,
                                   mann_whitney_u, sage_deviations,
                                   type_token_ratio, user_lexical_means)
+from identminer.datasets import read_dataset_tsv
 from identminer.filters import CLASS_ORDER
+from identminer.ingest import UserRecord, dedupe_latest, load_users
 from identminer.textprep import tokenize
 
 from helpers import make_profile, make_tweet, make_user
@@ -442,6 +451,170 @@ def test_sage_deviations_input_validation():
     # a zero-count group word outside the background vocabulary is fine
     eta = sage_deviations({"a": 1.0, "ghost": 0.0}, {"a": 1.0, "b": 1.0})
     assert "ghost" not in eta
+    for lam in (-1.0, -1e-9, math.inf, math.nan):
+        with pytest.raises(ValueError, match="lam"):
+            sage_deviations({"a": 1.0}, {"a": 1.0, "b": 1.0}, lam)
+    assert sage_deviations({}, {}, 1.0) == {}
+
+
+def _sage_arrays(group, background):
+    """Counts (with the 0.01 pseudo-count for zeros) and the normalized
+    background, in sorted-vocabulary order."""
+    vocab = sorted(background)
+    counts = np.array([group.get(word, 0.0) for word in vocab], dtype=float)
+    counts[counts == 0.0] = 0.01
+    bg = np.array([background[word] for word in vocab], dtype=float)
+    return vocab, counts, bg / bg.sum()
+
+
+def sage_objective(counts, bg, lam, eta):
+    """The penalized negative log-likelihood that SAGE minimizes."""
+    logits = np.log(bg) + eta
+    top = logits.max()
+    log_z = top + math.log(np.exp(logits - top).sum())
+    return -float(counts @ (logits - log_z)) + lam * float(np.abs(eta).sum())
+
+
+def sage_kkt_residual(group, background, lam, deviations):
+    """Largest violation of the optimality conditions, each relative to
+    c_i + lam: the log-likelihood gradient g = c - C p must be lam where
+    eta > 0, -lam where eta < 0, and within [-lam, lam] where eta = 0."""
+    vocab, counts, bg = _sage_arrays(group, background)
+    eta = np.array([deviations[word] for word in vocab])
+    logits = np.log(bg) + eta
+    probs = np.exp(logits - logits.max())
+    probs /= probs.sum()
+    grad = counts - counts.sum() * probs
+    violation = np.where(eta > 0, np.abs(grad - lam),
+                         np.where(eta < 0, np.abs(grad + lam),
+                                  np.maximum(np.abs(grad) - lam, 0.0)))
+    return float(np.max(violation / (counts + lam)))
+
+
+def fista_objective(counts, bg, lam, iterations=3000):
+    """Objective value reached by accelerated proximal gradient (step 1/C,
+    a bound on the likelihood's curvature) with restart on any increase."""
+    step = 1.0 / counts.sum()
+    x = np.zeros_like(counts)
+    y = x.copy()
+    momentum = 1.0
+    best = sage_objective(counts, bg, lam, x)
+    for _ in range(iterations):
+        logits = np.log(bg) + y
+        probs = np.exp(logits - logits.max())
+        probs /= probs.sum()
+        moved = y - step * (counts.sum() * probs - counts)
+        x_new = np.sign(moved) * np.maximum(np.abs(moved) - lam * step, 0.0)
+        value = sage_objective(counts, bg, lam, x_new)
+        if value > best:
+            momentum, y = 1.0, x.copy()
+            continue
+        next_momentum = (1.0 + math.sqrt(1.0 + 4.0 * momentum ** 2)) / 2.0
+        y = x_new + (momentum - 1.0) / next_momentum * (x_new - x)
+        x, best, momentum = x_new, value, next_momentum
+    return best
+
+
+def test_sage_hand_solved_three_words():
+    # log Z = log(10/9): a sits above its upper breakpoint, b inside its zero
+    # band and c below its lower one, so p = (0.5, 0.3, 0.2) and the gradient
+    # c - C p = (1, 0, -1) meets lam = 1 with the signs of eta
+    eta = sage_deviations({"a": 6.0, "b": 3.0, "c": 1.0},
+                          {"a": 1.0, "b": 1.0, "c": 1.0}, lam=1.0)
+    assert eta["a"] == pytest.approx(math.log(5.0 / 3.0), abs=1e-12)
+    assert eta["b"] == 0.0
+    assert eta["c"] == pytest.approx(math.log(2.0 / 3.0), abs=1e-12)
+
+
+def test_sage_non_unique_optimum_takes_the_segment_midpoint():
+    # no weight is zero and two rise and two fall, so log Z is optimal on the
+    # whole segment [log(12.5/19), log(12.5/6)] and eta only shifts with it;
+    # the midpoint gives +-log(19/6)/2, where either endpoint zeroes a weight
+    group = {"a": 20.0, "b": 20.0, "c": 5.0, "d": 5.0}
+    background = {"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0}
+    eta = sage_deviations(group, background, lam=1.0)
+    half = math.log(19.0 / 6.0) / 2.0
+    for word, sign in (("a", 1), ("b", 1), ("c", -1), ("d", -1)):
+        assert eta[word] == pytest.approx(sign * half, abs=1e-12)
+    assert distinctive_keywords(group, background, lam=1.0) == ["a", "b"]
+    vocab, counts, bg = _sage_arrays(group, background)
+    optimum = np.array([eta[word] for word in vocab])
+    value = sage_objective(counts, bg, 1.0, optimum)
+    for shift in (-0.99 * half, 0.99 * half):
+        assert sage_objective(counts, bg, 1.0, optimum + shift) == \
+            pytest.approx(value, rel=1e-12)
+
+
+def test_sage_kkt_on_random_small_instances():
+    rng = random.Random(20240601)
+    for _ in range(300):
+        words = [f"w{i}" for i in range(rng.randint(1, 12))]
+        group = {w: float(rng.choice([0, 1, 2, rng.randint(0, 100)]))
+                 for w in words}
+        background = {w: rng.choice([1.0, 2.0, rng.uniform(0.01, 100.0)])
+                      for w in words}
+        lam = rng.choice([1e-9, 0.01, 0.5, 1.0, 2.0, 10.0, 1e6])
+        eta = sage_deviations(group, background, lam)
+        assert sage_kkt_residual(group, background, lam, eta) <= 1e-9
+
+
+def _bench_corpus_module():
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
+    spec = importlib.util.spec_from_file_location("bench_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [3, 5])
+def test_sage_kkt_on_timelines_groups(tmp_path, seed):
+    # the groups analyze fits on the benchmark's timelines workload
+    _bench_corpus_module().generate("timelines", seed, tmp_path)
+    with open(tmp_path / "corpus.jsonl", "rb") as handle:
+        records = dedupe_latest(record for record in load_users(handle)
+                                if isinstance(record, UserRecord))
+    groups: dict = {}
+    for user in read_dataset_tsv(tmp_path / "train.tsv"):
+        if user.user_id in records:
+            groups.setdefault(user.label, []).append(records[user.user_id])
+    counts = {label: group_lexical_pass(users, frozenset())[1]
+              for label, users in groups.items()}
+    background: Counter = Counter()
+    for counter in counts.values():
+        background.update(counter)
+    assert len(counts) == 4
+    for label, group in counts.items():
+        eta = sage_deviations(group, background, 1.0)
+        assert sage_kkt_residual(group, background, 1.0, eta) <= 1e-9, label
+
+
+@settings(max_examples=40, deadline=None)
+@given(pairs=st.lists(st.tuples(st.integers(0, 30), st.integers(1, 30)),
+                      min_size=2, max_size=8),
+       lam=st.floats(0.05, 5.0))
+def test_sage_matches_a_long_fista_run(pairs, lam):
+    # compare objective values, not eta: the optimum can be non-unique
+    group = {f"w{i}": float(count) for i, (count, _) in enumerate(pairs)}
+    background = {f"w{i}": float(count) for i, (_, count) in enumerate(pairs)}
+    eta = sage_deviations(group, background, lam)
+    vocab, counts, bg = _sage_arrays(group, background)
+    exact = sage_objective(counts, bg, lam, np.array([eta[w] for w in vocab]))
+    fista = fista_objective(counts, bg, lam)
+    scale = max(1.0, abs(fista))
+    assert exact <= fista + 1e-9 * scale
+    assert fista - exact <= 1e-6 * scale
+
+
+def test_sage_large_vocabulary_is_fast():
+    rng = np.random.default_rng(7)
+    size = 100_000
+    group = {f"w{i}": float(v) for i, v in enumerate(rng.poisson(3.0, size))}
+    background = {f"w{i}": float(v) + 1.0
+                  for i, v in enumerate(rng.poisson(3.0, size))}
+    start = time.perf_counter()
+    eta = sage_deviations(group, background, 1.0)
+    assert time.perf_counter() - start < 1.0
+    assert len(eta) == size
 
 
 def test_group_token_counts_words_and_contractions_only():

@@ -564,7 +564,9 @@ def test_analyze_loads_no_scipy(tmp_path):
         "analyze", "--corpus", str(corpus), "--data", str(data),
         "--out", str(tmp_path / "out")])])
     assert loaded["import identminer.cli"] == []
-    assert "scipy" not in loaded["analyze"]  # SAGE needs numpy, nothing scipy
+    # the SAGE fit, the rank statistics and the tables are pure Python
+    assert "scipy" not in loaded["analyze"]
+    assert "numpy" not in loaded["analyze"]
 
 
 # ---------------------------------------------------------------------------
@@ -1021,6 +1023,7 @@ def config_check_commands(tmp_path) -> dict[str, list[str]]:
     ("analyze", "top_n", "a"),
     ("analyze", "tau_ks", [20, 0]),
     ("analyze", "sage_lambda", float("inf")),
+    ("analyze", "sage_lambda", -1),
     ("train", "learning_rate", "x"),
     ("train", "learning_rate", float("nan")),
     pytest.param("train", "learning_rate", 10 ** 400,
@@ -1075,7 +1078,26 @@ def bad_input_commands(tmp_path) -> dict[str, list[str]]:
     listed.write_text("[1, 2]", encoding="utf-8")
     evaluate = ["evaluate", "--test-data", str(data), "--corpus",
                 str(group_corpus)]
+    # the eight fixture rows, then w0 again or a row whose score is nan
+    repeated = tmp_path / "repeated.tsv"
+    repeated.write_text(data.read_text(encoding="utf-8") + "w0\tB\t\tcrowd\n",
+                        encoding="utf-8")
+    nonfinite = tmp_path / "nonfinite.tsv"
+    nonfinite.write_text(data.read_text(encoding="utf-8")
+                         + "x9\tB\tnan\tcrowd\n", encoding="utf-8")
+    datasets = {"repeated-id": repeated, "nonfinite-score": nonfinite}
     return {
+        **{f"train-data-{defect}": ["train", "--model", "unigram",
+                                    "--train-data", str(path), "--corpus",
+                                    str(group_corpus)]
+           for defect, path in datasets.items()},
+        **{f"evaluate-data-{defect}": ["evaluate", "--test-data", str(path),
+                                       "--corpus", str(group_corpus),
+                                       "--model-file", str(model)]
+           for defect, path in datasets.items()},
+        **{f"analyze-data-{defect}": ["analyze", "--data", str(path),
+                                      "--corpus", str(group_corpus)]
+           for defect, path in datasets.items()},
         "tag-lexicon-not-penn": ["lexicon-build", "--corpus", str(planted),
                                  "--tag-lexicon", str(penn)],
         "tag-lexicon-not-utf8": ["lexicon-build", "--corpus", str(planted),
@@ -1106,6 +1128,8 @@ def bad_input_commands(tmp_path) -> dict[str, list[str]]:
     "evaluate-embeddings-narrow", "evaluate-model-no-shape",
     "evaluate-model-params-mistyped", "evaluate-model-not-object",
     "train-embeddings-infinite", "evaluate-embeddings-infinite",
+    *[f"{command}-data-{defect}" for command in ("train", "evaluate", "analyze")
+      for defect in ("repeated-id", "nonfinite-score")],
 ])
 def test_malformed_input_file_is_a_data_error(tmp_path, capsys, case):
     argv = bad_input_commands(tmp_path)[case]
@@ -1117,6 +1141,10 @@ def test_malformed_input_file_is_a_data_error(tmp_path, capsys, case):
     assert err.count("\n") == 1 and "Traceback" not in err
     if case.endswith("infinite"):
         assert "infinite.tsv:1: values must be finite" in err
+    if case.endswith("repeated-id"):
+        assert "repeated.tsv:9: repeated user id 'w0'" in err
+    if case.endswith("nonfinite-score"):
+        assert "nonfinite.tsv:9: score 'nan' is not finite" in err
     assert not out.exists()
 
 

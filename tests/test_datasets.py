@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -285,3 +286,10 @@ def test_dataset_tsv_rejects_malformed(tmp_path):
     path.write_text("u1\tQ\t0.5\tHF\n", encoding="utf-8")
     with pytest.raises(ValueError):
         read_dataset_tsv(path)
+    for row, reason in (("u1\tB\t0.5\tHF", "repeated user id 'u1'"),
+                        ("u2\tB\tnan\tHF", "score 'nan' is not finite"),
+                        ("u2\tB\t-inf\tcrowd", "score '-inf' is not finite"),
+                        ("u2\tB\t1e999\tHF", "score '1e999' is not finite")):
+        path.write_text(f"u1\tW\t0.5\tHF\n\n{row}\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=re.escape(f"{path}:3: {reason}")):
+            read_dataset_tsv(path)

@@ -129,6 +129,57 @@ def test_deeply_nested_json_becomes_a_failure(line):
     assert result.reason.startswith("bad JSON: ")
 
 
+def _with_field(where: str, key: str, value) -> dict:
+    """A valid one-tweet record with one field of the user, its profile or
+    its tweet set to value."""
+    payload = user_payload("u1", tweets=(tweet_payload(),))
+    target = {"user": payload, "profile": payload["profile"],
+              "tweet": payload["tweets"][0]}[where]
+    target[key] = value
+    return payload
+
+
+@pytest.mark.parametrize("where,key,value,reason", [
+    ("tweet", "has_image", "false", "tweet.has_image must be true or false"),
+    ("tweet", "has_url", 0, "tweet.has_url must be true or false"),
+    ("tweet", "mentions_user", None,
+     "tweet.mentions_user must be true or false"),
+    ("tweet", "geotagged", [], "tweet.geotagged must be true or false"),
+    ("profile", "geo_enabled", "no", "profile.geo_enabled must be true or false"),
+    ("profile", "has_profile_url", 1,
+     "profile.has_profile_url must be true or false"),
+    ("profile", "has_custom_image", None,
+     "profile.has_custom_image must be true or false"),
+    ("profile", "statuses_count", "12", "statuses_count must be an integer"),
+    ("profile", "statuses_count", True, "statuses_count must be an integer"),
+    ("profile", "statuses_count", 12.0, "statuses_count must be an integer"),
+    ("profile", "followers_count", 3.9, "followers_count must be an integer"),
+    ("profile", "followers_count", None, "followers_count must be an integer"),
+    ("user", "name", 5, "name must be a string or null"),
+    ("user", "description", ["x"], "description must be a string or null"),
+    ("tweet", "source_app", 7, "tweet.source_app must be a string or null"),
+])
+def test_mistyped_fields_become_failures_naming_the_field(where, key, value,
+                                                          reason):
+    result = parse_user_line(json.dumps(_with_field(where, key, value)), 4)
+    assert result == ParseFailure(4, reason)
+
+
+@pytest.mark.parametrize("where,key,missing", [
+    ("user", "name", "name"),
+    ("user", "description", "description"),
+    ("tweet", "source_app", "tweet.source_app"),
+])
+def test_null_text_fields_count_as_missing(where, key, missing):
+    counter = Counter()
+    result = parse_user_line(json.dumps(_with_field(where, key, None)), 1,
+                             counter)
+    assert isinstance(result, UserRecord)
+    assert counter[missing] == 1
+    assert (result.tweets[0].source_app if where == "tweet"
+            else getattr(result, key)) == ""
+
+
 def test_account_created_after_snapshot_rejected():
     payload = user_payload("u1", hours=0,
                            profile={"account_created_at": iso(hours=5)})
