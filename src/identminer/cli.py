@@ -562,8 +562,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                 model = train_unigram(train_items, train_config, vocab=vocab,
                                       stopwords=stopwords)
         elif model_name == "namecnn":
-            from .models.features import name_meta_features
-            from .models.namecnn import train_name_cnn
+            from .models.namecnn import name_meta_features, train_name_cnn
             train_items = [
                 (record.name, name_meta_features(record), user.label, user.source)
                 for user, record in pairs]
@@ -607,7 +606,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         pairs = _dataset_with_records(
             dataset, {record.user_id: record for record in records})
         if kind == "NameModel":
-            from .models.features import name_meta_features
+            from .models.namecnn import name_meta_features
             test_set = [((record.name, name_meta_features(record)), user.label)
                         for user, record in pairs]
         elif paths.get("embeddings"):

@@ -6,7 +6,14 @@ config).
 Only the baselines load with this package. The numpy/scipy submodules
 (features, namecnn, training, unigram) load on first use of one of their
 names (a PEP 562 module __getattr__), so the baseline and description-path
-subcommands never import numpy."""
+subcommands never import numpy. The name model needs scipy only to train, so
+evaluating it loads numpy alone.
+
+save_model writes a model as one JSON object (sorted keys, one line). The
+unigram and name models are at format version 2: each array is stored as
+{"shape": [...], "data": base64} holding its exact float64 bytes
+(training.encode_array). load_model reads only the version each kind writes,
+so a model file from an older format has to be retrained."""
 from __future__ import annotations
 
 import importlib
@@ -18,10 +25,9 @@ from .baselines import MajorityBaseline, RandomBaseline, baseline_majority, base
 # re-exported name -> the submodule that defines it, loaded on first access
 _LAZY = {
     "build_vocab": "features", "featurize_user": "features",
-    "name_meta_features": "features", "read_embeddings": "features",
-    "user_word_counts": "features",
+    "read_embeddings": "features", "user_word_counts": "features",
     "NameModel": "namecnn", "gradient_check": "namecnn",
-    "train_name_cnn": "namecnn",
+    "name_meta_features": "namecnn", "train_name_cnn": "namecnn",
     "TrainConfig": "training", "effective_weight_histogram": "training",
     "example_weights": "training", "inverse_class_weights": "training",
     "UnigramModel": "unigram", "train_unigram": "unigram",
@@ -64,9 +70,9 @@ def save_model(model, path) -> None:
             classes.append(getattr(loaded, cls))
     if not isinstance(model, tuple(classes)):
         raise TypeError(f"cannot serialize {type(model).__name__}")
+    # json.dumps runs the C encoder; json.dump never does
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(model.to_dict(), handle, sort_keys=True)
-        handle.write("\n")
+        handle.write(json.dumps(model.to_dict(), sort_keys=True) + "\n")
 
 
 def load_model(path):
@@ -75,4 +81,10 @@ def load_model(path):
     kind = payload.get("kind")
     if kind not in _MODEL_KINDS:
         raise ValueError(f"unknown model kind {kind!r}")
-    return _from_submodule(*_MODEL_KINDS[kind]).from_dict(payload)
+    cls = _from_submodule(*_MODEL_KINDS[kind])
+    version = payload.get("version")
+    if type(version) is not int or version != cls.FORMAT_VERSION:
+        raise ValueError(f"{kind} model file has format version {version!r}, "
+                         f"but only version {cls.FORMAT_VERSION} is read; "
+                         f"retrain the model")
+    return cls.from_dict(payload)

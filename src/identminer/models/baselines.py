@@ -32,8 +32,11 @@ class RandomBaseline:
         predict on each."""
         return [self._rng.choice(CLASS_ORDER) for _ in features]
 
+    FORMAT_VERSION = 1
+
     def to_dict(self) -> dict:
-        return {"kind": "baseline_random", "version": 1, "seed": self.seed}
+        return {"kind": "baseline_random", "version": self.FORMAT_VERSION,
+                "seed": self.seed}
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RandomBaseline":
@@ -58,8 +61,10 @@ class MajorityBaseline:
     def predict_batch(self, features: Sequence) -> list[ClassLabel]:
         return [self.majority] * len(features)
 
+    FORMAT_VERSION = 1
+
     def to_dict(self) -> dict:
-        return {"kind": "baseline_majority", "version": 1,
+        return {"kind": "baseline_majority", "version": self.FORMAT_VERSION,
                 "majority": self.majority.value}
 
     @classmethod

@@ -1,12 +1,11 @@
 """Feature extraction: bag-of-words vocab and sparse count vectors over a
-user's recent tweets, metadata features for the name model, and import of
-externally computed per-user embeddings.
+user's recent tweets, and import of externally computed per-user
+embeddings.
 
 Each user's tweets are tokenized once, into a word Counter (user_word_counts);
 the vocabulary and the feature vectors are both built from those counters."""
 from __future__ import annotations
 
-import math
 from collections import Counter
 from typing import Iterable
 
@@ -53,22 +52,9 @@ def featurize_user(word_counts: Counter, vocab: dict[str, int]) -> sparse.csr_ma
                              shape=(1, len(vocab)))
 
 
-def name_meta_features(user: UserRecord) -> np.ndarray:
-    """Fixed 5-feature profile vector for the name model: log1p followers,
-    log1p statuses, and the three profile flags."""
-    profile = user.profile
-    return np.array([
-        math.log1p(profile.followers_count),
-        math.log1p(profile.statuses_count),
-        float(profile.has_profile_url),
-        float(profile.has_custom_image),
-        float(profile.geo_enabled),
-    ], dtype=np.float64)
-
-
 def read_embeddings(path) -> dict[str, np.ndarray]:
     """user_id<TAB>floats rows; every row must have EMBEDDING_DIM finite
-    values."""
+    values, and no user id may repeat."""
     out: dict[str, np.ndarray] = {}
     with open(path, encoding="utf-8") as handle:
         for line_no, line in enumerate(handle, start=1):
@@ -86,5 +72,8 @@ def read_embeddings(path) -> dict[str, np.ndarray]:
             row = np.array([float(v) for v in values], dtype=np.float64)
             if not np.isfinite(row).all():
                 raise ValueError(f"{path}:{line_no}: values must be finite")
+            if user_id in out:
+                raise ValueError(f"{path}:{line_no}: repeated user id "
+                                 f"{user_id!r}")
             out[user_id] = row
     return out

@@ -14,6 +14,10 @@ the embedding gradient is a one-hot sparse matrix product. A batch is padded
 to its longest name, but windows that start in the padding are masked out of
 the max-pool, so a name's probabilities do not depend on the other names in
 its batch.
+
+That sparse product is the module's only use of scipy, so scipy is imported
+inside loss_and_grads: loading and predicting with a saved model needs numpy
+alone. The profile metadata vector (name_meta_features) is built here too.
 """
 from __future__ import annotations
 
@@ -24,11 +28,12 @@ from typing import Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
-from scipy import sparse
 
 from ..filters import CLASS_ORDER, ClassLabel
-from .training import (N_CLASSES, TrainConfig, argmax_labels, example_weights,
-                       inverse_class_weights, label_indices, one_hot, softmax)
+from ..ingest import UserRecord
+from .training import (N_CLASSES, TrainConfig, argmax_labels, decode_array,
+                       encode_array, example_weights, inverse_class_weights,
+                       label_indices, one_hot, softmax)
 
 EMBED_DIM = 256
 N_FILTERS = 256
@@ -42,6 +47,19 @@ OOV_INDEX = 1
 
 # L2 applies to the weight matrices below; embeddings and biases are unpenalized
 _REGULARIZED = ("Wc", "W1", "W2")
+
+
+def name_meta_features(user: UserRecord) -> np.ndarray:
+    """Fixed 5-feature profile vector for the name model: log1p followers,
+    log1p statuses, and the three profile flags."""
+    profile = user.profile
+    return np.array([
+        math.log1p(profile.followers_count),
+        math.log1p(profile.statuses_count),
+        float(profile.has_profile_url),
+        float(profile.has_custom_image),
+        float(profile.geo_enabled),
+    ], dtype=np.float64)
 
 
 def build_char_vocab(names: Sequence[str], min_count: int = 5,
@@ -133,6 +151,9 @@ def loss_only(params: dict, ids: np.ndarray, metas: np.ndarray,
 def loss_and_grads(params: dict, ids: np.ndarray, metas: np.ndarray,
                    y_idx: np.ndarray, sample_weights: np.ndarray,
                    l2: float) -> tuple[float, dict[str, np.ndarray]]:
+    # scipy loads with the first training step, so prediction never loads it
+    from scipy import sparse
+
     logits, cache = _forward(params, ids, metas)
     loss, probs = _loss_from_logits(logits, y_idx, sample_weights, params, l2)
 
@@ -201,22 +222,22 @@ class NameModel:
         metas = np.vstack([meta for _, meta in features])
         return argmax_labels(self.predict_proba_batch(names, metas))
 
+    FORMAT_VERSION = 2
+
     def to_dict(self) -> dict:
         return {
             "kind": "namecnn",
-            "version": 1,
+            "version": self.FORMAT_VERSION,
             "char_vocab": self.char_vocab,
             "meta_dim": self.meta_dim,
             "max_len": self.max_len,
-            "params": {key: {"shape": list(value.shape),
-                             "data": value.ravel().tolist()}
+            "params": {key: encode_array(value)
                        for key, value in self.params.items()},
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "NameModel":
-        params = {key: np.array(entry["data"], dtype=np.float64)
-                  .reshape(entry["shape"])
+        params = {key: decode_array(entry)
                   for key, entry in payload["params"].items()}
         return cls(char_vocab=payload["char_vocab"], params=params,
                    meta_dim=payload["meta_dim"], max_len=payload["max_len"])

@@ -1,7 +1,10 @@
 """Shared training plumbing: config, class reweighting, instance
-down-weighting, and numerically stable softmax helpers."""
+down-weighting, numerically stable softmax helpers, and the array codec of
+model files."""
 from __future__ import annotations
 
+import base64
+import math
 from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
@@ -98,3 +101,31 @@ def one_hot(indices: np.ndarray, n_classes: int = N_CLASSES) -> np.ndarray:
     out = np.zeros((len(indices), n_classes), dtype=np.float64)
     out[np.arange(len(indices)), indices] = 1.0
     return out
+
+
+def encode_array(array: np.ndarray) -> dict:
+    """{"shape": [...], "data": base64} holding the exact bytes of a float64
+    array: RFC 4648 base64 of its C-order little-endian IEEE-754 values."""
+    data = np.asarray(array, dtype="<f8").tobytes()
+    return {"shape": list(array.shape),
+            "data": base64.b64encode(data).decode("ascii")}
+
+
+def decode_array(entry: dict) -> np.ndarray:
+    """The float64 array encode_array stored, bit for bit. A shape that is
+    not a list of sizes, malformed base64 or a byte count that does not match
+    the shape is a ValueError; data that is not a string is a TypeError."""
+    shape, data = entry["shape"], entry["data"]
+    if not isinstance(data, str):
+        raise TypeError(f"array data must be a base64 string, not "
+                        f"{type(data).__name__}")
+    if not (isinstance(shape, list)
+            and all(type(n) is int and n >= 0 for n in shape)):
+        raise ValueError(f"array shape {shape!r} is not a list of sizes")
+    raw = base64.b64decode(data, validate=True)
+    size = 8 * math.prod(shape)
+    if len(raw) != size:
+        raise ValueError(f"array of shape {shape} needs {size} bytes, "
+                         f"got {len(raw)}")
+    # astype copies, so the array is writable and owns its memory
+    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)

@@ -9,8 +9,9 @@ import numpy as np
 from scipy import sparse
 
 from ..filters import CLASS_ORDER, ClassLabel
-from .training import (N_CLASSES, TrainConfig, argmax_labels, example_weights,
-                       inverse_class_weights, label_indices, one_hot, softmax)
+from .training import (N_CLASSES, TrainConfig, argmax_labels, decode_array,
+                       encode_array, example_weights, inverse_class_weights,
+                       label_indices, one_hot, softmax)
 
 
 @dataclass
@@ -42,23 +43,23 @@ class UnigramModel:
                 if sparse.issparse(features[0]) else np.vstack(features))
         return argmax_labels(self.predict_proba_matrix(rows))
 
+    FORMAT_VERSION = 2
+
     def to_dict(self) -> dict:
         return {
             "kind": "unigram",
-            "version": 1,
+            "version": self.FORMAT_VERSION,
             "vocab": self.vocab,
-            "weights": self.weights.ravel().tolist(),
-            "shape": list(self.weights.shape),
-            "bias": self.bias.tolist(),
+            "weights": encode_array(self.weights),
+            "bias": encode_array(self.bias),
             "stopwords": sorted(self.stopwords),
         }
 
     @classmethod
     def from_dict(cls, payload: dict) -> "UnigramModel":
-        shape = tuple(payload["shape"])
         return cls(vocab=payload["vocab"],
-                   weights=np.array(payload["weights"], dtype=np.float64).reshape(shape),
-                   bias=np.array(payload["bias"], dtype=np.float64),
+                   weights=decode_array(payload["weights"]),
+                   bias=decode_array(payload["bias"]),
                    stopwords=frozenset(payload.get("stopwords", ())))
 
 

@@ -104,6 +104,21 @@ def write_jsonl(path, rows) -> Path:
     return path
 
 
+def write_unigram_model(path, vocab: dict[str, int], n_features: int,
+                        **fields) -> Path:
+    """A unigram model file with all-zero weights (4 x n_features) and bias,
+    written through UnigramModel.to_dict; fields replace top-level entries
+    of the payload (to plant a defect)."""
+    import numpy as np
+    from identminer.models.unigram import UnigramModel
+    model = UnigramModel(vocab=vocab, weights=np.zeros((4, n_features)),
+                         bias=np.zeros(4))
+    path = Path(path)
+    path.write_text(json.dumps({**model.to_dict(), **fields}),
+                    encoding="utf-8")
+    return path
+
+
 # ---------------------------------------------------------------------------
 # the planted corpus
 

@@ -1,3 +1,4 @@
+import base64
 import hashlib
 import importlib
 import json
@@ -18,7 +19,8 @@ from identminer.textprep import SelfReportLexicon
 from identminer.util import canonical_json
 
 from helpers import (PLANT_HEADS, iso, make_user, planted_payloads,
-                     planted_users, tweet_payload, user_payload, write_jsonl)
+                     planted_users, tweet_payload, user_payload, write_jsonl,
+                     write_unigram_model)
 
 W, B, HL, A = CLASS_ORDER
 
@@ -569,6 +571,26 @@ def test_analyze_loads_no_scipy(tmp_path):
     assert "numpy" not in loaded["analyze"]
 
 
+def test_evaluate_name_model_loads_numpy_but_not_scipy(tmp_path):
+    corpus, data = tweet_group_fixture(tmp_path)
+    config = write_config(tmp_path, "cfg.json", epochs=2, batch_size=8,
+                          min_char_count=1)
+    model_dir = tmp_path / "train"
+    inputs = ["--corpus", str(corpus), "--config", str(config)]
+    # each probe is a fresh process: training loads scipy for its gradients
+    trained = modules_loaded_by([("train namecnn", [
+        "train", "--model", "namecnn", *inputs, "--train-data", str(data),
+        "--out", str(model_dir)])])
+    assert trained["train namecnn"] == ["numpy", "scipy"]
+    loaded = modules_loaded_by([("evaluate namecnn", [
+        "evaluate", "--model-file", str(model_dir / "model.json"), *inputs,
+        "--test-data", str(data), "--out", str(tmp_path / "eval")])])
+    assert loaded == {"import identminer.cli": [],
+                      "evaluate namecnn": ["numpy"]}
+    assert json.loads((tmp_path / "eval" / "eval_result.json")
+                      .read_text())["n"] == 8
+
+
 # ---------------------------------------------------------------------------
 # analyze
 
@@ -1061,19 +1083,37 @@ def bad_input_commands(tmp_path) -> dict[str, list[str]]:
     infinite = tmp_path / "infinite.tsv"
     infinite.write_text("w0\t" + " ".join(["1e999"] * 768) + "\n",
                         encoding="utf-8")
-    # a zero unigram model over embeddings, so evaluate reaches --embeddings
-    model = tmp_path / "model.json"
-    model.write_text(json.dumps({"kind": "unigram", "vocab": {},
-                                 "weights": [0.0] * (4 * 768),
-                                 "shape": [4, 768], "bias": [0.0] * 4}),
+    # the same w0 embedding row twice
+    twice = tmp_path / "twice.tsv"
+    twice.write_text(2 * ("w0\t" + " ".join(["0.5"] * 768) + "\n"),
                      encoding="utf-8")
+    # a zero unigram model over embeddings, so evaluate reaches --embeddings
+    model = write_unigram_model(tmp_path / "model.json", {}, 768)
     shapeless = tmp_path / "shapeless.json"
-    shapeless.write_text('{"kind": "unigram"}', encoding="utf-8")
+    shapeless.write_text('{"kind": "unigram", "version": 2}', encoding="utf-8")
     # a name model whose params is a number instead of an object
     mistyped = tmp_path / "mistyped.json"
-    mistyped.write_text(json.dumps({"kind": "namecnn", "params": 5,
-                                    "char_vocab": {}, "meta_dim": 5,
-                                    "max_len": 10}), encoding="utf-8")
+    mistyped.write_text(json.dumps({"kind": "namecnn", "version": 2,
+                                    "params": 5, "char_vocab": {},
+                                    "meta_dim": 5, "max_len": 10}),
+                        encoding="utf-8")
+    # a unigram model as format version 1 wrote it: arrays as JSON floats
+    version_1 = tmp_path / "version_1.json"
+    version_1.write_text(json.dumps({"kind": "unigram", "version": 1,
+                                     "vocab": {}, "weights": [0.0] * 3072,
+                                     "shape": [4, 768], "bias": [0.0] * 4}),
+                         encoding="utf-8")
+    # the 4 x 768 weights: base64 cut short, 8 bytes, a list of floats
+    zeros = base64.b64encode(bytes(8 * 4 * 768)).decode("ascii")
+    weights = {
+        "truncated": zeros[:-3],
+        "miscounted": base64.b64encode(bytes(8)).decode("ascii"),
+        "not-string": [0.0] * 3072,
+    }
+    bad_arrays = {
+        defect: write_unigram_model(tmp_path / f"{defect}.json", {}, 768,
+                                    weights={"shape": [4, 768], "data": data})
+        for defect, data in weights.items()}
     listed = tmp_path / "listed.json"
     listed.write_text("[1, 2]", encoding="utf-8")
     evaluate = ["evaluate", "--test-data", str(data), "--corpus",
@@ -1120,6 +1160,18 @@ def bad_input_commands(tmp_path) -> dict[str, list[str]]:
         "evaluate-embeddings-infinite": [*evaluate, "--model-file",
                                          str(model), "--embeddings",
                                          str(infinite)],
+        "train-embeddings-repeated-row": ["train", "--model", "unigram",
+                                          "--train-data", str(data),
+                                          "--corpus", str(group_corpus),
+                                          "--embeddings", str(twice)],
+        "evaluate-embeddings-repeated-row": [*evaluate, "--model-file",
+                                             str(model), "--embeddings",
+                                             str(twice)],
+        "evaluate-model-version-1": [*evaluate, "--model-file",
+                                     str(version_1)],
+        **{f"evaluate-model-array-{defect}": [*evaluate, "--model-file",
+                                              str(path)]
+           for defect, path in bad_arrays.items()},
     }
 
 
@@ -1128,6 +1180,10 @@ def bad_input_commands(tmp_path) -> dict[str, list[str]]:
     "evaluate-embeddings-narrow", "evaluate-model-no-shape",
     "evaluate-model-params-mistyped", "evaluate-model-not-object",
     "train-embeddings-infinite", "evaluate-embeddings-infinite",
+    "train-embeddings-repeated-row", "evaluate-embeddings-repeated-row",
+    "evaluate-model-version-1",
+    *[f"evaluate-model-array-{defect}"
+      for defect in ("truncated", "miscounted", "not-string")],
     *[f"{command}-data-{defect}" for command in ("train", "evaluate", "analyze")
       for defect in ("repeated-id", "nonfinite-score")],
 ])
@@ -1145,6 +1201,17 @@ def test_malformed_input_file_is_a_data_error(tmp_path, capsys, case):
         assert "repeated.tsv:9: repeated user id 'w0'" in err
     if case.endswith("nonfinite-score"):
         assert "nonfinite.tsv:9: score 'nan' is not finite" in err
+    if case.endswith("repeated-row"):
+        assert "twice.tsv:2: repeated user id 'w0'" in err
+    if "-model-" in case:
+        assert "data error: bad model file: " in err
+    if case.endswith("version-1"):
+        assert "unigram model file has format version 1" in err
+        assert "retrain the model" in err
+    if case.endswith("miscounted"):
+        assert "needs 24576 bytes, got 8" in err
+    if case.endswith("not-string"):
+        assert "must be a base64 string, not list" in err
     assert not out.exists()
 
 
@@ -1156,10 +1223,7 @@ def test_failed_run_leaves_no_out_dir(tmp_path):
     stranger = write_jsonl(tmp_path / "stranger.jsonl",
                            [user_payload("zz", tweets=(tweet_payload("hi"),))])
     # evaluate reads the corpus only for a unigram or name model
-    model = tmp_path / "model.json"
-    model.write_text(json.dumps({"kind": "unigram", "vocab": {"hi": 0},
-                                 "weights": [0.0] * 4, "shape": [4, 1],
-                                 "bias": [0.0] * 4}), encoding="utf-8")
+    model = write_unigram_model(tmp_path / "model.json", {"hi": 0}, 1)
     no_epochs = write_config(tmp_path, "epochs.json", epochs=0)
     failing = {
         "hf": ["dataset-build", "--kind", "hf", "--corpus", str(corpus)],

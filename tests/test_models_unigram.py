@@ -1,19 +1,25 @@
+import base64
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
 from identminer.filters import CLASS_ORDER, ClassLabel
-from identminer.models import (MajorityBaseline, RandomBaseline, TrainConfig,
-                               UnigramModel, baseline_majority,
+from identminer.models import (MajorityBaseline, NameModel, RandomBaseline,
+                               TrainConfig, UnigramModel, baseline_majority,
                                baseline_random, build_vocab,
                                effective_weight_histogram, example_weights,
                                featurize_user, inverse_class_weights,
                                load_model, name_meta_features,
                                read_embeddings, save_model, train_unigram,
                                user_word_counts)
-from identminer.models.training import label_indices, one_hot, softmax
+from identminer.models.training import (decode_array, label_indices, one_hot,
+                                       softmax)
 from identminer.models.unigram import weighted_ce_loss
 
 from helpers import make_tweet, make_user, make_profile
@@ -216,6 +222,110 @@ def test_unigram_model_round_trip(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# model files: arrays as base64 of their float64 bytes
+
+# bit patterns a model file must keep exactly: +0.0, -0.0, +inf, -inf, the
+# quiet NaN, a negative NaN with a payload, a signalling NaN, the smallest
+# and the largest-magnitude negative subnormal
+SPECIAL_BITS = (0x0000000000000000, 0x8000000000000000, 0x7FF0000000000000,
+                0xFFF0000000000000, 0x7FF8000000000000, 0xFFF8000000000ABC,
+                0x7FF0000000000001, 0x0000000000000001, 0x800FFFFFFFFFFFFF)
+
+# any float64 bit pattern, in empty, 1-D and 2-D shapes
+float64_arrays = hnp.arrays(
+    np.uint64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0,
+                                max_side=6),
+    elements=st.one_of(st.sampled_from(SPECIAL_BITS),
+                       st.integers(0, 2 ** 64 - 1)),
+).map(lambda bits: bits.view(np.float64))
+
+
+def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
+    return (got.dtype == np.float64 and got.shape == want.shape
+            and got.tobytes() == want.tobytes())
+
+
+@settings(max_examples=200, deadline=None)
+@given(first=float64_arrays, second=float64_arrays)
+@example(first=np.array(SPECIAL_BITS, dtype=np.uint64).view(np.float64),
+         second=np.zeros((0, 3)))
+def test_model_arrays_round_trip_bitwise(first, second):
+    models = (UnigramModel(vocab={}, weights=first, bias=second),
+              NameModel(char_vocab={}, params={"E": first, "b2": second},
+                        meta_dim=5))
+    for model in models:
+        text = json.dumps(model.to_dict(), sort_keys=True)
+        back = type(model).from_dict(json.loads(text))
+        if isinstance(back, UnigramModel):
+            arrays = (back.weights, back.bias)
+        else:
+            arrays = (back.params["E"], back.params["b2"])
+        assert same_bits(arrays[0], first) and same_bits(arrays[1], second)
+        # decoded arrays own their memory, as trained ones do
+        assert all(array.flags.writeable for array in arrays)
+
+
+def b64(data: bytes) -> str:
+    return base64.b64encode(data).decode("ascii")
+
+
+@pytest.mark.parametrize("entry, error, message", [
+    ({"shape": [2], "data": b64(bytes(16))[:-2]}, ValueError, "padding"),
+    # a line break, which a lenient decoder would skip
+    ({"shape": [2], "data": "AAAA\n" + b64(bytes(16))[4:]}, ValueError,
+     "base64"),
+    ({"shape": [2], "data": "\u00c4" * 24}, ValueError, "ASCII"),
+    ({"shape": [3], "data": b64(bytes(16))}, ValueError, "needs 24 bytes"),
+    ({"shape": [2, 0], "data": b64(bytes(16))}, ValueError, "needs 0 bytes"),
+    ({"shape": [-1], "data": b64(bytes(16))}, ValueError, "list of sizes"),
+    ({"shape": [-1, -2], "data": b64(bytes(16))}, ValueError, "list of sizes"),
+    ({"shape": [True, 2], "data": b64(bytes(16))}, ValueError, "list of sizes"),
+    ({"shape": [2.0], "data": b64(bytes(16))}, ValueError, "list of sizes"),
+    ({"shape": 2, "data": b64(bytes(16))}, ValueError, "list of sizes"),
+    ({"shape": [2], "data": [0.0, 0.0]}, TypeError, "base64 string"),
+    ({"shape": [2], "data": None}, TypeError, "base64 string"),
+    ({"shape": [2]}, KeyError, "data"),
+])
+def test_decode_array_rejects_malformed_entries(entry, error, message):
+    with pytest.raises(error, match=message):
+        decode_array(entry)
+
+
+def test_model_file_holds_base64_arrays(tmp_path):
+    model = UnigramModel(vocab={"a": 0}, weights=np.full((4, 1), 0.5),
+                         bias=np.array([1.0, -0.0, 2.0, 3.0]))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    text = path.read_text(encoding="utf-8")
+    assert text.endswith("}\n") and text.count("\n") == 1
+    payload = json.loads(text)
+    assert payload["version"] == 2
+    # little-endian IEEE-754 bytes in C order, whatever the host byte order
+    assert payload["weights"] == {
+        "shape": [4, 1], "data": b64(np.full(4, 0.5, dtype="<f8").tobytes())}
+    assert payload["bias"] == {
+        "shape": [4],
+        "data": b64(np.array([1.0, -0.0, 2.0, 3.0], dtype="<f8").tobytes())}
+
+
+@pytest.mark.parametrize("kind, version", [
+    ("unigram", 1), ("unigram", None), ("unigram", 3), ("unigram", 2.0),
+    ("namecnn", 1), ("baseline_majority", 2), ("baseline_majority", True),
+    ("baseline_random", "1"),
+])
+def test_load_model_reads_only_the_current_format_version(tmp_path, kind,
+                                                          version):
+    payload = {"kind": kind, "seed": 0, "majority": "W"}
+    if version is not None:
+        payload["version"] = version
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(payload), encoding="utf-8")
+    with pytest.raises(ValueError, match=f"{kind} model file has format "
+                       f"version {version!r}.*retrain the model"):
+        load_model(path)
+
+
+# ---------------------------------------------------------------------------
 # feature extraction
 
 def vocab_corpus():
@@ -290,6 +400,15 @@ def test_read_embeddings_checks_dimension(tmp_path):
     bad.write_text("u1\t0.5 0.25\n", encoding="utf-8")
     with pytest.raises(ValueError):
         read_embeddings(bad)
+
+
+def test_read_embeddings_rejects_repeated_user_id(tmp_path):
+    path = tmp_path / "emb.tsv"
+    rows = [" ".join([value] * 768) for value in ("1", "0.5", "2")]
+    path.write_text(f"u1\t{rows[0]}\nu2\t{rows[1]}\nu1\t{rows[2]}\n",
+                    encoding="utf-8")
+    with pytest.raises(ValueError, match=r"emb.tsv:3: repeated user id 'u1'"):
+        read_embeddings(path)
 
 
 # ---------------------------------------------------------------------------
