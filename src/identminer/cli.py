@@ -10,6 +10,7 @@ the IDENTMINER_LOG environment variable (error, info, debug).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import logging
 import math
@@ -23,20 +24,22 @@ from . import analytics, resources
 from .datasets import (build_cb, hf_users, merge_candidates, qb_users,
                        read_dataset_tsv, scan_descriptions, score_reports,
                        write_dataset_tsv)
-from .evaluation import evaluate, format_report_table
-from .filters import CLASS_ORDER, enabled_filters
+from .evaluation import SETTINGS, evaluate, format_report_table
+from .filters import CLASS_ORDER, FILTER_ALIASES, FILTER_NAMES, enabled_filters
 from .ingest import ParseFailure, UserRecord, dedupe_latest, load_users
 # the numeric model modules (numpy, scipy) are imported only in the train
 # and evaluate branches that use them
 from .models import baseline_majority, baseline_random, load_model, save_model
 from .scorer import (GRID_THRESHOLDS, GRID_WINDOWS, WEIGHTINGS, ScoreParams,
-                     precision_recall, read_tuning_tsv, score_description,
-                     score_grid, tune_params)
+                     read_tuning_tsv, score_grid, tune_params)
 from .textprep import (SelfReportCounter, SelfReportLexicon,
                        build_selfreport_lexicon)
 from .util import DataError, config_hash, stage_seed, write_json
 
 logger = logging.getLogger("identminer")
+
+DATASET_KINDS = ("qb", "hf", "cb")
+MODEL_NAMES = ("unigram", "namecnn", "baseline-random", "baseline-majority")
 
 # semantic configuration: part of the config hash; execution details
 # (paths, --out, --workers) deliberately are not
@@ -89,32 +92,61 @@ def _is_number(value) -> bool:
         return False
 
 
+def _is_fraction(value) -> bool:
+    return _is_number(value) and 0 <= value <= 1
+
+
 def _is_str(value) -> bool:
     return isinstance(value, str)
+
+
+def _is_filter(value) -> bool:
+    # enabled_filters strips each name and skips blank ones
+    return _is_str(value) and value.strip() in ("", *FILTER_NAMES,
+                                                *FILTER_ALIASES)
 
 
 def _list_of(check):
     return lambda value: isinstance(value, list) and all(map(check, value))
 
 
-# the type rule of every DEFAULTS and path key: (what it must be, check, keys)
+def _in(names):
+    return lambda value: value in names
+
+
+def _names(names) -> str:
+    return ", ".join(map(repr, names))
+
+
+# the one statement of what every DEFAULTS and path key may hold:
+# (what it must be, check, keys); _resolve applies it before any input is read
 CONFIG_RULES = (
-    ("an integer", _is_int, ("window", "min_count", "epochs", "batch_size",
-                             "min_char_count", "seed")),
-    ("an integer >= 1", _is_count, ("max_tweets", "top_n")),
+    ("an integer", _is_int, ("min_count", "min_char_count", "seed")),
+    ("an integer >= 1", _is_count, ("window", "epochs", "batch_size",
+                                    "max_tweets", "top_n")),
     ("an integer >= 1 or null", lambda v: v is None or _is_count(v), ("cb_k",)),
-    ("a finite number", _is_number, ("threshold", "learning_rate", "l2_strength",
-                                     "instance_downweight")),
+    ("a number in [0, 1]", _is_fraction, ("threshold",)),
+    ("a number in (0, 1]", lambda v: _is_number(v) and 0 < v <= 1,
+     ("instance_downweight",)),
+    ("a finite number > 0", lambda v: _is_number(v) and v > 0,
+     ("learning_rate",)),
     ("a finite number >= 0", lambda v: _is_number(v) and v >= 0,
-     ("sage_lambda",)),
+     ("l2_strength", "sage_lambda")),
     ("true or false", lambda v: isinstance(v, bool), ("allow_im",)),
-    ("a string", _is_str, ("weighting", "setting", "model")),
-    ("a string or null", lambda v: v is None or _is_str(v),
-     ("kind", *_PATH_KEYS)),
-    ("a list of integers", _list_of(_is_int), ("grid_windows",)),
-    ("a list of integers >= 1", _list_of(_is_count), ("tau_ks",)),
-    ("a list of finite numbers", _list_of(_is_number), ("grid_thresholds",)),
-    ("a list of strings", _list_of(_is_str), ("filters", "grid_weightings")),
+    (f"one of {_names(WEIGHTINGS)}", _in(WEIGHTINGS), ("weighting",)),
+    (f"one of {_names(SETTINGS)}", _in(SETTINGS), ("setting",)),
+    (f"one of {_names(MODEL_NAMES)}", _in(MODEL_NAMES), ("model",)),
+    (f"one of {_names(DATASET_KINDS)} or null", _in((*DATASET_KINDS, None)),
+     ("kind",)),
+    ("a string or null", lambda v: v is None or _is_str(v), _PATH_KEYS),
+    ("a list of integers >= 1", _list_of(_is_count),
+     ("grid_windows", "tau_ks")),
+    ("a list of numbers in [0, 1]", _list_of(_is_fraction),
+     ("grid_thresholds",)),
+    (f"a list of names from {_names(WEIGHTINGS)}", _list_of(_in(WEIGHTINGS)),
+     ("grid_weightings",)),
+    (f"a list of names from {_names((*FILTER_NAMES, *FILTER_ALIASES))}",
+     _list_of(_is_filter), ("filters",)),
 )
 
 
@@ -157,12 +189,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dataset-build", help="build the qb, hf, or cb dataset")
     common(p)
-    p.add_argument("--kind", choices=["qb", "hf", "cb"], help="dataset kind")
+    p.add_argument("--kind", choices=DATASET_KINDS, help="dataset kind")
     p.add_argument("--filters",
                    help="comma list from color,plural,bigram,quote (empty for none)")
     p.add_argument("--window", type=int)
     p.add_argument("--threshold", type=float)
-    p.add_argument("--weighting", choices=["simple", "tfidf"])
+    p.add_argument("--weighting", choices=WEIGHTINGS)
     p.set_defaults(func=cmd_dataset_build)
 
     p = sub.add_parser("tune", help="grid-search score hyperparameters")
@@ -172,8 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a classifier")
     common(p)
-    p.add_argument("--model", choices=["unigram", "namecnn", "baseline-random",
-                                       "baseline-majority"])
+    p.add_argument("--model", choices=MODEL_NAMES)
     p.add_argument("--train-data", dest="train_data", help="dataset TSV")
     p.add_argument("--embeddings", help="user_id<TAB>floats TSV feature override")
     p.add_argument("--epochs", type=int)
@@ -183,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--model-file", dest="model_file", help="saved model JSON")
     p.add_argument("--test-data", dest="test_data", help="dataset TSV")
-    p.add_argument("--setting", choices=["imbalanced", "balanced"])
+    p.add_argument("--setting", choices=SETTINGS)
     p.add_argument("--embeddings", help="user_id<TAB>floats TSV feature override")
     p.set_defaults(func=cmd_evaluate)
 
@@ -374,18 +405,15 @@ def _filter_accounting(reports, filters: tuple[str, ...]):
 
 def cmd_dataset_build(args: argparse.Namespace) -> int:
     config, paths = _resolve(args)
-    kind = config.get("kind")
-    if kind not in ("qb", "hf", "cb"):
-        raise DataError("dataset-build needs --kind qb|hf|cb")
+    kind = config["kind"]
+    if kind is None:
+        raise DataError(f"dataset-build needs --kind {'|'.join(DATASET_KINDS)}")
     corpus_path = _require(paths, "corpus")
     tag_lexicon = _tag_lexicon(paths)
     colors, blocklist = _filter_resources(paths)
-    try:
-        filters = enabled_filters(config["filters"])
-        params = ScoreParams(config["window"], config["threshold"],
-                             config["weighting"])
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    filters = enabled_filters(config["filters"])
+    params = ScoreParams(config["window"], config["threshold"],
+                         config["weighting"])
     records, _ = _load_corpus(corpus_path)
     lexicon, reports = _description_pass(paths, config, records, tag_lexicon)
     # qb reads no filter verdicts
@@ -447,17 +475,13 @@ def cmd_tune(args: argparse.Namespace) -> int:
     # under each grid point, so the reports are not scored here
     tuning_set = [(report.tagged, report.matches[0], labels[report.user_id])
                   for report in reports if report.user_id in labels]
+    grid = score_grid(config["grid_windows"], config["grid_thresholds"],
+                      config["grid_weightings"])
     try:
-        grid = score_grid(config["grid_windows"], config["grid_thresholds"],
-                          config["grid_weightings"])
-        best = tune_params(tuning_set, lexicon, grid)
+        best, precision, recall = tune_params(tuning_set, lexicon, grid)
     except ValueError as exc:
         raise DataError(str(exc)) from exc
 
-    precision, recall = precision_recall(
-        [score_description(tagged, match, lexicon, best)
-         for tagged, match, _ in tuning_set],
-        [label for _, _, label in tuning_set], best.threshold)
     result = _result_base(config, "tune")
     result.update({
         "window": best.window,
@@ -472,12 +496,12 @@ def cmd_tune(args: argparse.Namespace) -> int:
     return 0
 
 
-def _dataset_with_records(dataset, records_by_id):
-    pairs = []
-    for user in dataset:
-        record = records_by_id.get(user.user_id)
-        if record is not None:
-            pairs.append((user, record))
+def _corpus_pairs(paths: dict, dataset) -> list:
+    """(dataset user, corpus record) for each dataset user in the corpus."""
+    records, _ = _load_corpus(_require(paths, "corpus"))
+    by_id = {record.user_id: record for record in records}
+    pairs = [(user, by_id[user.user_id]) for user in dataset
+             if user.user_id in by_id]
     if not pairs:
         raise DataError("no dataset user ids found in the corpus")
     return pairs
@@ -519,20 +543,16 @@ def cmd_train(args: argparse.Namespace) -> int:
 
     from .models.training import (TrainConfig, effective_weight_histogram,
                                   example_weights, inverse_class_weights)
-    corpus_path = _require(paths, "corpus")
-    records, _ = _load_corpus(corpus_path)
-    pairs = _dataset_with_records(dataset,
-                                  {record.user_id: record for record in records})
-
+    pairs = _corpus_pairs(paths, dataset)
+    train_config = TrainConfig(
+        learning_rate=config["learning_rate"],
+        epochs=config["epochs"],
+        l2_strength=config["l2_strength"],
+        instance_downweight=config["instance_downweight"],
+        seed=stage_seed(config["seed"], "train"),
+        batch_size=config["batch_size"],
+    )
     try:
-        train_config = TrainConfig(
-            learning_rate=config["learning_rate"],
-            epochs=config["epochs"],
-            l2_strength=config["l2_strength"],
-            instance_downweight=config["instance_downweight"],
-            seed=stage_seed(config["seed"], "train"),
-            batch_size=config["batch_size"],
-        )
         if model_name == "unigram":
             from .models.features import (build_vocab, featurize_user,
                                           read_embeddings, user_word_counts)
@@ -561,7 +581,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                 result["vocab_size"] = len(vocab)
                 model = train_unigram(train_items, train_config, vocab=vocab,
                                       stopwords=stopwords)
-        elif model_name == "namecnn":
+        else:
             from .models.namecnn import name_meta_features, train_name_cnn
             train_items = [
                 (record.name, name_meta_features(record), user.label, user.source)
@@ -569,8 +589,6 @@ def cmd_train(args: argparse.Namespace) -> int:
             model = train_name_cnn(train_items, train_config,
                                    min_char_count=config["min_char_count"])
             result["char_vocab_size"] = len(model.char_vocab)
-        else:
-            raise DataError(f"unknown model {model_name!r}")
     except ValueError as exc:
         raise DataError(str(exc)) from exc
 
@@ -601,10 +619,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     if kind in ("RandomBaseline", "MajorityBaseline"):
         test_set = [(None, user.label) for user in dataset]
     else:
-        corpus_path = _require(paths, "corpus")
-        records, _ = _load_corpus(corpus_path)
-        pairs = _dataset_with_records(
-            dataset, {record.user_id: record for record in records})
+        pairs = _corpus_pairs(paths, dataset)
         if kind == "NameModel":
             from .models.namecnn import name_meta_features
             test_set = [((record.name, name_meta_features(record)), user.label)
@@ -641,18 +656,23 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _pair_key(a, b) -> str:
-    return f"{a.value}|{b.value}"
+def _pair_table(labels, stat) -> dict:
+    """stat(a, b) of every pair of classes, keyed "a|b" in class order; None
+    where stat raises ValueError (an empty or all-tied sample, an empty or
+    all-tied keyword list)."""
+    table = {}
+    for a, b in itertools.combinations(labels, 2):
+        try:
+            table[f"{a.value}|{b.value}"] = stat(a, b)
+        except ValueError:
+            table[f"{a.value}|{b.value}"] = None
+    return table
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     config, paths = _resolve(args)
-    corpus_path = _require(paths, "corpus")
-    data_path = _require(paths, "data")
-    records, _ = _load_corpus(corpus_path)
-    dataset = _read_dataset(data_path)
-    pairs = _dataset_with_records(dataset,
-                                  {record.user_id: record for record in records})
+    dataset = _read_dataset(_require(paths, "data"))
+    pairs = _corpus_pairs(paths, dataset)
     groups: dict = {}
     for user, record in pairs:
         groups.setdefault(user.label, []).append(record)
@@ -667,20 +687,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     for label in present:
         samples[label], counts[label] = analytics.group_lexical_pass(
             groups[label], stopwords, max_tweets)
-    mwu: dict = {}
-    for metric in ("ttr", "ld", "cpt", "hpt"):
-        table = {}
-        for i, a in enumerate(present):
-            for b in present[i + 1:]:
-                sample_a = [stats[metric] for stats in samples[a]]
-                sample_b = [stats[metric] for stats in samples[b]]
-                try:
-                    u, p = analytics.mann_whitney_u(sample_a, sample_b)
-                    table[_pair_key(a, b)] = {"U": u, "p": p}
-                except ValueError:
-                    # degenerate sample (empty or every value tied)
-                    table[_pair_key(a, b)] = None
-        mwu[metric] = table
+
+    def mann_whitney(metric, a, b) -> dict:
+        u, p = analytics.mann_whitney_u([stats[metric] for stats in samples[a]],
+                                        [stats[metric] for stats in samples[b]])
+        return {"U": u, "p": p}
+
+    # each lambda runs inside _pair_table, before the loop variable moves on
+    mwu = {metric: _pair_table(present,
+                               lambda a, b: mann_whitney(metric, a, b))
+           for metric in ("ttr", "ld", "cpt", "hpt")}
 
     behavior = analytics.behavioral_profile(groups, max_tweets)
     background: Counter = Counter()
@@ -689,30 +705,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     tau_ks = config["tau_ks"]
     top_n = config["top_n"]
     list_len = max([top_n] + tau_ks)
-    try:
-        keywords = {
-            label: analytics.distinctive_keywords(
-                counts[label], background, lam=config["sage_lambda"],
-                top_n=list_len)
-            for label in present}
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
-    tau: dict = {}
-    for k in tau_ks:
-        table = {}
-        for i, a in enumerate(present):
-            for b in present[i + 1:]:
-                list_a = keywords[a][:k]
-                list_b = keywords[b][:k]
-                if not list_a or not list_b:
-                    table[_pair_key(a, b)] = None
-                    continue
-                try:
-                    table[_pair_key(a, b)] = analytics.kendall_tau_top_k(
-                        list_a, list_b, k)
-                except ValueError:
-                    table[_pair_key(a, b)] = None
-        tau[f"k={k}"] = table
+    keywords = {label: analytics.distinctive_keywords(
+                    counts[label], background, lam=config["sage_lambda"],
+                    top_n=list_len)
+                for label in present}
+    tau = {f"k={k}": _pair_table(
+               present, lambda a, b: analytics.kendall_tau_top_k(
+                   keywords[a][:k], keywords[b][:k], k))
+           for k in tau_ks}
 
     result = _result_base(config, "analyze")
     result.update({

@@ -95,8 +95,6 @@ def evaluate(predictor, test_set: Sequence[tuple[object, ClassLabel]],
     """Predict every (features, label) pair in one predictor.predict_batch
     call and assemble all metrics. The balanced setting first subsamples
     equal class counts with the given seed."""
-    if setting not in SETTINGS:
-        raise ValueError(f"setting must be one of {SETTINGS}")
     pairs = list(test_set)
     if setting == "balanced":
         pairs = balance_subsample(pairs, seed, label_of=lambda pair: pair[1])

@@ -48,6 +48,8 @@ PERSON_KEYWORDS = frozenset(
     {"man", "woman", "person", "individual", "guy", "gal", "boy", "girl"})
 
 FILTER_NAMES = ("color", "plural", "bigram_blocklist", "quote")
+# the short config name of a filter -> its FILTER_NAMES entry
+FILTER_ALIASES = {"bigram": "bigram_blocklist"}
 
 
 class _Sentinel:
@@ -71,18 +73,10 @@ class QueryMatch:
 
 
 def enabled_filters(names: Iterable[str]) -> tuple[str, ...]:
-    """The named filters as FILTER_NAMES entries, in chain order. "bigram"
-    names bigram_blocklist; blank names are skipped."""
-    chosen = set()
-    for name in names:
-        name = name.strip()
-        if not name:
-            continue
-        if name == "bigram":
-            name = "bigram_blocklist"
-        if name not in FILTER_NAMES:
-            raise ValueError(f"unknown filter {name!r}")
-        chosen.add(name)
+    """The named filters as FILTER_NAMES entries, in chain order. A
+    FILTER_ALIASES name stands for its entry; blank names are skipped, and
+    any other name selects nothing (the CLI config rules reject it)."""
+    chosen = {FILTER_ALIASES.get(name.strip(), name.strip()) for name in names}
     return tuple(name for name in FILTER_NAMES if name in chosen)
 
 

@@ -4,10 +4,10 @@ majority baselines. All training is deterministic given (data order, seed,
 config).
 
 Only the baselines load with this package. The numpy/scipy submodules
-(features, namecnn, training, unigram) load on first use of one of their
-names (a PEP 562 module __getattr__), so the baseline and description-path
-subcommands never import numpy. The name model needs scipy only to train, so
-evaluating it loads numpy alone.
+(features, namecnn, training, unigram) are imported from their own module
+paths where they are used, and load_model imports the one a saved kind
+needs, so the baseline and description-path subcommands never import numpy. The name model needs scipy
+only to train, so evaluating it loads numpy alone.
 
 save_model writes a model as one JSON object (sorted keys, one line). The
 unigram and name models are at format version 2: each array is stored as
@@ -22,33 +22,14 @@ import sys
 
 from .baselines import MajorityBaseline, RandomBaseline, baseline_majority, baseline_random
 
-# re-exported name -> the submodule that defines it, loaded on first access
-_LAZY = {
-    "build_vocab": "features", "featurize_user": "features",
-    "read_embeddings": "features", "user_word_counts": "features",
-    "NameModel": "namecnn", "gradient_check": "namecnn",
-    "name_meta_features": "namecnn", "train_name_cnn": "namecnn",
-    "TrainConfig": "training", "effective_weight_histogram": "training",
-    "example_weights": "training", "inverse_class_weights": "training",
-    "UnigramModel": "unigram", "train_unigram": "unigram",
-}
-
 __all__ = [
     "MajorityBaseline", "RandomBaseline", "baseline_majority", "baseline_random",
-    *_LAZY, "save_model", "load_model",
+    "save_model", "load_model",
 ]
 
 
 def _from_submodule(module: str, name: str):
     return getattr(importlib.import_module(f".{module}", __name__), name)
-
-
-def __getattr__(name: str):
-    if name not in _LAZY:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = _from_submodule(_LAZY[name], name)
-    globals()[name] = value  # later lookups bypass this hook
-    return value
 
 
 # saved "kind" -> (submodule, class)

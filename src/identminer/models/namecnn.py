@@ -86,19 +86,29 @@ def encode_names(names: Sequence[str], char_vocab: dict[str, int],
     return ids
 
 
-def init_params(vocab_size: int, meta_dim: int, seed: int) -> dict[str, np.ndarray]:
-    rng = np.random.default_rng(seed)
-    fan_conv = FILTER_WIDTH * EMBED_DIM
+def param_shapes(vocab_size: int, meta_dim: int) -> dict[str, tuple]:
+    """The shape of each of the seven parameter tensors."""
     return {
-        "E": rng.normal(0.0, 0.1, (vocab_size, EMBED_DIM)),
-        "Wc": rng.normal(0.0, math.sqrt(2.0 / fan_conv), (N_FILTERS, fan_conv)),
-        "bc": np.zeros(N_FILTERS),
-        "W1": rng.normal(0.0, math.sqrt(2.0 / (N_FILTERS + meta_dim)),
-                         (N_FILTERS + meta_dim, HIDDEN)),
-        "b1": np.zeros(HIDDEN),
-        "W2": rng.normal(0.0, math.sqrt(2.0 / HIDDEN), (HIDDEN, N_CLASSES)),
-        "b2": np.zeros(N_CLASSES),
+        "E": (vocab_size, EMBED_DIM),
+        "Wc": (N_FILTERS, FILTER_WIDTH * EMBED_DIM),
+        "bc": (N_FILTERS,),
+        "W1": (N_FILTERS + meta_dim, HIDDEN),
+        "b1": (HIDDEN,),
+        "W2": (HIDDEN, N_CLASSES),
+        "b2": (N_CLASSES,),
     }
+
+
+def init_params(vocab_size: int, meta_dim: int, seed: int) -> dict[str, np.ndarray]:
+    """Zero biases, and normal weights drawn in param_shapes order, each
+    matrix but the embeddings scaled by sqrt(2 / fan-in)."""
+    shapes = param_shapes(vocab_size, meta_dim)
+    scales = {"E": 0.1, "Wc": math.sqrt(2.0 / shapes["Wc"][1]),
+              "W1": math.sqrt(2.0 / shapes["W1"][0]),
+              "W2": math.sqrt(2.0 / shapes["W2"][0])}
+    rng = np.random.default_rng(seed)
+    return {key: rng.normal(0.0, scales[key], shape) if key in scales
+            else np.zeros(shape) for key, shape in shapes.items()}
 
 
 def _forward(params: dict[str, np.ndarray], ids: np.ndarray,
@@ -237,10 +247,28 @@ class NameModel:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "NameModel":
+        """The model of a to_dict payload. Params other than the seven
+        tensors in their shapes, char_vocab ids other than 2 .. n + 1 (one
+        embedding row each) or a max_len that is not a length is a
+        ValueError."""
+        char_vocab, meta_dim = payload["char_vocab"], payload["meta_dim"]
+        max_len = payload["max_len"]
         params = {key: decode_array(entry)
                   for key, entry in payload["params"].items()}
-        return cls(char_vocab=payload["char_vocab"], params=params,
-                   meta_dim=payload["meta_dim"], max_len=payload["max_len"])
+        shapes = {key: list(shape) for key, shape in
+                  param_shapes(len(char_vocab) + 2, meta_dim).items()}
+        got = {key: list(array.shape) for key, array in params.items()}
+        if got != shapes:
+            raise ValueError(f"params have shapes {got}, expected {shapes}")
+        ids = list(char_vocab.values())
+        if not all(type(i) is int for i in ids) or \
+                sorted(ids) != list(range(2, len(ids) + 2)):
+            raise ValueError(f"char_vocab ids must be 2 to {len(ids) + 1}, "
+                             f"each once")
+        if type(max_len) is not int or max_len < 1:
+            raise ValueError(f"max_len {max_len!r} is not an integer >= 1")
+        return cls(char_vocab=char_vocab, params=params, meta_dim=meta_dim,
+                   max_len=max_len)
 
 
 def _unpack(items):

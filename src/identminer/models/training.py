@@ -26,18 +26,6 @@ class TrainConfig:
     seed: int = 0
     batch_size: int = 64
 
-    def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.epochs <= 0:
-            raise ValueError("epochs must be positive")
-        if self.l2_strength < 0:
-            raise ValueError("l2_strength must be non-negative")
-        if not 0.0 < self.instance_downweight <= 1.0:
-            raise ValueError("instance_downweight must be in (0, 1]")
-        if self.batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-
 
 def label_indices(labels: Sequence[ClassLabel]) -> np.ndarray:
     index = {label: i for i, label in enumerate(CLASS_ORDER)}

@@ -9,6 +9,7 @@ import numpy as np
 from scipy import sparse
 
 from ..filters import CLASS_ORDER, ClassLabel
+from .features import EMBEDDING_DIM
 from .training import (N_CLASSES, TrainConfig, argmax_labels, decode_array,
                        encode_array, example_weights, inverse_class_weights,
                        label_indices, one_hot, softmax)
@@ -57,9 +58,25 @@ class UnigramModel:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "UnigramModel":
-        return cls(vocab=payload["vocab"],
-                   weights=decode_array(payload["weights"]),
-                   bias=decode_array(payload["bias"]),
+        """The model of a to_dict payload. Weights that are not (4, |vocab|),
+        or (4, EMBEDDING_DIM) with an empty vocab, a bias that is not (4,) or
+        vocab indices other than 0 .. |vocab| - 1 is a ValueError."""
+        vocab = payload["vocab"]
+        weights = decode_array(payload["weights"])
+        bias = decode_array(payload["bias"])
+        widths = (len(vocab),) if vocab else (0, EMBEDDING_DIM)
+        if weights.shape not in [(N_CLASSES, width) for width in widths] or \
+                bias.shape != (N_CLASSES,):
+            raise ValueError(
+                f"weights {list(weights.shape)} and bias {list(bias.shape)} do "
+                f"not fit a vocab of {len(vocab)}: expected [{N_CLASSES}, "
+                f"{' or '.join(map(str, widths))}] and [{N_CLASSES}]")
+        indices = list(vocab.values())
+        if not all(type(i) is int for i in indices) or \
+                sorted(indices) != list(range(len(indices))):
+            raise ValueError(f"vocab indices must be 0 to {len(indices) - 1}, "
+                             f"each once")
+        return cls(vocab=vocab, weights=weights, bias=bias,
                    stopwords=frozenset(payload.get("stopwords", ())))
 
 

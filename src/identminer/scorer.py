@@ -27,14 +27,6 @@ class ScoreParams:
     threshold: float = 0.35
     weighting: str = "simple"
 
-    def __post_init__(self):
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if not 0.0 <= self.threshold <= 1.0:
-            raise ValueError("threshold must be in [0, 1]")
-        if self.weighting not in WEIGHTINGS:
-            raise ValueError(f"weighting must be one of {WEIGHTINGS}")
-
 
 def score_description(tagged: Sequence[TaggedToken], match: QueryMatch,
                       lexicon: SelfReportLexicon,
@@ -100,8 +92,10 @@ def default_grid() -> list[ScoreParams]:
 
 def tune_params(tuning_set: Sequence[tuple[Sequence[TaggedToken], QueryMatch, bool]],
                 lexicon: SelfReportLexicon,
-                grid: Sequence[ScoreParams] | None = None) -> ScoreParams:
-    """Pick the grid point with the best precision of [score >= threshold].
+                grid: Sequence[ScoreParams] | None = None
+                ) -> tuple[ScoreParams, float, float]:
+    """Pick the grid point with the best precision of [score >= threshold];
+    returns it with its precision and recall on the tuning set.
 
     Ties break toward higher recall, then smaller window, then lower
     threshold, then simple weighting. Raises if no grid point predicts any
@@ -117,7 +111,6 @@ def tune_params(tuning_set: Sequence[tuple[Sequence[TaggedToken], QueryMatch, bo
     # scores do not depend on the threshold, so compute once per (window, weighting)
     score_cache: dict[tuple[int, str], list[float]] = {}
     best_key = None
-    best_params = None
     for params in grid:
         cache_key = (params.window, params.weighting)
         if cache_key not in score_cache:
@@ -132,10 +125,10 @@ def tune_params(tuning_set: Sequence[tuple[Sequence[TaggedToken], QueryMatch, bo
                WEIGHTINGS.index(params.weighting))
         if best_key is None or key < best_key:
             best_key = key
-            best_params = params
-    if best_params is None:
+            best = (params, precision, recall)
+    if best_key is None:
         raise ValueError("no grid point yields a positive prediction")
-    return best_params
+    return best
 
 
 def read_tuning_tsv(path) -> list[tuple[str, str, str]]:

@@ -21,10 +21,12 @@ from identminer.datasets import (LabeledUser, build_cb, build_hf, build_qb,
 from identminer.evaluation import accuracy, macro_f1
 from identminer.filters import (CLASS_ORDER, FILTER_NAMES, apply_filter_chain,
                                 find_query_matches)
-from identminer.models import (NameModel, TrainConfig, example_weights,
-                               inverse_class_weights, train_name_cnn,
-                               train_unigram)
-from identminer.models.namecnn import build_char_vocab, gradient_check, init_params
+from identminer.models.namecnn import (NameModel, build_char_vocab,
+                                       gradient_check, init_params,
+                                       train_name_cnn)
+from identminer.models.training import (TrainConfig, example_weights,
+                                        inverse_class_weights)
+from identminer.models.unigram import train_unigram
 from identminer.scorer import WEIGHTINGS, ScoreParams, score_description
 from identminer.textprep import build_selfreport_lexicon
 

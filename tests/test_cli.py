@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from identminer import cli
 from identminer.cli import main
 from identminer.datasets import LabeledUser, read_dataset_tsv, write_dataset_tsv
 from identminer.filters import CLASS_ORDER, FILTER_NAMES
@@ -332,7 +333,8 @@ def test_tune_invalid_grid_is_a_data_error(tmp_path, capsys):
     assert run("tune", "--config", str(config), "--corpus", str(corpus),
                "--tuning", str(tuning), "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
-    assert err == "identminer: data error: window must be >= 1\n"
+    assert err == ("identminer: data error: config key 'grid_windows' must be "
+                   "a list of integers >= 1, got [0]\n")
 
 
 # ---------------------------------------------------------------------------
@@ -1009,20 +1011,25 @@ def config_check_commands(tmp_path) -> dict[str, list[str]]:
     planted = write_jsonl(tmp_path / "corpus.jsonl", planted_payloads())
     tune_corpus, tuning = tune_fixture(tmp_path)
     group_corpus, data = tweet_group_fixture(tmp_path)
+    model = write_unigram_model(tmp_path / "model.json", {"alpha": 0}, 1)
     return {
         "lexicon-build": ["lexicon-build", "--corpus", str(planted)],
         "dataset-build": ["dataset-build", "--kind", "cb",
                           "--corpus", str(planted)],
         "tune": ["tune", "--corpus", str(tune_corpus),
                  "--tuning", str(tuning)],
-        "train": ["train", "--model", "unigram", "--corpus", str(group_corpus),
+        # the unigram model by default, so that a config "model" applies
+        "train": ["train", "--corpus", str(group_corpus),
                   "--train-data", str(data)],
+        "evaluate": ["evaluate", "--model-file", str(model),
+                     "--corpus", str(group_corpus), "--test-data", str(data)],
         "analyze": ["analyze", "--corpus", str(group_corpus),
                     "--data", str(data)],
     }
 
 
-@pytest.mark.parametrize("command,key,value", [
+# new rows go at the end: a list or float value's test id holds its index
+BAD_CONFIG_VALUES = [
     ("tune", "grid_windows", ["a"]),
     ("tune", "grid_thresholds", [0.1, "0.2"]),
     ("tune", "grid_weightings", "simple"),
@@ -1053,17 +1060,56 @@ def config_check_commands(tmp_path) -> dict[str, list[str]]:
     ("train", "epochs", True),
     ("train", "epochs", 0),
     ("train", "learning_rate", 0),
-])
-def test_bad_config_value_is_a_data_error(tmp_path, capsys, command, key,
-                                          value):
+    ("dataset-build", "window", 0),
+    ("tune", "window", 0),  # a key the command does not read
+    ("train", "batch_size", 0),
+    ("dataset-build", "threshold", 1.5),
+    ("dataset-build", "threshold", -0.1),
+    ("train", "learning_rate", -0.5),
+    ("train", "l2_strength", -1e-9),
+    ("train", "l2_strength", float("inf")),
+    ("train", "instance_downweight", 0.0),
+    ("train", "instance_downweight", 1.5),
+    ("train", "instance_downweight", 2),
+    ("dataset-build", "weighting", "log"),
+    ("evaluate", "setting", "mystery"),
+    ("train", "model", "x"),
+    ("analyze", "kind", "xx"),
+    ("dataset-build", "filters", ["sparkle"]),
+    ("tune", "filters", ["colour"]),
+    ("tune", "grid_windows", [0]),
+    ("tune", "grid_thresholds", [2]),
+    ("tune", "grid_weightings", ["x"]),
+    ("lexicon-build", "epochs", 0),
+]
+
+
+def assert_bad_config_exits_2(tmp_path, capsys, command, key, value):
     config = write_config(tmp_path, "cfg.json", **{key: value})
     argv = config_check_commands(tmp_path)[command]
-    assert run(*argv, "--config", str(config),
-               "--out", str(tmp_path / "out")) == 2
+    out = tmp_path / "out"
+    assert run(*argv, "--config", str(config), "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert err.startswith("identminer: data error: ")
+    assert err.startswith(f"identminer: data error: config key {key!r} "
+                          f"must be ")
     assert err.count("\n") == 1 and err.endswith("\n")
-    assert key in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,key,value", BAD_CONFIG_VALUES)
+def test_bad_config_value_is_a_data_error(tmp_path, capsys, command, key,
+                                          value):
+    assert_bad_config_exits_2(tmp_path, capsys, command, key, value)
+
+
+@pytest.mark.parametrize("command,key,value", BAD_CONFIG_VALUES)
+def test_bad_config_value_fails_before_the_corpus_is_read(
+        tmp_path, capsys, monkeypatch, command, key, value):
+    def refuse(path):
+        raise AssertionError(f"corpus {path} read before the config check")
+
+    monkeypatch.setattr(cli, "_load_corpus", refuse)
+    assert_bad_config_exits_2(tmp_path, capsys, command, key, value)
 
 
 def bad_input_commands(tmp_path) -> dict[str, list[str]]:
@@ -1116,6 +1162,34 @@ def bad_input_commands(tmp_path) -> dict[str, list[str]]:
         for defect, data in weights.items()}
     listed = tmp_path / "listed.json"
     listed.write_text("[1, 2]", encoding="utf-8")
+    # a name model over the characters a and b, then the defects of
+    # MODEL_DEFECTS planted in it or in a unigram model
+    import numpy as np
+    from identminer.models.namecnn import NameModel, init_params
+    from identminer.models.training import encode_array
+    name = NameModel(char_vocab={"a": 2, "b": 3}, params=init_params(4, 5, 0),
+                     meta_dim=5).to_dict()
+    named = {
+        "name-missing-tensor": {**name, "params": {
+            key: entry for key, entry in name["params"].items()
+            if key != "Wc"}},
+        "name-tensor-shape": {**name, "params": {
+            **name["params"], "b2": encode_array(np.zeros(3))}},
+        "name-char-id": {**name, "char_vocab": {"a": 2, "b": 4}},
+        "name-max-len": {**name, "max_len": "x"},
+    }
+    model_defects = {
+        **{defect: tmp_path / f"{defect}.json" for defect in named},
+        "unigram-weights-shape": write_unigram_model(
+            tmp_path / "wide.json", {"hi": 0}, 2),
+        "unigram-bias-shape": write_unigram_model(
+            tmp_path / "bias.json", {"hi": 0}, 1,
+            bias=encode_array(np.zeros(3))),
+        "unigram-vocab-index": write_unigram_model(
+            tmp_path / "index.json", {"hi": 1}, 1),
+    }
+    for defect, payload in named.items():
+        model_defects[defect].write_text(json.dumps(payload), encoding="utf-8")
     evaluate = ["evaluate", "--test-data", str(data), "--corpus",
                 str(group_corpus)]
     # the eight fixture rows, then w0 again or a row whose score is nan
@@ -1172,7 +1246,31 @@ def bad_input_commands(tmp_path) -> dict[str, list[str]]:
         **{f"evaluate-model-array-{defect}": [*evaluate, "--model-file",
                                               str(path)]
            for defect, path in bad_arrays.items()},
+        **{f"evaluate-model-{defect}": [*evaluate, "--model-file", str(path)]
+           for defect, path in model_defects.items()},
     }
+
+
+# defect planted in a model file -> what the data error says
+MODEL_DEFECTS = {
+    "name-missing-tensor": "params have shapes {'E': [4, 256], 'bc': [256], "
+                           "'W1': [261, 256], 'b1': [256], 'W2': [256, 4], "
+                           "'b2': [4]}, expected {'E': [4, 256], 'Wc': "
+                           "[256, 768], 'bc': [256], 'W1': [261, 256], "
+                           "'b1': [256], 'W2': [256, 4], 'b2': [4]}",
+    "name-tensor-shape": "params have shapes {'E': [4, 256], 'Wc': [256, 768], "
+                         "'bc': [256], 'W1': [261, 256], 'b1': [256], "
+                         "'W2': [256, 4], 'b2': [3]}, expected {'E': [4, 256], "
+                         "'Wc': [256, 768], 'bc': [256], 'W1': [261, 256], "
+                         "'b1': [256], 'W2': [256, 4], 'b2': [4]}",
+    "name-char-id": "char_vocab ids must be 2 to 3, each once",
+    "name-max-len": "max_len 'x' is not an integer >= 1",
+    "unigram-weights-shape": "weights [4, 2] and bias [4] do not fit a vocab "
+                             "of 1: expected [4, 1] and [4]",
+    "unigram-bias-shape": "weights [4, 1] and bias [3] do not fit a vocab of "
+                          "1: expected [4, 1] and [4]",
+    "unigram-vocab-index": "vocab indices must be 0 to 0, each once",
+}
 
 
 @pytest.mark.parametrize("case", [
@@ -1186,6 +1284,7 @@ def bad_input_commands(tmp_path) -> dict[str, list[str]]:
       for defect in ("truncated", "miscounted", "not-string")],
     *[f"{command}-data-{defect}" for command in ("train", "evaluate", "analyze")
       for defect in ("repeated-id", "nonfinite-score")],
+    *[f"evaluate-model-{defect}" for defect in MODEL_DEFECTS],
 ])
 def test_malformed_input_file_is_a_data_error(tmp_path, capsys, case):
     argv = bad_input_commands(tmp_path)[case]
@@ -1212,6 +1311,10 @@ def test_malformed_input_file_is_a_data_error(tmp_path, capsys, case):
         assert "needs 24576 bytes, got 8" in err
     if case.endswith("not-string"):
         assert "must be a base64 string, not list" in err
+    defect = case.removeprefix("evaluate-model-")
+    if defect in MODEL_DEFECTS:
+        assert err == (f"identminer: data error: bad model file: "
+                       f"{MODEL_DEFECTS[defect]}\n")
     assert not out.exists()
 
 
@@ -1304,6 +1407,14 @@ def test_usage_errors_exit_1():
     with pytest.raises(SystemExit) as exc:
         main(["no-such-command", "--out", "x"])
     assert exc.value.code == 1
+    # a flag value outside its choices
+    for argv in (["dataset-build", "--kind", "xx"],
+                 ["dataset-build", "--weighting", "log"],
+                 ["train", "--model", "x"],
+                 ["evaluate", "--setting", "mystery"]):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", "x"])
+        assert exc.value.code == 1
 
 
 def test_console_script_runs_with_logging(tmp_path):

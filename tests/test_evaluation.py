@@ -6,7 +6,7 @@ from identminer.evaluation import (EvalReport, accuracy, confusion_matrix,
                                    evaluate, format_report_table, macro_f1,
                                    per_class_accuracy)
 from identminer.filters import CLASS_ORDER
-from identminer.models import MajorityBaseline, RandomBaseline
+from identminer.models.baselines import MajorityBaseline, RandomBaseline
 
 from helpers import skewed_labels
 
@@ -148,9 +148,7 @@ def test_evaluate_random_baseline_keeps_per_example_draws():
                                                 draws)
 
 
-def test_evaluate_rejects_unknown_setting_and_empty():
-    with pytest.raises(ValueError):
-        evaluate(_Echo(), [(W, W)], setting="mystery")
+def test_evaluate_rejects_empty_set():
     with pytest.raises(ValueError):
         evaluate(_Echo(), [])
 

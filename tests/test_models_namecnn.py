@@ -2,14 +2,15 @@ import numpy as np
 import pytest
 
 from identminer.filters import CLASS_ORDER
-from identminer.models import (NameModel, TrainConfig, load_model, save_model,
-                               train_name_cnn)
+from identminer.models import load_model, save_model
 from identminer.models.namecnn import (EMBED_DIM, FILTER_WIDTH, MAX_NAME_LEN,
-                                       OOV_INDEX, PAD_INDEX, build_char_vocab,
-                                       encode_names, gradient_check,
-                                       init_params, loss_and_grads,
-                                       loss_only)
-from identminer.models.training import label_indices, one_hot, softmax
+                                       OOV_INDEX, PAD_INDEX, NameModel,
+                                       build_char_vocab, encode_names,
+                                       gradient_check, init_params,
+                                       loss_and_grads, loss_only,
+                                       train_name_cnn)
+from identminer.models.training import (TrainConfig, label_indices, one_hot,
+                                        softmax)
 
 W, B, HL, A = CLASS_ORDER
 
@@ -241,7 +242,7 @@ def test_name_model_round_trip(tmp_path):
     assert back.char_vocab == model.char_vocab
     assert back.meta_dim == model.meta_dim
     for key in model.params:
-        assert np.array_equal(back.params[key], model.params[key])
+        assert back.params[key].tobytes() == model.params[key].tobytes()
     probs_a = model.predict(("abc", np.zeros(5)))[1]
     probs_b = back.predict(("abc", np.zeros(5)))[1]
     assert np.array_equal(probs_a, probs_b)

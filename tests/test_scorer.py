@@ -5,8 +5,8 @@ import pytest
 
 from identminer.filters import ClassLabel, QueryMatch, find_query_matches
 from identminer.scorer import (WEIGHTINGS, ScoreParams, default_grid,
-                               read_tuning_tsv, score_description,
-                               tune_params)
+                               precision_recall, read_tuning_tsv,
+                               score_description, tune_params)
 from identminer.textprep import SelfReportLexicon, build_selfreport_lexicon
 
 from helpers import make_user, tag, tag_lexicon
@@ -105,15 +105,6 @@ def test_score_empty_lexicon_errors():
     tagged = tag("black farmer")
     with pytest.raises(ValueError):
         score_description(tagged, match_at(tagged, 0), lexicon, ScoreParams())
-
-
-def test_score_params_validation():
-    with pytest.raises(ValueError):
-        ScoreParams(window=0)
-    with pytest.raises(ValueError):
-        ScoreParams(threshold=1.5)
-    with pytest.raises(ValueError):
-        ScoreParams(weighting="log")
 
 
 # ---------------------------------------------------------------------------
@@ -238,17 +229,23 @@ def build_tuning_fixture():
 
 def test_tune_params_prefers_precision_then_recall_then_smallest():
     tuning_set, lexicon = build_tuning_fixture()
-    best = tune_params(tuning_set, lexicon)
+    best, precision, recall = tune_params(tuning_set, lexicon)
     # positives score >= 1.0, negatives 0.0: many grid points are perfect,
     # and the tie-break picks the smallest window and threshold, simple first
-    assert (best.window, best.threshold, best.weighting) == (1, 0.05, "simple")
+    assert best == ScoreParams(1, 0.05, "simple")
+    assert (precision, recall) == (1.0, 1.0)
 
 
 def test_tune_params_custom_grid():
     tuning_set, lexicon = build_tuning_fixture()
     grid = [ScoreParams(4, 0.9, "simple"), ScoreParams(4, 0.3, "simple")]
-    best = tune_params(tuning_set, lexicon, grid)
-    assert best.threshold == 0.3
+    best, precision, recall = tune_params(tuning_set, lexicon, grid)
+    assert best == grid[1]
+    # the same figures as scoring the tuning set again under the winner
+    scores = [score_description(tagged, match, lexicon, best)
+              for tagged, match, _ in tuning_set]
+    assert (precision, recall) == precision_recall(
+        scores, [label for _, _, label in tuning_set], best.threshold)
 
 
 def test_tune_params_needs_both_label_kinds():
