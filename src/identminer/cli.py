@@ -27,8 +27,8 @@ from .datasets import (build_cb, hf_users, merge_candidates, qb_users,
 from .evaluation import SETTINGS, evaluate, format_report_table
 from .filters import CLASS_ORDER, FILTER_ALIASES, FILTER_NAMES, enabled_filters
 from .ingest import ParseFailure, UserRecord, dedupe_latest, load_users
-# the numeric model modules (numpy, scipy) are imported only in the train
-# and evaluate branches that use them
+# the numpy model modules are imported only in the train and evaluate
+# branches that use them
 from .models import baseline_majority, baseline_random, load_model, save_model
 from .scorer import (GRID_THRESHOLDS, GRID_WINDOWS, WEIGHTINGS, ScoreParams,
                      read_tuning_tsv, score_grid, tune_params)
@@ -110,6 +110,10 @@ def _list_of(check):
     return lambda value: isinstance(value, list) and all(map(check, value))
 
 
+def _non_empty_list_of(check):
+    return lambda value: _list_of(check)(value) and len(value) > 0
+
+
 def _in(names):
     return lambda value: value in names
 
@@ -139,12 +143,14 @@ CONFIG_RULES = (
     (f"one of {_names(DATASET_KINDS)} or null", _in((*DATASET_KINDS, None)),
      ("kind",)),
     ("a string or null", lambda v: v is None or _is_str(v), _PATH_KEYS),
-    ("a list of integers >= 1", _list_of(_is_count),
-     ("grid_windows", "tau_ks")),
-    ("a list of numbers in [0, 1]", _list_of(_is_fraction),
-     ("grid_thresholds",)),
-    (f"a list of names from {_names(WEIGHTINGS)}", _list_of(_in(WEIGHTINGS)),
-     ("grid_weightings",)),
+    ("a list of integers >= 1", _list_of(_is_count), ("tau_ks",)),
+    # an empty tuning grid has no point to choose
+    ("a non-empty list of integers >= 1", _non_empty_list_of(_is_count),
+     ("grid_windows",)),
+    ("a non-empty list of numbers in [0, 1]",
+     _non_empty_list_of(_is_fraction), ("grid_thresholds",)),
+    (f"a non-empty list of names from {_names(WEIGHTINGS)}",
+     _non_empty_list_of(_in(WEIGHTINGS)), ("grid_weightings",)),
     (f"a list of names from {_names((*FILTER_NAMES, *FILTER_ALIASES))}",
      _list_of(_is_filter), ("filters",)),
 )

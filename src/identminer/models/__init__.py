@@ -3,11 +3,11 @@ a character-CNN over display names plus profile metadata, and the random /
 majority baselines. All training is deterministic given (data order, seed,
 config).
 
-Only the baselines load with this package. The numpy/scipy submodules
-(features, namecnn, training, unigram) are imported from their own module
-paths where they are used, and load_model imports the one a saved kind
-needs, so the baseline and description-path subcommands never import numpy. The name model needs scipy
-only to train, so evaluating it loads numpy alone.
+Only the baselines load with this package. The numpy submodules (features,
+namecnn, training, unigram) are imported from their own module paths where
+they are used, and load_model imports the one a saved kind needs, so the
+baseline and description-path subcommands never import numpy. No model
+needs more than numpy, to train or to predict.
 
 save_model writes a model as one JSON object (sorted keys, one line). The
 unigram and name models are at format version 2: each array is stored as

@@ -1,16 +1,17 @@
-"""Feature extraction: bag-of-words vocab and sparse count vectors over a
+"""Feature extraction: bag-of-words vocab and sparse count rows over a
 user's recent tweets, and import of externally computed per-user
 embeddings.
 
 Each user's tweets are tokenized once, into a word Counter (user_word_counts);
-the vocabulary and the feature vectors are both built from those counters."""
+the vocabulary and the count rows are both built from those counters. A count
+row is a pair of arrays, the sorted vocab indices of the user's words and
+their float64 counts; unigram.stack_rows joins many into one CSR matrix."""
 from __future__ import annotations
 
 from collections import Counter
 from typing import Iterable
 
 import numpy as np
-from scipy import sparse
 
 from ..ingest import UserRecord
 from ..textprep import WORD_KINDS, tokenize
@@ -41,15 +42,16 @@ def build_vocab(word_counts: Iterable[Counter], min_count: int = 2,
     return {word: i for i, word in enumerate(kept)}
 
 
-def featurize_user(word_counts: Counter, vocab: dict[str, int]) -> sparse.csr_matrix:
-    """1 x |vocab| token-count vector from one user's word counts; words
+def featurize_user(word_counts: Counter, vocab: dict[str, int]
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The count row of one user's word counts: the sorted vocab indices of
+    the words in the vocabulary (int64) and their counts (float64); words
     outside the vocabulary are dropped."""
     by_col = {vocab[word]: count for word, count in word_counts.items()
               if word in vocab}
     cols = sorted(by_col)
-    data = [float(by_col[col]) for col in cols]
-    return sparse.csr_matrix((data, (np.zeros(len(cols), dtype=np.int64), cols)),
-                             shape=(1, len(vocab)))
+    return (np.array(cols, dtype=np.int64),
+            np.array([by_col[col] for col in cols], dtype=np.float64))
 
 
 def read_embeddings(path) -> dict[str, np.ndarray]:

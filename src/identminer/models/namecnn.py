@@ -10,14 +10,13 @@ finite differences.
 The convolution is computed as 2D GEMMs over the flattened (batch x window)
 axis (im2col; Chellapilla, Puri & Simard 2006): the forward pass, the filter
 gradient and the window-input gradient are each one BLAS matrix product, and
-the embedding gradient is a one-hot sparse matrix product. A batch is padded
+the embedding gradient is one np.bincount scatter-add. A batch is padded
 to its longest name, but windows that start in the padding are masked out of
 the max-pool, so a name's probabilities do not depend on the other names in
 its batch.
 
-That sparse product is the module's only use of scipy, so scipy is imported
-inside loss_and_grads: loading and predicting with a saved model needs numpy
-alone. The profile metadata vector (name_meta_features) is built here too.
+Training, loading and predicting need numpy alone. The profile metadata
+vector (name_meta_features) is built here too.
 """
 from __future__ import annotations
 
@@ -158,12 +157,21 @@ def loss_only(params: dict, ids: np.ndarray, metas: np.ndarray,
     return loss
 
 
+def scatter_add_rows(index: np.ndarray, rows: np.ndarray,
+                     n_rows: int) -> np.ndarray:
+    """(n_rows, d) sums of rows[j] into row index[j]. One flattened bincount
+    adds them in j order from 0.0, as the one-hot (n_rows, len(index)) CSC
+    matrix product with rows does, so the sums are the same bit for bit.
+    (np.bincount of no entries gives integer zeros, whatever the weights.)"""
+    width = rows.shape[1]
+    sums = np.bincount((index[:, None] * width + np.arange(width)).ravel(),
+                       weights=rows.ravel(), minlength=n_rows * width)
+    return sums.astype(np.float64, copy=False).reshape(n_rows, width)
+
+
 def loss_and_grads(params: dict, ids: np.ndarray, metas: np.ndarray,
                    y_idx: np.ndarray, sample_weights: np.ndarray,
                    l2: float) -> tuple[float, dict[str, np.ndarray]]:
-    # scipy loads with the first training step, so prediction never loads it
-    from scipy import sparse
-
     logits, cache = _forward(params, ids, metas)
     loss, probs = _loss_from_logits(logits, y_idx, sample_weights, params, l2)
 
@@ -190,13 +198,10 @@ def loss_and_grads(params: dict, ids: np.ndarray, metas: np.ndarray,
     grads["bc"] = dH_active.sum(axis=0)
     grads["Wc"] = dZ.T @ cache["X_win"] + l2 * params["Wc"]
     dX_win = dZ @ params["Wc"]  # (B*P, 3*De)
-    # scatter-add every window slot's gradient into its character's
-    # embedding row as a one-hot (V, B*P*3) sparse matrix product
-    slots = cache["windows"].ravel()
-    one_hot_slots = sparse.csc_matrix(
-        (np.ones(slots.size), slots, np.arange(slots.size + 1)),
-        shape=(params["E"].shape[0], slots.size))
-    grads["E"] = one_hot_slots @ dX_win.reshape(-1, EMBED_DIM)
+    # every window slot's gradient goes to its character's embedding row
+    grads["E"] = scatter_add_rows(cache["windows"].ravel(),
+                                  dX_win.reshape(-1, EMBED_DIM),
+                                  params["E"].shape[0])
     return loss, grads
 
 

@@ -1,18 +1,82 @@
-"""Multinomial logistic regression over sparse unigram counts, trained with
-weighted cross-entropy, L2 regularization, and mini-batch gradient descent."""
+"""Multinomial logistic regression over unigram count rows (or dense
+embedding rows), trained with weighted cross-entropy, L2 regularization, and
+mini-batch gradient descent.
+
+Count rows (features.featurize_user) are stacked once into a CSR triple
+(indptr, indices, data); a mini-batch is a take_rows of it. Its products are
+np.bincount sums in CSR order: every output entry adds the same float64
+products, in the same order and from 0.0, as the CSR (X @ M) and CSC
+(X.T @ M) matrix-vector loops of sparse libraries such as scipy's, so a
+trained model has the bytes those loops would give it."""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy import sparse
 
 from ..filters import CLASS_ORDER, ClassLabel
 from .features import EMBEDDING_DIM
 from .training import (N_CLASSES, TrainConfig, argmax_labels, decode_array,
                        encode_array, example_weights, inverse_class_weights,
                        label_indices, one_hot, softmax)
+
+
+def stack_rows(rows: Sequence) -> tuple | np.ndarray:
+    """One matrix of feature rows: the CSR triple (indptr, indices, data) of
+    count rows, or the (n, d) stack of dense rows."""
+    if not isinstance(rows[0], tuple):
+        return np.vstack([np.atleast_2d(np.asarray(row, dtype=np.float64))
+                          for row in rows])
+    indptr = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum([len(cols) for cols, _ in rows], out=indptr[1:])
+    return (indptr, np.concatenate([cols for cols, _ in rows]),
+            np.concatenate([counts for _, counts in rows]))
+
+
+def take_rows(X, rows: np.ndarray):
+    """The given rows of a CSR triple or dense matrix, in the order given."""
+    if not isinstance(X, tuple):
+        return X[rows]
+    indptr, indices, data = X
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    taken = np.zeros(len(rows) + 1, dtype=np.int64)
+    np.cumsum(lengths, out=taken[1:])
+    # each kept entry's position in X: its row's start plus its offset there
+    at = np.repeat(starts - taken[:-1], lengths) + np.arange(taken[-1])
+    return taken, indices[at], data[at]
+
+
+def _row_ids(indptr: np.ndarray) -> np.ndarray:
+    return np.repeat(np.arange(len(indptr) - 1), np.diff(indptr))
+
+
+def _columns(sums: list[np.ndarray]) -> np.ndarray:
+    # np.bincount of no entries gives integer zeros, whatever the weights
+    return np.stack(sums, axis=1).astype(np.float64, copy=False)
+
+
+def matmul(X, M: np.ndarray) -> np.ndarray:
+    """X @ M, (n, k), for a CSR triple or dense (n, V) X and a dense (V, k)
+    M."""
+    if not isinstance(X, tuple):
+        return X @ M
+    indptr, indices, data = X
+    rows, n = _row_ids(indptr), len(indptr) - 1
+    return _columns([np.bincount(rows, weights=data * column[indices],
+                                 minlength=n) for column in M.T])
+
+
+def matmul_t(X, M: np.ndarray, width: int) -> np.ndarray:
+    """X.T @ M, (width, k), for a CSR triple or dense (n, width) X and a
+    dense (n, k) M."""
+    if not isinstance(X, tuple):
+        return X.T @ M
+    indptr, indices, data = X
+    rows = _row_ids(indptr)
+    return _columns([np.bincount(indices, weights=data * column[rows],
+                                 minlength=width) for column in M.T])
 
 
 @dataclass
@@ -22,27 +86,21 @@ class UnigramModel:
     bias: np.ndarray  # (4,)
     stopwords: frozenset[str] = frozenset()
 
-    def _logits(self, X) -> np.ndarray:
-        if sparse.issparse(X):
-            return np.asarray(X @ self.weights.T) + self.bias
-        return np.atleast_2d(X) @ self.weights.T + self.bias
-
     def predict_proba_matrix(self, X) -> np.ndarray:
-        return softmax(self._logits(X))
+        """Class probabilities of each row of a stack_rows matrix."""
+        return softmax(matmul(X, self.weights.T) + self.bias)
 
     def predict_proba(self, features) -> np.ndarray:
-        return self.predict_proba_matrix(features)[0]
+        return self.predict_proba_matrix(stack_rows([features]))[0]
 
     def predict(self, features) -> tuple[ClassLabel, np.ndarray]:
         probs = self.predict_proba(features)
         return CLASS_ORDER[int(np.argmax(probs))], probs
 
     def predict_batch(self, features: Sequence) -> list[ClassLabel]:
-        """Labels of many feature rows (sparse count rows or dense embedding
+        """Labels of many feature rows (count rows or dense embedding
         vectors) from one matrix product."""
-        rows = (sparse.vstack(features, format="csr")
-                if sparse.issparse(features[0]) else np.vstack(features))
-        return argmax_labels(self.predict_proba_matrix(rows))
+        return argmax_labels(self.predict_proba_matrix(stack_rows(features)))
 
     FORMAT_VERSION = 2
 
@@ -82,8 +140,9 @@ class UnigramModel:
 
 def weighted_ce_loss(weights: np.ndarray, bias: np.ndarray, X, y_idx: np.ndarray,
                      sample_weights: np.ndarray, l2: float) -> float:
-    """Weighted-mean cross-entropy plus 0.5 * l2 * ||W||^2 (bias unpenalized)."""
-    logits = np.asarray(X @ weights.T) + bias
+    """Weighted-mean cross-entropy plus 0.5 * l2 * ||W||^2 (bias unpenalized)
+    of a stack_rows matrix X."""
+    logits = matmul(X, weights.T) + bias
     probs = softmax(logits)
     picked = np.clip(probs[np.arange(len(y_idx)), y_idx], 1e-300, None)
     ce = -(sample_weights * np.log(picked)).sum() / sample_weights.sum()
@@ -93,9 +152,10 @@ def weighted_ce_loss(weights: np.ndarray, bias: np.ndarray, X, y_idx: np.ndarray
 def train_unigram(train, config: TrainConfig,
                   vocab: dict[str, int] | None = None,
                   stopwords: frozenset[str] = frozenset()) -> UnigramModel:
-    """train: sequence of (features, label, source) with features one row of
-    counts each (sparse 1 x V or dense). Weights start at zero; the objective
-    is convex so the seed only orders mini-batches."""
+    """train: sequence of (features, label, source) with features one count
+    row each (over vocab, which count rows need) or one dense row each.
+    Weights start at zero; the objective is convex so the seed only orders
+    mini-batches."""
     if not train:
         raise ValueError("empty training set")
     feats = [item[0] for item in train]
@@ -103,12 +163,10 @@ def train_unigram(train, config: TrainConfig,
     sources = [item[2] for item in train]
     if len(set(labels)) < 2:
         raise ValueError("training set has a single class")
-    if sparse.issparse(feats[0]):
-        X = sparse.vstack(feats, format="csr")
-    else:
-        X = np.vstack([np.atleast_2d(np.asarray(f, dtype=np.float64)) for f in feats])
+    X = stack_rows(feats)
+    n = len(feats)
+    n_features = len(vocab) if isinstance(X, tuple) else X.shape[1]
     y_idx = label_indices(labels)
-    n, n_features = X.shape
 
     sample_weights = example_weights(labels, sources,
                                      inverse_class_weights(labels),
@@ -122,12 +180,12 @@ def train_unigram(train, config: TrainConfig,
         order = rng.permutation(n)
         for start in range(0, n, config.batch_size):
             batch = order[start:start + config.batch_size]
-            Xb = X[batch]
-            # sparse and dense rows take the same products
-            probs = softmax(np.asarray(Xb @ W.T) + b)
+            Xb = take_rows(X, batch)
+            probs = softmax(matmul(Xb, W.T) + b)
             wb = sample_weights[batch]
             delta = (probs - Y[batch]) * wb[:, None] / wb.sum()
-            grad_W = np.asarray(Xb.T @ delta).T + config.l2_strength * W
+            grad_W = (matmul_t(Xb, delta, n_features).T
+                      + config.l2_strength * W)
             grad_b = delta.sum(axis=0)
             W -= config.learning_rate * grad_W
             b -= config.learning_rate * grad_b

@@ -334,7 +334,7 @@ def test_tune_invalid_grid_is_a_data_error(tmp_path, capsys):
                "--tuning", str(tuning), "--out", str(tmp_path / "out")) == 2
     err = capsys.readouterr().err
     assert err == ("identminer: data error: config key 'grid_windows' must be "
-                   "a list of integers >= 1, got [0]\n")
+                   "a non-empty list of integers >= 1, got [0]\n")
 
 
 # ---------------------------------------------------------------------------
@@ -579,11 +579,11 @@ def test_evaluate_name_model_loads_numpy_but_not_scipy(tmp_path):
                           min_char_count=1)
     model_dir = tmp_path / "train"
     inputs = ["--corpus", str(corpus), "--config", str(config)]
-    # each probe is a fresh process: training loads scipy for its gradients
+    # each probe is a fresh process
     trained = modules_loaded_by([("train namecnn", [
         "train", "--model", "namecnn", *inputs, "--train-data", str(data),
         "--out", str(model_dir)])])
-    assert trained["train namecnn"] == ["numpy", "scipy"]
+    assert trained["train namecnn"] == ["numpy"]
     loaded = modules_loaded_by([("evaluate namecnn", [
         "evaluate", "--model-file", str(model_dir / "model.json"), *inputs,
         "--test-data", str(data), "--out", str(tmp_path / "eval")])])
@@ -591,6 +591,39 @@ def test_evaluate_name_model_loads_numpy_but_not_scipy(tmp_path):
                       "evaluate namecnn": ["numpy"]}
     assert json.loads((tmp_path / "eval" / "eval_result.json")
                       .read_text())["n"] == 8
+
+
+def test_no_train_or_evaluate_loads_scipy(tmp_path):
+    corpus, data = tweet_group_fixture(tmp_path)
+    config = write_config(tmp_path, "cfg.json", epochs=2, batch_size=8,
+                          min_char_count=1, min_count=1)
+    embeddings = tmp_path / "embeddings.tsv"
+    embeddings.write_text("".join(
+        f"{user.user_id}\t" + " ".join([str(i % 7 / 7)] * 768) + "\n"
+        for i, user in enumerate(read_dataset_tsv(data))),
+        encoding="utf-8")
+    inputs = ["--corpus", str(corpus), "--config", str(config)]
+    commands = []
+    for name, model, extra in (
+            ("unigram", "unigram", []),
+            ("unigram embeddings", "unigram",
+             ["--embeddings", str(embeddings)]),
+            ("namecnn", "namecnn", []),
+            ("baseline-majority", "baseline-majority", []),
+            ("baseline-random", "baseline-random", [])):
+        model_file = tmp_path / f"train {name}" / "model.json"
+        commands += [
+            (f"train {name}", ["train", "--model", model, *inputs, *extra,
+                               "--train-data", str(data),
+                               "--out", str(model_file.parent)]),
+            (f"evaluate {name}", ["evaluate", *inputs, *extra,
+                                  "--model-file", str(model_file),
+                                  "--test-data", str(data),
+                                  "--out", str(tmp_path / f"eval {name}")]),
+        ]
+    loaded = modules_loaded_by(commands)
+    assert list(loaded) == ["import identminer.cli"] + [n for n, _ in commands]
+    assert not [name for name, modules in loaded.items() if "scipy" in modules]
 
 
 # ---------------------------------------------------------------------------
@@ -1081,6 +1114,9 @@ BAD_CONFIG_VALUES = [
     ("tune", "grid_thresholds", [2]),
     ("tune", "grid_weightings", ["x"]),
     ("lexicon-build", "epochs", 0),
+    ("tune", "grid_windows", []),
+    ("tune", "grid_thresholds", []),
+    ("tune", "grid_weightings", []),
 ]
 
 

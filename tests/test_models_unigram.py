@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
-from scipy import sparse
 
 from identminer.filters import CLASS_ORDER, ClassLabel
 from identminer.models import load_model, save_model
@@ -29,6 +28,16 @@ from helpers import make_tweet, make_user, make_profile
 W, B, HL, A = CLASS_ORDER
 
 
+# the vocab of the count rows separable_items(dense=False) gives
+VOCAB4 = {"alpha": 0, "beta": 1, "gamma": 2, "delta": 3}
+
+
+def count_row(row: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The count row (sorted nonzero columns, their values) of a dense row."""
+    cols = np.flatnonzero(row)
+    return cols, row[cols].astype(np.float64)
+
+
 def separable_items(per_class=10, dense=True, source="crowd"):
     items = []
     for c, label in enumerate(CLASS_ORDER):
@@ -36,7 +45,7 @@ def separable_items(per_class=10, dense=True, source="crowd"):
             row = np.zeros(4)
             row[c] = 1.0
             if not dense:
-                row = sparse.csr_matrix(row)
+                row = count_row(row)
             items.append((row, label, source))
     return items
 
@@ -116,11 +125,11 @@ def test_train_unigram_fits_separable_data():
 @pytest.mark.parametrize("dense", [True, False])
 def test_unigram_predict_batch_matches_per_row_predict(dense):
     config = TrainConfig(learning_rate=0.5, epochs=5, seed=0, batch_size=8)
-    model = train_unigram(separable_items(dense=dense), config)
+    model = train_unigram(separable_items(dense=dense), config, vocab=VOCAB4)
     rng = np.random.default_rng(1)
     rows = [rng.poisson(1.0, size=4).astype(float) for _ in range(30)]
     if not dense:
-        rows = [sparse.csr_matrix(row) for row in rows]
+        rows = [count_row(row) for row in rows]
     assert model.predict_batch(rows) == [model.predict(row)[0] for row in rows]
 
 
@@ -170,7 +179,7 @@ def test_train_unigram_downweight_matters_with_mixed_sources():
 def test_train_unigram_sparse_matches_dense():
     config = TrainConfig(epochs=10, batch_size=8, seed=3)
     dense = train_unigram(separable_items(dense=True), config)
-    sp = train_unigram(separable_items(dense=False), config)
+    sp = train_unigram(separable_items(dense=False), config, vocab=VOCAB4)
     assert np.allclose(dense.weights, sp.weights)
     assert np.allclose(dense.bias, sp.bias)
 
@@ -358,16 +367,21 @@ def test_featurize_user_counts():
     vocab = build_vocab(vocab_counts(), min_count=2,
                         stopwords=frozenset({"the"}))
     first, second = vocab_counts()
-    row = featurize_user(first, vocab)
-    assert row.shape == (1, 3)
-    assert row.toarray().tolist() == [[2.0, 1.0, 1.0]]
-    assert featurize_user(second, vocab).toarray().tolist() == [[1.0, 1.0, 1.0]]
+    cols, counts = featurize_user(first, vocab)
+    assert cols.dtype == np.int64 and counts.dtype == np.float64
+    assert cols.tolist() == [0, 1, 2] and counts.tolist() == [2.0, 1.0, 1.0]
+    cols, counts = featurize_user(second, vocab)
+    assert cols.tolist() == [0, 1, 2] and counts.tolist() == [1.0, 1.0, 1.0]
+    # columns come sorted, whatever order the counter holds the words in
+    cols, counts = featurize_user({"gaming": 3, "brunch": 4}, vocab)
+    assert cols.tolist() == [0, 1] and counts.tolist() == [4.0, 3.0]
 
 
 def test_featurize_user_ignores_oov():
     counts = user_word_counts(make_user("x", tweets=(make_tweet("nothing known"),)))
-    row = featurize_user(counts, {"brunch": 0})
-    assert row.toarray().tolist() == [[0.0]]
+    cols, counts = featurize_user(counts, {"brunch": 0})
+    assert cols.dtype == np.int64 and counts.dtype == np.float64
+    assert cols.size == 0 and counts.size == 0
 
 
 def test_name_meta_features_vector():
