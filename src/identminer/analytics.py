@@ -24,16 +24,12 @@ class _Discard:
 DISCARD = _Discard()
 
 
-def _texts(tokens: Sequence) -> list[str]:
-    return [tok.text if isinstance(tok, Token) else str(tok) for tok in tokens]
-
-
-def type_token_ratio(tokens: Sequence) -> float:
-    """Distinct tokens over total tokens; empty input is 0 by convention."""
-    texts = _texts(tokens)
-    if not texts:
+def type_token_ratio(tokens: Sequence[Token]) -> float:
+    """Distinct token texts over total tokens; empty input is 0 by
+    convention."""
+    if not tokens:
         return 0.0
-    return len(set(texts)) / len(texts)
+    return len({tok.text for tok in tokens}) / len(tokens)
 
 
 def lexical_diversity(tokens: Sequence[Token], stopwords: frozenset[str]) -> float:
@@ -46,12 +42,11 @@ def lexical_diversity(tokens: Sequence[Token], stopwords: frozenset[str]) -> flo
 
 
 def user_lexical_means(user: UserRecord, stopwords: frozenset[str],
-                       max_tweets: int = 200,
-                       word_counts: Counter | None = None) -> dict | None:
+                       max_tweets: int, word_counts: Counter) -> dict | None:
     """Per-user means over tweets of TTR, LD, contractions/tweet, and
     hashtags/tweet; None for users with no tweets. Each tweet is tokenized
-    once; given word_counts, the tweet's word and contraction tokens are
-    added to it in the same pass."""
+    once, and its word and contraction tokens are added to word_counts in
+    the same pass."""
     tweets = user.tweets[:max_tweets]
     if not tweets:
         return None
@@ -62,9 +57,7 @@ def user_lexical_means(user: UserRecord, stopwords: frozenset[str],
         ld.append(lexical_diversity(tokens, stopwords))
         cpt.append(sum(1 for tok in tokens if tok.kind == "contraction"))
         hpt.append(sum(1 for tok in tokens if tok.kind == "hashtag"))
-        if word_counts is not None:
-            word_counts.update(tok.text for tok in tokens
-                               if tok.kind in WORD_KINDS)
+        word_counts.update(tok.text for tok in tokens if tok.kind in WORD_KINDS)
     return {"ttr": mean(ttr), "ld": mean(ld), "cpt": mean(cpt), "hpt": mean(hpt)}
 
 
@@ -77,8 +70,7 @@ def group_lexical_pass(users: Iterable[UserRecord], stopwords: frozenset[str],
     samples = []
     counts: Counter[str] = Counter()
     for user in users:
-        stats = user_lexical_means(user, stopwords, max_tweets,
-                                   word_counts=counts)
+        stats = user_lexical_means(user, stopwords, max_tweets, counts)
         if stats is not None:
             samples.append(stats)
     return samples, counts

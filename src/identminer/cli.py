@@ -30,8 +30,8 @@ from .ingest import ParseFailure, UserRecord, dedupe_latest, load_users
 # the numpy model modules are imported only in the train and evaluate
 # branches that use them
 from .models import baseline_majority, baseline_random, load_model, save_model
-from .scorer import (GRID_THRESHOLDS, GRID_WINDOWS, WEIGHTINGS, ScoreParams,
-                     read_tuning_tsv, score_grid, tune_params)
+from .scorer import (WEIGHTINGS, ScoreParams, read_tuning_tsv, score_grid,
+                     tune_params)
 from .textprep import (SelfReportCounter, SelfReportLexicon,
                        build_selfreport_lexicon)
 from .util import DataError, config_hash, stage_seed, write_json
@@ -65,8 +65,9 @@ DEFAULTS = {
     "sage_lambda": 1.0,
     "top_n": 20,
     "tau_ks": [20, 50],
-    "grid_windows": list(GRID_WINDOWS),
-    "grid_thresholds": list(GRID_THRESHOLDS),
+    # the tuning grid: every weighting x window x threshold
+    "grid_windows": list(range(1, 11)),
+    "grid_thresholds": [round(0.05 * i, 2) for i in range(1, 20)],
     "grid_weightings": list(WEIGHTINGS),
 }
 
@@ -622,6 +623,15 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     dataset = _read_dataset(_require(paths, "test_data"))
 
     kind = type(model).__name__
+    # a unigram model has a vocab exactly when it was trained on word counts;
+    # a mismatch with --embeddings is reported before the corpus is read
+    if kind == "UnigramModel":
+        if model.vocab and paths.get("embeddings"):
+            raise DataError("model was trained on word counts; "
+                            "drop --embeddings")
+        if not model.vocab and not paths.get("embeddings"):
+            raise DataError("model was trained on embedding features; "
+                            "pass --embeddings")
     if kind in ("RandomBaseline", "MajorityBaseline"):
         test_set = [(None, user.label) for user in dataset]
     else:
@@ -639,9 +649,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 raise DataError("no embeddings match the test user ids")
         else:
             from .models.features import featurize_user, user_word_counts
-            if not model.vocab:
-                raise DataError("model was trained on embedding features; "
-                                "pass --embeddings")
             test_set = [
                 (featurize_user(user_word_counts(record, config["max_tweets"]),
                                 model.vocab),

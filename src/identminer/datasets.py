@@ -1,5 +1,5 @@
-"""Builders for the three weakly-labeled datasets (QB, HF, CB), their TSV
-format, and seeded class balancing.
+"""Builders for the three weakly-labeled datasets (QB, HF, CB) and their TSV
+format.
 
 QB: users whose description has a query keyword immediately followed by a
 person keyword. HF: users with at least one query match that survives all
@@ -10,17 +10,14 @@ defaulting to the smallest class count.
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Iterable, Sequence, TypeVar
+from typing import Iterable, Sequence
 
 from .filters import (CLASS_ORDER, ClassLabel, QueryMatch, apply_filter_chain,
                       assign_class, find_query_matches, person_bigram_match)
 from .scorer import ScoreParams, score_description
 from .textprep import (SelfReportCounter, SelfReportLexicon, TagLexicon,
                        TaggedToken, pos_tag, tokenize)
-
-T = TypeVar("T")
 
 SOURCES = ("QB", "HF", "CB", "crowd", "survey")
 AUTO_SOURCES = frozenset({"QB", "HF", "CB"})
@@ -175,28 +172,6 @@ def build_cb(candidates: Sequence[LabeledUser], k: int | None = None) -> list[La
     for label in CLASS_ORDER:
         ranked = sorted(by_class[label], key=lambda u: (-u.score, u.user_id))
         out.extend(replace(user, source="CB") for user in ranked[:k])
-    return out
-
-
-def _default_label(item) -> ClassLabel:
-    return item.label
-
-
-def balance_subsample(items: Sequence[T], seed: int,
-                      label_of: Callable[[T], ClassLabel] = _default_label) -> list[T]:
-    """m = min class count among classes present; return m seeded-random
-    items per class, concatenated in fixed class order."""
-    groups: dict[ClassLabel, list[T]] = {}
-    for item in items:
-        groups.setdefault(label_of(item), []).append(item)
-    if not groups:
-        return []
-    m = min(len(members) for members in groups.values())
-    rng = random.Random(seed)
-    out: list[T] = []
-    for label in CLASS_ORDER:
-        if label in groups:
-            out.extend(rng.sample(groups[label], m))
     return out
 
 

@@ -2,10 +2,10 @@
 matrices in test-set percentages, under imbalanced or balanced settings."""
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .datasets import balance_subsample
 from .filters import CLASS_ORDER, ClassLabel
 
 SETTINGS = ("imbalanced", "balanced")
@@ -90,6 +90,24 @@ def per_class_accuracy(labels: Sequence[ClassLabel],
     return out
 
 
+def balance_subsample(pairs: Sequence[tuple[object, ClassLabel]],
+                      seed: int) -> list[tuple[object, ClassLabel]]:
+    """m = min class count among classes present; return m seeded-random
+    (features, label) pairs per class, concatenated in fixed class order."""
+    groups: dict[ClassLabel, list] = {}
+    for pair in pairs:
+        groups.setdefault(pair[1], []).append(pair)
+    if not groups:
+        return []
+    m = min(len(members) for members in groups.values())
+    rng = random.Random(seed)
+    out = []
+    for label in CLASS_ORDER:
+        if label in groups:
+            out.extend(rng.sample(groups[label], m))
+    return out
+
+
 def evaluate(predictor, test_set: Sequence[tuple[object, ClassLabel]],
              setting: str = "imbalanced", seed: int = 0) -> EvalReport:
     """Predict every (features, label) pair in one predictor.predict_batch
@@ -97,7 +115,7 @@ def evaluate(predictor, test_set: Sequence[tuple[object, ClassLabel]],
     equal class counts with the given seed."""
     pairs = list(test_set)
     if setting == "balanced":
-        pairs = balance_subsample(pairs, seed, label_of=lambda pair: pair[1])
+        pairs = balance_subsample(pairs, seed)
     if not pairs:
         raise ValueError("empty evaluation set")
     labels = [label for _, label in pairs]

@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import importlib
 import json
-import sys
 
 from .baselines import MajorityBaseline, RandomBaseline, baseline_majority, baseline_random
 
@@ -42,14 +41,7 @@ _MODEL_KINDS = {
 
 
 def save_model(model, path) -> None:
-    # a model class whose submodule was never imported has no instances, so
-    # only the loaded submodules are looked at
-    classes = []
-    for module, cls in _MODEL_KINDS.values():
-        loaded = sys.modules.get(f"{__name__}.{module}")
-        if loaded is not None:
-            classes.append(getattr(loaded, cls))
-    if not isinstance(model, tuple(classes)):
+    if not hasattr(model, "to_dict"):
         raise TypeError(f"cannot serialize {type(model).__name__}")
     # json.dumps runs the C encoder; json.dump never does
     with open(path, "w", encoding="utf-8") as handle:

@@ -1,6 +1,7 @@
 """Random and majority baselines with the same predict interface as the
-trained models. numpy loads only for predict_proba; predict_batch returns
-labels alone, so evaluating a baseline builds no array."""
+trained models. numpy loads only for the probabilities that predict returns;
+predict_batch returns labels alone, so evaluating a baseline builds no
+array."""
 from __future__ import annotations
 
 import random
@@ -20,12 +21,10 @@ class RandomBaseline:
         self.seed = seed
         self._rng = random.Random(seed)
 
-    def predict_proba(self, features) -> np.ndarray:
-        import numpy as np
-        return np.full(len(CLASS_ORDER), 1.0 / len(CLASS_ORDER))
-
     def predict(self, features) -> tuple[ClassLabel, np.ndarray]:
-        return self._rng.choice(CLASS_ORDER), self.predict_proba(features)
+        import numpy as np
+        return (self._rng.choice(CLASS_ORDER),
+                np.full(len(CLASS_ORDER), 1.0 / len(CLASS_ORDER)))
 
     def predict_batch(self, features: Sequence) -> list[ClassLabel]:
         """One draw per example, in order: the same labels as calling
@@ -49,14 +48,11 @@ class MajorityBaseline:
     def __init__(self, majority: ClassLabel):
         self.majority = majority
 
-    def predict_proba(self, features) -> np.ndarray:
+    def predict(self, features) -> tuple[ClassLabel, np.ndarray]:
         import numpy as np
         probs = np.zeros(len(CLASS_ORDER))
         probs[CLASS_ORDER.index(self.majority)] = 1.0
-        return probs
-
-    def predict(self, features) -> tuple[ClassLabel, np.ndarray]:
-        return self.majority, self.predict_proba(features)
+        return self.majority, probs
 
     def predict_batch(self, features: Sequence) -> list[ClassLabel]:
         return [self.majority] * len(features)

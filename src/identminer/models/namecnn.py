@@ -223,12 +223,10 @@ class NameModel:
             probs.append(softmax(logits))
         return np.concatenate(probs) if probs else np.zeros((0, N_CLASSES))
 
-    def predict_proba(self, features: tuple[str, np.ndarray]) -> np.ndarray:
+    def predict(self, features: tuple[str, np.ndarray]
+                ) -> tuple[ClassLabel, np.ndarray]:
         name, meta = features
-        return self.predict_proba_batch([name], np.atleast_2d(meta))[0]
-
-    def predict(self, features) -> tuple[ClassLabel, np.ndarray]:
-        probs = self.predict_proba(features)
+        probs = self.predict_proba_batch([name], np.atleast_2d(meta))[0]
         return CLASS_ORDER[int(np.argmax(probs))], probs
 
     def predict_batch(self, features: Sequence[tuple[str, np.ndarray]]
@@ -280,11 +278,7 @@ def _unpack(items):
     names = [item[0] for item in items]
     metas = np.vstack([np.asarray(item[1], dtype=np.float64) for item in items])
     labels = [item[2] for item in items]
-    sources = [item[3] if len(item) > 3 else None for item in items]
-    if all(source is None for source in sources):
-        sources = None
-    else:
-        sources = [source or "crowd" for source in sources]
+    sources = [item[3] for item in items]
     return names, metas, labels, sources
 
 

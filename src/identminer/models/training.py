@@ -20,7 +20,7 @@ N_CLASSES = len(CLASS_ORDER)
 @dataclass
 class TrainConfig:
     learning_rate: float = 0.1
-    epochs: int = 100
+    epochs: int = 20
     l2_strength: float = 1e-4
     instance_downweight: float = 1.0  # applied to QB/HF/CB-source examples
     seed: int = 0
@@ -49,20 +49,18 @@ def inverse_class_weights(labels: Sequence[ClassLabel]) -> np.ndarray:
     return weights
 
 
-def example_weights(labels: Sequence[ClassLabel],
-                    sources: Sequence[str] | None,
+def example_weights(labels: Sequence[ClassLabel], sources: Sequence[str],
                     class_weights: np.ndarray,
-                    instance_downweight: float = 1.0) -> np.ndarray:
+                    instance_downweight: float) -> np.ndarray:
     """Per-example weight = class weight x (downweight if the example came
     from an automatically labeled source, else 1)."""
+    if len(sources) != len(labels):
+        raise ValueError("sources and labels length mismatch")
     idx = label_indices(labels)
     weights = np.asarray(class_weights, dtype=np.float64)[idx].copy()
-    if sources is not None:
-        if len(sources) != len(labels):
-            raise ValueError("sources and labels length mismatch")
-        for i, source in enumerate(sources):
-            if source in AUTO_SOURCES:
-                weights[i] *= instance_downweight
+    for i, source in enumerate(sources):
+        if source in AUTO_SOURCES:
+            weights[i] *= instance_downweight
     return weights
 
 

@@ -90,11 +90,8 @@ class UnigramModel:
         """Class probabilities of each row of a stack_rows matrix."""
         return softmax(matmul(X, self.weights.T) + self.bias)
 
-    def predict_proba(self, features) -> np.ndarray:
-        return self.predict_proba_matrix(stack_rows([features]))[0]
-
     def predict(self, features) -> tuple[ClassLabel, np.ndarray]:
-        probs = self.predict_proba(features)
+        probs = self.predict_proba_matrix(stack_rows([features]))[0]
         return CLASS_ORDER[int(np.argmax(probs))], probs
 
     def predict_batch(self, features: Sequence) -> list[ClassLabel]:

@@ -1,26 +1,20 @@
 """Loaders for the bundled data files (tag lexicon, word lists, bigram
-blocklist). Every loader accepts an explicit path override; without one it
-reads the packaged copy and caches it."""
+blocklist), each read from the package's data directory once and cached.
+The tag lexicon, color and blocklist loaders also take the path of a user's
+file in its place."""
 from __future__ import annotations
 
 from functools import lru_cache
-from importlib import resources as importlib_resources
+from pathlib import Path
 
 from .textprep import TagLexicon
 
-_PACKAGE = "identminer.data"
+_DATA = Path(__file__).parent / "data"
 
 
-def _packaged(name: str):
-    return importlib_resources.files(_PACKAGE).joinpath(name)
-
-
-def _read_lines(source) -> list[str]:
-    if hasattr(source, "read_text"):
-        text = source.read_text(encoding="utf-8")
-    else:
-        with open(source, encoding="utf-8") as handle:
-            text = handle.read()
+def _read_lines(path) -> list[str]:
+    with open(path, encoding="utf-8") as handle:
+        text = handle.read()
     lines = []
     for line in text.splitlines():
         line = line.strip()
@@ -34,24 +28,24 @@ def load_wordlist(path) -> frozenset[str]:
 
 
 @lru_cache(maxsize=None)
-def load_stopwords(path=None) -> frozenset[str]:
-    return load_wordlist(path or _packaged("stopwords.txt"))
+def load_stopwords() -> frozenset[str]:
+    return load_wordlist(_DATA / "stopwords.txt")
 
 
 @lru_cache(maxsize=None)
-def load_contractions(path=None) -> frozenset[str]:
-    return load_wordlist(path or _packaged("contractions.txt"))
+def load_contractions() -> frozenset[str]:
+    return load_wordlist(_DATA / "contractions.txt")
 
 
 @lru_cache(maxsize=None)
 def load_colors(path=None) -> frozenset[str]:
-    return load_wordlist(path or _packaged("colors.txt"))
+    return load_wordlist(path or _DATA / "colors.txt")
 
 
 @lru_cache(maxsize=None)
 def load_bigram_blocklist(path=None) -> frozenset[tuple[str, str]]:
     pairs = []
-    for line in _read_lines(path or _packaged("bigram_blocklist.txt")):
+    for line in _read_lines(path or _DATA / "bigram_blocklist.txt"):
         parts = line.lower().split()
         if len(parts) != 2:
             raise ValueError(f"blocklist entry {line!r} is not a bigram")
@@ -61,8 +55,4 @@ def load_bigram_blocklist(path=None) -> frozenset[tuple[str, str]]:
 
 @lru_cache(maxsize=None)
 def load_tag_lexicon(path=None) -> TagLexicon:
-    source = path or _packaged("tag_lexicon.tsv")
-    if hasattr(source, "read_text"):
-        with importlib_resources.as_file(source) as real_path:
-            return TagLexicon.from_tsv(real_path)
-    return TagLexicon.from_tsv(source)
+    return TagLexicon.from_tsv(path or _DATA / "tag_lexicon.tsv")

@@ -16,9 +16,6 @@ from .filters import QueryMatch
 from .textprep import SelfReportLexicon, TaggedToken
 
 WEIGHTINGS = ("simple", "tfidf")
-# the default tuning grid: every weighting x window x threshold
-GRID_WINDOWS = tuple(range(1, 11))
-GRID_THRESHOLDS = tuple(round(0.05 * i, 2) for i in range(1, 20))
 
 
 @dataclass(frozen=True)
@@ -86,13 +83,8 @@ def score_grid(windows: Sequence[int], thresholds: Sequence[float],
             for threshold in thresholds]
 
 
-def default_grid() -> list[ScoreParams]:
-    return score_grid(GRID_WINDOWS, GRID_THRESHOLDS, WEIGHTINGS)
-
-
 def tune_params(tuning_set: Sequence[tuple[Sequence[TaggedToken], QueryMatch, bool]],
-                lexicon: SelfReportLexicon,
-                grid: Sequence[ScoreParams] | None = None
+                lexicon: SelfReportLexicon, grid: Sequence[ScoreParams]
                 ) -> tuple[ScoreParams, float, float]:
     """Pick the grid point with the best precision of [score >= threshold];
     returns it with its precision and recall on the tuning set.
@@ -102,8 +94,6 @@ def tune_params(tuning_set: Sequence[tuple[Sequence[TaggedToken], QueryMatch, bo
     positive (precision undefined everywhere) or if the tuning set lacks a
     positive or a negative example.
     """
-    if grid is None:
-        grid = default_grid()
     labels = [bool(label) for _, _, label in tuning_set]
     if not any(labels) or all(labels):
         raise ValueError("tuning set needs at least one positive and one negative")

@@ -222,7 +222,7 @@ def test_majority_vote_rejects_unknown_label():
 # lexical statistics
 
 def test_type_token_ratio():
-    assert type_token_ratio(["a", "b", "a"]) == pytest.approx(2.0 / 3.0)
+    assert type_token_ratio(tokenize("a b a")) == pytest.approx(2.0 / 3.0)
     assert type_token_ratio([]) == 0.0
     tokens = tokenize("go go go")
     assert type_token_ratio(tokens) == pytest.approx(1.0 / 3.0)
@@ -241,7 +241,9 @@ def test_user_lexical_means_hand_fixture():
         make_tweet("i'm happy #fun", hours=-1.0),
         make_tweet("go go go", hours=-2.0),
     ))
-    stats = user_lexical_means(user, frozenset({"happy"}))
+    counts = Counter()
+    stats = user_lexical_means(user, frozenset({"happy"}), 200, counts)
+    assert counts == {"i'm": 1, "happy": 1, "go": 3}
     assert stats["ttr"] == pytest.approx((1.0 + 1.0 / 3.0) / 2.0)
     assert stats["ld"] == pytest.approx((2.0 / 3.0 + 1.0) / 2.0)
     assert stats["cpt"] == pytest.approx(0.5)
@@ -249,7 +251,9 @@ def test_user_lexical_means_hand_fixture():
 
 
 def test_user_lexical_means_without_tweets_is_none():
-    assert user_lexical_means(make_user("u1"), frozenset()) is None
+    counts = Counter()
+    assert user_lexical_means(make_user("u1"), frozenset(), 200, counts) is None
+    assert counts == {}
 
 
 def test_user_lexical_means_honors_max_tweets():
@@ -257,7 +261,7 @@ def test_user_lexical_means_honors_max_tweets():
         make_tweet("one two three", hours=-1.0),
         make_tweet("#x #y", hours=-2.0),
     ))
-    stats = user_lexical_means(user, frozenset(), max_tweets=1)
+    stats = user_lexical_means(user, frozenset(), 1, Counter())
     assert stats["hpt"] == 0.0  # only the newest tweet counted
 
 
@@ -271,7 +275,7 @@ def test_group_lexical_pass_gives_samples_and_counts_in_one_pass():
     stopwords = frozenset({"happy"})
     samples, counts = group_lexical_pass([busy, idle], stopwords,
                                          max_tweets=2)
-    assert samples == [user_lexical_means(busy, stopwords, max_tweets=2)]
+    assert samples == [user_lexical_means(busy, stopwords, 2, Counter())]
     assert counts == {"i'm": 1, "happy": 1, "go": 3}
 
 

@@ -486,6 +486,81 @@ def test_evaluate_balanced_setting(tmp_path):
     assert report["accuracy"] == 0.25
 
 
+@pytest.mark.parametrize("trained_on", ["word-counts", "embeddings"])
+def test_evaluate_feature_mismatch_is_reported_before_the_corpus(tmp_path,
+                                                                capsys,
+                                                                trained_on):
+    _, data = tweet_group_fixture(tmp_path)
+    emb = tmp_path / "emb.tsv"
+    emb.write_text("w0\t" + " ".join(["0.5"] * 768) + "\n", encoding="utf-8")
+    if trained_on == "word-counts":
+        model = write_unigram_model(tmp_path / "model.json", {"alpha": 0}, 1)
+        extra = ["--embeddings", str(emb)]
+        message = "model was trained on word counts; drop --embeddings"
+    else:
+        model = write_unigram_model(tmp_path / "model.json", {}, 768)
+        extra = []
+        message = "model was trained on embedding features; pass --embeddings"
+    capsys.readouterr()
+    out = tmp_path / "out"
+    # the corpus does not exist: the mismatch is found before it is read
+    assert run("evaluate", "--model-file", str(model), "--test-data", str(data),
+               "--corpus", str(tmp_path / "missing.jsonl"), *extra,
+               "--out", str(out)) == 2
+    assert capsys.readouterr().err == f"identminer: data error: {message}\n"
+    assert not out.exists()
+
+
+# sha256 of eval_result.json for each model of
+# test_evaluate_balanced_draw_matches_recorded_digests
+BALANCED_EVAL_DIGESTS = {
+    "baseline-random":
+        "9e16c5f24e0cae1f791cf30bde1948bb4f62f266be73c55411bbce85d9806519",
+    "unigram":
+        "3eb2074b95095d4e68d322ae05f1361e7552187f1ee45e8db01343e7bb52f084",
+}
+
+
+def test_evaluate_balanced_draw_matches_recorded_digests(tmp_path):
+    # unequal class counts (6 W, 3 B, 2 HL), so the balanced setting draws 2
+    # of each class. The hand-set unigram model predicts W for a user whose
+    # tweets hold "x" and B otherwise, so its accuracy depends on which W
+    # users are drawn; the random baseline pins the draws of its own stream
+    counts = {W: 6, B: 3, HL: 2}
+    users, payloads = [], []
+    for label, n in counts.items():
+        for i in range(n):
+            user_id = f"{label.value.lower()}{i}"
+            text = "x x" if label is W and i % 2 == 0 else "z"
+            payloads.append(user_payload(
+                user_id, tweets=(tweet_payload(text, hours=-1.0),)))
+            users.append(LabeledUser(user_id=user_id, label=label,
+                                     source="crowd", score=None))
+    corpus = write_jsonl(tmp_path / "corpus.jsonl", payloads)
+    data = tmp_path / "data.tsv"
+    write_dataset_tsv(users, data)
+    import numpy as np
+    from identminer.models.training import encode_array
+    model = write_unigram_model(
+        tmp_path / "unigram.json", {"x": 0}, 1,
+        weights=encode_array(np.array([[2.0], [0.0], [0.0], [0.0]])),
+        bias=encode_array(np.array([0.0, 1.0, 0.0, 0.0])))
+    assert run("train", "--model", "baseline-random", "--train-data",
+               str(data), "--out", str(tmp_path / "random")) == 0
+    models = {"baseline-random": tmp_path / "random" / "model.json",
+              "unigram": model}
+    digests = {}
+    for name, model_file in models.items():
+        out = tmp_path / f"eval-{name}"
+        assert run("evaluate", "--model-file", str(model_file),
+                   "--test-data", str(data), "--corpus", str(corpus),
+                   "--setting", "balanced", "--seed", "3",
+                   "--out", str(out)) == 0
+        digests[name] = hashlib.sha256(
+            (out / "eval_result.json").read_bytes()).hexdigest()
+    assert digests == BALANCED_EVAL_DIGESTS
+
+
 def test_train_evaluate_random_baseline(tmp_path):
     _, data = tweet_group_fixture(tmp_path)
     out = tmp_path / "train_out"
@@ -1387,6 +1462,16 @@ def test_every_config_key_has_one_type_rule():
     values = {**dict.fromkeys(_PATH_KEYS), **DEFAULTS}
     assert all(check(values[key])
                for _, check, keys in CONFIG_RULES for key in keys)
+
+
+def test_library_defaults_equal_the_cli_defaults():
+    from dataclasses import fields
+    from identminer.models.training import TrainConfig
+    from identminer.scorer import ScoreParams
+    for cls in (TrainConfig, ScoreParams):
+        for field in fields(cls):
+            assert field.default == cli.DEFAULTS[field.name], \
+                f"{cls.__name__}.{field.name}"
 
 
 def test_integer_for_a_number_key_trains_the_same_model(tmp_path):

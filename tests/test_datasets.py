@@ -4,11 +4,10 @@ import re
 import pytest
 
 from identminer import resources
-from identminer.datasets import (LabeledUser, balance_subsample, build_cb,
-                                 build_hf, build_qb, hf_users, match_reports,
-                                 merge_candidates, qb_users, read_dataset_tsv,
-                                 scan_descriptions, score_reports,
-                                 write_dataset_tsv)
+from identminer.datasets import (LabeledUser, build_cb, build_hf, build_qb,
+                                 hf_users, match_reports, merge_candidates,
+                                 qb_users, read_dataset_tsv, scan_descriptions,
+                                 score_reports, write_dataset_tsv)
 from identminer.filters import CLASS_ORDER, FILTER_NAMES, ClassLabel
 from identminer.scorer import ScoreParams
 from identminer.textprep import SelfReportCounter, build_selfreport_lexicon
@@ -235,26 +234,6 @@ def test_build_cb_rejects_scoreless_candidates():
     users = cb_fixture() + [LabeledUser("s1", W, None, "survey")]
     with pytest.raises(ValueError):
         build_cb(users)
-
-
-# ---------------------------------------------------------------------------
-# balancing
-
-def test_balance_subsample_uses_present_classes():
-    items = [lu(f"w{i}", W, 0.5) for i in range(6)] + \
-            [lu(f"b{i}", B, 0.5) for i in range(2)]
-    balanced = balance_subsample(items, seed=0)
-    assert len(balanced) == 4
-    assert sum(1 for u in balanced if u.label is W) == 2
-    assert sum(1 for u in balanced if u.label is B) == 2
-    assert balance_subsample([], seed=0) == []
-
-
-def test_balance_subsample_custom_label_getter():
-    pairs = [(("x", i), W if i % 3 else B) for i in range(9)]
-    balanced = balance_subsample(pairs, seed=1, label_of=lambda p: p[1])
-    assert sum(1 for _, label in balanced if label is B) == 3
-    assert sum(1 for _, label in balanced if label is W) == 3
 
 
 def test_labeled_user_validation():

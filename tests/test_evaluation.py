@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from identminer.evaluation import (EvalReport, accuracy, confusion_matrix,
-                                   evaluate, format_report_table, macro_f1,
+from identminer.evaluation import (EvalReport, accuracy, balance_subsample,
+                                   confusion_matrix, evaluate,
+                                   format_report_table, macro_f1,
                                    per_class_accuracy)
 from identminer.filters import CLASS_ORDER
 from identminer.models.baselines import MajorityBaseline, RandomBaseline
@@ -87,6 +88,24 @@ class _Echo:
 
     def predict_batch(self, features):
         return list(features)
+
+
+def test_balance_subsample_uses_present_classes():
+    pairs = [(f"w{i}", W) for i in range(6)] + [(f"b{i}", B) for i in range(2)]
+    balanced = balance_subsample(pairs, seed=0)
+    assert len(balanced) == 4
+    assert sum(1 for _, label in balanced if label is W) == 2
+    assert sum(1 for _, label in balanced if label is B) == 2
+    assert [item for item, _ in balanced] == ["w3", "w5", "b0", "b1"]
+    assert balance_subsample([], seed=0) == []
+
+
+def test_balance_subsample_keeps_pairs_in_class_order():
+    pairs = [(("x", i), W if i % 3 else B) for i in range(9)]
+    balanced = balance_subsample(pairs, seed=1)
+    # the seeded draw of each class, in class order
+    assert balanced == [(("x", i), W) for i in (2, 7, 1)] + \
+        [(("x", i), B) for i in (3, 0, 6)]
 
 
 def test_evaluate_imbalanced_end_to_end():

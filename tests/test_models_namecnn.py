@@ -217,12 +217,6 @@ def test_train_name_cnn_is_seed_reproducible():
         assert np.array_equal(a.params[key], b.params[key])
 
 
-def test_train_name_cnn_accepts_items_without_sources():
-    items = [(name, meta, label) for name, meta, label, _ in toy_items(2)]
-    model = train_name_cnn(items, TrainConfig(epochs=1, batch_size=4))
-    assert isinstance(model, NameModel)
-
-
 def test_train_name_cnn_min_char_count_shrinks_vocab():
     items = toy_items(per_class=2)  # each letter appears ~9 times
     model = train_name_cnn(items, TrainConfig(epochs=1, batch_size=8),
@@ -261,7 +255,7 @@ def test_predict_proba_batch_matches_single():
     probe = names[:40] + ["", "a", "ab", "abc"]
     metas = np.vstack([item[1] for item in items[:40]] + [np.zeros((4, 5))])
     batch = model.predict_proba_batch(probe, metas)
-    single = np.vstack([model.predict_proba((name, meta))
+    single = np.vstack([model.predict((name, meta))[1]
                         for name, meta in zip(probe, metas)])
     np.testing.assert_allclose(batch, single, rtol=0, atol=1e-12)
     assert model.predict_batch(list(zip(probe, metas))) == \

@@ -83,7 +83,7 @@ def test_example_weights_downweight_auto_sources_only():
     assert weights[1] == class_weights[0] * 0.25
     assert weights[2] == class_weights[1] * 0.25
     with pytest.raises(ValueError):
-        example_weights(labels, ["crowd"], class_weights)
+        example_weights(labels, ["crowd"], class_weights, 1.0)
 
 
 def test_effective_weight_histogram_uses_exact_reprs():

@@ -3,13 +3,18 @@ import random
 
 import pytest
 
+from identminer.cli import DEFAULTS
 from identminer.filters import ClassLabel, QueryMatch, find_query_matches
-from identminer.scorer import (WEIGHTINGS, ScoreParams, default_grid,
-                               precision_recall, read_tuning_tsv,
-                               score_description, tune_params)
+from identminer.scorer import (WEIGHTINGS, ScoreParams, precision_recall,
+                               read_tuning_tsv, score_description, score_grid,
+                               tune_params)
 from identminer.textprep import SelfReportLexicon, build_selfreport_lexicon
 
 from helpers import make_user, tag, tag_lexicon
+
+# the tuning grid of the default config, as tune builds it
+DEFAULT_GRID = score_grid(DEFAULTS["grid_windows"], DEFAULTS["grid_thresholds"],
+                          DEFAULTS["grid_weightings"])
 
 
 def oracle_score(tagged, match, lexicon, params):
@@ -229,7 +234,8 @@ def build_tuning_fixture():
 
 def test_tune_params_prefers_precision_then_recall_then_smallest():
     tuning_set, lexicon = build_tuning_fixture()
-    best, precision, recall = tune_params(tuning_set, lexicon)
+    best, precision, recall = tune_params(tuning_set, lexicon,
+                                          DEFAULT_GRID)
     # positives score >= 1.0, negatives 0.0: many grid points are perfect,
     # and the tie-break picks the smallest window and threshold, simple first
     assert best == ScoreParams(1, 0.05, "simple")
@@ -251,9 +257,11 @@ def test_tune_params_custom_grid():
 def test_tune_params_needs_both_label_kinds():
     tuning_set, lexicon = build_tuning_fixture()
     with pytest.raises(ValueError):
-        tune_params([row for row in tuning_set if row[2]], lexicon)
+        tune_params([row for row in tuning_set if row[2]], lexicon,
+                    DEFAULT_GRID)
     with pytest.raises(ValueError):
-        tune_params([row for row in tuning_set if not row[2]], lexicon)
+        tune_params([row for row in tuning_set if not row[2]], lexicon,
+                    DEFAULT_GRID)
 
 
 def test_tune_params_needs_a_positive_prediction():
@@ -265,11 +273,11 @@ def test_tune_params_needs_a_positive_prediction():
         rows.append((tagged, match, label))
     # every score is zero, so no grid point ever predicts a positive
     with pytest.raises(ValueError):
-        tune_params(rows, lexicon)
+        tune_params(rows, lexicon, DEFAULT_GRID)
 
 
 def test_default_grid_shape():
-    grid = default_grid()
+    grid = DEFAULT_GRID
     assert len(grid) == 2 * 10 * 19
     assert grid[0] == ScoreParams(1, 0.05, "simple")
     assert grid[-1] == ScoreParams(10, 0.95, "tfidf")
