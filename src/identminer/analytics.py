@@ -1,6 +1,7 @@
 """Group-level lexical and behavioral statistics, nonparametric tests, rank
 correlation over top-k lists, inter-annotator agreement, majority voting, and
 sparse log-odds distinctive keywords.
+The lexical statistics of a tweet come from one loop over its token pairs.
 """
 from __future__ import annotations
 
@@ -10,7 +11,7 @@ from typing import Iterable, Sequence
 
 from .filters import ClassLabel
 from .ingest import UserRecord
-from .textprep import WORD_KINDS, Token, tokenize
+from .textprep import token_pairs
 from .util import mean
 
 _MISSING = (None, "", "missing")
@@ -24,40 +25,40 @@ class _Discard:
 DISCARD = _Discard()
 
 
-def type_token_ratio(tokens: Sequence[Token]) -> float:
-    """Distinct token texts over total tokens; empty input is 0 by
-    convention."""
-    if not tokens:
-        return 0.0
-    return len({tok.text for tok in tokens}) / len(tokens)
-
-
-def lexical_diversity(tokens: Sequence[Token], stopwords: frozenset[str]) -> float:
-    """Tokens that are not URLs, mentions, or stopwords, over total tokens."""
-    if not tokens:
-        return 0.0
-    content = [tok for tok in tokens
-               if tok.kind not in ("url", "mention") and tok.text not in stopwords]
-    return len(content) / len(tokens)
-
-
 def user_lexical_means(user: UserRecord, stopwords: frozenset[str],
                        max_tweets: int, word_counts: Counter) -> dict | None:
-    """Per-user means over tweets of TTR, LD, contractions/tweet, and
-    hashtags/tweet; None for users with no tweets. Each tweet is tokenized
-    once, and its word and contraction tokens are added to word_counts in
-    the same pass."""
+    """Per-user means over tweets of TTR (distinct token texts / tokens), LD
+    (tokens not URLs, mentions, or stopwords / tokens; both 0 for a tweet
+    without tokens), contractions/tweet, and hashtags/tweet; None for users
+    with no tweets. Word and contraction tokens go to word_counts."""
     tweets = user.tweets[:max_tweets]
     if not tweets:
         return None
     ttr, ld, cpt, hpt = [], [], [], []
+    words: list[str] = []
     for tweet in tweets:
-        tokens = tokenize(tweet.text)
-        ttr.append(type_token_ratio(tokens))
-        ld.append(lexical_diversity(tokens, stopwords))
-        cpt.append(sum(1 for tok in tokens if tok.kind == "contraction"))
-        hpt.append(sum(1 for tok in tokens if tok.kind == "hashtag"))
-        word_counts.update(tok.text for tok in tokens if tok.kind in WORD_KINDS)
+        pairs = token_pairs(tweet.text)
+        types = set()
+        content = contractions = hashtags = 0
+        for text, kind in pairs:
+            types.add(text)
+            if kind == "word":
+                words.append(text)
+            elif kind == "contraction":
+                words.append(text)
+                contractions += 1
+            elif kind == "hashtag":
+                hashtags += 1
+            elif kind == "url" or kind == "mention":
+                continue
+            if text not in stopwords:
+                content += 1
+        n = len(pairs)
+        ttr.append(len(types) / n if n else 0.0)
+        ld.append(content / n if n else 0.0)
+        cpt.append(contractions)
+        hpt.append(hashtags)
+    word_counts.update(words)
     return {"ttr": mean(ttr), "ld": mean(ld), "cpt": mean(cpt), "hpt": mean(hpt)}
 
 

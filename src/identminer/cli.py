@@ -534,6 +534,8 @@ def _write_model(paths: dict, model, result: dict) -> int:
 def cmd_train(args: argparse.Namespace) -> int:
     config, paths = _resolve(args)
     model_name = config["model"]
+    if model_name != "unigram" and paths.get("embeddings"):
+        raise DataError("--embeddings applies only to the unigram model")
     dataset = _read_dataset(_require(paths, "train_data"))
 
     result = _result_base(config, "train")
@@ -620,9 +622,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     except (ValueError, TypeError, AttributeError) as exc:
         # TypeError and AttributeError: a field of the wrong JSON type
         raise DataError(f"bad model file: {exc}") from exc
+    kind = type(model).__name__
+    if kind != "UnigramModel" and paths.get("embeddings"):
+        raise DataError("--embeddings applies only to the unigram model")
     dataset = _read_dataset(_require(paths, "test_data"))
 
-    kind = type(model).__name__
     # a unigram model has a vocab exactly when it was trained on word counts;
     # a mismatch with --embeddings is reported before the corpus is read
     if kind == "UnigramModel":
@@ -693,7 +697,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     stopwords = resources.load_stopwords()
     max_tweets = config["max_tweets"]
 
-    # one pass per group: each tweet is tokenized once for the lexical
+    # one pass per group: each tweet is scanned once for the lexical
     # means and the keyword counts
     samples: dict = {}
     counts: dict = {}

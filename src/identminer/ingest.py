@@ -4,19 +4,22 @@ One line is one user snapshot. Malformed lines become ParseFailure values instea
 of exceptions so a bad record never aborts the stream; stream-level I/O errors
 still propagate. Missing optional fields default to false/0/"" and are tallied
 in an optional per-field missingness counter.
+A Tweet is a named tuple built through tuple.__new__, several times cheaper
+than a frozen dataclass; it equals the plain tuple of its fields.
 """
 from __future__ import annotations
 
+import functools
 import json
+import operator
 import sys
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import IO, Iterable, Iterator, Union
+from typing import IO, Iterable, Iterator, NamedTuple, Union
 
 
-@dataclass(frozen=True)
-class Tweet:
+class Tweet(NamedTuple):
     text: str
     source_app: str
     created_at: datetime
@@ -24,6 +27,10 @@ class Tweet:
     has_url: bool = False
     mentions_user: bool = False
     geotagged: bool = False
+
+
+_new_tweet = functools.partial(tuple.__new__, Tweet)
+_created_at = operator.itemgetter(Tweet._fields.index("created_at"))
 
 
 @dataclass(frozen=True)
@@ -54,9 +61,8 @@ class ParseFailure:
     reason: str
 
 
-# (key, field name in missingness counts and failure reasons)
-_TWEET_FLAGS = tuple((key, f"tweet.{key}") for key in (
-    "has_image", "has_url", "mentions_user", "geotagged"))
+# (key, field name in missingness counts and failure reasons), in field order
+_TWEET_FLAGS = tuple((key, f"tweet.{key}") for key in Tweet._fields[3:])
 _PROFILE_FLAGS = tuple((key, f"profile.{key}") for key in (
     "has_profile_url", "has_custom_image", "geo_enabled"))
 _ABSENT = object()
@@ -74,10 +80,10 @@ def parse_timestamp(raw: str) -> datetime:
     return parsed.astimezone(timezone.utc)
 
 
-def _flags(obj: dict, keys: tuple, missingness: Counter) -> dict[str, bool]:
-    """The (key, field name) flags of obj, each a JSON boolean; an absent
-    flag is false and counted as missing."""
-    flags = {}
+def _flags(obj: dict, keys: tuple, missingness: Counter) -> list[bool]:
+    """The (key, field name) flags of obj in order, each a JSON boolean; an
+    absent flag is false and counted as missing."""
+    flags = []
     for key, field in keys:
         value = obj.get(key, _ABSENT)
         if value is _ABSENT:
@@ -85,7 +91,7 @@ def _flags(obj: dict, keys: tuple, missingness: Counter) -> dict[str, bool]:
             value = False
         elif not isinstance(value, bool):
             raise ValueError(f"{field} must be true or false")
-        flags[key] = value
+        flags.append(value)
     return flags
 
 
@@ -126,8 +132,8 @@ def _parse_tweet(obj: dict, missingness: Counter) -> Tweet:
         raise ValueError("tweet created_at missing")
     created = parse_timestamp(obj["created_at"])
     source = _text(obj, "source_app", "tweet.source_app", missingness)
-    return Tweet(text=text, source_app=source, created_at=created,
-                 **_flags(obj, _TWEET_FLAGS, missingness))
+    return _new_tweet((text, source, created,
+                       *_flags(obj, _TWEET_FLAGS, missingness)))
 
 
 def _parse_profile(obj, snapshot: datetime, missingness: Counter) -> ProfileMeta:
@@ -136,7 +142,7 @@ def _parse_profile(obj, snapshot: datetime, missingness: Counter) -> ProfileMeta
         obj = {}
     if not isinstance(obj, dict):
         raise ValueError("profile is not an object")
-    bools = _flags(obj, _PROFILE_FLAGS, missingness)
+    flags = _flags(obj, _PROFILE_FLAGS, missingness)
     statuses = _count(obj, "statuses_count", missingness)
     if "account_created_at" not in obj or obj["account_created_at"] is None:
         missingness["profile.account_created_at"] += 1
@@ -146,8 +152,8 @@ def _parse_profile(obj, snapshot: datetime, missingness: Counter) -> ProfileMeta
         if created > snapshot:
             raise ValueError("account_created_at is after snapshot_time")
     followers = _count(obj, "followers_count", missingness)
-    return ProfileMeta(statuses_count=statuses, account_created_at=created,
-                       followers_count=followers, **bools)
+    return ProfileMeta(*flags, statuses_count=statuses,
+                       account_created_at=created, followers_count=followers)
 
 
 def parse_user_line(line: str, line_no: int,
@@ -180,7 +186,7 @@ def parse_user_line(line: str, line_no: int,
         if not isinstance(raw_tweets, list):
             raise ValueError("tweets is not a list")
         tweets = [_parse_tweet(t, counter) for t in raw_tweets]
-        tweets.sort(key=lambda t: t.created_at, reverse=True)
+        tweets.sort(key=_created_at, reverse=True)
         profile = _parse_profile(obj.get("profile"), snapshot, counter)
         return UserRecord(user_id=user_id, name=name, description=description,
                           tweets=tweets, profile=profile, snapshot_time=snapshot)

@@ -2,7 +2,7 @@
 user's recent tweets, and import of externally computed per-user
 embeddings.
 
-Each user's tweets are tokenized once, into a word Counter (user_word_counts);
+Each user's tweets are scanned once, into a word Counter (user_word_counts);
 the vocabulary and the count rows are both built from those counters. A count
 row is a pair of arrays, the sorted vocab indices of the user's words and
 their float64 counts; unigram.stack_rows joins many into one CSR matrix."""
@@ -14,7 +14,7 @@ from typing import Iterable
 import numpy as np
 
 from ..ingest import UserRecord
-from ..textprep import WORD_KINDS, tokenize
+from ..textprep import WORD_KINDS, token_pairs
 
 # width of an externally computed user embedding row
 EMBEDDING_DIM = 768
@@ -23,11 +23,9 @@ EMBEDDING_DIM = 768
 def user_word_counts(user: UserRecord, max_tweets: int = 200) -> Counter[str]:
     """Word and contraction token counts over the user's newest max_tweets
     tweets."""
-    counts: Counter[str] = Counter()
-    for tweet in user.tweets[:max_tweets]:
-        counts.update(token.text for token in tokenize(tweet.text)
-                      if token.kind in WORD_KINDS)
-    return counts
+    return Counter([text for tweet in user.tweets[:max_tweets]
+                    for text, kind in token_pairs(tweet.text)
+                    if kind in WORD_KINDS])
 
 
 def build_vocab(word_counts: Iterable[Counter], min_count: int = 2,

@@ -282,18 +282,9 @@ def _unpack(items):
     return names, metas, labels, sources
 
 
-def _dev_macro_f1(model: NameModel, names, metas, labels) -> float:
-    from ..evaluation import macro_f1
-    predictions = argmax_labels(model.predict_proba_batch(names, metas))
-    return macro_f1(labels, predictions)
-
-
-def train_name_cnn(train, config: TrainConfig, dev=None,
-                   min_char_count: int = 5,
+def train_name_cnn(train, config: TrainConfig, min_char_count: int = 5,
                    max_len: int = MAX_NAME_LEN) -> NameModel:
-    """Mini-batch gradient descent for up to config.epochs epochs. With a dev
-    set, the checkpoint with the best dev macro-F1 is kept (first best wins)
-    and training stops early once dev macro-F1 reaches 1.0."""
+    """Mini-batch gradient descent for config.epochs epochs."""
     if not train:
         raise ValueError("empty training set")
     names, metas, labels, sources = _unpack(train)
@@ -307,12 +298,6 @@ def train_name_cnn(train, config: TrainConfig, dev=None,
                                      config.instance_downweight)
 
     params = init_params(len(char_vocab) + 2, metas.shape[1], config.seed)
-    model = NameModel(char_vocab=char_vocab, params=params,
-                      meta_dim=metas.shape[1], max_len=max_len)
-    if dev is not None:
-        dev_names, dev_metas, dev_labels, _ = _unpack(dev)
-        best_f1 = -1.0
-        best_params = {key: value.copy() for key, value in params.items()}
 
     rng = np.random.default_rng(config.seed)
     n = len(names)
@@ -325,16 +310,8 @@ def train_name_cnn(train, config: TrainConfig, dev=None,
                                       config.l2_strength)
             for key, grad in grads.items():
                 params[key] -= config.learning_rate * grad
-        if dev is not None:
-            f1 = _dev_macro_f1(model, dev_names, dev_metas, dev_labels)
-            if f1 > best_f1:
-                best_f1 = f1
-                best_params = {key: value.copy() for key, value in params.items()}
-            if best_f1 >= 1.0:
-                break
-    if dev is not None:
-        model.params = best_params
-    return model
+    return NameModel(char_vocab=char_vocab, params=params,
+                     meta_dim=metas.shape[1], max_len=max_len)
 
 
 def gradient_check(model: NameModel, names, metas, labels,

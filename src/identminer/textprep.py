@@ -10,7 +10,8 @@ Token records are immutable named tuples: a ``Token`` is (text, kind,
 char_span) and a ``TaggedToken`` is (token, pos). They hash, sort and compare
 as tuples, so a Token equals the plain tuple of its fields. A tuple is several
 times cheaper to build than a frozen dataclass, and tokenize builds one per
-token of every tweet and description.
+token of every description. The tweet path reads no span: its word counts
+and lexical statistics take tokenize's (text, kind) pairs from token_pairs.
 """
 from __future__ import annotations
 
@@ -62,6 +63,9 @@ _TOKEN_RE = re.compile(
     r"|(?P<word>\w+(?:[\-'’]\w+)*)"
     rf"|(?P<punct>[^\w\s{_EMOJI_RANGES}]+)"
 )
+# token kinds in the order of _TOKEN_RE's groups, as findall returns them
+_KINDS = tuple(sorted(_TOKEN_RE.groupindex, key=_TOKEN_RE.groupindex.get))
+_WORD = _KINDS.index("word")
 
 
 class Token(NamedTuple):
@@ -122,25 +126,33 @@ def _load_default_contractions() -> frozenset[str]:
     return _default_contractions
 
 
+def _text_and_kind(groups: tuple[str, ...]) -> tuple[str, str]:
+    """(lowercased text, kind) of one match, from its groups: one per kind in
+    _KINDS order, of which only the matched one is non-empty."""
+    word = groups[_WORD].lower()
+    if not word:
+        token = max(groups)  # "" sorts first
+        return token.lower(), _KINDS[groups.index(token)]
+    if "'" in word or "’" in word:
+        normalized = word.replace("’", "'")
+        if normalized in (_default_contractions or _load_default_contractions()):
+            return normalized, "contraction"
+    return word, "word"
+
+
 def tokenize(text: str) -> list[Token]:
     """Split text into typed tokens with character spans.
 
     Joining the source slices of consecutive tokens with the original
     inter-token whitespace reconstructs the input exactly.
     """
-    contractions = _default_contractions or _load_default_contractions()
-    tokens: list[Token] = []
-    append = tokens.append
-    for match in _TOKEN_RE.finditer(text):
-        kind = match.lastgroup
-        lowered = match.group().lower()
-        if kind == "word" and ("'" in lowered or "’" in lowered):
-            normalized = lowered.replace("’", "'")
-            if normalized in contractions:
-                append(_new_token((normalized, "contraction", match.span())))
-                continue
-        append(_new_token((lowered, kind, match.span())))
-    return tokens
+    return [_new_token((*_text_and_kind(match.groups("")), match.span()))
+            for match in _TOKEN_RE.finditer(text)]
+
+
+def token_pairs(text: str) -> list[tuple[str, str]]:
+    """The (text, kind) of each token of tokenize(text), without spans."""
+    return list(map(_text_and_kind, _TOKEN_RE.findall(text)))
 
 
 def pos_tag(tokens: Iterable[Token], lexicon: TagLexicon) -> list[TaggedToken]:

@@ -12,6 +12,8 @@ from datetime import datetime, timedelta, timezone
 from functools import lru_cache
 from pathlib import Path
 
+from hypothesis import strategies as st
+
 from identminer import resources
 from identminer.ingest import ProfileMeta, Tweet, UserRecord
 from identminer.textprep import TagLexicon, pos_tag, tokenize
@@ -35,6 +37,24 @@ def tag_lexicon() -> TagLexicon:
 def tag(text: str):
     """Tokenize and tag with the packaged lexicon."""
     return pos_tag(tokenize(text), tag_lexicon())
+
+
+# pieces where the tokenizer's rules meet: apostrophes and contractions, the
+# url/mention/hashtag prefixes, emoji with variation selectors and zero-width
+# joiners, and letters whose lowercase changes length or meaning (dotted
+# capital I, sharp s, Kelvin sign, capital sigma)
+TRICKY_PIECES = ("'", "’", "#", "@", "http://", "https://", "www.", "-",
+                 "i'm", "DON’T", "y'all", "😀", "👩‍💻", "👨‍👩‍👧",
+                 "❤️", "\u200d", "\ufe0f", "\u0307", "İ", "ß", "\u212a",
+                 "ΑΣ", ".", "!", "_", "7", " ", "\n")
+
+
+def tweet_texts():
+    """Arbitrary Unicode text, or text weighted toward TRICKY_PIECES."""
+    pieces = st.one_of(st.sampled_from(TRICKY_PIECES),
+                       st.text("abcXYZ", min_size=1, max_size=3),
+                       st.characters())
+    return st.one_of(st.text(), st.lists(pieces, max_size=30).map("".join))
 
 
 # ---------------------------------------------------------------------------

@@ -213,7 +213,7 @@ def test_criterion_4_cb_balance(capsys):
 
 def test_criterion_5_name_cnn_gradients_and_convergence(capsys):
     with criterion(capsys, 5, "name-model analytic gradients match finite "
-                   "differences; toy task fits within 250 epochs",
+                   "differences; toy task fits within 50 epochs",
                    budget=60.0):
         vocab = build_char_vocab(["ab", "cd", "ee"], min_count=1)
         model = NameModel(char_vocab=vocab,
@@ -228,9 +228,9 @@ def test_criterion_5_name_cnn_gradients_and_convergence(capsys):
         for label, ch in zip(CLASS_ORDER, "abcd"):
             for i in range(8):
                 items.append((ch * (4 + i), np.zeros(5), label, "crowd"))
-        config = TrainConfig(learning_rate=0.1, epochs=250, batch_size=8,
+        config = TrainConfig(learning_rate=0.1, epochs=50, batch_size=8,
                              seed=0)
-        trained = train_name_cnn(items, config, dev=items)
+        trained = train_name_cnn(items, config)
         correct = sum(trained.predict((name, meta))[0] is label
                       for name, meta, label, _ in items)
         assert correct == len(items)

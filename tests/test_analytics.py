@@ -16,15 +16,15 @@ from identminer.analytics import (DISCARD, behavioral_profile,
                                   group_lexical_stats, group_token_counts,
                                   kendall_tau_top_k,
                                   krippendorff_alpha_nominal,
-                                  lexical_diversity, majority_vote,
-                                  mann_whitney_u, sage_deviations,
-                                  type_token_ratio, user_lexical_means)
+                                  majority_vote, mann_whitney_u,
+                                  sage_deviations, user_lexical_means)
 from identminer.datasets import read_dataset_tsv
 from identminer.filters import CLASS_ORDER
 from identminer.ingest import UserRecord, dedupe_latest, load_users
 from identminer.textprep import tokenize
+from identminer.util import mean
 
-from helpers import make_profile, make_tweet, make_user
+from helpers import make_profile, make_tweet, make_user, tweet_texts
 
 W, B, HL, A = CLASS_ORDER
 
@@ -221,19 +221,61 @@ def test_majority_vote_rejects_unknown_label():
 # ---------------------------------------------------------------------------
 # lexical statistics
 
+def one_tweet_means(text: str, stopwords: frozenset = frozenset()) -> dict:
+    """user_lexical_means of a user whose only tweet is text."""
+    user = make_user("u1", tweets=(make_tweet(text),))
+    return user_lexical_means(user, stopwords, 200, Counter())
+
+
 def test_type_token_ratio():
-    assert type_token_ratio(tokenize("a b a")) == pytest.approx(2.0 / 3.0)
-    assert type_token_ratio([]) == 0.0
-    tokens = tokenize("go go go")
-    assert type_token_ratio(tokens) == pytest.approx(1.0 / 3.0)
+    assert one_tweet_means("a b a")["ttr"] == pytest.approx(2.0 / 3.0)
+    assert one_tweet_means("")["ttr"] == 0.0
+    assert one_tweet_means("go go go")["ttr"] == pytest.approx(1.0 / 3.0)
 
 
 def test_lexical_diversity_drops_urls_mentions_stopwords():
-    tokens = tokenize("the cat sat @mike https://x.co")
-    assert len(tokens) == 5
-    ld = lexical_diversity(tokens, frozenset({"the"}))
+    text = "the cat sat @mike https://x.co"
+    assert len(tokenize(text)) == 5
+    ld = one_tweet_means(text, frozenset({"the"}))["ld"]
     assert ld == pytest.approx(2.0 / 5.0)
-    assert lexical_diversity([], frozenset()) == 0.0
+    assert one_tweet_means("")["ld"] == 0.0
+
+
+def reference_lexical_means(user, stopwords, max_tweets, word_counts):
+    """user_lexical_means as four passes over tokenize's Tokens per tweet."""
+    tweets = user.tweets[:max_tweets]
+    if not tweets:
+        return None
+    ttr, ld, cpt, hpt = [], [], [], []
+    for tweet in tweets:
+        tokens = tokenize(tweet.text)
+        n = len(tokens)
+        ttr.append(len({tok.text for tok in tokens}) / n if n else 0.0)
+        content = [tok for tok in tokens if tok.kind not in ("url", "mention")
+                   and tok.text not in stopwords]
+        ld.append(len(content) / n if n else 0.0)
+        cpt.append(sum(1 for tok in tokens if tok.kind == "contraction"))
+        hpt.append(sum(1 for tok in tokens if tok.kind == "hashtag"))
+        word_counts.update(tok.text for tok in tokens
+                           if tok.kind in ("word", "contraction"))
+    return {"ttr": mean(ttr), "ld": mean(ld), "cpt": mean(cpt),
+            "hpt": mean(hpt)}
+
+
+@given(st.lists(tweet_texts(), max_size=4),
+       st.sets(st.sampled_from(["the", "a", "i'm", "#fun", "go", "😀"])),
+       st.integers(min_value=1, max_value=4))
+@settings(max_examples=200)
+def test_user_lexical_means_equals_the_tokenize_reference(texts, stopwords,
+                                                          max_tweets):
+    user = make_user("u1", tweets=tuple(
+        make_tweet(text, hours=-float(i)) for i, text in enumerate(texts)))
+    stopwords = frozenset(stopwords)
+    counts, expected_counts = Counter(), Counter()
+    stats = user_lexical_means(user, stopwords, max_tweets, counts)
+    assert stats == reference_lexical_means(user, stopwords, max_tweets,
+                                            expected_counts)
+    assert list(counts.items()) == list(expected_counts.items())
 
 
 def test_user_lexical_means_hand_fixture():
@@ -592,7 +634,7 @@ def test_sage_kkt_on_timelines_groups(tmp_path, seed):
         assert sage_kkt_residual(group, background, 1.0, eta) <= 1e-9, label
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(pairs=st.lists(st.tuples(st.integers(0, 30), st.integers(1, 30)),
                       min_size=2, max_size=8),
        lam=st.floats(0.05, 5.0))

@@ -16,6 +16,7 @@ from identminer import cli
 from identminer.cli import main
 from identminer.datasets import LabeledUser, read_dataset_tsv, write_dataset_tsv
 from identminer.filters import CLASS_ORDER, FILTER_NAMES
+from identminer.models import baseline_majority, baseline_random, save_model
 from identminer.textprep import SelfReportLexicon
 from identminer.util import canonical_json
 
@@ -788,7 +789,7 @@ def test_analyze_pure_python_tables_match_recorded_digest(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# one tokenization per tweet
+# one scan per tweet
 
 def counting_calls(monkeypatch, function: str, modules: set[str]) -> list:
     """Wrap textprep.<function> in every identminer module that binds it; the
@@ -815,16 +816,17 @@ def counting_calls(monkeypatch, function: str, modules: set[str]) -> list:
     return calls
 
 
-def counting_tokenize(monkeypatch) -> list[str]:
-    return counting_calls(monkeypatch, "tokenize",
+def counting_scans(monkeypatch) -> list[str]:
+    return counting_calls(monkeypatch, "token_pairs",
                           {"identminer.textprep", "identminer.analytics",
                            "identminer.models.features"})
 
 
 def test_train_evaluate_and_analyze_tokenize_each_tweet_once(tmp_path,
                                                             monkeypatch):
-    """Every tweet among each user's newest max_tweets is tokenized exactly
-    once per run; older tweets not at all."""
+    """Every tweet among each user's newest max_tweets is scanned
+    (textprep.token_pairs) exactly once per run, older tweets not at all,
+    and no tweet goes through the span-building tokenize."""
     words = {"W": "alpha", "B": "bravo", "HL": "charlie", "A": "delta"}
     payloads, users, in_scope = [], [], []
     for label in CLASS_ORDER:
@@ -843,7 +845,8 @@ def test_train_evaluate_and_analyze_tokenize_each_tweet_once(tmp_path,
     data = tmp_path / "data.tsv"
     write_dataset_tsv(users, data)
     config = write_config(tmp_path, "cfg.json", max_tweets=2, epochs=2)
-    calls = counting_tokenize(monkeypatch)
+    calls = counting_scans(monkeypatch)
+    tokenized = counting_calls(monkeypatch, "tokenize", {"identminer.textprep"})
     common = ("--config", str(config), "--corpus", str(corpus))
 
     assert run("train", "--model", "unigram", *common, "--train-data",
@@ -858,6 +861,7 @@ def test_train_evaluate_and_analyze_tokenize_each_tweet_once(tmp_path,
     assert run("analyze", *common, "--data", str(data),
                "--out", str(tmp_path / "analyze")) == 0
     assert sorted(calls) == sorted(in_scope)
+    assert tokenized == []
 
 
 # ---------------------------------------------------------------------------
@@ -1311,7 +1315,24 @@ def bad_input_commands(tmp_path) -> dict[str, list[str]]:
     nonfinite.write_text(data.read_text(encoding="utf-8")
                          + "x9\tB\tnan\tcrowd\n", encoding="utf-8")
     datasets = {"repeated-id": repeated, "nonfinite-score": nonfinite}
+    # --embeddings with a model that takes no embeddings; no input file
+    # exists, so the refusal must come before each is read
+    absent = str(tmp_path / "absent")
+    unused = ["--corpus", absent, "--embeddings", absent]
+    trained = {"namecnn": tmp_path / "name.json",
+               "baseline-majority": tmp_path / "majority.json",
+               "baseline-random": tmp_path / "random.json"}
+    trained["namecnn"].write_text(json.dumps(name), encoding="utf-8")
+    save_model(baseline_majority([W]), trained["baseline-majority"])
+    save_model(baseline_random(0), trained["baseline-random"])
     return {
+        **{f"train-{kind}-embeddings-unused": [
+               "train", "--model", kind, "--train-data", absent, *unused]
+           for kind in trained},
+        **{f"evaluate-{kind}-embeddings-unused": [
+               "evaluate", "--model-file", str(path), "--test-data", absent,
+               *unused]
+           for kind, path in trained.items()},
         **{f"train-data-{defect}": ["train", "--model", "unigram",
                                     "--train-data", str(path), "--corpus",
                                     str(group_corpus)]
@@ -1396,6 +1417,8 @@ MODEL_DEFECTS = {
     *[f"{command}-data-{defect}" for command in ("train", "evaluate", "analyze")
       for defect in ("repeated-id", "nonfinite-score")],
     *[f"evaluate-model-{defect}" for defect in MODEL_DEFECTS],
+    *[f"{command}-{kind}-embeddings-unused" for command in ("train", "evaluate")
+      for kind in ("namecnn", "baseline-majority", "baseline-random")],
 ])
 def test_malformed_input_file_is_a_data_error(tmp_path, capsys, case):
     argv = bad_input_commands(tmp_path)[case]
@@ -1422,6 +1445,9 @@ def test_malformed_input_file_is_a_data_error(tmp_path, capsys, case):
         assert "needs 24576 bytes, got 8" in err
     if case.endswith("not-string"):
         assert "must be a base64 string, not list" in err
+    if case.endswith("embeddings-unused"):
+        assert err == ("identminer: data error: --embeddings applies only "
+                       "to the unigram model\n")
     defect = case.removeprefix("evaluate-model-")
     if defect in MODEL_DEFECTS:
         assert err == (f"identminer: data error: bad model file: "

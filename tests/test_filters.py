@@ -252,7 +252,7 @@ def _alone(name, tagged, text, match):
             "quote": lambda: quote_filter(text, match)}[name]()
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(words=st.lists(DESCRIPTION_WORDS, min_size=1, max_size=12),
        filters=st.lists(st.sampled_from(FILTER_NAMES), unique=True))
 def test_chain_is_the_enabled_filters_that_reject_alone(words, filters):

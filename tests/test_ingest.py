@@ -6,7 +6,7 @@ from datetime import timezone
 
 import pytest
 
-from identminer.ingest import (ParseFailure, UserRecord, dedupe_latest,
+from identminer.ingest import (ParseFailure, Tweet, UserRecord, dedupe_latest,
                                load_users, parse_timestamp, parse_user_line)
 
 from helpers import iso, make_user, tweet_payload, user_payload
@@ -51,6 +51,48 @@ def test_tweets_sorted_newest_first():
     ))
     record = parse_user_line(json.dumps(payload), 1)
     assert [t.text for t in record.tweets] == ["newest", "middle", "oldest"]
+    # tweets with the same created_at keep their input order
+    payload = user_payload("u1", tweets=(
+        tweet_payload("tie-a", hours=-5),
+        tweet_payload("new", hours=-1),
+        tweet_payload("tie-b", hours=-5),
+        tweet_payload("old", hours=-9),
+        tweet_payload("tie-c", hours=-5),
+    ))
+    record = parse_user_line(json.dumps(payload), 1)
+    assert [t.text for t in record.tweets] == [
+        "new", "tie-a", "tie-b", "tie-c", "old"]
+
+
+def test_parsed_tweet_fields():
+    payload = user_payload("u1", tweets=(
+        tweet_payload("full", hours=-2, source_app="Twitter Web App",
+                      has_image=True, has_url=False, mentions_user=True,
+                      geotagged=True),
+        {"text": "bare", "created_at": "2024-06-01T13:00:00+02:00"},
+    ))
+    counter = Counter()
+    # newest first: bare is an hour old, full two
+    bare, full = parse_user_line(json.dumps(payload), 1, counter).tweets
+    assert full == Tweet(text="full", source_app="Twitter Web App",
+                         created_at=parse_timestamp(iso(-2)), has_image=True,
+                         has_url=False, mentions_user=True, geotagged=True)
+    assert (full.text, full.source_app, full.created_at, full.has_image,
+            full.has_url, full.mentions_user, full.geotagged) == (
+        "full", "Twitter Web App", parse_timestamp(iso(-2)), True, False,
+        True, True)
+    assert bare == Tweet("bare", "", parse_timestamp("2024-06-01T11:00:00Z"))
+    assert bare.created_at.tzinfo == timezone.utc
+    assert not (bare.has_image or bare.has_url or bare.mentions_user
+                or bare.geotagged)
+    assert {key: n for key, n in counter.items() if key.startswith("tweet.")} \
+        == {"tweet.source_app": 1, "tweet.has_image": 1, "tweet.has_url": 1,
+            "tweet.mentions_user": 1, "tweet.geotagged": 1}
+    # a named tuple: immutable, and equal to the plain tuple of its fields
+    with pytest.raises(AttributeError):
+        full.text = "x"
+    assert tuple(bare) == ("bare", "", bare.created_at, False, False, False,
+                           False)
 
 
 def test_missing_optionals_default_and_count():

@@ -243,7 +243,7 @@ def same_bits(got: np.ndarray, want: np.ndarray) -> bool:
             and got.tobytes() == want.tobytes())
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(array=float64_arrays(hnp.array_shapes(min_dims=1, max_dims=2,
                                              min_side=0, max_side=6)),
        weights=float64_arrays(st.tuples(st.just(4), st.integers(0, 6))),

@@ -52,7 +52,7 @@ def same_csr(ours, theirs: sparse.csr_matrix) -> bool:
             and same_bytes(data, theirs.data))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(count_matrices(), st.data())
 def test_count_products_equal_scipy_csr_bitwise(matrix, data):
     rows, width = matrix
@@ -86,7 +86,7 @@ def test_count_products_of_empty_rows_are_zero():
                     scipy_rows(rows, 2)[[2, 0]])
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200)
 @given(st.integers(1, 6), st.integers(1, 5), st.data())
 def test_scatter_add_rows_equals_scipy_csc_one_hot_product(n_rows, width,
                                                            data):

@@ -1,13 +1,14 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from identminer.textprep import (SENTINEL_TAGS, SelfReportLexicon, TagLexicon,
                                  TaggedToken, Token, build_selfreport_lexicon,
                                  extract_selfreport_candidates, pos_tag,
-                                 selfreport_words, tokenize)
+                                 selfreport_words, token_pairs, tokenize)
 
-from helpers import make_user, tag, tag_lexicon
+from helpers import make_user, tag, tag_lexicon, tweet_texts
 
 WORDS = ["black", "farmer", "coffee", "lover", "i", "am", "a", "proud",
          "woman", "happy", "so", "#tag", "@who", ":)", "it's"]
@@ -75,6 +76,12 @@ def test_token_records_are_immutable_hashable_and_named():
     assert repr(token) == "Token(text='farmer', kind='word', char_span=(0, 6))"
     # a tuple subclass: equal to the plain tuple of its fields
     assert token == ("farmer", "word", (0, 6))
+
+
+@given(tweet_texts())
+@settings(max_examples=500)
+def test_token_pairs_are_tokenize_without_spans(text):
+    assert token_pairs(text) == kinds(text)
 
 
 def test_tokenize_hyphenated_word_is_one_token():
