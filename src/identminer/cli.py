@@ -514,6 +514,18 @@ def _corpus_pairs(paths: dict, dataset) -> list:
     return pairs
 
 
+def _embedding_pairs(paths: dict, pairs: list, role: str) -> list:
+    """(dataset user, --embeddings row) for each pair whose user id has a
+    row in the embeddings table."""
+    from .models.features import read_embeddings
+    table = _read_input(paths, "embeddings", read_embeddings)
+    kept = [(user, table[user.user_id]) for user, _ in pairs
+            if user.user_id in table]
+    if not kept:
+        raise DataError(f"no embeddings match the {role} user ids")
+    return kept
+
+
 def _read_dataset(path):
     try:
         dataset = read_dataset_tsv(path)
@@ -551,64 +563,60 @@ def cmd_train(args: argparse.Namespace) -> int:
         return _write_model(paths, model, result)
 
     from .models.training import (TrainConfig, effective_weight_histogram,
-                                  example_weights, inverse_class_weights)
+                                  example_weights, inverse_class_weights,
+                                  label_indices)
     pairs = _corpus_pairs(paths, dataset)
+    if paths.get("embeddings"):
+        pairs = _embedding_pairs(paths, pairs, "training")  # (user, row)
+    labels = [user.label for user, _ in pairs]
+    if len(set(labels)) < 2:
+        raise DataError("training set has a single class")
+    class_weights = inverse_class_weights(labels)
+    sample_weights = example_weights(labels, [user.source for user, _ in pairs],
+                                     class_weights,
+                                     config["instance_downweight"])
+    y_idx = label_indices(labels)
     train_config = TrainConfig(
         learning_rate=config["learning_rate"],
         epochs=config["epochs"],
         l2_strength=config["l2_strength"],
-        instance_downweight=config["instance_downweight"],
         seed=stage_seed(config["seed"], "train"),
         batch_size=config["batch_size"],
     )
-    try:
-        if model_name == "unigram":
-            from .models.features import (build_vocab, featurize_user,
-                                          read_embeddings, user_word_counts)
-            from .models.unigram import train_unigram
-            if paths.get("embeddings"):
-                table = _read_input(paths, "embeddings", read_embeddings)
-                pairs = [(user, record) for user, record in pairs
-                         if user.user_id in table]
-                if not pairs:
-                    raise DataError("no embeddings match the training user ids")
-                train_items = [(table[user.user_id], user.label, user.source)
-                               for user, _ in pairs]
-                result["n_features"] = len(train_items[0][0])
-                model = train_unigram(train_items, train_config)
-            else:
-                stopwords = resources.load_stopwords()
-                word_counts = [user_word_counts(record, config["max_tweets"])
-                               for _, record in pairs]
-                vocab = build_vocab(word_counts, min_count=config["min_count"],
-                                    stopwords=stopwords)
-                if not vocab:
-                    raise DataError("empty vocabulary; not enough tweet text")
-                train_items = [
-                    (featurize_user(counts, vocab), user.label, user.source)
-                    for counts, (user, _) in zip(word_counts, pairs)]
-                result["vocab_size"] = len(vocab)
-                model = train_unigram(train_items, train_config, vocab=vocab,
-                                      stopwords=stopwords)
-        else:
-            from .models.namecnn import name_meta_features, train_name_cnn
-            train_items = [
-                (record.name, name_meta_features(record), user.label, user.source)
-                for user, record in pairs]
-            model = train_name_cnn(train_items, train_config,
-                                   min_char_count=config["min_char_count"])
-            result["char_vocab_size"] = len(model.char_vocab)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+    if model_name == "namecnn":
+        import numpy as np
+        from .models.namecnn import name_meta_features, train_name_cnn
+        metas = np.vstack([name_meta_features(record) for _, record in pairs])
+        model = train_name_cnn([record.name for _, record in pairs], metas,
+                               y_idx, sample_weights, train_config,
+                               config["min_char_count"])
+        result["char_vocab_size"] = len(model.char_vocab)
+    elif paths.get("embeddings"):
+        from .models.unigram import train_unigram
+        rows = [row for _, row in pairs]
+        result["n_features"] = len(rows[0])
+        model = train_unigram(rows, y_idx, sample_weights, train_config, {},
+                              frozenset())
+    else:
+        from .models.features import (build_vocab, featurize_user,
+                                      user_word_counts)
+        from .models.unigram import train_unigram
+        stopwords = resources.load_stopwords()
+        word_counts = [user_word_counts(record, config["max_tweets"])
+                       for _, record in pairs]
+        vocab = build_vocab(word_counts, min_count=config["min_count"],
+                            stopwords=stopwords)
+        if not vocab:
+            raise DataError("empty vocabulary; not enough tweet text")
+        rows = [featurize_user(counts, vocab) for counts in word_counts]
+        result["vocab_size"] = len(vocab)
+        model = train_unigram(rows, y_idx, sample_weights, train_config, vocab,
+                              stopwords)
 
-    labels = [user.label for user, _ in pairs]
-    sources = [user.source for user, _ in pairs]
-    class_weights = inverse_class_weights(labels)
-    weights = example_weights(labels, sources, class_weights,
-                              train_config.instance_downweight)
     result["n_usable"] = len(pairs)
     result["class_weights"] = class_weights.tolist()
-    result["effective_weight_histogram"] = effective_weight_histogram(weights)
+    result["effective_weight_histogram"] = effective_weight_histogram(
+        sample_weights)
     return _write_model(paths, model, result)
 
 
@@ -619,8 +627,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         model = load_model(model_path)
     except KeyError as exc:
         raise DataError(f"bad model file: missing field {exc}") from exc
-    except (ValueError, TypeError, AttributeError) as exc:
-        # TypeError and AttributeError: a field of the wrong JSON type
+    except (ValueError, TypeError, AttributeError, RecursionError) as exc:
+        # TypeError and AttributeError: a field of the wrong JSON type;
+        # RecursionError: nesting past the JSON decoder's recursion limit
         raise DataError(f"bad model file: {exc}") from exc
     kind = type(model).__name__
     if kind != "UnigramModel" and paths.get("embeddings"):
@@ -645,12 +654,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             test_set = [((record.name, name_meta_features(record)), user.label)
                         for user, record in pairs]
         elif paths.get("embeddings"):
-            from .models.features import read_embeddings
-            table = _read_input(paths, "embeddings", read_embeddings)
-            test_set = [(table[user.user_id], user.label)
-                        for user, _ in pairs if user.user_id in table]
-            if not test_set:
-                raise DataError("no embeddings match the test user ids")
+            test_set = [(row, user.label) for user, row in
+                        _embedding_pairs(paths, pairs, "test")]
         else:
             from .models.features import featurize_user, user_word_counts
             test_set = [

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -31,8 +31,8 @@ from numpy.lib.stride_tricks import sliding_window_view
 from ..filters import CLASS_ORDER, ClassLabel
 from ..ingest import UserRecord
 from .training import (N_CLASSES, TrainConfig, argmax_labels, decode_array,
-                       encode_array, example_weights, inverse_class_weights,
-                       label_indices, one_hot, softmax)
+                       encode_array, label_indices, minibatches, one_hot,
+                       softmax)
 
 EMBED_DIM = 256
 N_FILTERS = 256
@@ -274,44 +274,25 @@ class NameModel:
                    max_len=max_len)
 
 
-def _unpack(items):
-    names = [item[0] for item in items]
-    metas = np.vstack([np.asarray(item[1], dtype=np.float64) for item in items])
-    labels = [item[2] for item in items]
-    sources = [item[3] for item in items]
-    return names, metas, labels, sources
-
-
-def train_name_cnn(train, config: TrainConfig, min_char_count: int = 5,
-                   max_len: int = MAX_NAME_LEN) -> NameModel:
-    """Mini-batch gradient descent for config.epochs epochs."""
-    if not train:
-        raise ValueError("empty training set")
-    names, metas, labels, sources = _unpack(train)
-    if len(set(labels)) < 2:
-        raise ValueError("training set has a single class")
-    char_vocab = build_char_vocab(names, min_count=min_char_count, max_len=max_len)
-    ids = encode_names(names, char_vocab, max_len)
-    y_idx = label_indices(labels)
-    sample_weights = example_weights(labels, sources,
-                                     inverse_class_weights(labels),
-                                     config.instance_downweight)
-
+def train_name_cnn(names: Sequence[str], metas: np.ndarray, y_idx: np.ndarray,
+                   sample_weights: np.ndarray, config: TrainConfig,
+                   min_char_count: int) -> NameModel:
+    """Weighted mini-batch gradient descent for config.epochs epochs over
+    names and their (n, meta_dim) metadata rows; y_idx holds their class
+    indices (training.label_indices) and sample_weights their example
+    weights (training.example_weights). The character vocabulary keeps the
+    characters seen at least min_char_count times."""
+    char_vocab = build_char_vocab(names, min_count=min_char_count)
+    ids = encode_names(names, char_vocab)
     params = init_params(len(char_vocab) + 2, metas.shape[1], config.seed)
-
-    rng = np.random.default_rng(config.seed)
-    n = len(names)
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            batch = order[start:start + config.batch_size]
-            _, grads = loss_and_grads(params, ids[batch], metas[batch],
-                                      y_idx[batch], sample_weights[batch],
-                                      config.l2_strength)
-            for key, grad in grads.items():
-                params[key] -= config.learning_rate * grad
+    for batch in minibatches(len(names), config):
+        _, grads = loss_and_grads(params, ids[batch], metas[batch],
+                                  y_idx[batch], sample_weights[batch],
+                                  config.l2_strength)
+        for key, grad in grads.items():
+            params[key] -= config.learning_rate * grad
     return NameModel(char_vocab=char_vocab, params=params,
-                     meta_dim=metas.shape[1], max_len=max_len)
+                     meta_dim=metas.shape[1])
 
 
 def gradient_check(model: NameModel, names, metas, labels,

@@ -1,13 +1,14 @@
-"""Shared training plumbing: config, class reweighting, instance
-down-weighting, numerically stable softmax helpers, and the array codec of
-model files."""
+"""Shared training plumbing: config, the one seeded mini-batch loop, class
+reweighting and instance down-weighting (which the CLI applies once per
+training set; the trainers take the resulting arrays), numerically stable
+softmax helpers, and the array codec of model files."""
 from __future__ import annotations
 
 import base64
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -22,9 +23,20 @@ class TrainConfig:
     learning_rate: float = 0.1
     epochs: int = 20
     l2_strength: float = 1e-4
-    instance_downweight: float = 1.0  # applied to QB/HF/CB-source examples
     seed: int = 0
     batch_size: int = 64
+
+
+def minibatches(n: int, config: TrainConfig) -> Iterator[np.ndarray]:
+    """The row indices of each mini-batch of config.epochs epochs over n
+    examples: each epoch draws a permutation of range(n) from one
+    default_rng(config.seed) and cuts it into config.batch_size slices, the
+    last of which may be shorter."""
+    rng = np.random.default_rng(config.seed)
+    for _ in range(config.epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.batch_size):
+            yield order[start:start + config.batch_size]
 
 
 def label_indices(labels: Sequence[ClassLabel]) -> np.ndarray:

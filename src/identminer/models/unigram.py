@@ -18,8 +18,7 @@ import numpy as np
 from ..filters import CLASS_ORDER, ClassLabel
 from .features import EMBEDDING_DIM
 from .training import (N_CLASSES, TrainConfig, argmax_labels, decode_array,
-                       encode_array, example_weights, inverse_class_weights,
-                       label_indices, one_hot, softmax)
+                       encode_array, minibatches, one_hot, softmax)
 
 
 def stack_rows(rows: Sequence) -> tuple | np.ndarray:
@@ -146,44 +145,27 @@ def weighted_ce_loss(weights: np.ndarray, bias: np.ndarray, X, y_idx: np.ndarray
     return float(ce + 0.5 * l2 * float((weights ** 2).sum()))
 
 
-def train_unigram(train, config: TrainConfig,
-                  vocab: dict[str, int] | None = None,
-                  stopwords: frozenset[str] = frozenset()) -> UnigramModel:
-    """train: sequence of (features, label, source) with features one count
-    row each (over vocab, which count rows need) or one dense row each.
-    Weights start at zero; the objective is convex so the seed only orders
-    mini-batches."""
-    if not train:
-        raise ValueError("empty training set")
-    feats = [item[0] for item in train]
-    labels = [item[1] for item in train]
-    sources = [item[2] for item in train]
-    if len(set(labels)) < 2:
-        raise ValueError("training set has a single class")
-    X = stack_rows(feats)
-    n = len(feats)
+def train_unigram(rows: Sequence, y_idx: np.ndarray,
+                  sample_weights: np.ndarray, config: TrainConfig,
+                  vocab: dict[str, int],
+                  stopwords: frozenset[str]) -> UnigramModel:
+    """Weighted mini-batch gradient descent over rows, each a count row over
+    vocab or a dense row (vocab empty); y_idx holds their class indices
+    (training.label_indices) and sample_weights their example weights
+    (training.example_weights). Weights start at zero; the objective is
+    convex so the seed only orders mini-batches."""
+    X = stack_rows(rows)
     n_features = len(vocab) if isinstance(X, tuple) else X.shape[1]
-    y_idx = label_indices(labels)
-
-    sample_weights = example_weights(labels, sources,
-                                     inverse_class_weights(labels),
-                                     config.instance_downweight)
-
     W = np.zeros((N_CLASSES, n_features), dtype=np.float64)
     b = np.zeros(N_CLASSES, dtype=np.float64)
     Y = one_hot(y_idx)
-    rng = np.random.default_rng(config.seed)
-    for _ in range(config.epochs):
-        order = rng.permutation(n)
-        for start in range(0, n, config.batch_size):
-            batch = order[start:start + config.batch_size]
-            Xb = take_rows(X, batch)
-            probs = softmax(matmul(Xb, W.T) + b)
-            wb = sample_weights[batch]
-            delta = (probs - Y[batch]) * wb[:, None] / wb.sum()
-            grad_W = (matmul_t(Xb, delta, n_features).T
-                      + config.l2_strength * W)
-            grad_b = delta.sum(axis=0)
-            W -= config.learning_rate * grad_W
-            b -= config.learning_rate * grad_b
-    return UnigramModel(vocab=vocab or {}, weights=W, bias=b, stopwords=stopwords)
+    for batch in minibatches(len(y_idx), config):
+        Xb = take_rows(X, batch)
+        probs = softmax(matmul(Xb, W.T) + b)
+        wb = sample_weights[batch]
+        delta = (probs - Y[batch]) * wb[:, None] / wb.sum()
+        grad_W = matmul_t(Xb, delta, n_features).T + config.l2_strength * W
+        grad_b = delta.sum(axis=0)
+        W -= config.learning_rate * grad_W
+        b -= config.learning_rate * grad_b
+    return UnigramModel(vocab=vocab, weights=W, bias=b, stopwords=stopwords)

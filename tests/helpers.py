@@ -139,6 +139,18 @@ def write_unigram_model(path, vocab: dict[str, int], n_features: int,
     return path
 
 
+def training_arrays(labels, sources, instance_downweight: float = 1.0):
+    """(y_idx, sample_weights) of a labeled training set, weighted the way
+    `train` weighs it: inverse class frequency times instance_downweight for
+    the QB/HF/CB sources."""
+    from identminer.models.training import (example_weights,
+                                            inverse_class_weights,
+                                            label_indices)
+    weights = example_weights(labels, sources, inverse_class_weights(labels),
+                              instance_downweight)
+    return label_indices(labels), weights
+
+
 # ---------------------------------------------------------------------------
 # the planted corpus
 

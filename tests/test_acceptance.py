@@ -31,7 +31,8 @@ from identminer.scorer import WEIGHTINGS, ScoreParams, score_description
 from identminer.textprep import build_selfreport_lexicon
 
 from helpers import (planted_payloads, planted_users, skewed_labels,
-                     tag_lexicon, tweet_payload, user_payload, write_jsonl)
+                     tag_lexicon, training_arrays, tweet_payload,
+                     user_payload, write_jsonl)
 from test_scorer import match_at, oracle_score, random_lexicon, random_text
 
 W, B, HL, A = CLASS_ORDER
@@ -230,7 +231,11 @@ def test_criterion_5_name_cnn_gradients_and_convergence(capsys):
                 items.append((ch * (4 + i), np.zeros(5), label, "crowd"))
         config = TrainConfig(learning_rate=0.1, epochs=50, batch_size=8,
                              seed=0)
-        trained = train_name_cnn(items, config)
+        y_idx, weights = training_arrays([item[2] for item in items],
+                                         [item[3] for item in items])
+        trained = train_name_cnn([item[0] for item in items],
+                                 np.vstack([item[1] for item in items]),
+                                 y_idx, weights, config, min_char_count=5)
         correct = sum(trained.predict((name, meta))[0] is label
                       for name, meta, label, _ in items)
         assert correct == len(items)
@@ -247,7 +252,10 @@ def test_criterion_6_unigram_training(capsys):
                 items.append((features, label, "crowd"))
         config = TrainConfig(learning_rate=0.5, epochs=60, batch_size=8,
                              seed=0)
-        model = train_unigram(items, config)
+        y_idx, weights = training_arrays([item[1] for item in items],
+                                         [item[2] for item in items])
+        model = train_unigram([item[0] for item in items], y_idx, weights,
+                              config, vocab={}, stopwords=frozenset())
         correct = sum(model.predict(features)[0] is label
                       for features, label, _ in items)
         assert correct == 40

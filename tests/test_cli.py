@@ -381,6 +381,52 @@ def test_train_unigram_without_tweet_text_fails(tmp_path):
                "--train-data", str(data), "--out", str(tmp_path / "out")) == 2
 
 
+@pytest.mark.parametrize("model", ["unigram", "namecnn"])
+def test_train_on_a_single_class_is_a_data_error(tmp_path, capsys, model):
+    corpus, _ = tweet_group_fixture(tmp_path)
+    data = tmp_path / "one_class.tsv"
+    write_dataset_tsv([LabeledUser(user_id=user_id, label=W, source="crowd",
+                                   score=None) for user_id in ("w0", "b0")],
+                      data)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run("train", "--model", model, "--corpus", str(corpus),
+               "--train-data", str(data), "--out", str(out)) == 2
+    assert capsys.readouterr().err == \
+        "identminer: data error: training set has a single class\n"
+    assert not out.exists()
+
+
+def test_train_reports_the_weights_it_trained_with(tmp_path):
+    corpus, _ = tweet_group_fixture(tmp_path)
+    # 4 W, 2 B, 1 HL, 1 A; half of them from the automatic HF source
+    rows = [("w0", W, "crowd"), ("w1", W, "HF"), ("b0", W, "crowd"),
+            ("b1", W, "HF"), ("hl0", B, "crowd"), ("hl1", B, "HF"),
+            ("a0", HL, "crowd"), ("a1", A, "HF")]
+    data = tmp_path / "mixed.tsv"
+    write_dataset_tsv([LabeledUser(user_id=user_id, label=label,
+                                   source=source,
+                                   score=0.9 if source == "HF" else None)
+                       for user_id, label, source in rows], data)
+    config = write_config(tmp_path, "cfg.json", epochs=1,
+                          instance_downweight=0.5)
+    out = tmp_path / "out"
+    assert run("train", "--model", "unigram", "--config", str(config),
+               "--corpus", str(corpus), "--train-data", str(data),
+               "--out", str(out)) == 0
+    result = json.loads((out / "train_result.json").read_text())
+    # inverse frequencies 8/4, 8/2, 8/1, 8/1 over their mean 5.5; an HF
+    # row weighs half its class weight
+    assert result["class_weights"] == [4 / 11, 8 / 11, 16 / 11, 16 / 11]
+    assert result["effective_weight_histogram"] == {
+        repr(2 / 11): 2,   # W from HF
+        repr(4 / 11): 3,   # W from crowd, B from HF
+        repr(8 / 11): 2,   # B from crowd, A from HF
+        repr(16 / 11): 1,  # HL from crowd
+    }
+    assert result["n_usable"] == 8
+
+
 def test_train_evaluate_namecnn(tmp_path):
     corpus, data = tweet_group_fixture(tmp_path)
     config = write_config(tmp_path, "cfg.json", learning_rate=0.1, epochs=250,
@@ -1277,6 +1323,9 @@ def bad_input_commands(tmp_path) -> dict[str, list[str]]:
         for defect, data in weights.items()}
     listed = tmp_path / "listed.json"
     listed.write_text("[1, 2]", encoding="utf-8")
+    # nesting past the JSON decoder's recursion limit
+    nested = tmp_path / "nested.json"
+    nested.write_text("[" * 100000, encoding="utf-8")
     # a name model over the characters a and b, then the defects of
     # MODEL_DEFECTS planted in it or in a unigram model
     import numpy as np
@@ -1359,6 +1408,8 @@ def bad_input_commands(tmp_path) -> dict[str, list[str]]:
                                            str(mistyped)],
         "evaluate-model-not-object": [*evaluate, "--model-file",
                                       str(listed)],
+        "evaluate-model-deeply-nested": [*evaluate, "--model-file",
+                                         str(nested)],
         "train-embeddings-infinite": ["train", "--model", "unigram",
                                       "--train-data", str(data), "--corpus",
                                       str(group_corpus), "--embeddings",
@@ -1409,6 +1460,7 @@ MODEL_DEFECTS = {
     "tag-lexicon-not-penn", "tag-lexicon-not-utf8", "blocklist-not-bigram",
     "evaluate-embeddings-narrow", "evaluate-model-no-shape",
     "evaluate-model-params-mistyped", "evaluate-model-not-object",
+    "evaluate-model-deeply-nested",
     "train-embeddings-infinite", "evaluate-embeddings-infinite",
     "train-embeddings-repeated-row", "evaluate-embeddings-repeated-row",
     "evaluate-model-version-1",

@@ -19,11 +19,11 @@ from identminer.models.training import (TrainConfig, decode_array,
                                         effective_weight_histogram,
                                         encode_array, example_weights,
                                         inverse_class_weights, label_indices,
-                                        one_hot, softmax)
+                                        minibatches, one_hot, softmax)
 from identminer.models.unigram import (UnigramModel, train_unigram,
                                        weighted_ce_loss)
 
-from helpers import make_tweet, make_user, make_profile
+from helpers import make_tweet, make_user, make_profile, training_arrays
 
 W, B, HL, A = CLASS_ORDER
 
@@ -48,6 +48,17 @@ def separable_items(per_class=10, dense=True, source="crowd"):
                 row = count_row(row)
             items.append((row, label, source))
     return items
+
+
+def fit(items, config, vocab=None, stopwords=frozenset(),
+        instance_downweight=1.0):
+    """train_unigram on (row, label, source) items, weighted as `train`
+    weighs them."""
+    y_idx, weights = training_arrays([item[1] for item in items],
+                                     [item[2] for item in items],
+                                     instance_downweight)
+    return train_unigram([item[0] for item in items], y_idx, weights, config,
+                         vocab or {}, stopwords)
 
 
 # ---------------------------------------------------------------------------
@@ -92,6 +103,25 @@ def test_effective_weight_histogram_uses_exact_reprs():
     assert list(hist) == sorted(hist)
 
 
+def test_minibatches_slice_one_seeded_permutation_per_epoch():
+    # a permutation per epoch from one generator seeded with config.seed,
+    # cut into batch_size slices, the last one short
+    rng = np.random.default_rng(9)
+    expected = []
+    for _ in range(3):
+        order = rng.permutation(10)
+        expected += [order[0:4], order[4:8], order[8:10]]
+    got = list(minibatches(10, TrainConfig(epochs=3, batch_size=4, seed=9)))
+    assert [batch.tolist() for batch in got] == \
+        [batch.tolist() for batch in expected]
+    assert [len(batch) for batch in got] == [4, 4, 2] * 3
+    # fewer examples than batch_size: one batch per epoch
+    one = list(minibatches(3, TrainConfig(epochs=2, batch_size=64, seed=9)))
+    rng = np.random.default_rng(9)
+    assert [batch.tolist() for batch in one] == \
+        [rng.permutation(3).tolist() for _ in range(2)]
+
+
 def test_softmax_rows_sum_to_one_and_survive_big_logits():
     logits = np.array([[1000.0, 0.0, -1000.0, 3.0], [0.0, 0.0, 0.0, 0.0]])
     probs = softmax(logits)
@@ -112,7 +142,7 @@ def test_one_hot():
 
 def test_train_unigram_fits_separable_data():
     config = TrainConfig(learning_rate=0.5, epochs=60, seed=0, batch_size=8)
-    model = train_unigram(separable_items(), config)
+    model = fit(separable_items(), config)
     correct = 0
     for features, label, _ in separable_items():
         predicted, probs = model.predict(features)
@@ -125,7 +155,7 @@ def test_train_unigram_fits_separable_data():
 @pytest.mark.parametrize("dense", [True, False])
 def test_unigram_predict_batch_matches_per_row_predict(dense):
     config = TrainConfig(learning_rate=0.5, epochs=5, seed=0, batch_size=8)
-    model = train_unigram(separable_items(dense=dense), config, vocab=VOCAB4)
+    model = fit(separable_items(dense=dense), config, vocab=VOCAB4)
     rng = np.random.default_rng(1)
     rows = [rng.poisson(1.0, size=4).astype(float) for _ in range(30)]
     if not dense:
@@ -133,53 +163,41 @@ def test_unigram_predict_batch_matches_per_row_predict(dense):
     assert model.predict_batch(rows) == [model.predict(row)[0] for row in rows]
 
 
-def test_train_unigram_rejects_degenerate_input():
-    with pytest.raises(ValueError):
-        train_unigram([], TrainConfig())
-    single = [(np.ones(3), W, "crowd"), (np.zeros(3), W, "crowd")]
-    with pytest.raises(ValueError):
-        train_unigram(single, TrainConfig())
-
-
 def test_train_unigram_seed_reproducible():
     config = TrainConfig(epochs=5, seed=11, batch_size=8)
-    a = train_unigram(separable_items(), config)
-    b = train_unigram(separable_items(), config)
+    a = fit(separable_items(), config)
+    b = fit(separable_items(), config)
     assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(a.bias, b.bias)
-    c = train_unigram(separable_items(), TrainConfig(epochs=5, seed=12,
-                                                     batch_size=8))
+    c = fit(separable_items(), TrainConfig(epochs=5, seed=12, batch_size=8))
     assert not np.array_equal(a.weights, c.weights)
 
 
 def test_train_unigram_downweight_is_noop_when_all_rows_are_auto():
     items = separable_items(source="HF")
-    a = train_unigram(items, TrainConfig(epochs=4, batch_size=16,
-                                         instance_downweight=1.0))
+    config = TrainConfig(epochs=4, batch_size=16)
+    a = fit(items, config, instance_downweight=1.0)
     # a power-of-two rescale cancels exactly; any other constant cancels up
     # to float rounding
-    b = train_unigram(items, TrainConfig(epochs=4, batch_size=16,
-                                         instance_downweight=0.5))
+    b = fit(items, config, instance_downweight=0.5)
     assert np.array_equal(a.weights, b.weights)
-    c = train_unigram(items, TrainConfig(epochs=4, batch_size=16,
-                                         instance_downweight=0.3))
+    c = fit(items, config, instance_downweight=0.3)
     assert np.allclose(a.weights, c.weights)
 
 
 def test_train_unigram_downweight_matters_with_mixed_sources():
     items = separable_items(source="HF")
     items[0] = (items[0][0], items[0][1], "crowd")
-    a = train_unigram(items, TrainConfig(epochs=4, batch_size=16,
-                                         instance_downweight=1.0))
-    b = train_unigram(items, TrainConfig(epochs=4, batch_size=16,
-                                         instance_downweight=0.3))
+    config = TrainConfig(epochs=4, batch_size=16)
+    a = fit(items, config, instance_downweight=1.0)
+    b = fit(items, config, instance_downweight=0.3)
     assert not np.array_equal(a.weights, b.weights)
 
 
 def test_train_unigram_sparse_matches_dense():
     config = TrainConfig(epochs=10, batch_size=8, seed=3)
-    dense = train_unigram(separable_items(dense=True), config)
-    sp = train_unigram(separable_items(dense=False), config, vocab=VOCAB4)
+    dense = fit(separable_items(dense=True), config)
+    sp = fit(separable_items(dense=False), config, vocab=VOCAB4)
     assert np.allclose(dense.weights, sp.weights)
     assert np.allclose(dense.bias, sp.bias)
 
@@ -193,7 +211,7 @@ def test_full_batch_loss_decreases():
     for epochs in (1, 2, 4, 8, 16):
         config = TrainConfig(learning_rate=0.1, epochs=epochs, batch_size=64,
                              l2_strength=1e-4)
-        model = train_unigram(items, config)
+        model = fit(items, config)
         losses.append(weighted_ce_loss(model.weights, model.bias, X, y_idx,
                                        sample_weights, config.l2_strength))
     for earlier, later in zip(losses, losses[1:]):
@@ -203,8 +221,8 @@ def test_full_batch_loss_decreases():
 def test_unigram_model_round_trip(tmp_path):
     config = TrainConfig(epochs=3, batch_size=8)
     vocab = {"alpha": 0, "beta": 1, "gamma": 2, "delta": 3}
-    model = train_unigram(separable_items(), config, vocab=vocab,
-                          stopwords=frozenset({"the"}))
+    model = fit(separable_items(), config, vocab=vocab,
+                stopwords=frozenset({"the"}))
     path = tmp_path / "model.json"
     save_model(model, path)
     back = load_model(path)
