@@ -595,23 +595,20 @@ def cmd_train(args: argparse.Namespace) -> int:
         from .models.unigram import train_unigram
         rows = [row for _, row in pairs]
         result["n_features"] = len(rows[0])
-        model = train_unigram(rows, y_idx, sample_weights, train_config, {},
-                              frozenset())
+        model = train_unigram(rows, y_idx, sample_weights, train_config, {})
     else:
         from .models.features import (build_vocab, featurize_user,
                                       user_word_counts)
         from .models.unigram import train_unigram
-        stopwords = resources.load_stopwords()
         word_counts = [user_word_counts(record, config["max_tweets"])
                        for _, record in pairs]
         vocab = build_vocab(word_counts, min_count=config["min_count"],
-                            stopwords=stopwords)
+                            stopwords=resources.load_stopwords())
         if not vocab:
             raise DataError("empty vocabulary; not enough tweet text")
         rows = [featurize_user(counts, vocab) for counts in word_counts]
         result["vocab_size"] = len(vocab)
-        model = train_unigram(rows, y_idx, sample_weights, train_config, vocab,
-                              stopwords)
+        model = train_unigram(rows, y_idx, sample_weights, train_config, vocab)
 
     result["n_usable"] = len(pairs)
     result["class_weights"] = class_weights.tolist()

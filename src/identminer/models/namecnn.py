@@ -7,13 +7,15 @@ characters before encoding. Forward, backward, and the update loop are plain
 numpy with manual gradients; gradient_check verifies them against central
 finite differences.
 
-The convolution is computed as 2D GEMMs over the flattened (batch x window)
-axis (im2col; Chellapilla, Puri & Simard 2006): the forward pass, the filter
-gradient and the window-input gradient are each one BLAS matrix product, and
-the embedding gradient is one np.bincount scatter-add. A batch is padded
-to its longest name, but windows that start in the padding are masked out of
-the max-pool, so a name's probabilities do not depend on the other names in
-its batch.
+The convolution works on the batch's distinct characters, not its padded
+windows: Wc holds one (De,) row per filter and slot, so one GEMM projects
+each distinct character through every filter's three slots, and a window's
+pre-activation is the sum of three gathered projections. Backward, the max-pool
+leaves one gradient per (name, filter); a bincount adds them per character
+and slot, and two GEMMs over the distinct characters give the filter and
+embedding gradients. A batch is padded to its longest name, but windows that
+start in the padding are masked out of the max-pool, so a name's
+probabilities do not depend on the other names in its batch.
 
 Training, loading and predicting need numpy alone. The profile metadata
 vector (name_meta_features) is built here too.
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from ..filters import CLASS_ORDER, ClassLabel
 from ..ingest import UserRecord
@@ -39,7 +40,7 @@ N_FILTERS = 256
 FILTER_WIDTH = 3
 HIDDEN = 256
 MAX_NAME_LEN = 50
-# names per forward pass when predicting; bounds the (B*P, 3*De) window matrix
+# names per forward pass when predicting; bounds the (B, P, F) activations
 PREDICT_CHUNK = 16
 PAD_INDEX = 0
 OOV_INDEX = 1
@@ -61,22 +62,22 @@ def name_meta_features(user: UserRecord) -> np.ndarray:
     ], dtype=np.float64)
 
 
-def build_char_vocab(names: Sequence[str], min_count: int = 5,
-                     max_len: int = MAX_NAME_LEN) -> dict[str, int]:
+def build_char_vocab(names: Sequence[str], min_count: int = 5
+                     ) -> dict[str, int]:
     """Characters seen at least min_count times in the (truncated) training
     names, in codepoint order; 0 is padding, 1 is out-of-vocabulary."""
     counts: Counter[str] = Counter()
     for name in names:
-        counts.update(name[:max_len])
+        counts.update(name[:MAX_NAME_LEN])
     kept = sorted(ch for ch, count in counts.items() if count >= min_count)
     return {ch: i + 2 for i, ch in enumerate(kept)}
 
 
-def encode_names(names: Sequence[str], char_vocab: dict[str, int],
-                 max_len: int = MAX_NAME_LEN) -> np.ndarray:
+def encode_names(names: Sequence[str], char_vocab: dict[str, int]
+                 ) -> np.ndarray:
     """(B, L) id matrix, padded to the batch maximum but never below the
     filter width."""
-    clipped = [name[:max_len] for name in names]
+    clipped = [name[:MAX_NAME_LEN] for name in names]
     length = max(FILTER_WIDTH, max((len(name) for name in clipped), default=0))
     ids = np.full((len(names), length), PAD_INDEX, dtype=np.int64)
     for row, name in enumerate(clipped):
@@ -112,16 +113,21 @@ def init_params(vocab_size: int, meta_dim: int, seed: int) -> dict[str, np.ndarr
 
 def _forward(params: dict[str, np.ndarray], ids: np.ndarray,
              metas: np.ndarray) -> tuple[np.ndarray, dict]:
-    batch = ids.shape[0]
-    windows = sliding_window_view(ids, FILTER_WIDTH, axis=1)  # (B, P, 3)
-    positions = windows.shape[1]
-    # im2col: one row of concatenated embeddings per window, so the
-    # convolution is a single (B*P, 3*De) x (3*De, F) GEMM
-    X_win = params["E"][windows].reshape(batch * positions,
-                                         FILTER_WIDTH * EMBED_DIM)
-    A = X_win @ params["Wc"].T + params["bc"]
+    positions = ids.shape[1] - FILTER_WIDTH + 1
+    # each distinct character is projected once per filter slot: row
+    # 3 * f + k of Wc viewed as (3F, De) is filter f's weights for slot k, and
+    # row 3 * u + k of proj is character chars[u] through slot k
+    chars, slots = np.unique(ids, return_inverse=True)
+    slots = slots.reshape(ids.shape)
+    Ec = params["E"][chars]
+    proj = (Ec @ params["Wc"].reshape(-1, EMBED_DIM).T).reshape(
+        -1, N_FILTERS, FILTER_WIDTH).transpose(0, 2, 1).reshape(-1, N_FILTERS)
+    # a window's pre-activation is the sum of its three slot projections
+    A = proj[FILTER_WIDTH * slots[:, :positions]]
+    for k in range(1, FILTER_WIDTH):
+        A += proj[FILTER_WIDTH * slots[:, k:k + positions] + k]
+    A += params["bc"]
     np.maximum(A, 0.0, out=A)  # ReLU in place: Z itself is not needed later
-    A = A.reshape(batch, positions, N_FILTERS)
     # windows starting in the padding would make a name's pooled features
     # depend on the longest name in its batch; ReLU output is >= 0 and argmax
     # takes the first maximum, so zeroing them pools exactly the windows a
@@ -135,8 +141,8 @@ def _forward(params: dict[str, np.ndarray], ids: np.ndarray,
     U = G @ params["W1"] + params["b1"]
     A1 = np.maximum(U, 0.0)
     logits = A1 @ params["W2"] + params["b2"]
-    cache = {"windows": windows, "X_win": X_win, "amax": amax, "G": G,
-             "U": U, "A1": A1}
+    cache = {"slots": slots, "chars": chars, "Ec": Ec, "amax": amax,
+             "G": G, "U": U, "A1": A1}
     return logits, cache
 
 
@@ -146,7 +152,8 @@ def _loss_from_logits(logits: np.ndarray, y_idx: np.ndarray,
     probs = softmax(logits)
     picked = np.clip(probs[np.arange(len(y_idx)), y_idx], 1e-300, None)
     ce = -(sample_weights * np.log(picked)).sum() / sample_weights.sum()
-    reg = 0.5 * l2 * sum(float((params[k] ** 2).sum()) for k in _REGULARIZED)
+    reg = 0.5 * l2 * sum(float(np.vdot(params[k], params[k]))
+                         for k in _REGULARIZED)
     return float(ce + reg), probs
 
 
@@ -155,18 +162,6 @@ def loss_only(params: dict, ids: np.ndarray, metas: np.ndarray,
     logits, _ = _forward(params, ids, metas)
     loss, _ = _loss_from_logits(logits, y_idx, sample_weights, params, l2)
     return loss
-
-
-def scatter_add_rows(index: np.ndarray, rows: np.ndarray,
-                     n_rows: int) -> np.ndarray:
-    """(n_rows, d) sums of rows[j] into row index[j]. One flattened bincount
-    adds them in j order from 0.0, as the one-hot (n_rows, len(index)) CSC
-    matrix product with rows does, so the sums are the same bit for bit.
-    (np.bincount of no entries gives integer zeros, whatever the weights.)"""
-    width = rows.shape[1]
-    sums = np.bincount((index[:, None] * width + np.arange(width)).ravel(),
-                       weights=rows.ravel(), minlength=n_rows * width)
-    return sums.astype(np.float64, copy=False).reshape(n_rows, width)
 
 
 def loss_and_grads(params: dict, ids: np.ndarray, metas: np.ndarray,
@@ -187,21 +182,26 @@ def loss_and_grads(params: dict, ids: np.ndarray, metas: np.ndarray,
     dG = dU @ params["W1"].T
     dH = dG[:, :N_FILTERS]
 
-    # route pooled gradient to the argmax positions only; ReLU passes it
-    # where the pooled value is positive
+    # route pooled gradient to the argmax windows only; ReLU passes it where
+    # the pooled value is positive. C[u, f, k] sums it over the argmax
+    # windows of filter f whose slot k holds character chars[u]
     dH_active = dH * (cache["G"][:, :N_FILTERS] > 0)
-    batch, positions = cache["windows"].shape[:2]
-    dZ = np.zeros((batch, positions, N_FILTERS))
-    np.put_along_axis(dZ, cache["amax"][:, None, :], dH_active[:, None, :],
-                      axis=1)
-    dZ = dZ.reshape(batch * positions, N_FILTERS)
+    chars, slot_k = cache["chars"], np.arange(FILTER_WIDTH)[:, None]
+    # (B, 3, F): the character index u in slot k of filter f's argmax window
+    u = np.take_along_axis(cache["slots"][:, None, :],
+                           cache["amax"][:, None, :] + slot_k, axis=2)
+    cells = (u * N_FILTERS + np.arange(N_FILTERS)) * FILTER_WIDTH + slot_k
+    width = N_FILTERS * FILTER_WIDTH
+    C = np.bincount(cells.ravel(),
+                    weights=np.broadcast_to(dH_active[:, None, :],
+                                            cells.shape).ravel(),
+                    minlength=len(chars) * width).reshape(len(chars), width)
     grads["bc"] = dH_active.sum(axis=0)
-    grads["Wc"] = dZ.T @ cache["X_win"] + l2 * params["Wc"]
-    dX_win = dZ @ params["Wc"]  # (B*P, 3*De)
-    # every window slot's gradient goes to its character's embedding row
-    grads["E"] = scatter_add_rows(cache["windows"].ravel(),
-                                  dX_win.reshape(-1, EMBED_DIM),
-                                  params["E"].shape[0])
+    grads["Wc"] = (C.T @ cache["Ec"]).reshape(N_FILTERS, -1) \
+        + l2 * params["Wc"]
+    # only the batch's characters get an embedding gradient
+    grads["E"] = np.zeros_like(params["E"])
+    grads["E"][chars] = C @ params["Wc"].reshape(-1, EMBED_DIM)
     return loss, grads
 
 
@@ -210,7 +210,6 @@ class NameModel:
     char_vocab: dict[str, int]
     params: dict[str, np.ndarray]
     meta_dim: int
-    max_len: int = MAX_NAME_LEN
 
     def predict_proba_batch(self, names: Sequence[str],
                             metas: np.ndarray) -> np.ndarray:
@@ -218,7 +217,7 @@ class NameModel:
         probs = []
         for start in range(0, len(names), PREDICT_CHUNK):
             chunk = slice(start, start + PREDICT_CHUNK)
-            ids = encode_names(names[chunk], self.char_vocab, self.max_len)
+            ids = encode_names(names[chunk], self.char_vocab)
             logits, _ = _forward(self.params, ids, metas[chunk])
             probs.append(softmax(logits))
         return np.concatenate(probs) if probs else np.zeros((0, N_CLASSES))
@@ -243,7 +242,6 @@ class NameModel:
             "version": self.FORMAT_VERSION,
             "char_vocab": self.char_vocab,
             "meta_dim": self.meta_dim,
-            "max_len": self.max_len,
             "params": {key: encode_array(value)
                        for key, value in self.params.items()},
         }
@@ -251,11 +249,11 @@ class NameModel:
     @classmethod
     def from_dict(cls, payload: dict) -> "NameModel":
         """The model of a to_dict payload. Params other than the seven
-        tensors in their shapes, char_vocab ids other than 2 .. n + 1 (one
-        embedding row each) or a max_len that is not a length is a
-        ValueError."""
+        tensors in their shapes or char_vocab ids other than 2 .. n + 1 (one
+        embedding row each) is a ValueError. A "max_len" key, which files
+        of this format held before names were always cut at MAX_NAME_LEN,
+        is ignored."""
         char_vocab, meta_dim = payload["char_vocab"], payload["meta_dim"]
-        max_len = payload["max_len"]
         params = {key: decode_array(entry)
                   for key, entry in payload["params"].items()}
         shapes = {key: list(shape) for key, shape in
@@ -268,10 +266,7 @@ class NameModel:
                 sorted(ids) != list(range(2, len(ids) + 2)):
             raise ValueError(f"char_vocab ids must be 2 to {len(ids) + 1}, "
                              f"each once")
-        if type(max_len) is not int or max_len < 1:
-            raise ValueError(f"max_len {max_len!r} is not an integer >= 1")
-        return cls(char_vocab=char_vocab, params=params, meta_dim=meta_dim,
-                   max_len=max_len)
+        return cls(char_vocab=char_vocab, params=params, meta_dim=meta_dim)
 
 
 def train_name_cnn(names: Sequence[str], metas: np.ndarray, y_idx: np.ndarray,
@@ -302,7 +297,7 @@ def gradient_check(model: NameModel, names, metas, labels,
     gradients over sampled coordinates of every parameter tensor. Coordinates
     are sampled among those with non-negligible analytic gradient so the
     relative error is meaningful."""
-    ids = encode_names(names, model.char_vocab, model.max_len)
+    ids = encode_names(names, model.char_vocab)
     metas = np.atleast_2d(np.asarray(metas, dtype=np.float64))
     y_idx = label_indices(labels)
     if sample_weights is None:

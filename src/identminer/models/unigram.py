@@ -83,7 +83,6 @@ class UnigramModel:
     vocab: dict[str, int]
     weights: np.ndarray  # (4, |vocab|)
     bias: np.ndarray  # (4,)
-    stopwords: frozenset[str] = frozenset()
 
     def predict_proba_matrix(self, X) -> np.ndarray:
         """Class probabilities of each row of a stack_rows matrix."""
@@ -107,7 +106,6 @@ class UnigramModel:
             "vocab": self.vocab,
             "weights": encode_array(self.weights),
             "bias": encode_array(self.bias),
-            "stopwords": sorted(self.stopwords),
         }
 
     @classmethod
@@ -130,8 +128,7 @@ class UnigramModel:
                 sorted(indices) != list(range(len(indices))):
             raise ValueError(f"vocab indices must be 0 to {len(indices) - 1}, "
                              f"each once")
-        return cls(vocab=vocab, weights=weights, bias=bias,
-                   stopwords=frozenset(payload.get("stopwords", ())))
+        return cls(vocab=vocab, weights=weights, bias=bias)
 
 
 def weighted_ce_loss(weights: np.ndarray, bias: np.ndarray, X, y_idx: np.ndarray,
@@ -147,8 +144,7 @@ def weighted_ce_loss(weights: np.ndarray, bias: np.ndarray, X, y_idx: np.ndarray
 
 def train_unigram(rows: Sequence, y_idx: np.ndarray,
                   sample_weights: np.ndarray, config: TrainConfig,
-                  vocab: dict[str, int],
-                  stopwords: frozenset[str]) -> UnigramModel:
+                  vocab: dict[str, int]) -> UnigramModel:
     """Weighted mini-batch gradient descent over rows, each a count row over
     vocab or a dense row (vocab empty); y_idx holds their class indices
     (training.label_indices) and sample_weights their example weights
@@ -168,4 +164,4 @@ def train_unigram(rows: Sequence, y_idx: np.ndarray,
         grad_b = delta.sum(axis=0)
         W -= config.learning_rate * grad_W
         b -= config.learning_rate * grad_b
-    return UnigramModel(vocab=vocab, weights=W, bias=b, stopwords=stopwords)
+    return UnigramModel(vocab=vocab, weights=W, bias=b)

@@ -255,7 +255,7 @@ def test_criterion_6_unigram_training(capsys):
         y_idx, weights = training_arrays([item[1] for item in items],
                                          [item[2] for item in items])
         model = train_unigram([item[0] for item in items], y_idx, weights,
-                              config, vocab={}, stopwords=frozenset())
+                              config, vocab={})
         correct = sum(model.predict(features)[0] is label
                       for features, label, _ in items)
         assert correct == 40

@@ -1340,7 +1340,6 @@ def bad_input_commands(tmp_path) -> dict[str, list[str]]:
         "name-tensor-shape": {**name, "params": {
             **name["params"], "b2": encode_array(np.zeros(3))}},
         "name-char-id": {**name, "char_vocab": {"a": 2, "b": 4}},
-        "name-max-len": {**name, "max_len": "x"},
     }
     model_defects = {
         **{defect: tmp_path / f"{defect}.json" for defect in named},
@@ -1447,7 +1446,6 @@ MODEL_DEFECTS = {
                          "'Wc': [256, 768], 'bc': [256], 'W1': [261, 256], "
                          "'b1': [256], 'W2': [256, 4], 'b2': [4]}",
     "name-char-id": "char_vocab ids must be 2 to 3, each once",
-    "name-max-len": "max_len 'x' is not an integer >= 1",
     "unigram-weights-shape": "weights [4, 2] and bias [4] do not fit a vocab "
                              "of 1: expected [4, 1] and [4]",
     "unigram-bias-shape": "weights [4, 1] and bias [3] do not fit a vocab of "

@@ -3,11 +3,15 @@ CLI on seeded fixtures.
 
 A model file holds the exact float64 bytes of every trained tensor, so any
 change to the order or the values of the sums that training adds up shows
-here. The digests were recorded from the program as it was when it used
-scipy's CSR and CSC kernels for its sparse products; the numpy products
-that replaced them add the same values in the same order. They pin the
-bytes of this numpy build and its BLAS (the name model's dense products go
-through BLAS, whose kernels differ between CPU families)."""
+here. Both digests were last re-recorded on purpose, together:
+- the unigram file no longer holds the "stopwords" list, which nothing
+  read back; its vocab, weights and bias bytes are unchanged;
+- the name model's convolution now projects each distinct character once
+  per filter slot and sums three slot projections per window, instead of
+  one product over each window's concatenated embeddings, so its sums run
+  in another order; the file also no longer holds "max_len".
+They pin the bytes of this numpy build and its BLAS (the name model's dense
+products go through BLAS, whose kernels differ between CPU families)."""
 import hashlib
 import json
 import random
@@ -18,10 +22,10 @@ from identminer.filters import CLASS_ORDER
 
 from helpers import tweet_payload, user_payload, write_jsonl
 
-UNIGRAM_SHA256 = ("561747a26d68f089934e3b1da83b905b"
-                  "c54dfcbc5708d6dca94bcda965e6cf85")
-NAMECNN_SHA256 = ("72beef187c34a151bae4f3974c7dad80"
-                  "477d946493c6866ef8cea259a6989504")
+UNIGRAM_SHA256 = ("236300a8e98e215f9b5aa68524658353"
+                  "77727c9c7e1babe133d8092763a4c811")
+NAMECNN_SHA256 = ("9330b969951847f0f6bf62eb162de226"
+                  "b90252b46c848b70a975822d423b5264")
 
 SHARED_WORDS = ("chat", "today", "coffee", "music", "game", "team", "work",
                 "night", "love", "city", "news", "food")

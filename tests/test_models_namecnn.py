@@ -1,4 +1,8 @@
+import json
+
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from identminer.filters import CLASS_ORDER
 from identminer.models import load_model, save_model
@@ -61,8 +65,7 @@ def test_build_char_vocab_ids_and_order():
 
 
 def test_build_char_vocab_counts_truncated_names():
-    vocab = build_char_vocab(["ab" + "z" * 100], min_count=5,
-                             max_len=MAX_NAME_LEN)
+    vocab = build_char_vocab(["ab" + "z" * 100], min_count=5)
     # only the first 50 chars count: 48 z, 1 a, 1 b
     assert vocab == {"z": 2}
 
@@ -78,9 +81,9 @@ def test_encode_names_padding_and_oov():
 
 def test_encode_names_truncates_to_max_len():
     vocab = {"a": 2}
-    ids = encode_names(["a" * 200], vocab, max_len=10)
-    assert ids.shape == (1, 10)
-    assert ids[0].tolist() == [2] * 10
+    ids = encode_names(["a" * 200], vocab)
+    assert ids.shape == (1, MAX_NAME_LEN)
+    assert ids[0].tolist() == [2] * MAX_NAME_LEN
 
 
 # ---------------------------------------------------------------------------
@@ -185,6 +188,41 @@ def test_loss_and_grads_matches_reference_formulation():
         np.testing.assert_allclose(grads[key], ref, rtol=1e-10, err_msg=key)
 
 
+# the batch draws its names from BATCH_CHARS; the vocabulary also holds
+# characters no batch uses, and "x" is out of vocabulary
+BATCH_CHARS = "abcdefgh x"
+VOCAB_CHARS = "abcdefgh ijklmnop"
+
+
+@settings(max_examples=40)
+@given(st.lists(st.text(BATCH_CHARS, max_size=MAX_NAME_LEN), min_size=1,
+                max_size=40),
+       st.integers(0, 2 ** 32 - 1))
+def test_loss_and_grads_matches_reference_on_random_batches(names, seed):
+    # the first name is shorter than the filter width and holds the OOV
+    # character, so every batch has OOV and PAD in its windows
+    names = [names[0][:1] + "x", *names[1:]]
+    vocab = {ch: i + 2 for i, ch in enumerate(sorted(VOCAB_CHARS))}
+    params = init_params(len(vocab) + 2, 5, seed=seed % 1000)
+    ids = encode_names(names, vocab)
+    rng = np.random.default_rng(seed)
+    metas = rng.normal(size=(len(names), 5))
+    y_idx = rng.integers(0, 4, size=len(names))
+    weights = rng.uniform(0.2, 2.0, size=len(names))
+    loss, grads = loss_and_grads(params, ids, metas, y_idx, weights, l2=1e-4)
+    ref_loss, ref_grads = reference_loss_and_grads(params, ids, metas, y_idx,
+                                                   weights, 1e-4)
+    np.testing.assert_allclose(loss, ref_loss, rtol=1e-10)
+    assert set(grads) == set(ref_grads)
+    for key, ref in ref_grads.items():
+        np.testing.assert_allclose(grads[key], ref, rtol=1e-10,
+                                   atol=1e-13 * np.abs(ref).max(),
+                                   err_msg=key)
+    absent = np.setdiff1d(np.arange(len(vocab) + 2), ids)
+    assert len(absent) > 0
+    assert (grads["E"][absent] == 0.0).all()
+
+
 def test_loss_and_grads_matches_loss_only():
     model = tiny_model()
     ids = encode_names(["ab", "cd"], model.char_vocab)
@@ -241,6 +279,23 @@ def test_name_model_round_trip(tmp_path):
     probs_a = model.predict(("abc", np.zeros(5)))[1]
     probs_b = back.predict(("abc", np.zeros(5)))[1]
     assert np.array_equal(probs_a, probs_b)
+
+
+def test_name_model_file_with_max_len_loads_and_predicts(tmp_path):
+    # files of format 2 written before names were always cut at
+    # MAX_NAME_LEN hold a "max_len" key; it is ignored
+    items = toy_items(per_class=2)
+    model = fit(items, TrainConfig(epochs=1, batch_size=8))
+    path = tmp_path / "name.json"
+    path.write_text(json.dumps({**model.to_dict(), "max_len": 50}),
+                    encoding="utf-8")
+    back = load_model(path)
+    assert isinstance(back, NameModel)
+    for key in model.params:
+        assert back.params[key].tobytes() == model.params[key].tobytes()
+    label, probs = back.predict(("abc", np.zeros(5)))
+    assert label is model.predict(("abc", np.zeros(5)))[0]
+    assert np.array_equal(probs, model.predict(("abc", np.zeros(5)))[1])
 
 
 def test_predict_proba_batch_matches_single():

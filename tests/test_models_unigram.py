@@ -50,15 +50,14 @@ def separable_items(per_class=10, dense=True, source="crowd"):
     return items
 
 
-def fit(items, config, vocab=None, stopwords=frozenset(),
-        instance_downweight=1.0):
+def fit(items, config, vocab=None, instance_downweight=1.0):
     """train_unigram on (row, label, source) items, weighted as `train`
     weighs them."""
     y_idx, weights = training_arrays([item[1] for item in items],
                                      [item[2] for item in items],
                                      instance_downweight)
     return train_unigram([item[0] for item in items], y_idx, weights, config,
-                         vocab or {}, stopwords)
+                         vocab or {})
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +220,7 @@ def test_full_batch_loss_decreases():
 def test_unigram_model_round_trip(tmp_path):
     config = TrainConfig(epochs=3, batch_size=8)
     vocab = {"alpha": 0, "beta": 1, "gamma": 2, "delta": 3}
-    model = fit(separable_items(), config, vocab=vocab,
-                stopwords=frozenset({"the"}))
+    model = fit(separable_items(), config, vocab=vocab)
     path = tmp_path / "model.json"
     save_model(model, path)
     back = load_model(path)
@@ -230,7 +228,6 @@ def test_unigram_model_round_trip(tmp_path):
     assert back.vocab == vocab
     assert np.array_equal(back.weights, model.weights)
     assert np.array_equal(back.bias, model.bias)
-    assert back.stopwords == model.stopwords
     row = np.array([3.0, 0.0, 0.0, 1.0])
     assert back.predict(row)[0] is model.predict(row)[0]
 

@@ -1,5 +1,5 @@
-"""The numpy sparse products of the unigram and name models against scipy's
-CSR and CSC kernels, byte for byte.
+"""The numpy sparse products of the unigram model against scipy's CSR
+kernels, byte for byte.
 
 scipy is an oracle here and nowhere in the program: the models' products are
 np.bincount sums, which have to add the same float64 values in the same
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy import sparse
 
-from identminer.models.namecnn import scatter_add_rows
 from identminer.models.unigram import matmul, matmul_t, stack_rows, take_rows
 
 FLOATS = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True)
@@ -84,17 +83,3 @@ def test_count_products_of_empty_rows_are_zero():
     assert same_bytes(matmul_t(X, np.ones((3, 4)), 2), np.zeros((2, 4)))
     assert same_csr(take_rows(X, np.array([2, 0])),
                     scipy_rows(rows, 2)[[2, 0]])
-
-
-@settings(max_examples=200)
-@given(st.integers(1, 6), st.integers(1, 5), st.data())
-def test_scatter_add_rows_equals_scipy_csc_one_hot_product(n_rows, width,
-                                                           data):
-    index = data.draw(hnp.arrays(np.int64, st.integers(0, 40),
-                                 elements=st.integers(0, n_rows - 1)))
-    rows = data.draw(hnp.arrays(np.float64, (len(index), width),
-                                elements=FLOATS))
-    one_hot = sparse.csc_matrix(
-        (np.ones(index.size), index, np.arange(index.size + 1)),
-        shape=(n_rows, index.size))
-    assert same_bytes(scatter_add_rows(index, rows, n_rows), one_hot @ rows)
