@@ -312,13 +312,13 @@ def _load_corpus(path: str) -> tuple[list[UserRecord], int]:
 
 
 def _read_input(paths: dict, key: str, read):
-    """read(path) of the input file named by key. A malformed file, or one
-    that is not UTF-8 (UnicodeDecodeError is a ValueError), is a data error."""
+    """read(path) of the input file named by key. The readers raise a bad
+    line as ValueError("PATH:LINE: reason"): that message is the data error."""
     path = _require(paths, key)
     try:
         return read(path)
     except ValueError as exc:
-        raise DataError(f"bad {key} file {path}: {exc}") from exc
+        raise DataError(str(exc)) from exc
 
 
 def _resource(paths: dict, key: str, load):
@@ -342,13 +342,9 @@ def _description_pass(paths: dict, config: dict, records, tag_lexicon):
     users matching exactly one class). The lexicon is read from --lexicon, or
     else counted from the same tagged tokens that the query matching uses."""
     if paths.get("lexicon"):
-        lexicon_path = _require(paths, "lexicon")
-        try:
-            lexicon = SelfReportLexicon.from_tsv(lexicon_path)
-        except ValueError as exc:
-            raise DataError(str(exc)) from exc
+        lexicon = _read_input(paths, "lexicon", SelfReportLexicon.from_tsv)
         if not lexicon.os_counts:
-            raise DataError(f"self-report lexicon is empty: {lexicon_path}")
+            raise DataError(f"self-report lexicon is empty: {paths['lexicon']}")
         return lexicon, scan_descriptions(records, tag_lexicon)
     counter = SelfReportCounter(tag_lexicon, allow_im=config["allow_im"])
     reports = scan_descriptions(records, tag_lexicon, counter)
@@ -459,15 +455,11 @@ def cmd_dataset_build(args: argparse.Namespace) -> int:
 def cmd_tune(args: argparse.Namespace) -> int:
     config, paths = _resolve(args)
     corpus_path = _require(paths, "corpus")
-    tuning_path = _require(paths, "tuning")
+    rows = _read_input(paths, "tuning", read_tuning_tsv)
     tag_lexicon = _tag_lexicon(paths)
     records, _ = _load_corpus(corpus_path)
     lexicon, reports = _description_pass(paths, config, records, tag_lexicon)
 
-    try:
-        rows = read_tuning_tsv(tuning_path)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
     votes: dict[str, list[str]] = {}
     for user_id, label, _annotator in rows:
         votes.setdefault(user_id, []).append(label)
@@ -526,13 +518,10 @@ def _embedding_pairs(paths: dict, pairs: list, role: str) -> list:
     return kept
 
 
-def _read_dataset(path):
-    try:
-        dataset = read_dataset_tsv(path)
-    except ValueError as exc:
-        raise DataError(str(exc)) from exc
+def _read_dataset(paths: dict, key: str):
+    dataset = _read_input(paths, key, read_dataset_tsv)
     if not dataset:
-        raise DataError(f"dataset is empty: {path}")
+        raise DataError(f"dataset is empty: {paths[key]}")
     return dataset
 
 
@@ -548,7 +537,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     model_name = config["model"]
     if model_name != "unigram" and paths.get("embeddings"):
         raise DataError("--embeddings applies only to the unigram model")
-    dataset = _read_dataset(_require(paths, "train_data"))
+    dataset = _read_dataset(paths, "train_data")
 
     result = _result_base(config, "train")
     result["model"] = model_name
@@ -631,7 +620,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     kind = type(model).__name__
     if kind != "UnigramModel" and paths.get("embeddings"):
         raise DataError("--embeddings applies only to the unigram model")
-    dataset = _read_dataset(_require(paths, "test_data"))
+    dataset = _read_dataset(paths, "test_data")
 
     # a unigram model has a vocab exactly when it was trained on word counts;
     # a mismatch with --embeddings is reported before the corpus is read
@@ -690,7 +679,7 @@ def _pair_table(labels, stat) -> dict:
 
 def cmd_analyze(args: argparse.Namespace) -> int:
     config, paths = _resolve(args)
-    dataset = _read_dataset(_require(paths, "data"))
+    dataset = _read_dataset(paths, "data")
     pairs = _corpus_pairs(paths, dataset)
     groups: dict = {}
     for user, record in pairs:

@@ -18,6 +18,7 @@ from .filters import (CLASS_ORDER, ClassLabel, QueryMatch, apply_filter_chain,
 from .scorer import ScoreParams, score_description
 from .textprep import (SelfReportCounter, SelfReportLexicon, TagLexicon,
                        TaggedToken, pos_tag, tokenize)
+from .util import read_rows
 
 SOURCES = ("QB", "HF", "CB", "crowd", "survey")
 AUTO_SOURCES = frozenset({"QB", "HF", "CB"})
@@ -185,26 +186,14 @@ def write_dataset_tsv(users: Sequence[LabeledUser], path) -> None:
 def read_dataset_tsv(path) -> list[LabeledUser]:
     """Rows of a dataset TSV. Raises ValueError naming the file and line for
     a row that is malformed, repeats a user id or has a non-finite score."""
-    users = []
-    seen: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            try:
-                if len(parts) != 4:
-                    raise ValueError("expected 4 tab-separated fields")
-                user_id, code, score_text, source = parts
-                if user_id in seen:
-                    raise ValueError(f"repeated user id {user_id!r}")
-                score = float(score_text) if score_text else None
-                if score is not None and not math.isfinite(score):
-                    raise ValueError(f"score {score_text!r} is not finite")
-                users.append(LabeledUser(user_id, ClassLabel.from_code(code),
-                                         score, source))
-            except ValueError as exc:
-                raise ValueError(f"{path}:{line_no}: {exc}") from exc
-            seen.add(user_id)
-    return users
+    return read_rows(path, _dataset_row, unique="user id")
+
+
+def _dataset_row(fields: list[str]) -> LabeledUser:
+    if len(fields) != 4:
+        raise ValueError("expected 4 tab-separated fields")
+    user_id, code, score_text, source = fields
+    score = float(score_text) if score_text else None
+    if score is not None and not math.isfinite(score):
+        raise ValueError(f"score {score_text!r} is not finite")
+    return LabeledUser(user_id, ClassLabel.from_code(code), score, source)

@@ -15,6 +15,7 @@ import numpy as np
 
 from ..ingest import UserRecord
 from ..textprep import WORD_KINDS, token_pairs
+from ..util import read_rows
 
 # width of an externally computed user embedding row
 EMBEDDING_DIM = 768
@@ -53,27 +54,19 @@ def featurize_user(word_counts: Counter, vocab: dict[str, int]
 
 
 def read_embeddings(path) -> dict[str, np.ndarray]:
-    """user_id<TAB>floats rows; every row must have EMBEDDING_DIM finite
-    values, and no user id may repeat."""
-    out: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            user_id, values = parts[0], parts[1:]
-            if len(values) == 1:
-                values = values[0].split()
-            if len(values) != EMBEDDING_DIM:
-                raise ValueError(
-                    f"{path}:{line_no}: expected {EMBEDDING_DIM} floats, "
-                    f"got {len(values)}")
-            row = np.array([float(v) for v in values], dtype=np.float64)
-            if not np.isfinite(row).all():
-                raise ValueError(f"{path}:{line_no}: values must be finite")
-            if user_id in out:
-                raise ValueError(f"{path}:{line_no}: repeated user id "
-                                 f"{user_id!r}")
-            out[user_id] = row
-    return out
+    """user_id<TAB>floats rows (tab- or space-separated floats); a row
+    without EMBEDDING_DIM finite values or with a repeated user id is a
+    ValueError naming its line."""
+    return dict(read_rows(path, _embedding_row, unique="user id"))
+
+
+def _embedding_row(fields: list[str]) -> tuple[str, np.ndarray]:
+    user_id, values = fields[0], fields[1:]
+    if len(values) == 1:
+        values = values[0].split()
+    if len(values) != EMBEDDING_DIM:
+        raise ValueError(f"expected {EMBEDDING_DIM} floats, got {len(values)}")
+    row = np.array([float(v) for v in values], dtype=np.float64)
+    if not np.isfinite(row).all():
+        raise ValueError("values must be finite")
+    return user_id, row

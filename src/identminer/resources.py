@@ -1,30 +1,22 @@
 """Loaders for the bundled data files (tag lexicon, word lists, bigram
 blocklist), each read from the package's data directory once and cached.
 The tag lexicon, color and blocklist loaders also take the path of a user's
-file in its place."""
+file in its place; a malformed line is a ValueError naming file and line."""
 from __future__ import annotations
 
 from functools import lru_cache
 from pathlib import Path
 
 from .textprep import TagLexicon
+from .util import read_rows
 
 _DATA = Path(__file__).parent / "data"
 
 
-def _read_lines(path) -> list[str]:
-    with open(path, encoding="utf-8") as handle:
-        text = handle.read()
-    lines = []
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            lines.append(line)
-    return lines
-
-
 def load_wordlist(path) -> frozenset[str]:
-    return frozenset(line.lower() for line in _read_lines(path))
+    """Each trimmed line, tabs and all, lowercased; blank and # lines skipped."""
+    return frozenset(entry.lower()
+                     for entry in read_rows(path, "\t".join, comments=True))
 
 
 @lru_cache(maxsize=None)
@@ -44,13 +36,16 @@ def load_colors(path=None) -> frozenset[str]:
 
 @lru_cache(maxsize=None)
 def load_bigram_blocklist(path=None) -> frozenset[tuple[str, str]]:
-    pairs = []
-    for line in _read_lines(path or _DATA / "bigram_blocklist.txt"):
-        parts = line.lower().split()
-        if len(parts) != 2:
-            raise ValueError(f"blocklist entry {line!r} is not a bigram")
-        pairs.append((parts[0], parts[1]))
-    return frozenset(pairs)
+    return frozenset(read_rows(path or _DATA / "bigram_blocklist.txt", _bigram,
+                               comments=True))
+
+
+def _bigram(fields: list[str]) -> tuple[str, str]:
+    entry = "\t".join(fields)
+    parts = entry.lower().split()
+    if len(parts) != 2:
+        raise ValueError(f"blocklist entry {entry!r} is not a bigram")
+    return parts[0], parts[1]
 
 
 @lru_cache(maxsize=None)

@@ -14,6 +14,7 @@ from typing import Sequence
 
 from .filters import QueryMatch
 from .textprep import SelfReportLexicon, TaggedToken
+from .util import read_rows
 
 WEIGHTINGS = ("simple", "tfidf")
 
@@ -122,18 +123,15 @@ def tune_params(tuning_set: Sequence[tuple[Sequence[TaggedToken], QueryMatch, bo
 
 
 def read_tuning_tsv(path) -> list[tuple[str, str, str]]:
-    """Rows of user_id<TAB>label(yes|no|unsure)<TAB>annotator_id."""
-    rows = []
-    with open(path, encoding="utf-8") as handle:
-        for line_no, line in enumerate(handle, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise ValueError(f"{path}:{line_no}: expected 3 tab-separated fields")
-            user_id, label, annotator = parts
-            if label not in ("yes", "no", "unsure"):
-                raise ValueError(f"{path}:{line_no}: bad label {label!r}")
-            rows.append((user_id, label, annotator))
-    return rows
+    """Rows of user_id<TAB>label(yes|no|unsure)<TAB>annotator_id. A malformed
+    row is a ValueError naming its line."""
+    return read_rows(path, _vote_row)
+
+
+def _vote_row(fields: list[str]) -> tuple[str, str, str]:
+    if len(fields) != 3:
+        raise ValueError("expected 3 tab-separated fields")
+    user_id, label, annotator = fields
+    if label not in ("yes", "no", "unsure"):
+        raise ValueError(f"bad label {label!r}")
+    return user_id, label, annotator

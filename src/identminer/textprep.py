@@ -21,6 +21,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
+from .util import read_rows
+
 PENN_TAGS = frozenset({
     "CC", "CD", "DT", "EX", "FW", "IN", "JJ", "JJR", "JJS", "LS", "MD",
     "NN", "NNS", "NNP", "NNPS", "PDT", "POS", "PRP", "PRP$", "RB", "RBR",
@@ -98,20 +100,18 @@ class TagLexicon:
 
     @classmethod
     def from_tsv(cls, path) -> "TagLexicon":
-        tags: dict[str, str] = {}
-        with open(path, encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                line = line.rstrip("\n")
-                if not line or line.startswith("#"):
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 2:
-                    raise ValueError(f"{path}:{line_no}: expected word<TAB>tag")
-                word, tag = parts[0].lower(), parts[1]
-                if tag not in PENN_TAGS:
-                    raise ValueError(f"{path}:{line_no}: {tag!r} is not a Penn tag")
-                tags[word] = tag
-        return cls(tags=tags)
+        """word<TAB>tag rows (trimmed, # comments allowed); the lowercased
+        word's last row wins. A bad row is a ValueError naming its line."""
+        return cls(tags=dict(read_rows(path, _tag_row, comments=True)))
+
+
+def _tag_row(fields: list[str]) -> tuple[str, str]:
+    if len(fields) != 2:
+        raise ValueError("expected word<TAB>tag")
+    word, tag = fields
+    if tag not in PENN_TAGS:
+        raise ValueError(f"{tag!r} is not a Penn tag")
+    return word.lower(), tag
 
 
 # the packaged contraction list, bound on first use (resources imports this
@@ -228,10 +228,7 @@ class SelfReportLexicon:
 
     def __post_init__(self):
         for word, os_count in self.os_counts.items():
-            o_count = self.o_counts.get(word, 0)
-            if not 0 < os_count <= o_count:
-                raise ValueError(
-                    f"bad counts for {word!r}: O_s={os_count}, O={o_count}")
+            _check_counts(word, os_count, self.o_counts.get(word, 0))
         self.total_selfreport = sum(self.os_counts.values())
 
     def __contains__(self, word: str) -> bool:
@@ -247,19 +244,27 @@ class SelfReportLexicon:
 
     @classmethod
     def from_tsv(cls, path) -> "SelfReportLexicon":
-        os_counts: dict[str, int] = {}
-        o_counts: dict[str, int] = {}
-        with open(path, encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                parts = line.split("\t")
-                if len(parts) != 3:
-                    raise ValueError(f"{path}:{line_no}: expected word<TAB>O_s<TAB>O")
-                os_counts[parts[0]] = int(parts[1])
-                o_counts[parts[0]] = int(parts[2])
-        return cls(os_counts=os_counts, o_counts=o_counts)
+        """word<TAB>O_s<TAB>O rows, each word once, counts in ASCII digits
+        with 0 < O_s <= O. A bad row is a ValueError naming its line."""
+        rows = read_rows(path, _count_row, unique="word")
+        return cls(os_counts={word: os_count for word, os_count, _ in rows},
+                   o_counts={word: o_count for word, _, o_count in rows})
+
+
+def _check_counts(word: str, os_count: int, o_count: int) -> None:
+    if not 0 < os_count <= o_count:
+        raise ValueError(f"bad counts for {word!r}: O_s={os_count}, O={o_count}")
+
+
+def _count_row(fields: list[str]) -> tuple[str, int, int]:
+    if len(fields) != 3:
+        raise ValueError("expected word<TAB>O_s<TAB>O")
+    for count in fields[1:]:
+        if not (count.isascii() and count.isdigit()):
+            raise ValueError(f"count {count!r} is not ASCII digits")
+    word, os_count, o_count = fields[0], int(fields[1]), int(fields[2])
+    _check_counts(word, os_count, o_count)
+    return word, os_count, o_count
 
 
 def selfreport_words(tagged: list[TaggedToken], tag_lexicon: TagLexicon,

@@ -1,4 +1,4 @@
-"""Small shared helpers: canonical JSON, config hashing, seed derivation, ordered map."""
+"""Small shared helpers: input rows, canonical JSON, config hashing, seeds, ordered map."""
 from __future__ import annotations
 
 import hashlib
@@ -11,6 +11,33 @@ U = TypeVar("U")
 
 class DataError(Exception):
     """Problem with input data (missing file, bad record, impossible request)."""
+
+
+def read_rows(path, parse: Callable[[list[str]], T], comments: bool = False,
+              unique: str | None = None) -> list[T]:
+    """parse(fields) of each non-empty line of a UTF-8 file, in order, where
+    fields is the line, without its LF or CRLF, split at tabs. With comments,
+    lines are trimmed and # lines skipped; with unique, a repeated first field
+    is an error. Any ValueError of a line, non-UTF-8 bytes included, is raised
+    again as "PATH:LINE: reason"."""
+    rows, seen = [], set()
+    with open(path, "rb") as handle:
+        for line_no, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8").removesuffix("\n").removesuffix("\r")
+                if comments:
+                    line = line.strip()
+                if not line or comments and line.startswith("#"):
+                    continue
+                fields = line.split("\t")
+                rows.append(parse(fields))
+                if unique is not None:
+                    if fields[0] in seen:
+                        raise ValueError(f"repeated {unique} {fields[0]!r}")
+                    seen.add(fields[0])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{line_no}: {exc}") from exc
+    return rows
 
 
 def canonical_json(obj) -> str:

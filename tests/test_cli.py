@@ -1505,6 +1505,82 @@ def test_malformed_input_file_is_a_data_error(tmp_path, capsys, case):
     assert not out.exists()
 
 
+# line-based input -> (good line 1, malformed line 2); every UTF-8 line of a
+# color list is an entry, so it has no malformed line
+LINE_INPUTS = {
+    "train-data": ("w0\tW\t\tcrowd", "w1\tW\t0.5"),
+    "test-data": ("w0\tW\t\tcrowd", "w1\tX\t\tcrowd"),
+    "data": ("w0\tW\t\tcrowd", "w1\tW\tnan\tcrowd"),
+    "tuning": ("w0\tyes\ta1", "w1\tmaybe\ta1"),
+    "lexicon": ("proud\t1\t2", "black\tx\t2"),
+    "tag-lexicon": ("cat\tNN", "dog\tXX"),
+    "embeddings": ("w0\t" + " ".join(["0.5"] * 768), "w1\t0.5 0.25"),
+    "colors_file": ("red", None),
+    "blocklist_file": ("light skin", "one two three"),
+}
+
+
+def line_input_command(tmp_path, name: str, path) -> list[str]:
+    """A command that reads path as the input name after every other input
+    it needs, each of them valid."""
+    corpus, data = tweet_group_fixture(tmp_path)
+    majority = tmp_path / "majority.json"
+    save_model(baseline_majority([W]), majority)
+    build = ["dataset-build", "--kind", "hf", "--corpus", str(corpus)]
+    if name.endswith("_file"):
+        config = write_config(tmp_path, "resource.json", **{name: str(path)})
+        return [*build, "--config", str(config)]
+    return {
+        "train-data": ["train", "--model", "baseline-majority"],
+        "test-data": ["evaluate", "--model-file", str(majority)],
+        "data": ["analyze", "--corpus", str(corpus)],
+        "tuning": ["tune", "--corpus", str(corpus)],
+        "lexicon": build,
+        "tag-lexicon": ["lexicon-build", "--corpus", str(corpus)],
+        "embeddings": ["train", "--model", "unigram", "--train-data",
+                       str(data), "--corpus", str(corpus)],
+    }[name] + [f"--{name}", str(path)]
+
+
+@pytest.mark.parametrize("name, defect", [
+    (name, defect) for name, (_, bad) in LINE_INPUTS.items()
+    for defect in ("malformed", "not-utf8")
+    if bad is not None or defect == "not-utf8"])
+def test_bad_line_of_every_line_input_names_its_file_and_line(tmp_path, capsys,
+                                                              name, defect):
+    good, bad = LINE_INPUTS[name]
+    path = tmp_path / "input.tsv"
+    second = bad.encode() if defect == "malformed" else b"\xe9" + good.encode()
+    path.write_bytes(good.encode() + b"\n" + second + b"\n")
+    argv = line_input_command(tmp_path, name, path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"identminer: data error: {path}:2: ")
+    assert err.count("\n") == 1 and err.count(str(path)) == 1
+    if defect == "not-utf8":
+        assert "'utf-8' codec can't decode byte 0xe9 in position 0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rows, reason", [
+    (["black\t1\t2", "proud\t1_0\t20"], "count '1_0' is not ASCII digits"),
+    (["black\t1\t2", "proud\t1\t2", "proud\t2\t3"], "repeated word 'proud'"),
+])
+def test_lexicon_counts_and_words_are_checked(planted_corpus, tmp_path, capsys,
+                                              rows, reason):
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("".join(row + "\n" for row in rows), encoding="utf-8")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run("dataset-build", "--kind", "qb", "--corpus", str(planted_corpus),
+               "--lexicon", str(lexicon), "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"identminer: data error: {lexicon}:{len(rows)}: {reason}\n")
+    assert not out.exists()
+
+
 def test_failed_run_leaves_no_out_dir(tmp_path):
     # a corpus with no first-person statement: the lexicon comes out empty
     corpus = write_jsonl(tmp_path / "plain.jsonl",
