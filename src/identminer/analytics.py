@@ -1,7 +1,8 @@
 """Group-level lexical and behavioral statistics, nonparametric tests, rank
 correlation over top-k lists, inter-annotator agreement, majority voting, and
 sparse log-odds distinctive keywords.
-The lexical statistics of a tweet come from one loop over its token pairs.
+The lexical statistics of a tweet come from one regex scan of its text
+(textprep.tweet_tokens), which hands over its token texts sorted by kind.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ from typing import Iterable, Sequence
 
 from .filters import ClassLabel
 from .ingest import UserRecord
-from .textprep import token_pairs
+from .textprep import tweet_tokens
 from .util import mean
 
 _MISSING = (None, "", "missing")
@@ -37,27 +38,16 @@ def user_lexical_means(user: UserRecord, stopwords: frozenset[str],
     ttr, ld, cpt, hpt = [], [], [], []
     words: list[str] = []
     for tweet in tweets:
-        pairs = token_pairs(tweet.text)
-        types = set()
-        content = contractions = hashtags = 0
-        for text, kind in pairs:
-            types.add(text)
-            if kind == "word":
-                words.append(text)
-            elif kind == "contraction":
-                words.append(text)
-                contractions += 1
-            elif kind == "hashtag":
-                hashtags += 1
-            elif kind == "url" or kind == "mention":
-                continue
-            if text not in stopwords:
-                content += 1
-        n = len(pairs)
-        ttr.append(len(types) / n if n else 0.0)
+        word_texts, links, others, contractions, hashtags = tweet_tokens(
+            tweet.text)
+        n = len(word_texts) + len(links) + len(others)
+        content = (len([text for text in word_texts if text not in stopwords])
+                   + len([text for text in others if text not in stopwords]))
+        ttr.append(len({*word_texts, *links, *others}) / n if n else 0.0)
         ld.append(content / n if n else 0.0)
         cpt.append(contractions)
         hpt.append(hashtags)
+        words += word_texts
     word_counts.update(words)
     return {"ttr": mean(ttr), "ld": mean(ld), "cpt": mean(cpt), "hpt": mean(hpt)}
 

@@ -18,7 +18,7 @@ from .filters import (CLASS_ORDER, ClassLabel, QueryMatch, apply_filter_chain,
 from .scorer import ScoreParams, score_description
 from .textprep import (SelfReportCounter, SelfReportLexicon, TagLexicon,
                        TaggedToken, pos_tag, tokenize)
-from .util import read_rows
+from .util import decimal_float, read_rows
 
 SOURCES = ("QB", "HF", "CB", "crowd", "survey")
 AUTO_SOURCES = frozenset({"QB", "HF", "CB"})
@@ -185,7 +185,8 @@ def write_dataset_tsv(users: Sequence[LabeledUser], path) -> None:
 
 def read_dataset_tsv(path) -> list[LabeledUser]:
     """Rows of a dataset TSV. Raises ValueError naming the file and line for
-    a row that is malformed, repeats a user id or has a non-finite score."""
+    a row that is malformed, repeats a user id or has a score that is not a
+    finite ASCII decimal (util.decimal_float)."""
     return read_rows(path, _dataset_row, unique="user id")
 
 
@@ -193,7 +194,7 @@ def _dataset_row(fields: list[str]) -> LabeledUser:
     if len(fields) != 4:
         raise ValueError("expected 4 tab-separated fields")
     user_id, code, score_text, source = fields
-    score = float(score_text) if score_text else None
+    score = decimal_float(score_text, "score") if score_text else None
     if score is not None and not math.isfinite(score):
         raise ValueError(f"score {score_text!r} is not finite")
     return LabeledUser(user_id, ClassLabel.from_code(code), score, source)

@@ -2,8 +2,9 @@
 user's recent tweets, and import of externally computed per-user
 embeddings.
 
-Each user's tweets are scanned once, into a word Counter (user_word_counts);
-the vocabulary and the count rows are both built from those counters. A count
+Each user's tweets are scanned once, into a word Counter (user_word_counts):
+one regex scan of the user's newest tweet texts joined by newlines. The
+vocabulary and the count rows are both built from those counters. A count
 row is a pair of arrays, the sorted vocab indices of the user's words and
 their float64 counts; unigram.stack_rows joins many into one CSR matrix."""
 from __future__ import annotations
@@ -14,8 +15,8 @@ from typing import Iterable
 import numpy as np
 
 from ..ingest import UserRecord
-from ..textprep import WORD_KINDS, token_pairs
-from ..util import read_rows
+from ..textprep import tweet_words
+from ..util import decimal_float, read_rows
 
 # width of an externally computed user embedding row
 EMBEDDING_DIM = 768
@@ -24,9 +25,8 @@ EMBEDDING_DIM = 768
 def user_word_counts(user: UserRecord, max_tweets: int = 200) -> Counter[str]:
     """Word and contraction token counts over the user's newest max_tweets
     tweets."""
-    return Counter([text for tweet in user.tweets[:max_tweets]
-                    for text, kind in token_pairs(tweet.text)
-                    if kind in WORD_KINDS])
+    return Counter(tweet_words(
+        "\n".join([tweet.text for tweet in user.tweets[:max_tweets]])))
 
 
 def build_vocab(word_counts: Iterable[Counter], min_count: int = 2,
@@ -54,9 +54,9 @@ def featurize_user(word_counts: Counter, vocab: dict[str, int]
 
 
 def read_embeddings(path) -> dict[str, np.ndarray]:
-    """user_id<TAB>floats rows (tab- or space-separated floats); a row
-    without EMBEDDING_DIM finite values or with a repeated user id is a
-    ValueError naming its line."""
+    """user_id<TAB>floats rows (tab- or space-separated ASCII decimal
+    floats, see util.decimal_float); a row without EMBEDDING_DIM finite
+    values or with a repeated user id is a ValueError naming its line."""
     return dict(read_rows(path, _embedding_row, unique="user id"))
 
 
@@ -66,7 +66,8 @@ def _embedding_row(fields: list[str]) -> tuple[str, np.ndarray]:
         values = values[0].split()
     if len(values) != EMBEDDING_DIM:
         raise ValueError(f"expected {EMBEDDING_DIM} floats, got {len(values)}")
-    row = np.array([float(v) for v in values], dtype=np.float64)
+    row = np.array([decimal_float(v, "value") for v in values],
+                   dtype=np.float64)
     if not np.isfinite(row).all():
         raise ValueError("values must be finite")
     return user_id, row

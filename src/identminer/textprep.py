@@ -10,8 +10,14 @@ Token records are immutable named tuples: a ``Token`` is (text, kind,
 char_span) and a ``TaggedToken`` is (token, pos). They hash, sort and compare
 as tuples, so a Token equals the plain tuple of its fields. A tuple is several
 times cheaper to build than a frozen dataclass, and tokenize builds one per
-token of every description. The tweet path reads no span: its word counts
-and lexical statistics take tokenize's (text, kind) pairs from token_pairs.
+token of every description.
+
+The tweet path reads neither spans nor token records. It scans with
+_TOKEN_RE's own pattern, its named groups made non-capturing, so that
+findall returns plain strings: tweet_words keeps only the word group and
+returns the word and contraction texts; tweet_tokens returns every token's
+text and reads its kind off the text's first characters. Neither calls a
+Python function per token.
 """
 from __future__ import annotations
 
@@ -86,10 +92,6 @@ class TaggedToken(NamedTuple):
 _new_token = functools.partial(tuple.__new__, Token)
 _new_tagged = functools.partial(tuple.__new__, TaggedToken)
 
-# token kinds that count as words in bag-of-words features and keyword counts
-WORD_KINDS = ("word", "contraction")
-
-
 @dataclass
 class TagLexicon:
     """Context-free tagger: word -> majority Penn tag, NN for OOV."""
@@ -150,9 +152,99 @@ def tokenize(text: str) -> list[Token]:
             for match in _TOKEN_RE.finditer(text)]
 
 
-def token_pairs(text: str) -> list[tuple[str, str]]:
-    """The (text, kind) of each token of tokenize(text), without spans."""
-    return list(map(_text_and_kind, _TOKEN_RE.findall(text)))
+class TweetTokens(NamedTuple):
+    """The lowercased texts of tokenize(text)'s tokens, without spans, by
+    kind, each list in token order."""
+    words: list[str]   # word and contraction tokens
+    links: list[str]   # url and mention tokens
+    others: list[str]  # hashtag, emoji and punct tokens
+    contractions: int
+    hashtags: int
+
+
+_new_tweet_tokens = functools.partial(tuple.__new__, TweetTokens)
+
+# the prefixes of _TOKEN_RE's url alternative
+_URL_PREFIXES = ("http://", "https://", "www.")
+
+
+@functools.cache
+def _tweet_scans() -> tuple[re.Pattern, re.Pattern, frozenset[str]]:
+    """_TOKEN_RE with no capturing group (findall returns each token's
+    source text), _TOKEN_RE with only the word group capturing (findall
+    returns each word's source text and "" for any other token), and the
+    characters of _EMOJI_RANGES; built on first use, not at import."""
+    def capturing(kept: str | None) -> re.Pattern:
+        return re.compile(re.sub(
+            r"\(\?P<(\w+)>", lambda group: "(" if group[1] == kept else "(?:",
+            _TOKEN_RE.pattern))
+    ranges = _EMOJI_RANGES[::3], _EMOJI_RANGES[2::3]  # "a-b" per range
+    emoji = frozenset(chr(code) for first, last in zip(*ranges)
+                      for code in range(ord(first), ord(last) + 1))
+    return capturing(None), capturing("word"), emoji
+
+
+def tweet_words(text: str) -> list[str]:
+    """The texts of tokenize(text)'s word and contraction tokens, in order.
+
+    No token holds whitespace, so tweet_words of several texts joined by
+    newlines is the concatenation of tweet_words of each: one scan serves
+    many tweets.
+    """
+    words = list(map(str.lower, filter(None, _tweet_scans()[1].findall(text))))
+    if "’" in text:
+        contractions = _default_contractions or _load_default_contractions()
+        for i, word in enumerate(words):
+            if "’" in word and word.replace("’", "'") in contractions:
+                words[i] = word.replace("’", "'")
+    return words
+
+
+def tweet_tokens(text: str) -> TweetTokens:
+    """The tokens of tokenize(text), sorted by kind (see TweetTokens).
+
+    A token's kind is that of the first alternative of _TOKEN_RE to match
+    at its start (url, mention, hashtag, emoji, word, punct), read off its
+    source text:
+    - an emoji character starts an emoji, also one that is a word
+      character (❶);
+    - @ or # followed by a word character starts a mention or a hashtag,
+      and otherwise a punct run;
+    - a word character starts a url if the token begins with http://,
+      https:// or www., and otherwise a word;
+    - any other character starts a punct run.
+    """
+    scan, _, emoji = _tweet_scans()
+    contraction_set = _default_contractions or _load_default_contractions()
+    words, links, others = [], [], []
+    contractions = hashtags = 0
+    for token in scan.findall(text):
+        lowered = token.lower()
+        lead = token[0]
+        if lead in emoji:
+            others.append(lowered)
+        elif lead == "@" or lead == "#":
+            second = token[1:2]
+            if not (second.isalnum() or second == "_"):  # punct
+                others.append(lowered)
+            elif lead == "@":
+                links.append(lowered)
+            else:
+                others.append(lowered)
+                hashtags += 1
+        elif lead.isalnum() or lead == "_":  # \w
+            if lead in "hw" and token.startswith(_URL_PREFIXES):
+                links.append(lowered)
+                continue
+            if "'" in lowered or "’" in lowered:
+                normalized = lowered.replace("’", "'")
+                if normalized in contraction_set:
+                    lowered = normalized
+                    contractions += 1
+            words.append(lowered)
+        else:  # punct
+            others.append(lowered)
+    return _new_tweet_tokens((words, links, others, contractions, hashtags))
 
 
 def pos_tag(tokens: Iterable[Token], lexicon: TagLexicon) -> list[TaggedToken]:

@@ -1,8 +1,9 @@
-"""Small shared helpers: input rows, canonical JSON, config hashing, seeds, ordered map."""
+"""Small shared helpers: input rows and numbers, canonical JSON, config hashing, seeds, ordered map."""
 from __future__ import annotations
 
 import hashlib
 import json
+import re
 from typing import Callable, Iterable, Sequence, TypeVar
 
 T = TypeVar("T")
@@ -38,6 +39,20 @@ def read_rows(path, parse: Callable[[list[str]], T], comments: bool = False,
             except ValueError as exc:
                 raise ValueError(f"{path}:{line_no}: {exc}") from exc
     return rows
+
+
+# an ASCII decimal float literal: sign, digits with an optional point, an
+# optional exponent; or inf or nan. repr(float) writes nothing else.
+_DECIMAL = r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|nan)"
+
+
+def decimal_float(text: str, name: str) -> float:
+    """float(text) if text is an ASCII decimal literal (see _DECIMAL), else
+    a ValueError naming the value. float() alone also takes digit-group
+    underscores, surrounding whitespace and non-ASCII digits."""
+    if re.fullmatch(_DECIMAL, text) is None:
+        raise ValueError(f"{name} {text!r} is not a decimal number")
+    return float(text)
 
 
 def canonical_json(obj) -> str:

@@ -40,13 +40,15 @@ def tag(text: str):
 
 
 # pieces where the tokenizer's rules meet: apostrophes and contractions, the
-# url/mention/hashtag prefixes, emoji with variation selectors and zero-width
-# joiners, and letters whose lowercase changes length or meaning (dotted
-# capital I, sharp s, Kelvin sign, capital sigma)
+# url/mention/hashtag prefixes with and without what completes them, emoji
+# with variation selectors and zero-width joiners, the emoji that is also a
+# word character (❶), and letters whose lowercase changes length or meaning
+# (dotted capital I, sharp s, Kelvin sign, capital sigma)
 TRICKY_PIECES = ("'", "’", "#", "@", "http://", "https://", "www.", "-",
                  "i'm", "DON’T", "y'all", "😀", "👩‍💻", "👨‍👩‍👧",
                  "❤️", "\u200d", "\ufe0f", "\u0307", "İ", "ß", "\u212a",
-                 "ΑΣ", ".", "!", "_", "7", " ", "\n")
+                 "ΑΣ", ".", "!", "_", "7", " ", "\n", "❶", "#❶", "@!",
+                 "www.x", "https")
 
 
 def tweet_texts():

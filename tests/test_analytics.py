@@ -262,20 +262,75 @@ def reference_lexical_means(user, stopwords, max_tweets, word_counts):
             "hpt": mean(hpt)}
 
 
-@given(st.lists(tweet_texts(), max_size=4),
-       st.sets(st.sampled_from(["the", "a", "i'm", "#fun", "go", "😀"])),
-       st.integers(min_value=1, max_value=4))
-@settings(max_examples=200)
-def test_user_lexical_means_equals_the_tokenize_reference(texts, stopwords,
-                                                          max_tweets):
+def per_token_lexical_means(user, stopwords, max_tweets, word_counts):
+    """user_lexical_means as one loop over the (text, kind) of tokenize's
+    Tokens per tweet, the way it was computed before the tweet scan
+    returned token texts sorted by kind."""
+    tweets = user.tweets[:max_tweets]
+    if not tweets:
+        return None
+    ttr, ld, cpt, hpt = [], [], [], []
+    words = []
+    for tweet in tweets:
+        pairs = [(tok.text, tok.kind) for tok in tokenize(tweet.text)]
+        types = set()
+        content = contractions = hashtags = 0
+        for text, kind in pairs:
+            types.add(text)
+            if kind == "word":
+                words.append(text)
+            elif kind == "contraction":
+                words.append(text)
+                contractions += 1
+            elif kind == "hashtag":
+                hashtags += 1
+            elif kind == "url" or kind == "mention":
+                continue
+            if text not in stopwords:
+                content += 1
+        n = len(pairs)
+        ttr.append(len(types) / n if n else 0.0)
+        ld.append(content / n if n else 0.0)
+        cpt.append(contractions)
+        hpt.append(hashtags)
+    word_counts.update(words)
+    return {"ttr": mean(ttr), "ld": mean(ld), "cpt": mean(cpt),
+            "hpt": mean(hpt)}
+
+
+def assert_lexical_means_match(reference, texts, stopwords, max_tweets):
+    """The same dict, and the same word_counts items in the same insertion
+    order, as the reference."""
     user = make_user("u1", tweets=tuple(
         make_tweet(text, hours=-float(i)) for i, text in enumerate(texts)))
     stopwords = frozenset(stopwords)
     counts, expected_counts = Counter(), Counter()
     stats = user_lexical_means(user, stopwords, max_tweets, counts)
-    assert stats == reference_lexical_means(user, stopwords, max_tweets,
-                                            expected_counts)
+    assert stats == reference(user, stopwords, max_tweets, expected_counts)
     assert list(counts.items()) == list(expected_counts.items())
+
+
+lexical_cases = given(
+    st.lists(tweet_texts(), max_size=4),
+    st.sets(st.sampled_from(["the", "a", "i'm", "#fun", "go", "😀", "don't",
+                             "!", "ας", "❶", "-", "www", "https"])),
+    st.integers(min_value=1, max_value=4))
+
+
+@lexical_cases
+@settings(max_examples=200)
+def test_user_lexical_means_equals_the_tokenize_reference(texts, stopwords,
+                                                          max_tweets):
+    assert_lexical_means_match(reference_lexical_means, texts, stopwords,
+                               max_tweets)
+
+
+@lexical_cases
+@settings(max_examples=200)
+def test_user_lexical_means_equals_the_per_token_formula(texts, stopwords,
+                                                         max_tweets):
+    assert_lexical_means_match(per_token_lexical_means, texts, stopwords,
+                               max_tweets)
 
 
 def test_user_lexical_means_hand_fixture():

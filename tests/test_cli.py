@@ -862,17 +862,13 @@ def counting_calls(monkeypatch, function: str, modules: set[str]) -> list:
     return calls
 
 
-def counting_scans(monkeypatch) -> list[str]:
-    return counting_calls(monkeypatch, "token_pairs",
-                          {"identminer.textprep", "identminer.analytics",
-                           "identminer.models.features"})
-
-
 def test_train_evaluate_and_analyze_tokenize_each_tweet_once(tmp_path,
                                                             monkeypatch):
-    """Every tweet among each user's newest max_tweets is scanned
-    (textprep.token_pairs) exactly once per run, older tweets not at all,
-    and no tweet goes through the span-building tokenize."""
+    """Every tweet among each user's newest max_tweets is scanned exactly
+    once per run, older tweets not at all: train and evaluate scan each
+    user's in-scope texts joined by newlines in one textprep.tweet_words
+    call, analyze scans each in-scope text in one textprep.tweet_tokens
+    call. No tweet goes through tokenize or its per-token _text_and_kind."""
     words = {"W": "alpha", "B": "bravo", "HL": "charlie", "A": "delta"}
     payloads, users, in_scope = [], [], []
     for label in CLASS_ORDER:
@@ -886,28 +882,35 @@ def test_train_evaluate_and_analyze_tokenize_each_tweet_once(tmp_path,
                 for k, text in enumerate(texts))))
             users.append(LabeledUser(user_id=user_id, label=label,
                                      source="crowd", score=None))
-            in_scope += texts[:2]
+            in_scope.append(texts[:2])
     corpus = write_jsonl(tmp_path / "corpus.jsonl", payloads)
     data = tmp_path / "data.tsv"
     write_dataset_tsv(users, data)
     config = write_config(tmp_path, "cfg.json", max_tweets=2, epochs=2)
-    calls = counting_scans(monkeypatch)
+    joined = counting_calls(monkeypatch, "tweet_words",
+                            {"identminer.textprep",
+                             "identminer.models.features"})
+    scanned = counting_calls(monkeypatch, "tweet_tokens",
+                             {"identminer.textprep", "identminer.analytics"})
     tokenized = counting_calls(monkeypatch, "tokenize", {"identminer.textprep"})
+    kinded = counting_calls(monkeypatch, "_text_and_kind",
+                            {"identminer.textprep"})
     common = ("--config", str(config), "--corpus", str(corpus))
+    per_user = sorted("\n".join(texts) for texts in in_scope)
 
     assert run("train", "--model", "unigram", *common, "--train-data",
                str(data), "--out", str(tmp_path / "train")) == 0
-    assert sorted(calls) == sorted(in_scope)
-    calls.clear()
+    assert (sorted(joined), scanned) == (per_user, [])
+    joined.clear()
     assert run("evaluate", *common, "--model-file",
                str(tmp_path / "train" / "model.json"), "--test-data", str(data),
                "--out", str(tmp_path / "eval")) == 0
-    assert sorted(calls) == sorted(in_scope)
-    calls.clear()
+    assert (sorted(joined), scanned) == (per_user, [])
+    joined.clear()
     assert run("analyze", *common, "--data", str(data),
                "--out", str(tmp_path / "analyze")) == 0
-    assert sorted(calls) == sorted(in_scope)
-    assert tokenized == []
+    assert (joined, sorted(scanned)) == ([], sorted(sum(in_scope, [])))
+    assert tokenized == kinded == []
 
 
 # ---------------------------------------------------------------------------
@@ -1130,6 +1133,86 @@ def test_description_stage_outputs_match_recorded_digests(planted_corpus,
             digests[f"{name}/{path.name}"] = hashlib.sha256(
                 path.read_bytes()).hexdigest()
     assert digests == DESCRIPTION_STAGE_DIGESTS
+
+
+# sha256 of every file the tweet stages write on tweet_stage_fixture,
+# recorded while the tweet stages still scanned with token_pairs (a
+# per-token kind function over a 6-group findall), to pin that the faster
+# scans give the same bytes. The unigram model adds its products with
+# np.bincount, not BLAS (see test_model_digests.py).
+TWEET_STAGE_DIGESTS = {
+    "train/model.json":
+        "c6d56ae09563dffd1ef33196f445f9e9e07cbb4d4d08439cde1bd4a7127986ff",
+    "train/train_result.json":
+        "68a8cb92ea5ecaea4b665b7bfb1158bcee26b3341a33f44b76ff6e67bfe901b4",
+    "evaluate/eval_report.txt":
+        "c4e210ed205aca09cbe09c65acf734d50281fd93897329ac459e43b1e3e174d5",
+    "evaluate/eval_result.json":
+        "4cca626c78e0419329f1ecb64122ecc187874302edbf2fb90109744f256109fd",
+    "analyze/analyze_result.json":
+        "1f2c265ba7d7cab0ea068ab4de7d2140bf99e740eaea3cfe99db8873912f4db3",
+}
+
+# tweet pieces where the token kinds meet: curly and straight contractions,
+# a curly apostrophe that is no contraction, hashtags and mentions with and
+# without a word character after the sign (❶ is a word character and an
+# emoji), urls, a bare "www." and a capitalized scheme that are no urls,
+# emoji sequences and letters whose lowercase changes length or meaning
+TWEET_PIECES = ("chat", "today", "Coffee", "music", "GAME", "it's", "don’t",
+                "I’M", "y'all", "CAN’T", "rock’n", "well-known", "#Tag",
+                "#❶x", "#", "@User_1", "@!", "@", "https://t.co/Ab1",
+                "http://x.y/z", "www.Example.com/a", "www.", "HTTP://no",
+                "https", "😀", "👩‍💻", "❤️", "❶abc", "❶", "ΑΣ", "İstanbul",
+                "Straße", "...", "!!", "-", "_", "7")
+
+
+def tweet_stage_fixture(tmp_path, seed=11, per_class=8):
+    """per_class users of each class with 0 to 7 tweets of 1 to 10 pieces,
+    some pieces joined with no space; a config that keeps each user's
+    newest 5 tweets."""
+    rng = random.Random(seed)
+    class_words = {"W": "alpha", "B": "bravo", "HL": "charlie", "A": "delta"}
+    payloads, users = [], []
+    for label in CLASS_ORDER:
+        for j in range(per_class):
+            user_id = f"{label.value.lower()}{j}"
+            tweets = []
+            for k in range(rng.randint(0, 7)):
+                pieces = [rng.choice(TWEET_PIECES)
+                          for _ in range(rng.randint(1, 10))]
+                pieces += [class_words[label.value]] * rng.randint(0, 2)
+                rng.shuffle(pieces)
+                text = "".join(piece + rng.choice(("", " ", " ", " "))
+                               for piece in pieces)
+                tweets.append(tweet_payload(text, hours=-1.0 - k))
+            payloads.append(user_payload(user_id, tweets=tuple(tweets)))
+            users.append(LabeledUser(user_id=user_id, label=label,
+                                     source="crowd", score=None))
+    corpus = write_jsonl(tmp_path / "tweet_corpus.jsonl", payloads)
+    data = tmp_path / "tweet_data.tsv"
+    write_dataset_tsv(users, data)
+    config = write_config(tmp_path, "tweet_cfg.json", max_tweets=5, epochs=3,
+                          min_count=1, top_n=5, tau_ks=[3])
+    return ["--corpus", str(corpus), "--config", str(config)], data
+
+
+def test_tweet_stage_outputs_match_recorded_digests(tmp_path):
+    common, data = tweet_stage_fixture(tmp_path)
+    model = tmp_path / "train" / "model.json"
+    steps = {
+        "train": ["train", "--model", "unigram", "--train-data", str(data)],
+        "evaluate": ["evaluate", "--model-file", str(model),
+                     "--test-data", str(data)],
+        "analyze": ["analyze", "--data", str(data)],
+    }
+    digests = {}
+    for name, argv in steps.items():
+        out = tmp_path / name
+        assert run(*argv, *common, "--out", str(out)) == 0
+        for path in sorted(out.iterdir()):
+            digests[f"{name}/{path.name}"] = hashlib.sha256(
+                path.read_bytes()).hexdigest()
+    assert digests == TWEET_STAGE_DIGESTS
 
 
 def test_workers_do_not_change_outputs(planted_corpus, tmp_path):
@@ -1561,6 +1644,30 @@ def test_bad_line_of_every_line_input_names_its_file_and_line(tmp_path, capsys,
     assert err.count("\n") == 1 and err.count(str(path)) == 1
     if defect == "not-utf8":
         assert "'utf-8' codec can't decode byte 0xe9 in position 0" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("name", ["train-data", "embeddings"])
+@pytest.mark.parametrize("value", ["1_0", " 0.5 ", "0.5\u00a0", "١٢", "1e",
+                                   "0x1p3", "Infinity"])
+def test_scores_and_embedding_values_are_ascii_decimals(tmp_path, capsys, name,
+                                                        value):
+    """A dataset score or an embedding value that float() reads but that is
+    no ASCII decimal literal names its file and line."""
+    good = LINE_INPUTS[name][0]
+    if name == "train-data":
+        bad, what = f"w1\tW\t{value}\tcrowd", "score"
+    else:
+        bad, what = "w1\t" + "\t".join(["0.5"] * 767 + [value]), "value"
+    path = tmp_path / "input.tsv"
+    path.write_text(f"{good}\n{bad}\n", encoding="utf-8")
+    argv = line_input_command(tmp_path, name, path)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert run(*argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"identminer: data error: {path}:2: {what} {value!r} is not a "
+        f"decimal number\n")
     assert not out.exists()
 
 

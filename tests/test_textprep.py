@@ -1,12 +1,17 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from identminer import textprep
 from identminer.textprep import (SENTINEL_TAGS, SelfReportLexicon, TagLexicon,
-                                 TaggedToken, Token, build_selfreport_lexicon,
+                                 TaggedToken, Token, TweetTokens,
+                                 build_selfreport_lexicon,
                                  extract_selfreport_candidates, pos_tag,
-                                 selfreport_words, token_pairs, tokenize)
+                                 selfreport_words, tokenize, tweet_tokens,
+                                 tweet_words)
 
 from helpers import make_user, tag, tag_lexicon, tweet_texts
 
@@ -78,10 +83,57 @@ def test_token_records_are_immutable_hashable_and_named():
     assert token == ("farmer", "word", (0, 6))
 
 
+def tokens_by_kind(text) -> TweetTokens:
+    """tweet_tokens(text) built from tokenize(text)."""
+    pairs = kinds(text)
+
+    def texts(*wanted):
+        return [text for text, kind in pairs if kind in wanted]
+    return TweetTokens(texts("word", "contraction"), texts("url", "mention"),
+                       texts("hashtag", "emoji", "punct"),
+                       len(texts("contraction")), len(texts("hashtag")))
+
+
 @given(tweet_texts())
 @settings(max_examples=500)
-def test_token_pairs_are_tokenize_without_spans(text):
-    assert token_pairs(text) == kinds(text)
+def test_tweet_tokens_are_tokenize_sorted_by_kind(text):
+    assert tweet_tokens(text) == tokens_by_kind(text)
+
+
+@given(st.lists(tweet_texts(), max_size=5))
+@settings(max_examples=300)
+def test_tweet_words_of_joined_texts_are_the_words_of_each(texts):
+    """One scan of the texts joined by newlines gives the word and
+    contraction texts of tokenize over each text in turn."""
+    assert tweet_words("\n".join(texts)) == [
+        text for one in texts for text, kind in kinds(one)
+        if kind in ("word", "contraction")]
+
+
+@pytest.mark.parametrize("text, expected", [
+    # ❶ is a word character inside the emoji range: the emoji
+    # alternative comes first
+    ("❶abc", [("❶", "emoji"), ("abc", "word")]),
+    ("#❶x", [("#❶x", "hashtag")]),
+    ("@!", [("@!", "punct")]),
+    ("@ #", [("@", "punct"), ("#", "punct")]),
+    ("@_", [("@_", "mention")]),
+    ("www.", [("www", "word"), (".", "punct")]),
+    ("www.x", [("www.x", "url")]),
+    ("https", [("https", "word")]),
+    ("HTTP://x", [("http", "word"), ("://", "punct"), ("x", "word")]),
+    ("hi’ya DON’T", [("hi’ya", "word"), ("don't", "contraction")]),
+])
+def test_tweet_tokens_kind_order_cases(text, expected):
+    assert kinds(text) == expected
+    assert tweet_tokens(text) == tokens_by_kind(text)
+
+
+def test_tweet_scan_emoji_set_is_the_emoji_class():
+    emoji = textprep._tweet_scans()[2]
+    emoji_class = re.compile(f"[{textprep._EMOJI_RANGES}]")
+    assert emoji == {chr(code) for code in range(0x110000)
+                     if emoji_class.fullmatch(chr(code))}
 
 
 def test_tokenize_hyphenated_word_is_one_token():

@@ -2,9 +2,12 @@ import json
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from identminer.util import (DataError, canonical_json, config_hash, mean,
-                             pmap_ordered, stage_seed, write_json)
+from identminer.util import (DataError, canonical_json, config_hash,
+                             decimal_float, mean, pmap_ordered, stage_seed,
+                             write_json)
 
 
 def test_canonical_json_is_key_order_invariant():
@@ -63,3 +66,25 @@ def test_mean():
 def test_dataerror_is_an_exception():
     with pytest.raises(DataError):
         raise DataError("nope")
+
+
+@given(st.floats())
+def test_decimal_float_reads_every_float_repr(value):
+    read = decimal_float(repr(value), "score")
+    assert repr(read) == repr(value)
+
+
+@pytest.mark.parametrize("text, value", [
+    ("0.5", 0.5), (".5", 0.5), ("5.", 5.0), ("+1", 1.0), ("-0.0", -0.0),
+    ("1E5", 1e5), ("1e-05", 1e-05), ("-inf", -math.inf), ("1e999", math.inf),
+])
+def test_decimal_float_accepts_decimal_literals(text, value):
+    assert repr(decimal_float(text, "score")) == repr(value)
+
+
+@pytest.mark.parametrize("text", ["", ".", "-", "1_0", " 0.5", "0.5 ",
+                                  "0.5\n", "١٢", "１", "1e", "e5", "0x10",
+                                  "Infinity", "NaN", "INF", "1.5.0", "--1"])
+def test_decimal_float_rejects_what_is_no_ascii_decimal(text):
+    with pytest.raises(ValueError, match="^score .* is not a decimal number$"):
+        decimal_float(text, "score")
