@@ -10,6 +10,7 @@ the IDENTMINER_LOG environment variable (error, info, debug).
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import logging
@@ -19,6 +20,7 @@ import reprlib
 import sys
 from collections import Counter
 from pathlib import Path
+from typing import NamedTuple
 
 from . import analytics, resources
 from .datasets import (build_cb, hf_users, merge_candidates, qb_users,
@@ -293,22 +295,40 @@ def _out_dir(paths: dict) -> Path:
     return out
 
 
-def _load_corpus(path: str) -> tuple[list[UserRecord], int]:
-    """Deduplicated user records (latest snapshot per user) plus the count of
-    lines that failed to parse."""
-    records: list[UserRecord] = []
-    failures = 0
-    with open(path, "rb") as handle:
+class Description(NamedTuple):
+    """What the description stages read of a user: scan_descriptions and
+    build_selfreport_lexicon take these in place of full records."""
+    user_id: str
+    description: str
+
+
+def _description(record: UserRecord) -> Description:
+    return Description(record.user_id, record.description)
+
+
+def _load_corpus(path: str, keep) -> tuple[dict, int]:
+    """keep(record) of each user's latest snapshot, by user id in corpus
+    order, for the users whose keep is not None; plus the count of lines that
+    failed to parse. The lines stream from the parser straight into
+    dedupe_latest, so only the kept values outlive their line."""
+    parsed = failures = 0
+
+    def records(handle):
+        nonlocal parsed, failures
         for result in load_users(handle):
             if isinstance(result, ParseFailure):
                 failures += 1
                 logger.debug("line %d skipped: %s", result.line_no, result.reason)
             else:
-                records.append(result)
-    ordered = list(dedupe_latest(records).values())
+                parsed += 1
+                yield result
+
+    with open(path, "rb") as handle:
+        latest = dedupe_latest(records(handle), keep)
     logger.info("corpus: %d lines, %d parsed, %d failures, %d unique users",
-                len(records) + failures, len(records), failures, len(ordered))
-    return ordered, failures
+                parsed + failures, parsed, failures, len(latest))
+    return ({user_id: kept for user_id, kept in latest.items()
+             if kept is not None}, failures)
 
 
 def _read_input(paths: dict, key: str, read):
@@ -337,7 +357,7 @@ def _filter_resources(paths: dict):
     return colors, blocklist
 
 
-def _description_pass(paths: dict, config: dict, records, tag_lexicon):
+def _description_pass(paths: dict, config: dict, descriptions, tag_lexicon):
     """The one pass over the descriptions: (lexicon, unscored reports of the
     users matching exactly one class). The lexicon is read from --lexicon, or
     else counted from the same tagged tokens that the query matching uses."""
@@ -345,9 +365,9 @@ def _description_pass(paths: dict, config: dict, records, tag_lexicon):
         lexicon = _read_input(paths, "lexicon", SelfReportLexicon.from_tsv)
         if not lexicon.os_counts:
             raise DataError(f"self-report lexicon is empty: {paths['lexicon']}")
-        return lexicon, scan_descriptions(records, tag_lexicon)
+        return lexicon, scan_descriptions(descriptions, tag_lexicon)
     counter = SelfReportCounter(tag_lexicon, allow_im=config["allow_im"])
-    reports = scan_descriptions(records, tag_lexicon, counter)
+    reports = scan_descriptions(descriptions, tag_lexicon, counter)
     lexicon = counter.lexicon()
     if not lexicon.os_counts:
         raise DataError("self-report lexicon is empty; corpus has no "
@@ -364,14 +384,14 @@ def cmd_lexicon_build(args: argparse.Namespace) -> int:
     config, paths = _resolve(args)
     corpus_path = _require(paths, "corpus")
     tag_lexicon = _tag_lexicon(paths)
-    records, failures = _load_corpus(corpus_path)
-    lexicon = build_selfreport_lexicon(records, tag_lexicon,
+    descriptions, failures = _load_corpus(corpus_path, _description)
+    lexicon = build_selfreport_lexicon(descriptions.values(), tag_lexicon,
                                        allow_im=config["allow_im"])
     out = _out_dir(paths)
     lexicon.to_tsv(out / "selfreport_lexicon.tsv")
     summary = _result_base(config, "lexicon-build")
     summary.update({
-        "n_users": len(records),
+        "n_users": len(descriptions),
         "n_parse_failures": failures,
         "n_words": len(lexicon.os_counts),
         "total_selfreport": lexicon.total_selfreport,
@@ -417,15 +437,16 @@ def cmd_dataset_build(args: argparse.Namespace) -> int:
     filters = enabled_filters(config["filters"])
     params = ScoreParams(config["window"], config["threshold"],
                          config["weighting"])
-    records, _ = _load_corpus(corpus_path)
-    lexicon, reports = _description_pass(paths, config, records, tag_lexicon)
+    descriptions, _ = _load_corpus(corpus_path, _description)
+    lexicon, reports = _description_pass(paths, config, descriptions.values(),
+                                         tag_lexicon)
     # qb reads no filter verdicts
     score_reports(reports, lexicon, params,
                   None if kind == "qb" else filters, colors, blocklist)
 
     stats = _result_base(config, "dataset-build")
     stats["kind"] = kind
-    stats["n_users"] = len(records)
+    stats["n_users"] = len(descriptions)
 
     if kind == "qb":
         users = qb_users(reports)
@@ -457,8 +478,9 @@ def cmd_tune(args: argparse.Namespace) -> int:
     corpus_path = _require(paths, "corpus")
     rows = _read_input(paths, "tuning", read_tuning_tsv)
     tag_lexicon = _tag_lexicon(paths)
-    records, _ = _load_corpus(corpus_path)
-    lexicon, reports = _description_pass(paths, config, records, tag_lexicon)
+    descriptions, _ = _load_corpus(corpus_path, _description)
+    lexicon, reports = _description_pass(paths, config, descriptions.values(),
+                                         tag_lexicon)
 
     votes: dict[str, list[str]] = {}
     for user_id, label, _annotator in rows:
@@ -495,15 +517,24 @@ def cmd_tune(args: argparse.Namespace) -> int:
     return 0
 
 
-def _corpus_pairs(paths: dict, dataset) -> list:
-    """(dataset user, corpus record) for each dataset user in the corpus."""
-    records, _ = _load_corpus(_require(paths, "corpus"))
-    by_id = {record.user_id: record for record in records}
-    pairs = [(user, by_id[user.user_id]) for user in dataset
-             if user.user_id in by_id]
+def _corpus_pairs(paths: dict, dataset, project) -> list:
+    """(dataset user, project(latest snapshot)) for each dataset user in the
+    corpus. project is called for dataset users only, and what it returns
+    is all that is kept of the corpus."""
+    ids = {user.user_id for user in dataset}
+    kept, _ = _load_corpus(_require(paths, "corpus"), lambda record: (
+        project(record) if record.user_id in ids else None))
+    pairs = [(user, kept[user.user_id]) for user in dataset
+             if user.user_id in kept]
     if not pairs:
         raise DataError("no dataset user ids found in the corpus")
     return pairs
+
+
+def _present(record: UserRecord) -> bool:
+    """The projection of a stage that needs only to know the user is in
+    the corpus."""
+    return True
 
 
 def _embedding_pairs(paths: dict, pairs: list, role: str) -> list:
@@ -554,9 +585,22 @@ def cmd_train(args: argparse.Namespace) -> int:
     from .models.training import (TrainConfig, effective_weight_histogram,
                                   example_weights, inverse_class_weights,
                                   label_indices)
-    pairs = _corpus_pairs(paths, dataset)
-    if paths.get("embeddings"):
-        pairs = _embedding_pairs(paths, pairs, "training")  # (user, row)
+    # what each model reads of a dataset user's latest snapshot: the name
+    # and profile vector, nothing (--embeddings), or the tweet word counts
+    if model_name == "namecnn":
+        import numpy as np
+        from .models.namecnn import name_input, train_name_cnn
+        pairs = _corpus_pairs(paths, dataset, name_input)
+    elif paths.get("embeddings"):
+        from .models.unigram import train_unigram
+        pairs = _embedding_pairs(paths, _corpus_pairs(paths, dataset, _present),
+                                 "training")  # (user, row)
+    else:
+        from .models.features import (build_vocab, featurize_user,
+                                      user_word_counts)
+        from .models.unigram import train_unigram
+        pairs = _corpus_pairs(paths, dataset, functools.partial(
+            user_word_counts, max_tweets=config["max_tweets"]))
     labels = [user.label for user, _ in pairs]
     if len(set(labels)) < 2:
         raise DataError("training set has a single class")
@@ -573,24 +617,17 @@ def cmd_train(args: argparse.Namespace) -> int:
         batch_size=config["batch_size"],
     )
     if model_name == "namecnn":
-        import numpy as np
-        from .models.namecnn import name_meta_features, train_name_cnn
-        metas = np.vstack([name_meta_features(record) for _, record in pairs])
-        model = train_name_cnn([record.name for _, record in pairs], metas,
+        metas = np.vstack([meta for _, (_, meta) in pairs])
+        model = train_name_cnn([name for _, (name, _) in pairs], metas,
                                y_idx, sample_weights, train_config,
                                config["min_char_count"])
         result["char_vocab_size"] = len(model.char_vocab)
     elif paths.get("embeddings"):
-        from .models.unigram import train_unigram
         rows = [row for _, row in pairs]
         result["n_features"] = len(rows[0])
         model = train_unigram(rows, y_idx, sample_weights, train_config, {})
     else:
-        from .models.features import (build_vocab, featurize_user,
-                                      user_word_counts)
-        from .models.unigram import train_unigram
-        word_counts = [user_word_counts(record, config["max_tweets"])
-                       for _, record in pairs]
+        word_counts = [counts for _, counts in pairs]
         vocab = build_vocab(word_counts, min_count=config["min_count"],
                             stopwords=resources.load_stopwords())
         if not vocab:
@@ -633,22 +670,19 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                             "pass --embeddings")
     if kind in ("RandomBaseline", "MajorityBaseline"):
         test_set = [(None, user.label) for user in dataset]
+    elif kind == "NameModel":
+        from .models.namecnn import name_input
+        test_set = [(inputs, user.label) for user, inputs in
+                    _corpus_pairs(paths, dataset, name_input)]
+    elif paths.get("embeddings"):
+        test_set = [(row, user.label) for user, row in _embedding_pairs(
+            paths, _corpus_pairs(paths, dataset, _present), "test")]
     else:
-        pairs = _corpus_pairs(paths, dataset)
-        if kind == "NameModel":
-            from .models.namecnn import name_meta_features
-            test_set = [((record.name, name_meta_features(record)), user.label)
-                        for user, record in pairs]
-        elif paths.get("embeddings"):
-            test_set = [(row, user.label) for user, row in
-                        _embedding_pairs(paths, pairs, "test")]
-        else:
-            from .models.features import featurize_user, user_word_counts
-            test_set = [
-                (featurize_user(user_word_counts(record, config["max_tweets"]),
-                                model.vocab),
-                 user.label)
-                for user, record in pairs]
+        from .models.features import featurize_user, user_word_counts
+        max_tweets = config["max_tweets"]
+        test_set = [(row, user.label) for user, row in _corpus_pairs(
+            paths, dataset, lambda record: featurize_user(
+                user_word_counts(record, max_tweets), model.vocab))]
 
     try:
         report = evaluate(model, test_set, setting=config["setting"],
@@ -680,7 +714,8 @@ def _pair_table(labels, stat) -> dict:
 def cmd_analyze(args: argparse.Namespace) -> int:
     config, paths = _resolve(args)
     dataset = _read_dataset(paths, "data")
-    pairs = _corpus_pairs(paths, dataset)
+    # analyze reads whole records: names, profiles and every tweet field
+    pairs = _corpus_pairs(paths, dataset, lambda record: record)
     groups: dict = {}
     for user, record in pairs:
         groups.setdefault(user.label, []).append(record)

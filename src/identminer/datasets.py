@@ -56,9 +56,11 @@ class UserMatchReport:
 def scan_descriptions(corpus: Iterable, tag_lexicon: TagLexicon,
                       counter: SelfReportCounter | None = None
                       ) -> list[UserMatchReport]:
-    """The one pass over the descriptions: each is tokenized and tagged once
-    and added to counter (the O_s/O lexicon counts) if given; an unscored
-    report is kept, in corpus order, if its matches name exactly one class."""
+    """The one pass over the descriptions of the corpus (anything with a
+    user_id and a description, such as UserRecord or cli.Description): each
+    is tokenized and tagged once and added to counter (the O_s/O lexicon
+    counts) if given; an unscored report is kept, in corpus order, if its
+    matches name exactly one class."""
     reports = []
     for record in corpus:
         tagged = pos_tag(tokenize(record.description), tag_lexicon)

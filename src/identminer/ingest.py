@@ -4,6 +4,9 @@ One line is one user snapshot. Malformed lines become ParseFailure values instea
 of exceptions so a bad record never aborts the stream; stream-level I/O errors
 still propagate. Missing optional fields default to false/0/"" and are tallied
 in an optional per-field missingness counter.
+dedupe_latest folds the record stream into one value per user as it goes:
+the caller's projection of the user's latest snapshot, so memory grows with
+the users and with what the caller keeps of each, not with the lines.
 A Tweet is a named tuple built through tuple.__new__, several times cheaper
 than a frozen dataclass; it equals the plain tuple of its fields.
 """
@@ -16,7 +19,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from datetime import datetime, timezone
-from typing import IO, Iterable, Iterator, NamedTuple, Union
+from typing import IO, Callable, Iterable, Iterator, NamedTuple, TypeVar, Union
 
 
 class Tweet(NamedTuple):
@@ -66,6 +69,7 @@ _TWEET_FLAGS = tuple((key, f"tweet.{key}") for key in Tweet._fields[3:])
 _PROFILE_FLAGS = tuple((key, f"profile.{key}") for key in (
     "has_profile_url", "has_custom_image", "geo_enabled"))
 _ABSENT = object()
+T = TypeVar("T")
 
 
 def parse_timestamp(raw: str) -> datetime:
@@ -219,12 +223,19 @@ def load_users(stream: IO, missingness: Counter | None = None
         yield parse_user_line(line, line_no, missingness)
 
 
-def dedupe_latest(records: Iterable[UserRecord]) -> dict[str, UserRecord]:
-    """Keep each user's record with the largest snapshot_time; on a tie the
-    later stream position wins."""
-    latest: dict[str, UserRecord] = {}
+def dedupe_latest(records: Iterable[UserRecord], keep: Callable[[UserRecord], T]
+                  ) -> dict[str, T]:
+    """keep(record) of each user's record with the largest snapshot_time, by
+    user id in the order the ids first appear; on a tie the later stream
+    position wins. Only the winner's snapshot_time and keep(record) are held
+    per user, so a record lives no longer than its own step of the stream
+    and keep is never called on a snapshot older than the current winner."""
+    times: dict[str, datetime] = {}
+    latest: dict[str, T] = {}
     for record in records:
-        current = latest.get(record.user_id)
-        if current is None or record.snapshot_time >= current.snapshot_time:
-            latest[record.user_id] = record
+        user_id = record.user_id
+        current = times.get(user_id)
+        if current is None or record.snapshot_time >= current:
+            times[user_id] = record.snapshot_time
+            latest[user_id] = keep(record)
     return latest

@@ -54,16 +54,19 @@ def featurize_user(word_counts: Counter, vocab: dict[str, int]
 
 
 def read_embeddings(path) -> dict[str, np.ndarray]:
-    """user_id<TAB>floats rows (tab- or space-separated ASCII decimal
-    floats, see util.decimal_float); a row without EMBEDDING_DIM finite
-    values or with a repeated user id is a ValueError naming its line."""
+    """user_id<TAB>floats rows (ASCII decimal floats, see
+    util.decimal_float, separated by tabs or by runs of ASCII spaces); a
+    row without EMBEDDING_DIM finite values or with a repeated user id is a
+    ValueError naming its line."""
     return dict(read_rows(path, _embedding_row, unique="user id"))
 
 
 def _embedding_row(fields: list[str]) -> tuple[str, np.ndarray]:
     user_id, values = fields[0], fields[1:]
     if len(values) == 1:
-        values = values[0].split()
+        # runs of ASCII spaces only: other whitespace stays in a value, which
+        # is then no decimal number
+        values = [value for value in values[0].split(" ") if value]
     if len(values) != EMBEDDING_DIM:
         raise ValueError(f"expected {EMBEDDING_DIM} floats, got {len(values)}")
     row = np.array([decimal_float(v, "value") for v in values],

@@ -18,7 +18,8 @@ start in the padding are masked out of the max-pool, so a name's
 probabilities do not depend on the other names in its batch.
 
 Training, loading and predicting need numpy alone. The profile metadata
-vector (name_meta_features) is built here too.
+vector (name_meta_features) and a user's (name, vector) input (name_input)
+are built here too.
 """
 from __future__ import annotations
 
@@ -60,6 +61,12 @@ def name_meta_features(user: UserRecord) -> np.ndarray:
         float(profile.has_custom_image),
         float(profile.geo_enabled),
     ], dtype=np.float64)
+
+
+def name_input(user: UserRecord) -> tuple[str, np.ndarray]:
+    """What the name model reads of a user: the display name and its
+    profile vector."""
+    return user.name, name_meta_features(user)
 
 
 def build_char_vocab(names: Sequence[str], min_count: int = 5

@@ -397,7 +397,8 @@ class SelfReportCounter:
 
 def build_selfreport_lexicon(corpus: Iterable, tag_lexicon: TagLexicon,
                              allow_im: bool = False) -> SelfReportLexicon:
-    """Count O_s and O per description over the corpus (UserRecord iterable)."""
+    """Count O_s and O per description over the corpus: anything with a
+    description, such as UserRecord or cli.Description."""
     counter = SelfReportCounter(tag_lexicon, allow_im=allow_im)
     for record in corpus:
         counter.add(pos_tag(tokenize(record.description), tag_lexicon))

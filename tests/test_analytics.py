@@ -672,8 +672,9 @@ def test_sage_kkt_on_timelines_groups(tmp_path, seed):
     # the groups analyze fits on the benchmark's timelines workload
     _bench_corpus_module().generate("timelines", seed, tmp_path)
     with open(tmp_path / "corpus.jsonl", "rb") as handle:
-        records = dedupe_latest(record for record in load_users(handle)
-                                if isinstance(record, UserRecord))
+        records = dedupe_latest((record for record in load_users(handle)
+                                 if isinstance(record, UserRecord)),
+                                lambda record: record)
     groups: dict = {}
     for user in read_dataset_tsv(tmp_path / "train.tsv"):
         if user.user_id in records:

@@ -1349,7 +1349,7 @@ def test_bad_config_value_is_a_data_error(tmp_path, capsys, command, key,
 @pytest.mark.parametrize("command,key,value", BAD_CONFIG_VALUES)
 def test_bad_config_value_fails_before_the_corpus_is_read(
         tmp_path, capsys, monkeypatch, command, key, value):
-    def refuse(path):
+    def refuse(path, keep):
         raise AssertionError(f"corpus {path} read before the config check")
 
     monkeypatch.setattr(cli, "_load_corpus", refuse)
@@ -1649,26 +1649,32 @@ def test_bad_line_of_every_line_input_names_its_file_and_line(tmp_path, capsys,
 
 @pytest.mark.parametrize("name", ["train-data", "embeddings"])
 @pytest.mark.parametrize("value", ["1_0", " 0.5 ", "0.5\u00a0", "١٢", "1e",
-                                   "0x1p3", "Infinity"])
+                                   "0x1p3", "Infinity", "0.5\x1c0.25",
+                                   "0.5\u00a00.25", "0.5\u20030.25"])
 def test_scores_and_embedding_values_are_ascii_decimals(tmp_path, capsys, name,
                                                         value):
-    """A dataset score or an embedding value that float() reads but that is
-    no ASCII decimal literal names its file and line."""
+    """A dataset score or an embedding value that float() reads, or that
+    str.split() would split, but that is no ASCII decimal literal names its
+    file and line. An embeddings row of space-separated values splits at
+    ASCII spaces only."""
     good = LINE_INPUTS[name][0]
     if name == "train-data":
-        bad, what = f"w1\tW\t{value}\tcrowd", "score"
+        bads, what = [f"w1\tW\t{value}\tcrowd"], "score"
     else:
-        bad, what = "w1\t" + "\t".join(["0.5"] * 767 + [value]), "value"
-    path = tmp_path / "input.tsv"
-    path.write_text(f"{good}\n{bad}\n", encoding="utf-8")
-    argv = line_input_command(tmp_path, name, path)
-    capsys.readouterr()
-    out = tmp_path / "out"
-    assert run(*argv, "--out", str(out)) == 2
-    assert capsys.readouterr().err == (
-        f"identminer: data error: {path}:2: {what} {value!r} is not a "
-        f"decimal number\n")
-    assert not out.exists()
+        bads, what = ["w1\t" + "\t".join(["0.5"] * 767 + [value])], "value"
+        if " " not in value:
+            bads.append("w1\t" + " ".join(["0.5"] * 767 + [value]))
+    for bad in bads:
+        path = tmp_path / "input.tsv"
+        path.write_text(f"{good}\n{bad}\n", encoding="utf-8")
+        argv = line_input_command(tmp_path, name, path)
+        capsys.readouterr()
+        out = tmp_path / "out"
+        assert run(*argv, "--out", str(out)) == 2
+        assert capsys.readouterr().err == (
+            f"identminer: data error: {path}:2: {what} {value!r} is not a "
+            f"decimal number\n")
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("rows, reason", [

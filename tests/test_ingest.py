@@ -18,6 +18,11 @@ def load_all(payloads, missingness=None):
     return list(load_users(io.StringIO(lines + "\n"), missingness))
 
 
+def same(record):
+    """The dedupe_latest projection that keeps the whole record."""
+    return record
+
+
 def test_parse_timestamp_accepts_z_suffix():
     parsed = parse_timestamp("2024-06-01T12:00:00Z")
     assert parsed.tzinfo == timezone.utc
@@ -249,7 +254,7 @@ def test_load_users_accepts_bytes_and_flags_bad_utf8():
 def test_dedupe_latest_keeps_newest_snapshot():
     records = [make_user("u1", hours=0), make_user("u1", hours=5),
                make_user("u2", hours=1)]
-    kept = dedupe_latest(records)
+    kept = dedupe_latest(records, same)
     assert set(kept) == {"u1", "u2"}
     assert kept["u1"].snapshot_time == records[1].snapshot_time
 
@@ -257,15 +262,15 @@ def test_dedupe_latest_keeps_newest_snapshot():
 def test_dedupe_latest_tie_prefers_later_position():
     first = make_user("u1", description="first", hours=0)
     second = make_user("u1", description="second", hours=0)
-    assert dedupe_latest([first, second])["u1"].description == "second"
-    assert dedupe_latest([second, first])["u1"].description == "first"
+    assert dedupe_latest([first, second], same)["u1"].description == "second"
+    assert dedupe_latest([second, first], same)["u1"].description == "first"
 
 
 def test_dedupe_latest_is_idempotent(rng):
     records = [make_user(f"u{rng.randrange(10)}", hours=rng.randrange(100))
                for _ in range(200)]
-    once = dedupe_latest(records)
-    twice = dedupe_latest(once.values())
+    once = dedupe_latest(records, same)
+    twice = dedupe_latest(once.values(), same)
     assert once == twice
     assert set(once) == {r.user_id for r in records}
 

@@ -8,6 +8,8 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+from helpers import user_payload, write_jsonl
+
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 
@@ -35,8 +37,15 @@ def test_every_layer_method_is_defined_on_its_class():
         assert method in cls.__dict__, f"{cls_name}.{method}"
 
 
-def test_wrapped_cli_loader_and_report_count_exist():
+def test_wrapped_cli_loader_and_report_count_exist(tmp_path):
     from identminer import cli
     from identminer.evaluation import EvalReport
     assert callable(cli._load_corpus)
     assert "n" in {field.name for field in dataclasses.fields(EvalReport)}
+    # the tracer unpacks the loader's result as (records, failures) and adds
+    # the failures to an integer count
+    corpus = write_jsonl(tmp_path / "corpus.jsonl", [
+        user_payload("u1"), "{not json", user_payload("u2")])
+    loaded = cli._load_corpus(str(corpus), lambda record: record.user_id)
+    assert isinstance(loaded, tuple) and len(loaded) == 2
+    assert type(loaded[1]) is int and loaded[1] == 1
