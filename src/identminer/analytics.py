@@ -13,17 +13,12 @@ from typing import Iterable, Sequence
 from .filters import ClassLabel
 from .ingest import UserRecord
 from .textprep import tweet_tokens
-from .util import mean
+from .util import Sentinel, mean
 
 _MISSING = (None, "", "missing")
 
 
-class _Discard:
-    def __repr__(self) -> str:
-        return "DISCARD"
-
-
-DISCARD = _Discard()
+DISCARD = Sentinel("DISCARD")
 
 
 def user_lexical_means(user: UserRecord, stopwords: frozenset[str],

@@ -199,7 +199,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("dataset-build", help="build the qb, hf, or cb dataset")
     common(p)
     p.add_argument("--kind", choices=DATASET_KINDS, help="dataset kind")
-    p.add_argument("--filters",
+    p.add_argument("--filters", type=lambda flag: [
+                       name for name in flag.split(",") if name.strip()],
                    help="comma list from color,plural,bigram,quote (empty for none)")
     p.add_argument("--window", type=int)
     p.add_argument("--threshold", type=float)
@@ -235,9 +236,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(args: argparse.Namespace) -> tuple[dict, dict]:
-    """defaults < config file < flags; returns (semantic config, paths)."""
+    """defaults < config file < flags; returns (semantic config, paths).
+
+    A flag sets the path or config key named by its argparse dest, so each
+    flag is named only where build_parser declares it; an absent flag
+    (None) keeps the config-file value. The dests that are neither (config,
+    workers, command, func) are not configuration."""
     config = dict(DEFAULTS)
     paths: dict[str, str | None] = {key: None for key in _PATH_KEYS}
+    loaded = {}
     if args.config:
         if not Path(args.config).is_file():
             raise DataError(f"config file not found: {args.config}")
@@ -250,26 +257,15 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, dict]:
             raise DataError(f"bad config JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise DataError("config file must hold a JSON object")
-        for key, value in loaded.items():
-            if key in _PATH_KEYS:
-                paths[key] = value
-            elif key in DEFAULTS:
-                config[key] = value
-            else:
-                raise DataError(f"unknown config key {key!r}")
-    for key in _PATH_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
+    flags = {key: value for key, value in vars(args).items()
+             if value is not None and (key in paths or key in config)}
+    for key, value in {**loaded, **flags}.items():
+        if key in paths:
             paths[key] = value
-    for key in ("seed", "kind", "model", "setting", "window", "threshold",
-                "weighting", "epochs"):
-        value = getattr(args, key, None)
-        if value is not None:
+        elif key in config:
             config[key] = value
-    filters_flag = getattr(args, "filters", None)
-    if filters_flag is not None:
-        config["filters"] = [name for name in filters_flag.split(",")
-                             if name.strip()]
+        else:
+            raise DataError(f"unknown config key {key!r}")
     values = {**paths, **config}
     for rule, check, keys in CONFIG_RULES:
         for key in keys:
@@ -531,22 +527,34 @@ def _corpus_pairs(paths: dict, dataset, project) -> list:
     return pairs
 
 
-def _present(record: UserRecord) -> bool:
-    """The projection of a stage that needs only to know the user is in
-    the corpus."""
-    return True
-
-
-def _embedding_pairs(paths: dict, pairs: list, role: str) -> list:
-    """(dataset user, --embeddings row) for each pair whose user id has a
-    row in the embeddings table."""
-    from .models.features import read_embeddings
-    table = _read_input(paths, "embeddings", read_embeddings)
-    kept = [(user, table[user.user_id]) for user, _ in pairs
-            if user.user_id in table]
-    if not kept:
-        raise DataError(f"no embeddings match the {role} user ids")
-    return kept
+def _model_inputs(paths: dict, config: dict, dataset, model_name: str,
+                  role: str, vocab: dict | None = None) -> list:
+    """(dataset user, model input) for each dataset user in the corpus:
+    what train and evaluate read of a user's latest snapshot. namecnn reads
+    namecnn.name_input; unigram with --embeddings the user's row, if it has
+    one (the corpus only shows the user is there); unigram otherwise the
+    user_word_counts of the newest max_tweets tweets or, given a trained
+    vocab, their featurize_user row, projected as the corpus streams. role
+    names the dataset if no user is left."""
+    if model_name == "namecnn":
+        from .models.namecnn import name_input
+        return _corpus_pairs(paths, dataset, name_input)
+    if paths.get("embeddings"):
+        from .models.features import read_embeddings
+        present = _corpus_pairs(paths, dataset, lambda record: True)
+        table = _read_input(paths, "embeddings", read_embeddings)
+        pairs = [(user, table[user.user_id]) for user, _ in present
+                 if user.user_id in table]
+        if not pairs:
+            raise DataError(f"no embeddings match the {role} user ids")
+        return pairs
+    from .models.features import featurize_user, user_word_counts
+    max_tweets = config["max_tweets"]
+    if vocab is None:
+        return _corpus_pairs(paths, dataset, functools.partial(
+            user_word_counts, max_tweets=max_tweets))
+    return _corpus_pairs(paths, dataset, lambda record: featurize_user(
+        user_word_counts(record, max_tweets), vocab))
 
 
 def _read_dataset(paths: dict, key: str):
@@ -585,22 +593,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     from .models.training import (TrainConfig, effective_weight_histogram,
                                   example_weights, inverse_class_weights,
                                   label_indices)
-    # what each model reads of a dataset user's latest snapshot: the name
-    # and profile vector, nothing (--embeddings), or the tweet word counts
-    if model_name == "namecnn":
-        import numpy as np
-        from .models.namecnn import name_input, train_name_cnn
-        pairs = _corpus_pairs(paths, dataset, name_input)
-    elif paths.get("embeddings"):
-        from .models.unigram import train_unigram
-        pairs = _embedding_pairs(paths, _corpus_pairs(paths, dataset, _present),
-                                 "training")  # (user, row)
-    else:
-        from .models.features import (build_vocab, featurize_user,
-                                      user_word_counts)
-        from .models.unigram import train_unigram
-        pairs = _corpus_pairs(paths, dataset, functools.partial(
-            user_word_counts, max_tweets=config["max_tweets"]))
+    pairs = _model_inputs(paths, config, dataset, model_name, "training")
     labels = [user.label for user, _ in pairs]
     if len(set(labels)) < 2:
         raise DataError("training set has a single class")
@@ -617,16 +610,21 @@ def cmd_train(args: argparse.Namespace) -> int:
         batch_size=config["batch_size"],
     )
     if model_name == "namecnn":
+        import numpy as np
+        from .models.namecnn import train_name_cnn
         metas = np.vstack([meta for _, (_, meta) in pairs])
         model = train_name_cnn([name for _, (name, _) in pairs], metas,
                                y_idx, sample_weights, train_config,
                                config["min_char_count"])
         result["char_vocab_size"] = len(model.char_vocab)
     elif paths.get("embeddings"):
+        from .models.unigram import train_unigram
         rows = [row for _, row in pairs]
         result["n_features"] = len(rows[0])
         model = train_unigram(rows, y_idx, sample_weights, train_config, {})
     else:
+        from .models.features import build_vocab, featurize_user
+        from .models.unigram import train_unigram
         word_counts = [counts for _, counts in pairs]
         vocab = build_vocab(word_counts, min_count=config["min_count"],
                             stopwords=resources.load_stopwords())
@@ -670,19 +668,11 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                             "pass --embeddings")
     if kind in ("RandomBaseline", "MajorityBaseline"):
         test_set = [(None, user.label) for user in dataset]
-    elif kind == "NameModel":
-        from .models.namecnn import name_input
-        test_set = [(inputs, user.label) for user, inputs in
-                    _corpus_pairs(paths, dataset, name_input)]
-    elif paths.get("embeddings"):
-        test_set = [(row, user.label) for user, row in _embedding_pairs(
-            paths, _corpus_pairs(paths, dataset, _present), "test")]
     else:
-        from .models.features import featurize_user, user_word_counts
-        max_tweets = config["max_tweets"]
-        test_set = [(row, user.label) for user, row in _corpus_pairs(
-            paths, dataset, lambda record: featurize_user(
-                user_word_counts(record, max_tweets), model.vocab))]
+        model_name = "namecnn" if kind == "NameModel" else "unigram"
+        test_set = [(inputs, user.label) for user, inputs in _model_inputs(
+            paths, config, dataset, model_name, "test",
+            getattr(model, "vocab", None))]
 
     try:
         report = evaluate(model, test_set, setting=config["setting"],

@@ -1,5 +1,9 @@
 """Classifier evaluation: accuracy, macro-F1, per-class accuracy, confusion
-matrices in test-set percentages, under imbalanced or balanced settings."""
+matrices in test-set percentages, under imbalanced or balanced settings.
+
+Every metric is read from one 4x4 table of (true label, prediction) counts
+(count_table), so each holds the integer numerators and denominators of the
+textbook formula."""
 from __future__ import annotations
 
 import random
@@ -32,62 +36,63 @@ class EvalReport:
         }
 
 
-def _check_lengths(labels, predictions):
+def count_table(labels: Sequence[ClassLabel],
+                predictions: Sequence[ClassLabel]) -> list[list[int]]:
+    """table[t][p]: the examples of true class t predicted as p, both in
+    CLASS_ORDER; lists of different lengths or no examples are a
+    ValueError."""
     if len(labels) != len(predictions):
         raise ValueError("labels and predictions differ in length")
     if not labels:
         raise ValueError("empty evaluation set")
+    index = {label: i for i, label in enumerate(CLASS_ORDER)}
+    table = [[0] * len(CLASS_ORDER) for _ in CLASS_ORDER]
+    for t, p in zip(labels, predictions):
+        table[index[t]][index[p]] += 1
+    return table
+
+
+def _metrics(table: list[list[int]]) -> dict:
+    """The EvalReport metrics of a count table. macro_f1 is the unweighted
+    mean of the per-class F1 scores, 0 for a class with a zero
+    precision+recall denominator; per_class_accuracy is the percent correct
+    within each true class, 0 for a class absent from the labels."""
+    n = sum(map(sum, table))
+    classes = range(len(table))
+    f1_sum = 0.0
+    for i in classes:
+        tp, row, column = table[i][i], sum(table[i]), sum(r[i] for r in table)
+        precision = tp / column if column else 0.0
+        recall = tp / row if row else 0.0
+        f1_sum += (2 * precision * recall / (precision + recall)
+                   if precision + recall else 0.0)
+    return {
+        "accuracy": sum(table[i][i] for i in classes) / n,
+        "macro_f1": f1_sum / len(table),
+        "per_class_accuracy": [table[i][i] * 100.0 / sum(table[i])
+                               if sum(table[i]) else 0.0 for i in classes],
+        "confusion": [[cell * 100.0 / n for cell in row] for row in table],
+    }
 
 
 def accuracy(labels: Sequence[ClassLabel], predictions: Sequence[ClassLabel]) -> float:
-    _check_lengths(labels, predictions)
-    correct = sum(1 for t, p in zip(labels, predictions) if t == p)
-    return correct / len(labels)
+    return _metrics(count_table(labels, predictions))["accuracy"]
 
 
 def macro_f1(labels: Sequence[ClassLabel], predictions: Sequence[ClassLabel]) -> float:
-    """Unweighted mean of the four per-class F1 scores. A class with zero
-    precision+recall denominator contributes F1 = 0."""
-    _check_lengths(labels, predictions)
-    total = 0.0
-    for label in CLASS_ORDER:
-        tp = sum(1 for t, p in zip(labels, predictions) if t == label and p == label)
-        fp = sum(1 for t, p in zip(labels, predictions) if t != label and p == label)
-        fn = sum(1 for t, p in zip(labels, predictions) if t == label and p != label)
-        precision = tp / (tp + fp) if tp + fp else 0.0
-        recall = tp / (tp + fn) if tp + fn else 0.0
-        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
-        total += f1
-    return total / len(CLASS_ORDER)
+    return _metrics(count_table(labels, predictions))["macro_f1"]
 
 
 def confusion_matrix(labels: Sequence[ClassLabel],
                      predictions: Sequence[ClassLabel]) -> list[list[float]]:
     """4x4 matrix of test-set percentages; rows are true labels, columns
     predictions; all entries sum to 100."""
-    _check_lengths(labels, predictions)
-    n = len(labels)
-    matrix = [[0.0] * len(CLASS_ORDER) for _ in CLASS_ORDER]
-    row_of = {label: i for i, label in enumerate(CLASS_ORDER)}
-    for t, p in zip(labels, predictions):
-        matrix[row_of[t]][row_of[p]] += 1.0
-    return [[cell * 100.0 / n for cell in row] for row in matrix]
+    return _metrics(count_table(labels, predictions))["confusion"]
 
 
 def per_class_accuracy(labels: Sequence[ClassLabel],
                        predictions: Sequence[ClassLabel]) -> list[float]:
-    """Percent correct within each true class; classes absent from the labels
-    report 0."""
-    _check_lengths(labels, predictions)
-    out = []
-    for label in CLASS_ORDER:
-        total = sum(1 for t in labels if t == label)
-        if total == 0:
-            out.append(0.0)
-            continue
-        correct = sum(1 for t, p in zip(labels, predictions) if t == label and p == label)
-        out.append(correct * 100.0 / total)
-    return out
+    return _metrics(count_table(labels, predictions))["per_class_accuracy"]
 
 
 def balance_subsample(pairs: Sequence[tuple[object, ClassLabel]],
@@ -111,8 +116,8 @@ def balance_subsample(pairs: Sequence[tuple[object, ClassLabel]],
 def evaluate(predictor, test_set: Sequence[tuple[object, ClassLabel]],
              setting: str = "imbalanced", seed: int = 0) -> EvalReport:
     """Predict every (features, label) pair in one predictor.predict_batch
-    call and assemble all metrics. The balanced setting first subsamples
-    equal class counts with the given seed."""
+    call and read all metrics from one count table. The balanced setting
+    first subsamples equal class counts with the given seed."""
     pairs = list(test_set)
     if setting == "balanced":
         pairs = balance_subsample(pairs, seed)
@@ -121,14 +126,8 @@ def evaluate(predictor, test_set: Sequence[tuple[object, ClassLabel]],
     labels = [label for _, label in pairs]
     features = [item for item, _ in pairs]
     predictions = predictor.predict_batch(features)
-    return EvalReport(
-        accuracy=accuracy(labels, predictions),
-        macro_f1=macro_f1(labels, predictions),
-        per_class_accuracy=per_class_accuracy(labels, predictions),
-        confusion=confusion_matrix(labels, predictions),
-        n=len(pairs),
-        setting=setting,
-    )
+    return EvalReport(**_metrics(count_table(labels, predictions)),
+                      n=len(pairs), setting=setting)
 
 
 def format_report_table(rows: Sequence[tuple[str, EvalReport]]) -> str:

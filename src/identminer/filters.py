@@ -10,6 +10,7 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .textprep import PLURAL_TAGS, TaggedToken
+from .util import Sentinel
 
 
 class ClassLabel(Enum):
@@ -52,16 +53,8 @@ FILTER_NAMES = ("color", "plural", "bigram_blocklist", "quote")
 FILTER_ALIASES = {"bigram": "bigram_blocklist"}
 
 
-class _Sentinel:
-    def __init__(self, name: str):
-        self._name = name
-
-    def __repr__(self) -> str:
-        return self._name
-
-
-AMBIGUOUS = _Sentinel("AMBIGUOUS")
-NO_MATCH = _Sentinel("NO_MATCH")
+AMBIGUOUS = Sentinel("AMBIGUOUS")
+NO_MATCH = Sentinel("NO_MATCH")
 
 
 @dataclass(frozen=True)

@@ -178,6 +178,9 @@ def parse_user_line(line: str, line_no: int,
         user_id = obj.get("user_id")
         if not isinstance(user_id, str) or not user_id:
             raise ValueError("user_id missing or empty")
+        if "\t" in user_id or "\n" in user_id or "\r" in user_id:
+            # a dataset row is user_id<TAB>...<LF>: such an id would forge one
+            raise ValueError("user_id contains a tab or line break")
         if "snapshot_time" not in obj:
             raise ValueError("snapshot_time missing")
         snapshot = parse_timestamp(obj["snapshot_time"])

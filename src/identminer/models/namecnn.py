@@ -34,7 +34,7 @@ from ..filters import CLASS_ORDER, ClassLabel
 from ..ingest import UserRecord
 from .training import (N_CLASSES, TrainConfig, argmax_labels, decode_array,
                        encode_array, label_indices, minibatches, one_hot,
-                       softmax)
+                       softmax, weighted_cross_entropy)
 
 EMBED_DIM = 256
 N_FILTERS = 256
@@ -157,8 +157,7 @@ def _loss_from_logits(logits: np.ndarray, y_idx: np.ndarray,
                       sample_weights: np.ndarray, params: dict, l2: float
                       ) -> tuple[float, np.ndarray]:
     probs = softmax(logits)
-    picked = np.clip(probs[np.arange(len(y_idx)), y_idx], 1e-300, None)
-    ce = -(sample_weights * np.log(picked)).sum() / sample_weights.sum()
+    ce = weighted_cross_entropy(probs, y_idx, sample_weights)
     reg = 0.5 * l2 * sum(float(np.vdot(params[k], params[k]))
                          for k in _REGULARIZED)
     return float(ce + reg), probs

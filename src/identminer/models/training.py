@@ -1,7 +1,8 @@
 """Shared training plumbing: config, the one seeded mini-batch loop, class
 reweighting and instance down-weighting (which the CLI applies once per
 training set; the trainers take the resulting arrays), numerically stable
-softmax helpers, and the array codec of model files."""
+softmax helpers, the weighted cross-entropy both models minimize, and the
+array codec of model files."""
 from __future__ import annotations
 
 import base64
@@ -87,6 +88,14 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
     return exp / exp.sum(axis=-1, keepdims=True)
+
+
+def weighted_cross_entropy(probs: np.ndarray, y_idx: np.ndarray,
+                           sample_weights: np.ndarray) -> np.float64:
+    """Weighted mean of -log p(true class) over the rows of probs; a
+    probability below 1e-300 counts as 1e-300."""
+    picked = np.clip(probs[np.arange(len(y_idx)), y_idx], 1e-300, None)
+    return -(sample_weights * np.log(picked)).sum() / sample_weights.sum()
 
 
 def argmax_labels(probs: np.ndarray) -> list[ClassLabel]:

@@ -18,7 +18,8 @@ import numpy as np
 from ..filters import CLASS_ORDER, ClassLabel
 from .features import EMBEDDING_DIM
 from .training import (N_CLASSES, TrainConfig, argmax_labels, decode_array,
-                       encode_array, minibatches, one_hot, softmax)
+                       encode_array, minibatches, one_hot, softmax,
+                       weighted_cross_entropy)
 
 
 def stack_rows(rows: Sequence) -> tuple | np.ndarray:
@@ -135,10 +136,8 @@ def weighted_ce_loss(weights: np.ndarray, bias: np.ndarray, X, y_idx: np.ndarray
                      sample_weights: np.ndarray, l2: float) -> float:
     """Weighted-mean cross-entropy plus 0.5 * l2 * ||W||^2 (bias unpenalized)
     of a stack_rows matrix X."""
-    logits = matmul(X, weights.T) + bias
-    probs = softmax(logits)
-    picked = np.clip(probs[np.arange(len(y_idx)), y_idx], 1e-300, None)
-    ce = -(sample_weights * np.log(picked)).sum() / sample_weights.sum()
+    probs = softmax(matmul(X, weights.T) + bias)
+    ce = weighted_cross_entropy(probs, y_idx, sample_weights)
     return float(ce + 0.5 * l2 * float((weights ** 2).sum()))
 
 

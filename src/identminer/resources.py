@@ -7,7 +7,6 @@ from __future__ import annotations
 from functools import lru_cache
 from pathlib import Path
 
-from .textprep import TagLexicon
 from .util import read_rows
 
 _DATA = Path(__file__).parent / "data"
@@ -49,5 +48,6 @@ def _bigram(fields: list[str]) -> tuple[str, str]:
 
 
 @lru_cache(maxsize=None)
-def load_tag_lexicon(path=None) -> TagLexicon:
+def load_tag_lexicon(path=None):
+    from .textprep import TagLexicon  # textprep imports this module
     return TagLexicon.from_tsv(path or _DATA / "tag_lexicon.tsv")

@@ -27,6 +27,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
+from .resources import load_contractions
 from .util import read_rows
 
 PENN_TAGS = frozenset({
@@ -71,9 +72,6 @@ _TOKEN_RE = re.compile(
     r"|(?P<word>\w+(?:[\-'’]\w+)*)"
     rf"|(?P<punct>[^\w\s{_EMOJI_RANGES}]+)"
 )
-# token kinds in the order of _TOKEN_RE's groups, as findall returns them
-_KINDS = tuple(sorted(_TOKEN_RE.groupindex, key=_TOKEN_RE.groupindex.get))
-_WORD = _KINDS.index("word")
 
 
 class Token(NamedTuple):
@@ -116,40 +114,25 @@ def _tag_row(fields: list[str]) -> tuple[str, str]:
     return word.lower(), tag
 
 
-# the packaged contraction list, bound on first use (resources imports this
-# module, so it cannot be loaded at import time)
-_default_contractions: frozenset[str] | None = None
-
-
-def _load_default_contractions() -> frozenset[str]:
-    global _default_contractions
-    from . import resources
-    _default_contractions = resources.load_contractions()
-    return _default_contractions
-
-
-def _text_and_kind(groups: tuple[str, ...]) -> tuple[str, str]:
-    """(lowercased text, kind) of one match, from its groups: one per kind in
-    _KINDS order, of which only the matched one is non-empty."""
-    word = groups[_WORD].lower()
-    if not word:
-        token = max(groups)  # "" sorts first
-        return token.lower(), _KINDS[groups.index(token)]
-    if "'" in word or "’" in word:
-        normalized = word.replace("’", "'")
-        if normalized in (_default_contractions or _load_default_contractions()):
-            return normalized, "contraction"
-    return word, "word"
-
-
 def tokenize(text: str) -> list[Token]:
     """Split text into typed tokens with character spans.
 
-    Joining the source slices of consecutive tokens with the original
-    inter-token whitespace reconstructs the input exactly.
+    A token's kind is the name of the _TOKEN_RE group that matched it
+    (match.lastgroup), except that a word whose straight-apostrophe
+    spelling is a packaged contraction becomes that contraction. Joining
+    the source slices of consecutive tokens with the original inter-token
+    whitespace reconstructs the input exactly.
     """
-    return [_new_token((*_text_and_kind(match.groups("")), match.span()))
-            for match in _TOKEN_RE.finditer(text)]
+    contractions = load_contractions()
+    tokens = []
+    for match in _TOKEN_RE.finditer(text):
+        token, kind = match[0].lower(), match.lastgroup
+        if kind == "word" and ("'" in token or "’" in token):
+            normalized = token.replace("’", "'")
+            if normalized in contractions:
+                token, kind = normalized, "contraction"
+        tokens.append(_new_token((token, kind, match.span())))
+    return tokens
 
 
 class TweetTokens(NamedTuple):
@@ -193,7 +176,7 @@ def tweet_words(text: str) -> list[str]:
     """
     words = list(map(str.lower, filter(None, _tweet_scans()[1].findall(text))))
     if "’" in text:
-        contractions = _default_contractions or _load_default_contractions()
+        contractions = load_contractions()
         for i, word in enumerate(words):
             if "’" in word and word.replace("’", "'") in contractions:
                 words[i] = word.replace("’", "'")
@@ -215,7 +198,7 @@ def tweet_tokens(text: str) -> TweetTokens:
     - any other character starts a punct run.
     """
     scan, _, emoji = _tweet_scans()
-    contraction_set = _default_contractions or _load_default_contractions()
+    contraction_set = load_contractions()
     words, links, others = [], [], []
     contractions = hashtags = 0
     for token in scan.findall(text):

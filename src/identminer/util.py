@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import re
 from typing import Callable, Iterable, Sequence, TypeVar
 
@@ -12,6 +13,16 @@ U = TypeVar("U")
 
 class DataError(Exception):
     """Problem with input data (missing file, bad record, impossible request)."""
+
+
+class Sentinel:
+    """A named marker value, compared with `is`; its repr is its name."""
+
+    def __init__(self, name: str):
+        self._name = name
+
+    def __repr__(self) -> str:
+        return self._name
 
 
 def read_rows(path, parse: Callable[[list[str]], T], comments: bool = False,
@@ -80,10 +91,19 @@ def pmap_ordered(fn: Callable[[T], U], items: Iterable[T], workers: int = 1) -> 
 
 
 def write_json(path, obj) -> None:
+    """obj as sorted, indented JSON. A non-finite float is a ValueError,
+    raised before the file is opened: Infinity and NaN are not JSON."""
+    text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False)
     with open(path, "w", encoding="utf-8") as handle:
-        json.dump(obj, handle, sort_keys=True, indent=2)
-        handle.write("\n")
+        handle.write(text + "\n")
 
 
 def mean(values: Sequence[float]) -> float:
-    return sum(values) / len(values) if values else 0.0
+    """The mean of values, 0.0 for none. Finite values whose sum overflows
+    to infinity are averaged as the sum of each value / n instead."""
+    if not values:
+        return 0.0
+    total = sum(values)
+    if math.isinf(total):
+        return sum(value / len(values) for value in values)
+    return total / len(values)

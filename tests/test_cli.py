@@ -1,3 +1,4 @@
+import argparse
 import base64
 import hashlib
 import importlib
@@ -116,6 +117,27 @@ def test_malformed_corpus_lines_are_tolerated(tmp_path):
     summary = json.loads((out / "lexicon_summary.json").read_text())
     assert summary["n_users"] == 1
     assert summary["n_parse_failures"] == 3
+
+
+def test_a_user_id_cannot_forge_dataset_rows(tmp_path):
+    """A corpus id holding a tab or a line break is one parse failure, so it
+    never reaches a dataset row."""
+    forged = "v1\tA\t\tsurvey\nv2"
+    corpus = write_jsonl(tmp_path / "c.jsonl", planted_payloads() + [
+        user_payload(forged, description="i am an asian farmer")])
+    out = tmp_path / "out"
+    assert run("dataset-build", "--kind", "hf", "--corpus", str(corpus),
+               "--out", str(out)) == 0
+    _, true_ids, _ = planted_users()
+    rows = (out / "dataset_hf.tsv").read_text(encoding="utf-8").splitlines()
+    assert [row.split("\t")[0] for row in rows] == sorted(true_ids)
+    assert {user.user_id for user in read_dataset_tsv(
+        out / "dataset_hf.tsv")} == true_ids
+    assert run("lexicon-build", "--corpus", str(corpus),
+               "--out", str(tmp_path / "lexicon")) == 0
+    summary = json.loads((tmp_path / "lexicon" / "lexicon_summary.json")
+                         .read_text())
+    assert (summary["n_users"], summary["n_parse_failures"]) == (200, 1)
 
 
 def test_deeply_nested_line_is_counted_and_skipped(tmp_path):
@@ -773,6 +795,27 @@ def test_analyze_end_to_end(tmp_path):
     assert result["behavior"]["W"]["avg_statuses"] == 0.0
 
 
+def test_analyze_writes_strict_json_for_counts_near_the_float_max(tmp_path):
+    """Two W users with statuses_count 10**308: the group mean is 1e308,
+    not an overflowed Infinity, and the file parses as strict JSON."""
+    corpus, data = tweet_group_fixture(tmp_path)
+    newer = [user_payload(f"w{j}", name="a" * (5 + j), hours=1.0,
+                          tweets=(tweet_payload("alpha alpha chat"),),
+                          profile={"statuses_count": 10 ** 308})
+             for j in range(2)]
+    with open(corpus, "a", encoding="utf-8") as handle:
+        handle.write("".join(json.dumps(row) + "\n" for row in newer))
+    out = tmp_path / "out"
+    assert run("analyze", "--corpus", str(corpus), "--data", str(data),
+               "--out", str(out)) == 0
+
+    def refuse(constant):
+        raise ValueError(f"{constant} is not JSON")
+    result = json.loads((out / "analyze_result.json").read_text(),
+                        parse_constant=refuse)
+    assert result["behavior"]["W"]["avg_statuses"] == 1e308
+
+
 def varied_group_fixture(tmp_path):
     """Five users per class whose seeded tweets, clients and profiles differ
     from user to user, so that every lexical, behavioral and Mann-Whitney
@@ -868,7 +911,7 @@ def test_train_evaluate_and_analyze_tokenize_each_tweet_once(tmp_path,
     once per run, older tweets not at all: train and evaluate scan each
     user's in-scope texts joined by newlines in one textprep.tweet_words
     call, analyze scans each in-scope text in one textprep.tweet_tokens
-    call. No tweet goes through tokenize or its per-token _text_and_kind."""
+    call. No tweet goes through tokenize."""
     words = {"W": "alpha", "B": "bravo", "HL": "charlie", "A": "delta"}
     payloads, users, in_scope = [], [], []
     for label in CLASS_ORDER:
@@ -893,8 +936,6 @@ def test_train_evaluate_and_analyze_tokenize_each_tweet_once(tmp_path,
     scanned = counting_calls(monkeypatch, "tweet_tokens",
                              {"identminer.textprep", "identminer.analytics"})
     tokenized = counting_calls(monkeypatch, "tokenize", {"identminer.textprep"})
-    kinded = counting_calls(monkeypatch, "_text_and_kind",
-                            {"identminer.textprep"})
     common = ("--config", str(config), "--corpus", str(corpus))
     per_user = sorted("\n".join(texts) for texts in in_scope)
 
@@ -910,7 +951,7 @@ def test_train_evaluate_and_analyze_tokenize_each_tweet_once(tmp_path,
     assert run("analyze", *common, "--data", str(data),
                "--out", str(tmp_path / "analyze")) == 0
     assert (joined, sorted(scanned)) == ([], sorted(sum(in_scope, [])))
-    assert tokenized == kinded == []
+    assert tokenized == []
 
 
 # ---------------------------------------------------------------------------
@@ -1727,6 +1768,65 @@ def test_every_config_key_has_one_type_rule():
     values = {**dict.fromkeys(_PATH_KEYS), **DEFAULTS}
     assert all(check(values[key])
                for _, check, keys in CONFIG_RULES for key in keys)
+
+
+def subcommand_flags():
+    """(subcommand, argparse action) of every flag of every subcommand."""
+    parser = cli.build_parser()
+    commands = next(action for action in parser._actions
+                    if isinstance(action, argparse._SubParsersAction))
+    return [(name, action) for name, sub in commands.choices.items()
+            for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)]
+
+
+def test_every_flag_dest_is_a_config_or_path_key():
+    """_resolve copies each flag by its dest, so a dest names a config or
+    path key, or one of the few that are no configuration."""
+    allowed = {*cli.DEFAULTS, *cli._PATH_KEYS, "config", "workers"}
+    assert {action.dest for _, action in subcommand_flags()} <= allowed
+    parser = cli.build_parser()
+    assert {action.dest for action in parser._actions} <= {"help", "command"}
+    args = parser.parse_args(["lexicon-build", "--out", "o"])
+    assert set(vars(args)) <= allowed | {"command", "func"}
+
+
+def flag_values(action) -> tuple:
+    """(a config-file value, a flag string) for the key of action, each
+    valid and different."""
+    if action.choices:
+        return action.choices[0], action.choices[-1]
+    if action.type is int:
+        return 2, "3"
+    if action.type is float:
+        return 0.25, "0.5"
+    if action.dest == "filters":
+        return ["color"], "plural,, ,quote"
+    return "from_file.tsv", "from_flag.tsv"
+
+
+def test_each_flag_overrides_the_config_file_and_absent_keeps_it(tmp_path):
+    flags = [(name, action) for name, action in subcommand_flags()
+             if action.dest in cli.DEFAULTS or action.dest in cli._PATH_KEYS]
+    assert len(flags) > 20
+    for i, (name, action) in enumerate(flags):
+        file_value, flag = flag_values(action)
+        config = write_config(tmp_path, f"cfg{i}.json",
+                              **{action.dest: file_value})
+        argv = [name, "--config", str(config)]
+        if action.dest != "out":
+            argv += ["--out", "o"]
+        expected = action.type(flag) if action.type else flag
+        config_values, paths = cli._resolve(cli.build_parser().parse_args(
+            [*argv, action.option_strings[0], flag]))
+        assert {**config_values, **paths}[action.dest] == expected, \
+            (name, action.dest)
+        assert expected != file_value
+        if not action.required:
+            config_values, paths = cli._resolve(
+                cli.build_parser().parse_args(argv))
+            assert {**config_values, **paths}[action.dest] == file_value, \
+                (name, action.dest)
 
 
 def test_library_defaults_equal_the_cli_defaults():

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from identminer.evaluation import (EvalReport, accuracy, balance_subsample,
                                    confusion_matrix, evaluate,
@@ -81,6 +83,86 @@ def test_per_class_accuracy_absent_class_is_zero():
     labels = [W, W, B]
     preds = [W, B, B]
     assert per_class_accuracy(labels, preds) == [50.0, 100.0, 0.0, 0.0]
+
+
+# the per-function formulas that each made their own passes over the lists;
+# kept as the oracle for the metrics read from one count table
+
+def reference_accuracy(labels, predictions):
+    correct = sum(1 for t, p in zip(labels, predictions) if t == p)
+    return correct / len(labels)
+
+
+def reference_macro_f1(labels, predictions):
+    total = 0.0
+    for label in CLASS_ORDER:
+        tp = sum(1 for t, p in zip(labels, predictions)
+                 if t == label and p == label)
+        fp = sum(1 for t, p in zip(labels, predictions)
+                 if t != label and p == label)
+        fn = sum(1 for t, p in zip(labels, predictions)
+                 if t == label and p != label)
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        total += (2 * precision * recall / (precision + recall)
+                  if precision + recall else 0.0)
+    return total / len(CLASS_ORDER)
+
+
+def reference_confusion_matrix(labels, predictions):
+    n = len(labels)
+    matrix = [[0.0] * len(CLASS_ORDER) for _ in CLASS_ORDER]
+    row_of = {label: i for i, label in enumerate(CLASS_ORDER)}
+    for t, p in zip(labels, predictions):
+        matrix[row_of[t]][row_of[p]] += 1.0
+    return [[cell * 100.0 / n for cell in row] for row in matrix]
+
+
+def reference_per_class_accuracy(labels, predictions):
+    out = []
+    for label in CLASS_ORDER:
+        total = sum(1 for t in labels if t == label)
+        if total == 0:
+            out.append(0.0)
+            continue
+        correct = sum(1 for t, p in zip(labels, predictions)
+                      if t == label and p == label)
+        out.append(correct * 100.0 / total)
+    return out
+
+
+@st.composite
+def labels_and_predictions(draw):
+    """1-200 (label, prediction) pairs, each side drawn from its own subset
+    of the classes, so that some classes are often absent."""
+    def side(n):
+        classes = draw(st.lists(st.sampled_from(CLASS_ORDER), min_size=1,
+                                max_size=4, unique=True))
+        return draw(st.lists(st.sampled_from(classes), min_size=n,
+                             max_size=n))
+    n = draw(st.integers(1, 200))
+    return side(n), side(n)
+
+
+@given(labels_and_predictions())
+@settings(max_examples=500)
+def test_metrics_equal_the_per_function_formulas_bit_for_bit(pairs):
+    labels, predictions = pairs
+    assert accuracy(labels, predictions) == \
+        reference_accuracy(labels, predictions)
+    assert macro_f1(labels, predictions) == \
+        reference_macro_f1(labels, predictions)
+    assert confusion_matrix(labels, predictions) == \
+        reference_confusion_matrix(labels, predictions)
+    assert per_class_accuracy(labels, predictions) == \
+        reference_per_class_accuracy(labels, predictions)
+    report = evaluate(_Echo(), list(zip(predictions, labels)))
+    assert (report.accuracy, report.macro_f1, report.per_class_accuracy,
+            report.confusion) == (
+        reference_accuracy(labels, predictions),
+        reference_macro_f1(labels, predictions),
+        reference_per_class_accuracy(labels, predictions),
+        reference_confusion_matrix(labels, predictions))
 
 
 class _Echo:

@@ -124,6 +124,19 @@ def test_bad_records_become_failures_not_exceptions():
     assert [r.line_no for r in results] == [1, 2, 3, 4, 5]
 
 
+@pytest.mark.parametrize("user_id", ["v1\tA\t\tsurvey\nv2", "a\tb", "a\nb",
+                                     "a\rb", "\t", "a\r\n"])
+def test_user_id_with_a_tab_or_line_break_is_a_failure(user_id):
+    """A dataset row is user_id<TAB>...<LF>, so such an id could forge rows."""
+    result = parse_user_line(json.dumps(user_payload(user_id)), 1)
+    assert result == ParseFailure(1, "user_id contains a tab or line break")
+
+
+@pytest.mark.parametrize("user_id", ["a b", "a\u2028b", "a\x0bb", "a\x85b"])
+def test_user_id_with_other_whitespace_parses(user_id):
+    assert parse_user_line(json.dumps(user_payload(user_id)), 1).user_id == user_id
+
+
 def test_negative_counts_rejected():
     payload = user_payload("u1", profile={"statuses_count": -3})
     assert isinstance(parse_user_line(json.dumps(payload), 1), ParseFailure)

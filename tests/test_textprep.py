@@ -13,7 +13,9 @@ from identminer.textprep import (SENTINEL_TAGS, SelfReportLexicon, TagLexicon,
                                  selfreport_words, tokenize, tweet_tokens,
                                  tweet_words)
 
-from helpers import make_user, tag, tag_lexicon, tweet_texts
+from identminer.resources import load_contractions
+
+from helpers import TRICKY_PIECES, make_user, tag, tag_lexicon, tweet_texts
 
 WORDS = ["black", "farmer", "coffee", "lover", "i", "am", "a", "proud",
          "woman", "happy", "so", "#tag", "@who", ":)", "it's"]
@@ -134,6 +136,43 @@ def test_tweet_scan_emoji_set_is_the_emoji_class():
     emoji_class = re.compile(f"[{textprep._EMOJI_RANGES}]")
     assert emoji == {chr(code) for code in range(0x110000)
                      if emoji_class.fullmatch(chr(code))}
+
+
+def reference_tokenize(text) -> list[tuple]:
+    """The tokenizer that recomputed each kind from the match's groups
+    tuple (one group per kind, only the matched one non-empty) instead of
+    reading match.lastgroup; kept as the oracle for tokenize."""
+    pattern = textprep._TOKEN_RE
+    kinds = sorted(pattern.groupindex, key=pattern.groupindex.get)
+    contractions = load_contractions()
+    tokens = []
+    for match in pattern.finditer(text):
+        groups = match.groups("")
+        word = groups[kinds.index("word")].lower()
+        if not word:
+            token = max(groups)  # "" sorts first
+            text_kind = token.lower(), kinds[groups.index(token)]
+        elif ("'" in word or "’" in word) and \
+                word.replace("’", "'") in contractions:
+            text_kind = word.replace("’", "'"), "contraction"
+        else:
+            text_kind = word, "word"
+        tokens.append((*text_kind, match.span()))
+    return tokens
+
+
+@given(tweet_texts())
+@settings(max_examples=1000)
+def test_tokenize_matches_the_groups_tuple_reference(text):
+    tokens = tokenize(text)
+    assert all(type(token) is Token for token in tokens)
+    assert tokens == reference_tokenize(text)
+
+
+@pytest.mark.parametrize("text", [*TRICKY_PIECES, "".join(TRICKY_PIECES),
+                                  " ".join(TRICKY_PIECES)])
+def test_tokenize_matches_the_reference_on_each_tricky_piece(text):
+    assert tokenize(text) == reference_tokenize(text)
 
 
 def test_tokenize_hyphenated_word_is_one_token():

@@ -63,6 +63,27 @@ def test_mean():
     assert math.isclose(mean([0.1] * 10), 0.1)
 
 
+def test_mean_of_finite_values_whose_sum_overflows_is_finite():
+    assert mean([1e308, 1e308]) == 1e308
+    assert mean([1.7e308, 1.7e308, 0.0]) == 1.7e308 / 3 + 1.7e308 / 3
+    big = [1.7976931348623157e308] * 5
+    assert mean(big) == 1.7976931348623157e308
+
+
+@given(st.lists(st.floats(0, 1e300), min_size=1, max_size=20))
+def test_mean_without_overflow_is_the_plain_sum_over_n(values):
+    assert mean(values) == sum(values) / len(values)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_write_json_refuses_non_json_numbers_and_writes_nothing(tmp_path,
+                                                               value):
+    path = tmp_path / "out.json"
+    with pytest.raises(ValueError):
+        write_json(path, {"a": [1.0, value]})
+    assert not path.exists()
+
+
 def test_dataerror_is_an_exception():
     with pytest.raises(DataError):
         raise DataError("nope")
