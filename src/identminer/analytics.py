@@ -1,18 +1,22 @@
 """Group-level lexical and behavioral statistics, nonparametric tests, rank
 correlation over top-k lists, inter-annotator agreement, majority voting, and
 sparse log-odds distinctive keywords.
-The lexical statistics of a tweet come from one regex scan of its text
-(textprep.tweet_tokens), which hands over its token texts sorted by kind.
+The lexical statistics of a tweet are read off the lexical summaries of its
+whitespace-separated chunks, kept in a textprep.ChunkTable (lexical_chunks)
+that every group of a run shares, so each distinct chunk is scanned once
+while it stays in the table.
 """
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
-from typing import Iterable, Sequence
+from itertools import chain, repeat
+from typing import Iterable, Iterator, Sequence
 
 from .filters import ClassLabel
 from .ingest import UserRecord
-from .textprep import tweet_tokens
+from .textprep import ChunkTable, chunk_tokens
 from .util import Sentinel, mean
 
 _MISSING = (None, "", "missing")
@@ -21,42 +25,73 @@ _MISSING = (None, "", "missing")
 DISCARD = Sentinel("DISCARD")
 
 
-def user_lexical_means(user: UserRecord, stopwords: frozenset[str],
-                       max_tweets: int, word_counts: Counter) -> dict | None:
+# the fields of a lexical_chunks summary
+_TEXTS, _CONTENT, _WORDS, _CONTRACTIONS, _HASHTAGS = map(operator.itemgetter,
+                                                         range(5))
+
+
+def lexical_chunks(stopwords: frozenset[str]) -> ChunkTable:
+    """An empty table of each chunk's lexical summary: the texts of its
+    tokens, its count of tokens not URLs, mentions or stopwords, its word
+    and contraction texts, its contractions and its hashtags."""
+    stopword = stopwords.__contains__
+
+    def summaries(chunks: list[str]) -> list[tuple]:
+        out = []
+        for words, links, others, contractions, hashtags in chunk_tokens(
+                chunks):
+            kept = words + others
+            out.append((kept + links, len(kept) - sum(map(stopword, kept)),
+                        words, contractions, hashtags))
+        return out
+
+    def plain_summaries(words: list[str]) -> Iterator[tuple]:
+        # one word each: content 1 unless it is a stopword
+        texts = list(zip(words))
+        return zip(texts, map(operator.sub, repeat(1), map(stopword, words)),
+                   texts, repeat(0), repeat(0))
+    return ChunkTable(summaries, plain_summaries)
+
+
+def user_lexical_means(user: UserRecord, chunks: ChunkTable, max_tweets: int,
+                       word_counts: Counter) -> dict | None:
     """Per-user means over tweets of TTR (distinct token texts / tokens), LD
     (tokens not URLs, mentions, or stopwords / tokens; both 0 for a tweet
     without tokens), contractions/tweet, and hashtags/tweet; None for users
-    with no tweets. Word and contraction tokens go to word_counts."""
+    with no tweets. Word and contraction tokens go to word_counts. chunks is
+    a lexical_chunks table."""
     tweets = user.tweets[:max_tweets]
     if not tweets:
         return None
-    ttr, ld, cpt, hpt = [], [], [], []
-    words: list[str] = []
-    for tweet in tweets:
-        word_texts, links, others, contractions, hashtags = tweet_tokens(
-            tweet.text)
-        n = len(word_texts) + len(links) + len(others)
-        content = (len([text for text in word_texts if text not in stopwords])
-                   + len([text for text in others if text not in stopwords]))
-        ttr.append(len({*word_texts, *links, *others}) / n if n else 0.0)
-        ld.append(content / n if n else 0.0)
-        cpt.append(contractions)
-        hpt.append(hashtags)
-        words += word_texts
-    word_counts.update(words)
-    return {"ttr": mean(ttr), "ld": mean(ld), "cpt": mean(cpt), "hpt": mean(hpt)}
+    split = [tweet.text.split() for tweet in tweets]
+    summaries = chunks.values(list(chain.from_iterable(split)))
+    ttr, ld = [], []
+    end = 0
+    for tweet_chunks in split:
+        start, end = end, end + len(tweet_chunks)
+        tweet = summaries[start:end]
+        texts = list(chain.from_iterable(map(_TEXTS, tweet)))
+        n = len(texts)
+        ttr.append(len(set(texts)) / n if n else 0.0)
+        ld.append(sum(map(_CONTENT, tweet)) / n if n else 0.0)
+    word_counts.update(chain.from_iterable(map(_WORDS, summaries)))
+    # the mean of per-tweet counts is their total over the tweets
+    return {"ttr": mean(ttr), "ld": mean(ld),
+            "cpt": sum(map(_CONTRACTIONS, summaries)) / len(tweets),
+            "hpt": sum(map(_HASHTAGS, summaries)) / len(tweets)}
 
 
-def group_lexical_pass(users: Iterable[UserRecord], stopwords: frozenset[str],
+def group_lexical_pass(users: Iterable[UserRecord], chunks: ChunkTable,
                        max_tweets: int = 200) -> tuple[list[dict], Counter]:
     """One pass over a group's users, streaming one user at a time: the
     per-user lexical means of users with tweets (the Mann-Whitney samples,
     whose macro-average is lexical_table) and the group's word and
-    contraction counts (the input for distinctive_keywords)."""
+    contraction counts (the input for distinctive_keywords). chunks is a
+    lexical_chunks table, which the groups of one run share."""
     samples = []
     counts: Counter[str] = Counter()
     for user in users:
-        stats = user_lexical_means(user, stopwords, max_tweets, counts)
+        stats = user_lexical_means(user, chunks, max_tweets, counts)
         if stats is not None:
             samples.append(stats)
     return samples, counts
@@ -78,8 +113,9 @@ def group_lexical_stats(users_by_group: dict[ClassLabel, Sequence[UserRecord]],
                         ) -> dict[ClassLabel, dict[str, float]]:
     """Macro-average the per-user means within each group; users without
     tweets are skipped."""
+    chunks = lexical_chunks(stopwords)
     return {group: lexical_table(
-                group_lexical_pass(users, stopwords, max_tweets)[0])
+                group_lexical_pass(users, chunks, max_tweets)[0])
             for group, users in users_by_group.items()}
 
 
@@ -218,6 +254,9 @@ def majority_vote(labels: Sequence):
 
 
 _MONTH_DAYS = 30.4375  # 365.25 / 12
+_SOURCE_APP, _GEOTAGGED, _MENTIONS_USER, _HAS_IMAGE, _HAS_URL = map(
+    operator.attrgetter,
+    ("source_app", "geotagged", "mentions_user", "has_image", "has_url"))
 
 
 def _device(source_app: str) -> set[str]:
@@ -250,12 +289,10 @@ def behavioral_profile(users_by_group: dict[ClassLabel, Sequence[UserRecord]],
         pooled_total = 0
         for user in users:
             tweets = user.tweets[:max_tweets]
-            devices = set()
-            for tweet in tweets:
-                devices |= _device(tweet.source_app)
-            for device in devices:
+            for device in set().union(
+                    *map(_device, set(map(_SOURCE_APP, tweets)))):
                 flags[device] += 1
-            if any(t.geotagged for t in tweets):
+            if any(map(_GEOTAGGED, tweets)):
                 flags["geotagged"] += 1
             if user.profile.has_profile_url:
                 flags["profile_url"] += 1
@@ -270,9 +307,10 @@ def behavioral_profile(users_by_group: dict[ClassLabel, Sequence[UserRecord]],
                 months = max(1.0, days / _MONTH_DAYS)
                 tweets_per_month.append(user.profile.statuses_count / months)
             pooled_total += len(tweets)
-            pooled["mention"] += sum(1 for t in tweets if t.mentions_user)
-            pooled["image"] += sum(1 for t in tweets if t.has_image)
-            pooled["url"] += sum(1 for t in tweets if t.has_url)
+            # the flags are bools, so each sum is the count of true ones
+            pooled["mention"] += sum(map(_MENTIONS_USER, tweets))
+            pooled["image"] += sum(map(_HAS_IMAGE, tweets))
+            pooled["url"] += sum(map(_HAS_URL, tweets))
 
         def share(key: str) -> float:
             return flags[key] * 100.0 / n_users if n_users else 0.0
@@ -401,4 +439,5 @@ def group_token_counts(users: Iterable[UserRecord],
                        max_tweets: int = 200) -> Counter:
     """Token counts over a group's tweets (word and contraction kinds), the
     input for distinctive_keywords."""
-    return group_lexical_pass(users, frozenset(), max_tweets)[1]
+    return group_lexical_pass(users, lexical_chunks(frozenset()),
+                              max_tweets)[1]

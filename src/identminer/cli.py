@@ -533,9 +533,10 @@ def _model_inputs(paths: dict, config: dict, dataset, model_name: str,
     what train and evaluate read of a user's latest snapshot. namecnn reads
     namecnn.name_input; unigram with --embeddings the user's row, if it has
     one (the corpus only shows the user is there); unigram otherwise the
-    user_word_counts of the newest max_tweets tweets or, given a trained
-    vocab, their featurize_user row, projected as the corpus streams. role
-    names the dataset if no user is left."""
+    user_word_counts of the newest max_tweets tweets (one word_chunks table
+    for the run) or, given a trained vocab, their featurize_user row,
+    projected as the corpus streams. role names the dataset if no user is
+    left."""
     if model_name == "namecnn":
         from .models.namecnn import name_input
         return _corpus_pairs(paths, dataset, name_input)
@@ -548,13 +549,14 @@ def _model_inputs(paths: dict, config: dict, dataset, model_name: str,
         if not pairs:
             raise DataError(f"no embeddings match the {role} user ids")
         return pairs
-    from .models.features import featurize_user, user_word_counts
+    from .models.features import featurize_user, user_word_counts, word_chunks
     max_tweets = config["max_tweets"]
+    chunks = word_chunks()
     if vocab is None:
         return _corpus_pairs(paths, dataset, functools.partial(
-            user_word_counts, max_tweets=max_tweets))
+            user_word_counts, max_tweets=max_tweets, chunks=chunks))
     return _corpus_pairs(paths, dataset, lambda record: featurize_user(
-        user_word_counts(record, max_tweets), vocab))
+        user_word_counts(record, max_tweets, chunks), vocab))
 
 
 def _read_dataset(paths: dict, key: str):
@@ -713,13 +715,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     stopwords = resources.load_stopwords()
     max_tweets = config["max_tweets"]
 
-    # one pass per group: each tweet is scanned once for the lexical
-    # means and the keyword counts
+    # one pass per group, one chunk table for all: each distinct chunk is
+    # scanned once for the lexical means and the keyword counts
+    chunks = analytics.lexical_chunks(stopwords)
     samples: dict = {}
     counts: dict = {}
     for label in present:
         samples[label], counts[label] = analytics.group_lexical_pass(
-            groups[label], stopwords, max_tweets)
+            groups[label], chunks, max_tweets)
 
     def mann_whitney(metric, a, b) -> dict:
         u, p = analytics.mann_whitney_u([stats[metric] for stats in samples[a]],

@@ -2,31 +2,41 @@
 user's recent tweets, and import of externally computed per-user
 embeddings.
 
-Each user's tweets are scanned once, into a word Counter (user_word_counts):
-one regex scan of the user's newest tweet texts joined by newlines. The
-vocabulary and the count rows are both built from those counters. A count
-row is a pair of arrays, the sorted vocab indices of the user's words and
-their float64 counts; unigram.stack_rows joins many into one CSR matrix."""
+Each user's tweets become a word Counter (user_word_counts): the words of
+the whitespace-separated chunks of the user's newest tweet texts, read off a
+textprep.ChunkTable (word_chunks) that the run shares, so each distinct
+chunk is scanned once while it stays in the table. The vocabulary and the
+count rows are both built from those counters. A count row is a pair of
+arrays, the sorted vocab indices of the user's words and their float64
+counts; unigram.stack_rows joins many into one CSR matrix."""
 from __future__ import annotations
 
 from collections import Counter
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
 from ..ingest import UserRecord
-from ..textprep import tweet_words
+from ..textprep import ChunkTable, chunk_words
 from ..util import decimal_float, read_rows
 
 # width of an externally computed user embedding row
 EMBEDDING_DIM = 768
 
 
-def user_word_counts(user: UserRecord, max_tweets: int = 200) -> Counter[str]:
+def word_chunks() -> ChunkTable:
+    """An empty chunk -> tuple(tweet_words(chunk)) table for
+    user_word_counts; a plain chunk's tuple is its one word (zip)."""
+    return ChunkTable(chunk_words, zip)
+
+
+def user_word_counts(user: UserRecord, max_tweets: int,
+                     chunks: ChunkTable) -> Counter[str]:
     """Word and contraction token counts over the user's newest max_tweets
-    tweets."""
-    return Counter(tweet_words(
-        "\n".join([tweet.text for tweet in user.tweets[:max_tweets]])))
+    tweets, in token order, read off the word_chunks table chunks."""
+    return Counter(chain.from_iterable(chunks.values(" ".join(
+        [tweet.text for tweet in user.tweets[:max_tweets]]).split())))
 
 
 def build_vocab(word_counts: Iterable[Counter], min_count: int = 2,

@@ -16,8 +16,12 @@ The tweet path reads neither spans nor token records. It scans with
 _TOKEN_RE's own pattern, its named groups made non-capturing, so that
 findall returns plain strings: tweet_words keeps only the word group and
 returns the word and contraction texts; tweet_tokens returns every token's
-text and reads its kind off the text's first characters. Neither calls a
-Python function per token.
+text and reads its kind off the text's first characters.
+
+No token holds whitespace, so the tokens of a text are those of its
+whitespace-separated chunks in turn, and tweet text repeats a few thousand
+chunks most of the time: the pipeline scans each distinct chunk, not each
+tweet, through a ChunkTable, one per run, of bounded size.
 """
 from __future__ import annotations
 
@@ -25,6 +29,7 @@ import functools
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import Iterable, NamedTuple
 
 from .resources import load_contractions
@@ -137,10 +142,10 @@ def tokenize(text: str) -> list[Token]:
 
 class TweetTokens(NamedTuple):
     """The lowercased texts of tokenize(text)'s tokens, without spans, by
-    kind, each list in token order."""
-    words: list[str]   # word and contraction tokens
-    links: list[str]   # url and mention tokens
-    others: list[str]  # hashtag, emoji and punct tokens
+    kind, each tuple in token order."""
+    words: tuple[str, ...]   # word and contraction tokens
+    links: tuple[str, ...]   # url and mention tokens
+    others: tuple[str, ...]  # hashtag, emoji and punct tokens
     contractions: int
     hashtags: int
 
@@ -156,24 +161,28 @@ def _tweet_scans() -> tuple[re.Pattern, re.Pattern, frozenset[str]]:
     """_TOKEN_RE with no capturing group (findall returns each token's
     source text), _TOKEN_RE with only the word group capturing (findall
     returns each word's source text and "" for any other token), and the
-    characters of _EMOJI_RANGES; built on first use, not at import."""
+    characters of _EMOJI_RANGES; built on first use, not at import.
+
+    Both scans also match each newline on its own, as "\\n": no other
+    alternative starts with whitespace, so the tokens of the lines are
+    unchanged, and a scan of chunks joined by newlines tells where each
+    chunk's tokens end."""
     def capturing(kept: str | None) -> re.Pattern:
-        return re.compile(re.sub(
-            r"\(\?P<(\w+)>", lambda group: "(" if group[1] == kept else "(?:",
-            _TOKEN_RE.pattern))
+        # a kept group also holds the separator, so that findall keeps it
+        pattern = re.sub(
+            r"\(\?P<(\w+)>",
+            lambda group: r"(\n|" if group[1] == kept else "(?:",
+            _TOKEN_RE.pattern)
+        return re.compile(pattern if kept else r"\n|" + pattern)
     ranges = _EMOJI_RANGES[::3], _EMOJI_RANGES[2::3]  # "a-b" per range
     emoji = frozenset(chr(code) for first, last in zip(*ranges)
                       for code in range(ord(first), ord(last) + 1))
     return capturing(None), capturing("word"), emoji
 
 
-def tweet_words(text: str) -> list[str]:
-    """The texts of tokenize(text)'s word and contraction tokens, in order.
-
-    No token holds whitespace, so tweet_words of several texts joined by
-    newlines is the concatenation of tweet_words of each: one scan serves
-    many tweets.
-    """
+def _scan_words(text: str) -> list[str]:
+    """The texts of tokenize(text)'s word and contraction tokens, in order,
+    with a "\\n" for each newline of text."""
     words = list(map(str.lower, filter(None, _tweet_scans()[1].findall(text))))
     if "’" in text:
         contractions = load_contractions()
@@ -183,8 +192,23 @@ def tweet_words(text: str) -> list[str]:
     return words
 
 
-def tweet_tokens(text: str) -> TweetTokens:
-    """The tokens of tokenize(text), sorted by kind (see TweetTokens).
+def tweet_words(text: str) -> list[str]:
+    """The texts of tokenize(text)'s word and contraction tokens, in order."""
+    return " ".join(_scan_words(text)).split()
+
+
+def chunk_words(chunks: list[str]) -> list[tuple[str, ...]]:
+    """tuple(tweet_words(chunk)) of each whitespace-free chunk, from one
+    scan of the chunks joined by newlines."""
+    if not chunks:
+        return []
+    lines = " ".join(_scan_words("\n".join(chunks))).split("\n")
+    return list(map(tuple, map(str.split, lines)))
+
+
+def _by_kind(tokens: list[str]) -> list[TweetTokens]:
+    """The TweetTokens of each line of a scan's tokens (the source texts of
+    a text's tokens in order, with a "\\n" for each newline).
 
     A token's kind is that of the first alternative of _TOKEN_RE to match
     at its start (url, mention, hashtag, emoji, word, punct), read off its
@@ -196,12 +220,14 @@ def tweet_tokens(text: str) -> TweetTokens:
     - a word character starts a url if the token begins with http://,
       https:// or www., and otherwise a word;
     - any other character starts a punct run.
+    Each kind's texts, and a mark per contraction and hashtag, go to one
+    flat list with the "\\n"s kept, which C-level joins and splits then cut
+    into lines: no Python work per line.
     """
-    scan, _, emoji = _tweet_scans()
+    emoji = _tweet_scans()[2]
     contraction_set = load_contractions()
-    words, links, others = [], [], []
-    contractions = hashtags = 0
-    for token in scan.findall(text):
+    words, links, others, marks = [], [], [], []
+    for token in tokens:
         lowered = token.lower()
         lead = token[0]
         if lead in emoji:
@@ -214,7 +240,7 @@ def tweet_tokens(text: str) -> TweetTokens:
                 links.append(lowered)
             else:
                 others.append(lowered)
-                hashtags += 1
+                marks.append("#")
         elif lead.isalnum() or lead == "_":  # \w
             if lead in "hw" and token.startswith(_URL_PREFIXES):
                 links.append(lowered)
@@ -223,11 +249,83 @@ def tweet_tokens(text: str) -> TweetTokens:
                 normalized = lowered.replace("’", "'")
                 if normalized in contraction_set:
                     lowered = normalized
-                    contractions += 1
+                    marks.append("'")
             words.append(lowered)
+        elif token == "\n":
+            words.append(token)
+            links.append(token)
+            others.append(token)
+            marks.append(token)
         else:  # punct
             others.append(lowered)
-    return _new_tweet_tokens((words, links, others, contractions, hashtags))
+    texts = [map(tuple, map(str.split, " ".join(kind).split("\n")))
+             for kind in (words, links, others)]
+    marks = "".join(marks).split("\n")
+    return list(map(_new_tweet_tokens, zip(
+        *texts, map(str.count, marks, repeat("'")),
+        map(str.count, marks, repeat("#")))))
+
+
+def tweet_tokens(text: str) -> TweetTokens:
+    """The tokens of tokenize(text), sorted by kind (see TweetTokens)."""
+    # split() drops the "\n" the scan gives for each newline: one line
+    return _by_kind(" ".join(_tweet_scans()[0].findall(text)).split())[0]
+
+
+def chunk_tokens(chunks: list[str]) -> list[TweetTokens]:
+    """tweet_tokens(chunk) of each whitespace-free chunk, from one scan of
+    the chunks joined by newlines."""
+    if not chunks:
+        return []
+    return _by_kind(_tweet_scans()[0].findall("\n".join(chunks)))
+
+
+class ChunkTable:
+    """A value for each whitespace-separated chunk of tweet texts, kept for
+    one run, so that each distinct chunk is scanned once and not at each
+    occurrence.
+
+    No _TOKEN_RE token holds whitespace, and str.split and the pattern's \\s
+    agree on what whitespace is (both are Py_UNICODE_ISSPACE), so the
+    tokens of a text are the tokens of its text.split() chunks in turn.
+    values hands the chunks the table lacks to scan_chunks in one call,
+    which returns their values in order (chunk_words and chunk_tokens scan
+    them in one regex pass), except the plain ones, of ASCII letters and
+    digits only: such a chunk is one word token, its lowercase, so
+    plain_values gets their lowercase instead and no scan.
+
+    Memory: chunks seen once, such as URLs, would make an unbounded table
+    grow with the number of tweets. Before it would pass `limit` chunks,
+    the table drops every chunk but those of the values call at hand, so it
+    holds at most `limit` chunks, or the distinct chunks of one values call
+    if there are more (about 290 bytes a chunk for lexical summaries, 190
+    for word tuples, measured on CPython 3.11).
+    """
+    limit = 1 << 15
+
+    def __init__(self, scan_chunks, plain_values):
+        self._scan_chunks = scan_chunks
+        self._plain_values = plain_values
+        self._values: dict = {}
+
+    def values(self, chunks: list[str]) -> list:
+        """The value of each of chunks, in order."""
+        values = self._values
+        try:
+            return list(map(values.__getitem__, chunks))
+        except KeyError:
+            new = set(chunks).difference(values)
+        if len(values) + len(new) > self.limit:
+            # keep only the chunks asked for: frequent chunks come back soon
+            values = self._values = {chunk: values[chunk] for chunk in
+                                     set(chunks).intersection(values)}
+        plain = [chunk for chunk in new if chunk.isascii() and chunk.isalnum()]
+        values.update(zip(plain, self._plain_values(
+            list(map(str.lower, plain)))))
+        rest = list(new.difference(plain))
+        if rest:
+            values.update(zip(rest, self._scan_chunks(rest)))
+        return list(map(values.__getitem__, chunks))
 
 
 def pos_tag(tokens: Iterable[Token], lexicon: TagLexicon) -> list[TaggedToken]:

@@ -42,13 +42,17 @@ def tag(text: str):
 # pieces where the tokenizer's rules meet: apostrophes and contractions, the
 # url/mention/hashtag prefixes with and without what completes them, emoji
 # with variation selectors and zero-width joiners, the emoji that is also a
-# word character (❶), and letters whose lowercase changes length or meaning
-# (dotted capital I, sharp s, Kelvin sign, capital sigma)
+# word character (❶), letters whose lowercase changes length or meaning
+# (dotted capital I, sharp s, Kelvin sign, capital sigma), whitespace that
+# str.split and the pattern's \s both split at (information separators,
+# next line, no-break space, line separator, ideographic space), and
+# invisible characters that are not whitespace (zero-width space, BOM)
 TRICKY_PIECES = ("'", "’", "#", "@", "http://", "https://", "www.", "-",
                  "i'm", "DON’T", "y'all", "😀", "👩‍💻", "👨‍👩‍👧",
                  "❤️", "\u200d", "\ufe0f", "\u0307", "İ", "ß", "\u212a",
                  "ΑΣ", ".", "!", "_", "7", " ", "\n", "❶", "#❶", "@!",
-                 "www.x", "https")
+                 "www.x", "https", "\x1c", "\x1f", "\x85", "\xa0", "\u2028",
+                 "\u3000", "\u200b", "\ufeff")
 
 
 def tweet_texts():

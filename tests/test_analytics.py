@@ -15,7 +15,7 @@ from identminer.analytics import (DISCARD, behavioral_profile,
                                   distinctive_keywords, group_lexical_pass,
                                   group_lexical_stats, group_token_counts,
                                   kendall_tau_top_k,
-                                  krippendorff_alpha_nominal,
+                                  krippendorff_alpha_nominal, lexical_chunks,
                                   majority_vote, mann_whitney_u,
                                   sage_deviations, user_lexical_means)
 from identminer.datasets import read_dataset_tsv
@@ -224,7 +224,7 @@ def test_majority_vote_rejects_unknown_label():
 def one_tweet_means(text: str, stopwords: frozenset = frozenset()) -> dict:
     """user_lexical_means of a user whose only tweet is text."""
     user = make_user("u1", tweets=(make_tweet(text),))
-    return user_lexical_means(user, stopwords, 200, Counter())
+    return user_lexical_means(user, lexical_chunks(stopwords), 200, Counter())
 
 
 def test_type_token_ratio():
@@ -305,7 +305,8 @@ def assert_lexical_means_match(reference, texts, stopwords, max_tweets):
         make_tweet(text, hours=-float(i)) for i, text in enumerate(texts)))
     stopwords = frozenset(stopwords)
     counts, expected_counts = Counter(), Counter()
-    stats = user_lexical_means(user, stopwords, max_tweets, counts)
+    stats = user_lexical_means(user, lexical_chunks(stopwords), max_tweets,
+                               counts)
     assert stats == reference(user, stopwords, max_tweets, expected_counts)
     assert list(counts.items()) == list(expected_counts.items())
 
@@ -339,7 +340,8 @@ def test_user_lexical_means_hand_fixture():
         make_tweet("go go go", hours=-2.0),
     ))
     counts = Counter()
-    stats = user_lexical_means(user, frozenset({"happy"}), 200, counts)
+    stats = user_lexical_means(user, lexical_chunks(frozenset({"happy"})), 200,
+                               counts)
     assert counts == {"i'm": 1, "happy": 1, "go": 3}
     assert stats["ttr"] == pytest.approx((1.0 + 1.0 / 3.0) / 2.0)
     assert stats["ld"] == pytest.approx((2.0 / 3.0 + 1.0) / 2.0)
@@ -349,7 +351,8 @@ def test_user_lexical_means_hand_fixture():
 
 def test_user_lexical_means_without_tweets_is_none():
     counts = Counter()
-    assert user_lexical_means(make_user("u1"), frozenset(), 200, counts) is None
+    assert user_lexical_means(make_user("u1"), lexical_chunks(frozenset()),
+                              200, counts) is None
     assert counts == {}
 
 
@@ -358,7 +361,7 @@ def test_user_lexical_means_honors_max_tweets():
         make_tweet("one two three", hours=-1.0),
         make_tweet("#x #y", hours=-2.0),
     ))
-    stats = user_lexical_means(user, frozenset(), 1, Counter())
+    stats = user_lexical_means(user, lexical_chunks(frozenset()), 1, Counter())
     assert stats["hpt"] == 0.0  # only the newest tweet counted
 
 
@@ -370,9 +373,11 @@ def test_group_lexical_pass_gives_samples_and_counts_in_one_pass():
     ))
     idle = make_user("u2")
     stopwords = frozenset({"happy"})
-    samples, counts = group_lexical_pass([busy, idle], stopwords,
+    samples, counts = group_lexical_pass([busy, idle],
+                                         lexical_chunks(stopwords),
                                          max_tweets=2)
-    assert samples == [user_lexical_means(busy, stopwords, 2, Counter())]
+    assert samples == [user_lexical_means(busy, lexical_chunks(stopwords), 2,
+                                          Counter())]
     assert counts == {"i'm": 1, "happy": 1, "go": 3}
 
 
@@ -679,7 +684,8 @@ def test_sage_kkt_on_timelines_groups(tmp_path, seed):
     for user in read_dataset_tsv(tmp_path / "train.tsv"):
         if user.user_id in records:
             groups.setdefault(user.label, []).append(records[user.user_id])
-    counts = {label: group_lexical_pass(users, frozenset())[1]
+    chunks = lexical_chunks(frozenset())
+    counts = {label: group_lexical_pass(users, chunks)[1]
               for label, users in groups.items()}
     background: Counter = Counter()
     for counter in counts.values():

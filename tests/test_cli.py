@@ -878,7 +878,7 @@ def test_analyze_pure_python_tables_match_recorded_digest(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# one scan per tweet
+# one scan per distinct tweet chunk
 
 def counting_calls(monkeypatch, function: str, modules: set[str]) -> list:
     """Wrap textprep.<function> in every identminer module that binds it; the
@@ -905,52 +905,83 @@ def counting_calls(monkeypatch, function: str, modules: set[str]) -> list:
     return calls
 
 
+def recording_chunk_tables(monkeypatch) -> list:
+    """Make every textprep.ChunkTable record what it hands to its callables:
+    the returned list receives ("words" or "lexical", chunk) for each chunk
+    handed to scan_chunks, and the same with the lowercase word for each
+    plain chunk handed to plain_values."""
+    from identminer import textprep
+    handed: list = []
+    original_init = textprep.ChunkTable.__init__
+
+    def recorded(kind, values):
+        def call(chunks):
+            handed.extend((kind, chunk) for chunk in chunks)
+            return values(chunks)
+        return call
+
+    def init(self, scan_chunks, plain_values):
+        kind = "words" if scan_chunks is textprep.chunk_words else "lexical"
+        original_init(self, recorded(kind, scan_chunks),
+                      recorded(kind, plain_values))
+    monkeypatch.setattr(textprep.ChunkTable, "__init__", init)
+    return handed
+
+
 def test_train_evaluate_and_analyze_tokenize_each_tweet_once(tmp_path,
                                                             monkeypatch):
-    """Every tweet among each user's newest max_tweets is scanned exactly
-    once per run, older tweets not at all: train and evaluate scan each
-    user's in-scope texts joined by newlines in one textprep.tweet_words
-    call, analyze scans each in-scope text in one textprep.tweet_tokens
-    call. No tweet goes through tokenize."""
-    words = {"W": "alpha", "B": "bravo", "HL": "charlie", "A": "delta"}
-    payloads, users, in_scope = [], [], []
+    """Each distinct whitespace-separated chunk of the users' newest
+    max_tweets tweets is scanned exactly once per run, however many tweets,
+    users and groups share it, and a chunk only older tweets hold is never
+    scanned: train and evaluate scan through the run's word_chunks table,
+    analyze through its lexical_chunks table, and a plain chunk (ASCII
+    letters and digits) is handed over as its lowercase word. No tweet goes
+    through tokenize."""
+    words = {"W": "Alpha", "B": "bravo", "HL": "charlie", "A": "delta"}
+    payloads, users, in_scope = [], [], set()
     for label in CLASS_ORDER:
         for j in range(2):
             user_id = f"{label.value.lower()}{j}"
-            # 1 or 3 tweets, newest first; every text is distinct
-            texts = [f"{words[label.value]} chat {user_id} n{k}"
-                     for k in range(1 + 2 * j)]
+            # 1 or 3 tweets, newest first; "chat" and "Chat!" are shared by
+            # every user, the class word by the class, and the third tweet's
+            # chunks appear nowhere else
+            texts = [f"{words[label.value]} chat {user_id} Chat! n{k} chat"
+                     for k in range(1 + j)]
+            texts += [f"old-{user_id} #past Stale{user_id}"] * j
             payloads.append(user_payload(user_id, tweets=tuple(
                 tweet_payload(text, hours=-1.0 - k)
                 for k, text in enumerate(texts))))
             users.append(LabeledUser(user_id=user_id, label=label,
                                      source="crowd", score=None))
-            in_scope.append(texts[:2])
+            in_scope.update(" ".join(texts[:2]).split())
     corpus = write_jsonl(tmp_path / "corpus.jsonl", payloads)
     data = tmp_path / "data.tsv"
     write_dataset_tsv(users, data)
     config = write_config(tmp_path, "cfg.json", max_tweets=2, epochs=2)
-    joined = counting_calls(monkeypatch, "tweet_words",
-                            {"identminer.textprep",
-                             "identminer.models.features"})
-    scanned = counting_calls(monkeypatch, "tweet_tokens",
-                             {"identminer.textprep", "identminer.analytics"})
+    handed = recording_chunk_tables(monkeypatch)
     tokenized = counting_calls(monkeypatch, "tokenize", {"identminer.textprep"})
     common = ("--config", str(config), "--corpus", str(corpus))
-    per_user = sorted("\n".join(texts) for texts in in_scope)
+    assert not {"old-w1", "#past", "Stalew1"} & in_scope
+
+    def expected(kind: str) -> list:
+        return sorted((kind, chunk.lower() if chunk.isalnum() else chunk)
+                      for chunk in in_scope)
+
+    def scanned() -> list:
+        chunks = sorted(handed)
+        handed.clear()
+        return chunks
 
     assert run("train", "--model", "unigram", *common, "--train-data",
                str(data), "--out", str(tmp_path / "train")) == 0
-    assert (sorted(joined), scanned) == (per_user, [])
-    joined.clear()
+    assert scanned() == expected("words")
     assert run("evaluate", *common, "--model-file",
                str(tmp_path / "train" / "model.json"), "--test-data", str(data),
                "--out", str(tmp_path / "eval")) == 0
-    assert (sorted(joined), scanned) == (per_user, [])
-    joined.clear()
+    assert scanned() == expected("words")
     assert run("analyze", *common, "--data", str(data),
                "--out", str(tmp_path / "analyze")) == 0
-    assert (joined, sorted(scanned)) == ([], sorted(sum(in_scope, [])))
+    assert scanned() == expected("lexical")
     assert tokenized == []
 
 

@@ -19,7 +19,7 @@ from identminer.cli import main
 from identminer.datasets import LabeledUser, write_dataset_tsv
 from identminer.filters import CLASS_ORDER
 from identminer.ingest import ParseFailure, load_users
-from identminer.models.features import user_word_counts
+from identminer.models.features import user_word_counts, word_chunks
 
 from helpers import (PLANT_HEADS, PLANT_QUERIES, tweet_payload, user_payload,
                      write_jsonl)
@@ -329,7 +329,8 @@ def test_a_tweet_load_retains_only_the_dataset_users(tmp_path, monkeypatch):
                                score=None, source="crowd")
                    for i in range(n_dataset)]
         cli._corpus_pairs({"corpus": str(corpus)}, dataset,
-                          functools.partial(user_word_counts, max_tweets=200))
+                          functools.partial(user_word_counts, max_tweets=200,
+                                            chunks=word_chunks()))
         return sizes.pop()
 
     small_corpus = tweet_load(100, 20)

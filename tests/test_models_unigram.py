@@ -13,7 +13,8 @@ from identminer.models import load_model, save_model
 from identminer.models.baselines import (MajorityBaseline, RandomBaseline,
                                          baseline_majority, baseline_random)
 from identminer.models.features import (build_vocab, featurize_user,
-                                        read_embeddings, user_word_counts)
+                                        read_embeddings, user_word_counts,
+                                        word_chunks)
 from identminer.models.namecnn import name_meta_features
 from identminer.models.training import (TrainConfig, decode_array,
                                         effective_weight_histogram,
@@ -351,13 +352,15 @@ def vocab_corpus():
 
 
 def vocab_counts():
-    return [user_word_counts(user) for user in vocab_corpus()]
+    table = word_chunks()
+    return [user_word_counts(user, 200, table) for user in vocab_corpus()]
 
 
 def test_user_word_counts_words_and_contractions_only():
     user = make_user("u1", tweets=(
         make_tweet("i'm happy happy #tag @mike https://x.co :)", hours=-1.0),))
-    assert user_word_counts(user) == {"i'm": 1, "happy": 2}
+    assert user_word_counts(user, 200, word_chunks()) == {"i'm": 1,
+                                                        "happy": 2}
 
 
 def test_build_vocab_lexicographic_with_min_count():
@@ -374,7 +377,8 @@ def test_build_vocab_lexicographic_with_min_count():
 def test_build_vocab_respects_max_tweets():
     user = make_user("v1", tweets=(make_tweet("newest newest", hours=-1),
                                    make_tweet("older older", hours=-2)))
-    vocab = build_vocab([user_word_counts(user, max_tweets=1)], min_count=2)
+    vocab = build_vocab([user_word_counts(user, 1, word_chunks())],
+                        min_count=2)
     assert "newest" in vocab and "older" not in vocab
 
 
@@ -393,7 +397,9 @@ def test_featurize_user_counts():
 
 
 def test_featurize_user_ignores_oov():
-    counts = user_word_counts(make_user("x", tweets=(make_tweet("nothing known"),)))
+    counts = user_word_counts(
+        make_user("x", tweets=(make_tweet("nothing known"),)), 200,
+        word_chunks())
     cols, counts = featurize_user(counts, {"brunch": 0})
     assert cols.dtype == np.int64 and counts.dtype == np.float64
     assert cols.size == 0 and counts.size == 0

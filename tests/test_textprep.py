@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from identminer import textprep
-from identminer.textprep import (SENTINEL_TAGS, SelfReportLexicon, TagLexicon,
-                                 TaggedToken, Token, TweetTokens,
-                                 build_selfreport_lexicon,
+from identminer.textprep import (SENTINEL_TAGS, ChunkTable, SelfReportLexicon,
+                                 TagLexicon, TaggedToken, Token, TweetTokens,
+                                 build_selfreport_lexicon, chunk_tokens,
+                                 chunk_words,
                                  extract_selfreport_candidates, pos_tag,
                                  selfreport_words, tokenize, tweet_tokens,
                                  tweet_words)
@@ -91,8 +92,9 @@ def tokens_by_kind(text) -> TweetTokens:
 
     def texts(*wanted):
         return [text for text, kind in pairs if kind in wanted]
-    return TweetTokens(texts("word", "contraction"), texts("url", "mention"),
-                       texts("hashtag", "emoji", "punct"),
+    return TweetTokens(tuple(texts("word", "contraction")),
+                       tuple(texts("url", "mention")),
+                       tuple(texts("hashtag", "emoji", "punct")),
                        len(texts("contraction")), len(texts("hashtag")))
 
 
@@ -110,6 +112,107 @@ def test_tweet_words_of_joined_texts_are_the_words_of_each(texts):
     assert tweet_words("\n".join(texts)) == [
         text for one in texts for text, kind in kinds(one)
         if kind in ("word", "contraction")]
+
+
+@given(tweet_texts())
+@settings(max_examples=500)
+def test_tweet_words_are_the_words_of_its_chunks(text):
+    """No token holds whitespace and str.split cuts where \\s matches, so
+    the words of a text are those of its whitespace-separated chunks."""
+    assert tweet_words(text) == [
+        word for chunk in text.split() for word in tweet_words(chunk)]
+
+
+def merged_by_kind(parts) -> TweetTokens:
+    """The TweetTokens of consecutive texts' tokens: each kind's texts
+    concatenated, the counts summed."""
+    parts = list(parts)
+    return TweetTokens(*(tuple(text for part in parts for text in part[i])
+                         for i in range(3)),
+                       sum(part.contractions for part in parts),
+                       sum(part.hashtags for part in parts))
+
+
+@given(tweet_texts())
+@settings(max_examples=500)
+def test_tweet_tokens_are_the_merged_tokens_of_its_chunks(text):
+    assert tweet_tokens(text) == merged_by_kind(
+        map(tweet_tokens, text.split()))
+
+
+def test_str_split_and_the_token_pattern_agree_on_whitespace():
+    """The chunk tables rest on str.split and the pattern's \\s splitting at
+    the same characters."""
+    space = re.compile(r"\s")
+    chars = [chr(code) for code in range(0x110000)]
+    split_at = {char for char in chars if len(f"a{char}b".split()) == 2}
+    assert split_at == {char for char in chars if space.fullmatch(char)}
+    assert {"\x1c", "\x85", "\xa0", "\u2028", "\u3000"} <= split_at
+    assert not {"\u200b", "\u200d", "\ufeff"} & split_at
+
+
+@given(st.lists(tweet_texts(), max_size=6))
+@settings(max_examples=300)
+def test_chunk_scans_are_the_scans_of_each_chunk(texts):
+    """One chunk_words or chunk_tokens call over distinct chunks gives each
+    chunk what tweet_words or tweet_tokens gives it alone."""
+    chunks = list(dict.fromkeys(" ".join(texts).split()))
+    assert chunk_words(chunks) == [tuple(tweet_words(chunk))
+                                   for chunk in chunks]
+    assert chunk_tokens(chunks) == [tweet_tokens(chunk) for chunk in chunks]
+
+
+@given(st.text("abcXYZ019", min_size=1))
+def test_a_plain_chunk_is_one_word_its_lowercase(chunk):
+    assert tweet_words(chunk) == [chunk.lower()]
+    assert tweet_tokens(chunk) == TweetTokens((chunk.lower(),), (), (), 0, 0)
+
+
+def counted_table(scans: list) -> ChunkTable:
+    """A ChunkTable whose value of a chunk is its uppercase, recording the
+    chunks of each scan_chunks call and the words of each plain_values
+    call that has any."""
+    def scan(chunks):
+        if chunks:
+            scans.append(sorted(chunks))
+        return [chunk.upper() for chunk in chunks]
+    return ChunkTable(scan, scan)
+
+
+def test_chunk_table_scans_only_chunks_it_lacks():
+    scans = []
+    table = counted_table(scans)
+    assert table.values(["b!", "a!", "b!"]) == ["B!", "A!", "B!"]
+    assert table.values(["a!", "c!", "b!", "c!"]) == ["A!", "C!", "B!", "C!"]
+    assert table.values(["c!", "a!"]) == ["C!", "A!"]
+    assert scans == [["a!", "b!"], ["c!"]]
+
+
+def test_chunk_table_hands_plain_chunks_over_lowercased():
+    """Chunks of ASCII letters and digits go to plain_values as their
+    lowercase, every other chunk to scan_chunks."""
+    scans = []
+    table = counted_table(scans)
+    chunks = ["Ab1", "x_y", "ok", "İ", "❶", "a'b", "7"]
+    assert table.values(chunks) == [chunk.upper() for chunk in chunks]
+    assert scans == [["7", "ab1", "ok"], ["a'b", "x_y", "İ", "❶"]]
+
+
+def test_chunk_table_keeps_only_the_asked_chunks_at_its_limit():
+    """A call that would take the table past its limit first drops every
+    chunk but its own; one call's chunks are kept even past the limit."""
+    scans = []
+    table = counted_table(scans)
+    table.limit = 3
+    assert table.values(["a!", "b!"]) == ["A!", "B!"]
+    assert table.values(["b!", "c!"]) == ["B!", "C!"]  # 3 chunks: kept
+    assert table.values(["c!", "d!"]) == ["C!", "D!"]  # 4: a! and b! dropped
+    assert table.values(["a!", "c!"]) == ["A!", "C!"]
+    assert table.values(["e!", "f!", "g!", "h!"]) == ["E!", "F!", "G!", "H!"]
+    assert table.values(["h!", "e!"]) == ["H!", "E!"]
+    assert scans == [["a!", "b!"], ["c!"], ["d!"], ["a!"],
+                     ["e!", "f!", "g!", "h!"]]
+    assert len(table._values) == 4
 
 
 @pytest.mark.parametrize("text, expected", [
