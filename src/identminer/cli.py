@@ -362,7 +362,7 @@ def _description_pass(paths: dict, config: dict, descriptions, tag_lexicon):
         if not lexicon.os_counts:
             raise DataError(f"self-report lexicon is empty: {paths['lexicon']}")
         return lexicon, scan_descriptions(descriptions, tag_lexicon)
-    counter = SelfReportCounter(tag_lexicon, allow_im=config["allow_im"])
+    counter = SelfReportCounter(allow_im=config["allow_im"])
     reports = scan_descriptions(descriptions, tag_lexicon, counter)
     lexicon = counter.lexicon()
     if not lexicon.os_counts:

@@ -13,11 +13,12 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
-from .filters import (CLASS_ORDER, ClassLabel, QueryMatch, apply_filter_chain,
-                      assign_class, find_query_matches, person_bigram_match)
-from .scorer import ScoreParams, score_description
+from .filters import (CLASS_ORDER, DEFAULT_QUERY_MAP, ClassLabel, QueryMatch,
+                      apply_filter_chain, assign_class, find_query_matches,
+                      person_bigram_match)
+from .scorer import ScoreParams, score_matches
 from .textprep import (SelfReportCounter, SelfReportLexicon, TagLexicon,
-                       TaggedToken, pos_tag, tokenize)
+                       Tagged, Tagger)
 from .util import decimal_float, read_rows
 
 SOURCES = ("QB", "HF", "CB", "crowd", "survey")
@@ -40,13 +41,14 @@ class LabeledUser:
 
 @dataclass
 class UserMatchReport:
-    """Per-user query analysis shared by the dataset builders and tune;
-    score_reports fills scores and outcomes, both aligned with matches. An
-    outcome is the tuple of rejecting filter names, empty when the match
-    passed."""
+    """Per-user query analysis shared by the dataset builders and tune, with
+    what they and the filters read of a description: its Tagged tokens,
+    text and query matches. score_reports fills scores and outcomes, both
+    aligned with matches; an outcome is the tuple of rejecting filter names,
+    empty when the match passed."""
     user_id: str
     label: ClassLabel
-    tagged: list[TaggedToken]
+    tagged: Tagged
     raw_text: str
     matches: list[QueryMatch]
     scores: list[float] = field(default_factory=list)
@@ -58,19 +60,21 @@ def scan_descriptions(corpus: Iterable, tag_lexicon: TagLexicon,
                       ) -> list[UserMatchReport]:
     """The one pass over the descriptions of the corpus (anything with a
     user_id and a description, such as UserRecord or cli.Description): each
-    is tokenized and tagged once and added to counter (the O_s/O lexicon
-    counts) if given; an unscored report is kept, in corpus order, if its
-    matches name exactly one class."""
+    is scanned once (Tagger.scan, with the query keywords marked) and added
+    to counter (the O_s/O lexicon counts) if given; an unscored report is
+    kept, in corpus order, if its matches name exactly one class."""
+    tagger = Tagger(tag_lexicon, DEFAULT_QUERY_MAP)
     reports = []
     for record in corpus:
-        tagged = pos_tag(tokenize(record.description), tag_lexicon)
+        text = record.description
+        tagged = tagger.scan(text)
         if counter is not None:
             counter.add(tagged)
-        matches = find_query_matches(tagged)
+        matches = find_query_matches(tagged, text)
         label = assign_class(matches)
         if isinstance(label, ClassLabel):
             reports.append(UserMatchReport(record.user_id, label, tagged,
-                                           record.description, matches))
+                                           text, matches))
     return reports
 
 
@@ -83,9 +87,8 @@ def score_reports(reports: list[UserMatchReport], lexicon: SelfReportLexicon,
     filters, run the filter chain once per match. Fills the reports in place
     and returns them."""
     for report in reports:
-        report.scores = [
-            score_description(report.tagged, match, lexicon, params)
-            for match in report.matches]
+        report.scores = score_matches(report.tagged, report.matches, lexicon,
+                                      params)
         if filters is not None:
             report.outcomes = [
                 apply_filter_chain(report.tagged, report.raw_text, match,

@@ -5,11 +5,13 @@ filter returns True when it rejects the match.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+import re
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .textprep import PLURAL_TAGS, TaggedToken
+from .textprep import (KEYWORD_CODES, PLURAL_CODES, WORD_CODES, Tagged,
+                       code_pattern, token_spans)
 from .util import Sentinel
 
 
@@ -57,12 +59,11 @@ AMBIGUOUS = Sentinel("AMBIGUOUS")
 NO_MATCH = Sentinel("NO_MATCH")
 
 
-@dataclass(frozen=True)
-class QueryMatch:
+class QueryMatch(NamedTuple):
     keyword: str
     label: ClassLabel
     token_index: int
-    char_span: tuple[int, int]
+    char_span: tuple[int, int] | None  # given where the quote filter reads it
 
 
 def enabled_filters(names: Iterable[str]) -> tuple[str, ...]:
@@ -73,14 +74,18 @@ def enabled_filters(names: Iterable[str]) -> tuple[str, ...]:
     return tuple(name for name in FILTER_NAMES if name in chosen)
 
 
-def find_query_matches(tagged: Sequence[TaggedToken]) -> list[QueryMatch]:
-    """Whole-token keyword matches, one QueryMatch per occurrence."""
-    matches = []
-    for i, tt in enumerate(tagged):
-        label = DEFAULT_QUERY_MAP.get(tt.token.text)
-        if label is not None:
-            matches.append(QueryMatch(tt.token.text, label, i, tt.token.char_span))
-    return matches
+def find_query_matches(tagged: Tagged, text: str) -> list[QueryMatch]:
+    """Whole-token keyword matches, one per occurrence: the tokens a Tagger
+    given the DEFAULT_QUERY_MAP keywords codes as keywords. They carry their
+    char_span in text, the description, if it holds a quote character."""
+    texts = tagged.texts
+    indices = [match.start() for match in
+               code_pattern(KEYWORD_CODES).finditer(tagged.codes)]
+    if not indices:
+        return []
+    spans = token_spans(text) if _has_quote(text) else [None] * len(texts)
+    return [QueryMatch(texts[i], DEFAULT_QUERY_MAP[texts[i]], i, spans[i])
+            for i in indices]
 
 
 def assign_class(matches: Sequence[QueryMatch]):
@@ -93,68 +98,74 @@ def assign_class(matches: Sequence[QueryMatch]):
     return next(iter(labels))
 
 
-def color_filter(tagged: Sequence[TaggedToken], match: QueryMatch,
+def color_filter(tagged: Tagged, match: QueryMatch,
                  colors: frozenset[str]) -> bool:
     """True when a color word other than the query occurrence itself appears
     anywhere in the description."""
-    return any(tt.token.kind == "word" and tt.token.text in colors
-               for i, tt in enumerate(tagged) if i != match.token_index)
+    texts, codes = tagged
+    return not colors.isdisjoint(texts) and any(
+        text in colors and codes[i] in WORD_CODES
+        for i, text in enumerate(texts) if i != match.token_index)
 
 
-def plural_filter(tagged: Sequence[TaggedToken], match: QueryMatch) -> bool:
+def plural_filter(tagged: Tagged, match: QueryMatch) -> bool:
     """True when the token right after the query is a plural noun."""
     nxt = match.token_index + 1
-    return nxt < len(tagged) and tagged[nxt].pos in PLURAL_TAGS
+    return nxt < len(tagged.codes) and tagged.codes[nxt] in PLURAL_CODES
 
 
-def blocklist_bigram_filter(tagged: Sequence[TaggedToken], match: QueryMatch,
+def blocklist_bigram_filter(tagged: Tagged, match: QueryMatch,
                             blocklist: frozenset[tuple[str, str]]) -> bool:
     """True when (query, next token) or (previous token, query) is a
     blocklisted bigram. Both sides are checked."""
-    i = match.token_index
-    return ((i + 1 < len(tagged)
-             and (match.keyword, tagged[i + 1].token.text) in blocklist)
-            or (i > 0
-                and (tagged[i - 1].token.text, match.keyword) in blocklist))
+    i, texts = match.token_index, tagged.texts
+    return ((i + 1 < len(texts)
+             and (match.keyword, texts[i + 1]) in blocklist)
+            or (i > 0 and (texts[i - 1], match.keyword) in blocklist))
 
 
-_QUOTE_FAMILIES = (('"', '"'), ("“", "”"))
+def _has_quote(text: str) -> bool:
+    return '"' in text or "“" in text
 
 
-def _quoted_spans(raw_text: str) -> list[tuple[int, int]]:
-    """Balanced quote spans, pairing each opener with the next closer of the
-    same family, left to right. Straight quotes pair consecutively; an
-    unbalanced trailing quote never forms a span."""
-    spans = []
-    for opener, closer in _QUOTE_FAMILIES:
-        if opener == closer:
-            positions = [i for i, ch in enumerate(raw_text) if ch == opener]
-            for a, b in zip(positions[0::2], positions[1::2]):
-                spans.append((a, b))
-        else:
-            closers = [i for i, ch in enumerate(raw_text) if ch == closer]
-            used = set()
-            for a in (i for i, ch in enumerate(raw_text) if ch == opener):
-                nxt = next((b for b in closers if b > a and b not in used), None)
-                if nxt is not None:
-                    used.add(nxt)
-                    spans.append((a, nxt))
-    return spans
+@functools.lru_cache(maxsize=1)
+def _quoted_spans(raw_text: str) -> tuple[tuple[int, int], ...]:
+    """Balanced quote spans, pairing each opener with the next unused closer
+    of the same family, left to right: straight quotes pair consecutively,
+    and an unbalanced trailing quote never forms a span. Cached for the last
+    text, so the matches of one description share one computation."""
+    if not _has_quote(raw_text):
+        return ()
+    straight, openers, closers = (
+        [match.start() for match in re.finditer(quote, raw_text)]
+        for quote in '"“”')
+    spans = list(zip(straight[0::2], straight[1::2]))
+    # openers come in order, so each takes the first closer past the last
+    # one taken that lies after it
+    closers = iter(closers)
+    for opener in openers:
+        closer = next((at for at in closers if at > opener), None)
+        if closer is None:
+            break
+        spans.append((opener, closer))
+    return tuple(spans)
 
 
 def quote_filter(raw_text: str, match: QueryMatch) -> bool:
     """True when the query occurrence lies inside a balanced quote pair."""
+    if match.char_span is None:
+        return False
     start, end = match.char_span
     return any(a < start and end - 1 < b for a, b in _quoted_spans(raw_text))
 
 
-def person_bigram_match(tagged: Sequence[TaggedToken], match: QueryMatch) -> bool:
+def person_bigram_match(tagged: Tagged, match: QueryMatch) -> bool:
     """True iff the token right after the query is a person keyword."""
     nxt = match.token_index + 1
-    return nxt < len(tagged) and tagged[nxt].token.text in PERSON_KEYWORDS
+    return nxt < len(tagged.texts) and tagged.texts[nxt] in PERSON_KEYWORDS
 
 
-def apply_filter_chain(tagged: Sequence[TaggedToken], raw_text: str,
+def apply_filter_chain(tagged: Tagged, raw_text: str,
                        match: QueryMatch, filters: tuple[str, ...],
                        colors: frozenset[str],
                        blocklist: frozenset[tuple[str, str]]

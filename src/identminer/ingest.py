@@ -7,8 +7,9 @@ in an optional per-field missingness counter.
 dedupe_latest folds the record stream into one value per user as it goes:
 the caller's projection of the user's latest snapshot, so memory grows with
 the users and with what the caller keeps of each, not with the lines.
-A Tweet is a named tuple built through tuple.__new__, several times cheaper
-than a frozen dataclass; it equals the plain tuple of its fields.
+A Tweet and a ProfileMeta are named tuples built through tuple.__new__,
+several times cheaper than a frozen dataclass; each equals the plain tuple
+of its fields.
 """
 from __future__ import annotations
 
@@ -36,8 +37,7 @@ _new_tweet = functools.partial(tuple.__new__, Tweet)
 _created_at = operator.itemgetter(Tweet._fields.index("created_at"))
 
 
-@dataclass(frozen=True)
-class ProfileMeta:
+class ProfileMeta(NamedTuple):
     has_profile_url: bool = False
     has_custom_image: bool = False
     geo_enabled: bool = False
@@ -46,6 +46,9 @@ class ProfileMeta:
     # not part of the minimal export schema, but some archives carry it and the
     # name model wants it; absent -> 0
     followers_count: int = 0
+
+
+_new_profile = functools.partial(tuple.__new__, ProfileMeta)
 
 
 @dataclass
@@ -72,11 +75,24 @@ _ABSENT = object()
 T = TypeVar("T")
 
 
+try:  # Python 3.10's fromisoformat does not read a Z
+    _FROMISOFORMAT_TAKES_Z = bool(datetime.fromisoformat("2000-01-01T00:00Z"))
+except ValueError:
+    _FROMISOFORMAT_TAKES_Z = False
+
+
 def parse_timestamp(raw: str) -> datetime:
     """RFC-3339 string to an aware UTC datetime. Raises ValueError."""
     if not isinstance(raw, str):
         raise ValueError("timestamp must be a string")
-    # Python 3.10 fromisoformat does not accept a trailing Z
+    # a string whose one Z or z ends it, such as 2024-06-01T12:00:00Z,
+    # parses to the same value here as below, or fails here
+    if (_FROMISOFORMAT_TAKES_Z and raw[-1:] == "Z" and raw.count("Z") == 1
+            and "z" not in raw):
+        try:
+            return datetime.fromisoformat(raw)
+        except ValueError:
+            pass
     text = raw.strip().replace("Z", "+00:00").replace("z", "+00:00")
     parsed = datetime.fromisoformat(text)
     if parsed.tzinfo is None:
@@ -156,8 +172,7 @@ def _parse_profile(obj, snapshot: datetime, missingness: Counter) -> ProfileMeta
         if created > snapshot:
             raise ValueError("account_created_at is after snapshot_time")
     followers = _count(obj, "followers_count", missingness)
-    return ProfileMeta(*flags, statuses_count=statuses,
-                       account_created_at=created, followers_count=followers)
+    return _new_profile((*flags, statuses, created, followers))
 
 
 def parse_user_line(line: str, line_no: int,

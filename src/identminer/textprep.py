@@ -6,17 +6,16 @@ zero-width-joiner sequences), apostrophe contractions from a shipped list, and
 punctuation runs each become single tokens; everything else splits on
 whitespace and is lowercased.
 
-Token records are immutable named tuples: a ``Token`` is (text, kind,
-char_span) and a ``TaggedToken`` is (token, pos). They hash, sort and compare
-as tuples, so a Token equals the plain tuple of its fields. A tuple is several
-times cheaper to build than a frozen dataclass, and tokenize builds one per
-token of every description.
+A description is scanned once, into a Tagged pair of plain values: the
+lowercased texts of its tokens, and a code string of one character per
+token (see Tagger). The self-report pattern and the query matcher are regex
+scans over the code string.
 
-The tweet path reads neither spans nor token records. It scans with
-_TOKEN_RE's own pattern, its named groups made non-capturing, so that
-findall returns plain strings: tweet_words keeps only the word group and
-returns the word and contraction texts; tweet_tokens returns every token's
-text and reads its kind off the text's first characters.
+Both paths scan with _TOKEN_RE's own pattern, its named groups made
+non-capturing, so that findall returns plain strings. On the tweet path,
+tweet_words keeps only the word group and returns the word and contraction
+texts; tweet_tokens returns every token's text and reads its kind off the
+text's first characters.
 
 No token holds whitespace, so the tokens of a text are those of its
 whitespace-separated chunks in turn, and tweet text repeats a few thousand
@@ -41,17 +40,6 @@ PENN_TAGS = frozenset({
     "RBS", "RP", "SYM", "TO", "UH", "VB", "VBD", "VBG", "VBN", "VBP",
     "VBZ", "WDT", "WP", "WP$", "WRB",
 })
-
-SENTINEL_TAGS = {
-    "hashtag": "HT",
-    "mention": "USR",
-    "url": "URL",
-    "emoji": "EMJ",
-    "punct": "PCT",
-}
-
-NOUN_TAGS = ("NN", "NNS", "NNPS")
-PLURAL_TAGS = ("NNS", "NNPS")
 
 # Unicode emoji blocks: flags, pictographs, emoticons, transport, supplemental,
 # extended-A, and the misc-symbols/dingbats stretch.
@@ -79,29 +67,10 @@ _TOKEN_RE = re.compile(
 )
 
 
-class Token(NamedTuple):
-    text: str
-    kind: str  # word | hashtag | mention | url | emoji | punct | contraction
-    char_span: tuple[int, int]
-
-
-class TaggedToken(NamedTuple):
-    token: Token
-    pos: str
-
-
-# Token(...) runs the named tuple's Python-level __new__ for every token;
-# tuple.__new__ bound to the class builds the same object without that frame
-_new_token = functools.partial(tuple.__new__, Token)
-_new_tagged = functools.partial(tuple.__new__, TaggedToken)
-
 @dataclass
 class TagLexicon:
     """Context-free tagger: word -> majority Penn tag, NN for OOV."""
     tags: dict[str, str]
-
-    def tag(self, word: str) -> str:
-        return self.tags.get(word, "NN")
 
     @classmethod
     def from_tsv(cls, path) -> "TagLexicon":
@@ -119,30 +88,9 @@ def _tag_row(fields: list[str]) -> tuple[str, str]:
     return word.lower(), tag
 
 
-def tokenize(text: str) -> list[Token]:
-    """Split text into typed tokens with character spans.
-
-    A token's kind is the name of the _TOKEN_RE group that matched it
-    (match.lastgroup), except that a word whose straight-apostrophe
-    spelling is a packaged contraction becomes that contraction. Joining
-    the source slices of consecutive tokens with the original inter-token
-    whitespace reconstructs the input exactly.
-    """
-    contractions = load_contractions()
-    tokens = []
-    for match in _TOKEN_RE.finditer(text):
-        token, kind = match[0].lower(), match.lastgroup
-        if kind == "word" and ("'" in token or "’" in token):
-            normalized = token.replace("’", "'")
-            if normalized in contractions:
-                token, kind = normalized, "contraction"
-        tokens.append(_new_token((token, kind, match.span())))
-    return tokens
-
-
 class TweetTokens(NamedTuple):
-    """The lowercased texts of tokenize(text)'s tokens, without spans, by
-    kind, each tuple in token order."""
+    """The texts of tokenize(text) by the kind of token each is, each tuple
+    in token order."""
     words: tuple[str, ...]   # word and contraction tokens
     links: tuple[str, ...]   # url and mention tokens
     others: tuple[str, ...]  # hashtag, emoji and punct tokens
@@ -180,16 +128,36 @@ def _tweet_scans() -> tuple[re.Pattern, re.Pattern, frozenset[str]]:
     return capturing(None), capturing("word"), emoji
 
 
+def _straighten(tokens: list[str]) -> list[str]:
+    """tokens, each ’ spelling of a packaged contraction respelled with '."""
+    contractions = load_contractions()
+    for i, token in enumerate(tokens):
+        if "’" in token and token.replace("’", "'") in contractions:
+            tokens[i] = token.replace("’", "'")
+    return tokens
+
+
 def _scan_words(text: str) -> list[str]:
     """The texts of tokenize(text)'s word and contraction tokens, in order,
     with a "\\n" for each newline of text."""
     words = list(map(str.lower, filter(None, _tweet_scans()[1].findall(text))))
-    if "’" in text:
-        contractions = load_contractions()
-        for i, word in enumerate(words):
-            if "’" in word and word.replace("’", "'") in contractions:
-                words[i] = word.replace("’", "'")
-    return words
+    return _straighten(words) if "’" in text else words
+
+
+def tokenize(text: str) -> tuple[str, ...]:
+    """The texts of text's tokens: each _TOKEN_RE match lowercased, and a
+    word whose straight-apostrophe spelling is a packaged contraction given
+    that spelling."""
+    # lowercasing the joined tokens lowercases each: no character lowercases
+    # to whitespace, and a space ends a final-sigma context
+    texts = " ".join(_tweet_scans()[0].findall(text)).lower().split()
+    return tuple(_straighten(texts) if "’" in text else texts)
+
+
+def token_spans(text: str) -> list[tuple[int, int]]:
+    """The (start, end) in text of each of tokenize(text)'s tokens."""
+    return [match.span() for match in _tweet_scans()[0].finditer(text)
+            if match[0] != "\n"]
 
 
 def tweet_words(text: str) -> list[str]:
@@ -328,63 +296,106 @@ class ChunkTable:
         return list(map(values.__getitem__, chunks))
 
 
-def pos_tag(tokens: Iterable[Token], lexicon: TagLexicon) -> list[TaggedToken]:
-    """Word and contraction tokens get the lexicon majority tag (default for
-    OOV); other kinds get fixed sentinel tags."""
-    tagged = []
-    for token in tokens:
-        sentinel = SENTINEL_TAGS.get(token.kind)
-        pos = sentinel if sentinel is not None else lexicon.tag(token.text)
-        tagged.append(_new_tagged((token, pos)))
-    return tagged
+class Tagged(NamedTuple):
+    """A scanned description: its tokenize texts and their codes."""
+    texts: tuple[str, ...]
+    codes: str
 
 
-def _match_trigger(tagged: list[TaggedToken], i: int, allow_im: bool) -> int:
-    """Return the index just past a first-person trigger starting at i, or -1."""
-    text = tagged[i].token.text
-    if text == "i'm":
-        return i + 1
-    if text == "i" and i + 1 < len(tagged) and tagged[i + 1].token.text == "am":
-        return i + 2
-    if allow_im and text == "im":
-        return i + 1
-    return -1
+_new_tagged = functools.partial(tuple.__new__, Tagged)
+
+# A token's code is chr(0x100 + 16 * mark + 7 * nonword + tag class). Tag
+# class: 1 RB, 2 DT, 3 JJ, 4 NN from the lexicon, 5 NN by default (out of
+# the lexicon), 6 NNS or NNPS, 0 any other tag, and any token that is not a
+# word or contraction. nonword: 1 for every token but a word. Mark: 1-4 the
+# trigger words, 5 a keyword of the Tagger, 0 any other text.
+_TAG_CLASSES = {"RB": 1, "DT": 2, "JJ": 3, "NN": 4, "NNS": 6, "NNPS": 6}
+_TRIGGERS = {"i'm": 1, "i": 2, "am": 3, "im": 4}
 
 
-def extract_selfreport_candidates(tagged: list[TaggedToken],
-                                  allow_im: bool = False) -> list[tuple[str, str]]:
-    """Apply the anchored pattern: trigger "i'm"/"i am", then optionally one
-    adverb and one determiner, then adjectives with an optional noun head.
-    Emits every adjective plus the head; at least one of them must be present.
+def code_set(marks=range(6), nonword=(0, 1), tag_classes=range(7)) -> str:
+    """The codes of the given marks, nonword flags and tag classes."""
+    return "".join(chr(0x100 + 16 * mark + 7 * flag + tag_class)
+                   for mark in marks for flag in nonword
+                   for tag_class in tag_classes)
 
-    The "im" spelling is an extension, off by default.
+
+@functools.cache
+def code_pattern(codes: str) -> re.Pattern:
+    """A regex of any one of codes, compiled on first use."""
+    return re.compile(f"[{codes}]")
+
+
+WORD_CODES = code_set(nonword=(0,))
+PLURAL_CODES = code_set(tag_classes=(6,))
+KEYWORD_CODES = code_set(marks=(5,))
+_KEPT_CODES = code_set(tag_classes=(3, 4))  # JJ, or NN from the lexicon
+
+
+class Tagger:
+    """Scans descriptions into Tagged values for one run, coding tokens by
+    the tag lexicon and marking the given keywords.
+
+    A token's text settles its code: a text that starts with a word
+    character that is no emoji, and not with a url prefix, is a word or a
+    contraction, and a contraction if it holds an apostrophe and is a
+    packaged one. So each distinct text is coded once, into a table emptied
+    when it passes `limit` texts.
     """
-    out: list[tuple[str, str]] = []
-    n = len(tagged)
-    i = 0
-    while i < n:
-        j = _match_trigger(tagged, i, allow_im)
-        if j < 0:
-            i += 1
-            continue
-        k = j
-        if k < n and tagged[k].pos == "RB":
-            k += 1
-        if k < n and tagged[k].pos == "DT":
-            k += 1
-        collected: list[tuple[str, str]] = []
-        while k < n and tagged[k].pos == "JJ":
-            collected.append((tagged[k].token.text, "JJ"))
-            k += 1
-        if k < n and tagged[k].pos in NOUN_TAGS:
-            collected.append((tagged[k].token.text, tagged[k].pos))
-            k += 1
-        if collected:
-            out.extend(collected)
-            i = k
-        else:
-            i = j
-    return out
+    limit = 1 << 15
+
+    def __init__(self, tag_lexicon: TagLexicon, keywords=()):
+        self._tags = tag_lexicon.tags
+        self._keywords = frozenset(keywords)
+        self._codes: dict[str, str] = {}
+
+    def scan(self, text: str) -> Tagged:
+        """The one pass over a description."""
+        texts = tokenize(text)
+        return _new_tagged((texts, self.codes(texts)))
+
+    def codes(self, texts) -> str:
+        codes = self._codes
+        try:
+            return "".join(map(codes.__getitem__, texts))
+        except KeyError:
+            if len(codes) > self.limit:
+                codes.clear()
+            codes.update((text, self._code(text)) for text in texts)
+            return "".join(map(codes.__getitem__, texts))
+
+    def _code(self, text: str) -> str:
+        lead = text[0]
+        if (not (lead.isalnum() or lead == "_") or lead in _tweet_scans()[2]
+                or text.startswith(_URL_PREFIXES)):
+            return code_set((0,), (1,), (0,))
+        tag = self._tags.get(text)
+        return code_set(
+            (_TRIGGERS.get(text, 5 if text in self._keywords else 0),),
+            ("'" in text and text in load_contractions(),),
+            (5 if tag is None else _TAG_CLASSES.get(tag, 0),))
+
+
+def pos_tag(tokens, lexicon: TagLexicon) -> str:
+    """The codes of the token texts, no keywords marked."""
+    return Tagger(lexicon).codes(tokens)
+
+
+@functools.cache
+def _selfreport_pattern(allow_im: bool) -> re.Pattern:
+    """Trigger "i'm" or "i am" (or "im"), an optional adverb and determiner,
+    then adjectives with an optional noun head, at least one of the two
+    (group 1). One tag per token: the scan never backtracks into another
+    match."""
+    def one(**fields) -> str:
+        return f"[{code_set(**fields)}]"
+    trigger = one(marks=(1,)) + "|" + one(marks=(2,)) + one(marks=(3,))
+    if allow_im:
+        trigger += "|" + one(marks=(4,))
+    noun = one(tag_classes=(4, 5, 6))
+    return re.compile(
+        f"(?:{trigger}){one(tag_classes=(1,))}?{one(tag_classes=(2,))}?"
+        f"({one(tag_classes=(3,))}+{noun}?|{noun})")
 
 
 @dataclass
@@ -403,9 +414,6 @@ class SelfReportLexicon:
         for word, os_count in self.os_counts.items():
             _check_counts(word, os_count, self.o_counts.get(word, 0))
         self.total_selfreport = sum(self.os_counts.values())
-
-    def __contains__(self, word: str) -> bool:
-        return word in self.os_counts
 
     def __len__(self) -> int:
         return len(self.os_counts)
@@ -440,16 +448,14 @@ def _count_row(fields: list[str]) -> tuple[str, int, int]:
     return word, os_count, o_count
 
 
-def selfreport_words(tagged: list[TaggedToken], tag_lexicon: TagLexicon,
-                     allow_im: bool = False) -> set[str]:
-    """Kept self-report words of one tagged description.
-
-    Kept words must be singular (no NNS/NNPS) and their extracted tag must
-    equal the lexicon majority tag, so out-of-vocabulary words never enter S.
-    """
-    return {word for word, pos
-            in extract_selfreport_candidates(tagged, allow_im=allow_im)
-            if pos not in PLURAL_TAGS and tag_lexicon.tags.get(word) == pos}
+def selfreport_words(tagged: Tagged, allow_im: bool = False) -> set[str]:
+    """Kept self-report words of one description: the adjectives and heads
+    of its self-report statements that are singular (no NNS/NNPS) and whose
+    tag is the lexicon's, so out-of-vocabulary words never enter S."""
+    texts, codes = tagged
+    return {texts[i]
+            for match in _selfreport_pattern(allow_im).finditer(codes)
+            for i in range(*match.span(1)) if codes[i] in _KEPT_CODES}
 
 
 class SelfReportCounter:
@@ -459,16 +465,14 @@ class SelfReportCounter:
     contributes one to each counter.
     """
 
-    def __init__(self, tag_lexicon: TagLexicon, allow_im: bool = False):
-        self.tag_lexicon = tag_lexicon
+    def __init__(self, allow_im: bool = False):
         self.allow_im = allow_im
         self.os_counter: Counter[str] = Counter()
         self.o_counter: Counter[str] = Counter()
 
-    def add(self, tagged: list[TaggedToken]) -> None:
-        self.os_counter.update(selfreport_words(tagged, self.tag_lexicon,
-                                                self.allow_im))
-        self.o_counter.update({tt.token.text for tt in tagged})
+    def add(self, tagged: Tagged) -> None:
+        self.os_counter.update(selfreport_words(tagged, self.allow_im))
+        self.o_counter.update(set(tagged.texts))
 
     def lexicon(self) -> SelfReportLexicon:
         os_counts = dict(self.os_counter)
@@ -480,7 +484,8 @@ def build_selfreport_lexicon(corpus: Iterable, tag_lexicon: TagLexicon,
                              allow_im: bool = False) -> SelfReportLexicon:
     """Count O_s and O per description over the corpus: anything with a
     description, such as UserRecord or cli.Description."""
-    counter = SelfReportCounter(tag_lexicon, allow_im=allow_im)
+    tagger = Tagger(tag_lexicon)
+    counter = SelfReportCounter(allow_im=allow_im)
     for record in corpus:
-        counter.add(pos_tag(tokenize(record.description), tag_lexicon))
+        counter.add(tagger.scan(record.description))
     return counter.lexicon()

@@ -15,8 +15,9 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from identminer import resources
+from identminer.filters import DEFAULT_QUERY_MAP
 from identminer.ingest import ProfileMeta, Tweet, UserRecord
-from identminer.textprep import TagLexicon, pos_tag, tokenize
+from identminer.textprep import TagLexicon, Tagger
 
 EPOCH = datetime(2024, 6, 1, 12, 0, 0, tzinfo=timezone.utc)
 
@@ -34,9 +35,16 @@ def tag_lexicon() -> TagLexicon:
     return resources.load_tag_lexicon()
 
 
+@lru_cache(maxsize=1)
+def tagger() -> Tagger:
+    """The description stages' Tagger: the packaged lexicon, the query
+    keywords marked."""
+    return Tagger(tag_lexicon(), DEFAULT_QUERY_MAP)
+
+
 def tag(text: str):
-    """Tokenize and tag with the packaged lexicon."""
-    return pos_tag(tokenize(text), tag_lexicon())
+    """The Tagged scan of a description with the packaged lexicon."""
+    return tagger().scan(text)
 
 
 # pieces where the tokenizer's rules meet: apostrophes and contractions, the
@@ -53,6 +61,37 @@ TRICKY_PIECES = ("'", "’", "#", "@", "http://", "https://", "www.", "-",
                  "ΑΣ", ".", "!", "_", "7", " ", "\n", "❶", "#❶", "@!",
                  "www.x", "https", "\x1c", "\x1f", "\x85", "\xa0", "\u2028",
                  "\u3000", "\u200b", "\ufeff")
+
+
+# TRICKY_PIECES and the pieces where the description pass's rules meet:
+# trigger words in every case and apostrophe, adverbs, determiners,
+# adjectives, singular and plural nouns, out-of-lexicon words, every query
+# keyword, person keywords, colors, blocklisted neighbours, and straight and
+# curly quotes
+DESCRIPTION_PIECES = TRICKY_PIECES + (
+    "i", "I", "am", "AM", "i'm", "I’M", "im", "Im", "so", "very", "a", "the",
+    "an", "proud", "happy", "farmer", "nurse", "people", "fans", "zorgle",
+    *DEFAULT_QUERY_MAP, "Black", "LATINA", "African-American", "woman",
+    "guy", "red", "blue", "sheep", "jazz", "fusion", '"', "“", "”", "'s",
+    "don't", "it’s")
+
+
+# the words of self-report statements and their neighbours, drawn often
+# enough that triggers, adverbs, determiners, adjectives and heads meet
+STATEMENT_WORDS = ("i", "am", "i'm", "I’m", "im", "so", "very", "a", "the",
+                   "proud", "happy", "black", "asian", "farmer", "woman",
+                   "people", "zorgle", "and", "!", '"', "#tag")
+
+
+def description_texts():
+    """Descriptions: arbitrary text, words and DESCRIPTION_PIECES joined by
+    spaces or run together, or runs of STATEMENT_WORDS."""
+    pieces = st.lists(st.one_of(st.sampled_from(DESCRIPTION_PIECES),
+                                st.text("abcXYZ", min_size=1, max_size=3),
+                                st.characters()), max_size=14)
+    statements = st.lists(st.sampled_from(STATEMENT_WORDS), max_size=12)
+    return st.one_of(st.text(max_size=40), pieces.map(" ".join),
+                     pieces.map("".join), statements.map(" ".join))
 
 
 def tweet_texts():
@@ -229,7 +268,31 @@ def planted_payloads() -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# label fixtures for evaluation tests
+# label fixtures and metrics for evaluation tests
+
+def metric(name: str, labels, predictions):
+    """One EvalReport metric of the predictions, from their count table."""
+    from identminer.evaluation import _metrics, count_table
+    return _metrics(count_table(labels, predictions))[name]
+
+
+def accuracy(labels, predictions) -> float:
+    return metric("accuracy", labels, predictions)
+
+
+def macro_f1(labels, predictions) -> float:
+    return metric("macro_f1", labels, predictions)
+
+
+def confusion_matrix(labels, predictions) -> list[list[float]]:
+    """4x4 matrix of test-set percentages; rows are true labels, columns
+    predictions; all entries sum to 100."""
+    return metric("confusion", labels, predictions)
+
+
+def per_class_accuracy(labels, predictions) -> list[float]:
+    return metric("per_class_accuracy", labels, predictions)
+
 
 def skewed_labels():
     """1000 gold labels with class shares 80.8 / 9.5 / 6.1 / 3.6 percent."""
@@ -240,3 +303,57 @@ def skewed_labels():
     for label, count in counts.items():
         labels.extend([label] * count)
     return labels
+
+
+# ---------------------------------------------------------------------------
+# the name model's gradients against finite differences
+
+def loss_only(params, ids, metas, y_idx, sample_weights, l2) -> float:
+    """The name model's loss_and_grads loss, without the backward pass."""
+    from identminer.models.namecnn import _forward, _loss_from_logits
+    logits, _ = _forward(params, ids, metas)
+    loss, _ = _loss_from_logits(logits, y_idx, sample_weights, params, l2)
+    return loss
+
+
+def gradient_check(model, names, metas, labels,
+                   sample_weights=None, l2: float = 1e-4, step: float = 1e-5,
+                   coords_per_tensor: int = 40, seed: int = 0) -> float:
+    """Max relative error between analytic and central finite-difference
+    gradients over sampled coordinates of every parameter tensor. Coordinates
+    are sampled among those with non-negligible analytic gradient so the
+    relative error is meaningful."""
+    import numpy as np
+    from identminer.models.namecnn import encode_names, loss_and_grads
+    from identminer.models.training import label_indices
+    ids = encode_names(names, model.char_vocab)
+    metas = np.atleast_2d(np.asarray(metas, dtype=np.float64))
+    y_idx = label_indices(labels)
+    if sample_weights is None:
+        sample_weights = np.ones(len(labels))
+    sample_weights = np.asarray(sample_weights, dtype=np.float64)
+
+    params = model.params
+    _, grads = loss_and_grads(params, ids, metas, y_idx, sample_weights, l2)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for key, tensor in params.items():
+        grad = grads[key].ravel()
+        candidates = np.flatnonzero(np.abs(grad) > 1e-5)
+        if len(candidates) == 0:
+            continue
+        if len(candidates) > coords_per_tensor:
+            candidates = rng.choice(candidates, size=coords_per_tensor,
+                                    replace=False)
+        flat = tensor.ravel()
+        for coord in candidates:
+            original = flat[coord]
+            flat[coord] = original + step
+            up = loss_only(params, ids, metas, y_idx, sample_weights, l2)
+            flat[coord] = original - step
+            down = loss_only(params, ids, metas, y_idx, sample_weights, l2)
+            flat[coord] = original
+            numeric = (up - down) / (2.0 * step)
+            denom = max(abs(grad[coord]), abs(numeric), 1e-8)
+            worst = max(worst, abs(grad[coord] - numeric) / denom)
+    return worst

@@ -18,21 +18,21 @@ from identminer.analytics import (kendall_tau_top_k,
 from identminer.cli import main as cli_main
 from identminer.datasets import (LabeledUser, build_cb, build_hf, build_qb,
                                  match_reports, merge_candidates)
-from identminer.evaluation import accuracy, macro_f1
 from identminer.filters import (CLASS_ORDER, FILTER_NAMES, apply_filter_chain,
                                 find_query_matches)
 from identminer.models.namecnn import (NameModel, build_char_vocab,
-                                       gradient_check, init_params,
-                                       train_name_cnn)
+                                       init_params, train_name_cnn)
 from identminer.models.training import (TrainConfig, example_weights,
                                         inverse_class_weights)
 from identminer.models.unigram import train_unigram
 from identminer.scorer import WEIGHTINGS, ScoreParams, score_description
 from identminer.textprep import build_selfreport_lexicon
 
-from helpers import (planted_payloads, planted_users, skewed_labels,
-                     tag_lexicon, training_arrays, tweet_payload,
-                     user_payload, write_jsonl)
+from helpers import (accuracy, gradient_check, macro_f1, planted_payloads,
+                     planted_users, skewed_labels, tag, tag_lexicon,
+                     training_arrays, tweet_payload, user_payload,
+                     write_jsonl)
+from reference_description import reference_tag
 from test_scorer import match_at, oracle_score, random_lexicon, random_text
 
 W, B, HL, A = CLASS_ORDER
@@ -74,34 +74,34 @@ def test_criterion_2_score_oracle_equivalence(capsys):
     with criterion(capsys, 2, "self-report score matches brute-force oracle "
                    "bitwise on 1000 random descriptions", budget=5.0):
         rng = random.Random(31024)
-        lexicon_of = tag_lexicon()
+        tags = tag_lexicon().tags
         compared = 0
         texts = 0
         while texts < 1000:
             text = random_text(rng)
-            tagged = [tt for tt in _tag(text, lexicon_of)]
-            if not tagged:
+            tagged, records = tag(text), reference_tag(text, tags)
+            if not records:
                 continue
             texts += 1
             lexicon = random_lexicon(rng)
             params = ScoreParams(window=rng.randrange(1, 11),
                                  weighting=rng.choice(WEIGHTINGS))
-            matches = list(find_query_matches(tagged))
-            matches.append(match_at(tagged, rng.randrange(len(tagged))))
+            matches = list(find_query_matches(tagged, text))
+            matches.append(match_at(tagged, rng.randrange(len(records))))
             for match in matches:
                 got = score_description(tagged, match, lexicon, params)
-                assert got == oracle_score(tagged, match, lexicon, params)
+                assert got == oracle_score(records, match, lexicon, params)
                 compared += 1
         assert compared >= 1000
 
         # the nearer self-report word always wins, for any lexicon with farmer
-        near = _tag("i am a black farmer", lexicon_of)
-        far = _tag("i am a black beans farmer", lexicon_of)
-        near_match = find_query_matches(near)[0]
-        far_match = find_query_matches(far)[0]
+        near = tag("i am a black farmer")
+        far = tag("i am a black beans farmer")
+        near_match = find_query_matches(near, "i am a black farmer")[0]
+        far_match = find_query_matches(far, "i am a black beans farmer")[0]
         for _ in range(100):
             lexicon = random_lexicon(rng)
-            if "farmer" not in lexicon:
+            if "farmer" not in lexicon.os_counts:
                 lexicon.os_counts["farmer"] = 1
                 lexicon.o_counts["farmer"] = 2
             for weighting in WEIGHTINGS:
@@ -109,11 +109,6 @@ def test_criterion_2_score_oracle_equivalence(capsys):
                 high = score_description(near, near_match, lexicon, params)
                 low = score_description(far, far_match, lexicon, params)
                 assert high > low
-
-
-def _tag(text, lexicon):
-    from identminer.textprep import pos_tag, tokenize
-    return pos_tag(tokenize(text), lexicon)
 
 
 def test_criterion_3_planted_corpus_filtering(capsys):

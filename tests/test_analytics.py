@@ -25,6 +25,7 @@ from identminer.textprep import tokenize
 from identminer.util import mean
 
 from helpers import make_profile, make_tweet, make_user, tweet_texts
+from reference_description import reference_tokenize
 
 W, B, HL, A = CLASS_ORDER
 
@@ -242,13 +243,14 @@ def test_lexical_diversity_drops_urls_mentions_stopwords():
 
 
 def reference_lexical_means(user, stopwords, max_tweets, word_counts):
-    """user_lexical_means as four passes over tokenize's Tokens per tweet."""
+    """user_lexical_means as four passes over the token records of each
+    tweet (reference_tokenize)."""
     tweets = user.tweets[:max_tweets]
     if not tweets:
         return None
     ttr, ld, cpt, hpt = [], [], [], []
     for tweet in tweets:
-        tokens = tokenize(tweet.text)
+        tokens = reference_tokenize(tweet.text)
         n = len(tokens)
         ttr.append(len({tok.text for tok in tokens}) / n if n else 0.0)
         content = [tok for tok in tokens if tok.kind not in ("url", "mention")
@@ -263,8 +265,8 @@ def reference_lexical_means(user, stopwords, max_tweets, word_counts):
 
 
 def per_token_lexical_means(user, stopwords, max_tweets, word_counts):
-    """user_lexical_means as one loop over the (text, kind) of tokenize's
-    Tokens per tweet, the way it was computed before the tweet scan
+    """user_lexical_means as one loop over the (text, kind) of the token
+    records of each tweet, the way it was computed before the tweet scan
     returned token texts sorted by kind."""
     tweets = user.tweets[:max_tweets]
     if not tweets:
@@ -272,7 +274,8 @@ def per_token_lexical_means(user, stopwords, max_tweets, word_counts):
     ttr, ld, cpt, hpt = [], [], [], []
     words = []
     for tweet in tweets:
-        pairs = [(tok.text, tok.kind) for tok in tokenize(tweet.text)]
+        pairs = [(tok.text, tok.kind)
+                 for tok in reference_tokenize(tweet.text)]
         types = set()
         content = contractions = hashtags = 0
         for text, kind in pairs:

@@ -990,8 +990,10 @@ def test_train_evaluate_and_analyze_tokenize_each_tweet_once(tmp_path,
 
 def test_description_stages_tokenize_and_tag_each_description_once(
         tmp_path, monkeypatch):
-    """lexicon-build, dataset-build qb/hf/cb and tune tokenize and tag the
-    description of every deduplicated user exactly once per run."""
+    """lexicon-build, dataset-build qb/hf/cb and tune scan (tokenize and
+    code, Tagger.scan) the description of every deduplicated user exactly
+    once per run, and the description of a superseded snapshot never."""
+    from identminer import textprep
     payloads = planted_payloads() + [
         user_payload("qb1", description="i am a black woman"),
         # an older snapshot of t000 is superseded and never tokenized
@@ -1005,10 +1007,13 @@ def test_description_stages_tokenize_and_tag_each_description_once(
     tuning = tmp_path / "tuning.tsv"
     tuning.write_text("".join(f"{user}\t{label}\ta1\n" for user, label in votes),
                       encoding="utf-8")
-    tokenized = counting_calls(monkeypatch, "tokenize",
-                               {"identminer.textprep", "identminer.datasets"})
-    tagged = counting_calls(monkeypatch, "pos_tag",
-                            {"identminer.textprep", "identminer.datasets"})
+    scanned = []
+    scan = textprep.Tagger.scan
+
+    def counted(self, text):
+        scanned.append(text)
+        return scan(self, text)
+    monkeypatch.setattr(textprep.Tagger, "scan", counted)
     stages = {
         "lexicon": ("lexicon-build",),
         "qb": ("dataset-build", "--kind", "qb"),
@@ -1017,12 +1022,11 @@ def test_description_stages_tokenize_and_tag_each_description_once(
         "tune": ("tune", "--tuning", str(tuning)),
     }
     for stage, argv in stages.items():
-        tokenized.clear()
-        tagged.clear()
+        scanned.clear()
         assert run(*argv, "--corpus", str(corpus),
                    "--out", str(tmp_path / stage)) == 0, stage
-        assert sorted(tokenized) == descriptions, stage
-        assert len(tagged) == len(descriptions), stage
+        assert sorted(scanned) == descriptions, stage
+        assert "an old white nurse bio" not in scanned, stage
 
 
 def test_dataset_build_runs_each_filter_at_most_once_per_match(
@@ -1074,10 +1078,11 @@ def reference_hf(records, params):
     before one filter-chain evaluation per match: the chain once per single
     filter and once with every filter on."""
     from identminer import resources
-    from identminer.filters import (ClassLabel, apply_filter_chain,
-                                    assign_class, find_query_matches)
+    from identminer.filters import (DEFAULT_QUERY_MAP, ClassLabel,
+                                    apply_filter_chain, assign_class,
+                                    find_query_matches)
     from identminer.scorer import score_description
-    from identminer.textprep import build_selfreport_lexicon, pos_tag, tokenize
+    from identminer.textprep import Tagger, build_selfreport_lexicon
 
     tags = resources.load_tag_lexicon()
     colors = resources.load_colors()
@@ -1087,10 +1092,11 @@ def reference_hf(records, params):
     chain_removed: Counter = Counter()
     passed = matched = 0
     lines = []
+    tagger = Tagger(tags, DEFAULT_QUERY_MAP)
     for record in records:
         text = record.description
-        tagged = pos_tag(tokenize(text), tags)
-        matches = find_query_matches(tagged)
+        tagged = tagger.scan(text)
+        matches = find_query_matches(tagged, text)
         label = assign_class(matches)
         if not isinstance(label, ClassLabel):
             continue

@@ -61,7 +61,7 @@ def test_match_reports_keeps_corpus_order(copies):
 
 def test_scan_descriptions_counts_the_lexicon_from_the_same_pass():
     records, _, _ = planted_users()
-    counter = SelfReportCounter(tag_lexicon())
+    counter = SelfReportCounter()
     scanned = scan_descriptions(records, tag_lexicon(), counter)
     lexicon = counter.lexicon()
     assert lexicon == build_selfreport_lexicon(records, tag_lexicon())

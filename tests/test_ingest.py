@@ -2,14 +2,18 @@ import io
 import json
 import sys
 from collections import Counter
-from datetime import timezone
+from datetime import datetime, timezone
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from identminer.ingest import (ParseFailure, Tweet, UserRecord, dedupe_latest,
-                               load_users, parse_timestamp, parse_user_line)
+from identminer import ingest
+from identminer.ingest import (ParseFailure, ProfileMeta, Tweet, UserRecord,
+                               dedupe_latest, load_users, parse_timestamp,
+                               parse_user_line)
 
-from helpers import iso, make_user, tweet_payload, user_payload
+from helpers import iso, make_profile, make_user, tweet_payload, user_payload
 
 
 def load_all(payloads, missingness=None):
@@ -37,6 +41,87 @@ def test_parse_timestamp_normalizes_offsets():
 
 def test_parse_timestamp_assumes_utc_when_naive():
     assert parse_timestamp("2024-06-01T12:00:00").tzinfo == timezone.utc
+
+
+def reference_parse_timestamp(raw):
+    """parse_timestamp as it was before its fast path, the way Python 3.10
+    runs it: every Z or z respelled +00:00."""
+    if not isinstance(raw, str):
+        raise ValueError("timestamp must be a string")
+    text = raw.strip().replace("Z", "+00:00").replace("z", "+00:00")
+    parsed = datetime.fromisoformat(text)
+    if parsed.tzinfo is None:
+        parsed = parsed.replace(tzinfo=timezone.utc)
+    return parsed.astimezone(timezone.utc)
+
+
+def outcome(parse, raw):
+    """The value, its offset and whether its tzinfo is timezone.utc; or the
+    exception's type and message."""
+    try:
+        value = parse(raw)
+    except (ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+    return value, value.utcoffset(), value.tzinfo is timezone.utc
+
+
+# pieces of timestamps: the canonical form and the ones next to it, other
+# offsets and separators, surrounding and inner whitespace, a lowercase z, a
+# second Z, impossible dates and times, and the first instant whose UTC
+# conversion overflows
+STAMP_PIECES = ("2024-06-01", "T", " ", "12:00:00", ".5", ".123456", "Z",
+                "z", "+00:00", "+01:00", "-05:30", "+0530", "\t", "\n",
+                "\xa0", "2024-02-30", "24:00:00", "12:60:00", "0001-01-01",
+                "00:00:00", "9999-12-31", "23:59:59", "2024-W01-1", "20240601",
+                "120000", ",5", "Zz", "+00", "x")
+
+
+@given(st.one_of(
+    st.lists(st.sampled_from(STAMP_PIECES), max_size=7).map("".join),
+    st.builds("{}{}{}{}{}{}".format,
+              st.sampled_from(["2024-06-01", "0001-01-01", "9999-12-31",
+                               "2024-02-30", "2024-13-01"]),
+              st.sampled_from(["T", " ", "z", "Z", "t"]),
+              st.sampled_from(["12:00:00", "00:00:00", "23:59:59",
+                               "24:00:00"]),
+              st.sampled_from(["", ".5", ".123456", ".1234567"]),
+              st.sampled_from(["Z", "z", "", "+01:00", "-01:00", " Z"]),
+              st.sampled_from(["", " ", "\n"])),
+    st.text(max_size=30)))
+@settings(max_examples=1500)
+def test_parse_timestamp_equals_the_respelling_parser(raw):
+    assert outcome(parse_timestamp, raw) == \
+        outcome(reference_parse_timestamp, raw)
+
+
+def test_parse_timestamp_fast_path_cases():
+    for raw in ("2024-06-01T12:00:00Z", "2024-06-01T12:00:00.123456Z",
+                " 2024-06-01T12:00:00Z", "2024-06-01T12:00:00z",
+                "2024-06-01T14:00:00+02:00", "2024-06-01Z12:00:00Z",
+                "2024-06-01z12:00:00Z",
+                "2024-02-30T12:00:00Z", "0001-01-01T00:00:00Z"):
+        assert outcome(parse_timestamp, raw) == \
+            outcome(reference_parse_timestamp, raw), raw
+    with pytest.raises(OverflowError):
+        parse_timestamp("0001-01-01T00:00:00+01:00")
+    # Python 3.10 reads no Z: the fast path is off there, decided once
+    assert ingest._FROMISOFORMAT_TAKES_Z is (sys.version_info >= (3, 11))
+
+
+def test_profile_meta_is_a_named_tuple_with_defaults():
+    profile = ProfileMeta()
+    assert profile == (False, False, False, 0, None, 0)
+    assert ProfileMeta._fields == (
+        "has_profile_url", "has_custom_image", "geo_enabled",
+        "statuses_count", "account_created_at", "followers_count")
+    made = make_profile(statuses_count=3, followers_count=7, geo_enabled=True)
+    assert made == ProfileMeta(geo_enabled=True, statuses_count=3,
+                               followers_count=7)
+    with pytest.raises(AttributeError):
+        made.statuses_count = 4
+    record = parse_user_line(json.dumps(user_payload("u1", profile={
+        "statuses_count": 3, "followers_count": 7, "geo_enabled": True})), 1)
+    assert type(record.profile) is ProfileMeta and record.profile == made
 
 
 def test_minimal_record_parses():

@@ -5,12 +5,12 @@ import pytest
 
 from identminer.cli import DEFAULTS
 from identminer.filters import ClassLabel, QueryMatch, find_query_matches
-from identminer.scorer import (WEIGHTINGS, ScoreParams, precision_recall,
-                               read_tuning_tsv, score_description, score_grid,
-                               tune_params)
+from identminer.scorer import (WEIGHTINGS, ScoreParams, read_tuning_tsv,
+                               score_description, score_grid, tune_params)
 from identminer.textprep import SelfReportLexicon, build_selfreport_lexicon
 
 from helpers import make_user, tag, tag_lexicon
+from reference_description import reference_precision_recall, reference_tag
 
 # the tuning grid of the default config, as tune builds it
 DEFAULT_GRID = score_grid(DEFAULTS["grid_windows"], DEFAULTS["grid_thresholds"],
@@ -18,8 +18,9 @@ DEFAULT_GRID = score_grid(DEFAULTS["grid_windows"], DEFAULTS["grid_thresholds"],
 
 
 def oracle_score(tagged, match, lexicon, params):
-    """Independent brute-force score: distances counted by explicit token
-    walks instead of a precomputed word-position list."""
+    """Independent brute-force score over the reference token records
+    (reference_tag): distances counted by explicit token walks instead of a
+    precomputed word-position list."""
     if tagged[match.token_index].token.kind != "word":
         return 0.0
     value = 0.0
@@ -32,7 +33,7 @@ def oracle_score(tagged, match, lexicon, params):
         if distance == 0 or distance > params.window:
             continue
         word = tt.token.text
-        if word not in lexicon:
+        if word not in lexicon.os_counts:
             continue
         term = (1.0 / distance) * (lexicon.os_counts[word] / lexicon.o_counts[word])
         if params.weighting == "tfidf":
@@ -48,8 +49,7 @@ def small_lexicon():
 
 
 def match_at(tagged, index):
-    token = tagged[index].token
-    return QueryMatch("black", ClassLabel.BLACK, index, token.char_span)
+    return QueryMatch("black", ClassLabel.BLACK, index, None)
 
 
 def score(text, index, window=5, weighting="simple", lexicon=None):
@@ -155,7 +155,7 @@ def test_score_bounded_by_harmonic_window_sum():
         text = " ".join(rng.choice(words) for _ in range(rng.randrange(1, 12)))
         tagged = tag(text)
         window = rng.randrange(1, 6)
-        for match in find_query_matches(tagged):
+        for match in find_query_matches(tagged, text):
             got = score_description(tagged, match, small_lexicon(),
                                     ScoreParams(window=window))
             bound = sum(2.0 / d for d in range(1, window + 1))
@@ -195,16 +195,17 @@ def test_score_matches_oracle_bitwise_on_random_inputs():
     for _ in range(1000):
         text = random_text(rng)
         tagged = tag(text)
-        if not tagged:
+        records = reference_tag(text, tag_lexicon().tags)
+        if not records:
             continue
         lexicon = random_lexicon(rng)
         params = ScoreParams(window=rng.randrange(1, 11),
                              weighting=rng.choice(WEIGHTINGS))
-        matches = list(find_query_matches(tagged))
-        matches.append(match_at(tagged, rng.randrange(len(tagged))))
+        matches = list(find_query_matches(tagged, text))
+        matches.append(match_at(tagged, rng.randrange(len(records))))
         for match in matches:
             got = score_description(tagged, match, lexicon, params)
-            assert got == oracle_score(tagged, match, lexicon, params)
+            assert got == oracle_score(records, match, lexicon, params)
             compared += 1
     assert compared >= 1000
 
@@ -227,7 +228,7 @@ def build_tuning_fixture():
     tuning_set = []
     for text, label in labeled:
         tagged = tag(text)
-        match = find_query_matches(tagged)[0]
+        match = find_query_matches(tagged, text)[0]
         tuning_set.append((tagged, match, label))
     return tuning_set, lexicon
 
@@ -250,7 +251,7 @@ def test_tune_params_custom_grid():
     # the same figures as scoring the tuning set again under the winner
     scores = [score_description(tagged, match, lexicon, best)
               for tagged, match, _ in tuning_set]
-    assert (precision, recall) == precision_recall(
+    assert (precision, recall) == reference_precision_recall(
         scores, [label for _, _, label in tuning_set], best.threshold)
 
 
@@ -269,7 +270,7 @@ def test_tune_params_needs_a_positive_prediction():
     rows = []
     for text, label in [("black", True), ("coffee black", False)]:
         tagged = tag(text)
-        match = find_query_matches(tagged)[0]
+        match = find_query_matches(tagged, text)[0]
         rows.append((tagged, match, label))
     # every score is zero, so no grid point ever predicts a positive
     with pytest.raises(ValueError):
@@ -311,10 +312,11 @@ def test_farmer_closer_than_padded_version_scores_higher():
                       "black": 50})
         for weighting in WEIGHTINGS:
             params = ScoreParams(window=5, weighting=weighting)
-            near = tag("i am a black farmer")
-            far = tag("i am a black beans farmer")
-            score_near = score_description(near, find_query_matches(near)[0],
-                                           lexicon, params)
-            score_far = score_description(far, find_query_matches(far)[0],
-                                          lexicon, params)
+            near, far = "i am a black farmer", "i am a black beans farmer"
+            score_near = score_description(
+                tag(near), find_query_matches(tag(near), near)[0], lexicon,
+                params)
+            score_far = score_description(
+                tag(far), find_query_matches(tag(far), far)[0], lexicon,
+                params)
             assert score_near > score_far

@@ -6,84 +6,78 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from identminer import textprep
-from identminer.textprep import (SENTINEL_TAGS, ChunkTable, SelfReportLexicon,
-                                 TagLexicon, TaggedToken, Token, TweetTokens,
+from identminer.textprep import (WORD_CODES, ChunkTable, SelfReportLexicon,
+                                 TagLexicon, Tagged, Tagger, TweetTokens,
                                  build_selfreport_lexicon, chunk_tokens,
-                                 chunk_words,
-                                 extract_selfreport_candidates, pos_tag,
-                                 selfreport_words, tokenize, tweet_tokens,
-                                 tweet_words)
+                                 chunk_words, code_set, pos_tag,
+                                 selfreport_words, token_spans, tokenize,
+                                 tweet_tokens, tweet_words)
 
 from identminer.resources import load_contractions
 
 from helpers import TRICKY_PIECES, make_user, tag, tag_lexicon, tweet_texts
+from reference_description import (reference_extract, reference_tag,
+                                   reference_tokenize)
 
 WORDS = ["black", "farmer", "coffee", "lover", "i", "am", "a", "proud",
          "woman", "happy", "so", "#tag", "@who", ":)", "it's"]
 
 
 def kinds(text):
-    return [(t.text, t.kind) for t in tokenize(text)]
+    """(text, kind) of each token, from the reference token records."""
+    return [(t.text, t.kind) for t in reference_tokenize(text)]
 
 
 def test_tokenize_basic_kinds():
-    tokens = kinds("wow @alice check https://x.example/a #fun it's great :)")
-    assert ("wow", "word") in tokens
-    assert ("@alice", "mention") in tokens
-    assert ("https://x.example/a", "url") in tokens
-    assert ("#fun", "hashtag") in tokens
-    assert ("it's", "contraction") in tokens
-    assert ("great", "word") in tokens
+    text = "wow @alice check https://x.example/a #fun it's great :)"
+    assert tokenize(text) == ("wow", "@alice", "check", "https://x.example/a",
+                              "#fun", "it's", "great", ":)")
+    assert tweet_tokens(text) == TweetTokens(
+        ("wow", "check", "it's", "great"), ("@alice", "https://x.example/a"),
+        ("#fun", ":)"), 1, 1)
 
 
 def test_tokenize_lowercases_but_spans_point_at_source():
     text = "Proud Black Farmer"
-    tokens = tokenize(text)
-    assert [t.text for t in tokens] == ["proud", "black", "farmer"]
-    for token in tokens:
-        start, end = token.char_span
-        assert text[start:end].lower() == token.text
+    assert tokenize(text) == ("proud", "black", "farmer")
+    for token, (start, end) in zip(tokenize(text), token_spans(text),
+                                   strict=True):
+        assert text[start:end].lower() == token
 
 
 def test_tokenize_curly_apostrophe_contraction():
-    tokens = tokenize("i’m tired")
-    assert tokens[0].text == "i'm"
-    assert tokens[0].kind == "contraction"
+    assert tokenize("i’m tired") == ("i'm", "tired")
+    # a contraction is not a word token: its code says so
+    codes = Tagger(tag_lexicon()).scan("i’m tired").codes
+    assert [code in WORD_CODES for code in codes] == [False, True]
 
 
 def test_tokenize_every_kind_with_spans():
     text = "Wow, check https://x.co/a @Bob #Fun \U0001F600 I\u2019m done!!"
-    assert tokenize(text) == [
-        Token("wow", "word", (0, 3)),
-        Token(",", "punct", (3, 4)),
-        Token("check", "word", (5, 10)),
-        Token("https://x.co/a", "url", (11, 25)),
-        Token("@bob", "mention", (26, 30)),
-        Token("#fun", "hashtag", (31, 35)),
-        Token("\U0001F600", "emoji", (36, 37)),
-        Token("i'm", "contraction", (38, 41)),
-        Token("done", "word", (42, 46)),
-        Token("!!", "punct", (46, 48)),
-    ]
+    assert list(zip(tokenize(text), token_spans(text), strict=True)) == [
+        ("wow", (0, 3)), (",", (3, 4)), ("check", (5, 10)),
+        ("https://x.co/a", (11, 25)), ("@bob", (26, 30)), ("#fun", (31, 35)),
+        ("\U0001F600", (36, 37)), ("i'm", (38, 41)), ("done", (42, 46)),
+        ("!!", (46, 48))]
+    assert tweet_tokens(text) == TweetTokens(
+        ("wow", "check", "i'm", "done"), ("https://x.co/a", "@bob"),
+        (",", "#fun", "\U0001F600", "!!"), 1, 1)
 
 
 def test_token_records_are_immutable_hashable_and_named():
-    token = Token("farmer", "word", (0, 6))
-    tagged = TaggedToken(token, "NN")
-    assert (token.text, token.kind, token.char_span) == ("farmer", "word", (0, 6))
-    assert tagged.token is token and tagged.pos == "NN"
-    for record, name in ((token, "text"), (token, "char_span"),
-                         (tagged, "token"), (tagged, "pos")):
+    """A scanned description is a Tagged record of plain values."""
+    tagged = Tagger(tag_lexicon()).scan("Proud farmer")
+    assert tagged.texts == ("proud", "farmer")
+    assert len(tagged.codes) == 2 and isinstance(tagged.codes, str)
+    for name in ("texts", "codes"):
         with pytest.raises(AttributeError):
-            setattr(record, name, None)
+            setattr(tagged, name, None)
     with pytest.raises(TypeError):
-        token[0] = "x"
-    assert {token, Token("farmer", "word", (0, 6))} == {token}
-    assert len({tagged, TaggedToken(Token("farmer", "word", (0, 6)), "NN"),
-                TaggedToken(token, "JJ")}) == 2
-    assert repr(token) == "Token(text='farmer', kind='word', char_span=(0, 6))"
+        tagged[0] = "x"
+    assert {tagged, Tagged(("proud", "farmer"), tagged.codes)} == {tagged}
+    assert repr(tagged).startswith("Tagged(texts=('proud', 'farmer'), codes=")
     # a tuple subclass: equal to the plain tuple of its fields
-    assert token == ("farmer", "word", (0, 6))
+    assert tagged == (("proud", "farmer"), tagged.codes)
 
 
 def tokens_by_kind(text) -> TweetTokens:
@@ -241,7 +235,7 @@ def test_tweet_scan_emoji_set_is_the_emoji_class():
                      if emoji_class.fullmatch(chr(code))}
 
 
-def reference_tokenize(text) -> list[tuple]:
+def reference_groups_tokenize(text) -> list[tuple]:
     """The tokenizer that recomputed each kind from the match's groups
     tuple (one group per kind, only the matched one non-empty) instead of
     reading match.lastgroup; kept as the oracle for tokenize."""
@@ -264,42 +258,50 @@ def reference_tokenize(text) -> list[tuple]:
     return tokens
 
 
+def assert_tokenize_is(reference: list[tuple], text: str) -> None:
+    """tokenize, token_spans and the word codes of text against the
+    (text, kind, span) of its reference tokens."""
+    assert tokenize(text) == tuple(token for token, _, _ in reference)
+    assert token_spans(text) == [span for _, _, span in reference]
+    assert [code in WORD_CODES for code in tag(text).codes] == \
+        [kind == "word" for _, kind, _ in reference]
+    assert reference_tokenize(text) == reference
+
+
 @given(tweet_texts())
 @settings(max_examples=1000)
 def test_tokenize_matches_the_groups_tuple_reference(text):
-    tokens = tokenize(text)
-    assert all(type(token) is Token for token in tokens)
-    assert tokens == reference_tokenize(text)
+    assert_tokenize_is(reference_groups_tokenize(text), text)
 
 
 @pytest.mark.parametrize("text", [*TRICKY_PIECES, "".join(TRICKY_PIECES),
                                   " ".join(TRICKY_PIECES)])
 def test_tokenize_matches_the_reference_on_each_tricky_piece(text):
-    assert tokenize(text) == reference_tokenize(text)
+    assert_tokenize_is(reference_groups_tokenize(text), text)
 
 
 def test_tokenize_hyphenated_word_is_one_token():
-    tokens = tokenize("african-american culture")
-    assert tokens[0].text == "african-american"
-    assert tokens[0].kind == "word"
+    assert tokenize("african-american culture") == ("african-american",
+                                                    "culture")
+    assert tag("african-american culture").codes[0] in WORD_CODES
 
 
 def test_tokenize_emoji_and_punct():
-    tokens = kinds("done 🎉 ...")
-    assert ("🎉", "emoji") in tokens
-    assert ("...", "punct") in tokens
+    assert tweet_tokens("done 🎉 ...").others == ("🎉", "...")
+    assert kinds("done 🎉 ...") == [("done", "word"), ("🎉", "emoji"),
+                                    ("...", "punct")]
 
 
 def test_tokenize_round_trip_reconstructs_source(rng):
     pieces = [rng.choice(WORDS) for _ in range(40)]
     text = " ".join(pieces) + "  trailing: end."
-    tokens = tokenize(text)
+    spans = token_spans(text)
+    assert len(spans) == len(tokenize(text))
     # slices of the source at the token spans, joined with the original
     # inter-token gaps, must reproduce the input
     rebuilt = []
     prev_end = 0
-    for token in tokens:
-        start, end = token.char_span
+    for start, end in spans:
         rebuilt.append(text[prev_end:start])
         rebuilt.append(text[start:end])
         prev_end = end
@@ -308,24 +310,32 @@ def test_tokenize_round_trip_reconstructs_source(rng):
 
 
 def test_tag_lexicon_default_for_oov():
+    """An out-of-lexicon word is a noun to the pattern, tagged NN by
+    default, but never a kept self-report word."""
     lex = TagLexicon(tags={"cat": "NN"})
-    assert lex.tag("cat") == "NN"
-    assert lex.tag("zorgle") == "NN"
+    assert pos_tag(("cat", "zorgle"), lex) == (code_set((0,), (0,), (4,))
+                                               + code_set((0,), (0,), (5,)))
+    assert selfreport_words(Tagger(lex).scan("i am cat")) == {"cat"}
+    assert selfreport_words(Tagger(lex).scan("i am zorgle")) == set()
 
 
 def test_pos_tag_uses_sentinels_for_non_words():
-    tagged = tag("see @you at #home https://a.example :)")
-    by_text = {tt.token.text: tt.pos for tt in tagged}
-    assert by_text["@you"] == SENTINEL_TAGS["mention"]
-    assert by_text["#home"] == SENTINEL_TAGS["hashtag"]
-    assert by_text["https://a.example"] == SENTINEL_TAGS["url"]
+    """Mentions, hashtags, urls, emoji and punct share one code, of no tag
+    class, whatever the lexicon says of their texts."""
+    tokens = tokenize("see @you at #home https://a.example :) 🎉")
+    lex = TagLexicon(tags={**tag_lexicon().tags, "#home": "JJ", "@you": "NN"})
+    by_text = dict(zip(tokens, pos_tag(tokens, lex)))
+    sentinel = code_set((0,), (1,), (0,))
+    for text in ("@you", "#home", "https://a.example", ":)", "🎉"):
+        assert by_text[text] == sentinel
+    assert by_text["see"] != sentinel
 
 
 def test_pos_tag_parallel_lists():
     tokens = tokenize("a black cat")
-    tagged = pos_tag(tokens, tag_lexicon())
-    assert len(tagged) == len(tokens)
-    assert [tt.token for tt in tagged] == tokens
+    codes = pos_tag(tokens, tag_lexicon())
+    assert len(codes) == len(tokens)
+    assert Tagger(tag_lexicon()).scan("a black cat") == (tokens, codes)
 
 
 @pytest.mark.parametrize("text,expected", [
@@ -341,30 +351,34 @@ def test_pos_tag_parallel_lists():
     ("i am and then some", []),
 ])
 def test_extraction_pattern(text, expected):
-    assert extract_selfreport_candidates(tag(text)) == expected
+    # the candidates with their tags, by the reference loop, and the kept
+    # words (every candidate here is singular and in the lexicon)
+    assert reference_extract(reference_tag(text, tag_lexicon().tags)) == \
+        expected
+    assert selfreport_words(tag(text)) == {word for word, _ in expected}
 
 
 def test_extraction_is_case_insensitive():
-    lower = extract_selfreport_candidates(tag("i am a Black Farmer".lower()))
-    mixed = extract_selfreport_candidates(tag("I AM A BLACK FARMER"))
-    assert lower == mixed == [("black", "JJ"), ("farmer", "NN")]
+    lower = selfreport_words(tag("i am a Black Farmer".lower()))
+    mixed = selfreport_words(tag("I AM A BLACK FARMER"))
+    assert lower == mixed == {"black", "farmer"}
 
 
 def test_extraction_im_spelling_is_opt_in():
     tagged = tag("im asian")
-    assert extract_selfreport_candidates(tagged) == []
-    assert extract_selfreport_candidates(tagged, allow_im=True) == [("asian", "JJ")]
+    assert selfreport_words(tagged) == set()
+    assert selfreport_words(tagged, allow_im=True) == {"asian"}
 
 
 def test_extraction_multiple_triggers():
-    got = extract_selfreport_candidates(tag("i am happy and i am a farmer"))
-    assert got == [("happy", "JJ"), ("farmer", "NN")]
+    got = selfreport_words(tag("i am happy and i am a farmer"))
+    assert got == {"happy", "farmer"}
 
 
 def test_selfreport_words_drop_plurals_and_oov():
     # "people" is NNS; "zorgle" is out of vocabulary
-    assert selfreport_words(tag("i am a white people"), tag_lexicon()) == {"white"}
-    assert selfreport_words(tag("i am a zorgle"), tag_lexicon()) == set()
+    assert selfreport_words(tag("i am a white people")) == {"white"}
+    assert selfreport_words(tag("i am a zorgle")) == set()
 
 
 def test_lexicon_rejects_impossible_counts():
@@ -376,7 +390,7 @@ def test_lexicon_rejects_impossible_counts():
 
 def test_lexicon_membership_and_total():
     lex = SelfReportLexicon(os_counts={"a": 2, "b": 1}, o_counts={"a": 3, "b": 1})
-    assert "a" in lex and "c" not in lex
+    assert "a" in lex.os_counts and "c" not in lex.os_counts
     assert len(lex) == 2
     assert lex.total_selfreport == 3
     assert set(lex.os_counts) == {"a", "b"}
