@@ -75,6 +75,26 @@ def _metrics(table: list[list[int]]) -> dict:
     }
 
 
+def accuracy(labels: Sequence[ClassLabel], predictions: Sequence[ClassLabel]) -> float:
+    return _metrics(count_table(labels, predictions))["accuracy"]
+
+
+def macro_f1(labels: Sequence[ClassLabel], predictions: Sequence[ClassLabel]) -> float:
+    return _metrics(count_table(labels, predictions))["macro_f1"]
+
+
+def confusion_matrix(labels: Sequence[ClassLabel],
+                     predictions: Sequence[ClassLabel]) -> list[list[float]]:
+    """4x4 matrix of test-set percentages; rows are true labels, columns
+    predictions; all entries sum to 100."""
+    return _metrics(count_table(labels, predictions))["confusion"]
+
+
+def per_class_accuracy(labels: Sequence[ClassLabel],
+                       predictions: Sequence[ClassLabel]) -> list[float]:
+    return _metrics(count_table(labels, predictions))["per_class_accuracy"]
+
+
 def balance_subsample(pairs: Sequence[tuple[object, ClassLabel]],
                       seed: int) -> list[tuple[object, ClassLabel]]:
     """m = min class count among classes present; return m seeded-random

@@ -4,8 +4,8 @@ Architecture: 256-dim character embeddings -> 256 convolution filters of width
 3 -> ReLU -> max-pool over positions -> concatenate metadata -> two fully
 connected layers -> softmax over the four classes. Names are truncated at 50
 characters before encoding. Forward, backward, and the update loop are plain
-numpy with manual gradients, which the tests check against central finite
-differences.
+numpy with manual gradients; gradient_check verifies them against central
+finite differences.
 
 The convolution works on the batch's distinct characters, not its padded
 windows: Wc holds one (De,) row per filter and slot, so one GEMM projects
@@ -163,6 +163,13 @@ def _loss_from_logits(logits: np.ndarray, y_idx: np.ndarray,
     return float(ce + reg), probs
 
 
+def loss_only(params: dict, ids: np.ndarray, metas: np.ndarray,
+              y_idx: np.ndarray, sample_weights: np.ndarray, l2: float) -> float:
+    logits, _ = _forward(params, ids, metas)
+    loss, _ = _loss_from_logits(logits, y_idx, sample_weights, params, l2)
+    return loss
+
+
 def loss_and_grads(params: dict, ids: np.ndarray, metas: np.ndarray,
                    y_idx: np.ndarray, sample_weights: np.ndarray,
                    l2: float) -> tuple[float, dict[str, np.ndarray]]:
@@ -287,3 +294,43 @@ def train_name_cnn(names: Sequence[str], metas: np.ndarray, y_idx: np.ndarray,
             params[key] -= config.learning_rate * grad
     return NameModel(char_vocab=char_vocab, params=params,
                      meta_dim=metas.shape[1])
+
+
+def gradient_check(model: NameModel, names, metas, labels,
+                   sample_weights=None, l2: float = 1e-4, step: float = 1e-5,
+                   coords_per_tensor: int = 40, seed: int = 0) -> float:
+    """Max relative error between analytic and central finite-difference
+    gradients over sampled coordinates of every parameter tensor. Coordinates
+    are sampled among those with non-negligible analytic gradient so the
+    relative error is meaningful."""
+    ids = encode_names(names, model.char_vocab)
+    metas = np.atleast_2d(np.asarray(metas, dtype=np.float64))
+    y_idx = label_indices(labels)
+    if sample_weights is None:
+        sample_weights = np.ones(len(labels))
+    sample_weights = np.asarray(sample_weights, dtype=np.float64)
+
+    params = model.params
+    _, grads = loss_and_grads(params, ids, metas, y_idx, sample_weights, l2)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for key, tensor in params.items():
+        grad = grads[key].ravel()
+        candidates = np.flatnonzero(np.abs(grad) > 1e-5)
+        if len(candidates) == 0:
+            continue
+        if len(candidates) > coords_per_tensor:
+            candidates = rng.choice(candidates, size=coords_per_tensor,
+                                    replace=False)
+        flat = tensor.ravel()
+        for coord in candidates:
+            original = flat[coord]
+            flat[coord] = original + step
+            up = loss_only(params, ids, metas, y_idx, sample_weights, l2)
+            flat[coord] = original - step
+            down = loss_only(params, ids, metas, y_idx, sample_weights, l2)
+            flat[coord] = original
+            numeric = (up - down) / (2.0 * step)
+            denom = max(abs(grad[coord]), abs(numeric), 1e-8)
+            worst = max(worst, abs(grad[coord] - numeric) / denom)
+    return worst

@@ -72,6 +72,9 @@ class TagLexicon:
     """Context-free tagger: word -> majority Penn tag, NN for OOV."""
     tags: dict[str, str]
 
+    def tag(self, word: str) -> str:
+        return self.tags.get(word, "NN")
+
     @classmethod
     def from_tsv(cls, path) -> "TagLexicon":
         """word<TAB>tag rows (trimmed, # comments allowed); the lowercased
@@ -330,55 +333,57 @@ WORD_CODES = code_set(nonword=(0,))
 PLURAL_CODES = code_set(tag_classes=(6,))
 KEYWORD_CODES = code_set(marks=(5,))
 _KEPT_CODES = code_set(tag_classes=(3, 4))  # JJ, or NN from the lexicon
+_NONWORD_CODE = code_set((0,), (1,), (0,))
+_UNLISTED_WORD_CODE = code_set((0,), (0,), (5,))
+
+
+def _is_word(text: str) -> bool:
+    """Whether a token text is a word or contraction token's: it starts
+    with a word character that is no emoji, and not with a url prefix."""
+    lead = text[:1]
+    return ((lead.isalnum() or lead == "_") and lead not in _tweet_scans()[2]
+            and not text.startswith(_URL_PREFIXES))
+
+
+def _code(text: str, tags: dict[str, str], keywords=frozenset()) -> str:
+    if not _is_word(text):
+        return _NONWORD_CODE
+    return chr(0x100 + 16 * _TRIGGERS.get(text, 5 * (text in keywords))
+               + 7 * ("'" in text and text in load_contractions())
+               + (5 if text not in tags else _TAG_CLASSES.get(tags[text], 0)))
 
 
 class Tagger:
-    """Scans descriptions into Tagged values for one run, coding tokens by
-    the tag lexicon and marking the given keywords.
+    """Scans descriptions into Tagged values, coding tokens by the tag
+    lexicon and marking the given keywords.
 
-    A token's text settles its code: a text that starts with a word
-    character that is no emoji, and not with a url prefix, is a word or a
-    contraction, and a contraction if it holds an apostrophe and is a
-    packaged one. So each distinct text is coded once, into a table emptied
-    when it passes `limit` texts.
+    A token's text settles its code. The texts of the tag lexicon, the
+    trigger words, the keywords and the packaged contractions are coded
+    once, when the Tagger is made; any other text, such as a handle or url
+    unique to one description, is a word out of the lexicon or not a word,
+    one of two codes.
     """
-    limit = 1 << 15
 
     def __init__(self, tag_lexicon: TagLexicon, keywords=()):
-        self._tags = tag_lexicon.tags
-        self._keywords = frozenset(keywords)
-        self._codes: dict[str, str] = {}
+        tags, keywords = tag_lexicon.tags, frozenset(keywords)
+        self._codes = {
+            text: _code(text, tags, keywords)
+            for text in {*tags, *_TRIGGERS, *keywords, *load_contractions()}}
 
     def scan(self, text: str) -> Tagged:
         """The one pass over a description."""
         texts = tokenize(text)
-        return _new_tagged((texts, self.codes(texts)))
-
-    def codes(self, texts) -> str:
-        codes = self._codes
-        try:
-            return "".join(map(codes.__getitem__, texts))
-        except KeyError:
-            if len(codes) > self.limit:
-                codes.clear()
-            codes.update((text, self._code(text)) for text in texts)
-            return "".join(map(codes.__getitem__, texts))
-
-    def _code(self, text: str) -> str:
-        lead = text[0]
-        if (not (lead.isalnum() or lead == "_") or lead in _tweet_scans()[2]
-                or text.startswith(_URL_PREFIXES)):
-            return code_set((0,), (1,), (0,))
-        tag = self._tags.get(text)
-        return code_set(
-            (_TRIGGERS.get(text, 5 if text in self._keywords else 0),),
-            ("'" in text and text in load_contractions(),),
-            (5 if tag is None else _TAG_CLASSES.get(tag, 0),))
+        codes = list(map(self._codes.get, texts))
+        if None in codes:
+            codes = [code or (_UNLISTED_WORD_CODE if _is_word(token)
+                              else _NONWORD_CODE)
+                     for code, token in zip(codes, texts)]
+        return _new_tagged((texts, "".join(codes)))
 
 
 def pos_tag(tokens, lexicon: TagLexicon) -> str:
     """The codes of the token texts, no keywords marked."""
-    return Tagger(lexicon).codes(tokens)
+    return "".join([_code(text, lexicon.tags) for text in tokens])
 
 
 @functools.cache
@@ -414,6 +419,9 @@ class SelfReportLexicon:
         for word, os_count in self.os_counts.items():
             _check_counts(word, os_count, self.o_counts.get(word, 0))
         self.total_selfreport = sum(self.os_counts.values())
+
+    def __contains__(self, word: str) -> bool:
+        return word in self.os_counts
 
     def __len__(self) -> int:
         return len(self.os_counts)

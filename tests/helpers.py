@@ -268,31 +268,7 @@ def planted_payloads() -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# label fixtures and metrics for evaluation tests
-
-def metric(name: str, labels, predictions):
-    """One EvalReport metric of the predictions, from their count table."""
-    from identminer.evaluation import _metrics, count_table
-    return _metrics(count_table(labels, predictions))[name]
-
-
-def accuracy(labels, predictions) -> float:
-    return metric("accuracy", labels, predictions)
-
-
-def macro_f1(labels, predictions) -> float:
-    return metric("macro_f1", labels, predictions)
-
-
-def confusion_matrix(labels, predictions) -> list[list[float]]:
-    """4x4 matrix of test-set percentages; rows are true labels, columns
-    predictions; all entries sum to 100."""
-    return metric("confusion", labels, predictions)
-
-
-def per_class_accuracy(labels, predictions) -> list[float]:
-    return metric("per_class_accuracy", labels, predictions)
-
+# label fixtures for evaluation tests
 
 def skewed_labels():
     """1000 gold labels with class shares 80.8 / 9.5 / 6.1 / 3.6 percent."""
@@ -303,57 +279,3 @@ def skewed_labels():
     for label, count in counts.items():
         labels.extend([label] * count)
     return labels
-
-
-# ---------------------------------------------------------------------------
-# the name model's gradients against finite differences
-
-def loss_only(params, ids, metas, y_idx, sample_weights, l2) -> float:
-    """The name model's loss_and_grads loss, without the backward pass."""
-    from identminer.models.namecnn import _forward, _loss_from_logits
-    logits, _ = _forward(params, ids, metas)
-    loss, _ = _loss_from_logits(logits, y_idx, sample_weights, params, l2)
-    return loss
-
-
-def gradient_check(model, names, metas, labels,
-                   sample_weights=None, l2: float = 1e-4, step: float = 1e-5,
-                   coords_per_tensor: int = 40, seed: int = 0) -> float:
-    """Max relative error between analytic and central finite-difference
-    gradients over sampled coordinates of every parameter tensor. Coordinates
-    are sampled among those with non-negligible analytic gradient so the
-    relative error is meaningful."""
-    import numpy as np
-    from identminer.models.namecnn import encode_names, loss_and_grads
-    from identminer.models.training import label_indices
-    ids = encode_names(names, model.char_vocab)
-    metas = np.atleast_2d(np.asarray(metas, dtype=np.float64))
-    y_idx = label_indices(labels)
-    if sample_weights is None:
-        sample_weights = np.ones(len(labels))
-    sample_weights = np.asarray(sample_weights, dtype=np.float64)
-
-    params = model.params
-    _, grads = loss_and_grads(params, ids, metas, y_idx, sample_weights, l2)
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for key, tensor in params.items():
-        grad = grads[key].ravel()
-        candidates = np.flatnonzero(np.abs(grad) > 1e-5)
-        if len(candidates) == 0:
-            continue
-        if len(candidates) > coords_per_tensor:
-            candidates = rng.choice(candidates, size=coords_per_tensor,
-                                    replace=False)
-        flat = tensor.ravel()
-        for coord in candidates:
-            original = flat[coord]
-            flat[coord] = original + step
-            up = loss_only(params, ids, metas, y_idx, sample_weights, l2)
-            flat[coord] = original - step
-            down = loss_only(params, ids, metas, y_idx, sample_weights, l2)
-            flat[coord] = original
-            numeric = (up - down) / (2.0 * step)
-            denom = max(abs(grad[coord]), abs(numeric), 1e-8)
-            worst = max(worst, abs(grad[coord] - numeric) / denom)
-    return worst

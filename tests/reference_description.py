@@ -187,7 +187,7 @@ def reference_score(tagged, token_index: int, lexicon, window: int,
         if distance == 0 or distance > window:
             continue
         word = tagged[index].token.text
-        if word not in lexicon.os_counts:
+        if word not in lexicon:
             continue
         os_count = lexicon.os_counts[word]
         term = (1.0 / distance) * (os_count / lexicon.o_counts[word])

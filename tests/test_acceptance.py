@@ -18,20 +18,21 @@ from identminer.analytics import (kendall_tau_top_k,
 from identminer.cli import main as cli_main
 from identminer.datasets import (LabeledUser, build_cb, build_hf, build_qb,
                                  match_reports, merge_candidates)
+from identminer.evaluation import accuracy, macro_f1
 from identminer.filters import (CLASS_ORDER, FILTER_NAMES, apply_filter_chain,
                                 find_query_matches)
 from identminer.models.namecnn import (NameModel, build_char_vocab,
-                                       init_params, train_name_cnn)
+                                       gradient_check, init_params,
+                                       train_name_cnn)
 from identminer.models.training import (TrainConfig, example_weights,
                                         inverse_class_weights)
 from identminer.models.unigram import train_unigram
 from identminer.scorer import WEIGHTINGS, ScoreParams, score_description
 from identminer.textprep import build_selfreport_lexicon
 
-from helpers import (accuracy, gradient_check, macro_f1, planted_payloads,
-                     planted_users, skewed_labels, tag, tag_lexicon,
-                     training_arrays, tweet_payload, user_payload,
-                     write_jsonl)
+from helpers import (planted_payloads, planted_users, skewed_labels, tag,
+                     tag_lexicon, training_arrays, tweet_payload,
+                     user_payload, write_jsonl)
 from reference_description import reference_tag
 from test_scorer import match_at, oracle_score, random_lexicon, random_text
 
@@ -101,7 +102,7 @@ def test_criterion_2_score_oracle_equivalence(capsys):
         far_match = find_query_matches(far, "i am a black beans farmer")[0]
         for _ in range(100):
             lexicon = random_lexicon(rng)
-            if "farmer" not in lexicon.os_counts:
+            if "farmer" not in lexicon:
                 lexicon.os_counts["farmer"] = 1
                 lexicon.o_counts["farmer"] = 2
             for weighting in WEIGHTINGS:

@@ -108,15 +108,20 @@ def test_scan_matches_the_records_on_every_pair_of_pieces():
                         for tt in records)), text
 
 
-def test_tagger_codes_alike_after_its_table_is_emptied():
-    tagger = Tagger(tag_lexicon(), DEFAULT_QUERY_MAP)
-    tagger.limit = 3
-    texts = ["i am a proud black farmer", "zorgle #tag @who !",
-             "I’m asian", "i am a proud black farmer"]
-    assert [tagger.scan(text) for text in texts] == [tag(text)
-                                                     for text in texts]
-    # past the limit it is emptied, then takes one text's texts
-    assert len(tagger._codes) <= 3 + 6
+def test_tagger_codes_unlisted_texts_without_keeping_them():
+    """Texts outside the lexicon, the triggers, the keywords and the
+    contractions, such as a handle or url unique to one description, get
+    their code without entering the Tagger's table."""
+    tagger = Tagger(TagLexicon(TAGS), DEFAULT_QUERY_MAP)
+    listed = dict(tagger._codes)
+    texts = ["i am a proud black zorgle @zorgle_17 https://t.co/x1",
+             "Zorgle #tag @who ! _under 9lives ❶x www.x.org I’m asian",
+             "i'm so don't it’s \"latina\" im"]
+    for text in texts:
+        records = reference_tag(text, TAGS)
+        assert tagger.scan(text).codes == "".join(
+            expected_code(tt.token, tt.pos, TAGS) for tt in records), text
+    assert tagger._codes == listed
 
 
 @given(st.lists(description_texts(), max_size=6), tag_lexicons(),

@@ -4,13 +4,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from identminer.evaluation import (EvalReport, balance_subsample, evaluate,
-                                   format_report_table)
+from identminer.evaluation import (EvalReport, accuracy, balance_subsample,
+                                   confusion_matrix, evaluate,
+                                   format_report_table, macro_f1,
+                                   per_class_accuracy)
 from identminer.filters import CLASS_ORDER
 from identminer.models.baselines import MajorityBaseline, RandomBaseline
 
-from helpers import (accuracy, confusion_matrix, macro_f1, per_class_accuracy,
-                     skewed_labels)
+from helpers import skewed_labels
 
 W, B, HL, A = CLASS_ORDER
 

@@ -9,12 +9,13 @@ from identminer.models import load_model, save_model
 from identminer.models.namecnn import (EMBED_DIM, FILTER_WIDTH, MAX_NAME_LEN,
                                        OOV_INDEX, PAD_INDEX, NameModel,
                                        build_char_vocab, encode_names,
-                                       init_params, loss_and_grads,
+                                       gradient_check, init_params,
+                                       loss_and_grads, loss_only,
                                        train_name_cnn)
 from identminer.models.training import (TrainConfig, label_indices, one_hot,
                                         softmax)
 
-from helpers import gradient_check, loss_only, training_arrays
+from helpers import training_arrays
 
 W, B, HL, A = CLASS_ORDER
 

@@ -33,7 +33,7 @@ def oracle_score(tagged, match, lexicon, params):
         if distance == 0 or distance > params.window:
             continue
         word = tt.token.text
-        if word not in lexicon.os_counts:
+        if word not in lexicon:
             continue
         term = (1.0 / distance) * (lexicon.os_counts[word] / lexicon.o_counts[word])
         if params.weighting == "tfidf":

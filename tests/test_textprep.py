@@ -313,6 +313,8 @@ def test_tag_lexicon_default_for_oov():
     """An out-of-lexicon word is a noun to the pattern, tagged NN by
     default, but never a kept self-report word."""
     lex = TagLexicon(tags={"cat": "NN"})
+    assert lex.tag("cat") == "NN"
+    assert lex.tag("zorgle") == "NN"
     assert pos_tag(("cat", "zorgle"), lex) == (code_set((0,), (0,), (4,))
                                                + code_set((0,), (0,), (5,)))
     assert selfreport_words(Tagger(lex).scan("i am cat")) == {"cat"}
