@@ -14,7 +14,7 @@ from collections import Counter
 from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
 
-from .filters import ClassLabel
+from .labels import ClassLabel
 from .ingest import UserRecord
 from .textprep import ChunkTable, chunk_tokens
 from .util import Sentinel, mean

@@ -4,6 +4,13 @@ hash of the semantic config in its outputs, and derives all randomness from
 one root seed, so reruns with the same config and seed are byte-identical and
 results never depend on --workers.
 
+Each subcommand imports only the modules it runs. At module level this
+file loads the standard library, util, resources and labels, which is all
+that argument parsing, config resolution, logging and result writing need;
+every stage module is imported inside the function that uses it. So the
+baselines load no text-processing module, and only train and evaluate of a
+unigram or name model load numpy.
+
 Exit codes: 0 success, 1 usage error, 2 data error. Logging level comes from
 the IDENTMINER_LOG environment variable (error, info, debug).
 """
@@ -20,23 +27,15 @@ import reprlib
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import NamedTuple
+from typing import TYPE_CHECKING, NamedTuple
 
-from . import analytics, resources
-from .datasets import (build_cb, hf_users, merge_candidates, qb_users,
-                       read_dataset_tsv, scan_descriptions, score_reports,
-                       write_dataset_tsv)
-from .evaluation import SETTINGS, evaluate, format_report_table
-from .filters import CLASS_ORDER, FILTER_ALIASES, FILTER_NAMES, enabled_filters
-from .ingest import ParseFailure, UserRecord, dedupe_latest, load_users
-# the numpy model modules are imported only in the train and evaluate
-# branches that use them
-from .models import baseline_majority, baseline_random, load_model, save_model
-from .scorer import (WEIGHTINGS, ScoreParams, read_tuning_tsv, score_grid,
-                     tune_params)
-from .textprep import (SelfReportCounter, SelfReportLexicon,
-                       build_selfreport_lexicon)
+from . import resources
+from .labels import (CLASS_ORDER, FILTER_ALIASES, FILTER_NAMES, SETTINGS,
+                     WEIGHTINGS, read_dataset_tsv, write_dataset_tsv)
 from .util import DataError, config_hash, stage_seed, write_json
+
+if TYPE_CHECKING:
+    from .ingest import UserRecord
 
 logger = logging.getLogger("identminer")
 
@@ -307,6 +306,7 @@ def _load_corpus(path: str, keep) -> tuple[dict, int]:
     order, for the users whose keep is not None; plus the count of lines that
     failed to parse. The lines stream from the parser straight into
     dedupe_latest, so only the kept values outlive their line."""
+    from .ingest import ParseFailure, dedupe_latest, load_users
     parsed = failures = 0
 
     def records(handle):
@@ -357,6 +357,8 @@ def _description_pass(paths: dict, config: dict, descriptions, tag_lexicon):
     """The one pass over the descriptions: (lexicon, unscored reports of the
     users matching exactly one class). The lexicon is read from --lexicon, or
     else counted from the same tagged tokens that the query matching uses."""
+    from .datasets import scan_descriptions
+    from .textprep import SelfReportCounter, SelfReportLexicon
     if paths.get("lexicon"):
         lexicon = _read_input(paths, "lexicon", SelfReportLexicon.from_tsv)
         if not lexicon.os_counts:
@@ -377,6 +379,7 @@ def _result_base(config: dict, command: str) -> dict:
 
 
 def cmd_lexicon_build(args: argparse.Namespace) -> int:
+    from .textprep import build_selfreport_lexicon
     config, paths = _resolve(args)
     corpus_path = _require(paths, "corpus")
     tag_lexicon = _tag_lexicon(paths)
@@ -423,6 +426,10 @@ def _filter_accounting(reports, filters: tuple[str, ...]):
 
 
 def cmd_dataset_build(args: argparse.Namespace) -> int:
+    from .datasets import (build_cb, hf_users, merge_candidates, qb_users,
+                           score_reports)
+    from .filters import enabled_filters
+    from .scorer import ScoreParams
     config, paths = _resolve(args)
     kind = config["kind"]
     if kind is None:
@@ -470,6 +477,8 @@ def cmd_dataset_build(args: argparse.Namespace) -> int:
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
+    from . import analytics
+    from .scorer import read_tuning_tsv, score_grid, tune_params
     config, paths = _resolve(args)
     corpus_path = _require(paths, "corpus")
     rows = _read_input(paths, "tuning", read_tuning_tsv)
@@ -567,6 +576,7 @@ def _read_dataset(paths: dict, key: str):
 
 
 def _write_model(paths: dict, model, result: dict) -> int:
+    from .models import save_model
     out = _out_dir(paths)
     save_model(model, out / "model.json")
     write_json(out / "train_result.json", result)
@@ -574,6 +584,7 @@ def _write_model(paths: dict, model, result: dict) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
+    from .models import baseline_majority, baseline_random
     config, paths = _resolve(args)
     model_name = config["model"]
     if model_name != "unigram" and paths.get("embeddings"):
@@ -644,6 +655,8 @@ def cmd_train(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    from .evaluation import evaluate, format_report_table
+    from .models import load_model
     config, paths = _resolve(args)
     model_path = _require(paths, "model_file")
     try:
@@ -704,6 +717,7 @@ def _pair_table(labels, stat) -> dict:
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
+    from . import analytics
     config, paths = _resolve(args)
     dataset = _read_dataset(paths, "data")
     # analyze reads whole records: names, profiles and every tweet field

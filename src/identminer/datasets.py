@@ -1,5 +1,6 @@
-"""Builders for the three weakly-labeled datasets (QB, HF, CB) and their TSV
-format.
+"""Builders for the three weakly-labeled datasets (QB, HF, CB). Their
+records and TSV format (LabeledUser, read_dataset_tsv, write_dataset_tsv)
+are defined in labels and importable from here too.
 
 QB: users whose description has a query keyword immediately followed by a
 person keyword. HF: users with at least one query match that survives all
@@ -9,34 +10,17 @@ defaulting to the smallest class count.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
-from .filters import (CLASS_ORDER, DEFAULT_QUERY_MAP, ClassLabel, QueryMatch,
-                      apply_filter_chain, assign_class, find_query_matches,
-                      person_bigram_match)
+from .filters import (DEFAULT_QUERY_MAP, QueryMatch, apply_filter_chain,
+                      assign_class, find_query_matches, person_bigram_match)
+from .labels import (AUTO_SOURCES, CLASS_ORDER, SOURCES,  # noqa: F401
+                     ClassLabel, LabeledUser, read_dataset_tsv,
+                     write_dataset_tsv)
 from .scorer import ScoreParams, score_matches
 from .textprep import (SelfReportCounter, SelfReportLexicon, TagLexicon,
                        Tagged, Tagger)
-from .util import decimal_float, read_rows
-
-SOURCES = ("QB", "HF", "CB", "crowd", "survey")
-AUTO_SOURCES = frozenset({"QB", "HF", "CB"})
-
-
-@dataclass(frozen=True)
-class LabeledUser:
-    user_id: str
-    label: ClassLabel
-    score: float | None
-    source: str
-
-    def __post_init__(self):
-        if self.source not in SOURCES:
-            raise ValueError(f"unknown source {self.source!r}")
-        if self.source in AUTO_SOURCES and self.score is None:
-            raise ValueError(f"{self.source} users must carry a score")
 
 
 @dataclass
@@ -179,27 +163,3 @@ def build_cb(candidates: Sequence[LabeledUser], k: int | None = None) -> list[La
         ranked = sorted(by_class[label], key=lambda u: (-u.score, u.user_id))
         out.extend(replace(user, source="CB") for user in ranked[:k])
     return out
-
-
-def write_dataset_tsv(users: Sequence[LabeledUser], path) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        for user in users:
-            score = "" if user.score is None else repr(user.score)
-            handle.write(f"{user.user_id}\t{user.label.value}\t{score}\t{user.source}\n")
-
-
-def read_dataset_tsv(path) -> list[LabeledUser]:
-    """Rows of a dataset TSV. Raises ValueError naming the file and line for
-    a row that is malformed, repeats a user id or has a score that is not a
-    finite ASCII decimal (util.decimal_float)."""
-    return read_rows(path, _dataset_row, unique="user id")
-
-
-def _dataset_row(fields: list[str]) -> LabeledUser:
-    if len(fields) != 4:
-        raise ValueError("expected 4 tab-separated fields")
-    user_id, code, score_text, source = fields
-    score = decimal_float(score_text, "score") if score_text else None
-    if score is not None and not math.isfinite(score):
-        raise ValueError(f"score {score_text!r} is not finite")
-    return LabeledUser(user_id, ClassLabel.from_code(code), score, source)

@@ -10,9 +10,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .filters import CLASS_ORDER, ClassLabel
-
-SETTINGS = ("imbalanced", "balanced")
+from .labels import CLASS_ORDER, SETTINGS, ClassLabel  # noqa: F401
 
 
 @dataclass

@@ -7,32 +7,13 @@ from __future__ import annotations
 
 import functools
 import re
-from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
+from .labels import (CLASS_ORDER, FILTER_ALIASES, FILTER_NAMES,  # noqa: F401
+                     ClassLabel)
 from .textprep import (KEYWORD_CODES, PLURAL_CODES, WORD_CODES, Tagged,
                        code_pattern, token_spans)
 from .util import Sentinel
-
-
-class ClassLabel(Enum):
-    WHITE = "W"
-    BLACK = "B"
-    HISPANIC_LATINX = "HL"
-    ASIAN = "A"
-
-    @classmethod
-    def from_code(cls, code: str) -> "ClassLabel":
-        for label in cls:
-            if label.value == code:
-                return label
-        raise ValueError(f"unknown class code {code!r}")
-
-
-# fixed order used for tie-breaks, vectors, and confusion matrices
-CLASS_ORDER: tuple[ClassLabel, ...] = (
-    ClassLabel.WHITE, ClassLabel.BLACK, ClassLabel.HISPANIC_LATINX, ClassLabel.ASIAN,
-)
 
 DEFAULT_QUERY_MAP: dict[str, ClassLabel] = {
     "black": ClassLabel.BLACK,
@@ -49,10 +30,6 @@ DEFAULT_QUERY_MAP: dict[str, ClassLabel] = {
 
 PERSON_KEYWORDS = frozenset(
     {"man", "woman", "person", "individual", "guy", "gal", "boy", "girl"})
-
-FILTER_NAMES = ("color", "plural", "bigram_blocklist", "quote")
-# the short config name of a filter -> its FILTER_NAMES entry
-FILTER_ALIASES = {"bigram": "bigram_blocklist"}
 
 
 AMBIGUOUS = Sentinel("AMBIGUOUS")

@@ -5,9 +5,10 @@ config).
 
 Only the baselines load with this package. The numpy submodules (features,
 namecnn, training, unigram) are imported from their own module paths where
-they are used, and load_model imports the one a saved kind needs, so the
-baseline and description-path subcommands never import numpy. No model
-needs more than numpy, to train or to predict.
+they are used, and load_model imports the one a saved kind needs: each
+subcommand imports only the modules it runs, so the baselines never import
+numpy, and the CLI imports this package only in train and evaluate. No
+model needs more than numpy, to train or to predict.
 
 save_model writes a model as one JSON object (sorted keys, one line). The
 unigram and name models are at format version 2: each array is stored as

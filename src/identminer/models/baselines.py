@@ -8,7 +8,7 @@ import random
 from collections import Counter
 from typing import TYPE_CHECKING, Sequence
 
-from ..filters import CLASS_ORDER, ClassLabel
+from ..labels import CLASS_ORDER, ClassLabel
 
 if TYPE_CHECKING:
     import numpy as np

@@ -30,7 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..filters import CLASS_ORDER, ClassLabel
+from ..labels import CLASS_ORDER, ClassLabel
 from ..ingest import UserRecord
 from .training import (N_CLASSES, TrainConfig, argmax_labels, decode_array,
                        encode_array, label_indices, minibatches, one_hot,
@@ -136,14 +136,16 @@ def _forward(params: dict[str, np.ndarray], ids: np.ndarray,
     A += params["bc"]
     np.maximum(A, 0.0, out=A)  # ReLU in place: Z itself is not needed later
     # windows starting in the padding would make a name's pooled features
-    # depend on the longest name in its batch; ReLU output is >= 0 and argmax
-    # takes the first maximum, so zeroing them pools exactly the windows a
-    # one-row batch has
+    # depend on the longest name in its batch; ReLU output is >= 0 and the
+    # pooled window is the first maximum, so zeroing them pools exactly the
+    # windows a one-row batch has
     lengths = np.count_nonzero(ids != PAD_INDEX, axis=1)
     n_windows = np.maximum(lengths, FILTER_WIDTH) - FILTER_WIDTH + 1
     A[np.arange(positions) >= n_windows[:, None]] = 0.0
-    amax = A.argmax(axis=1)  # (B, F)
-    H = np.take_along_axis(A, amax[:, None, :], axis=1)[:, 0, :]
+    H = A.max(axis=1)  # (B, F)
+    # the first window holding each maximum: argmax over the strided middle
+    # axis of a boolean array costs less than over the float array
+    amax = (A == H[:, None, :]).argmax(axis=1)
     G = np.concatenate([H, metas], axis=1)
     U = G @ params["W1"] + params["b1"]
     A1 = np.maximum(U, 0.0)

@@ -13,8 +13,7 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from ..datasets import AUTO_SOURCES
-from ..filters import CLASS_ORDER, ClassLabel
+from ..labels import AUTO_SOURCES, CLASS_ORDER, ClassLabel
 
 N_CLASSES = len(CLASS_ORDER)
 

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from ..filters import CLASS_ORDER, ClassLabel
+from ..labels import CLASS_ORDER, ClassLabel
 from .features import EMBEDDING_DIM
 from .training import (N_CLASSES, TrainConfig, argmax_labels, decode_array,
                        encode_array, minibatches, one_hot, softmax,

@@ -18,10 +18,9 @@ from operator import add
 from typing import Sequence
 
 from .filters import QueryMatch
+from .labels import WEIGHTINGS
 from .textprep import WORD_CODES, SelfReportLexicon, Tagged, code_pattern
 from .util import read_rows
-
-WEIGHTINGS = ("simple", "tfidf")
 
 
 @dataclass(frozen=True)

@@ -646,35 +646,78 @@ def test_train_evaluate_random_baseline(tmp_path):
 # ---------------------------------------------------------------------------
 # what each subcommand imports
 
-# runs the CLI commands in argv[1] (JSON [[name, argv], ...]) in this fresh
-# process and prints, as JSON, which of numpy and scipy are loaded after the
-# import and after each command
+# runs the CLI command whose argv is argv[1] (JSON), if one is given, in this
+# fresh process, and prints as a JSON list the identminer modules then
+# loaded (by their names below identminer) and which of numpy and scipy
 IMPORT_PROBE = """
 import json, sys
 from identminer.cli import main
 
-def numeric():
-    return sorted({name.split(".")[0] for name in sys.modules}
-                  & {"numpy", "scipy"})
-
-loaded = {"import identminer.cli": numeric()}
-for name, argv in json.loads(sys.argv[1]):
-    assert main(argv) == 0, name
-    loaded[name] = numeric()
-print(json.dumps(loaded))
+if sys.argv[1:]:
+    assert main(json.loads(sys.argv[1])) == 0
+loaded = {name.removeprefix("identminer.") for name in sys.modules
+          if name.startswith("identminer.")}
+loaded |= {name.split(".")[0] for name in sys.modules} & {"numpy", "scipy"}
+print(json.dumps(sorted(loaded)))
 """
 
+# what `import identminer.cli` loads: argument parsing, config resolution,
+# logging and result writing need no stage module
+CLI_MODULES = {"cli", "labels", "resources", "util"}
+_DESCRIPTION = ("ingest", "textprep", "filters", "scorer", "datasets")
+_BASELINE = ("models", "models.baselines")
+_UNIGRAM = ("ingest", "textprep", *_BASELINE, "models.training",
+            "models.features", "models.unigram", "numpy")
+_NAMECNN = ("ingest", *_BASELINE, "models.training", "models.namecnn",
+            "numpy")
+# what each subcommand loads besides CLI_MODULES, keyed by the names the
+# tests below give their commands
+SUBCOMMAND_MODULES = {
+    "lexicon-build": ("ingest", "textprep"),
+    "dataset-build qb": _DESCRIPTION,
+    "dataset-build hf": _DESCRIPTION,
+    "dataset-build cb": _DESCRIPTION,
+    "tune": (*_DESCRIPTION, "analytics"),
+    "train baseline-majority": _BASELINE,
+    "evaluate baseline-majority": (*_BASELINE, "evaluation"),
+    "train baseline-random": _BASELINE,
+    "evaluate baseline-random": (*_BASELINE, "evaluation"),
+    "train unigram": _UNIGRAM,
+    "evaluate unigram": (*_UNIGRAM, "evaluation"),
+    "train unigram embeddings": _UNIGRAM,
+    "evaluate unigram embeddings": (*_UNIGRAM, "evaluation"),
+    "train namecnn": _NAMECNN,
+    "evaluate namecnn": (*_NAMECNN, "evaluation"),
+    "analyze": ("ingest", "textprep", "analytics"),
+}
 
-def modules_loaded_by(commands) -> dict[str, list[str]]:
+
+def modules_loaded_by(commands) -> dict[str, set[str]]:
+    """The modules loaded by each (name, argv) of commands, each run in a
+    fresh process after the ones before it, as IMPORT_PROBE prints them."""
     import identminer
     src = str(Path(identminer.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE,
-                           json.dumps(commands)],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    return json.loads(proc.stdout)
+    loaded = {}
+    for name, argv in commands:
+        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE,
+                               *([json.dumps(argv)] if argv else [])],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, (name, proc.stderr)
+        loaded[name] = set(json.loads(proc.stdout))
+    return loaded
+
+
+def assert_each_loads_its_modules(commands) -> None:
+    loaded = modules_loaded_by(commands)
+    assert loaded == {name: CLI_MODULES | set(SUBCOMMAND_MODULES[name])
+                      for name, _ in commands}
+
+
+def test_importing_the_cli_loads_no_stage_module():
+    assert modules_loaded_by([("import identminer.cli", None)]) == {
+        "import identminer.cli": CLI_MODULES}
 
 
 def test_text_and_baseline_subcommands_load_neither_numpy_nor_scipy(
@@ -701,20 +744,16 @@ def test_text_and_baseline_subcommands_load_neither_numpy_nor_scipy(
                                    "--test-data", data,
                                    "--out", str(tmp_path / f"eval-{model}")]),
         ]
-    loaded = modules_loaded_by(commands)
-    assert list(loaded) == ["import identminer.cli"] + [n for n, _ in commands]
-    assert loaded == {name: [] for name in loaded}
+    assert not any("numpy" in SUBCOMMAND_MODULES[name] for name, _ in commands)
+    assert_each_loads_its_modules(commands)
 
 
 def test_analyze_loads_no_scipy(tmp_path):
     corpus, data = tweet_group_fixture(tmp_path)
-    loaded = modules_loaded_by([("analyze", [
+    # the SAGE fit, the rank statistics and the tables are pure Python
+    assert_each_loads_its_modules([("analyze", [
         "analyze", "--corpus", str(corpus), "--data", str(data),
         "--out", str(tmp_path / "out")])])
-    assert loaded["import identminer.cli"] == []
-    # the SAGE fit, the rank statistics and the tables are pure Python
-    assert "scipy" not in loaded["analyze"]
-    assert "numpy" not in loaded["analyze"]
 
 
 def test_evaluate_name_model_loads_numpy_but_not_scipy(tmp_path):
@@ -723,16 +762,13 @@ def test_evaluate_name_model_loads_numpy_but_not_scipy(tmp_path):
                           min_char_count=1)
     model_dir = tmp_path / "train"
     inputs = ["--corpus", str(corpus), "--config", str(config)]
-    # each probe is a fresh process
-    trained = modules_loaded_by([("train namecnn", [
-        "train", "--model", "namecnn", *inputs, "--train-data", str(data),
-        "--out", str(model_dir)])])
-    assert trained["train namecnn"] == ["numpy"]
-    loaded = modules_loaded_by([("evaluate namecnn", [
-        "evaluate", "--model-file", str(model_dir / "model.json"), *inputs,
-        "--test-data", str(data), "--out", str(tmp_path / "eval")])])
-    assert loaded == {"import identminer.cli": [],
-                      "evaluate namecnn": ["numpy"]}
+    assert_each_loads_its_modules([
+        ("train namecnn", ["train", "--model", "namecnn", *inputs,
+                           "--train-data", str(data), "--out", str(model_dir)]),
+        ("evaluate namecnn", ["evaluate", "--model-file",
+                              str(model_dir / "model.json"), *inputs,
+                              "--test-data", str(data),
+                              "--out", str(tmp_path / "eval")])])
     assert json.loads((tmp_path / "eval" / "eval_result.json")
                       .read_text())["n"] == 8
 
@@ -765,9 +801,8 @@ def test_no_train_or_evaluate_loads_scipy(tmp_path):
                                   "--test-data", str(data),
                                   "--out", str(tmp_path / f"eval {name}")]),
         ]
-    loaded = modules_loaded_by(commands)
-    assert list(loaded) == ["import identminer.cli"] + [n for n, _ in commands]
-    assert not [name for name, modules in loaded.items() if "scipy" in modules]
+    assert not any("scipy" in modules for modules in SUBCOMMAND_MODULES.values())
+    assert_each_loads_its_modules(commands)
 
 
 # ---------------------------------------------------------------------------
