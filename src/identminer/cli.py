@@ -27,15 +27,11 @@ import reprlib
 import sys
 from collections import Counter
 from pathlib import Path
-from typing import TYPE_CHECKING, NamedTuple
 
 from . import resources
 from .labels import (CLASS_ORDER, FILTER_ALIASES, FILTER_NAMES, SETTINGS,
                      WEIGHTINGS, read_dataset_tsv, write_dataset_tsv)
 from .util import DataError, config_hash, stage_seed, write_json
-
-if TYPE_CHECKING:
-    from .ingest import UserRecord
 
 logger = logging.getLogger("identminer")
 
@@ -290,17 +286,6 @@ def _out_dir(paths: dict) -> Path:
     return out
 
 
-class Description(NamedTuple):
-    """What the description stages read of a user: scan_descriptions and
-    build_selfreport_lexicon take these in place of full records."""
-    user_id: str
-    description: str
-
-
-def _description(record: UserRecord) -> Description:
-    return Description(record.user_id, record.description)
-
-
 def _load_corpus(path: str, keep) -> tuple[dict, int]:
     """keep(record) of each user's latest snapshot, by user id in corpus
     order, for the users whose keep is not None; plus the count of lines that
@@ -354,9 +339,10 @@ def _filter_resources(paths: dict):
 
 
 def _description_pass(paths: dict, config: dict, descriptions, tag_lexicon):
-    """The one pass over the descriptions: (lexicon, unscored reports of the
-    users matching exactly one class). The lexicon is read from --lexicon, or
-    else counted from the same tagged tokens that the query matching uses."""
+    """The one pass over the (user_id, description) pairs: (lexicon, unscored
+    reports of the users matching exactly one class). The lexicon is read
+    from --lexicon, or else counted from the same tagged tokens that the
+    query matching uses."""
     from .datasets import scan_descriptions
     from .textprep import SelfReportCounter, SelfReportLexicon
     if paths.get("lexicon"):
@@ -383,7 +369,8 @@ def cmd_lexicon_build(args: argparse.Namespace) -> int:
     config, paths = _resolve(args)
     corpus_path = _require(paths, "corpus")
     tag_lexicon = _tag_lexicon(paths)
-    descriptions, failures = _load_corpus(corpus_path, _description)
+    descriptions, failures = _load_corpus(corpus_path,
+                                           lambda record: record.description)
     lexicon = build_selfreport_lexicon(descriptions.values(), tag_lexicon,
                                        allow_im=config["allow_im"])
     out = _out_dir(paths)
@@ -440,8 +427,9 @@ def cmd_dataset_build(args: argparse.Namespace) -> int:
     filters = enabled_filters(config["filters"])
     params = ScoreParams(config["window"], config["threshold"],
                          config["weighting"])
-    descriptions, _ = _load_corpus(corpus_path, _description)
-    lexicon, reports = _description_pass(paths, config, descriptions.values(),
+    descriptions, _ = _load_corpus(corpus_path,
+                                   lambda record: record.description)
+    lexicon, reports = _description_pass(paths, config, descriptions.items(),
                                          tag_lexicon)
     # qb reads no filter verdicts
     score_reports(reports, lexicon, params,
@@ -483,8 +471,9 @@ def cmd_tune(args: argparse.Namespace) -> int:
     corpus_path = _require(paths, "corpus")
     rows = _read_input(paths, "tuning", read_tuning_tsv)
     tag_lexicon = _tag_lexicon(paths)
-    descriptions, _ = _load_corpus(corpus_path, _description)
-    lexicon, reports = _description_pass(paths, config, descriptions.values(),
+    descriptions, _ = _load_corpus(corpus_path,
+                                   lambda record: record.description)
+    lexicon, reports = _description_pass(paths, config, descriptions.items(),
                                          tag_lexicon)
 
     votes: dict[str, list[str]] = {}

@@ -39,26 +39,26 @@ class UserMatchReport:
     outcomes: list[tuple[str, ...]] | None = None
 
 
-def scan_descriptions(corpus: Iterable, tag_lexicon: TagLexicon,
+def scan_descriptions(corpus: Iterable[tuple[str, str]],
+                      tag_lexicon: TagLexicon,
                       counter: SelfReportCounter | None = None
                       ) -> list[UserMatchReport]:
-    """The one pass over the descriptions of the corpus (anything with a
-    user_id and a description, such as UserRecord or cli.Description): each
-    is scanned once (Tagger.scan, with the query keywords marked) and added
-    to counter (the O_s/O lexicon counts) if given; an unscored report is
-    kept, in corpus order, if its matches name exactly one class."""
+    """The one pass over the (user_id, description) pairs of the corpus:
+    each description is scanned once (Tagger.scan, with the query keywords
+    marked) and added to counter (the O_s/O lexicon counts) if given; an
+    unscored report is kept, in corpus order, if its matches name exactly
+    one class."""
     tagger = Tagger(tag_lexicon, DEFAULT_QUERY_MAP)
     reports = []
-    for record in corpus:
-        text = record.description
+    for user_id, text in corpus:
         tagged = tagger.scan(text)
         if counter is not None:
             counter.add(tagged)
         matches = find_query_matches(tagged, text)
         label = assign_class(matches)
         if isinstance(label, ClassLabel):
-            reports.append(UserMatchReport(record.user_id, label, tagged,
-                                           text, matches))
+            reports.append(UserMatchReport(user_id, label, tagged, text,
+                                           matches))
     return reports
 
 
@@ -84,8 +84,8 @@ def score_reports(reports: list[UserMatchReport], lexicon: SelfReportLexicon,
 def match_reports(corpus: Iterable, tag_lexicon: TagLexicon,
                   lexicon: SelfReportLexicon,
                   params: ScoreParams) -> list[UserMatchReport]:
-    """Scored reports of the users matching exactly one class, for a lexicon
-    known up front."""
+    """Scored reports of the (user_id, description) pairs matching exactly
+    one class, for a lexicon known up front."""
     return score_reports(scan_descriptions(corpus, tag_lexicon), lexicon, params)
 
 

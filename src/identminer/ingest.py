@@ -218,23 +218,20 @@ def parse_user_line(line: str, line_no: int,
         return ParseFailure(line_no, str(exc))
 
 
-def load_users(stream: IO, missingness: Counter | None = None
+def load_users(stream: IO[bytes], missingness: Counter | None = None
                ) -> Iterator[Union[UserRecord, ParseFailure]]:
-    """Yield one UserRecord or ParseFailure per input line, in input order.
+    """Yield one UserRecord or ParseFailure per line of a byte stream, in
+    input order.
 
-    Accepts byte or text streams. Line numbers are 1-based. Blank lines count
-    as failures so failures + records always add up to the line count.
+    Line numbers are 1-based. A line that is not UTF-8 or is blank counts as
+    a failure, so failures + records always add up to the line count.
     """
     for line_no, raw in enumerate(stream, start=1):
-        if isinstance(raw, bytes):
-            try:
-                line = raw.decode("utf-8")
-            except UnicodeDecodeError:
-                yield ParseFailure(line_no, "invalid UTF-8")
-                continue
-        else:
-            line = raw
-        line = line.rstrip("\r\n")
+        try:
+            line = raw.decode("utf-8").rstrip("\r\n")
+        except UnicodeDecodeError:
+            yield ParseFailure(line_no, "invalid UTF-8")
+            continue
         if not line.strip():
             yield ParseFailure(line_no, "blank line")
             continue

@@ -26,8 +26,9 @@ EMBEDDING_DIM = 768
 
 
 def word_chunks() -> ChunkTable:
-    """An empty chunk -> tuple(tweet_words(chunk)) table for
-    user_word_counts; a plain chunk's tuple is its one word (zip)."""
+    """An empty table of each chunk's word and contraction texts
+    (textprep.chunk_words) for user_word_counts; a plain chunk's tuple is
+    its one word (zip)."""
     return ChunkTable(chunk_words, zip)
 
 

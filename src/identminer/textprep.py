@@ -13,8 +13,8 @@ scans over the code string.
 
 Both paths scan with _TOKEN_RE's own pattern, its named groups made
 non-capturing, so that findall returns plain strings. On the tweet path,
-tweet_words keeps only the word group and returns the word and contraction
-texts; tweet_tokens returns every token's text and reads its kind off the
+chunk_words keeps only the word group and returns the word and contraction
+texts; chunk_tokens returns every token's text and reads its kind off the
 text's first characters.
 
 No token holds whitespace, so the tokens of a text are those of its
@@ -140,13 +140,6 @@ def _straighten(tokens: list[str]) -> list[str]:
     return tokens
 
 
-def _scan_words(text: str) -> list[str]:
-    """The texts of tokenize(text)'s word and contraction tokens, in order,
-    with a "\\n" for each newline of text."""
-    words = list(map(str.lower, filter(None, _tweet_scans()[1].findall(text))))
-    return _straighten(words) if "’" in text else words
-
-
 def tokenize(text: str) -> tuple[str, ...]:
     """The texts of text's tokens: each _TOKEN_RE match lowercased, and a
     word whose straight-apostrophe spelling is a packaged contraction given
@@ -163,18 +156,17 @@ def token_spans(text: str) -> list[tuple[int, int]]:
             if match[0] != "\n"]
 
 
-def tweet_words(text: str) -> list[str]:
-    """The texts of tokenize(text)'s word and contraction tokens, in order."""
-    return " ".join(_scan_words(text)).split()
-
-
 def chunk_words(chunks: list[str]) -> list[tuple[str, ...]]:
-    """tuple(tweet_words(chunk)) of each whitespace-free chunk, from one
-    scan of the chunks joined by newlines."""
+    """The texts of tokenize(chunk)'s word and contraction tokens, in order,
+    of each whitespace-free chunk, from one scan of the chunks joined by
+    newlines: the scan gives a "\\n" for each newline."""
     if not chunks:
         return []
-    lines = " ".join(_scan_words("\n".join(chunks))).split("\n")
-    return list(map(tuple, map(str.split, lines)))
+    text = "\n".join(chunks)
+    words = list(map(str.lower, filter(None, _tweet_scans()[1].findall(text))))
+    if "’" in text:
+        words = _straighten(words)
+    return list(map(tuple, map(str.split, " ".join(words).split("\n"))))
 
 
 def _by_kind(tokens: list[str]) -> list[TweetTokens]:
@@ -237,15 +229,10 @@ def _by_kind(tokens: list[str]) -> list[TweetTokens]:
         map(str.count, marks, repeat("#")))))
 
 
-def tweet_tokens(text: str) -> TweetTokens:
-    """The tokens of tokenize(text), sorted by kind (see TweetTokens)."""
-    # split() drops the "\n" the scan gives for each newline: one line
-    return _by_kind(" ".join(_tweet_scans()[0].findall(text)).split())[0]
-
-
 def chunk_tokens(chunks: list[str]) -> list[TweetTokens]:
-    """tweet_tokens(chunk) of each whitespace-free chunk, from one scan of
-    the chunks joined by newlines."""
+    """The tokens of tokenize(chunk), sorted by kind (see TweetTokens), of
+    each whitespace-free chunk, from one scan of the chunks joined by
+    newlines."""
     if not chunks:
         return []
     return _by_kind(_tweet_scans()[0].findall("\n".join(chunks)))
@@ -488,12 +475,12 @@ class SelfReportCounter:
         return SelfReportLexicon(os_counts=os_counts, o_counts=o_counts)
 
 
-def build_selfreport_lexicon(corpus: Iterable, tag_lexicon: TagLexicon,
+def build_selfreport_lexicon(descriptions: Iterable[str],
+                             tag_lexicon: TagLexicon,
                              allow_im: bool = False) -> SelfReportLexicon:
-    """Count O_s and O per description over the corpus: anything with a
-    description, such as UserRecord or cli.Description."""
+    """Count O_s and O per description over the description texts."""
     tagger = Tagger(tag_lexicon)
     counter = SelfReportCounter(allow_im=allow_im)
-    for record in corpus:
-        counter.add(tagger.scan(record.description))
+    for text in descriptions:
+        counter.add(tagger.scan(text))
     return counter.lexicon()

@@ -7,6 +7,7 @@ rejects it and every false positive scores 0.0.
 """
 from __future__ import annotations
 
+import importlib.util
 import json
 from datetime import datetime, timedelta, timezone
 from functools import lru_cache
@@ -18,6 +19,8 @@ from identminer import resources
 from identminer.filters import DEFAULT_QUERY_MAP
 from identminer.ingest import ProfileMeta, Tweet, UserRecord
 from identminer.textprep import TagLexicon, Tagger
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 EPOCH = datetime(2024, 6, 1, 12, 0, 0, tzinfo=timezone.utc)
 
@@ -100,6 +103,17 @@ def tweet_texts():
                        st.text("abcXYZ", min_size=1, max_size=3),
                        st.characters())
     return st.one_of(st.text(), st.lists(pieces, max_size=30).map("".join))
+
+
+def load_spans():
+    """The benchmark tracer module perfbench/spans.py, loaded from its file
+    to be read only: its install() patches the program's modules for the
+    whole process, so tests never call it."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans",
+                                                  SPANS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 # ---------------------------------------------------------------------------
@@ -250,16 +264,18 @@ def planted_rows() -> list[tuple[str, str, str]]:
     return rows
 
 
-def planted_users() -> tuple[list[UserRecord], set[str], dict[str, set[str]]]:
-    """Records plus the true-positive ids and the ids per tripped filter."""
-    records, true_ids, fp_ids = [], set(), {}
+def planted_descriptions() -> tuple[dict[str, str], set[str],
+                                    dict[str, set[str]]]:
+    """user_id -> description, as the description stages load them, plus
+    the true-positive ids and the ids per tripped filter."""
+    descriptions, true_ids, fp_ids = {}, set(), {}
     for user_id, description, group in planted_rows():
-        records.append(make_user(user_id, description=description))
+        descriptions[user_id] = description
         if group == "true":
             true_ids.add(user_id)
         else:
             fp_ids.setdefault(group, set()).add(user_id)
-    return records, true_ids, fp_ids
+    return descriptions, true_ids, fp_ids
 
 
 def planted_payloads() -> list[dict]:
@@ -268,7 +284,7 @@ def planted_payloads() -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# label fixtures for evaluation tests
+# label fixtures and oracles for evaluation and model tests
 
 def skewed_labels():
     """1000 gold labels with class shares 80.8 / 9.5 / 6.1 / 3.6 percent."""
@@ -279,3 +295,70 @@ def skewed_labels():
     for label, count in counts.items():
         labels.extend([label] * count)
     return labels
+
+
+class Echo:
+    """Predictor whose features already are the intended prediction."""
+
+    def predict_batch(self, features):
+        return list(features)
+
+
+def echo_report(labels, predictions):
+    """The EvalReport that evaluate(), as the evaluate command calls it,
+    gives for fixed predictions of the labels."""
+    from identminer.evaluation import evaluate
+    return evaluate(Echo(), list(zip(predictions, labels)))
+
+
+def loss_only(params: dict, ids, metas, y_idx, sample_weights,
+              l2: float) -> float:
+    """The name CNN's training loss alone, from the forward pass."""
+    from identminer.models.namecnn import _forward, _loss_from_logits
+    logits, _ = _forward(params, ids, metas)
+    loss, _ = _loss_from_logits(logits, y_idx, sample_weights, params, l2)
+    return loss
+
+
+def gradient_check(model, names, metas, labels, sample_weights=None,
+                   l2: float = 1e-4, step: float = 1e-5,
+                   coords_per_tensor: int = 40, seed: int = 0) -> float:
+    """Max relative error between the name CNN's analytic gradients
+    (loss_and_grads) and central finite differences of loss_only, over
+    sampled coordinates of every parameter tensor. Coordinates are sampled
+    among those with non-negligible analytic gradient so the relative
+    error is meaningful."""
+    import numpy as np
+    from identminer.models.namecnn import encode_names, loss_and_grads
+    from identminer.models.training import label_indices
+    ids = encode_names(names, model.char_vocab)
+    metas = np.atleast_2d(np.asarray(metas, dtype=np.float64))
+    y_idx = label_indices(labels)
+    if sample_weights is None:
+        sample_weights = np.ones(len(labels))
+    sample_weights = np.asarray(sample_weights, dtype=np.float64)
+
+    params = model.params
+    _, grads = loss_and_grads(params, ids, metas, y_idx, sample_weights, l2)
+    rng = np.random.default_rng(seed)
+    worst = 0.0
+    for key, tensor in params.items():
+        grad = grads[key].ravel()
+        candidates = np.flatnonzero(np.abs(grad) > 1e-5)
+        if len(candidates) == 0:
+            continue
+        if len(candidates) > coords_per_tensor:
+            candidates = rng.choice(candidates, size=coords_per_tensor,
+                                    replace=False)
+        flat = tensor.ravel()
+        for coord in candidates:
+            original = flat[coord]
+            flat[coord] = original + step
+            up = loss_only(params, ids, metas, y_idx, sample_weights, l2)
+            flat[coord] = original - step
+            down = loss_only(params, ids, metas, y_idx, sample_weights, l2)
+            flat[coord] = original
+            numeric = (up - down) / (2.0 * step)
+            denom = max(abs(grad[coord]), abs(numeric), 1e-8)
+            worst = max(worst, abs(grad[coord] - numeric) / denom)
+    return worst

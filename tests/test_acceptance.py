@@ -18,21 +18,20 @@ from identminer.analytics import (kendall_tau_top_k,
 from identminer.cli import main as cli_main
 from identminer.datasets import (LabeledUser, build_cb, build_hf, build_qb,
                                  match_reports, merge_candidates)
-from identminer.evaluation import accuracy, macro_f1
 from identminer.filters import (CLASS_ORDER, FILTER_NAMES, apply_filter_chain,
                                 find_query_matches)
 from identminer.models.namecnn import (NameModel, build_char_vocab,
-                                       gradient_check, init_params,
-                                       train_name_cnn)
+                                       init_params, train_name_cnn)
 from identminer.models.training import (TrainConfig, example_weights,
                                         inverse_class_weights)
 from identminer.models.unigram import train_unigram
 from identminer.scorer import WEIGHTINGS, ScoreParams, score_description
 from identminer.textprep import build_selfreport_lexicon
 
-from helpers import (planted_payloads, planted_users, skewed_labels, tag,
-                     tag_lexicon, training_arrays, tweet_payload,
-                     user_payload, write_jsonl)
+from helpers import (echo_report, gradient_check, planted_descriptions,
+                     planted_payloads, skewed_labels, tag, tag_lexicon,
+                     training_arrays, tweet_payload, user_payload,
+                     write_jsonl)
 from reference_description import reference_tag
 from test_scorer import match_at, oracle_score, random_lexicon, random_text
 
@@ -62,13 +61,13 @@ def test_criterion_1_majority_baseline_metrics(capsys):
     with criterion(capsys, 1, "majority-baseline accuracy and macro-F1",
                    budget=1.0):
         labels = skewed_labels()  # shares 80.8 / 9.5 / 6.1 / 3.6 percent
-        predictions = [W] * len(labels)
-        assert accuracy(labels, predictions) == pytest.approx(0.808, abs=0.001)
-        assert macro_f1(labels, predictions) == pytest.approx(0.2234, abs=0.0005)
+        report = echo_report(labels, [W] * len(labels))
+        assert report.accuracy == pytest.approx(0.808, abs=0.001)
+        assert report.macro_f1 == pytest.approx(0.2234, abs=0.0005)
         balanced = [label for label in CLASS_ORDER for _ in range(250)]
-        constant = [W] * len(balanced)
-        assert accuracy(balanced, constant) == 0.250
-        assert macro_f1(balanced, constant) == 0.1000
+        report = echo_report(balanced, [W] * len(balanced))
+        assert report.accuracy == 0.250
+        assert report.macro_f1 == 0.1000
 
 
 def test_criterion_2_score_oracle_equivalence(capsys):
@@ -115,18 +114,19 @@ def test_criterion_2_score_oracle_equivalence(capsys):
 def test_criterion_3_planted_corpus_filtering(capsys):
     with criterion(capsys, 3, "planted 200-profile corpus: filters keep the "
                    "100 true self-reports", budget=1.0):
-        records, true_ids, fp_ids = planted_users()
+        descriptions, true_ids, fp_ids = planted_descriptions()
+        corpus = descriptions.items()
         tags = tag_lexicon()
-        lexicon = build_selfreport_lexicon(records, tags)
+        lexicon = build_selfreport_lexicon(descriptions.values(), tags)
         params = ScoreParams()
         colors = resources.load_colors()
         blocklist = resources.load_bigram_blocklist()
 
-        dataset = build_hf(records, tags, lexicon, params, FILTER_NAMES,
+        dataset = build_hf(corpus, tags, lexicon, params, FILTER_NAMES,
                            colors, blocklist)
         assert {user.user_id for user in dataset} == true_ids
 
-        reports = match_reports(records, tags, lexicon, params)
+        reports = match_reports(corpus, tags, lexicon, params)
         assert len(reports) == 200
         solo_removed = {}
         for name in FILTER_NAMES:
@@ -191,12 +191,13 @@ def test_criterion_4_cb_balance(capsys):
         assert [user.user_id for user in dataset] == ["Wa", "Ba", "HLa", "Aa"]
 
         # end to end on the planted corpus: 25 per class
-        records, _, _ = planted_users()
+        descriptions, _, _ = planted_descriptions()
+        corpus = descriptions.items()
         tags = tag_lexicon()
-        lexicon = build_selfreport_lexicon(records, tags)
+        lexicon = build_selfreport_lexicon(descriptions.values(), tags)
         params = ScoreParams()
-        qb = build_qb(records, tags, lexicon, params)
-        hf = build_hf(records, tags, lexicon, params, FILTER_NAMES,
+        qb = build_qb(corpus, tags, lexicon, params)
+        hf = build_hf(corpus, tags, lexicon, params, FILTER_NAMES,
                       resources.load_colors(),
                       resources.load_bigram_blocklist())
         cb = build_cb(merge_candidates(qb, hf))

@@ -8,29 +8,30 @@ from hypothesis import strategies as st
 
 from identminer.analytics import group_lexical_pass, lexical_chunks
 from identminer.models.features import user_word_counts, word_chunks
-from identminer.textprep import ChunkTable, tweet_tokens, tweet_words
+from identminer.textprep import ChunkTable
 from identminer.util import mean
 
 from helpers import TRICKY_PIECES, make_tweet, make_user
+from reference_tweet import reference_tweet_tokens, reference_tweet_words
 
 
 def reference_user_word_counts(user, max_tweets):
-    """user_word_counts as one tweet_words scan of the user's newest tweet
+    """user_word_counts as the reference words of the user's newest tweet
     texts joined by newlines."""
-    return Counter(tweet_words(
+    return Counter(reference_tweet_words(
         "\n".join([tweet.text for tweet in user.tweets[:max_tweets]])))
 
 
 def reference_user_lexical_means(user, stopwords, max_tweets, word_counts):
-    """user_lexical_means as one tweet_tokens scan per tweet."""
+    """user_lexical_means from the reference tokens of each tweet."""
     tweets = user.tweets[:max_tweets]
     if not tweets:
         return None
     ttr, ld, cpt, hpt = [], [], [], []
     words: list[str] = []
     for tweet in tweets:
-        word_texts, links, others, contractions, hashtags = tweet_tokens(
-            tweet.text)
+        word_texts, links, others, contractions, hashtags = \
+            reference_tweet_tokens(tweet.text)
         n = len(word_texts) + len(links) + len(others)
         content = (len([text for text in word_texts if text not in stopwords])
                    + len([text for text in others if text not in stopwords]))

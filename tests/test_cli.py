@@ -21,9 +21,9 @@ from identminer.models import baseline_majority, baseline_random, save_model
 from identminer.textprep import SelfReportLexicon
 from identminer.util import canonical_json
 
-from helpers import (PLANT_HEADS, iso, make_user, planted_payloads,
-                     planted_users, tweet_payload, user_payload, write_jsonl,
-                     write_unigram_model)
+from helpers import (PLANT_HEADS, iso, planted_descriptions,
+                     planted_payloads, tweet_payload, user_payload,
+                     write_jsonl, write_unigram_model)
 
 W, B, HL, A = CLASS_ORDER
 
@@ -128,7 +128,7 @@ def test_a_user_id_cannot_forge_dataset_rows(tmp_path):
     out = tmp_path / "out"
     assert run("dataset-build", "--kind", "hf", "--corpus", str(corpus),
                "--out", str(out)) == 0
-    _, true_ids, _ = planted_users()
+    _, true_ids, _ = planted_descriptions()
     rows = (out / "dataset_hf.tsv").read_text(encoding="utf-8").splitlines()
     assert [row.split("\t")[0] for row in rows] == sorted(true_ids)
     assert {user.user_id for user in read_dataset_tsv(
@@ -202,7 +202,7 @@ def test_dataset_build_hf_planted(planted_corpus, tmp_path):
     assert run("dataset-build", "--kind", "hf", "--corpus",
                str(planted_corpus), "--out", str(out)) == 0
     dataset = read_dataset_tsv(out / "dataset_hf.tsv")
-    _, true_ids, _ = planted_users()
+    _, true_ids, _ = planted_descriptions()
     assert {user.user_id for user in dataset} == true_ids
     assert all(user.source == "HF" for user in dataset)
     assert all(user.score == 1.0 for user in dataset)
@@ -229,7 +229,7 @@ def test_dataset_build_hf_all_filters_disabled(planted_corpus, tmp_path):
     assert accounting["passed_filters"] == 200
     # the false positives score zero, so the threshold still excludes them
     dataset = read_dataset_tsv(out / "dataset_hf.tsv")
-    _, true_ids, _ = planted_users()
+    _, true_ids, _ = planted_descriptions()
     assert {user.user_id for user in dataset} == true_ids
 
 
@@ -1108,10 +1108,10 @@ MULTI_MATCH_ROWS = (
 )
 
 
-def reference_hf(records, params):
-    """dataset_hf.tsv lines and filter_accounting, computed the way they were
-    before one filter-chain evaluation per match: the chain once per single
-    filter and once with every filter on."""
+def reference_hf(rows, params):
+    """dataset_hf.tsv lines and filter_accounting of (user_id, description)
+    rows, computed the way they were before one filter-chain evaluation per
+    match: the chain once per single filter and once with every filter on."""
     from identminer import resources
     from identminer.filters import (DEFAULT_QUERY_MAP, ClassLabel,
                                     apply_filter_chain, assign_class,
@@ -1122,14 +1122,13 @@ def reference_hf(records, params):
     tags = resources.load_tag_lexicon()
     colors = resources.load_colors()
     blocklist = resources.load_bigram_blocklist()
-    lexicon = build_selfreport_lexicon(records, tags)
+    lexicon = build_selfreport_lexicon([text for _, text in rows], tags)
     solo_removed = dict.fromkeys(FILTER_NAMES, 0)
     chain_removed: Counter = Counter()
     passed = matched = 0
     lines = []
     tagger = Tagger(tags, DEFAULT_QUERY_MAP)
-    for record in records:
-        text = record.description
+    for user_id, text in rows:
         tagged = tagger.scan(text)
         matches = find_query_matches(tagged, text)
         label = assign_class(matches)
@@ -1150,7 +1149,7 @@ def reference_hf(records, params):
         scores = [score_description(tagged, match, lexicon, params)
                   for match, outcome in zip(matches, outcomes) if not outcome]
         if scores and max(scores) >= params.threshold:
-            lines.append(f"{record.user_id}\t{label.value}\t{max(scores)!r}\tHF\n")
+            lines.append(f"{user_id}\t{label.value}\t{max(scores)!r}\tHF\n")
     accounting = {"removed_with_single_filter": solo_removed,
                   "removed_by_filter_chain": dict(sorted(chain_removed.items())),
                   "passed_filters": passed, "total_matched": matched}
@@ -1167,9 +1166,7 @@ def test_dataset_build_hf_matches_reference_filter_accounting(tmp_path):
     out = tmp_path / "out"
     assert run("dataset-build", "--kind", "hf", "--corpus", str(corpus),
                "--out", str(out)) == 0
-    records = [make_user(user_id, description=description)
-               for user_id, description in rows]
-    lines, accounting = reference_hf(records, ScoreParams())
+    lines, accounting = reference_hf(rows, ScoreParams())
     assert (out / "dataset_hf.tsv").read_text(encoding="utf-8") == lines
     stats = json.loads((out / "dataset_hf_stats.json").read_text())
     assert stats["filter_accounting"] == accounting

@@ -303,10 +303,10 @@ def user_rows(n_users: int, n_tweets: int) -> list[dict]:
 def test_a_description_load_retains_no_tweets(tmp_path):
     one = write_jsonl(tmp_path / "one.jsonl", user_rows(300, 1))
     many = write_jsonl(tmp_path / "many.jsonl", user_rows(300, 100))
-    with_one, _ = retained(lambda: cli._load_corpus(str(one),
-                                                    cli._description))
-    with_many, _ = retained(lambda: cli._load_corpus(str(many),
-                                                     cli._description))
+    with_one, _ = retained(lambda: cli._load_corpus(
+        str(one), lambda record: record.description))
+    with_many, _ = retained(lambda: cli._load_corpus(
+        str(many), lambda record: record.description))
     assert abs(with_many - with_one) <= 0.05 * with_one
 
 

@@ -12,7 +12,7 @@ from identminer.filters import CLASS_ORDER, FILTER_NAMES, ClassLabel
 from identminer.scorer import ScoreParams
 from identminer.textprep import SelfReportCounter, build_selfreport_lexicon
 
-from helpers import make_user, planted_users, tag_lexicon
+from helpers import planted_descriptions, tag_lexicon
 
 W, B, HL, A = CLASS_ORDER
 
@@ -25,17 +25,19 @@ def lu(user_id, label, score, source="HF"):
 
 
 def small_corpus():
+    """(user_id, description) pairs."""
     return [
-        make_user("u1", description="i am a black woman"),
-        make_user("u2", description="i am a proud black farmer"),
-        make_user("u3", description="black coffee lover"),
-        make_user("u4", description="black and white movies"),
-        make_user("u5", description="just tweets here"),
+        ("u1", "i am a black woman"),
+        ("u2", "i am a proud black farmer"),
+        ("u3", "black coffee lover"),
+        ("u4", "black and white movies"),
+        ("u5", "just tweets here"),
     ]
 
 
 def small_lexicon(corpus=None):
-    return build_selfreport_lexicon(corpus or small_corpus(), tag_lexicon())
+    return build_selfreport_lexicon(
+        [text for _, text in corpus or small_corpus()], tag_lexicon())
 
 
 # ---------------------------------------------------------------------------
@@ -60,30 +62,33 @@ def test_match_reports_keeps_corpus_order(copies):
 
 
 def test_scan_descriptions_counts_the_lexicon_from_the_same_pass():
-    records, _, _ = planted_users()
+    descriptions, _, _ = planted_descriptions()
+    corpus = descriptions.items()
     counter = SelfReportCounter()
-    scanned = scan_descriptions(records, tag_lexicon(), counter)
+    scanned = scan_descriptions(corpus, tag_lexicon(), counter)
     lexicon = counter.lexicon()
-    assert lexicon == build_selfreport_lexicon(records, tag_lexicon())
+    assert lexicon == build_selfreport_lexicon(descriptions.values(),
+                                               tag_lexicon())
     assert all(report.scores == [] and report.outcomes is None
                for report in scanned)
     scored = score_reports(scanned, lexicon, ScoreParams(), FILTER_NAMES,
                            COLORS, BLOCKLIST)
-    reference = match_reports(records, tag_lexicon(), lexicon, ScoreParams())
+    reference = match_reports(corpus, tag_lexicon(), lexicon, ScoreParams())
     assert [(r.user_id, r.matches, r.scores) for r in scored] == \
         [(r.user_id, r.matches, r.scores) for r in reference]
     assert all(len(report.outcomes) == len(report.matches) for report in scored)
 
 
 def test_qb_and_hf_users_read_one_report_list():
-    records, true_ids, _ = planted_users()
-    lexicon = build_selfreport_lexicon(records, tag_lexicon())
+    descriptions, true_ids, _ = planted_descriptions()
+    corpus = descriptions.items()
+    lexicon = build_selfreport_lexicon(descriptions.values(), tag_lexicon())
     params = ScoreParams()
-    reports = score_reports(scan_descriptions(records, tag_lexicon()), lexicon,
+    reports = score_reports(scan_descriptions(corpus, tag_lexicon()), lexicon,
                             params, FILTER_NAMES, COLORS, BLOCKLIST)
-    assert qb_users(reports) == build_qb(records, tag_lexicon(), lexicon, params)
+    assert qb_users(reports) == build_qb(corpus, tag_lexicon(), lexicon, params)
     hf = hf_users(reports, params.threshold)
-    assert hf == build_hf(records, tag_lexicon(), lexicon, params,
+    assert hf == build_hf(corpus, tag_lexicon(), lexicon, params,
                           FILTER_NAMES, COLORS, BLOCKLIST)
     assert {user.user_id for user in hf} == true_ids
 
@@ -93,9 +98,9 @@ def test_qb_and_hf_users_read_one_report_list():
 
 def test_build_qb_needs_person_keyword_and_ignores_threshold():
     corpus = [
-        make_user("p1", description="black guy vibes"),           # scores 0.0
-        make_user("p2", description="i am a black woman"),        # scores > 0
-        make_user("p3", description="black coffee lover"),        # no person word
+        ("p1", "black guy vibes"),           # scores 0.0
+        ("p2", "i am a black woman"),        # scores > 0
+        ("p3", "black coffee lover"),        # no person word
     ]
     lexicon = small_lexicon(corpus)
     users = build_qb(corpus, tag_lexicon(), lexicon,
@@ -108,7 +113,7 @@ def test_build_qb_needs_person_keyword_and_ignores_threshold():
 
 def test_build_qb_score_is_max_over_all_matches():
     # the second keyword has no person successor but scores higher
-    corpus = [make_user("p1", description="black woman yay proud black farmer")]
+    corpus = [("p1", "black woman yay proud black farmer")]
     lexicon = small_lexicon(corpus + small_corpus())
     users = build_qb(corpus, tag_lexicon(), lexicon, ScoreParams())
     assert len(users) == 1
@@ -122,10 +127,10 @@ def test_build_qb_score_is_max_over_all_matches():
 # HF on the planted corpus
 
 def test_build_hf_passes_exactly_the_planted_true_positives():
-    records, true_ids, _ = planted_users()
-    lexicon = build_selfreport_lexicon(records, tag_lexicon())
-    users = build_hf(records, tag_lexicon(), lexicon, ScoreParams(),
-                     FILTER_NAMES, COLORS, BLOCKLIST)
+    descriptions, true_ids, _ = planted_descriptions()
+    lexicon = build_selfreport_lexicon(descriptions.values(), tag_lexicon())
+    users = build_hf(descriptions.items(), tag_lexicon(), lexicon,
+                     ScoreParams(), FILTER_NAMES, COLORS, BLOCKLIST)
     assert {u.user_id for u in users} == true_ids
     assert all(u.source == "HF" and u.score >= 0.35 for u in users)
     labels = {u.user_id: u.label for u in users}
@@ -137,9 +142,8 @@ def test_build_hf_threshold_applies_to_passing_matches_only():
     # the quoted (rejected) keyword sits next to the head noun and scores
     # high; the passing keyword is too far away and scores below threshold
     text = '"i am a hispanic farmer" yay yay yay yay hispanic friend'
-    corpus = [make_user("h1", description=text),
-              make_user("h2", description="i am a hispanic farmer")]
-    lexicon = build_selfreport_lexicon(corpus, tag_lexicon())
+    corpus = [("h1", text), ("h2", "i am a hispanic farmer")]
+    lexicon = small_lexicon(corpus)
     users = build_hf(corpus, tag_lexicon(), lexicon, ScoreParams(),
                      FILTER_NAMES, COLORS, BLOCKLIST)
     assert [u.user_id for u in users] == ["h2"]
@@ -151,10 +155,10 @@ def test_build_hf_threshold_applies_to_passing_matches_only():
 
 
 def test_build_hf_threshold_boundary_is_inclusive():
-    records, true_ids, _ = planted_users()
-    lexicon = build_selfreport_lexicon(records, tag_lexicon())
+    descriptions, true_ids, _ = planted_descriptions()
+    lexicon = build_selfreport_lexicon(descriptions.values(), tag_lexicon())
     # true profiles score exactly 1.0: a threshold equal to the score keeps them
-    users = build_hf(records, tag_lexicon(), lexicon,
+    users = build_hf(descriptions.items(), tag_lexicon(), lexicon,
                      ScoreParams(threshold=1.0), FILTER_NAMES, COLORS,
                      BLOCKLIST)
     assert {u.user_id for u in users} == true_ids

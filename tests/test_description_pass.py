@@ -19,8 +19,7 @@ from identminer.textprep import (PENN_TAGS, SelfReportLexicon, TagLexicon,
                                  Tagger, build_selfreport_lexicon, code_set,
                                  selfreport_words, token_spans, tokenize)
 
-from helpers import (DESCRIPTION_PIECES, description_texts, make_user, tag,
-                     tag_lexicon)
+from helpers import DESCRIPTION_PIECES, description_texts, tag, tag_lexicon
 from reference_description import (reference_filter_chain,
                                    reference_find_query_matches,
                                    reference_lexicon_counts,
@@ -134,9 +133,7 @@ def test_selfreport_words_and_counts_equal_the_pattern_loop(texts, tags,
         assert selfreport_words(tagger.scan(text), allow_im) == \
             reference_selfreport_words(reference_tag(text, tags), tags,
                                        allow_im)
-    lexicon = build_selfreport_lexicon(
-        [make_user(f"u{i}", description=text) for i, text in enumerate(texts)],
-        TagLexicon(tags), allow_im)
+    lexicon = build_selfreport_lexicon(texts, TagLexicon(tags), allow_im)
     os_counts, o_counts = reference_lexicon_counts(texts, tags, allow_im)
     assert (lexicon.os_counts, lexicon.o_counts) == (os_counts, o_counts)
 

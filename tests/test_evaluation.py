@@ -4,14 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from identminer.evaluation import (EvalReport, accuracy, balance_subsample,
-                                   confusion_matrix, evaluate,
-                                   format_report_table, macro_f1,
-                                   per_class_accuracy)
+from identminer.evaluation import (EvalReport, balance_subsample, count_table,
+                                   evaluate, format_report_table)
 from identminer.filters import CLASS_ORDER
 from identminer.models.baselines import MajorityBaseline, RandomBaseline
 
-from helpers import skewed_labels
+from helpers import Echo, echo_report, skewed_labels
 
 W, B, HL, A = CLASS_ORDER
 
@@ -19,14 +17,14 @@ W, B, HL, A = CLASS_ORDER
 def test_accuracy_hand_case():
     labels = [W, W, B, HL]
     preds = [W, B, B, A]
-    assert accuracy(labels, preds) == 0.5
+    assert echo_report(labels, preds).accuracy == 0.5
 
 
 def test_accuracy_rejects_bad_input():
     with pytest.raises(ValueError):
-        accuracy([W], [W, B])
+        count_table([W], [W, B])
     with pytest.raises(ValueError):
-        accuracy([], [])
+        count_table([], [])
 
 
 def test_macro_f1_hand_case():
@@ -35,35 +33,35 @@ def test_macro_f1_hand_case():
     labels = [W, B, B, HL]
     preds = [W, B, W, A]
     expected = (2 / 3 + 2 / 3 + 0.0 + 0.0) / 4
-    assert macro_f1(labels, preds) == pytest.approx(expected, abs=1e-12)
+    assert echo_report(labels, preds).macro_f1 == pytest.approx(expected,
+                                                                abs=1e-12)
 
 
 def test_macro_f1_perfect_is_one():
     labels = [W, B, HL, A] * 3
-    assert macro_f1(labels, labels) == 1.0
+    assert echo_report(labels, labels).macro_f1 == 1.0
 
 
 def test_majority_on_balanced_set_gives_exact_quarter_and_tenth():
     # all-W prediction on a balanced set: accuracy 1/4 and macro-F1
     # (2*.25/1.25)/4, both exactly representable
     labels = [label for label in CLASS_ORDER for _ in range(36)]
-    preds = [W] * len(labels)
-    assert accuracy(labels, preds) == 0.25
-    assert macro_f1(labels, preds) == 0.1
+    report = echo_report(labels, [W] * len(labels))
+    assert report.accuracy == 0.25
+    assert report.macro_f1 == 0.1
 
 
 def test_majority_on_skewed_set():
     labels = skewed_labels()
-    preds = [W] * len(labels)
-    assert accuracy(labels, preds) == pytest.approx(0.808, abs=1e-12)
-    assert macro_f1(labels, preds) == pytest.approx(0.22345132743362833,
-                                                    abs=1e-15)
+    report = echo_report(labels, [W] * len(labels))
+    assert report.accuracy == pytest.approx(0.808, abs=1e-12)
+    assert report.macro_f1 == pytest.approx(0.22345132743362833, abs=1e-15)
 
 
 def test_confusion_matrix_percentages():
     labels = [W, W, B, HL]
     preds = [W, B, B, A]
-    matrix = confusion_matrix(labels, preds)
+    matrix = echo_report(labels, preds).confusion
     assert matrix[0][0] == 25.0  # W -> W
     assert matrix[0][1] == 25.0  # W -> B
     assert matrix[1][1] == 25.0  # B -> B
@@ -74,15 +72,16 @@ def test_confusion_matrix_percentages():
 def test_confusion_matrix_trace_matches_accuracy(rng):
     labels = [rng.choice(CLASS_ORDER) for _ in range(200)]
     preds = [rng.choice(CLASS_ORDER) for _ in range(200)]
-    matrix = confusion_matrix(labels, preds)
-    trace = sum(matrix[i][i] for i in range(4))
-    assert trace == pytest.approx(accuracy(labels, preds) * 100.0, abs=1e-9)
+    report = echo_report(labels, preds)
+    trace = sum(report.confusion[i][i] for i in range(4))
+    assert trace == pytest.approx(report.accuracy * 100.0, abs=1e-9)
 
 
 def test_per_class_accuracy_absent_class_is_zero():
     labels = [W, W, B]
     preds = [W, B, B]
-    assert per_class_accuracy(labels, preds) == [50.0, 100.0, 0.0, 0.0]
+    assert echo_report(labels, preds).per_class_accuracy == \
+        [50.0, 100.0, 0.0, 0.0]
 
 
 # the per-function formulas that each made their own passes over the lists;
@@ -148,28 +147,13 @@ def labels_and_predictions(draw):
 @settings(max_examples=500)
 def test_metrics_equal_the_per_function_formulas_bit_for_bit(pairs):
     labels, predictions = pairs
-    assert accuracy(labels, predictions) == \
-        reference_accuracy(labels, predictions)
-    assert macro_f1(labels, predictions) == \
-        reference_macro_f1(labels, predictions)
-    assert confusion_matrix(labels, predictions) == \
-        reference_confusion_matrix(labels, predictions)
-    assert per_class_accuracy(labels, predictions) == \
-        reference_per_class_accuracy(labels, predictions)
-    report = evaluate(_Echo(), list(zip(predictions, labels)))
+    report = echo_report(labels, predictions)
     assert (report.accuracy, report.macro_f1, report.per_class_accuracy,
             report.confusion) == (
         reference_accuracy(labels, predictions),
         reference_macro_f1(labels, predictions),
         reference_per_class_accuracy(labels, predictions),
         reference_confusion_matrix(labels, predictions))
-
-
-class _Echo:
-    """Predictor whose features already are the intended label."""
-
-    def predict_batch(self, features):
-        return list(features)
 
 
 def test_balance_subsample_uses_present_classes():
@@ -192,7 +176,7 @@ def test_balance_subsample_keeps_pairs_in_class_order():
 
 def test_evaluate_imbalanced_end_to_end():
     test_set = [(W, W), (W, W), (W, B), (HL, HL)]
-    report = evaluate(_Echo(), test_set)
+    report = evaluate(Echo(), test_set)
     assert report.n == 4
     assert report.setting == "imbalanced"
     assert report.accuracy == 0.75
@@ -204,7 +188,7 @@ def test_evaluate_imbalanced_end_to_end():
 
 def test_evaluate_balanced_subsamples_equal_counts():
     test_set = [(W, W)] * 8 + [(B, B)] * 2 + [(HL, HL)] * 2 + [(A, A)] * 2
-    report = evaluate(_Echo(), test_set, setting="balanced", seed=3)
+    report = evaluate(Echo(), test_set, setting="balanced", seed=3)
     assert report.n == 8  # 2 per class
     assert report.accuracy == 1.0
 
@@ -236,7 +220,7 @@ def test_evaluate_predicts_in_one_batch_call():
     predictor = _BatchEcho()
     report = evaluate(predictor, test_set)
     assert predictor.batches == [[features for features, _ in test_set]]
-    assert report == evaluate(_Echo(), test_set)
+    assert report == evaluate(Echo(), test_set)
 
 
 def test_evaluate_random_baseline_keeps_per_example_draws():
@@ -244,14 +228,14 @@ def test_evaluate_random_baseline_keeps_per_example_draws():
     report = evaluate(RandomBaseline(seed=4), items)
     fresh = RandomBaseline(seed=4)
     draws = [fresh.predict(None)[0] for _ in items]
-    assert report.accuracy == accuracy([label for _, label in items], draws)
-    assert report.confusion == confusion_matrix([label for _, label in items],
-                                                draws)
+    labels = [label for _, label in items]
+    assert report.accuracy == reference_accuracy(labels, draws)
+    assert report.confusion == reference_confusion_matrix(labels, draws)
 
 
 def test_evaluate_rejects_empty_set():
     with pytest.raises(ValueError):
-        evaluate(_Echo(), [])
+        evaluate(Echo(), [])
 
 
 def test_format_report_table_layout():

@@ -19,7 +19,8 @@ from helpers import iso, make_profile, make_user, tweet_payload, user_payload
 def load_all(payloads, missingness=None):
     lines = "\n".join(p if isinstance(p, str) else json.dumps(p)
                       for p in payloads)
-    return list(load_users(io.StringIO(lines + "\n"), missingness))
+    return list(load_users(io.BytesIO((lines + "\n").encode("utf-8")),
+                           missingness))
 
 
 def same(record):

@@ -9,7 +9,7 @@ from identminer.scorer import (WEIGHTINGS, ScoreParams, read_tuning_tsv,
                                score_description, score_grid, tune_params)
 from identminer.textprep import SelfReportLexicon, build_selfreport_lexicon
 
-from helpers import make_user, tag, tag_lexicon
+from helpers import tag, tag_lexicon
 from reference_description import reference_precision_recall, reference_tag
 
 # the tuning grid of the default config, as tune builds it
@@ -214,13 +214,9 @@ def test_score_matches_oracle_bitwise_on_random_inputs():
 # parameter tuning
 
 def build_tuning_fixture():
-    corpus = [
-        make_user("u1", description="i am a black farmer"),
-        make_user("u2", description="i am a proud black woman"),
-        make_user("u3", description="black coffee lover"),
-        make_user("u4", description="i am happy"),
-    ]
-    lexicon = build_selfreport_lexicon(corpus, tag_lexicon())
+    descriptions = ["i am a black farmer", "i am a proud black woman",
+                    "black coffee lover", "i am happy"]
+    lexicon = build_selfreport_lexicon(descriptions, tag_lexicon())
     labeled = [("i am a black farmer", True),
                ("i am a proud black woman", True),
                ("black coffee lover", False),

@@ -10,14 +10,14 @@ from identminer.textprep import (WORD_CODES, ChunkTable, SelfReportLexicon,
                                  TagLexicon, Tagged, Tagger, TweetTokens,
                                  build_selfreport_lexicon, chunk_tokens,
                                  chunk_words, code_set, pos_tag,
-                                 selfreport_words, token_spans, tokenize,
-                                 tweet_tokens, tweet_words)
+                                 selfreport_words, token_spans, tokenize)
 
 from identminer.resources import load_contractions
 
-from helpers import TRICKY_PIECES, make_user, tag, tag_lexicon, tweet_texts
+from helpers import TRICKY_PIECES, tag, tag_lexicon, tweet_texts
 from reference_description import (reference_extract, reference_tag,
                                    reference_tokenize)
+from reference_tweet import reference_tweet_tokens, reference_tweet_words
 
 WORDS = ["black", "farmer", "coffee", "lover", "i", "am", "a", "proud",
          "woman", "happy", "so", "#tag", "@who", ":)", "it's"]
@@ -28,11 +28,33 @@ def kinds(text):
     return [(t.text, t.kind) for t in reference_tokenize(text)]
 
 
+def merged_by_kind(parts) -> TweetTokens:
+    """The TweetTokens of consecutive texts' tokens: each kind's texts
+    concatenated, the counts summed."""
+    parts = list(parts)
+    return TweetTokens(*(tuple(text for part in parts for text in part[i])
+                         for i in range(3)),
+                       sum(part.contractions for part in parts),
+                       sum(part.hashtags for part in parts))
+
+
+def text_tokens(text) -> TweetTokens:
+    """The TweetTokens of text as the tweet path reads them: chunk_tokens
+    of its whitespace-separated chunks, merged."""
+    return merged_by_kind(chunk_tokens(text.split()))
+
+
+def text_words(text) -> list[str]:
+    """The word and contraction texts of text as the tweet path reads them:
+    chunk_words of its whitespace-separated chunks, in turn."""
+    return [word for words in chunk_words(text.split()) for word in words]
+
+
 def test_tokenize_basic_kinds():
     text = "wow @alice check https://x.example/a #fun it's great :)"
     assert tokenize(text) == ("wow", "@alice", "check", "https://x.example/a",
                               "#fun", "it's", "great", ":)")
-    assert tweet_tokens(text) == TweetTokens(
+    assert text_tokens(text) == TweetTokens(
         ("wow", "check", "it's", "great"), ("@alice", "https://x.example/a"),
         ("#fun", ":)"), 1, 1)
 
@@ -59,7 +81,7 @@ def test_tokenize_every_kind_with_spans():
         ("https://x.co/a", (11, 25)), ("@bob", (26, 30)), ("#fun", (31, 35)),
         ("\U0001F600", (36, 37)), ("i'm", (38, 41)), ("done", (42, 46)),
         ("!!", (46, 48))]
-    assert tweet_tokens(text) == TweetTokens(
+    assert text_tokens(text) == TweetTokens(
         ("wow", "check", "i'm", "done"), ("https://x.co/a", "@bob"),
         (",", "#fun", "\U0001F600", "!!"), 1, 1)
 
@@ -80,32 +102,19 @@ def test_token_records_are_immutable_hashable_and_named():
     assert tagged == (("proud", "farmer"), tagged.codes)
 
 
-def tokens_by_kind(text) -> TweetTokens:
-    """tweet_tokens(text) built from tokenize(text)."""
-    pairs = kinds(text)
-
-    def texts(*wanted):
-        return [text for text, kind in pairs if kind in wanted]
-    return TweetTokens(tuple(texts("word", "contraction")),
-                       tuple(texts("url", "mention")),
-                       tuple(texts("hashtag", "emoji", "punct")),
-                       len(texts("contraction")), len(texts("hashtag")))
-
-
 @given(tweet_texts())
 @settings(max_examples=500)
 def test_tweet_tokens_are_tokenize_sorted_by_kind(text):
-    assert tweet_tokens(text) == tokens_by_kind(text)
+    assert text_tokens(text) == reference_tweet_tokens(text)
 
 
 @given(st.lists(tweet_texts(), max_size=5))
 @settings(max_examples=300)
 def test_tweet_words_of_joined_texts_are_the_words_of_each(texts):
-    """One scan of the texts joined by newlines gives the word and
-    contraction texts of tokenize over each text in turn."""
-    assert tweet_words("\n".join(texts)) == [
-        text for one in texts for text, kind in kinds(one)
-        if kind in ("word", "contraction")]
+    """The texts joined by newlines give the word and contraction texts of
+    tokenize over each text in turn."""
+    assert text_words("\n".join(texts)) == [
+        word for text in texts for word in reference_tweet_words(text)]
 
 
 @given(tweet_texts())
@@ -113,25 +122,14 @@ def test_tweet_words_of_joined_texts_are_the_words_of_each(texts):
 def test_tweet_words_are_the_words_of_its_chunks(text):
     """No token holds whitespace and str.split cuts where \\s matches, so
     the words of a text are those of its whitespace-separated chunks."""
-    assert tweet_words(text) == [
-        word for chunk in text.split() for word in tweet_words(chunk)]
-
-
-def merged_by_kind(parts) -> TweetTokens:
-    """The TweetTokens of consecutive texts' tokens: each kind's texts
-    concatenated, the counts summed."""
-    parts = list(parts)
-    return TweetTokens(*(tuple(text for part in parts for text in part[i])
-                         for i in range(3)),
-                       sum(part.contractions for part in parts),
-                       sum(part.hashtags for part in parts))
+    assert text_words(text) == reference_tweet_words(text)
 
 
 @given(tweet_texts())
 @settings(max_examples=500)
 def test_tweet_tokens_are_the_merged_tokens_of_its_chunks(text):
-    assert tweet_tokens(text) == merged_by_kind(
-        map(tweet_tokens, text.split()))
+    assert reference_tweet_tokens(text) == merged_by_kind(
+        map(reference_tweet_tokens, text.split()))
 
 
 def test_str_split_and_the_token_pattern_agree_on_whitespace():
@@ -149,17 +147,19 @@ def test_str_split_and_the_token_pattern_agree_on_whitespace():
 @settings(max_examples=300)
 def test_chunk_scans_are_the_scans_of_each_chunk(texts):
     """One chunk_words or chunk_tokens call over distinct chunks gives each
-    chunk what tweet_words or tweet_tokens gives it alone."""
+    chunk its own words or tokens by kind."""
     chunks = list(dict.fromkeys(" ".join(texts).split()))
-    assert chunk_words(chunks) == [tuple(tweet_words(chunk))
+    assert chunk_words(chunks) == [tuple(reference_tweet_words(chunk))
                                    for chunk in chunks]
-    assert chunk_tokens(chunks) == [tweet_tokens(chunk) for chunk in chunks]
+    assert chunk_tokens(chunks) == [reference_tweet_tokens(chunk)
+                                    for chunk in chunks]
 
 
 @given(st.text("abcXYZ019", min_size=1))
 def test_a_plain_chunk_is_one_word_its_lowercase(chunk):
-    assert tweet_words(chunk) == [chunk.lower()]
-    assert tweet_tokens(chunk) == TweetTokens((chunk.lower(),), (), (), 0, 0)
+    assert chunk_words([chunk]) == [(chunk.lower(),)]
+    one_word = TweetTokens((chunk.lower(),), (), (), 0, 0)
+    assert chunk_tokens([chunk]) == [one_word]
 
 
 def counted_table(scans: list) -> ChunkTable:
@@ -225,7 +225,7 @@ def test_chunk_table_keeps_only_the_asked_chunks_at_its_limit():
 ])
 def test_tweet_tokens_kind_order_cases(text, expected):
     assert kinds(text) == expected
-    assert tweet_tokens(text) == tokens_by_kind(text)
+    assert text_tokens(text) == reference_tweet_tokens(text)
 
 
 def test_tweet_scan_emoji_set_is_the_emoji_class():
@@ -287,7 +287,7 @@ def test_tokenize_hyphenated_word_is_one_token():
 
 
 def test_tokenize_emoji_and_punct():
-    assert tweet_tokens("done 🎉 ...").others == ("🎉", "...")
+    assert text_tokens("done 🎉 ...").others == ("🎉", "...")
     assert kinds("done 🎉 ...") == [("done", "word"), ("🎉", "emoji"),
                                     ("...", "punct")]
 
@@ -399,13 +399,9 @@ def test_lexicon_membership_and_total():
 
 
 def test_build_selfreport_lexicon_counts_by_description():
-    corpus = [
-        make_user("u1", description="i am a black farmer"),
-        make_user("u2", description="i am a proud black woman"),
-        make_user("u3", description="black coffee lover"),
-        make_user("u4", description="i am happy happy"),
-    ]
-    lex = build_selfreport_lexicon(corpus, tag_lexicon())
+    descriptions = ["i am a black farmer", "i am a proud black woman",
+                    "black coffee lover", "i am happy happy"]
+    lex = build_selfreport_lexicon(descriptions, tag_lexicon())
     assert lex.os_counts == {"black": 2, "farmer": 1, "proud": 1,
                              "woman": 1, "happy": 1}
     assert lex.o_counts == {"black": 3, "farmer": 1, "proud": 1,
@@ -432,10 +428,10 @@ def test_lexicon_tsv_round_trip(tmp_path):
 def test_lexicon_counts_invariant_random(rng):
     vocab = ["alpha", "beta", "gamma", "delta"]
     corpus = []
-    for i in range(100):
+    for _ in range(100):
         words = [rng.choice(vocab) for _ in range(rng.randrange(1, 6))]
         prefix = "i am a black farmer " if rng.random() < 0.4 else ""
-        corpus.append(make_user(f"u{i}", description=prefix + " ".join(words)))
+        corpus.append(prefix + " ".join(words))
     lex = build_selfreport_lexicon(corpus, tag_lexicon())
     for word in lex.os_counts:
         assert 0 < lex.os_counts[word] <= lex.o_counts[word]

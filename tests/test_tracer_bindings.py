@@ -1,24 +1,11 @@
 """Every program name the benchmark tracer wraps must exist, or
 `perfbench/run.py --trace 1` fails when it installs its spans. The tracer
-module perfbench/spans.py is loaded from its file and only read: its
-install() patches the program's modules for the whole process, so it is
-never called here."""
+module perfbench/spans.py is read through helpers.load_spans, never
+installed."""
 import dataclasses
 import importlib
-import importlib.util
-from pathlib import Path
 
-from helpers import user_payload, write_jsonl
-
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-
-
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans",
-                                                  SPANS_PATH)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+from helpers import load_spans, user_payload, write_jsonl
 
 
 def test_every_layer_function_resolves():
