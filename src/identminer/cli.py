@@ -5,14 +5,17 @@ one root seed, so reruns with the same config and seed are byte-identical and
 results never depend on --workers.
 
 Each subcommand imports only the modules it runs. At module level this
-file loads the standard library, util, resources and labels, which is all
-that argument parsing, config resolution, logging and result writing need;
+file loads the standard library (but not logging: _log writes the few
+messages there are), util, resources and labels, which is all that
+argument parsing, config resolution, messages and result writing need;
 every stage module is imported inside the function that uses it. So the
-baselines load no text-processing module, and only train and evaluate of a
-unigram or name model load numpy.
+baselines load no text-processing module, only train and evaluate of a
+unigram or name model load numpy, and no module that the description
+stages load imports dataclasses or logging.
 
-Exit codes: 0 success, 1 usage error, 2 data error. Logging level comes from
-the IDENTMINER_LOG environment variable (error, info, debug).
+Exit codes: 0 success, 1 usage error, 2 data error. The IDENTMINER_LOG
+environment variable (error, info, debug) sets which messages are written
+to stderr, each as one "LEVEL identminer: message" line.
 """
 from __future__ import annotations
 
@@ -20,7 +23,6 @@ import argparse
 import functools
 import itertools
 import json
-import logging
 import math
 import os
 import reprlib
@@ -32,8 +34,6 @@ from . import resources
 from .labels import (CLASS_ORDER, FILTER_ALIASES, FILTER_NAMES, SETTINGS,
                      WEIGHTINGS, read_dataset_tsv, write_dataset_tsv)
 from .util import DataError, config_hash, stage_seed, write_json
-
-logger = logging.getLogger("identminer")
 
 DATASET_KINDS = ("qb", "hf", "cb")
 MODEL_NAMES = ("unigram", "namecnn", "baseline-random", "baseline-majority")
@@ -161,13 +161,16 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _setup_logging() -> None:
-    level_name = os.environ.get("IDENTMINER_LOG", "error").lower()
-    level = {"error": logging.ERROR, "info": logging.INFO,
-             "debug": logging.DEBUG}.get(level_name, logging.ERROR)
-    logging.basicConfig(stream=sys.stderr, level=level,
-                        format="%(levelname)s %(name)s: %(message)s")
-    logger.setLevel(level)
+# IDENTMINER_LOG -> the levels written to stderr; any other value is error
+_LOG_LEVELS = {"error": (), "info": ("INFO",), "debug": ("INFO", "DEBUG")}
+
+
+def _log(level: str, message: str) -> None:
+    """Write "LEVEL identminer: message" to stderr if IDENTMINER_LOG lets
+    level through."""
+    name = os.environ.get("IDENTMINER_LOG", "error").lower()
+    if level in _LOG_LEVELS.get(name, ()):
+        print(f"{level} identminer: {message}", file=sys.stderr)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -287,27 +290,31 @@ def _out_dir(paths: dict) -> Path:
 
 
 def _load_corpus(path: str, keep) -> tuple[dict, int]:
-    """keep(record) of each user's latest snapshot, by user id in corpus
+    """keep(line) of each user's latest snapshot, by user id in corpus
     order, for the users whose keep is not None; plus the count of lines that
-    failed to parse. The lines stream from the parser straight into
-    dedupe_latest, so only the kept values outlive their line."""
+    failed to parse. line is the snapshot's ingest.UserLine: the description
+    stages keep its description, and the others build the record
+    (ingest.build_record) of the users they keep. The lines stream from the
+    validator straight into dedupe_latest, so only the kept values outlive
+    their line."""
     from .ingest import ParseFailure, dedupe_latest, load_users
     parsed = failures = 0
 
-    def records(handle):
+    def accepted(handle):
         nonlocal parsed, failures
         for result in load_users(handle):
             if isinstance(result, ParseFailure):
                 failures += 1
-                logger.debug("line %d skipped: %s", result.line_no, result.reason)
+                _log("DEBUG",
+                     f"line {result.line_no} skipped: {result.reason}")
             else:
                 parsed += 1
                 yield result
 
     with open(path, "rb") as handle:
-        latest = dedupe_latest(records(handle), keep)
-    logger.info("corpus: %d lines, %d parsed, %d failures, %d unique users",
-                parsed + failures, parsed, failures, len(latest))
+        latest = dedupe_latest(accepted(handle), keep)
+    _log("INFO", f"corpus: {parsed + failures} lines, {parsed} parsed, "
+                 f"{failures} failures, {len(latest)} unique users")
     return ({user_id: kept for user_id, kept in latest.items()
              if kept is not None}, failures)
 
@@ -370,7 +377,7 @@ def cmd_lexicon_build(args: argparse.Namespace) -> int:
     corpus_path = _require(paths, "corpus")
     tag_lexicon = _tag_lexicon(paths)
     descriptions, failures = _load_corpus(corpus_path,
-                                           lambda record: record.description)
+                                           lambda line: line.description)
     lexicon = build_selfreport_lexicon(descriptions.values(), tag_lexicon,
                                        allow_im=config["allow_im"])
     out = _out_dir(paths)
@@ -428,7 +435,7 @@ def cmd_dataset_build(args: argparse.Namespace) -> int:
     params = ScoreParams(config["window"], config["threshold"],
                          config["weighting"])
     descriptions, _ = _load_corpus(corpus_path,
-                                   lambda record: record.description)
+                                   lambda line: line.description)
     lexicon, reports = _description_pass(paths, config, descriptions.items(),
                                          tag_lexicon)
     # qb reads no filter verdicts
@@ -472,7 +479,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     rows = _read_input(paths, "tuning", read_tuning_tsv)
     tag_lexicon = _tag_lexicon(paths)
     descriptions, _ = _load_corpus(corpus_path,
-                                   lambda record: record.description)
+                                   lambda line: line.description)
     lexicon, reports = _description_pass(paths, config, descriptions.items(),
                                          tag_lexicon)
 
@@ -512,12 +519,14 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _corpus_pairs(paths: dict, dataset, project) -> list:
-    """(dataset user, project(latest snapshot)) for each dataset user in the
-    corpus. project is called for dataset users only, and what it returns
-    is all that is kept of the corpus."""
+    """(dataset user, project(record of the latest snapshot)) for each
+    dataset user in the corpus. Records are built, and project called, for
+    dataset users only, and what project returns is all that is kept of the
+    corpus."""
+    from .ingest import build_record
     ids = {user.user_id for user in dataset}
-    kept, _ = _load_corpus(_require(paths, "corpus"), lambda record: (
-        project(record) if record.user_id in ids else None))
+    kept, _ = _load_corpus(_require(paths, "corpus"), lambda line: (
+        project(build_record(line)) if line.user_id in ids else None))
     pairs = [(user, kept[user.user_id]) for user in dataset
              if user.user_id in kept]
     if not pairs:
@@ -769,7 +778,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def main(argv=None) -> int:
-    _setup_logging()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

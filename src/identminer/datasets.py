@@ -10,7 +10,6 @@ defaulting to the smallest class count.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Iterable, Sequence
 
 from .filters import (DEFAULT_QUERY_MAP, QueryMatch, apply_filter_chain,
@@ -23,20 +22,24 @@ from .textprep import (SelfReportCounter, SelfReportLexicon, TagLexicon,
                        Tagged, Tagger)
 
 
-@dataclass
 class UserMatchReport:
     """Per-user query analysis shared by the dataset builders and tune, with
     what they and the filters read of a description: its Tagged tokens,
     text and query matches. score_reports fills scores and outcomes, both
     aligned with matches; an outcome is the tuple of rejecting filter names,
     empty when the match passed."""
-    user_id: str
-    label: ClassLabel
-    tagged: Tagged
-    raw_text: str
-    matches: list[QueryMatch]
-    scores: list[float] = field(default_factory=list)
-    outcomes: list[tuple[str, ...]] | None = None
+    __slots__ = ("user_id", "label", "tagged", "raw_text", "matches",
+                 "scores", "outcomes")
+
+    def __init__(self, user_id: str, label: ClassLabel, tagged: Tagged,
+                 raw_text: str, matches: list[QueryMatch]):
+        self.user_id = user_id
+        self.label = label
+        self.tagged = tagged
+        self.raw_text = raw_text
+        self.matches = matches
+        self.scores: list[float] = []
+        self.outcomes: list[tuple[str, ...]] | None = None
 
 
 def scan_descriptions(corpus: Iterable[tuple[str, str]],
@@ -161,5 +164,5 @@ def build_cb(candidates: Sequence[LabeledUser], k: int | None = None) -> list[La
     out = []
     for label in CLASS_ORDER:
         ranked = sorted(by_class[label], key=lambda u: (-u.score, u.user_id))
-        out.extend(replace(user, source="CB") for user in ranked[:k])
+        out.extend(user._replace(source="CB") for user in ranked[:k])
     return out

@@ -1,15 +1,18 @@
 """Stream archived user exports (JSON lines) into canonical UserRecord values.
 
-One line is one user snapshot. Malformed lines become ParseFailure values instead
-of exceptions so a bad record never aborts the stream; stream-level I/O errors
-still propagate. Missing optional fields default to false/0/"" and are tallied
-in an optional per-field missingness counter.
-dedupe_latest folds the record stream into one value per user as it goes:
-the caller's projection of the user's latest snapshot, so memory grows with
-the users and with what the caller keeps of each, not with the lines.
-A Tweet and a ProfileMeta are named tuples built through tuple.__new__,
-several times cheaper than a frozen dataclass; each equals the plain tuple
-of its fields.
+One line is one user snapshot. validate_user_line alone decides whether a
+line parses, and why not: a malformed line becomes a ParseFailure value
+instead of an exception, so a bad record never aborts the stream, while
+stream-level I/O errors still propagate. An accepted line is a UserLine,
+which holds the user id, snapshot time and description and builds no
+record; build_record makes its UserRecord, for the users a stage keeps.
+Missing optional fields default to false/0/"" and are tallied in an
+optional per-field missingness counter.
+dedupe_latest folds the stream into one value per user as it goes: the
+caller's projection of the user's latest snapshot, so memory grows with the
+users and with what the caller keeps of each, not with the lines.
+The records are named tuples built through tuple.__new__, several times
+cheaper than a dataclass; each equals the plain tuple of its fields.
 """
 from __future__ import annotations
 
@@ -17,8 +20,7 @@ import functools
 import json
 import operator
 import sys
-from collections import Counter
-from dataclasses import dataclass
+from collections import Counter, defaultdict
 from datetime import datetime, timezone
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, TypeVar, Union
 
@@ -51,8 +53,7 @@ class ProfileMeta(NamedTuple):
 _new_profile = functools.partial(tuple.__new__, ProfileMeta)
 
 
-@dataclass
-class UserRecord:
+class UserRecord(NamedTuple):
     user_id: str
     name: str
     description: str
@@ -61,17 +62,35 @@ class UserRecord:
     snapshot_time: datetime
 
 
-@dataclass(frozen=True)
-class ParseFailure:
+_new_record = functools.partial(tuple.__new__, UserRecord)
+
+
+class ParseFailure(NamedTuple):
     line_no: int
     reason: str
 
+
+class UserLine(NamedTuple):
+    """A line that validate_user_line accepted: the user id, snapshot time
+    and description, which are all that the description stages read, and
+    what build_record makes the rest of the record from: the decoded object
+    and the timestamps that the checks parsed."""
+    user_id: str
+    snapshot_time: datetime
+    description: str
+    decoded: dict
+    tweet_times: list[datetime]
+    account_created_at: datetime | None
+
+
+_new_line = functools.partial(tuple.__new__, UserLine)
 
 # (key, field name in missingness counts and failure reasons), in field order
 _TWEET_FLAGS = tuple((key, f"tweet.{key}") for key in Tweet._fields[3:])
 _PROFILE_FLAGS = tuple((key, f"profile.{key}") for key in (
     "has_profile_url", "has_custom_image", "geo_enabled"))
 _ABSENT = object()
+S = TypeVar("S")
 T = TypeVar("T")
 
 
@@ -100,19 +119,15 @@ def parse_timestamp(raw: str) -> datetime:
     return parsed.astimezone(timezone.utc)
 
 
-def _flags(obj: dict, keys: tuple, missingness: Counter) -> list[bool]:
-    """The (key, field name) flags of obj in order, each a JSON boolean; an
-    absent flag is false and counted as missing."""
-    flags = []
+def _check_flags(obj: dict, keys: tuple, missingness: Counter) -> None:
+    """Each (key, field name) flag of obj, in order, is a JSON boolean or
+    absent; an absent one is counted as missing."""
     for key, field in keys:
         value = obj.get(key, _ABSENT)
         if value is _ABSENT:
             missingness[field] += 1
-            value = False
-        elif not isinstance(value, bool):
+        elif value is not True and value is not False:
             raise ValueError(f"{field} must be true or false")
-        flags.append(value)
-    return flags
 
 
 def _text(obj: dict, key: str, field: str, missingness: Counter) -> str:
@@ -126,58 +141,52 @@ def _text(obj: dict, key: str, field: str, missingness: Counter) -> str:
     return value
 
 
-def _count(obj: dict, key: str, missingness: Counter) -> int:
-    """A JSON integer in [0, float max]; absent is 0 and counted as missing."""
+def _check_count(obj: dict, key: str, missingness: Counter) -> None:
+    """A JSON integer in [0, float max], or absent and counted as missing."""
     if key not in obj:
         missingness[f"profile.{key}"] += 1
-        return 0
+        return
     count = obj[key]
-    if not isinstance(count, int) or isinstance(count, bool):
+    if type(count) is not int:  # a JSON true or false is a bool
         raise ValueError(f"{key} must be an integer")
     if count < 0:
         raise ValueError(f"{key} is negative")
     # the behavioral statistics and the name model take float(count)
     if count > sys.float_info.max:
         raise ValueError(f"{key} is too large for a float")
-    return count
 
 
-def _parse_tweet(obj: dict, missingness: Counter) -> Tweet:
-    if not isinstance(obj, dict):
-        raise ValueError("tweet is not an object")
-    text = obj.get("text")
-    if not isinstance(text, str):
-        raise ValueError("tweet text missing or not a string")
-    if "created_at" not in obj:
-        raise ValueError("tweet created_at missing")
-    created = parse_timestamp(obj["created_at"])
-    source = _text(obj, "source_app", "tweet.source_app", missingness)
-    return _new_tweet((text, source, created,
-                       *_flags(obj, _TWEET_FLAGS, missingness)))
-
-
-def _parse_profile(obj, snapshot: datetime, missingness: Counter) -> ProfileMeta:
-    if obj is None:
+def _check_profile(profile, snapshot: datetime,
+                   missingness: Counter) -> datetime | None:
+    """Check a profile object; its account_created_at, None if absent."""
+    if profile is None:
         missingness["profile"] += 1
-        obj = {}
-    if not isinstance(obj, dict):
+        profile = {}
+    if not isinstance(profile, dict):
         raise ValueError("profile is not an object")
-    flags = _flags(obj, _PROFILE_FLAGS, missingness)
-    statuses = _count(obj, "statuses_count", missingness)
-    if "account_created_at" not in obj or obj["account_created_at"] is None:
+    _check_flags(profile, _PROFILE_FLAGS, missingness)
+    _check_count(profile, "statuses_count", missingness)
+    raw = profile.get("account_created_at")
+    if raw is None:
         missingness["profile.account_created_at"] += 1
         created = None
     else:
-        created = parse_timestamp(obj["account_created_at"])
+        created = parse_timestamp(raw)
         if created > snapshot:
             raise ValueError("account_created_at is after snapshot_time")
-    followers = _count(obj, "followers_count", missingness)
-    return _new_profile((*flags, statuses, created, followers))
+    _check_count(profile, "followers_count", missingness)
+    return created
 
 
-def parse_user_line(line: str, line_no: int,
-                    missingness: Counter | None = None) -> Union[UserRecord, ParseFailure]:
-    counter = missingness if missingness is not None else Counter()
+def validate_user_line(line: str, line_no: int,
+                       missingness: Counter | None = None
+                       ) -> Union[UserLine, ParseFailure]:
+    """The one decision whether a line parses, and why not: a UserLine if
+    every check passes, else the ParseFailure of the first check that
+    fails. It builds no record. Fields that are absent (or null, where a
+    field may be) are counted in missingness, if given, up to that check."""
+    # a throwaway tally when none is given: cheaper to make than a Counter
+    counter = missingness if missingness is not None else defaultdict(int)
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -199,32 +208,72 @@ def parse_user_line(line: str, line_no: int,
         if "snapshot_time" not in obj:
             raise ValueError("snapshot_time missing")
         snapshot = parse_timestamp(obj["snapshot_time"])
-        name = _text(obj, "name", "name", counter)
+        _text(obj, "name", "name", counter)
         description = _text(obj, "description", "description", counter)
-        raw_tweets = obj.get("tweets")
-        if raw_tweets is None:
+        tweets = obj.get("tweets")
+        if tweets is None:
             counter["tweets"] += 1
-            raw_tweets = []
-        if not isinstance(raw_tweets, list):
+            tweets = []
+        if not isinstance(tweets, list):
             raise ValueError("tweets is not a list")
-        tweets = [_parse_tweet(t, counter) for t in raw_tweets]
-        tweets.sort(key=_created_at, reverse=True)
-        profile = _parse_profile(obj.get("profile"), snapshot, counter)
-        return UserRecord(user_id=user_id, name=name, description=description,
-                          tweets=tweets, profile=profile, snapshot_time=snapshot)
+        tweet_times = []
+        for tweet in tweets:
+            if not isinstance(tweet, dict):
+                raise ValueError("tweet is not an object")
+            if not isinstance(tweet.get("text"), str):
+                raise ValueError("tweet text missing or not a string")
+            if "created_at" not in tweet:
+                raise ValueError("tweet created_at missing")
+            tweet_times.append(parse_timestamp(tweet["created_at"]))
+            _text(tweet, "source_app", "tweet.source_app", counter)
+            _check_flags(tweet, _TWEET_FLAGS, counter)
+        created = _check_profile(obj.get("profile"), snapshot, counter)
     except (ValueError, TypeError, OverflowError) as exc:
         # OverflowError: a timestamp whose UTC conversion leaves the datetime
         # range, such as 0001-01-01T00:00:00+01:00
         return ParseFailure(line_no, str(exc))
+    return _new_line((user_id, snapshot, description, obj, tweet_times,
+                      created))
+
+
+def build_record(line: UserLine) -> UserRecord:
+    """The UserRecord of an accepted line, tweets newest first. It checks
+    nothing: validate_user_line has checked every field read here."""
+    obj = line.decoded
+    tweets = [_new_tweet((tweet["text"], tweet.get("source_app") or "",
+                          created, tweet.get("has_image", False),
+                          tweet.get("has_url", False),
+                          tweet.get("mentions_user", False),
+                          tweet.get("geotagged", False)))
+              for tweet, created in zip(obj.get("tweets") or (),
+                                        line.tweet_times)]
+    tweets.sort(key=_created_at, reverse=True)
+    profile = obj.get("profile") or {}
+    return _new_record((
+        line.user_id, obj.get("name") or "", line.description, tweets,
+        _new_profile((profile.get("has_profile_url", False),
+                      profile.get("has_custom_image", False),
+                      profile.get("geo_enabled", False),
+                      profile.get("statuses_count", 0),
+                      line.account_created_at,
+                      profile.get("followers_count", 0))),
+        line.snapshot_time))
+
+
+def parse_user_line(line: str, line_no: int, missingness: Counter | None = None
+                    ) -> Union[UserRecord, ParseFailure]:
+    """validate_user_line, and the record of an accepted line."""
+    result = validate_user_line(line, line_no, missingness)
+    return result if isinstance(result, ParseFailure) else build_record(result)
 
 
 def load_users(stream: IO[bytes], missingness: Counter | None = None
-               ) -> Iterator[Union[UserRecord, ParseFailure]]:
-    """Yield one UserRecord or ParseFailure per line of a byte stream, in
-    input order.
+               ) -> Iterator[Union[UserLine, ParseFailure]]:
+    """Yield one UserLine or ParseFailure per line of a byte stream, in
+    input order (validate_user_line).
 
     Line numbers are 1-based. A line that is not UTF-8 or is blank counts as
-    a failure, so failures + records always add up to the line count.
+    a failure, so failures + accepted lines always add up to the line count.
     """
     for line_no, raw in enumerate(stream, start=1):
         try:
@@ -232,25 +281,26 @@ def load_users(stream: IO[bytes], missingness: Counter | None = None
         except UnicodeDecodeError:
             yield ParseFailure(line_no, "invalid UTF-8")
             continue
-        if not line.strip():
+        if not line or line.isspace():
             yield ParseFailure(line_no, "blank line")
             continue
-        yield parse_user_line(line, line_no, missingness)
+        yield validate_user_line(line, line_no, missingness)
 
 
-def dedupe_latest(records: Iterable[UserRecord], keep: Callable[[UserRecord], T]
+def dedupe_latest(snapshots: Iterable[S], keep: Callable[[S], T]
                   ) -> dict[str, T]:
-    """keep(record) of each user's record with the largest snapshot_time, by
-    user id in the order the ids first appear; on a tie the later stream
-    position wins. Only the winner's snapshot_time and keep(record) are held
-    per user, so a record lives no longer than its own step of the stream
-    and keep is never called on a snapshot older than the current winner."""
+    """keep(snapshot) of each user's snapshot (a UserLine or UserRecord)
+    with the largest snapshot_time, by user id in the order the ids first
+    appear; on a tie the later stream position wins. Only the winner's
+    snapshot_time and keep(snapshot) are held per user, so a snapshot lives
+    no longer than its own step of the stream and keep is never called on
+    one older than the current winner."""
     times: dict[str, datetime] = {}
     latest: dict[str, T] = {}
-    for record in records:
-        user_id = record.user_id
+    for snapshot in snapshots:
+        user_id = snapshot.user_id
         current = times.get(user_id)
-        if current is None or record.snapshot_time >= current:
-            times[user_id] = record.snapshot_time
-            latest[user_id] = keep(record)
+        if current is None or snapshot.snapshot_time >= current:
+            times[user_id] = snapshot.snapshot_time
+            latest[user_id] = keep(snapshot)
     return latest

@@ -4,15 +4,16 @@ evaluation settings, filters).
 
 This module imports nothing of the package but util, so a subcommand that
 only reads a dataset TSV or checks its config loads no text-processing
-module. The stage modules that define their use (filters, datasets, scorer,
-evaluation) import these names from here.
+module; LabeledUser is a named tuple, not a dataclass, so that no module
+of the description stages loads dataclasses. The stage modules that
+define their use (filters, datasets, scorer, evaluation) import these
+names from here.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .util import decimal_float, read_rows
 
@@ -46,18 +47,29 @@ FILTER_NAMES = ("color", "plural", "bigram_blocklist", "quote")
 FILTER_ALIASES = {"bigram": "bigram_blocklist"}
 
 
-@dataclass(frozen=True)
-class LabeledUser:
+class _LabeledUser(NamedTuple):
     user_id: str
     label: ClassLabel
     score: float | None
     source: str
 
-    def __post_init__(self):
-        if self.source not in SOURCES:
-            raise ValueError(f"unknown source {self.source!r}")
-        if self.source in AUTO_SOURCES and self.score is None:
-            raise ValueError(f"{self.source} users must carry a score")
+
+class LabeledUser(_LabeledUser):
+    """One dataset row. Every instance, _replace included, has a known
+    source, and a score if its source is automatic."""
+    __slots__ = ()
+
+    def __new__(cls, user_id: str, label: ClassLabel, score: float | None,
+                source: str):
+        if source not in SOURCES:
+            raise ValueError(f"unknown source {source!r}")
+        if source in AUTO_SOURCES and score is None:
+            raise ValueError(f"{source} users must carry a score")
+        return super().__new__(cls, user_id, label, score, source)
+
+    def _replace(self, **changes) -> "LabeledUser":
+        # the named tuple's own _replace would skip __new__
+        return LabeledUser(**{**self._asdict(), **changes})
 
 
 def write_dataset_tsv(users: Sequence[LabeledUser], path) -> None:

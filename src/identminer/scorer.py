@@ -12,10 +12,9 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import add
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .filters import QueryMatch
 from .labels import WEIGHTINGS
@@ -23,8 +22,7 @@ from .textprep import WORD_CODES, SelfReportLexicon, Tagged, code_pattern
 from .util import read_rows
 
 
-@dataclass(frozen=True)
-class ScoreParams:
+class ScoreParams(NamedTuple):
     window: int = 5
     threshold: float = 0.35
     weighting: str = "simple"

@@ -27,7 +27,6 @@ from __future__ import annotations
 import functools
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import repeat
 from typing import Iterable, NamedTuple
 
@@ -67,8 +66,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass
-class TagLexicon:
+class TagLexicon(NamedTuple):
     """Context-free tagger: word -> majority Penn tag, NN for OOV."""
     tags: dict[str, str]
 
@@ -390,22 +388,27 @@ def _selfreport_pattern(allow_im: bool) -> re.Pattern:
         f"({one(tag_classes=(3,))}+{noun}?|{noun})")
 
 
-@dataclass
 class SelfReportLexicon:
     """Per-word description counts backing the co-occurrence score.
 
     os_counts[w] = number of descriptions where w was extracted as a
     self-report word; o_counts[w] = number of descriptions containing w as a
-    token at all. S is the set of words with os_counts > 0.
+    token at all. S is the set of words with os_counts > 0. Two lexicons
+    are equal when their counts are.
     """
-    os_counts: dict[str, int]
-    o_counts: dict[str, int]
-    total_selfreport: int = field(init=False)
 
-    def __post_init__(self):
-        for word, os_count in self.os_counts.items():
-            _check_counts(word, os_count, self.o_counts.get(word, 0))
-        self.total_selfreport = sum(self.os_counts.values())
+    def __init__(self, os_counts: dict[str, int], o_counts: dict[str, int]):
+        for word, os_count in os_counts.items():
+            _check_counts(word, os_count, o_counts.get(word, 0))
+        self.os_counts = os_counts
+        self.o_counts = o_counts
+        self.total_selfreport = sum(os_counts.values())
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SelfReportLexicon):
+            return NotImplemented
+        return (self.os_counts, self.o_counts) == (other.os_counts,
+                                                   other.o_counts)
 
     def __contains__(self, word: str) -> bool:
         return word in self.os_counts

@@ -20,7 +20,7 @@ from identminer.analytics import (DISCARD, behavioral_profile,
                                   sage_deviations, user_lexical_means)
 from identminer.datasets import read_dataset_tsv
 from identminer.filters import CLASS_ORDER
-from identminer.ingest import UserRecord, dedupe_latest, load_users
+from identminer.ingest import UserLine, build_record, dedupe_latest, load_users
 from identminer.textprep import tokenize
 from identminer.util import mean
 
@@ -680,9 +680,8 @@ def test_sage_kkt_on_timelines_groups(tmp_path, seed):
     # the groups analyze fits on the benchmark's timelines workload
     _bench_corpus_module().generate("timelines", seed, tmp_path)
     with open(tmp_path / "corpus.jsonl", "rb") as handle:
-        records = dedupe_latest((record for record in load_users(handle)
-                                 if isinstance(record, UserRecord)),
-                                lambda record: record)
+        records = dedupe_latest((line for line in load_users(handle)
+                                 if isinstance(line, UserLine)), build_record)
     groups: dict = {}
     for user in read_dataset_tsv(tmp_path / "train.tsv"):
         if user.user_id in records:

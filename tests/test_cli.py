@@ -166,7 +166,7 @@ def test_non_finite_count_lines_are_counted_and_skipped(tmp_path):
 
 
 def test_count_too_large_for_a_float_is_a_parse_failure(tmp_path, monkeypatch,
-                                                        caplog):
+                                                        capsys):
     """analyze and train --model namecnn take float(count); a line whose count
     no float can hold is counted as a parse failure and its user dropped."""
     corpus, data = tweet_group_fixture(tmp_path)
@@ -190,8 +190,10 @@ def test_count_too_large_for_a_float_is_a_parse_failure(tmp_path, monkeypatch,
                "--out", str(tmp_path / "train")) == 0
     result = json.loads((tmp_path / "train" / "train_result.json").read_text())
     assert result["n_usable"] == 8
-    loads = [m for m in caplog.messages if m.startswith("corpus: ")]
-    assert loads == ["corpus: 10 lines, 8 parsed, 2 failures, 8 unique users"] * 2
+    loads = [line for line in capsys.readouterr().err.splitlines()
+             if line.startswith("INFO identminer: corpus: ")]
+    assert loads == ["INFO identminer: corpus: 10 lines, 8 parsed, "
+                     "2 failures, 8 unique users"] * 2
 
 
 # ---------------------------------------------------------------------------
@@ -646,18 +648,23 @@ def test_train_evaluate_random_baseline(tmp_path):
 # ---------------------------------------------------------------------------
 # what each subcommand imports
 
+# the modules besides identminer's that the probe below reports: the two
+# that no text or baseline subcommand needs, and the two that no module of
+# the CLI or the description stages imports
+WATCHED = {"numpy", "scipy", "dataclasses", "logging"}
 # runs the CLI command whose argv is argv[1] (JSON), if one is given, in this
 # fresh process, and prints as a JSON list the identminer modules then
-# loaded (by their names below identminer) and which of numpy and scipy
-IMPORT_PROBE = """
+# loaded (by their names below identminer) and which of WATCHED
+IMPORT_PROBE = f"""
 import json, sys
 from identminer.cli import main
 
 if sys.argv[1:]:
     assert main(json.loads(sys.argv[1])) == 0
-loaded = {name.removeprefix("identminer.") for name in sys.modules
-          if name.startswith("identminer.")}
-loaded |= {name.split(".")[0] for name in sys.modules} & {"numpy", "scipy"}
+loaded = {{name.removeprefix("identminer.") for name in sys.modules
+          if name.startswith("identminer.")}}
+loaded |= ({{name.split(".")[0] for name in sys.modules}}
+           & set({sorted(WATCHED)}))
 print(json.dumps(sorted(loaded)))
 """
 
@@ -666,10 +673,12 @@ print(json.dumps(sorted(loaded)))
 CLI_MODULES = {"cli", "labels", "resources", "util"}
 _DESCRIPTION = ("ingest", "textprep", "filters", "scorer", "datasets")
 _BASELINE = ("models", "models.baselines")
-_UNIGRAM = ("ingest", "textprep", *_BASELINE, "models.training",
+# the model configuration and the evaluation report are dataclasses
+_TRAINING = ("models.training", "dataclasses")
+_EVALUATION = ("evaluation", "dataclasses")
+_UNIGRAM = ("ingest", "textprep", *_BASELINE, *_TRAINING,
             "models.features", "models.unigram", "numpy")
-_NAMECNN = ("ingest", *_BASELINE, "models.training", "models.namecnn",
-            "numpy")
+_NAMECNN = ("ingest", *_BASELINE, *_TRAINING, "models.namecnn", "numpy")
 # what each subcommand loads besides CLI_MODULES, keyed by the names the
 # tests below give their commands
 SUBCOMMAND_MODULES = {
@@ -679,15 +688,15 @@ SUBCOMMAND_MODULES = {
     "dataset-build cb": _DESCRIPTION,
     "tune": (*_DESCRIPTION, "analytics"),
     "train baseline-majority": _BASELINE,
-    "evaluate baseline-majority": (*_BASELINE, "evaluation"),
+    "evaluate baseline-majority": (*_BASELINE, *_EVALUATION),
     "train baseline-random": _BASELINE,
-    "evaluate baseline-random": (*_BASELINE, "evaluation"),
+    "evaluate baseline-random": (*_BASELINE, *_EVALUATION),
     "train unigram": _UNIGRAM,
-    "evaluate unigram": (*_UNIGRAM, "evaluation"),
+    "evaluate unigram": (*_UNIGRAM, *_EVALUATION),
     "train unigram embeddings": _UNIGRAM,
-    "evaluate unigram embeddings": (*_UNIGRAM, "evaluation"),
+    "evaluate unigram embeddings": (*_UNIGRAM, *_EVALUATION),
     "train namecnn": _NAMECNN,
-    "evaluate namecnn": (*_NAMECNN, "evaluation"),
+    "evaluate namecnn": (*_NAMECNN, *_EVALUATION),
     "analyze": ("ingest", "textprep", "analytics"),
 }
 
@@ -709,23 +718,25 @@ def modules_loaded_by(commands) -> dict[str, set[str]]:
     return loaded
 
 
-def assert_each_loads_its_modules(commands) -> None:
+def assert_each_loads_its_modules(commands) -> dict[str, set[str]]:
     loaded = modules_loaded_by(commands)
     assert loaded == {name: CLI_MODULES | set(SUBCOMMAND_MODULES[name])
                       for name, _ in commands}
+    return loaded
 
 
 def test_importing_the_cli_loads_no_stage_module():
-    assert modules_loaded_by([("import identminer.cli", None)]) == {
-        "import identminer.cli": CLI_MODULES}
+    loaded = modules_loaded_by([("import identminer.cli", None)])
+    assert loaded == {"import identminer.cli": CLI_MODULES}
+    assert not loaded["import identminer.cli"] & {"dataclasses", "logging"}
 
 
-def test_text_and_baseline_subcommands_load_neither_numpy_nor_scipy(
-        planted_corpus, tmp_path):
+def description_commands(planted_corpus, tmp_path) -> list:
+    """(name, argv) of lexicon-build, dataset-build qb, hf and cb, and
+    tune; dataset-build hf writes tmp_path/hf/dataset_hf.tsv."""
     tune_corpus, tuning = tune_fixture(tmp_path)
     corpus = ("--corpus", str(planted_corpus))
-    data = str(tmp_path / "hf" / "dataset_hf.tsv")
-    commands = [
+    return [
         ("lexicon-build", ["lexicon-build", *corpus,
                            "--out", str(tmp_path / "lex")]),
         *[(f"dataset-build {kind}",
@@ -734,6 +745,14 @@ def test_text_and_baseline_subcommands_load_neither_numpy_nor_scipy(
         ("tune", ["tune", "--corpus", str(tune_corpus), "--tuning", str(tuning),
                   "--out", str(tmp_path / "tune")]),
     ]
+
+
+def test_text_and_baseline_subcommands_load_neither_numpy_nor_scipy(
+        planted_corpus, tmp_path):
+    """Nor do the description stages load dataclasses or logging."""
+    commands = description_commands(planted_corpus, tmp_path)
+    data = str(tmp_path / "hf" / "dataset_hf.tsv")
+    description = [name for name, _ in commands]
     for model in ("baseline-majority", "baseline-random"):
         model_dir = tmp_path / model
         commands += [
@@ -745,7 +764,28 @@ def test_text_and_baseline_subcommands_load_neither_numpy_nor_scipy(
                                    "--out", str(tmp_path / f"eval-{model}")]),
         ]
     assert not any("numpy" in SUBCOMMAND_MODULES[name] for name, _ in commands)
-    assert_each_loads_its_modules(commands)
+    loaded = assert_each_loads_its_modules(commands)
+    assert not any(loaded[name] & {"dataclasses", "logging"}
+                   for name in description)
+
+
+def test_description_stages_build_no_record(planted_corpus, tmp_path,
+                                            monkeypatch):
+    """lexicon-build, dataset-build and tune keep each description straight
+    from the validated line; analyze, which reads whole records, shows that
+    the refusing builder is the one the CLI calls."""
+    from identminer import ingest
+
+    def refuse(line):
+        raise AssertionError(f"record built for {line.user_id}")
+
+    monkeypatch.setattr(ingest, "build_record", refuse)
+    for name, argv in description_commands(planted_corpus, tmp_path):
+        assert main(argv) == 0, name
+    corpus, data = tweet_group_fixture(tmp_path)
+    with pytest.raises(AssertionError, match="record built for"):
+        main(["analyze", "--corpus", str(corpus), "--data", str(data),
+              "--out", str(tmp_path / "analyze")])
 
 
 def test_analyze_loads_no_scipy(tmp_path):
@@ -1902,10 +1942,12 @@ def test_library_defaults_equal_the_cli_defaults():
     from dataclasses import fields
     from identminer.models.training import TrainConfig
     from identminer.scorer import ScoreParams
-    for cls in (TrainConfig, ScoreParams):
-        for field in fields(cls):
-            assert field.default == cli.DEFAULTS[field.name], \
-                f"{cls.__name__}.{field.name}"
+    defaults = {TrainConfig: {field.name: field.default
+                              for field in fields(TrainConfig)},
+                ScoreParams: ScoreParams._field_defaults}
+    for cls, values in defaults.items():
+        for name, default in values.items():
+            assert default == cli.DEFAULTS[name], f"{cls.__name__}.{name}"
 
 
 def test_integer_for_a_number_key_trains_the_same_model(tmp_path):

@@ -18,7 +18,7 @@ from identminer import cli
 from identminer.cli import main
 from identminer.datasets import LabeledUser, write_dataset_tsv
 from identminer.filters import CLASS_ORDER
-from identminer.ingest import ParseFailure, load_users
+from identminer.ingest import ParseFailure, build_record, load_users
 from identminer.models.features import user_word_counts, word_chunks
 
 from helpers import (PLANT_HEADS, PLANT_QUERIES, tweet_payload, user_payload,
@@ -26,17 +26,17 @@ from helpers import (PLANT_HEADS, PLANT_QUERIES, tweet_payload, user_payload,
 
 
 def reference_load(path, keep):
-    """The list-then-dedupe loader: every parsed record is appended to one
-    list, then the latest snapshot of each user wins (the later line on a
-    tie), each user in the place where its id first appeared; keep of each
-    winner, the users whose keep is None left out."""
+    """The list-then-dedupe loader: the record of every parsed line is
+    appended to one list, then the latest snapshot of each user wins (the
+    later line on a tie), each user in the place where its id first
+    appeared; keep of each winner, the users whose keep is None left out."""
     records, failures = [], 0
     with open(path, "rb") as handle:
         for result in load_users(handle):
             if isinstance(result, ParseFailure):
                 failures += 1
             else:
-                records.append(result)
+                records.append(build_record(result))
     latest = {}
     for record in records:
         current = latest.get(record.user_id)
@@ -93,9 +93,10 @@ def test_streamed_load_matches_the_list_then_dedupe_loader(tmp_path_factory,
         for index, (user_id, snapshot, defect) in enumerate(lines)])
     calls = []
 
-    def keep(record):
-        calls.append(record.user_id)
-        return projection(record) if record.user_id in kept_ids else None
+    def keep(line):
+        calls.append(line.user_id)
+        return (projection(build_record(line)) if line.user_id in kept_ids
+                else None)
 
     kept, failures = cli._load_corpus(str(path), keep)
     expected, expected_failures = reference_load(str(path), lambda record: (
@@ -239,7 +240,7 @@ def digests(out) -> dict[str, str]:
 
 @pytest.mark.parametrize("stage", sorted(STAGES))
 def test_repeated_snapshots_give_each_stage_the_winner(tmp_path, monkeypatch,
-                                                       caplog, stage):
+                                                       capsys, stage):
     """Each stage on the planted corpus writes the bytes it writes on the
     winners alone; on the decoys it writes other bytes, so a stage that
     read a losing snapshot would be seen."""
@@ -257,19 +258,22 @@ def test_repeated_snapshots_give_each_stage_the_winner(tmp_path, monkeypatch,
     outputs, loads = {}, {}
     for corpus in (planted, winners, decoys):
         out = tmp_path / f"out_{corpus.stem}"
-        caplog.clear()
+        capsys.readouterr()
         assert main([*STAGES[stage](inputs), "--corpus", str(corpus),
                      "--config", str(config), "--out", str(out)]) == 0
         outputs[corpus.stem] = digests(out)
-        loads[corpus.stem] = [message for message in caplog.messages
-                              if message.startswith("corpus: ")]
+        loads[corpus.stem] = [
+            line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("INFO identminer: corpus: ")]
     assert outputs["planted"] == outputs["winners"]
     assert outputs["decoys"] != outputs["winners"]
     # 32 class users, 4 fillers, 4 older and 4 tied snapshots, 4 malformed
     assert loads["planted"] == [
-        "corpus: 48 lines, 44 parsed, 4 failures, 36 unique users"]
+        "INFO identminer: corpus: 48 lines, 44 parsed, 4 failures, "
+        "36 unique users"]
     assert loads["winners"] == [
-        "corpus: 40 lines, 36 parsed, 4 failures, 36 unique users"]
+        "INFO identminer: corpus: 40 lines, 36 parsed, 4 failures, "
+        "36 unique users"]
 
 
 # ---------------------------------------------------------------------------
@@ -304,9 +308,9 @@ def test_a_description_load_retains_no_tweets(tmp_path):
     one = write_jsonl(tmp_path / "one.jsonl", user_rows(300, 1))
     many = write_jsonl(tmp_path / "many.jsonl", user_rows(300, 100))
     with_one, _ = retained(lambda: cli._load_corpus(
-        str(one), lambda record: record.description))
+        str(one), lambda line: line.description))
     with_many, _ = retained(lambda: cli._load_corpus(
-        str(many), lambda record: record.description))
+        str(many), lambda line: line.description))
     assert abs(with_many - with_one) <= 0.05 * with_one
 
 

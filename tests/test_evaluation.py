@@ -133,12 +133,16 @@ def reference_per_class_accuracy(labels, predictions):
 @st.composite
 def labels_and_predictions(draw):
     """1-200 (label, prediction) pairs, each side drawn from its own subset
-    of the classes, so that some classes are often absent."""
+    of the classes, so that some classes are often absent. A side is two
+    draws: a bit mask naming its subset, and n bytes, each picking a class
+    of the subset (one draw for the list, where a list of n integers is n
+    draws)."""
     def side(n):
-        classes = draw(st.lists(st.sampled_from(CLASS_ORDER), min_size=1,
-                                max_size=4, unique=True))
-        return draw(st.lists(st.sampled_from(classes), min_size=n,
-                             max_size=n))
+        mask = draw(st.integers(1, 2 ** len(CLASS_ORDER) - 1))
+        classes = [label for bit, label in enumerate(CLASS_ORDER)
+                   if mask >> bit & 1]
+        return [classes[byte % len(classes)]
+                for byte in draw(st.binary(min_size=n, max_size=n))]
     n = draw(st.integers(1, 200))
     return side(n), side(n)
 

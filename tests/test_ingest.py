@@ -1,3 +1,4 @@
+import copy
 import io
 import json
 import sys
@@ -5,15 +6,16 @@ from collections import Counter
 from datetime import datetime, timezone
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from identminer import ingest
-from identminer.ingest import (ParseFailure, ProfileMeta, Tweet, UserRecord,
-                               dedupe_latest, load_users, parse_timestamp,
-                               parse_user_line)
+from identminer.ingest import (ParseFailure, ProfileMeta, Tweet, UserLine,
+                               UserRecord, dedupe_latest, load_users,
+                               parse_timestamp, parse_user_line)
 
 from helpers import iso, make_profile, make_user, tweet_payload, user_payload
+from reference_ingest import reference_load_users, reference_parse_user_line
 
 
 def load_all(payloads, missingness=None):
@@ -336,7 +338,7 @@ def test_failures_plus_records_equal_line_count():
     payloads = [user_payload("u1"), "", "oops", user_payload("u2"), "   "]
     results = load_all(payloads)
     assert len(results) == 5
-    records = [r for r in results if isinstance(r, UserRecord)]
+    records = [r for r in results if isinstance(r, UserLine)]
     failures = [r for r in results if isinstance(r, ParseFailure)]
     assert len(records) == 2 and len(failures) == 3
 
@@ -345,7 +347,7 @@ def test_load_users_accepts_bytes_and_flags_bad_utf8():
     stream = io.BytesIO(
         json.dumps(user_payload("u1")).encode("utf-8") + b"\n\xff\xfe\n")
     results = list(load_users(stream))
-    assert isinstance(results[0], UserRecord)
+    assert isinstance(results[0], UserLine)
     assert isinstance(results[1], ParseFailure)
     assert "UTF-8" in results[1].reason
 
@@ -381,3 +383,173 @@ def test_missingness_counter_accumulates():
     assert counter["name"] == 1
     # the fully-populated payload contributes tweet/profile key gaps too
     assert counter["profile.statuses_count"] >= 1
+
+
+# ---------------------------------------------------------------------------
+# the validator against the one-pass parser it replaced (reference_ingest)
+
+TIMESTAMPS = (
+    "2024-06-01T12:00:00Z", "2024-06-01T12:00:00", "2024-06-01t12:00:00z",
+    "2024-06-01T14:00:00+02:00", "2024-06-01T12:00:00.5-03:30",
+    " 2024-06-01T12:00:00Z ", "2024-06-01T12:00:00ZZ", "2024-06-01Z",
+    "2024-13-01T00:00:00Z", "yesterday", "", "0001-01-01T00:00:00+01:00",
+    "9999-12-31T23:59:59-01:00",
+    # after every snapshot time above
+    "2030-01-01T00:00:00Z")
+# JSON texts that json.dumps does not write: counts no float holds, counts
+# past the int conversion limit, and nesting past the decoder's limit
+RAW = ("9" * 401, "1" * 5000, "1e400", "-1e400", "NaN", "Infinity",
+       "[" * 5000 + "]" * 5000)
+# hostile values by the kind of field they are most often set on
+KIND_VALUES = {
+    "id": ("", "a\tb", "a\nb", "a\rb", "a b", 5, ["u1"]),
+    "time": TIMESTAMPS + (None, 5, 1.5),
+    "text": (None, 5, [], {}, "x", "\ud800"),
+    "flag": ("true", "false", 0, 1, 1.0, None, True, False),
+    "count": (-1, 0, 1.5, 12.0, True, False, "12", None, 10 ** 308,
+              *[("RAW", raw) for raw in RAW]),
+    "tweets": ([], [1], [None], ["x"], [{}], [{"text": "x"}], {}, "x", None),
+    "profile": ({}, [], "x", 5, None),
+}
+# (object, key) of every field a line may hold, and its kind
+FIELDS = {
+    ("user", "user_id"): "id", ("user", "snapshot_time"): "time",
+    ("user", "name"): "text", ("user", "description"): "text",
+    ("user", "tweets"): "tweets", ("user", "profile"): "profile",
+    ("tweet", "text"): "text", ("tweet", "created_at"): "time",
+    ("tweet", "source_app"): "text",
+    **{("tweet", key): "flag" for key in ("has_image", "has_url",
+                                          "mentions_user", "geotagged")},
+    **{("profile", key): "flag" for key in ("has_profile_url",
+                                            "has_custom_image",
+                                            "geo_enabled")},
+    ("profile", "statuses_count"): "count",
+    ("profile", "followers_count"): "count",
+    ("profile", "account_created_at"): "time",
+}
+any_value = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 3), st.text(max_size=4),
+    st.sampled_from([value for values in KIND_VALUES.values()
+                     for value in values]))
+WHOLE_LINES = ("", "   ", "\t", "{not json", "[1, 2]", "null", '"text"',
+               "7", "{}", "[" * 100000, '{"a":' * 100000, '{"user_id": "u1"')
+
+
+@st.composite
+def hostile_lines(draw) -> str:
+    """A valid user line with a few fields set to hostile values or
+    deleted, or a line that is not a user object at all."""
+    if draw(st.integers(0, 9)) == 0:
+        return draw(st.sampled_from(WHOLE_LINES))
+    payload = user_payload(
+        draw(st.sampled_from(("u1", "u2"))), name="some name",
+        description="i am a proud black teacher",
+        hours=draw(st.integers(0, 2)),
+        tweets=tuple(tweet_payload(hours=-hours) for hours in draw(
+            st.lists(st.integers(0, 48), max_size=3))),
+        profile={"statuses_count": 10, "followers_count": 3,
+                 "account_created_at": iso(hours=-100),
+                 "has_profile_url": True})
+    raw = []
+    for where, key in draw(st.lists(st.sampled_from(sorted(FIELDS)),
+                                    max_size=4)):
+        # a copy: a later edit may change a list or object set here
+        value = copy.deepcopy(draw(st.one_of(
+            st.just("delete"), any_value,
+            st.sampled_from(KIND_VALUES[FIELDS[where, key]]))))
+        tweets = payload.get("tweets")
+        target = {"user": payload, "profile": payload.get("profile"),
+                  "tweet": tweets[0] if isinstance(tweets, list) and tweets
+                  else None}[where]
+        if not isinstance(target, dict):
+            continue
+        if value == "delete":
+            target.pop(key, None)
+            continue
+        if isinstance(value, tuple):
+            # placed as a marker string, replaced by its text after dumps
+            raw.append(value[1])
+            value = f"RAW{len(raw) - 1}"
+        target[key] = value
+    line = json.dumps(payload)
+    for index, text in enumerate(raw):
+        line = line.replace(f'"RAW{index}"', text)
+    return line
+
+
+def plain(value):
+    """A record or failure as nested lists, each timestamp with its offset,
+    so that equal values mean equal fields and equal time zones."""
+    if isinstance(value, datetime):
+        return ("datetime", value.isoformat())
+    if isinstance(value, (tuple, list)):
+        return [type(value) is ParseFailure, *map(plain, value)]
+    return value
+
+
+def _with_raw(payload: dict, raw: str) -> str:
+    return json.dumps(payload).replace('"RAW"', raw)
+
+
+# a line for each failure that the draws above reach rarely
+RARE_LINES = (
+    json.dumps(user_payload("a\tb")),
+    json.dumps({"user_id": "u1"}),
+    json.dumps(user_payload("u1", profile={"account_created_at": iso(5)})),
+    _with_raw(user_payload("u1", profile={"followers_count": "RAW"}),
+              "9" * 401),
+    _with_raw(user_payload("u1", profile={"statuses_count": "RAW"}), "1e400"),
+    _with_raw(user_payload("u1", profile={"statuses_count": "RAW"}),
+              "1" * 5000),
+    _with_raw(user_payload("u1", profile={"statuses_count": "RAW"}),
+              "[" * 5000 + "]" * 5000),
+    json.dumps(user_payload("u1", tweets=(1,))),
+    json.dumps(user_payload("u1", tweets=({"text": "x"},))),
+    json.dumps(user_payload("u1", profile={"geo_enabled": "true"})),
+    json.dumps(user_payload("u1", profile={"statuses_count": True})),
+    json.dumps({**user_payload("u1"),
+                "snapshot_time": "0001-01-01T00:00:00+01:00"}),
+    json.dumps(user_payload("u1", profile={
+        "account_created_at": "2024-06-01T12:00:00"})),
+)
+
+
+def with_rare_lines(test):
+    for line in RARE_LINES:
+        test = example(line=line, line_no=1)(test)
+    return test
+
+
+@settings(max_examples=300, deadline=None)
+@with_rare_lines
+@given(line=hostile_lines(), line_no=st.integers(1, 10))
+def test_validator_and_builder_equal_the_one_pass_parser(line, line_no):
+    counts, reference_counts = Counter(), Counter()
+    result = ingest.validate_user_line(line, line_no, counts)
+    expected = reference_parse_user_line(line, line_no, reference_counts)
+    if isinstance(expected, ParseFailure):
+        assert result == expected
+    else:
+        assert isinstance(result, ingest.UserLine)
+        assert (result.user_id, result.snapshot_time, result.description) == \
+            (expected[0], expected[5], expected[2])
+        assert plain(ingest.build_record(result)) == plain(expected)
+    assert counts == reference_counts
+    assert plain(parse_user_line(line, line_no)) == plain(expected)
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines=st.lists(st.one_of(
+    hostile_lines().map(lambda line: line.encode("utf-8", "surrogatepass")),
+    st.sampled_from((b"\xff\xfe", b'{"user_id": "\xc3"}', b"\r", b" \r\n",
+                     " ".encode())),
+    st.binary(max_size=6)), max_size=6))
+def test_load_users_equals_the_one_pass_loader(lines):
+    data = b"\n".join(lines) + b"\n"
+    counts, reference_counts = Counter(), Counter()
+    results = [result if isinstance(result, ParseFailure)
+               else ingest.build_record(result)
+               for result in load_users(io.BytesIO(data), counts)]
+    expected = list(reference_load_users(io.BytesIO(data), reference_counts))
+    assert plain(results) == plain(expected)
+    assert counts == reference_counts
