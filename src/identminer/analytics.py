@@ -1,6 +1,7 @@
 """Group-level lexical and behavioral statistics, nonparametric tests, rank
-correlation over top-k lists, inter-annotator agreement, majority voting, and
-sparse log-odds distinctive keywords.
+correlation over top-k lists, inter-annotator agreement, and sparse log-odds
+distinctive keywords. (The majority vote over annotator labels that tune
+reads is scorer.majority_vote.)
 The lexical statistics of a tweet are read off the lexical summaries of its
 whitespace-separated chunks, kept in a textprep.ChunkTable (lexical_chunks)
 that every group of a run shares, so each distinct chunk is scanned once
@@ -14,15 +15,10 @@ from collections import Counter
 from itertools import chain, repeat
 from typing import Iterable, Iterator, Sequence
 
-from .labels import ClassLabel
+from .labels import MISSING_LABELS, ClassLabel
 from .ingest import UserRecord
 from .textprep import ChunkTable, chunk_tokens
-from .util import Sentinel, mean
-
-_MISSING = (None, "", "missing")
-
-
-DISCARD = Sentinel("DISCARD")
+from .util import mean
 
 
 # the fields of a lexical_chunks summary
@@ -212,7 +208,7 @@ def krippendorff_alpha_nominal(annotations: Sequence[Sequence]) -> float:
         raise ValueError("need at least two annotators per item row")
     coincidence: Counter[tuple] = Counter()
     for row in annotations:
-        labels = [label for label in row if label not in _MISSING]
+        labels = [label for label in row if label not in MISSING_LABELS]
         m = len(labels)
         if m < 2:
             continue
@@ -233,24 +229,6 @@ def krippendorff_alpha_nominal(annotations: Sequence[Sequence]) -> float:
         # a single category in use; agreement is perfect by definition
         return 1.0
     return 1.0 - observed / expected
-
-
-def majority_vote(labels: Sequence):
-    """Strict majority among the non-missing labels; a majority of "unsure"
-    or the absence of a strict majority discards the item."""
-    valid = [label for label in labels if label not in _MISSING]
-    for label in valid:
-        if label not in ("yes", "no", "unsure"):
-            raise ValueError(f"unexpected label {label!r}")
-    if not valid:
-        return DISCARD
-    counts = Counter(valid)
-    winner, top = counts.most_common(1)[0]
-    if top * 2 <= len(valid):
-        return DISCARD
-    if winner == "unsure":
-        return DISCARD
-    return winner
 
 
 _MONTH_DAYS = 30.4375  # 365.25 / 12

@@ -1,8 +1,10 @@
 """Command-line surface: lexicon-build, dataset-build, tune, train, evaluate,
-analyze. Every subcommand resolves defaults < config file < flags, embeds a
-hash of the semantic config in its outputs, and derives all randomness from
-one root seed, so reruns with the same config and seed are byte-identical and
-results never depend on --workers.
+analyze. One table (SUBCOMMAND_KEYS) says which config and path keys each
+subcommand reads: it resolves defaults < config file < flags over those
+keys only, takes a flag only for a key it reads, and embeds those keys of
+the semantic config and their hash in its outputs. It derives all
+randomness from one root seed, so reruns with the same config and seed are
+byte-identical and results never depend on --workers.
 
 Each subcommand imports only the modules it runs. At module level this
 file loads the standard library (but not logging: _log writes the few
@@ -20,7 +22,6 @@ to stderr, each as one "LEVEL identminer: message" line.
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import json
 import math
@@ -72,6 +73,27 @@ _PATH_KEYS = ("corpus", "out", "lexicon", "tag_lexicon", "tuning", "train_data",
               "test_data", "model_file", "embeddings", "data",
               "colors_file", "blocklist_file")
 
+# the DEFAULTS and path keys each subcommand reads. _resolve takes, checks
+# and returns only these, so a result's config and its hash cover what the
+# run read; a config-file key that only other subcommands read is ignored,
+# so one config file serves the whole pipeline
+SUBCOMMAND_KEYS = {
+    "lexicon-build": ("allow_im", "seed", "corpus", "tag_lexicon", "out"),
+    "dataset-build": ("kind", "filters", "window", "threshold", "weighting",
+                      "allow_im", "cb_k", "seed", "corpus", "tag_lexicon",
+                      "lexicon", "colors_file", "blocklist_file", "out"),
+    "tune": ("grid_windows", "grid_thresholds", "grid_weightings", "allow_im",
+             "seed", "corpus", "tag_lexicon", "lexicon", "tuning", "out"),
+    "train": ("model", "learning_rate", "epochs", "l2_strength", "batch_size",
+              "instance_downweight", "min_count", "min_char_count",
+              "max_tweets", "seed", "corpus", "train_data", "embeddings",
+              "out"),
+    "evaluate": ("setting", "max_tweets", "seed", "corpus", "model_file",
+                 "test_data", "embeddings", "out"),
+    "analyze": ("max_tweets", "top_n", "tau_ks", "sage_lambda", "seed",
+                "corpus", "data", "out"),
+}
+
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
@@ -121,7 +143,8 @@ def _names(names) -> str:
 
 
 # the one statement of what every DEFAULTS and path key may hold:
-# (what it must be, check, keys); _resolve applies it before any input is read
+# (what it must be, check, keys); _resolve applies it to the keys a
+# subcommand reads, before any input is read
 CONFIG_RULES = (
     ("an integer", _is_int, ("min_count", "min_char_count", "seed")),
     ("an integer >= 1", _is_count, ("window", "epochs", "batch_size",
@@ -173,29 +196,39 @@ def _log(level: str, message: str) -> None:
         print(f"{level} identminer: {message}", file=sys.stderr)
 
 
+# the flags of the path keys that more than one subcommand reads;
+# build_parser adds each to the subcommands whose SUBCOMMAND_KEYS hold it
+_SHARED_INPUTS = {
+    "corpus": "JSON-lines corpus path",
+    "tag_lexicon": "word<TAB>tag TSV overriding the bundled tagger",
+    "lexicon": "self-report lexicon TSV",
+    "embeddings": "user_id<TAB>floats TSV feature override",
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="identminer",
                      description="self-report mining and group modeling pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def add(name: str, func, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(func=func)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--corpus", help="JSON-lines corpus path")
         p.add_argument("--out", required=True, help="output directory")
         p.add_argument("--seed", type=int, help="root random seed")
         p.add_argument("--workers", type=int, default=1,
                        help="accepted for compatibility; every run is serial "
                             "and results are invariant")
-        p.add_argument("--tag-lexicon", dest="tag_lexicon",
-                       help="word<TAB>tag TSV overriding the bundled tagger")
-        p.add_argument("--lexicon", help="self-report lexicon TSV")
+        for dest, text in _SHARED_INPUTS.items():
+            if dest in SUBCOMMAND_KEYS[name]:
+                p.add_argument(f"--{dest.replace('_', '-')}", dest=dest,
+                               help=text)
+        return p
 
-    p = sub.add_parser("lexicon-build", help="induce the self-report lexicon")
-    common(p)
-    p.set_defaults(func=cmd_lexicon_build)
+    add("lexicon-build", cmd_lexicon_build, "induce the self-report lexicon")
 
-    p = sub.add_parser("dataset-build", help="build the qb, hf, or cb dataset")
-    common(p)
+    p = add("dataset-build", cmd_dataset_build, "build the qb, hf, or cb dataset")
     p.add_argument("--kind", choices=DATASET_KINDS, help="dataset kind")
     p.add_argument("--filters", type=lambda flag: [
                        name for name in flag.split(",") if name.strip()],
@@ -203,45 +236,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--window", type=int)
     p.add_argument("--threshold", type=float)
     p.add_argument("--weighting", choices=WEIGHTINGS)
-    p.set_defaults(func=cmd_dataset_build)
 
-    p = sub.add_parser("tune", help="grid-search score hyperparameters")
-    common(p)
+    p = add("tune", cmd_tune, "grid-search score hyperparameters")
     p.add_argument("--tuning", help="user_id<TAB>label<TAB>annotator TSV")
-    p.set_defaults(func=cmd_tune)
 
-    p = sub.add_parser("train", help="train a classifier")
-    common(p)
+    p = add("train", cmd_train, "train a classifier")
     p.add_argument("--model", choices=MODEL_NAMES)
     p.add_argument("--train-data", dest="train_data", help="dataset TSV")
-    p.add_argument("--embeddings", help="user_id<TAB>floats TSV feature override")
     p.add_argument("--epochs", type=int)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="score a trained model on a test set")
-    common(p)
+    p = add("evaluate", cmd_evaluate, "score a trained model on a test set")
     p.add_argument("--model-file", dest="model_file", help="saved model JSON")
     p.add_argument("--test-data", dest="test_data", help="dataset TSV")
     p.add_argument("--setting", choices=SETTINGS)
-    p.add_argument("--embeddings", help="user_id<TAB>floats TSV feature override")
-    p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("analyze", help="group-level lexical and behavioral statistics")
-    common(p)
+    p = add("analyze", cmd_analyze, "group-level lexical and behavioral statistics")
     p.add_argument("--data", help="labeled dataset TSV defining the groups")
-    p.set_defaults(func=cmd_analyze)
     return parser
 
 
 def _resolve(args: argparse.Namespace) -> tuple[dict, dict]:
-    """defaults < config file < flags; returns (semantic config, paths).
+    """defaults < config file < flags over the keys that args.command reads
+    (SUBCOMMAND_KEYS); returns (semantic config, paths), each holding just
+    those keys.
 
     A flag sets the path or config key named by its argparse dest, so each
     flag is named only where build_parser declares it; an absent flag
     (None) keeps the config-file value. The dests that are neither (config,
-    workers, command, func) are not configuration."""
-    config = dict(DEFAULTS)
-    paths: dict[str, str | None] = {key: None for key in _PATH_KEYS}
+    workers, command, func) are not configuration. A config-file key that
+    only other subcommands read is neither checked nor returned; one that no
+    subcommand reads is an error."""
+    reads = SUBCOMMAND_KEYS[args.command]
+    config = {key: value for key, value in DEFAULTS.items() if key in reads}
+    paths: dict[str, str | None] = {key: None for key in _PATH_KEYS
+                                    if key in reads}
     loaded = {}
     if args.config:
         if not Path(args.config).is_file():
@@ -262,19 +290,19 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, dict]:
             paths[key] = value
         elif key in config:
             config[key] = value
-        else:
+        elif key not in DEFAULTS and key not in _PATH_KEYS:
             raise DataError(f"unknown config key {key!r}")
     values = {**paths, **config}
     for rule, check, keys in CONFIG_RULES:
         for key in keys:
-            if not check(values[key]):
+            if key in values and not check(values[key]):
                 raise DataError(f"config key {key!r} must be {rule}, "
                                 f"got {reprlib.repr(values[key])}")
     return config, paths
 
 
 def _require(paths: dict, key: str) -> str:
-    value = paths.get(key)
+    value = paths[key]
     if not value:
         raise DataError(f"missing required input: --{key.replace('_', '-')}")
     if not Path(value).is_file():
@@ -331,7 +359,7 @@ def _read_input(paths: dict, key: str, read):
 
 def _resource(paths: dict, key: str, load):
     """The user's file for key if one is given, else the packaged one."""
-    return _read_input(paths, key, load) if paths.get(key) else load()
+    return _read_input(paths, key, load) if paths[key] else load()
 
 
 def _tag_lexicon(paths: dict):
@@ -352,7 +380,7 @@ def _description_pass(paths: dict, config: dict, descriptions, tag_lexicon):
     query matching uses."""
     from .datasets import scan_descriptions
     from .textprep import SelfReportCounter, SelfReportLexicon
-    if paths.get("lexicon"):
+    if paths["lexicon"]:
         lexicon = _read_input(paths, "lexicon", SelfReportLexicon.from_tsv)
         if not lexicon.os_counts:
             raise DataError(f"self-report lexicon is empty: {paths['lexicon']}")
@@ -472,8 +500,8 @@ def cmd_dataset_build(args: argparse.Namespace) -> int:
 
 
 def cmd_tune(args: argparse.Namespace) -> int:
-    from . import analytics
-    from .scorer import read_tuning_tsv, score_grid, tune_params
+    from .scorer import (DISCARD, majority_vote, read_tuning_tsv, score_grid,
+                         tune_params)
     config, paths = _resolve(args)
     corpus_path = _require(paths, "corpus")
     rows = _read_input(paths, "tuning", read_tuning_tsv)
@@ -488,8 +516,8 @@ def cmd_tune(args: argparse.Namespace) -> int:
         votes.setdefault(user_id, []).append(label)
     labels: dict[str, bool] = {}
     for user_id, cast in votes.items():
-        verdict = analytics.majority_vote(cast)
-        if verdict is analytics.DISCARD:
+        verdict = majority_vote(cast)
+        if verdict is DISCARD:
             continue
         labels[user_id] = verdict == "yes"
 
@@ -519,14 +547,14 @@ def cmd_tune(args: argparse.Namespace) -> int:
 
 
 def _corpus_pairs(paths: dict, dataset, project) -> list:
-    """(dataset user, project(record of the latest snapshot)) for each
-    dataset user in the corpus. Records are built, and project called, for
-    dataset users only, and what project returns is all that is kept of the
-    corpus."""
-    from .ingest import build_record
+    """(dataset user, project(line of the latest snapshot)) for each dataset
+    user in the corpus, where line is the validated ingest.UserLine. project
+    is called for dataset users only, builds the record
+    (ingest.build_record) if it reads one, and what it returns is all that
+    is kept of the corpus."""
     ids = {user.user_id for user in dataset}
     kept, _ = _load_corpus(_require(paths, "corpus"), lambda line: (
-        project(build_record(line)) if line.user_id in ids else None))
+        project(line) if line.user_id in ids else None))
     pairs = [(user, kept[user.user_id]) for user in dataset
              if user.user_id in kept]
     if not pairs:
@@ -539,17 +567,19 @@ def _model_inputs(paths: dict, config: dict, dataset, model_name: str,
     """(dataset user, model input) for each dataset user in the corpus:
     what train and evaluate read of a user's latest snapshot. namecnn reads
     namecnn.name_input; unigram with --embeddings the user's row, if it has
-    one (the corpus only shows the user is there); unigram otherwise the
-    user_word_counts of the newest max_tweets tweets (one word_chunks table
-    for the run) or, given a trained vocab, their featurize_user row,
-    projected as the corpus streams. role names the dataset if no user is
-    left."""
+    one (the corpus only shows the user is there, so no record is built);
+    unigram otherwise the user_word_counts of the newest max_tweets tweets
+    (one word_chunks table for the run) or, given a trained vocab, their
+    featurize_user row, projected as the corpus streams. role names the
+    dataset if no user is left."""
+    from .ingest import build_record
     if model_name == "namecnn":
         from .models.namecnn import name_input
-        return _corpus_pairs(paths, dataset, name_input)
-    if paths.get("embeddings"):
+        return _corpus_pairs(paths, dataset,
+                             lambda line: name_input(build_record(line)))
+    if paths["embeddings"]:
         from .models.features import read_embeddings
-        present = _corpus_pairs(paths, dataset, lambda record: True)
+        present = _corpus_pairs(paths, dataset, lambda line: True)
         table = _read_input(paths, "embeddings", read_embeddings)
         pairs = [(user, table[user.user_id]) for user, _ in present
                  if user.user_id in table]
@@ -560,10 +590,10 @@ def _model_inputs(paths: dict, config: dict, dataset, model_name: str,
     max_tweets = config["max_tweets"]
     chunks = word_chunks()
     if vocab is None:
-        return _corpus_pairs(paths, dataset, functools.partial(
-            user_word_counts, max_tweets=max_tweets, chunks=chunks))
-    return _corpus_pairs(paths, dataset, lambda record: featurize_user(
-        user_word_counts(record, max_tweets, chunks), vocab))
+        return _corpus_pairs(paths, dataset, lambda line: user_word_counts(
+            build_record(line), max_tweets, chunks))
+    return _corpus_pairs(paths, dataset, lambda line: featurize_user(
+        user_word_counts(build_record(line), max_tweets, chunks), vocab))
 
 
 def _read_dataset(paths: dict, key: str):
@@ -585,7 +615,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     from .models import baseline_majority, baseline_random
     config, paths = _resolve(args)
     model_name = config["model"]
-    if model_name != "unigram" and paths.get("embeddings"):
+    if model_name != "unigram" and paths["embeddings"]:
         raise DataError("--embeddings applies only to the unigram model")
     dataset = _read_dataset(paths, "train_data")
 
@@ -628,7 +658,7 @@ def cmd_train(args: argparse.Namespace) -> int:
                                y_idx, sample_weights, train_config,
                                config["min_char_count"])
         result["char_vocab_size"] = len(model.char_vocab)
-    elif paths.get("embeddings"):
+    elif paths["embeddings"]:
         from .models.unigram import train_unigram
         rows = [row for _, row in pairs]
         result["n_features"] = len(rows[0])
@@ -666,17 +696,17 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         # RecursionError: nesting past the JSON decoder's recursion limit
         raise DataError(f"bad model file: {exc}") from exc
     kind = type(model).__name__
-    if kind != "UnigramModel" and paths.get("embeddings"):
+    if kind != "UnigramModel" and paths["embeddings"]:
         raise DataError("--embeddings applies only to the unigram model")
     dataset = _read_dataset(paths, "test_data")
 
     # a unigram model has a vocab exactly when it was trained on word counts;
     # a mismatch with --embeddings is reported before the corpus is read
     if kind == "UnigramModel":
-        if model.vocab and paths.get("embeddings"):
+        if model.vocab and paths["embeddings"]:
             raise DataError("model was trained on word counts; "
                             "drop --embeddings")
-        if not model.vocab and not paths.get("embeddings"):
+        if not model.vocab and not paths["embeddings"]:
             raise DataError("model was trained on embedding features; "
                             "pass --embeddings")
     if kind in ("RandomBaseline", "MajorityBaseline"):
@@ -718,8 +748,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     from . import analytics
     config, paths = _resolve(args)
     dataset = _read_dataset(paths, "data")
+    from .ingest import build_record
     # analyze reads whole records: names, profiles and every tweet field
-    pairs = _corpus_pairs(paths, dataset, lambda record: record)
+    pairs = _corpus_pairs(paths, dataset, build_record)
     groups: dict = {}
     for user, record in pairs:
         groups.setdefault(user.label, []).append(record)

@@ -1,6 +1,7 @@
 """The names every stage shares: the four classes, the labeled-user record
-and its dataset TSV, and the option names of the config (score weightings,
-evaluation settings, filters).
+and its dataset TSV, the option names of the config (score weightings,
+evaluation settings, filters), and the annotator labels that count as
+missing.
 
 This module imports nothing of the package but util, so a subcommand that
 only reads a dataset TSV or checks its config loads no text-processing
@@ -45,6 +46,9 @@ SETTINGS = ("imbalanced", "balanced")
 FILTER_NAMES = ("color", "plural", "bigram_blocklist", "quote")
 # the short config name of a filter -> its FILTER_NAMES entry
 FILTER_ALIASES = {"bigram": "bigram_blocklist"}
+# an annotator label that is no vote: skipped by the majority vote
+# (scorer) and by the agreement statistic (analytics)
+MISSING_LABELS = (None, "", "missing")
 
 
 class _LabeledUser(NamedTuple):

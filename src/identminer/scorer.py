@@ -12,14 +12,15 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_left
+from collections import Counter
 from itertools import accumulate
 from operator import add
 from typing import NamedTuple, Sequence
 
 from .filters import QueryMatch
-from .labels import WEIGHTINGS
+from .labels import MISSING_LABELS, WEIGHTINGS
 from .textprep import WORD_CODES, SelfReportLexicon, Tagged, code_pattern
-from .util import read_rows
+from .util import Sentinel, read_rows
 
 
 class ScoreParams(NamedTuple):
@@ -147,6 +148,10 @@ def tune_params(tuning_set: Sequence[tuple[Tagged, QueryMatch, bool]],
     return best
 
 
+VOTES = ("yes", "no", "unsure")
+DISCARD = Sentinel("DISCARD")
+
+
 def read_tuning_tsv(path) -> list[tuple[str, str, str]]:
     """Rows of user_id<TAB>label(yes|no|unsure)<TAB>annotator_id. A malformed
     row is a ValueError naming its line."""
@@ -157,6 +162,24 @@ def _vote_row(fields: list[str]) -> tuple[str, str, str]:
     if len(fields) != 3:
         raise ValueError("expected 3 tab-separated fields")
     user_id, label, annotator = fields
-    if label not in ("yes", "no", "unsure"):
+    if label not in VOTES:
         raise ValueError(f"bad label {label!r}")
     return user_id, label, annotator
+
+
+def majority_vote(labels: Sequence):
+    """Strict majority among the non-missing labels; a majority of "unsure"
+    or the absence of a strict majority discards the item."""
+    valid = [label for label in labels if label not in MISSING_LABELS]
+    for label in valid:
+        if label not in VOTES:
+            raise ValueError(f"unexpected label {label!r}")
+    if not valid:
+        return DISCARD
+    counts = Counter(valid)
+    winner, top = counts.most_common(1)[0]
+    if top * 2 <= len(valid):
+        return DISCARD
+    if winner == "unsure":
+        return DISCARD
+    return winner

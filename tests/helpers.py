@@ -11,6 +11,7 @@ import importlib.util
 import json
 from datetime import datetime, timedelta, timezone
 from functools import lru_cache
+from itertools import islice
 from pathlib import Path
 
 from hypothesis import strategies as st
@@ -97,12 +98,33 @@ def description_texts():
                      pieces.map("".join), statements.map(" ".join))
 
 
+def _joined_pieces(drawn: tuple[bytes, str, str]) -> str:
+    """The pieces that the bytes of choices pick in turn, joined: by byte
+    b, TRICKY_PIECES entry b // 3 (b % 3 == 0), the next 1 to 3 of letters
+    (b % 3 == 1), or the next character of chars (b % 3 == 2); a piece
+    whose text has run out is empty."""
+    choices, letters, chars = drawn
+    letters, chars = iter(letters), iter(chars)
+    pieces = []
+    for byte in choices:
+        pick, kind = divmod(byte, 3)
+        if kind == 0:
+            pieces.append(TRICKY_PIECES[pick % len(TRICKY_PIECES)])
+        elif kind == 1:
+            pieces.append("".join(islice(letters, pick % 3 + 1)))
+        else:
+            pieces.append(next(chars, ""))
+    return "".join(pieces)
+
+
 def tweet_texts():
-    """Arbitrary Unicode text, or text weighted toward TRICKY_PIECES."""
-    pieces = st.one_of(st.sampled_from(TRICKY_PIECES),
-                       st.text("abcXYZ", min_size=1, max_size=3),
-                       st.characters())
-    return st.one_of(st.text(), st.lists(pieces, max_size=30).map("".join))
+    """Arbitrary Unicode text, or up to 30 pieces joined with nothing
+    between, each a TRICKY_PIECES entry, 1 to 3 of the letters abcXYZ or
+    any character. The pieces come from one byte string and two texts, so
+    an example costs three draws, not three per piece."""
+    return st.one_of(st.text(), st.tuples(
+        st.binary(max_size=30), st.text("abcXYZ", max_size=90),
+        st.text(max_size=30)).map(_joined_pieces))
 
 
 def load_spans():

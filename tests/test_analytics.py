@@ -11,16 +11,16 @@ import scipy.stats
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from identminer.analytics import (DISCARD, behavioral_profile,
-                                  distinctive_keywords, group_lexical_pass,
-                                  group_lexical_stats, group_token_counts,
-                                  kendall_tau_top_k,
+from identminer.analytics import (behavioral_profile, distinctive_keywords,
+                                  group_lexical_pass, group_lexical_stats,
+                                  group_token_counts, kendall_tau_top_k,
                                   krippendorff_alpha_nominal, lexical_chunks,
-                                  majority_vote, mann_whitney_u,
-                                  sage_deviations, user_lexical_means)
+                                  mann_whitney_u, sage_deviations,
+                                  user_lexical_means)
 from identminer.datasets import read_dataset_tsv
 from identminer.filters import CLASS_ORDER
 from identminer.ingest import UserLine, build_record, dedupe_latest, load_users
+from identminer.scorer import DISCARD, majority_vote
 from identminer.textprep import tokenize
 from identminer.util import mean
 

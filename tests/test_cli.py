@@ -19,7 +19,7 @@ from identminer.datasets import LabeledUser, read_dataset_tsv, write_dataset_tsv
 from identminer.filters import CLASS_ORDER, FILTER_NAMES
 from identminer.models import baseline_majority, baseline_random, save_model
 from identminer.textprep import SelfReportLexicon
-from identminer.util import canonical_json
+from identminer.util import canonical_json, config_hash
 
 from helpers import (PLANT_HEADS, iso, planted_descriptions,
                      planted_payloads, tweet_payload, user_payload,
@@ -470,8 +470,9 @@ def test_train_evaluate_namecnn(tmp_path):
     assert report["accuracy"] == 1.0
 
 
-def test_train_evaluate_unigram_embeddings(tmp_path):
-    corpus, data = tweet_group_fixture(tmp_path)
+def group_embeddings(tmp_path) -> Path:
+    """An embeddings TSV for the users of tweet_group_fixture: one-hot
+    vectors by class."""
     emb = tmp_path / "emb.tsv"
     with open(emb, "w", encoding="utf-8") as handle:
         for i, label in enumerate(CLASS_ORDER):
@@ -480,6 +481,12 @@ def test_train_evaluate_unigram_embeddings(tmp_path):
                 vector[i] = 1.0
                 handle.write(f"{label.value.lower()}{j}\t"
                              + " ".join(repr(v) for v in vector) + "\n")
+    return emb
+
+
+def test_train_evaluate_unigram_embeddings(tmp_path):
+    corpus, data = tweet_group_fixture(tmp_path)
+    emb = group_embeddings(tmp_path)
     config = write_config(tmp_path, "cfg.json", learning_rate=0.5, epochs=60)
     out = tmp_path / "train"
     assert run("train", "--model", "unigram", "--config", str(config),
@@ -586,9 +593,9 @@ def test_evaluate_feature_mismatch_is_reported_before_the_corpus(tmp_path,
 # test_evaluate_balanced_draw_matches_recorded_digests
 BALANCED_EVAL_DIGESTS = {
     "baseline-random":
-        "9e16c5f24e0cae1f791cf30bde1948bb4f62f266be73c55411bbce85d9806519",
+        "0211788a42bb4e5fa360b38ef7b968b2259be92795c95a2492d763a807ef4ea0",
     "unigram":
-        "3eb2074b95095d4e68d322ae05f1361e7552187f1ee45e8db01343e7bb52f084",
+        "ac820a9ec3511a14e181b5054c2c110bdbd66834276c1064a0cf41568ce58b7f",
 }
 
 
@@ -686,7 +693,7 @@ SUBCOMMAND_MODULES = {
     "dataset-build qb": _DESCRIPTION,
     "dataset-build hf": _DESCRIPTION,
     "dataset-build cb": _DESCRIPTION,
-    "tune": (*_DESCRIPTION, "analytics"),
+    "tune": _DESCRIPTION,
     "train baseline-majority": _BASELINE,
     "evaluate baseline-majority": (*_BASELINE, *_EVALUATION),
     "train baseline-random": _BASELINE,
@@ -772,17 +779,31 @@ def test_text_and_baseline_subcommands_load_neither_numpy_nor_scipy(
 def test_description_stages_build_no_record(planted_corpus, tmp_path,
                                             monkeypatch):
     """lexicon-build, dataset-build and tune keep each description straight
-    from the validated line; analyze, which reads whole records, shows that
-    the refusing builder is the one the CLI calls."""
+    from the validated line, and train and evaluate with --embeddings only
+    note that the user is there; analyze, which reads whole records, shows
+    that the refusing builder is the one the CLI calls."""
     from identminer import ingest
 
     def refuse(line):
         raise AssertionError(f"record built for {line.user_id}")
 
-    monkeypatch.setattr(ingest, "build_record", refuse)
-    for name, argv in description_commands(planted_corpus, tmp_path):
-        assert main(argv) == 0, name
     corpus, data = tweet_group_fixture(tmp_path)
+    emb = group_embeddings(tmp_path)
+    model = tmp_path / "emb_train" / "model.json"
+    embedding_commands = [
+        ("train --embeddings", ["train", "--embeddings", str(emb),
+                                "--corpus", str(corpus), "--train-data",
+                                str(data), "--out", str(model.parent)]),
+        ("evaluate --embeddings", ["evaluate", "--embeddings", str(emb),
+                                   "--model-file", str(model),
+                                   "--corpus", str(corpus), "--test-data",
+                                   str(data), "--out",
+                                   str(tmp_path / "emb_eval")]),
+    ]
+    monkeypatch.setattr(ingest, "build_record", refuse)
+    for name, argv in [*description_commands(planted_corpus, tmp_path),
+                       *embedding_commands]:
+        assert main(argv) == 0, name
     with pytest.raises(AssertionError, match="record built for"):
         main(["analyze", "--corpus", str(corpus), "--data", str(data),
               "--out", str(tmp_path / "analyze")])
@@ -1237,27 +1258,27 @@ def test_rerun_outputs_are_byte_identical(planted_corpus, tmp_path):
 # says why in CHANGES.md.
 DESCRIPTION_STAGE_DIGESTS = {
     "lexicon/lexicon_summary.json":
-        "4c77ed327168876ebc21dff11ad635abd742adf7092154cfd31e5d23052a1c72",
+        "c422bcf394293b57954854fca15d82a37c789048d9c04bbfc82c845c1e433a28",
     "lexicon/selfreport_lexicon.tsv":
         "65c2df4e73533d226ccdc3ae1500a482647d5589fe0d0931185b68720ccde6d5",
     "dataset_qb/dataset_qb.tsv":  # empty
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "dataset_qb/dataset_qb_stats.json":
-        "57b6c77a599e2b4d31c74925bfefe56d837c8e371050eb6975c7d50e68b389e7",
+        "1c3c64f356a0ba5da60c40e270d535de23198c7eb81256f1a7e3267d474a4909",
     "dataset_hf/dataset_hf.tsv":
         "d5a45463301746213f84944dc2c7d26b6dc9e5272de48ca98d9f397253da2da5",
     "dataset_hf/dataset_hf_stats.json":
-        "795fd117869fda32f60257039dee7d497b7372cd4cae36f20b0650a6746ec870",
+        "76758b879138dc4d0acf087e8a0d083874a9f7549fd20886aeb121607baf74bd",
     "dataset_cb/dataset_cb.tsv":
         "5fd515649e6bcf1bc95365296f319f5698082007be11d9b23acec0a8143cd9c2",
     "dataset_cb/dataset_cb_stats.json":
-        "d9aa9e5afaa22549e9ebb28ebde129c079d8ab323271a9ac94135dd17bc1c141",
+        "9e0387510a1568d62b9ae9007424f4a090b35c92dd636f0acf89087e9228850f",
     "dataset_qb_tune/dataset_qb.tsv":
         "de309c7ec6f5efcaf74c71856ede6910b96a6fcfbcf781571693a9f66e895ee0",
     "dataset_qb_tune/dataset_qb_stats.json":
-        "1839a5a60322e504f484dbde770895a3c0ad5b580edc1e5d3d08724d316f8ef3",
+        "b93b0e72ad19acb510e5b03449f8cfba049892b9e5491dac796d241ebc2bb934",
     "tune/tune_result.json":
-        "8313a2f5655704072c9597c221e4aab9e3179eaa3ae7f2c3274ca8e7fc720ec0",
+        "ffac46cb213abeafdf059e0506e66c2f6e13f4f7422d1ab2b8c2fdf383051974",
 }
 
 
@@ -1289,18 +1310,20 @@ def test_description_stage_outputs_match_recorded_digests(planted_corpus,
 # recorded while the tweet stages still scanned with token_pairs (a
 # per-token kind function over a 6-group findall), to pin that the faster
 # scans give the same bytes. The unigram model adds its products with
-# np.bincount, not BLAS (see test_model_digests.py).
+# np.bincount, not BLAS (see test_model_digests.py). The three result JSON
+# digests were recorded again when each config block came to hold only the
+# keys its subcommand reads; every other field kept its bytes.
 TWEET_STAGE_DIGESTS = {
     "train/model.json":
         "c6d56ae09563dffd1ef33196f445f9e9e07cbb4d4d08439cde1bd4a7127986ff",
     "train/train_result.json":
-        "68a8cb92ea5ecaea4b665b7bfb1158bcee26b3341a33f44b76ff6e67bfe901b4",
+        "30987cce3db10885aedf2a95775dfc44bb4e7e79ed8d1c8e6e2facfcc2effd6b",
     "evaluate/eval_report.txt":
         "c4e210ed205aca09cbe09c65acf734d50281fd93897329ac459e43b1e3e174d5",
     "evaluate/eval_result.json":
-        "4cca626c78e0419329f1ecb64122ecc187874302edbf2fb90109744f256109fd",
+        "4a21ededc4a091a0fd05f150457960ec7d9463bf4f27e424a1eaca3b4370686b",
     "analyze/analyze_result.json":
-        "1f2c265ba7d7cab0ea068ab4de7d2140bf99e740eaea3cfe99db8873912f4db3",
+        "b172f6b37d9f219e54d71b69062cb1a83069501dfd2e91151a4db1ca149425f9",
 }
 
 # tweet pieces where the token kinds meet: curly and straight contractions,
@@ -1405,8 +1428,8 @@ def config_check_commands(tmp_path) -> dict[str, list[str]]:
     model = write_unigram_model(tmp_path / "model.json", {"alpha": 0}, 1)
     return {
         "lexicon-build": ["lexicon-build", "--corpus", str(planted)],
-        "dataset-build": ["dataset-build", "--kind", "cb",
-                          "--corpus", str(planted)],
+        # no --kind, so that a config "kind" applies
+        "dataset-build": ["dataset-build", "--corpus", str(planted)],
         "tune": ["tune", "--corpus", str(tune_corpus),
                  "--tuning", str(tuning)],
         # the unigram model by default, so that a config "model" applies
@@ -1433,7 +1456,7 @@ BAD_CONFIG_VALUES = [
     ("dataset-build", "window", 5.0),
     ("dataset-build", "threshold", "0.35"),
     ("dataset-build", "filters", "color"),
-    ("lexicon-build", "kind", 1),  # every key is checked in every command
+    ("dataset-build", "kind", 1),
     ("lexicon-build", "allow_im", "false"),
     ("lexicon-build", "allow_im", 0),
     ("lexicon-build", "seed", 1.5),
@@ -1452,7 +1475,7 @@ BAD_CONFIG_VALUES = [
     ("train", "epochs", 0),
     ("train", "learning_rate", 0),
     ("dataset-build", "window", 0),
-    ("tune", "window", 0),  # a key the command does not read
+    ("train", "min_count", 1.5),
     ("train", "batch_size", 0),
     ("dataset-build", "threshold", 1.5),
     ("dataset-build", "threshold", -0.1),
@@ -1465,13 +1488,13 @@ BAD_CONFIG_VALUES = [
     ("dataset-build", "weighting", "log"),
     ("evaluate", "setting", "mystery"),
     ("train", "model", "x"),
-    ("analyze", "kind", "xx"),
+    ("dataset-build", "kind", "xx"),
     ("dataset-build", "filters", ["sparkle"]),
-    ("tune", "filters", ["colour"]),
+    ("dataset-build", "filters", ["colour"]),
     ("tune", "grid_windows", [0]),
     ("tune", "grid_thresholds", [2]),
     ("tune", "grid_weightings", ["x"]),
-    ("lexicon-build", "epochs", 0),
+    ("train", "min_char_count", "5"),
     ("tune", "grid_windows", []),
     ("tune", "grid_thresholds", []),
     ("tune", "grid_weightings", []),
@@ -1891,13 +1914,99 @@ def subcommand_flags():
 
 def test_every_flag_dest_is_a_config_or_path_key():
     """_resolve copies each flag by its dest, so a dest names a config or
-    path key, or one of the few that are no configuration."""
-    allowed = {*cli.DEFAULTS, *cli._PATH_KEYS, "config", "workers"}
-    assert {action.dest for _, action in subcommand_flags()} <= allowed
+    path key that its subcommand reads, or one of the few that are no
+    configuration. Every subcommand takes --config, --out, --seed and
+    --workers, and each shared input flag where its key is read."""
     parser = cli.build_parser()
     assert {action.dest for action in parser._actions} <= {"help", "command"}
-    args = parser.parse_args(["lexicon-build", "--out", "o"])
-    assert set(vars(args)) <= allowed | {"command", "func"}
+    dests = {name: set() for name in cli.SUBCOMMAND_KEYS}
+    for name, action in subcommand_flags():
+        dests[name].add(action.dest)
+    for name, reads in cli.SUBCOMMAND_KEYS.items():
+        allowed = {*reads, "config", "workers"}
+        assert dests[name] <= allowed, name
+        assert {"config", "out", "seed", "workers",
+                *(set(reads) & set(cli._SHARED_INPUTS))} <= dests[name], name
+        args = parser.parse_args([name, "--out", "o"])
+        assert set(vars(args)) <= allowed | {"command", "func"}, name
+
+
+def test_a_flag_for_a_key_the_subcommand_does_not_read_is_a_usage_error(
+        capsys):
+    for command, flag in [("lexicon-build", "--lexicon"),
+                          ("train", "--lexicon"), ("evaluate", "--lexicon"),
+                          ("analyze", "--lexicon"),
+                          ("train", "--tag-lexicon"),
+                          ("evaluate", "--tag-lexicon"),
+                          ("analyze", "--tag-lexicon")]:
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, "x.tsv", "--out", "x"])
+        assert exc.value.code == 1, (command, flag)
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+# a value that breaks the rule of every config and path key
+UNREAD_VALUE = {"not": "a value"}
+
+
+def test_a_key_the_subcommand_does_not_read_is_ignored(tmp_path):
+    """A bad value of every key that a subcommand does not read, in the
+    config file, leaves its exit code and every output byte as they are."""
+    assert not any(check(UNREAD_VALUE) for _, check, _ in cli.CONFIG_RULES)
+    for name, argv in config_check_commands(tmp_path).items():
+        reads = cli.SUBCOMMAND_KEYS[name]
+        read = {"kind": "cb"} if "kind" in reads else {}
+        configs = [write_config(tmp_path, f"{name}_plain.json", **read),
+                   write_config(tmp_path, f"{name}_unread.json", **read, **{
+                       key: UNREAD_VALUE
+                       for key in (*cli.DEFAULTS, *cli._PATH_KEYS)
+                       if key not in reads})]
+        outputs = []
+        for config in configs:
+            out = tmp_path / config.stem
+            assert run(*argv, "--config", str(config), "--out", str(out)) == 0, \
+                name
+            outputs.append({path.name: path.read_bytes()
+                            for path in out.iterdir()})
+        assert outputs[0] == outputs[1], name
+
+
+# the config keys each subcommand reads, and so records and hashes
+READ_CONFIG_KEYS = {
+    "lexicon-build": {"allow_im", "seed"},
+    "dataset-build": {"kind", "filters", "window", "threshold", "weighting",
+                      "allow_im", "cb_k", "seed"},
+    "tune": {"grid_windows", "grid_thresholds", "grid_weightings", "allow_im",
+             "seed"},
+    "train": {"model", "learning_rate", "epochs", "l2_strength", "batch_size",
+              "instance_downweight", "min_count", "min_char_count",
+              "max_tweets", "seed"},
+    "evaluate": {"setting", "max_tweets", "seed"},
+    "analyze": {"max_tweets", "top_n", "tau_ks", "sage_lambda", "seed"},
+}
+
+
+def test_one_config_of_every_key_runs_every_subcommand(tmp_path):
+    """One config file holding every key drives the whole pipeline: each
+    subcommand takes just the keys it reads, and its result's config block
+    and hash hold exactly the config keys of those, at the file's values."""
+    shared = {**cli.DEFAULTS, **dict.fromkeys(cli._PATH_KEYS), "kind": "cb",
+              "seed": 7, "epochs": 3, "max_tweets": 5, "top_n": 5}
+    config = write_config(tmp_path, "pipeline.json", **shared)
+    commands = config_check_commands(tmp_path)
+    assert commands.keys() == READ_CONFIG_KEYS.keys()
+    for name, argv in commands.items():
+        out = tmp_path / name
+        argv = [*argv, "--config", str(config), "--out", str(out)]
+        config_values, paths = cli._resolve(cli.build_parser().parse_args(argv))
+        assert sorted([*config_values, *paths]) == \
+            sorted(cli.SUBCOMMAND_KEYS[name]), name
+        assert run(*argv) == 0, name
+        [result] = [json.loads(path.read_text()) for path in out.glob("*.json")
+                    if path.name != "model.json"]
+        assert result["config"] == {key: shared[key]
+                                    for key in READ_CONFIG_KEYS[name]}, name
+        assert result["config_sha256"] == config_hash(result["config"])
 
 
 def flag_values(action) -> tuple:

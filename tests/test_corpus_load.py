@@ -4,7 +4,6 @@ keeping per user only what a stage reads of the winning snapshot.
 Three guards: a differential oracle against the list-then-dedupe loader,
 repeated snapshots planted through every corpus-reading subcommand, and the
 memory a load retains (tracemalloc, not RSS)."""
-import functools
 import gc
 import hashlib
 import json
@@ -332,9 +331,10 @@ def test_a_tweet_load_retains_only_the_dataset_users(tmp_path, monkeypatch):
         dataset = [LabeledUser(user_id=f"user{i:05d}", label=CLASS_ORDER[0],
                                score=None, source="crowd")
                    for i in range(n_dataset)]
+        chunks = word_chunks()
         cli._corpus_pairs({"corpus": str(corpus)}, dataset,
-                          functools.partial(user_word_counts, max_tweets=200,
-                                            chunks=word_chunks()))
+                          lambda line: user_word_counts(build_record(line),
+                                                        200, chunks))
         return sizes.pop()
 
     small_corpus = tweet_load(100, 20)
