@@ -1,10 +1,11 @@
 """Command-line surface: lexicon-build, dataset-build, tune, train, evaluate,
-analyze. One table (SUBCOMMAND_KEYS) says which config and path keys each
-subcommand reads: it resolves defaults < config file < flags over those
-keys only, takes a flag only for a key it reads, and embeds those keys of
-the semantic config and their hash in its outputs. It derives all
-randomness from one root seed, so reruns with the same config and seed are
-byte-identical and results never depend on --workers.
+analyze. One table (KEYS) gives each config and path key's default, rule,
+flag and the subcommands that read it: each subcommand resolves defaults <
+config file < flags over the keys it reads only, takes a flag only for a
+key it reads, and embeds those keys of the semantic config and their hash
+in its outputs. It derives all randomness from one root seed, so reruns
+with the same config and seed are byte-identical and results never depend
+on --workers.
 
 Each subcommand imports only the modules it runs. At module level this
 file loads the standard library (but not logging: _log writes the few
@@ -38,61 +39,7 @@ from .util import DataError, config_hash, stage_seed, write_json
 
 DATASET_KINDS = ("qb", "hf", "cb")
 MODEL_NAMES = ("unigram", "namecnn", "baseline-random", "baseline-majority")
-
-# semantic configuration: part of the config hash; execution details
-# (paths, --out, --workers) deliberately are not
-DEFAULTS = {
-    "window": 5,
-    "threshold": 0.35,
-    "weighting": "simple",
-    "filters": ["color", "plural", "bigram", "quote"],
-    "allow_im": False,
-    "min_count": 2,
-    "max_tweets": 200,
-    "learning_rate": 0.1,
-    "epochs": 20,
-    "l2_strength": 1e-4,
-    "instance_downweight": 1.0,
-    "batch_size": 64,
-    "min_char_count": 5,
-    "setting": "imbalanced",
-    "seed": 0,
-    "kind": None,
-    "model": "unigram",
-    "cb_k": None,
-    "sage_lambda": 1.0,
-    "top_n": 20,
-    "tau_ks": [20, 50],
-    # the tuning grid: every weighting x window x threshold
-    "grid_windows": list(range(1, 11)),
-    "grid_thresholds": [round(0.05 * i, 2) for i in range(1, 20)],
-    "grid_weightings": list(WEIGHTINGS),
-}
-
-_PATH_KEYS = ("corpus", "out", "lexicon", "tag_lexicon", "tuning", "train_data",
-              "test_data", "model_file", "embeddings", "data",
-              "colors_file", "blocklist_file")
-
-# the DEFAULTS and path keys each subcommand reads. _resolve takes, checks
-# and returns only these, so a result's config and its hash cover what the
-# run read; a config-file key that only other subcommands read is ignored,
-# so one config file serves the whole pipeline
-SUBCOMMAND_KEYS = {
-    "lexicon-build": ("allow_im", "seed", "corpus", "tag_lexicon", "out"),
-    "dataset-build": ("kind", "filters", "window", "threshold", "weighting",
-                      "allow_im", "cb_k", "seed", "corpus", "tag_lexicon",
-                      "lexicon", "colors_file", "blocklist_file", "out"),
-    "tune": ("grid_windows", "grid_thresholds", "grid_weightings", "allow_im",
-             "seed", "corpus", "tag_lexicon", "lexicon", "tuning", "out"),
-    "train": ("model", "learning_rate", "epochs", "l2_strength", "batch_size",
-              "instance_downweight", "min_count", "min_char_count",
-              "max_tweets", "seed", "corpus", "train_data", "embeddings",
-              "out"),
-    "evaluate": ("setting", "max_tweets", "seed", "corpus", "model_file",
-                 "test_data", "embeddings", "out"),
-    "analyze": ("max_tweets", "top_n", "tau_ks", "sage_lambda", "seed",
-                "corpus", "data", "out"),
-}
+_FILTER_WORDS = (*FILTER_NAMES, *FILTER_ALIASES)
 
 
 def _is_int(value) -> bool:
@@ -116,65 +63,115 @@ def _is_fraction(value) -> bool:
     return _is_number(value) and 0 <= value <= 1
 
 
-def _is_str(value) -> bool:
-    return isinstance(value, str)
-
-
 def _is_filter(value) -> bool:
     # enabled_filters strips each name and skips blank ones
-    return _is_str(value) and value.strip() in ("", *FILTER_NAMES,
-                                                *FILTER_ALIASES)
+    return isinstance(value, str) and value.strip() in ("", *_FILTER_WORDS)
 
 
-def _list_of(check):
-    return lambda value: isinstance(value, list) and all(map(check, value))
+def _one_of(names, words: str = "one of {}") -> tuple:
+    """The rule that a value is one of names: (words naming them, with a
+    None among them said as "or null", the check)."""
+    said = ", ".join(repr(name) for name in names if name is not None)
+    if None in names:
+        said += " or null"
+    return words.format(said), lambda value: value in names
 
 
-def _non_empty_list_of(check):
-    return lambda value: _list_of(check)(value) and len(value) > 0
+def _list_of(rule: tuple, non_empty: bool = False) -> tuple:
+    """The rule that a value is a list (a non-empty one if non_empty) whose
+    items each keep rule: (plural words, check)."""
+    words, check = rule
+    return (f"a {'non-empty ' if non_empty else ''}list of {words}",
+            lambda value: isinstance(value, list) and all(map(check, value))
+            and (len(value) > 0 or not non_empty))
 
 
-def _in(names):
-    return lambda value: value in names
+_INT = ("an integer", _is_int)
+_COUNT = ("an integer >= 1", _is_count)
+_NON_NEGATIVE = ("a finite number >= 0", lambda v: _is_number(v) and v >= 0)
+# the rule of the path keys, and so what marks them
+_PATH = ("a string or null", lambda v: v is None or isinstance(v, str))
 
+_DESCRIPTION = ("lexicon-build", "dataset-build", "tune")
+_ALL = (*_DESCRIPTION, "train", "evaluate", "analyze")
 
-def _names(names) -> str:
-    return ", ".join(map(repr, names))
-
-
-# the one statement of what every DEFAULTS and path key may hold:
-# (what it must be, check, keys); _resolve applies it to the keys a
-# subcommand reads, before any input is read
-CONFIG_RULES = (
-    ("an integer", _is_int, ("min_count", "min_char_count", "seed")),
-    ("an integer >= 1", _is_count, ("window", "epochs", "batch_size",
-                                    "max_tweets", "top_n")),
-    ("an integer >= 1 or null", lambda v: v is None or _is_count(v), ("cb_k",)),
-    ("a number in [0, 1]", _is_fraction, ("threshold",)),
-    ("a number in (0, 1]", lambda v: _is_number(v) and 0 < v <= 1,
-     ("instance_downweight",)),
-    ("a finite number > 0", lambda v: _is_number(v) and v > 0,
-     ("learning_rate",)),
-    ("a finite number >= 0", lambda v: _is_number(v) and v >= 0,
-     ("l2_strength", "sage_lambda")),
-    ("true or false", lambda v: isinstance(v, bool), ("allow_im",)),
-    (f"one of {_names(WEIGHTINGS)}", _in(WEIGHTINGS), ("weighting",)),
-    (f"one of {_names(SETTINGS)}", _in(SETTINGS), ("setting",)),
-    (f"one of {_names(MODEL_NAMES)}", _in(MODEL_NAMES), ("model",)),
-    (f"one of {_names(DATASET_KINDS)} or null", _in((*DATASET_KINDS, None)),
-     ("kind",)),
-    ("a string or null", lambda v: v is None or _is_str(v), _PATH_KEYS),
-    ("a list of integers >= 1", _list_of(_is_count), ("tau_ks",)),
-    # an empty tuning grid has no point to choose
-    ("a non-empty list of integers >= 1", _non_empty_list_of(_is_count),
-     ("grid_windows",)),
-    ("a non-empty list of numbers in [0, 1]",
-     _non_empty_list_of(_is_fraction), ("grid_thresholds",)),
-    (f"a non-empty list of names from {_names(WEIGHTINGS)}",
-     _non_empty_list_of(_in(WEIGHTINGS)), ("grid_weightings",)),
-    (f"a list of names from {_names((*FILTER_NAMES, *FILTER_ALIASES))}",
-     _list_of(_is_filter), ("filters",)),
-)
+# every config and path key, one row each: (default, rule as (words,
+# check), the subcommands that read it, its flag's argparse keywords or None
+# where it has no flag). _resolve takes, checks and returns the rows of the
+# running subcommand, in this order, before any input is read: so a config
+# with several bad values names the first, and a config-file key that only
+# other subcommands read is ignored, so one config file serves the whole
+# pipeline. The path keys (rule _PATH) are execution details; every other
+# key is semantic configuration, recorded and hashed in each result.
+KEYS = {
+    "min_count": (2, _INT, ("train",), None),
+    "min_char_count": (5, _INT, ("train",), None),
+    "seed": (0, _INT, _ALL, {"type": int, "help": "root random seed"}),
+    "window": (5, _COUNT, ("dataset-build",), {"type": int}),
+    "epochs": (20, _COUNT, ("train",), {"type": int}),
+    "batch_size": (64, _COUNT, ("train",), None),
+    "max_tweets": (200, _COUNT, ("train", "evaluate", "analyze"), None),
+    "top_n": (20, _COUNT, ("analyze",), None),
+    "cb_k": (None, ("an integer >= 1 or null",
+                    lambda v: v is None or _is_count(v)),
+             ("dataset-build",), None),
+    "threshold": (0.35, ("a number in [0, 1]", _is_fraction),
+                  ("dataset-build",), {"type": float}),
+    "instance_downweight": (1.0, ("a number in (0, 1]",
+                                  lambda v: _is_number(v) and 0 < v <= 1),
+                            ("train",), None),
+    "learning_rate": (0.1, ("a finite number > 0",
+                            lambda v: _is_number(v) and v > 0),
+                      ("train",), None),
+    "l2_strength": (1e-4, _NON_NEGATIVE, ("train",), None),
+    "sage_lambda": (1.0, _NON_NEGATIVE, ("analyze",), None),
+    "allow_im": (False, ("true or false", lambda v: isinstance(v, bool)),
+                 _DESCRIPTION, None),
+    "weighting": ("simple", _one_of(WEIGHTINGS), ("dataset-build",),
+                  {"choices": WEIGHTINGS}),
+    "setting": ("imbalanced", _one_of(SETTINGS), ("evaluate",),
+                {"choices": SETTINGS}),
+    "model": ("unigram", _one_of(MODEL_NAMES), ("train",),
+              {"choices": MODEL_NAMES}),
+    "kind": (None, _one_of((*DATASET_KINDS, None)), ("dataset-build",),
+             {"choices": DATASET_KINDS, "help": "dataset kind"}),
+    "corpus": (None, _PATH, _ALL, {"help": "JSON-lines corpus path"}),
+    "out": (None, _PATH, _ALL, {"required": True, "help": "output directory"}),
+    "lexicon": (None, _PATH, ("dataset-build", "tune"),
+                {"help": "self-report lexicon TSV"}),
+    "tag_lexicon": (None, _PATH, _DESCRIPTION, {
+        "help": "word<TAB>tag TSV overriding the bundled tagger"}),
+    "tuning": (None, _PATH, ("tune",),
+               {"help": "user_id<TAB>label<TAB>annotator TSV"}),
+    "train_data": (None, _PATH, ("train",), {"help": "dataset TSV"}),
+    "test_data": (None, _PATH, ("evaluate",), {"help": "dataset TSV"}),
+    "model_file": (None, _PATH, ("evaluate",), {"help": "saved model JSON"}),
+    "embeddings": (None, _PATH, ("train", "evaluate"),
+                   {"help": "user_id<TAB>floats TSV feature override"}),
+    "data": (None, _PATH, ("analyze",),
+             {"help": "labeled dataset TSV defining the groups"}),
+    "colors_file": (None, _PATH, ("dataset-build",), None),
+    "blocklist_file": (None, _PATH, ("dataset-build",), None),
+    "tau_ks": ([20, 50], _list_of(("integers >= 1", _is_count)),
+               ("analyze",), None),
+    # the tuning grid, every weighting x window x threshold; an empty grid
+    # has no point to choose
+    "grid_windows": (list(range(1, 11)),
+                     _list_of(("integers >= 1", _is_count), non_empty=True),
+                     ("tune",), None),
+    "grid_thresholds": ([round(0.05 * i, 2) for i in range(1, 20)],
+                        _list_of(("numbers in [0, 1]", _is_fraction),
+                                 non_empty=True), ("tune",), None),
+    "grid_weightings": (list(WEIGHTINGS),
+                        _list_of(_one_of(WEIGHTINGS, "names from {}"),
+                                 non_empty=True), ("tune",), None),
+    "filters": (["color", "plural", "bigram", "quote"],
+                _list_of((_one_of(_FILTER_WORDS, "names from {}")[0],
+                          _is_filter)), ("dataset-build",), {
+        "type": lambda flag: [name for name in flag.split(",")
+                              if name.strip()],
+        "help": "comma list from color,plural,bigram,quote (empty for none)"}),
+}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -196,80 +193,44 @@ def _log(level: str, message: str) -> None:
         print(f"{level} identminer: {message}", file=sys.stderr)
 
 
-# the flags of the path keys that more than one subcommand reads;
-# build_parser adds each to the subcommands whose SUBCOMMAND_KEYS hold it
-_SHARED_INPUTS = {
-    "corpus": "JSON-lines corpus path",
-    "tag_lexicon": "word<TAB>tag TSV overriding the bundled tagger",
-    "lexicon": "self-report lexicon TSV",
-    "embeddings": "user_id<TAB>floats TSV feature override",
-}
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="identminer",
                      description="self-report mining and group modeling pipeline")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, func, summary: str) -> argparse.ArgumentParser:
+    for name, func, summary in (
+            ("lexicon-build", cmd_lexicon_build,
+             "induce the self-report lexicon"),
+            ("dataset-build", cmd_dataset_build,
+             "build the qb, hf, or cb dataset"),
+            ("tune", cmd_tune, "grid-search score hyperparameters"),
+            ("train", cmd_train, "train a classifier"),
+            ("evaluate", cmd_evaluate, "score a trained model on a test set"),
+            ("analyze", cmd_analyze,
+             "group-level lexical and behavioral statistics")):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
         p.add_argument("--config", help="JSON config file")
-        p.add_argument("--out", required=True, help="output directory")
-        p.add_argument("--seed", type=int, help="root random seed")
         p.add_argument("--workers", type=int, default=1,
                        help="accepted for compatibility; every run is serial "
                             "and results are invariant")
-        for dest, text in _SHARED_INPUTS.items():
-            if dest in SUBCOMMAND_KEYS[name]:
-                p.add_argument(f"--{dest.replace('_', '-')}", dest=dest,
-                               help=text)
-        return p
-
-    add("lexicon-build", cmd_lexicon_build, "induce the self-report lexicon")
-
-    p = add("dataset-build", cmd_dataset_build, "build the qb, hf, or cb dataset")
-    p.add_argument("--kind", choices=DATASET_KINDS, help="dataset kind")
-    p.add_argument("--filters", type=lambda flag: [
-                       name for name in flag.split(",") if name.strip()],
-                   help="comma list from color,plural,bigram,quote (empty for none)")
-    p.add_argument("--window", type=int)
-    p.add_argument("--threshold", type=float)
-    p.add_argument("--weighting", choices=WEIGHTINGS)
-
-    p = add("tune", cmd_tune, "grid-search score hyperparameters")
-    p.add_argument("--tuning", help="user_id<TAB>label<TAB>annotator TSV")
-
-    p = add("train", cmd_train, "train a classifier")
-    p.add_argument("--model", choices=MODEL_NAMES)
-    p.add_argument("--train-data", dest="train_data", help="dataset TSV")
-    p.add_argument("--epochs", type=int)
-
-    p = add("evaluate", cmd_evaluate, "score a trained model on a test set")
-    p.add_argument("--model-file", dest="model_file", help="saved model JSON")
-    p.add_argument("--test-data", dest="test_data", help="dataset TSV")
-    p.add_argument("--setting", choices=SETTINGS)
-
-    p = add("analyze", cmd_analyze, "group-level lexical and behavioral statistics")
-    p.add_argument("--data", help="labeled dataset TSV defining the groups")
+        # a flag's dest is its key, so _resolve finds it by the key's name
+        for key, (_, _, commands, flag) in KEYS.items():
+            if flag is not None and name in commands:
+                p.add_argument(f"--{key.replace('_', '-')}", **flag)
     return parser
 
 
 def _resolve(args: argparse.Namespace) -> tuple[dict, dict]:
-    """defaults < config file < flags over the keys that args.command reads
-    (SUBCOMMAND_KEYS); returns (semantic config, paths), each holding just
-    those keys.
+    """defaults < config file < flags over the KEYS rows that args.command
+    reads; returns (semantic config, paths), each holding just those keys.
 
-    A flag sets the path or config key named by its argparse dest, so each
-    flag is named only where build_parser declares it; an absent flag
-    (None) keeps the config-file value. The dests that are neither (config,
-    workers, command, func) are not configuration. A config-file key that
-    only other subcommands read is neither checked nor returned; one that no
+    A flag sets the key named by its argparse dest; an absent flag (None)
+    keeps the config-file value. The dests that are no key (config, workers,
+    command, func) are not configuration. A config-file key that only other
+    subcommands read is neither checked nor returned; one that no
     subcommand reads is an error."""
-    reads = SUBCOMMAND_KEYS[args.command]
-    config = {key: value for key, value in DEFAULTS.items() if key in reads}
-    paths: dict[str, str | None] = {key: None for key in _PATH_KEYS
-                                    if key in reads}
+    rows = {key: row for key, row in KEYS.items() if args.command in row[2]}
+    values = {key: row[0] for key, row in rows.items()}
     loaded = {}
     if args.config:
         if not Path(args.config).is_file():
@@ -284,20 +245,19 @@ def _resolve(args: argparse.Namespace) -> tuple[dict, dict]:
         if not isinstance(loaded, dict):
             raise DataError("config file must hold a JSON object")
     flags = {key: value for key, value in vars(args).items()
-             if value is not None and (key in paths or key in config)}
+             if value is not None and key in rows}
     for key, value in {**loaded, **flags}.items():
-        if key in paths:
-            paths[key] = value
-        elif key in config:
-            config[key] = value
-        elif key not in DEFAULTS and key not in _PATH_KEYS:
+        if key in rows:
+            values[key] = value
+        elif key not in KEYS:
             raise DataError(f"unknown config key {key!r}")
-    values = {**paths, **config}
-    for rule, check, keys in CONFIG_RULES:
-        for key in keys:
-            if key in values and not check(values[key]):
-                raise DataError(f"config key {key!r} must be {rule}, "
-                                f"got {reprlib.repr(values[key])}")
+    for key, (_, (words, check), _, _) in rows.items():
+        if not check(values[key]):
+            raise DataError(f"config key {key!r} must be {words}, "
+                            f"got {reprlib.repr(values[key])}")
+    config = {key: values[key] for key, row in rows.items()
+              if row[1] is not _PATH}
+    paths = {key: values[key] for key, row in rows.items() if row[1] is _PATH}
     return config, paths
 
 

@@ -39,7 +39,12 @@ class RandomBaseline:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "RandomBaseline":
-        return cls(seed=payload["seed"])
+        """A seed that is not a JSON integer is a ValueError: random.Random
+        would seed null from the OS and accept a float, bool or string."""
+        seed = payload["seed"]
+        if type(seed) is not int:
+            raise ValueError(f"seed must be an integer, got {seed!r}")
+        return cls(seed=seed)
 
 
 class MajorityBaseline:

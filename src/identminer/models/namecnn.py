@@ -249,12 +249,14 @@ class NameModel:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "NameModel":
-        """The model of a to_dict payload. Params other than the seven
-        tensors in their shapes or char_vocab ids other than 2 .. n + 1 (one
-        embedding row each) is a ValueError. A "max_len" key, which files
-        of this format held before names were always cut at MAX_NAME_LEN,
-        is ignored."""
+        """The model of a to_dict payload. A meta_dim that is not a JSON
+        integer, params other than the seven tensors in their shapes or
+        char_vocab ids other than 2 .. n + 1 (one embedding row each) is a
+        ValueError. A "max_len" key, which files of this format held before
+        names were always cut at MAX_NAME_LEN, is ignored."""
         char_vocab, meta_dim = payload["char_vocab"], payload["meta_dim"]
+        if type(meta_dim) is not int:
+            raise ValueError(f"meta_dim must be an integer, got {meta_dim!r}")
         params = {key: decode_array(entry)
                   for key, entry in payload["params"].items()}
         shapes = {key: list(shape) for key, shape in

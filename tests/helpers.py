@@ -87,15 +87,39 @@ STATEMENT_WORDS = ("i", "am", "i'm", "I’m", "im", "so", "very", "a", "the",
                    "people", "zorgle", "and", "!", '"', "#tag")
 
 
+def _description_pieces(drawn: tuple[bytes, str, str]) -> list[str]:
+    """The pieces that the bytes of choices pick in turn: by byte b,
+    DESCRIPTION_PIECES entry b if there is one, else the next 1 to 3 of
+    letters (b odd) or the next character of chars (b even), so each kind
+    has about a third of the byte values; a piece whose text has run out is
+    left out. _joined_pieces cannot serve: its 86 table picks would miss
+    one of the 87 DESCRIPTION_PIECES."""
+    choices, letters, chars = drawn
+    letters, chars = iter(letters), iter(chars)
+    pieces = []
+    for byte in choices:
+        if byte < len(DESCRIPTION_PIECES):
+            pieces.append(DESCRIPTION_PIECES[byte])
+        elif byte % 2:
+            pieces.append("".join(islice(letters, byte // 2 % 3 + 1)))
+        else:
+            pieces.append(next(chars, ""))
+    return [piece for piece in pieces if piece]
+
+
 def description_texts():
-    """Descriptions: arbitrary text, words and DESCRIPTION_PIECES joined by
-    spaces or run together, or runs of STATEMENT_WORDS."""
-    pieces = st.lists(st.one_of(st.sampled_from(DESCRIPTION_PIECES),
-                                st.text("abcXYZ", min_size=1, max_size=3),
-                                st.characters()), max_size=14)
-    statements = st.lists(st.sampled_from(STATEMENT_WORDS), max_size=12)
+    """Descriptions: arbitrary text; up to 14 pieces joined by spaces or run
+    together, each a DESCRIPTION_PIECES entry, 1 to 3 of the letters abcXYZ
+    or any character; or runs of up to 12 STATEMENT_WORDS. The pieces come
+    from one byte string and two texts, and a run from one byte string, so
+    an example costs at most three draws, not one or more per piece."""
+    pieces = st.tuples(st.binary(max_size=14),
+                       st.text("abcXYZ", max_size=42),
+                       st.text(max_size=14)).map(_description_pieces)
+    statements = st.binary(max_size=12).map(lambda picks: " ".join(
+        STATEMENT_WORDS[pick % len(STATEMENT_WORDS)] for pick in picks))
     return st.one_of(st.text(max_size=40), pieces.map(" ".join),
-                     pieces.map("".join), statements.map(" ".join))
+                     pieces.map("".join), statements)
 
 
 def _joined_pieces(drawn: tuple[bytes, str, str]) -> str:

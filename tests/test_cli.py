@@ -5,6 +5,7 @@ import importlib
 import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
@@ -19,7 +20,7 @@ from identminer.datasets import LabeledUser, read_dataset_tsv, write_dataset_tsv
 from identminer.filters import CLASS_ORDER, FILTER_NAMES
 from identminer.models import baseline_majority, baseline_random, save_model
 from identminer.textprep import SelfReportLexicon
-from identminer.util import canonical_json, config_hash
+from identminer.util import DataError, canonical_json, config_hash
 
 from helpers import (PLANT_HEADS, iso, planted_descriptions,
                      planted_payloads, tweet_payload, user_payload,
@@ -1442,62 +1443,82 @@ def config_check_commands(tmp_path) -> dict[str, list[str]]:
     }
 
 
-# new rows go at the end: a list or float value's test id holds its index
+# a list or float value has an explicit id, so that moving a row renames
+# no other test; the list ids keep the names that pytest first gave them
+# by row index
 BAD_CONFIG_VALUES = [
-    ("tune", "grid_windows", ["a"]),
-    ("tune", "grid_thresholds", [0.1, "0.2"]),
+    pytest.param("tune", "grid_windows", ["a"], id="tune-grid_windows-value0"),
+    pytest.param("tune", "grid_thresholds", [0.1, "0.2"],
+                 id="tune-grid_thresholds-value1"),
     ("tune", "grid_weightings", "simple"),
     ("dataset-build", "cb_k", -1),
     ("dataset-build", "cb_k", 0),
     ("dataset-build", "cb_k", "3"),
     ("dataset-build", "cb_k", True),
     ("dataset-build", "window", "5"),
-    ("dataset-build", "window", 5.9),
-    ("dataset-build", "window", 5.0),
+    pytest.param("dataset-build", "window", 5.9,
+                 id="dataset-build-window-5.9"),
+    pytest.param("dataset-build", "window", 5.0,
+                 id="dataset-build-window-5.0"),
     ("dataset-build", "threshold", "0.35"),
     ("dataset-build", "filters", "color"),
     ("dataset-build", "kind", 1),
     ("lexicon-build", "allow_im", "false"),
     ("lexicon-build", "allow_im", 0),
-    ("lexicon-build", "seed", 1.5),
+    pytest.param("lexicon-build", "seed", 1.5, id="lexicon-build-seed-1.5"),
     ("lexicon-build", "tag_lexicon", 5),  # a path key
     ("analyze", "max_tweets", -1),
     ("analyze", "max_tweets", 0),
     ("analyze", "top_n", "a"),
-    ("analyze", "tau_ks", [20, 0]),
-    ("analyze", "sage_lambda", float("inf")),
+    pytest.param("analyze", "tau_ks", [20, 0], id="analyze-tau_ks-value20"),
+    pytest.param("analyze", "sage_lambda", float("inf"),
+                 id="analyze-sage_lambda-inf"),
     ("analyze", "sage_lambda", -1),
     ("train", "learning_rate", "x"),
-    ("train", "learning_rate", float("nan")),
+    pytest.param("train", "learning_rate", float("nan"),
+                 id="train-learning_rate-nan"),
     pytest.param("train", "learning_rate", 10 ** 400,
                  id="train-learning_rate-beyond-float"),
     ("train", "epochs", True),
     ("train", "epochs", 0),
     ("train", "learning_rate", 0),
     ("dataset-build", "window", 0),
-    ("train", "min_count", 1.5),
+    pytest.param("train", "min_count", 1.5, id="train-min_count-1.5"),
     ("train", "batch_size", 0),
-    ("dataset-build", "threshold", 1.5),
-    ("dataset-build", "threshold", -0.1),
-    ("train", "learning_rate", -0.5),
-    ("train", "l2_strength", -1e-9),
-    ("train", "l2_strength", float("inf")),
-    ("train", "instance_downweight", 0.0),
-    ("train", "instance_downweight", 1.5),
+    pytest.param("dataset-build", "threshold", 1.5,
+                 id="dataset-build-threshold-1.5"),
+    pytest.param("dataset-build", "threshold", -0.1,
+                 id="dataset-build-threshold--0.1"),
+    pytest.param("train", "learning_rate", -0.5,
+                 id="train-learning_rate--0.5"),
+    pytest.param("train", "l2_strength", -1e-9,
+                 id="train-l2_strength--1e-09"),
+    pytest.param("train", "l2_strength", float("inf"),
+                 id="train-l2_strength-inf"),
+    pytest.param("train", "instance_downweight", 0.0,
+                 id="train-instance_downweight-0.0"),
+    pytest.param("train", "instance_downweight", 1.5,
+                 id="train-instance_downweight-1.5"),
     ("train", "instance_downweight", 2),
     ("dataset-build", "weighting", "log"),
     ("evaluate", "setting", "mystery"),
     ("train", "model", "x"),
     ("dataset-build", "kind", "xx"),
-    ("dataset-build", "filters", ["sparkle"]),
-    ("dataset-build", "filters", ["colour"]),
-    ("tune", "grid_windows", [0]),
-    ("tune", "grid_thresholds", [2]),
-    ("tune", "grid_weightings", ["x"]),
+    pytest.param("dataset-build", "filters", ["sparkle"],
+                 id="dataset-build-filters-value44"),
+    pytest.param("dataset-build", "filters", ["colour"],
+                 id="dataset-build-filters-value45"),
+    pytest.param("tune", "grid_windows", [0], id="tune-grid_windows-value46"),
+    pytest.param("tune", "grid_thresholds", [2],
+                 id="tune-grid_thresholds-value47"),
+    pytest.param("tune", "grid_weightings", ["x"],
+                 id="tune-grid_weightings-value48"),
     ("train", "min_char_count", "5"),
-    ("tune", "grid_windows", []),
-    ("tune", "grid_thresholds", []),
-    ("tune", "grid_weightings", []),
+    pytest.param("tune", "grid_windows", [], id="tune-grid_windows-value50"),
+    pytest.param("tune", "grid_thresholds", [],
+                 id="tune-grid_thresholds-value51"),
+    pytest.param("tune", "grid_weightings", [],
+                 id="tune-grid_weightings-value52"),
 ]
 
 
@@ -1527,6 +1548,42 @@ def test_bad_config_value_fails_before_the_corpus_is_read(
 
     monkeypatch.setattr(cli, "_load_corpus", refuse)
     assert_bad_config_exits_2(tmp_path, capsys, command, key, value)
+
+
+# every config and path key in the order they are checked: a config with
+# several bad values names the first of them
+CHECK_ORDER = (
+    "min_count", "min_char_count", "seed", "window", "epochs", "batch_size",
+    "max_tweets", "top_n", "cb_k", "threshold", "instance_downweight",
+    "learning_rate", "l2_strength", "sage_lambda", "allow_im", "weighting",
+    "setting", "model", "kind", "corpus", "out", "lexicon", "tag_lexicon",
+    "tuning", "train_data", "test_data", "model_file", "embeddings", "data",
+    "colors_file", "blocklist_file", "tau_ks", "grid_windows",
+    "grid_thresholds", "grid_weightings", "filters")
+
+
+def test_a_config_with_several_bad_values_names_the_first_checked(tmp_path,
+                                                                 capsys):
+    config = write_config(tmp_path, "two.json", epochs=0, min_count="x")
+    out = tmp_path / "out"
+    assert run("train", "--model", "baseline-majority", "--config",
+               str(config), "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        "identminer: data error: config key 'min_count' must be an integer, "
+        "got 'x'\n")
+    assert sorted(CHECK_ORDER) == sorted(cli.KEYS)
+    parser = cli.build_parser()
+    for command in READ_CONFIG_KEYS:
+        # --out is a flag, so its config value is never read
+        checked = [key for key in CHECK_ORDER
+                   if key in reads(command) and key != "out"]
+        for i, key in enumerate(checked):
+            config = write_config(tmp_path, "bad.json", **dict.fromkeys(
+                checked[i:], UNREAD_VALUE))
+            args = parser.parse_args([command, "--config", str(config),
+                                      "--out", "o"])
+            with pytest.raises(DataError, match=f"^config key {key!r} must"):
+                cli._resolve(args)
 
 
 def bad_input_commands(tmp_path) -> dict[str, list[str]]:
@@ -1596,6 +1653,9 @@ def bad_input_commands(tmp_path) -> dict[str, list[str]]:
         "name-tensor-shape": {**name, "params": {
             **name["params"], "b2": encode_array(np.zeros(3))}},
         "name-char-id": {**name, "char_vocab": {"a": 2, "b": 4}},
+        **{defect: {**(name if field == "meta_dim"
+                       else baseline_random(3).to_dict()), field: value}
+           for defect, (field, value) in MISTYPED_INTEGERS.items()},
     }
     model_defects = {
         **{defect: tmp_path / f"{defect}.json" for defect in named},
@@ -1689,6 +1749,18 @@ def bad_input_commands(tmp_path) -> dict[str, list[str]]:
     }
 
 
+# defect -> (field, value) of an integer model-file field that holds no
+# JSON integer: a null seed would seed from the OS, so two runs would
+# differ, and meta_dim 5.0 would pass as 5
+MISTYPED_INTEGERS = {
+    "random-seed-null": ("seed", None), "random-seed-string": ("seed", "7"),
+    "random-seed-float": ("seed", 1.5), "random-seed-bool": ("seed", True),
+    "name-meta_dim-float": ("meta_dim", 5.0),
+    "name-meta_dim-string": ("meta_dim", "5"),
+    "name-meta_dim-null": ("meta_dim", None),
+    "name-meta_dim-bool": ("meta_dim", False),
+}
+
 # defect planted in a model file -> what the data error says
 MODEL_DEFECTS = {
     "name-missing-tensor": "params have shapes {'E': [4, 256], 'bc': [256], "
@@ -1707,6 +1779,8 @@ MODEL_DEFECTS = {
     "unigram-bias-shape": "weights [4, 1] and bias [3] do not fit a vocab of "
                           "1: expected [4, 1] and [4]",
     "unigram-vocab-index": "vocab indices must be 0 to 0, each once",
+    **{defect: f"{field} must be an integer, got {value!r}"
+       for defect, (field, value) in MISTYPED_INTEGERS.items()},
 }
 
 
@@ -1894,12 +1968,21 @@ def test_failed_run_leaves_no_out_dir(tmp_path):
 
 
 def test_every_config_key_has_one_type_rule():
-    from identminer.cli import _PATH_KEYS, CONFIG_RULES, DEFAULTS
-    ruled = [key for _, _, keys in CONFIG_RULES for key in keys]
-    assert sorted(ruled) == sorted([*DEFAULTS, *_PATH_KEYS])
-    values = {**dict.fromkeys(_PATH_KEYS), **DEFAULTS}
-    assert all(check(values[key])
-               for _, check, keys in CONFIG_RULES for key in keys)
+    """Each KEYS row states one rule, in words and as a check, and its
+    default keeps it."""
+    for key, (default, rule, _, _) in cli.KEYS.items():
+        words, check = rule
+        assert isinstance(words, str) and words, key
+        assert check(default), key
+
+
+def reads(command: str) -> set[str]:
+    """The config and path keys that command reads, by its KEYS rows."""
+    return {key for key, row in cli.KEYS.items() if command in row[2]}
+
+
+def is_path(key: str) -> bool:
+    return cli.KEYS[key][1] is cli._PATH
 
 
 def subcommand_flags():
@@ -1916,19 +1999,58 @@ def test_every_flag_dest_is_a_config_or_path_key():
     """_resolve copies each flag by its dest, so a dest names a config or
     path key that its subcommand reads, or one of the few that are no
     configuration. Every subcommand takes --config, --out, --seed and
-    --workers, and each shared input flag where its key is read."""
+    --workers, and the flag of each key it reads that has one."""
     parser = cli.build_parser()
     assert {action.dest for action in parser._actions} <= {"help", "command"}
-    dests = {name: set() for name in cli.SUBCOMMAND_KEYS}
+    dests = {name: set() for name in READ_CONFIG_KEYS}
     for name, action in subcommand_flags():
         dests[name].add(action.dest)
-    for name, reads in cli.SUBCOMMAND_KEYS.items():
-        allowed = {*reads, "config", "workers"}
+    for name in READ_CONFIG_KEYS:
+        allowed = {*reads(name), "config", "workers"}
         assert dests[name] <= allowed, name
         assert {"config", "out", "seed", "workers",
-                *(set(reads) & set(cli._SHARED_INPUTS))} <= dests[name], name
+                *(key for key in reads(name) if cli.KEYS[key][3])} \
+            <= dests[name], name
         args = parser.parse_args([name, "--out", "o"])
         assert set(vars(args)) <= allowed | {"command", "func"}, name
+
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_table(header: str) -> dict[str, list[set[str]]]:
+    """The README table under the header line: subcommand -> the names in
+    backquotes of each of its other cells."""
+    lines = README.read_text(encoding="utf-8").splitlines()
+    rows = {}
+    for line in lines[lines.index(header) + 2:]:
+        if not line.startswith("|"):
+            break
+        name, *cells = [cell.strip() for cell in line.strip("|").split("|")]
+        rows[name.strip("`")] = [set(re.findall(r"`([^`]+)`", cell))
+                                 for cell in cells]
+    return rows
+
+
+def test_readme_key_tables_match_keys():
+    """README's flag table and config key table say what KEYS gives each
+    subcommand."""
+    text = README.read_text(encoding="utf-8")
+    every = text[text.index("Every subcommand takes"):
+                 text.index("Besides these")]
+    flags = {name: {f"--{key.replace('_', '-')}" for key in reads(name)
+                    if cli.KEYS[key][3]} for name in READ_CONFIG_KEYS}
+    common = set.intersection(*flags.values())
+    assert set(re.findall(r"`(--[\w-]+)`", every)) == \
+        common | {"--config", "--workers"}
+    assert readme_table("| Subcommand | Its other flags |") == {
+        name: [flags[name] - common] for name in flags}
+    assert readme_table(
+        "| Subcommand | Config keys | Path keys without a flag |") == {
+        name: [{key for key in reads(name) if not is_path(key)},
+               {key for key in reads(name)
+                if is_path(key) and not cli.KEYS[key][3]}]
+        for name in READ_CONFIG_KEYS}
 
 
 def test_a_flag_for_a_key_the_subcommand_does_not_read_is_a_usage_error(
@@ -1952,15 +2074,14 @@ UNREAD_VALUE = {"not": "a value"}
 def test_a_key_the_subcommand_does_not_read_is_ignored(tmp_path):
     """A bad value of every key that a subcommand does not read, in the
     config file, leaves its exit code and every output byte as they are."""
-    assert not any(check(UNREAD_VALUE) for _, check, _ in cli.CONFIG_RULES)
+    assert not any(check(UNREAD_VALUE)
+                   for _, (_, check), _, _ in cli.KEYS.values())
     for name, argv in config_check_commands(tmp_path).items():
-        reads = cli.SUBCOMMAND_KEYS[name]
-        read = {"kind": "cb"} if "kind" in reads else {}
+        read = {"kind": "cb"} if "kind" in reads(name) else {}
         configs = [write_config(tmp_path, f"{name}_plain.json", **read),
                    write_config(tmp_path, f"{name}_unread.json", **read, **{
-                       key: UNREAD_VALUE
-                       for key in (*cli.DEFAULTS, *cli._PATH_KEYS)
-                       if key not in reads})]
+                       key: UNREAD_VALUE for key in cli.KEYS
+                       if key not in reads(name)})]
         outputs = []
         for config in configs:
             out = tmp_path / config.stem
@@ -1990,7 +2111,7 @@ def test_one_config_of_every_key_runs_every_subcommand(tmp_path):
     """One config file holding every key drives the whole pipeline: each
     subcommand takes just the keys it reads, and its result's config block
     and hash hold exactly the config keys of those, at the file's values."""
-    shared = {**cli.DEFAULTS, **dict.fromkeys(cli._PATH_KEYS), "kind": "cb",
+    shared = {**{key: row[0] for key, row in cli.KEYS.items()}, "kind": "cb",
               "seed": 7, "epochs": 3, "max_tweets": 5, "top_n": 5}
     config = write_config(tmp_path, "pipeline.json", **shared)
     commands = config_check_commands(tmp_path)
@@ -1999,8 +2120,7 @@ def test_one_config_of_every_key_runs_every_subcommand(tmp_path):
         out = tmp_path / name
         argv = [*argv, "--config", str(config), "--out", str(out)]
         config_values, paths = cli._resolve(cli.build_parser().parse_args(argv))
-        assert sorted([*config_values, *paths]) == \
-            sorted(cli.SUBCOMMAND_KEYS[name]), name
+        assert sorted([*config_values, *paths]) == sorted(reads(name)), name
         assert run(*argv) == 0, name
         [result] = [json.loads(path.read_text()) for path in out.glob("*.json")
                     if path.name != "model.json"]
@@ -2025,7 +2145,7 @@ def flag_values(action) -> tuple:
 
 def test_each_flag_overrides_the_config_file_and_absent_keeps_it(tmp_path):
     flags = [(name, action) for name, action in subcommand_flags()
-             if action.dest in cli.DEFAULTS or action.dest in cli._PATH_KEYS]
+             if action.dest in cli.KEYS]
     assert len(flags) > 20
     for i, (name, action) in enumerate(flags):
         file_value, flag = flag_values(action)
@@ -2056,7 +2176,7 @@ def test_library_defaults_equal_the_cli_defaults():
                 ScoreParams: ScoreParams._field_defaults}
     for cls, values in defaults.items():
         for name, default in values.items():
-            assert default == cli.DEFAULTS[name], f"{cls.__name__}.{name}"
+            assert default == cli.KEYS[name][0], f"{cls.__name__}.{name}"
 
 
 def test_integer_for_a_number_key_trains_the_same_model(tmp_path):

@@ -171,16 +171,22 @@ def test_quoted_spans_equal_the_character_walk(text):
     assert list(_quoted_spans(text)) == reference_quoted_spans(text)
 
 
-@st.composite
-def lexicons(draw, words):
-    """A lexicon over some of words and other pieces, O_s <= O."""
+def lexicons(words):
+    """A lexicon over some of words and other pieces, O_s <= O. It comes
+    from one byte string: each three bytes pick a word (one not yet picked
+    is taken), its O_s in 1 .. 40 and what O adds to it, 0 .. 40."""
     pool = sorted(set(words) | {"farmer", "proud", "black", "i"})
-    chosen = draw(st.lists(st.sampled_from(pool), min_size=1, unique=True))
-    os_counts = {word: draw(st.integers(1, 40)) for word in chosen}
-    return SelfReportLexicon(
-        os_counts=os_counts,
-        o_counts={word: count + draw(st.integers(0, 40))
-                  for word, count in os_counts.items()})
+
+    def lexicon(picks: bytes) -> SelfReportLexicon:
+        os_counts, o_counts = {}, {}
+        for pick, os_count, more in zip(*[iter(picks)] * 3):
+            word = pool[pick % len(pool)]
+            if word not in os_counts:
+                os_counts[word] = os_count % 40 + 1
+                o_counts[word] = os_counts[word] + more % 41
+        return SelfReportLexicon(os_counts=os_counts, o_counts=o_counts)
+
+    return st.binary(min_size=3, max_size=3 * len(pool)).map(lexicon)
 
 
 @given(st.data())
@@ -201,16 +207,22 @@ def test_scores_equal_the_token_walk_bitwise(data):
                 assert got.hex() == want.hex()
 
 
+KEYWORDS = sorted(DEFAULT_QUERY_MAP)
+
+
 def tuning_rows(draw):
-    """(text, label) rows whose first query match stands for the row."""
+    """2 to 12 (text, label) rows whose first query match stands for the
+    row. A row comes from one byte string: its first three bytes pick the
+    label, a query keyword and where it goes among the up to 10
+    DESCRIPTION_PIECES entries that the other bytes pick."""
     rows = []
-    for _ in range(draw(st.integers(2, 12))):
-        words = draw(st.lists(st.sampled_from(DESCRIPTION_PIECES),
-                              max_size=10))
-        keyword = draw(st.sampled_from(sorted(DEFAULT_QUERY_MAP)))
-        at = draw(st.integers(0, len(words)))
-        rows.append((" ".join(words[:at] + [keyword] + words[at:]),
-                     draw(st.booleans())))
+    for label, keyword, at, *picks in draw(st.lists(
+            st.binary(min_size=3, max_size=13), min_size=2, max_size=12)):
+        words = [DESCRIPTION_PIECES[pick % len(DESCRIPTION_PIECES)]
+                 for pick in picks]
+        at %= len(words) + 1
+        rows.append((" ".join(words[:at] + [KEYWORDS[keyword % len(KEYWORDS)]]
+                              + words[at:]), label % 2 == 1))
     return rows
 
 

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from identminer.cli import DEFAULTS
+from identminer.cli import KEYS
 from identminer.filters import ClassLabel, QueryMatch, find_query_matches
 from identminer.scorer import (WEIGHTINGS, ScoreParams, read_tuning_tsv,
                                score_description, score_grid, tune_params)
@@ -13,8 +13,8 @@ from helpers import tag, tag_lexicon
 from reference_description import reference_precision_recall, reference_tag
 
 # the tuning grid of the default config, as tune builds it
-DEFAULT_GRID = score_grid(DEFAULTS["grid_windows"], DEFAULTS["grid_thresholds"],
-                          DEFAULTS["grid_weightings"])
+DEFAULT_GRID = score_grid(KEYS["grid_windows"][0], KEYS["grid_thresholds"][0],
+                          KEYS["grid_weightings"][0])
 
 
 def oracle_score(tagged, match, lexicon, params):
