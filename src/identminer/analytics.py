@@ -5,7 +5,8 @@ reads is scorer.majority_vote.)
 The lexical statistics of a tweet are read off the lexical summaries of its
 whitespace-separated chunks, kept in a textprep.ChunkTable (lexical_chunks)
 that every group of a run shares, so each distinct chunk is scanned once
-while it stays in the table.
+while it stays in the table. They read every tweet of a record, the newest
+that ingest.build_record kept.
 """
 from __future__ import annotations
 
@@ -49,17 +50,16 @@ def lexical_chunks(stopwords: frozenset[str]) -> ChunkTable:
     return ChunkTable(summaries, plain_summaries)
 
 
-def user_lexical_means(user: UserRecord, chunks: ChunkTable, max_tweets: int,
+def user_lexical_means(user: UserRecord, chunks: ChunkTable,
                        word_counts: Counter) -> dict | None:
-    """Per-user means over tweets of TTR (distinct token texts / tokens), LD
-    (tokens not URLs, mentions, or stopwords / tokens; both 0 for a tweet
-    without tokens), contractions/tweet, and hashtags/tweet; None for users
-    with no tweets. Word and contraction tokens go to word_counts. chunks is
-    a lexical_chunks table."""
-    tweets = user.tweets[:max_tweets]
-    if not tweets:
+    """Per-user means over the record's tweets of TTR (distinct token texts /
+    tokens), LD (tokens not URLs, mentions, or stopwords / tokens; both 0
+    for a tweet without tokens), contractions/tweet, and hashtags/tweet;
+    None for users with no tweets. Word and contraction tokens go to
+    word_counts. chunks is a lexical_chunks table."""
+    if not user.tweets:
         return None
-    split = [tweet.text.split() for tweet in tweets]
+    split = [tweet.text.split() for tweet in user.tweets]
     summaries = chunks.values(list(chain.from_iterable(split)))
     ttr, ld = [], []
     end = 0
@@ -73,12 +73,12 @@ def user_lexical_means(user: UserRecord, chunks: ChunkTable, max_tweets: int,
     word_counts.update(chain.from_iterable(map(_WORDS, summaries)))
     # the mean of per-tweet counts is their total over the tweets
     return {"ttr": mean(ttr), "ld": mean(ld),
-            "cpt": sum(map(_CONTRACTIONS, summaries)) / len(tweets),
-            "hpt": sum(map(_HASHTAGS, summaries)) / len(tweets)}
+            "cpt": sum(map(_CONTRACTIONS, summaries)) / len(split),
+            "hpt": sum(map(_HASHTAGS, summaries)) / len(split)}
 
 
-def group_lexical_pass(users: Iterable[UserRecord], chunks: ChunkTable,
-                       max_tweets: int = 200) -> tuple[list[dict], Counter]:
+def group_lexical_pass(users: Iterable[UserRecord], chunks: ChunkTable
+                       ) -> tuple[list[dict], Counter]:
     """One pass over a group's users, streaming one user at a time: the
     per-user lexical means of users with tweets (the Mann-Whitney samples,
     whose macro-average is lexical_table) and the group's word and
@@ -87,7 +87,7 @@ def group_lexical_pass(users: Iterable[UserRecord], chunks: ChunkTable,
     samples = []
     counts: Counter[str] = Counter()
     for user in users:
-        stats = user_lexical_means(user, chunks, max_tweets, counts)
+        stats = user_lexical_means(user, chunks, counts)
         if stats is not None:
             samples.append(stats)
     return samples, counts
@@ -105,13 +105,12 @@ def lexical_table(samples: Sequence[dict]) -> dict[str, float]:
 
 
 def group_lexical_stats(users_by_group: dict[ClassLabel, Sequence[UserRecord]],
-                        stopwords: frozenset[str], max_tweets: int = 200
+                        stopwords: frozenset[str]
                         ) -> dict[ClassLabel, dict[str, float]]:
     """Macro-average the per-user means within each group; users without
     tweets are skipped."""
     chunks = lexical_chunks(stopwords)
-    return {group: lexical_table(
-                group_lexical_pass(users, chunks, max_tweets)[0])
+    return {group: lexical_table(group_lexical_pass(users, chunks)[0])
             for group, users in users_by_group.items()}
 
 
@@ -249,10 +248,9 @@ def _device(source_app: str) -> set[str]:
     return devices
 
 
-def behavioral_profile(users_by_group: dict[ClassLabel, Sequence[UserRecord]],
-                       max_tweets: int = 200
+def behavioral_profile(users_by_group: dict[ClassLabel, Sequence[UserRecord]]
                        ) -> dict[ClassLabel, dict[str, float]]:
-    """Table of per-group behavioral features, keyed by the
+    """Table of per-group behavioral features of the records, keyed by the
     analyze_result.json names. Percent rows are macro (share of users) except
     the per-tweet (pct_tweets_*) rows, which pool every tweet in the group.
     Tweets/month divides statuses_count by months since account creation
@@ -266,7 +264,7 @@ def behavioral_profile(users_by_group: dict[ClassLabel, Sequence[UserRecord]],
         pooled = Counter()
         pooled_total = 0
         for user in users:
-            tweets = user.tweets[:max_tweets]
+            tweets = user.tweets
             for device in set().union(
                     *map(_device, set(map(_SOURCE_APP, tweets)))):
                 flags[device] += 1
@@ -315,7 +313,7 @@ def behavioral_profile(users_by_group: dict[ClassLabel, Sequence[UserRecord]],
 
 def sage_deviations(group_counts: dict[str, float],
                     background_counts: dict[str, float],
-                    lam: float = 1.0) -> dict[str, float]:
+                    lam: float) -> dict[str, float]:
     """Additive log-odds deviations eta of the group's word distribution from
     the background log-frequencies with L1 shrinkage lam (SAGE, Eisenstein,
     Ahmed & Xing 2011): the exact maximizer of sum_i c_i log p_i -
@@ -405,7 +403,7 @@ def sage_deviations(group_counts: dict[str, float],
 
 def distinctive_keywords(group_counts: dict[str, float],
                          background_counts: dict[str, float],
-                         lam: float = 1.0, top_n: int = 20) -> list[str]:
+                         lam: float, top_n: int) -> list[str]:
     """Words ranked by positive deviation; words the group does not overuse
     never appear, so identical distributions give an empty list."""
     deviations = sage_deviations(group_counts, background_counts, lam)
@@ -413,9 +411,7 @@ def distinctive_keywords(group_counts: dict[str, float],
     return [word for _, word in ranked[:top_n]]
 
 
-def group_token_counts(users: Iterable[UserRecord],
-                       max_tweets: int = 200) -> Counter:
-    """Token counts over a group's tweets (word and contraction kinds), the
-    input for distinctive_keywords."""
-    return group_lexical_pass(users, lexical_chunks(frozenset()),
-                              max_tweets)[1]
+def group_token_counts(users: Iterable[UserRecord]) -> Counter:
+    """Token counts over the tweets of a group's records (word and
+    contraction kinds), the input for distinctive_keywords."""
+    return group_lexical_pass(users, lexical_chunks(frozenset()))[1]

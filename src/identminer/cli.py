@@ -526,17 +526,17 @@ def _model_inputs(paths: dict, config: dict, dataset, model_name: str,
                   role: str, vocab: dict | None = None) -> list:
     """(dataset user, model input) for each dataset user in the corpus:
     what train and evaluate read of a user's latest snapshot. namecnn reads
-    namecnn.name_input; unigram with --embeddings the user's row, if it has
-    one (the corpus only shows the user is there, so no record is built);
-    unigram otherwise the user_word_counts of the newest max_tweets tweets
-    (one word_chunks table for the run) or, given a trained vocab, their
-    featurize_user row, projected as the corpus streams. role names the
-    dataset if no user is left."""
+    namecnn.name_input of a record of no tweets; unigram with --embeddings
+    the user's row, if it has one (the corpus only shows the user is there,
+    so no record is built); unigram otherwise the user_word_counts of a
+    record of the newest max_tweets tweets (one word_chunks table for the
+    run) or, given a trained vocab, their featurize_user row, projected as
+    the corpus streams. role names the dataset if no user is left."""
     from .ingest import build_record
     if model_name == "namecnn":
         from .models.namecnn import name_input
         return _corpus_pairs(paths, dataset,
-                             lambda line: name_input(build_record(line)))
+                             lambda line: name_input(build_record(line, 0)))
     if paths["embeddings"]:
         from .models.features import read_embeddings
         present = _corpus_pairs(paths, dataset, lambda line: True)
@@ -551,9 +551,9 @@ def _model_inputs(paths: dict, config: dict, dataset, model_name: str,
     chunks = word_chunks()
     if vocab is None:
         return _corpus_pairs(paths, dataset, lambda line: user_word_counts(
-            build_record(line), max_tweets, chunks))
+            build_record(line, max_tweets), chunks))
     return _corpus_pairs(paths, dataset, lambda line: featurize_user(
-        user_word_counts(build_record(line), max_tweets, chunks), vocab))
+        user_word_counts(build_record(line, max_tweets), chunks), vocab))
 
 
 def _read_dataset(paths: dict, key: str):
@@ -572,7 +572,7 @@ def _write_model(paths: dict, model, result: dict) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    from .models import baseline_majority, baseline_random
+    from .models import RandomBaseline, baseline_majority
     config, paths = _resolve(args)
     model_name = config["model"]
     if model_name != "unigram" and paths["embeddings"]:
@@ -588,7 +588,7 @@ def cmd_train(args: argparse.Namespace) -> int:
         result["majority"] = model.majority.value
         return _write_model(paths, model, result)
     if model_name == "baseline-random":
-        model = baseline_random(stage_seed(config["seed"], "baseline"))
+        model = RandomBaseline(stage_seed(config["seed"], "baseline"))
         return _write_model(paths, model, result)
 
     from .models.training import (TrainConfig, effective_weight_histogram,
@@ -709,14 +709,15 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     config, paths = _resolve(args)
     dataset = _read_dataset(paths, "data")
     from .ingest import build_record
-    # analyze reads whole records: names, profiles and every tweet field
-    pairs = _corpus_pairs(paths, dataset, build_record)
+    # analyze reads whole records: profiles and every field of the tweets
+    max_tweets = config["max_tweets"]
+    pairs = _corpus_pairs(paths, dataset,
+                          lambda line: build_record(line, max_tweets))
     groups: dict = {}
     for user, record in pairs:
         groups.setdefault(user.label, []).append(record)
     present = [label for label in CLASS_ORDER if label in groups]
     stopwords = resources.load_stopwords()
-    max_tweets = config["max_tweets"]
 
     # one pass per group, one chunk table for all: each distinct chunk is
     # scanned once for the lexical means and the keyword counts
@@ -725,7 +726,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     counts: dict = {}
     for label in present:
         samples[label], counts[label] = analytics.group_lexical_pass(
-            groups[label], chunks, max_tweets)
+            groups[label], chunks)
 
     def mann_whitney(metric, a, b) -> dict:
         u, p = analytics.mann_whitney_u([stats[metric] for stats in samples[a]],
@@ -737,7 +738,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                                lambda a, b: mann_whitney(metric, a, b))
            for metric in ("ttr", "ld", "cpt", "hpt")}
 
-    behavior = analytics.behavioral_profile(groups, max_tweets)
+    behavior = analytics.behavioral_profile(groups)
     background: Counter = Counter()
     for counter in counts.values():
         background.update(counter)

@@ -6,7 +6,7 @@ QB: users whose description has a query keyword immediately followed by a
 person keyword. HF: users with at least one query match that survives all
 enabled filters and whose max passing score reaches the threshold. CB: the
 top-k users per class by score from the deduplicated QB union HF pool, with k
-defaulting to the smallest class count.
+the smallest class count unless one is given.
 """
 from __future__ import annotations
 
@@ -66,13 +66,13 @@ def scan_descriptions(corpus: Iterable[tuple[str, str]],
 
 
 def score_reports(reports: list[UserMatchReport], lexicon: SelfReportLexicon,
-                  params: ScoreParams, filters: tuple[str, ...] | None = None,
-                  colors: frozenset[str] = frozenset(),
-                  blocklist: frozenset[tuple[str, str]] = frozenset()
+                  params: ScoreParams, filters: tuple[str, ...] | None,
+                  colors: frozenset[str],
+                  blocklist: frozenset[tuple[str, str]]
                   ) -> list[UserMatchReport]:
     """Score every match against the final lexicon and, given the enabled
-    filters, run the filter chain once per match. Fills the reports in place
-    and returns them."""
+    filters (not None), run the filter chain once per match. Fills the
+    reports in place and returns them."""
     for report in reports:
         report.scores = score_matches(report.tagged, report.matches, lexicon,
                                       params)
@@ -88,8 +88,9 @@ def match_reports(corpus: Iterable, tag_lexicon: TagLexicon,
                   lexicon: SelfReportLexicon,
                   params: ScoreParams) -> list[UserMatchReport]:
     """Scored reports of the (user_id, description) pairs matching exactly
-    one class, for a lexicon known up front."""
-    return score_reports(scan_descriptions(corpus, tag_lexicon), lexicon, params)
+    one class, for a lexicon known up front; no filter runs."""
+    return score_reports(scan_descriptions(corpus, tag_lexicon), lexicon,
+                         params, None, frozenset(), frozenset())
 
 
 def qb_users(reports: Iterable[UserMatchReport]) -> list[LabeledUser]:
@@ -141,11 +142,11 @@ def merge_candidates(qb: Sequence[LabeledUser],
     return list(best.values())
 
 
-def build_cb(candidates: Sequence[LabeledUser], k: int | None = None) -> list[LabeledUser]:
+def build_cb(candidates: Sequence[LabeledUser], k: int | None) -> list[LabeledUser]:
     """Top-k per class by score (ties by user_id ascending), re-tagged CB.
 
-    k defaults to the smallest class count among classes present; an explicit
-    k larger than some class count is an error. Output is grouped in fixed
+    k None is the smallest class count among classes present; a k larger
+    than some class count is an error. Output is grouped in fixed
     class order, so all four class counts are exactly k.
     """
     by_class: dict[ClassLabel, list[LabeledUser]] = {label: [] for label in CLASS_ORDER}

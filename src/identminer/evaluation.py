@@ -92,7 +92,7 @@ def balance_subsample(pairs: Sequence[tuple[object, ClassLabel]],
 
 
 def evaluate(predictor, test_set: Sequence[tuple[object, ClassLabel]],
-             setting: str = "imbalanced", seed: int = 0) -> EvalReport:
+             setting: str, seed: int) -> EvalReport:
     """Predict every (features, label) pair in one predictor.predict_batch
     call and read all metrics from one count table. The balanced setting
     first subsamples equal class counts with the given seed."""

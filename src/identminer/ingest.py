@@ -5,7 +5,7 @@ line parses, and why not: a malformed line becomes a ParseFailure value
 instead of an exception, so a bad record never aborts the stream, while
 stream-level I/O errors still propagate. An accepted line is a UserLine,
 which holds the user id, snapshot time and description and builds no
-record; build_record makes its UserRecord, for the users a stage keeps.
+record; build_record makes its UserRecord, of the newest tweets only.
 Missing optional fields default to false/0/"" and are tallied in an
 optional per-field missingness counter.
 dedupe_latest folds the stream into one value per user as it goes: the
@@ -36,7 +36,6 @@ class Tweet(NamedTuple):
 
 
 _new_tweet = functools.partial(tuple.__new__, Tweet)
-_created_at = operator.itemgetter(Tweet._fields.index("created_at"))
 
 
 class ProfileMeta(NamedTuple):
@@ -54,6 +53,8 @@ _new_profile = functools.partial(tuple.__new__, ProfileMeta)
 
 
 class UserRecord(NamedTuple):
+    """A user's snapshot. tweets holds the newest max_tweets tweets that
+    build_record was asked for, newest first; nothing reads older ones."""
     user_id: str
     name: str
     description: str
@@ -90,6 +91,7 @@ _TWEET_FLAGS = tuple((key, f"tweet.{key}") for key in Tweet._fields[3:])
 _PROFILE_FLAGS = tuple((key, f"profile.{key}") for key in (
     "has_profile_url", "has_custom_image", "geo_enabled"))
 _ABSENT = object()
+_first = operator.itemgetter(0)
 S = TypeVar("S")
 T = TypeVar("T")
 
@@ -236,18 +238,19 @@ def validate_user_line(line: str, line_no: int,
                       created))
 
 
-def build_record(line: UserLine) -> UserRecord:
-    """The UserRecord of an accepted line, tweets newest first. It checks
-    nothing: validate_user_line has checked every field read here."""
+def build_record(line: UserLine, max_tweets: int) -> UserRecord:
+    """The UserRecord of an accepted line with only its newest max_tweets
+    tweets built, newest first (a stable sort: ties keep file order). It
+    checks nothing: validate_user_line has checked every field read here."""
     obj = line.decoded
+    newest = sorted(zip(line.tweet_times, obj.get("tweets") or ()),
+                    key=_first, reverse=True)[:max_tweets]
     tweets = [_new_tweet((tweet["text"], tweet.get("source_app") or "",
                           created, tweet.get("has_image", False),
                           tweet.get("has_url", False),
                           tweet.get("mentions_user", False),
                           tweet.get("geotagged", False)))
-              for tweet, created in zip(obj.get("tweets") or (),
-                                        line.tweet_times)]
-    tweets.sort(key=_created_at, reverse=True)
+              for created, tweet in newest]
     profile = obj.get("profile") or {}
     return _new_record((
         line.user_id, obj.get("name") or "", line.description, tweets,
@@ -262,9 +265,10 @@ def build_record(line: UserLine) -> UserRecord:
 
 def parse_user_line(line: str, line_no: int, missingness: Counter | None = None
                     ) -> Union[UserRecord, ParseFailure]:
-    """validate_user_line, and the record of an accepted line."""
+    """validate_user_line, and the record of an accepted line, all tweets."""
     result = validate_user_line(line, line_no, missingness)
-    return result if isinstance(result, ParseFailure) else build_record(result)
+    return (result if isinstance(result, ParseFailure)
+            else build_record(result, len(result.tweet_times)))
 
 
 def load_users(stream: IO[bytes], missingness: Counter | None = None

@@ -20,12 +20,10 @@ from __future__ import annotations
 import importlib
 import json
 
-from .baselines import MajorityBaseline, RandomBaseline, baseline_majority, baseline_random
+from .baselines import MajorityBaseline, RandomBaseline, baseline_majority
 
-__all__ = [
-    "MajorityBaseline", "RandomBaseline", "baseline_majority", "baseline_random",
-    "save_model", "load_model",
-]
+__all__ = ["MajorityBaseline", "RandomBaseline", "baseline_majority",
+           "save_model", "load_model"]
 
 
 def _from_submodule(module: str, name: str):

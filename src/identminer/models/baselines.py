@@ -17,7 +17,7 @@ if TYPE_CHECKING:
 class RandomBaseline:
     """Uniform over the four classes, seeded."""
 
-    def __init__(self, seed: int = 0):
+    def __init__(self, seed: int):
         self.seed = seed
         self._rng = random.Random(seed)
 
@@ -71,10 +71,6 @@ class MajorityBaseline:
     @classmethod
     def from_dict(cls, payload: dict) -> "MajorityBaseline":
         return cls(majority=ClassLabel.from_code(payload["majority"]))
-
-
-def baseline_random(seed: int = 0) -> RandomBaseline:
-    return RandomBaseline(seed)
 
 
 def baseline_majority(train_labels: Sequence[ClassLabel]) -> MajorityBaseline:

@@ -1,9 +1,9 @@
-"""Feature extraction: bag-of-words vocab and sparse count rows over a
-user's recent tweets, and import of externally computed per-user
+"""Feature extraction: bag-of-words vocab and sparse count rows over the
+tweets of a user's record, and import of externally computed per-user
 embeddings.
 
 Each user's tweets become a word Counter (user_word_counts): the words of
-the whitespace-separated chunks of the user's newest tweet texts, read off a
+the whitespace-separated chunks of the record's tweet texts, read off a
 textprep.ChunkTable (word_chunks) that the run shares, so each distinct
 chunk is scanned once while it stays in the table. The vocabulary and the
 count rows are both built from those counters. A count row is a pair of
@@ -32,16 +32,15 @@ def word_chunks() -> ChunkTable:
     return ChunkTable(chunk_words, zip)
 
 
-def user_word_counts(user: UserRecord, max_tweets: int,
-                     chunks: ChunkTable) -> Counter[str]:
-    """Word and contraction token counts over the user's newest max_tweets
-    tweets, in token order, read off the word_chunks table chunks."""
+def user_word_counts(user: UserRecord, chunks: ChunkTable) -> Counter[str]:
+    """Word and contraction token counts over the record's tweets, in token
+    order, read off the word_chunks table chunks."""
     return Counter(chain.from_iterable(chunks.values(" ".join(
-        [tweet.text for tweet in user.tweets[:max_tweets]]).split())))
+        [tweet.text for tweet in user.tweets]).split())))
 
 
-def build_vocab(word_counts: Iterable[Counter], min_count: int = 2,
-                stopwords: frozenset[str] = frozenset()) -> dict[str, int]:
+def build_vocab(word_counts: Iterable[Counter], min_count: int,
+                stopwords: frozenset[str]) -> dict[str, int]:
     """Non-stopwords occurring at least min_count times across the dev users'
     word counts, indexed in lexicographic order."""
     counts: Counter[str] = Counter()

@@ -45,14 +45,15 @@ MAX_NAME_LEN = 50
 PREDICT_CHUNK = 16
 PAD_INDEX = 0
 OOV_INDEX = 1
+META_DIM = 5  # the width of the profile vector of name_meta_features
 
 # L2 applies to the weight matrices below; embeddings and biases are unpenalized
 _REGULARIZED = ("Wc", "W1", "W2")
 
 
 def name_meta_features(user: UserRecord) -> np.ndarray:
-    """Fixed 5-feature profile vector for the name model: log1p followers,
-    log1p statuses, and the three profile flags."""
+    """The META_DIM-feature profile vector for the name model: log1p
+    followers, log1p statuses, and the three profile flags."""
     profile = user.profile
     return np.array([
         math.log1p(profile.followers_count),
@@ -60,7 +61,7 @@ def name_meta_features(user: UserRecord) -> np.ndarray:
         float(profile.has_profile_url),
         float(profile.has_custom_image),
         float(profile.geo_enabled),
-    ], dtype=np.float64)
+    ], dtype=np.float64).reshape(META_DIM)  # any other length fails here
 
 
 def name_input(user: UserRecord) -> tuple[str, np.ndarray]:
@@ -69,8 +70,7 @@ def name_input(user: UserRecord) -> tuple[str, np.ndarray]:
     return user.name, name_meta_features(user)
 
 
-def build_char_vocab(names: Sequence[str], min_count: int = 5
-                     ) -> dict[str, int]:
+def build_char_vocab(names: Sequence[str], min_count: int) -> dict[str, int]:
     """Characters seen at least min_count times in the (truncated) training
     names, in codepoint order; 0 is padding, 1 is out-of-vocabulary."""
     counts: Counter[str] = Counter()
@@ -249,14 +249,16 @@ class NameModel:
 
     @classmethod
     def from_dict(cls, payload: dict) -> "NameModel":
-        """The model of a to_dict payload. A meta_dim that is not a JSON
-        integer, params other than the seven tensors in their shapes or
-        char_vocab ids other than 2 .. n + 1 (one embedding row each) is a
+        """The model of a to_dict payload. A meta_dim other than the JSON
+        integer META_DIM, params other than the seven tensors in their shapes
+        or char_vocab ids other than 2 .. n + 1 (one embedding row each) is a
         ValueError. A "max_len" key, which files of this format held before
         names were always cut at MAX_NAME_LEN, is ignored."""
         char_vocab, meta_dim = payload["char_vocab"], payload["meta_dim"]
         if type(meta_dim) is not int:
             raise ValueError(f"meta_dim must be an integer, got {meta_dim!r}")
+        if meta_dim != META_DIM:
+            raise ValueError(f"meta_dim must be {META_DIM}, got {meta_dim}")
         params = {key: decode_array(entry)
                   for key, entry in payload["params"].items()}
         shapes = {key: list(shape) for key, shape in

@@ -20,11 +20,11 @@ N_CLASSES = len(CLASS_ORDER)
 
 @dataclass
 class TrainConfig:
-    learning_rate: float = 0.1
-    epochs: int = 20
-    l2_strength: float = 1e-4
-    seed: int = 0
-    batch_size: int = 64
+    learning_rate: float
+    epochs: int
+    l2_strength: float
+    seed: int
+    batch_size: int
 
 
 def minibatches(n: int, config: TrainConfig) -> Iterator[np.ndarray]:

@@ -24,9 +24,9 @@ from .util import Sentinel, read_rows
 
 
 class ScoreParams(NamedTuple):
-    window: int = 5
-    threshold: float = 0.35
-    weighting: str = "simple"
+    window: int
+    threshold: float
+    weighting: str
 
 
 def _word_positions(tagged: Tagged) -> list[int]:

@@ -446,7 +446,7 @@ def _count_row(fields: list[str]) -> tuple[str, int, int]:
     return word, os_count, o_count
 
 
-def selfreport_words(tagged: Tagged, allow_im: bool = False) -> set[str]:
+def selfreport_words(tagged: Tagged, allow_im: bool) -> set[str]:
     """Kept self-report words of one description: the adjectives and heads
     of its self-report statements that are singular (no NNS/NNPS) and whose
     tag is the lexicon's, so out-of-vocabulary words never enter S."""
@@ -463,7 +463,7 @@ class SelfReportCounter:
     contributes one to each counter.
     """
 
-    def __init__(self, allow_im: bool = False):
+    def __init__(self, allow_im: bool):
         self.allow_im = allow_im
         self.os_counter: Counter[str] = Counter()
         self.o_counter: Counter[str] = Counter()
@@ -480,7 +480,7 @@ class SelfReportCounter:
 
 def build_selfreport_lexicon(descriptions: Iterable[str],
                              tag_lexicon: TagLexicon,
-                             allow_im: bool = False) -> SelfReportLexicon:
+                             allow_im: bool) -> SelfReportLexicon:
     """Count O_s and O per description over the description texts."""
     tagger = Tagger(tag_lexicon)
     counter = SelfReportCounter(allow_im=allow_im)

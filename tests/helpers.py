@@ -17,13 +17,39 @@ from pathlib import Path
 from hypothesis import strategies as st
 
 from identminer import resources
+from identminer.cli import KEYS
 from identminer.filters import DEFAULT_QUERY_MAP
 from identminer.ingest import ProfileMeta, Tweet, UserRecord
+from identminer.scorer import ScoreParams
 from identminer.textprep import TagLexicon, Tagger
 
 SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
 EPOCH = datetime(2024, 6, 1, 12, 0, 0, tzinfo=timezone.utc)
+
+
+def default(key: str):
+    """The CLI's default of a config key (cli.KEYS): the value a test passes
+    where it means the default, since the library states none."""
+    return KEYS[key][0]
+
+
+def score_params(**given) -> ScoreParams:
+    """ScoreParams of the given fields, each other field at its CLI
+    default."""
+    return ScoreParams(**{field: given.get(field, default(field))
+                          for field in ScoreParams._fields})
+
+
+def train_config(**given):
+    """A TrainConfig of the given fields, each other field at the CLI
+    default of its config key."""
+    from dataclasses import fields
+
+    from identminer.models.training import TrainConfig
+    return TrainConfig(**{field.name: given.get(field.name,
+                                                default(field.name))
+                          for field in fields(TrainConfig)})
 
 
 def ts(hours: float = 0.0) -> datetime:
@@ -195,6 +221,14 @@ def make_user(user_id: str, description: str = "", name: str = "",
                       snapshot_time=ts(hours))
 
 
+def payload_record(payload: dict, max_tweets: int) -> UserRecord:
+    """The record that ingest builds of a user payload's line, with its
+    newest max_tweets tweets."""
+    from identminer.ingest import build_record, validate_user_line
+    return build_record(validate_user_line(json.dumps(payload), 1),
+                        max_tweets)
+
+
 # ---------------------------------------------------------------------------
 # JSONL payload factories (mirror the objects above for CLI fixtures)
 
@@ -354,7 +388,8 @@ def echo_report(labels, predictions):
     """The EvalReport that evaluate(), as the evaluate command calls it,
     gives for fixed predictions of the labels."""
     from identminer.evaluation import evaluate
-    return evaluate(Echo(), list(zip(predictions, labels)))
+    return evaluate(Echo(), list(zip(predictions, labels)),
+                    default("setting"), default("seed"))
 
 
 def loss_only(params: dict, ids, metas, y_idx, sample_weights,

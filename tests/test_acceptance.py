@@ -22,14 +22,14 @@ from identminer.filters import (CLASS_ORDER, FILTER_NAMES, apply_filter_chain,
                                 find_query_matches)
 from identminer.models.namecnn import (NameModel, build_char_vocab,
                                        init_params, train_name_cnn)
-from identminer.models.training import (TrainConfig, example_weights,
-                                        inverse_class_weights)
+from identminer.models.training import example_weights, inverse_class_weights
 from identminer.models.unigram import train_unigram
-from identminer.scorer import WEIGHTINGS, ScoreParams, score_description
+from identminer.scorer import WEIGHTINGS, score_description
 from identminer.textprep import build_selfreport_lexicon
 
-from helpers import (echo_report, gradient_check, planted_descriptions,
-                     planted_payloads, skewed_labels, tag, tag_lexicon,
+from helpers import (default, echo_report, gradient_check,
+                     planted_descriptions, planted_payloads, score_params,
+                     skewed_labels, tag, tag_lexicon, train_config,
                      training_arrays, tweet_payload, user_payload,
                      write_jsonl)
 from reference_description import reference_tag
@@ -84,8 +84,8 @@ def test_criterion_2_score_oracle_equivalence(capsys):
                 continue
             texts += 1
             lexicon = random_lexicon(rng)
-            params = ScoreParams(window=rng.randrange(1, 11),
-                                 weighting=rng.choice(WEIGHTINGS))
+            params = score_params(window=rng.randrange(1, 11),
+                                  weighting=rng.choice(WEIGHTINGS))
             matches = list(find_query_matches(tagged, text))
             matches.append(match_at(tagged, rng.randrange(len(records))))
             for match in matches:
@@ -105,7 +105,7 @@ def test_criterion_2_score_oracle_equivalence(capsys):
                 lexicon.os_counts["farmer"] = 1
                 lexicon.o_counts["farmer"] = 2
             for weighting in WEIGHTINGS:
-                params = ScoreParams(window=5, weighting=weighting)
+                params = score_params(window=5, weighting=weighting)
                 high = score_description(near, near_match, lexicon, params)
                 low = score_description(far, far_match, lexicon, params)
                 assert high > low
@@ -117,8 +117,9 @@ def test_criterion_3_planted_corpus_filtering(capsys):
         descriptions, true_ids, fp_ids = planted_descriptions()
         corpus = descriptions.items()
         tags = tag_lexicon()
-        lexicon = build_selfreport_lexicon(descriptions.values(), tags)
-        params = ScoreParams()
+        lexicon = build_selfreport_lexicon(descriptions.values(), tags,
+                                           default("allow_im"))
+        params = score_params()
         colors = resources.load_colors()
         blocklist = resources.load_bigram_blocklist()
 
@@ -171,7 +172,7 @@ def test_criterion_4_cb_balance(capsys):
                         user_id=f"{label.value}{i:02d}", label=label,
                         source="HF", score=round(rng.random(), 3)))
             rng.shuffle(candidates)
-            dataset = build_cb(candidates)
+            dataset = build_cb(candidates, default("cb_k"))
             k = min(sizes.values())
             assert len(dataset) == k * len(CLASS_ORDER)
             for label in CLASS_ORDER:
@@ -194,13 +195,14 @@ def test_criterion_4_cb_balance(capsys):
         descriptions, _, _ = planted_descriptions()
         corpus = descriptions.items()
         tags = tag_lexicon()
-        lexicon = build_selfreport_lexicon(descriptions.values(), tags)
-        params = ScoreParams()
+        lexicon = build_selfreport_lexicon(descriptions.values(), tags,
+                                           default("allow_im"))
+        params = score_params()
         qb = build_qb(corpus, tags, lexicon, params)
         hf = build_hf(corpus, tags, lexicon, params, FILTER_NAMES,
                       resources.load_colors(),
                       resources.load_bigram_blocklist())
-        cb = build_cb(merge_candidates(qb, hf))
+        cb = build_cb(merge_candidates(qb, hf), default("cb_k"))
         counts = {label: sum(1 for user in cb if user.label is label)
                   for label in CLASS_ORDER}
         assert counts == {label: 25 for label in CLASS_ORDER}
@@ -226,13 +228,14 @@ def test_criterion_5_name_cnn_gradients_and_convergence(capsys):
         for label, ch in zip(CLASS_ORDER, "abcd"):
             for i in range(8):
                 items.append((ch * (4 + i), np.zeros(5), label, "crowd"))
-        config = TrainConfig(learning_rate=0.1, epochs=50, batch_size=8,
-                             seed=0)
+        config = train_config(learning_rate=0.1, epochs=50, batch_size=8,
+                              seed=0)
         y_idx, weights = training_arrays([item[2] for item in items],
                                          [item[3] for item in items])
         trained = train_name_cnn([item[0] for item in items],
                                  np.vstack([item[1] for item in items]),
-                                 y_idx, weights, config, min_char_count=5)
+                                 y_idx, weights, config,
+                                 default("min_char_count"))
         correct = sum(trained.predict((name, meta))[0] is label
                       for name, meta, label, _ in items)
         assert correct == len(items)
@@ -247,8 +250,8 @@ def test_criterion_6_unigram_training(capsys):
                 features = np.zeros(4)
                 features[i] = 1.0 + 0.1 * j
                 items.append((features, label, "crowd"))
-        config = TrainConfig(learning_rate=0.5, epochs=60, batch_size=8,
-                             seed=0)
+        config = train_config(learning_rate=0.5, epochs=60, batch_size=8,
+                              seed=0)
         y_idx, weights = training_arrays([item[1] for item in items],
                                          [item[2] for item in items])
         model = train_unigram([item[0] for item in items], y_idx, weights,

@@ -24,10 +24,14 @@ from identminer.scorer import DISCARD, majority_vote
 from identminer.textprep import tokenize
 from identminer.util import mean
 
-from helpers import make_profile, make_tweet, make_user, tweet_texts
+from helpers import (default, make_profile, make_tweet, make_user,
+                     payload_record, tweet_payload, tweet_texts,
+                     user_payload)
 from reference_description import reference_tokenize
 
 W, B, HL, A = CLASS_ORDER
+# the CLI's default SAGE penalty and keyword list length
+LAM, TOP_N = default("sage_lambda"), default("top_n")
 
 
 # ---------------------------------------------------------------------------
@@ -225,7 +229,7 @@ def test_majority_vote_rejects_unknown_label():
 def one_tweet_means(text: str, stopwords: frozenset = frozenset()) -> dict:
     """user_lexical_means of a user whose only tweet is text."""
     user = make_user("u1", tweets=(make_tweet(text),))
-    return user_lexical_means(user, lexical_chunks(stopwords), 200, Counter())
+    return user_lexical_means(user, lexical_chunks(stopwords), Counter())
 
 
 def test_type_token_ratio():
@@ -242,10 +246,10 @@ def test_lexical_diversity_drops_urls_mentions_stopwords():
     assert one_tweet_means("")["ld"] == 0.0
 
 
-def reference_lexical_means(user, stopwords, max_tweets, word_counts):
+def reference_lexical_means(user, stopwords, word_counts):
     """user_lexical_means as four passes over the token records of each
     tweet (reference_tokenize)."""
-    tweets = user.tweets[:max_tweets]
+    tweets = user.tweets
     if not tweets:
         return None
     ttr, ld, cpt, hpt = [], [], [], []
@@ -264,11 +268,11 @@ def reference_lexical_means(user, stopwords, max_tweets, word_counts):
             "hpt": mean(hpt)}
 
 
-def per_token_lexical_means(user, stopwords, max_tweets, word_counts):
+def per_token_lexical_means(user, stopwords, word_counts):
     """user_lexical_means as one loop over the (text, kind) of the token
     records of each tweet, the way it was computed before the tweet scan
     returned token texts sorted by kind."""
-    tweets = user.tweets[:max_tweets]
+    tweets = user.tweets
     if not tweets:
         return None
     ttr, ld, cpt, hpt = [], [], [], []
@@ -301,40 +305,34 @@ def per_token_lexical_means(user, stopwords, max_tweets, word_counts):
             "hpt": mean(hpt)}
 
 
-def assert_lexical_means_match(reference, texts, stopwords, max_tweets):
+def assert_lexical_means_match(reference, texts, stopwords):
     """The same dict, and the same word_counts items in the same insertion
     order, as the reference."""
     user = make_user("u1", tweets=tuple(
         make_tweet(text, hours=-float(i)) for i, text in enumerate(texts)))
     stopwords = frozenset(stopwords)
     counts, expected_counts = Counter(), Counter()
-    stats = user_lexical_means(user, lexical_chunks(stopwords), max_tweets,
-                               counts)
-    assert stats == reference(user, stopwords, max_tweets, expected_counts)
+    stats = user_lexical_means(user, lexical_chunks(stopwords), counts)
+    assert stats == reference(user, stopwords, expected_counts)
     assert list(counts.items()) == list(expected_counts.items())
 
 
 lexical_cases = given(
     st.lists(tweet_texts(), max_size=4),
     st.sets(st.sampled_from(["the", "a", "i'm", "#fun", "go", "😀", "don't",
-                             "!", "ας", "❶", "-", "www", "https"])),
-    st.integers(min_value=1, max_value=4))
+                             "!", "ας", "❶", "-", "www", "https"])))
 
 
 @lexical_cases
 @settings(max_examples=200)
-def test_user_lexical_means_equals_the_tokenize_reference(texts, stopwords,
-                                                          max_tweets):
-    assert_lexical_means_match(reference_lexical_means, texts, stopwords,
-                               max_tweets)
+def test_user_lexical_means_equals_the_tokenize_reference(texts, stopwords):
+    assert_lexical_means_match(reference_lexical_means, texts, stopwords)
 
 
 @lexical_cases
 @settings(max_examples=200)
-def test_user_lexical_means_equals_the_per_token_formula(texts, stopwords,
-                                                         max_tweets):
-    assert_lexical_means_match(per_token_lexical_means, texts, stopwords,
-                               max_tweets)
+def test_user_lexical_means_equals_the_per_token_formula(texts, stopwords):
+    assert_lexical_means_match(per_token_lexical_means, texts, stopwords)
 
 
 def test_user_lexical_means_hand_fixture():
@@ -343,7 +341,7 @@ def test_user_lexical_means_hand_fixture():
         make_tweet("go go go", hours=-2.0),
     ))
     counts = Counter()
-    stats = user_lexical_means(user, lexical_chunks(frozenset({"happy"})), 200,
+    stats = user_lexical_means(user, lexical_chunks(frozenset({"happy"})),
                                counts)
     assert counts == {"i'm": 1, "happy": 1, "go": 3}
     assert stats["ttr"] == pytest.approx((1.0 + 1.0 / 3.0) / 2.0)
@@ -355,16 +353,17 @@ def test_user_lexical_means_hand_fixture():
 def test_user_lexical_means_without_tweets_is_none():
     counts = Counter()
     assert user_lexical_means(make_user("u1"), lexical_chunks(frozenset()),
-                              200, counts) is None
+                              counts) is None
     assert counts == {}
 
 
 def test_user_lexical_means_honors_max_tweets():
-    user = make_user("u1", tweets=(
-        make_tweet("one two three", hours=-1.0),
-        make_tweet("#x #y", hours=-2.0),
-    ))
-    stats = user_lexical_means(user, lexical_chunks(frozenset()), 1, Counter())
+    # the record of max_tweets 1 holds the newest tweet only
+    user = payload_record(user_payload("u1", tweets=(
+        tweet_payload("#x #y", hours=-2.0),
+        tweet_payload("one two three", hours=-1.0),
+    )), max_tweets=1)
+    stats = user_lexical_means(user, lexical_chunks(frozenset()), Counter())
     assert stats["hpt"] == 0.0  # only the newest tweet counted
 
 
@@ -377,11 +376,10 @@ def test_group_lexical_pass_gives_samples_and_counts_in_one_pass():
     idle = make_user("u2")
     stopwords = frozenset({"happy"})
     samples, counts = group_lexical_pass([busy, idle],
-                                         lexical_chunks(stopwords),
-                                         max_tweets=2)
-    assert samples == [user_lexical_means(busy, lexical_chunks(stopwords), 2,
+                                         lexical_chunks(stopwords))
+    assert samples == [user_lexical_means(busy, lexical_chunks(stopwords),
                                           Counter())]
-    assert counts == {"i'm": 1, "happy": 1, "go": 3}
+    assert counts == {"i'm": 1, "happy": 1, "go": 3, "old": 1, "words": 1}
 
 
 def test_group_lexical_stats_skips_tweetless_and_macro_averages():
@@ -526,19 +524,22 @@ def test_sage_identical_distributions_have_no_keywords():
     background = {"a": 5.0, "b": 5.0}
     eta = sage_deviations(counts, background, lam=1.0)
     assert max(abs(v) for v in eta.values()) < 1e-8
-    assert distinctive_keywords(counts, background, lam=1.0) == []
+    assert distinctive_keywords(counts, background, lam=1.0,
+                                top_n=TOP_N) == []
 
 
 def test_distinctive_keywords_rank_overused_words_only():
     group = {"taco": 30.0, "word": 10.0}
     background = {"taco": 10.0, "word": 30.0}
-    assert distinctive_keywords(group, background, lam=1.0) == ["taco"]
+    assert distinctive_keywords(group, background, lam=1.0,
+                                top_n=TOP_N) == ["taco"]
 
 
 def test_distinctive_keywords_alphabetical_tie_break_and_top_n():
     group = {"b": 2.0, "a": 2.0, "z": 1.0}
     background = {"a": 1.0, "b": 1.0, "z": 1.0}
-    assert distinctive_keywords(group, background, lam=0.0) == ["a", "b"]
+    assert distinctive_keywords(group, background, lam=0.0,
+                                top_n=TOP_N) == ["a", "b"]
     assert distinctive_keywords(group, background, lam=0.0, top_n=1) == ["a"]
 
 
@@ -554,11 +555,12 @@ def test_sage_penalty_shrinks_l1_norm(rng):
 
 def test_sage_deviations_input_validation():
     with pytest.raises(ValueError):
-        sage_deviations({"a": 1.0}, {"a": 0.0})
+        sage_deviations({"a": 1.0}, {"a": 0.0}, LAM)
     with pytest.raises(ValueError):
-        sage_deviations({"ghost": 2.0}, {"a": 1.0})
+        sage_deviations({"ghost": 2.0}, {"a": 1.0}, LAM)
     # a zero-count group word outside the background vocabulary is fine
-    eta = sage_deviations({"a": 1.0, "ghost": 0.0}, {"a": 1.0, "b": 1.0})
+    eta = sage_deviations({"a": 1.0, "ghost": 0.0}, {"a": 1.0, "b": 1.0},
+                          LAM)
     assert "ghost" not in eta
     for lam in (-1.0, -1e-9, math.inf, math.nan):
         with pytest.raises(ValueError, match="lam"):
@@ -645,7 +647,8 @@ def test_sage_non_unique_optimum_takes_the_segment_midpoint():
     half = math.log(19.0 / 6.0) / 2.0
     for word, sign in (("a", 1), ("b", 1), ("c", -1), ("d", -1)):
         assert eta[word] == pytest.approx(sign * half, abs=1e-12)
-    assert distinctive_keywords(group, background, lam=1.0) == ["a", "b"]
+    assert distinctive_keywords(group, background, lam=1.0,
+                                top_n=TOP_N) == ["a", "b"]
     vocab, counts, bg = _sage_arrays(group, background)
     optimum = np.array([eta[word] for word in vocab])
     value = sage_objective(counts, bg, 1.0, optimum)
@@ -681,7 +684,9 @@ def test_sage_kkt_on_timelines_groups(tmp_path, seed):
     _bench_corpus_module().generate("timelines", seed, tmp_path)
     with open(tmp_path / "corpus.jsonl", "rb") as handle:
         records = dedupe_latest((line for line in load_users(handle)
-                                 if isinstance(line, UserLine)), build_record)
+                                 if isinstance(line, UserLine)),
+                                lambda line: build_record(
+                                    line, default("max_tweets")))
     groups: dict = {}
     for user in read_dataset_tsv(tmp_path / "train.tsv"):
         if user.user_id in records:
@@ -735,9 +740,10 @@ def test_group_token_counts_words_and_contractions_only():
 
 
 def test_group_token_counts_honors_max_tweets():
-    user = make_user("u1", tweets=(
-        make_tweet("new words", hours=-1.0),
-        make_tweet("old words", hours=-5.0),
-    ))
-    counts = group_token_counts([user], max_tweets=1)
+    # the record of max_tweets 1 holds the newest tweet only
+    user = payload_record(user_payload("u1", tweets=(
+        tweet_payload("new words", hours=-1.0),
+        tweet_payload("old words", hours=-5.0),
+    )), max_tweets=1)
+    counts = group_token_counts([user])
     assert counts == {"new": 1, "words": 1}

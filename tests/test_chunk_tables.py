@@ -15,16 +15,16 @@ from helpers import TRICKY_PIECES, make_tweet, make_user
 from reference_tweet import reference_tweet_tokens, reference_tweet_words
 
 
-def reference_user_word_counts(user, max_tweets):
-    """user_word_counts as the reference words of the user's newest tweet
-    texts joined by newlines."""
+def reference_user_word_counts(user):
+    """user_word_counts as the reference words of the user's tweet texts
+    joined by newlines."""
     return Counter(reference_tweet_words(
-        "\n".join([tweet.text for tweet in user.tweets[:max_tweets]])))
+        "\n".join([tweet.text for tweet in user.tweets])))
 
 
-def reference_user_lexical_means(user, stopwords, max_tweets, word_counts):
+def reference_user_lexical_means(user, stopwords, word_counts):
     """user_lexical_means from the reference tokens of each tweet."""
-    tweets = user.tweets[:max_tweets]
+    tweets = user.tweets
     if not tweets:
         return None
     ttr, ld, cpt, hpt = [], [], [], []
@@ -66,7 +66,6 @@ run_cases = given(
     groups=st.lists(users, min_size=1, max_size=4),
     stopwords=st.sets(st.sampled_from(["the", "a", "lol", "i'm", "#love",
                                        "!!", "😀", "@sam"])),
-    max_tweets=st.integers(min_value=1, max_value=4),
     limit=st.sampled_from([1, 4, 16, ChunkTable.limit]))
 
 
@@ -80,30 +79,28 @@ def make_groups(groups):
 
 @run_cases
 @settings(max_examples=200, deadline=None)
-def test_word_counts_equal_the_per_user_scan(groups, stopwords, max_tweets,
-                                             limit):
+def test_word_counts_equal_the_per_user_scan(groups, stopwords, limit):
     table = word_chunks()
     table.limit = limit
     for group in make_groups(groups):
         for user in group:
-            counts = user_word_counts(user, max_tweets, table)
-            expected = reference_user_word_counts(user, max_tweets)
+            counts = user_word_counts(user, table)
+            expected = reference_user_word_counts(user)
             assert list(counts.items()) == list(expected.items())
 
 
 @run_cases
 @settings(max_examples=200, deadline=None)
-def test_lexical_pass_equals_the_per_tweet_scan(groups, stopwords, max_tweets,
-                                                limit):
+def test_lexical_pass_equals_the_per_tweet_scan(groups, stopwords, limit):
     """One table for every group, as analyze runs it: the same samples to
     the last bit (repr) and the same word counts in the same order."""
     stopwords = frozenset(stopwords)
     table = lexical_chunks(stopwords)
     table.limit = limit
     for group in make_groups(groups):
-        samples, counts = group_lexical_pass(group, table, max_tweets)
+        samples, counts = group_lexical_pass(group, table)
         expected_counts = Counter()
-        expected = [reference_user_lexical_means(user, stopwords, max_tweets,
+        expected = [reference_user_lexical_means(user, stopwords,
                                                  expected_counts)
                     for user in group]
         assert repr(samples) == repr([s for s in expected if s is not None])

@@ -18,13 +18,13 @@ from identminer import cli
 from identminer.cli import main
 from identminer.datasets import LabeledUser, read_dataset_tsv, write_dataset_tsv
 from identminer.filters import CLASS_ORDER, FILTER_NAMES
-from identminer.models import baseline_majority, baseline_random, save_model
+from identminer.models import RandomBaseline, baseline_majority, save_model
 from identminer.textprep import SelfReportLexicon
 from identminer.util import DataError, canonical_json, config_hash
 
 from helpers import (PLANT_HEADS, iso, planted_descriptions,
-                     planted_payloads, tweet_payload, user_payload,
-                     write_jsonl, write_unigram_model)
+                     planted_payloads, score_params, tweet_payload,
+                     user_payload, write_jsonl, write_unigram_model)
 
 W, B, HL, A = CLASS_ORDER
 
@@ -785,7 +785,7 @@ def test_description_stages_build_no_record(planted_corpus, tmp_path,
     that the refusing builder is the one the CLI calls."""
     from identminer import ingest
 
-    def refuse(line):
+    def refuse(line, max_tweets):
         raise AssertionError(f"record built for {line.user_id}")
 
     corpus, data = tweet_group_fixture(tmp_path)
@@ -1184,7 +1184,8 @@ def reference_hf(rows, params):
     tags = resources.load_tag_lexicon()
     colors = resources.load_colors()
     blocklist = resources.load_bigram_blocklist()
-    lexicon = build_selfreport_lexicon([text for _, text in rows], tags)
+    lexicon = build_selfreport_lexicon([text for _, text in rows], tags,
+                                       cli.KEYS["allow_im"][0])
     solo_removed = dict.fromkeys(FILTER_NAMES, 0)
     chain_removed: Counter = Counter()
     passed = matched = 0
@@ -1219,7 +1220,6 @@ def reference_hf(rows, params):
 
 
 def test_dataset_build_hf_matches_reference_filter_accounting(tmp_path):
-    from identminer.scorer import ScoreParams
     rows = [(row["user_id"], row["description"]) for row in planted_payloads()]
     rows += MULTI_MATCH_ROWS
     corpus = write_jsonl(tmp_path / "corpus.jsonl",
@@ -1228,7 +1228,7 @@ def test_dataset_build_hf_matches_reference_filter_accounting(tmp_path):
     out = tmp_path / "out"
     assert run("dataset-build", "--kind", "hf", "--corpus", str(corpus),
                "--out", str(out)) == 0
-    lines, accounting = reference_hf(rows, ScoreParams())
+    lines, accounting = reference_hf(rows, score_params())
     assert (out / "dataset_hf.tsv").read_text(encoding="utf-8") == lines
     stats = json.loads((out / "dataset_hf_stats.json").read_text())
     assert stats["filter_accounting"] == accounting
@@ -1653,8 +1653,12 @@ def bad_input_commands(tmp_path) -> dict[str, list[str]]:
         "name-tensor-shape": {**name, "params": {
             **name["params"], "b2": encode_array(np.zeros(3))}},
         "name-char-id": {**name, "char_vocab": {"a": 2, "b": 4}},
+        # tensors that fit a meta_dim name_input cannot fill
+        "name-meta_dim-width": NameModel(
+            char_vocab={"a": 2, "b": 3}, params=init_params(4, 3, 0),
+            meta_dim=3).to_dict(),
         **{defect: {**(name if field == "meta_dim"
-                       else baseline_random(3).to_dict()), field: value}
+                       else RandomBaseline(3).to_dict()), field: value}
            for defect, (field, value) in MISTYPED_INTEGERS.items()},
     }
     model_defects = {
@@ -1688,7 +1692,7 @@ def bad_input_commands(tmp_path) -> dict[str, list[str]]:
                "baseline-random": tmp_path / "random.json"}
     trained["namecnn"].write_text(json.dumps(name), encoding="utf-8")
     save_model(baseline_majority([W]), trained["baseline-majority"])
-    save_model(baseline_random(0), trained["baseline-random"])
+    save_model(RandomBaseline(0), trained["baseline-random"])
     return {
         **{f"train-{kind}-embeddings-unused": [
                "train", "--model", kind, "--train-data", absent, *unused]
@@ -1774,6 +1778,7 @@ MODEL_DEFECTS = {
                          "'Wc': [256, 768], 'bc': [256], 'W1': [261, 256], "
                          "'b1': [256], 'W2': [256, 4], 'b2': [4]}",
     "name-char-id": "char_vocab ids must be 2 to 3, each once",
+    "name-meta_dim-width": "meta_dim must be 5, got 3",
     "unigram-weights-shape": "weights [4, 2] and bias [4] do not fit a vocab "
                              "of 1: expected [4, 1] and [4]",
     "unigram-bias-shape": "weights [4, 1] and bias [3] do not fit a vocab of "
@@ -2165,18 +2170,6 @@ def test_each_flag_overrides_the_config_file_and_absent_keeps_it(tmp_path):
                 cli.build_parser().parse_args(argv))
             assert {**config_values, **paths}[action.dest] == file_value, \
                 (name, action.dest)
-
-
-def test_library_defaults_equal_the_cli_defaults():
-    from dataclasses import fields
-    from identminer.models.training import TrainConfig
-    from identminer.scorer import ScoreParams
-    defaults = {TrainConfig: {field.name: field.default
-                              for field in fields(TrainConfig)},
-                ScoreParams: ScoreParams._field_defaults}
-    for cls, values in defaults.items():
-        for name, default in values.items():
-            assert default == cli.KEYS[name][0], f"{cls.__name__}.{name}"
 
 
 def test_integer_for_a_number_key_trains_the_same_model(tmp_path):

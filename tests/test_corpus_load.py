@@ -20,8 +20,8 @@ from identminer.filters import CLASS_ORDER
 from identminer.ingest import ParseFailure, build_record, load_users
 from identminer.models.features import user_word_counts, word_chunks
 
-from helpers import (PLANT_HEADS, PLANT_QUERIES, tweet_payload, user_payload,
-                     write_jsonl)
+from helpers import (PLANT_HEADS, PLANT_QUERIES, default, tweet_payload,
+                     user_payload, write_jsonl)
 
 
 def reference_load(path, keep):
@@ -35,7 +35,7 @@ def reference_load(path, keep):
             if isinstance(result, ParseFailure):
                 failures += 1
             else:
-                records.append(build_record(result))
+                records.append(build_record(result, default("max_tweets")))
     latest = {}
     for record in records:
         current = latest.get(record.user_id)
@@ -94,8 +94,8 @@ def test_streamed_load_matches_the_list_then_dedupe_loader(tmp_path_factory,
 
     def keep(line):
         calls.append(line.user_id)
-        return (projection(build_record(line)) if line.user_id in kept_ids
-                else None)
+        return (projection(build_record(line, default("max_tweets")))
+                if line.user_id in kept_ids else None)
 
     kept, failures = cli._load_corpus(str(path), keep)
     expected, expected_failures = reference_load(str(path), lambda record: (
@@ -333,8 +333,9 @@ def test_a_tweet_load_retains_only_the_dataset_users(tmp_path, monkeypatch):
                    for i in range(n_dataset)]
         chunks = word_chunks()
         cli._corpus_pairs({"corpus": str(corpus)}, dataset,
-                          lambda line: user_word_counts(build_record(line),
-                                                        200, chunks))
+                          lambda line: user_word_counts(
+                              build_record(line, default("max_tweets")),
+                              chunks))
         return sizes.pop()
 
     small_corpus = tweet_load(100, 20)

@@ -9,10 +9,9 @@ from identminer.datasets import (LabeledUser, build_cb, build_hf, build_qb,
                                  qb_users, read_dataset_tsv, scan_descriptions,
                                  score_reports, write_dataset_tsv)
 from identminer.filters import CLASS_ORDER, FILTER_NAMES, ClassLabel
-from identminer.scorer import ScoreParams
 from identminer.textprep import SelfReportCounter, build_selfreport_lexicon
 
-from helpers import planted_descriptions, tag_lexicon
+from helpers import default, planted_descriptions, score_params, tag_lexicon
 
 W, B, HL, A = CLASS_ORDER
 
@@ -37,7 +36,8 @@ def small_corpus():
 
 def small_lexicon(corpus=None):
     return build_selfreport_lexicon(
-        [text for _, text in corpus or small_corpus()], tag_lexicon())
+        [text for _, text in corpus or small_corpus()], tag_lexicon(),
+        default("allow_im"))
 
 
 # ---------------------------------------------------------------------------
@@ -45,7 +45,7 @@ def small_lexicon(corpus=None):
 
 def test_match_reports_single_class_only():
     lexicon = small_lexicon()
-    params = ScoreParams()
+    params = score_params()
     [report] = match_reports(small_corpus()[:1], tag_lexicon(), lexicon, params)
     assert report.label is B
     assert len(report.matches) == len(report.scores) == 1
@@ -57,23 +57,24 @@ def test_match_reports_single_class_only():
 def test_match_reports_keeps_corpus_order(copies):
     lexicon = small_lexicon()
     reports = match_reports(small_corpus() * copies, tag_lexicon(), lexicon,
-                            ScoreParams())
+                            score_params())
     assert [r.user_id for r in reports] == ["u1", "u2", "u3"] * copies
 
 
 def test_scan_descriptions_counts_the_lexicon_from_the_same_pass():
     descriptions, _, _ = planted_descriptions()
     corpus = descriptions.items()
-    counter = SelfReportCounter()
+    counter = SelfReportCounter(default("allow_im"))
     scanned = scan_descriptions(corpus, tag_lexicon(), counter)
     lexicon = counter.lexicon()
     assert lexicon == build_selfreport_lexicon(descriptions.values(),
-                                               tag_lexicon())
+                                               tag_lexicon(),
+                                               default("allow_im"))
     assert all(report.scores == [] and report.outcomes is None
                for report in scanned)
-    scored = score_reports(scanned, lexicon, ScoreParams(), FILTER_NAMES,
+    scored = score_reports(scanned, lexicon, score_params(), FILTER_NAMES,
                            COLORS, BLOCKLIST)
-    reference = match_reports(corpus, tag_lexicon(), lexicon, ScoreParams())
+    reference = match_reports(corpus, tag_lexicon(), lexicon, score_params())
     assert [(r.user_id, r.matches, r.scores) for r in scored] == \
         [(r.user_id, r.matches, r.scores) for r in reference]
     assert all(len(report.outcomes) == len(report.matches) for report in scored)
@@ -82,8 +83,9 @@ def test_scan_descriptions_counts_the_lexicon_from_the_same_pass():
 def test_qb_and_hf_users_read_one_report_list():
     descriptions, true_ids, _ = planted_descriptions()
     corpus = descriptions.items()
-    lexicon = build_selfreport_lexicon(descriptions.values(), tag_lexicon())
-    params = ScoreParams()
+    lexicon = build_selfreport_lexicon(descriptions.values(), tag_lexicon(),
+                                       default("allow_im"))
+    params = score_params()
     reports = score_reports(scan_descriptions(corpus, tag_lexicon()), lexicon,
                             params, FILTER_NAMES, COLORS, BLOCKLIST)
     assert qb_users(reports) == build_qb(corpus, tag_lexicon(), lexicon, params)
@@ -104,7 +106,7 @@ def test_build_qb_needs_person_keyword_and_ignores_threshold():
     ]
     lexicon = small_lexicon(corpus)
     users = build_qb(corpus, tag_lexicon(), lexicon,
-                     ScoreParams(threshold=0.99))
+                     score_params(threshold=0.99))
     by_id = {u.user_id: u for u in users}
     assert set(by_id) == {"p1", "p2"}
     assert by_id["p1"].score == 0.0
@@ -115,9 +117,9 @@ def test_build_qb_score_is_max_over_all_matches():
     # the second keyword has no person successor but scores higher
     corpus = [("p1", "black woman yay proud black farmer")]
     lexicon = small_lexicon(corpus + small_corpus())
-    users = build_qb(corpus, tag_lexicon(), lexicon, ScoreParams())
+    users = build_qb(corpus, tag_lexicon(), lexicon, score_params())
     assert len(users) == 1
-    [report] = match_reports(corpus[:1], tag_lexicon(), lexicon, ScoreParams())
+    [report] = match_reports(corpus[:1], tag_lexicon(), lexicon, score_params())
     assert len(report.scores) == 2
     assert report.scores[1] > report.scores[0]
     assert users[0].score == max(report.scores)
@@ -128,9 +130,10 @@ def test_build_qb_score_is_max_over_all_matches():
 
 def test_build_hf_passes_exactly_the_planted_true_positives():
     descriptions, true_ids, _ = planted_descriptions()
-    lexicon = build_selfreport_lexicon(descriptions.values(), tag_lexicon())
+    lexicon = build_selfreport_lexicon(descriptions.values(), tag_lexicon(),
+                                       default("allow_im"))
     users = build_hf(descriptions.items(), tag_lexicon(), lexicon,
-                     ScoreParams(), FILTER_NAMES, COLORS, BLOCKLIST)
+                     score_params(), FILTER_NAMES, COLORS, BLOCKLIST)
     assert {u.user_id for u in users} == true_ids
     assert all(u.source == "HF" and u.score >= 0.35 for u in users)
     labels = {u.user_id: u.label for u in users}
@@ -144,11 +147,11 @@ def test_build_hf_threshold_applies_to_passing_matches_only():
     text = '"i am a hispanic farmer" yay yay yay yay hispanic friend'
     corpus = [("h1", text), ("h2", "i am a hispanic farmer")]
     lexicon = small_lexicon(corpus)
-    users = build_hf(corpus, tag_lexicon(), lexicon, ScoreParams(),
+    users = build_hf(corpus, tag_lexicon(), lexicon, score_params(),
                      FILTER_NAMES, COLORS, BLOCKLIST)
     assert [u.user_id for u in users] == ["h2"]
     # with the quote filter off the rejected match counts and h1 re-enters
-    users = build_hf(corpus, tag_lexicon(), lexicon, ScoreParams(),
+    users = build_hf(corpus, tag_lexicon(), lexicon, score_params(),
                      ("color", "plural", "bigram_blocklist"), COLORS,
                      BLOCKLIST)
     assert {u.user_id for u in users} == {"h1", "h2"}
@@ -156,10 +159,11 @@ def test_build_hf_threshold_applies_to_passing_matches_only():
 
 def test_build_hf_threshold_boundary_is_inclusive():
     descriptions, true_ids, _ = planted_descriptions()
-    lexicon = build_selfreport_lexicon(descriptions.values(), tag_lexicon())
+    lexicon = build_selfreport_lexicon(descriptions.values(), tag_lexicon(),
+                                       default("allow_im"))
     # true profiles score exactly 1.0: a threshold equal to the score keeps them
     users = build_hf(descriptions.items(), tag_lexicon(), lexicon,
-                     ScoreParams(threshold=1.0), FILTER_NAMES, COLORS,
+                     score_params(threshold=1.0), FILTER_NAMES, COLORS,
                      BLOCKLIST)
     assert {u.user_id for u in users} == true_ids
     assert all(u.score == 1.0 for u in users)
@@ -194,7 +198,7 @@ def cb_fixture():
 
 def test_build_cb_balances_to_min_class():
     users = cb_fixture()
-    cb = build_cb(users)
+    cb = build_cb(users, default("cb_k"))
     assert len(cb) == 4 * 3
     for label in CLASS_ORDER:
         members = [u for u in cb if u.label is label]
@@ -206,7 +210,7 @@ def test_build_cb_balances_to_min_class():
 
 
 def test_build_cb_output_grouped_in_class_order():
-    cb = build_cb(cb_fixture())
+    cb = build_cb(cb_fixture(), default("cb_k"))
     labels = [u.label for u in cb]
     boundaries = [labels[i * 3] for i in range(4)]
     assert boundaries == list(CLASS_ORDER)
@@ -228,7 +232,7 @@ def test_build_cb_tie_break_is_user_id():
 def test_build_cb_short_class_is_an_error():
     users = [lu("w1", W, 0.5), lu("b1", B, 0.5), lu("h1", HL, 0.5)]
     with pytest.raises(ValueError) as exc:
-        build_cb(users)  # A has zero candidates
+        build_cb(users, default("cb_k"))  # A has zero candidates
     assert "A" in str(exc.value)
     with pytest.raises(ValueError):
         build_cb(cb_fixture(), k=4)  # B has only 3
@@ -237,7 +241,7 @@ def test_build_cb_short_class_is_an_error():
 def test_build_cb_rejects_scoreless_candidates():
     users = cb_fixture() + [LabeledUser("s1", W, None, "survey")]
     with pytest.raises(ValueError):
-        build_cb(users)
+        build_cb(users, default("cb_k"))
 
 
 def test_labeled_user_validation():

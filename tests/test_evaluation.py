@@ -9,9 +9,11 @@ from identminer.evaluation import (EvalReport, balance_subsample, count_table,
 from identminer.filters import CLASS_ORDER
 from identminer.models.baselines import MajorityBaseline, RandomBaseline
 
-from helpers import Echo, echo_report, skewed_labels
+from helpers import Echo, default, echo_report, skewed_labels
 
 W, B, HL, A = CLASS_ORDER
+# the CLI's default setting and root seed
+DEFAULTS = (default("setting"), default("seed"))
 
 
 def test_accuracy_hand_case():
@@ -180,7 +182,7 @@ def test_balance_subsample_keeps_pairs_in_class_order():
 
 def test_evaluate_imbalanced_end_to_end():
     test_set = [(W, W), (W, W), (W, B), (HL, HL)]
-    report = evaluate(Echo(), test_set)
+    report = evaluate(Echo(), test_set, *DEFAULTS)
     assert report.n == 4
     assert report.setting == "imbalanced"
     assert report.accuracy == 0.75
@@ -222,14 +224,14 @@ class _BatchEcho:
 def test_evaluate_predicts_in_one_batch_call():
     test_set = [(W, W), (B, W), (HL, HL), (A, A)] * 3
     predictor = _BatchEcho()
-    report = evaluate(predictor, test_set)
+    report = evaluate(predictor, test_set, *DEFAULTS)
     assert predictor.batches == [[features for features, _ in test_set]]
-    assert report == evaluate(Echo(), test_set)
+    assert report == evaluate(Echo(), test_set, *DEFAULTS)
 
 
 def test_evaluate_random_baseline_keeps_per_example_draws():
     items = [(None, label) for label in CLASS_ORDER for _ in range(25)]
-    report = evaluate(RandomBaseline(seed=4), items)
+    report = evaluate(RandomBaseline(seed=4), items, *DEFAULTS)
     fresh = RandomBaseline(seed=4)
     draws = [fresh.predict(None)[0] for _ in items]
     labels = [label for _, label in items]
@@ -239,7 +241,7 @@ def test_evaluate_random_baseline_keeps_per_example_draws():
 
 def test_evaluate_rejects_empty_set():
     with pytest.raises(ValueError):
-        evaluate(Echo(), [])
+        evaluate(Echo(), [], *DEFAULTS)
 
 
 def test_format_report_table_layout():

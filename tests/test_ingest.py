@@ -15,7 +15,8 @@ from identminer.ingest import (ParseFailure, ProfileMeta, Tweet, UserLine,
                                UserRecord, dedupe_latest, load_users,
                                parse_timestamp, parse_user_line)
 
-from helpers import iso, make_profile, make_user, tweet_payload, user_payload
+from helpers import (iso, make_profile, make_user, payload_record,
+                     tweet_payload, user_payload)
 from reference_ingest import reference_load_users, reference_parse_user_line
 
 
@@ -546,9 +547,26 @@ def test_validator_and_builder_equal_the_one_pass_parser(line, line_no):
         assert isinstance(result, ingest.UserLine)
         assert (result.user_id, result.snapshot_time, result.description) == \
             (expected[0], expected[5], expected[2])
-        assert plain(ingest.build_record(result)) == plain(expected)
+        assert plain(ingest.build_record(
+            result, len(result.tweet_times))) == plain(expected)
+        for n in range(3):  # the newest n tweets of the whole record
+            assert plain(ingest.build_record(result, n)) == plain(
+                (*expected[:3], expected[3][:n], *expected[4:]))
     assert counts == reference_counts
     assert plain(parse_user_line(line, line_no)) == plain(expected)
+
+
+def test_build_record_builds_the_newest_max_tweets_ties_in_file_order():
+    payload = user_payload("u1", tweets=(
+        tweet_payload("old", hours=-5.0), tweet_payload("tie a", hours=-1.0),
+        tweet_payload("new", hours=-0.5), tweet_payload("tie b", hours=-1.0)))
+
+    def texts(max_tweets):
+        return [tweet.text for tweet in
+                payload_record(payload, max_tweets).tweets]
+    assert texts(4) == texts(10) == ["new", "tie a", "tie b", "old"]
+    assert texts(2) == ["new", "tie a"]
+    assert texts(0) == []
 
 
 @settings(max_examples=100, deadline=None)
@@ -561,7 +579,7 @@ def test_load_users_equals_the_one_pass_loader(lines):
     data = b"\n".join(lines) + b"\n"
     counts, reference_counts = Counter(), Counter()
     results = [result if isinstance(result, ParseFailure)
-               else ingest.build_record(result)
+               else ingest.build_record(result, len(result.tweet_times))
                for result in load_users(io.BytesIO(data), counts)]
     expected = list(reference_load_users(io.BytesIO(data), reference_counts))
     assert plain(results) == plain(expected)

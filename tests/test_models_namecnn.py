@@ -11,10 +11,10 @@ from identminer.models.namecnn import (EMBED_DIM, FILTER_WIDTH, MAX_NAME_LEN,
                                        build_char_vocab, encode_names,
                                        init_params, loss_and_grads,
                                        train_name_cnn)
-from identminer.models.training import (TrainConfig, label_indices, one_hot,
-                                        softmax)
+from identminer.models.training import label_indices, one_hot, softmax
 
-from helpers import gradient_check, loss_only, training_arrays
+from helpers import (default, gradient_check, loss_only, train_config,
+                     training_arrays)
 
 W, B, HL, A = CLASS_ORDER
 
@@ -28,7 +28,7 @@ def toy_items(per_class=8):
     return items
 
 
-def fit(items, config, min_char_count=5):
+def fit(items, config, min_char_count=default("min_char_count")):
     """train_name_cnn on (name, meta, label, source) items, weighted as
     `train` weighs them."""
     y_idx, weights = training_arrays([item[2] for item in items],
@@ -241,7 +241,7 @@ def test_loss_and_grads_matches_loss_only():
 
 def test_train_name_cnn_fits_separable_names():
     items = toy_items()
-    config = TrainConfig(learning_rate=0.1, epochs=50, batch_size=8, seed=0)
+    config = train_config(learning_rate=0.1, epochs=50, batch_size=8, seed=0)
     model = fit(items, config)
     correct = sum(model.predict((name, meta))[0] is label
                   for name, meta, label, _ in items)
@@ -250,7 +250,7 @@ def test_train_name_cnn_fits_separable_names():
 
 def test_train_name_cnn_is_seed_reproducible():
     items = toy_items(per_class=3)
-    config = TrainConfig(epochs=2, batch_size=4, seed=5)
+    config = train_config(epochs=2, batch_size=4, seed=5)
     a = fit(items, config)
     b = fit(items, config)
     for key in a.params:
@@ -259,15 +259,15 @@ def test_train_name_cnn_is_seed_reproducible():
 
 def test_train_name_cnn_min_char_count_shrinks_vocab():
     items = toy_items(per_class=2)  # each letter appears ~9 times
-    model = fit(items, TrainConfig(epochs=1, batch_size=8), min_char_count=100)
+    model = fit(items, train_config(epochs=1, batch_size=8), min_char_count=100)
     assert model.char_vocab == {}
-    model = fit(items, TrainConfig(epochs=1, batch_size=8), min_char_count=1)
+    model = fit(items, train_config(epochs=1, batch_size=8), min_char_count=1)
     assert set(model.char_vocab) == {"a", "b", "c", "d"}
 
 
 def test_name_model_round_trip(tmp_path):
     items = toy_items(per_class=2)
-    model = fit(items, TrainConfig(epochs=1, batch_size=8))
+    model = fit(items, train_config(epochs=1, batch_size=8))
     save_model(model, tmp_path / "name.json")
     back = load_model(tmp_path / "name.json")
     assert isinstance(back, NameModel)
@@ -284,7 +284,7 @@ def test_name_model_file_with_max_len_loads_and_predicts(tmp_path):
     # files of format 2 written before names were always cut at
     # MAX_NAME_LEN hold a "max_len" key; it is ignored
     items = toy_items(per_class=2)
-    model = fit(items, TrainConfig(epochs=1, batch_size=8))
+    model = fit(items, train_config(epochs=1, batch_size=8))
     path = tmp_path / "name.json"
     path.write_text(json.dumps({**model.to_dict(), "max_len": 50}),
                     encoding="utf-8")
@@ -305,7 +305,7 @@ def test_predict_proba_batch_matches_single():
     rng = np.random.default_rng(9)
     items = [(name, rng.normal(size=5), CLASS_ORDER[len(name) % 4], "crowd")
              for name in names]
-    model = fit(items, TrainConfig(epochs=3, batch_size=64, seed=1),
+    model = fit(items, train_config(epochs=3, batch_size=64, seed=1),
                 min_char_count=1)
     probe = names[:40] + ["", "a", "ab", "abc"]
     metas = np.vstack([item[1] for item in items[:40]] + [np.zeros((4, 5))])

@@ -11,12 +11,12 @@ from hypothesis.extra import numpy as hnp
 from identminer.filters import CLASS_ORDER, ClassLabel
 from identminer.models import load_model, save_model
 from identminer.models.baselines import (MajorityBaseline, RandomBaseline,
-                                         baseline_majority, baseline_random)
+                                         baseline_majority)
 from identminer.models.features import (build_vocab, featurize_user,
                                         read_embeddings, user_word_counts,
                                         word_chunks)
 from identminer.models.namecnn import name_meta_features
-from identminer.models.training import (TrainConfig, decode_array,
+from identminer.models.training import (decode_array,
                                         effective_weight_histogram,
                                         encode_array, example_weights,
                                         inverse_class_weights, label_indices,
@@ -24,7 +24,9 @@ from identminer.models.training import (TrainConfig, decode_array,
 from identminer.models.unigram import (UnigramModel, train_unigram,
                                        weighted_ce_loss)
 
-from helpers import make_tweet, make_user, make_profile, training_arrays
+from helpers import (make_tweet, make_user, make_profile,
+                     payload_record, train_config, training_arrays,
+                     tweet_payload, user_payload)
 
 W, B, HL, A = CLASS_ORDER
 
@@ -111,12 +113,12 @@ def test_minibatches_slice_one_seeded_permutation_per_epoch():
     for _ in range(3):
         order = rng.permutation(10)
         expected += [order[0:4], order[4:8], order[8:10]]
-    got = list(minibatches(10, TrainConfig(epochs=3, batch_size=4, seed=9)))
+    got = list(minibatches(10, train_config(epochs=3, batch_size=4, seed=9)))
     assert [batch.tolist() for batch in got] == \
         [batch.tolist() for batch in expected]
     assert [len(batch) for batch in got] == [4, 4, 2] * 3
     # fewer examples than batch_size: one batch per epoch
-    one = list(minibatches(3, TrainConfig(epochs=2, batch_size=64, seed=9)))
+    one = list(minibatches(3, train_config(epochs=2, batch_size=64, seed=9)))
     rng = np.random.default_rng(9)
     assert [batch.tolist() for batch in one] == \
         [rng.permutation(3).tolist() for _ in range(2)]
@@ -141,7 +143,7 @@ def test_one_hot():
 # logistic regression training
 
 def test_train_unigram_fits_separable_data():
-    config = TrainConfig(learning_rate=0.5, epochs=60, seed=0, batch_size=8)
+    config = train_config(learning_rate=0.5, epochs=60, seed=0, batch_size=8)
     model = fit(separable_items(), config)
     correct = 0
     for features, label, _ in separable_items():
@@ -154,7 +156,7 @@ def test_train_unigram_fits_separable_data():
 
 @pytest.mark.parametrize("dense", [True, False])
 def test_unigram_predict_batch_matches_per_row_predict(dense):
-    config = TrainConfig(learning_rate=0.5, epochs=5, seed=0, batch_size=8)
+    config = train_config(learning_rate=0.5, epochs=5, seed=0, batch_size=8)
     model = fit(separable_items(dense=dense), config, vocab=VOCAB4)
     rng = np.random.default_rng(1)
     rows = [rng.poisson(1.0, size=4).astype(float) for _ in range(30)]
@@ -164,18 +166,18 @@ def test_unigram_predict_batch_matches_per_row_predict(dense):
 
 
 def test_train_unigram_seed_reproducible():
-    config = TrainConfig(epochs=5, seed=11, batch_size=8)
+    config = train_config(epochs=5, seed=11, batch_size=8)
     a = fit(separable_items(), config)
     b = fit(separable_items(), config)
     assert np.array_equal(a.weights, b.weights)
     assert np.array_equal(a.bias, b.bias)
-    c = fit(separable_items(), TrainConfig(epochs=5, seed=12, batch_size=8))
+    c = fit(separable_items(), train_config(epochs=5, seed=12, batch_size=8))
     assert not np.array_equal(a.weights, c.weights)
 
 
 def test_train_unigram_downweight_is_noop_when_all_rows_are_auto():
     items = separable_items(source="HF")
-    config = TrainConfig(epochs=4, batch_size=16)
+    config = train_config(epochs=4, batch_size=16)
     a = fit(items, config, instance_downweight=1.0)
     # a power-of-two rescale cancels exactly; any other constant cancels up
     # to float rounding
@@ -188,14 +190,14 @@ def test_train_unigram_downweight_is_noop_when_all_rows_are_auto():
 def test_train_unigram_downweight_matters_with_mixed_sources():
     items = separable_items(source="HF")
     items[0] = (items[0][0], items[0][1], "crowd")
-    config = TrainConfig(epochs=4, batch_size=16)
+    config = train_config(epochs=4, batch_size=16)
     a = fit(items, config, instance_downweight=1.0)
     b = fit(items, config, instance_downweight=0.3)
     assert not np.array_equal(a.weights, b.weights)
 
 
 def test_train_unigram_sparse_matches_dense():
-    config = TrainConfig(epochs=10, batch_size=8, seed=3)
+    config = train_config(epochs=10, batch_size=8, seed=3)
     dense = fit(separable_items(dense=True), config)
     sp = fit(separable_items(dense=False), config, vocab=VOCAB4)
     assert np.allclose(dense.weights, sp.weights)
@@ -209,8 +211,8 @@ def test_full_batch_loss_decreases():
     sample_weights = np.ones(len(items))
     losses = []
     for epochs in (1, 2, 4, 8, 16):
-        config = TrainConfig(learning_rate=0.1, epochs=epochs, batch_size=64,
-                             l2_strength=1e-4)
+        config = train_config(learning_rate=0.1, epochs=epochs, batch_size=64,
+                              l2_strength=1e-4)
         model = fit(items, config)
         losses.append(weighted_ce_loss(model.weights, model.bias, X, y_idx,
                                        sample_weights, config.l2_strength))
@@ -219,7 +221,7 @@ def test_full_batch_loss_decreases():
 
 
 def test_unigram_model_round_trip(tmp_path):
-    config = TrainConfig(epochs=3, batch_size=8)
+    config = train_config(epochs=3, batch_size=8)
     vocab = {"alpha": 0, "beta": 1, "gamma": 2, "delta": 3}
     model = fit(separable_items(), config, vocab=vocab)
     path = tmp_path / "model.json"
@@ -353,14 +355,13 @@ def vocab_corpus():
 
 def vocab_counts():
     table = word_chunks()
-    return [user_word_counts(user, 200, table) for user in vocab_corpus()]
+    return [user_word_counts(user, table) for user in vocab_corpus()]
 
 
 def test_user_word_counts_words_and_contractions_only():
     user = make_user("u1", tweets=(
         make_tweet("i'm happy happy #tag @mike https://x.co :)", hours=-1.0),))
-    assert user_word_counts(user, 200, word_chunks()) == {"i'm": 1,
-                                                        "happy": 2}
+    assert user_word_counts(user, word_chunks()) == {"i'm": 1, "happy": 2}
 
 
 def test_build_vocab_lexicographic_with_min_count():
@@ -375,10 +376,12 @@ def test_build_vocab_lexicographic_with_min_count():
 
 
 def test_build_vocab_respects_max_tweets():
-    user = make_user("v1", tweets=(make_tweet("newest newest", hours=-1),
-                                   make_tweet("older older", hours=-2)))
-    vocab = build_vocab([user_word_counts(user, 1, word_chunks())],
-                        min_count=2)
+    # the record of max_tweets 1 holds the newest tweet only
+    user = payload_record(user_payload("v1", tweets=(
+        tweet_payload("older older", hours=-2),
+        tweet_payload("newest newest", hours=-1))), max_tweets=1)
+    vocab = build_vocab([user_word_counts(user, word_chunks())],
+                        min_count=2, stopwords=frozenset())
     assert "newest" in vocab and "older" not in vocab
 
 
@@ -398,8 +401,7 @@ def test_featurize_user_counts():
 
 def test_featurize_user_ignores_oov():
     counts = user_word_counts(
-        make_user("x", tweets=(make_tweet("nothing known"),)), 200,
-        word_chunks())
+        make_user("x", tweets=(make_tweet("nothing known"),)), word_chunks())
     cols, counts = featurize_user(counts, {"brunch": 0})
     assert cols.dtype == np.int64 and counts.dtype == np.float64
     assert cols.size == 0 and counts.size == 0
@@ -454,8 +456,8 @@ def test_majority_baseline_tie_uses_class_order():
 
 
 def test_random_baseline_seeded():
-    a = baseline_random(7)
-    b = baseline_random(7)
+    a = RandomBaseline(7)
+    b = RandomBaseline(7)
     seq_a = [a.predict(None)[0] for _ in range(20)]
     seq_b = [b.predict(None)[0] for _ in range(20)]
     assert seq_a == seq_b
@@ -464,7 +466,7 @@ def test_random_baseline_seeded():
 
 def test_baseline_predict_batch_matches_repeated_predict():
     features = [None] * 40
-    batched, single = baseline_random(5), baseline_random(5)
+    batched, single = RandomBaseline(5), RandomBaseline(5)
     assert batched.predict_batch(features) == \
            [single.predict(None)[0] for _ in features]
     # the same draws were consumed, so the streams continue in step
@@ -491,9 +493,9 @@ def test_baseline_round_trip(tmp_path):
     save_model(baseline_majority([W]), tmp_path / "maj.json")
     maj = load_model(tmp_path / "maj.json")
     assert isinstance(maj, MajorityBaseline) and maj.majority is W
-    save_model(baseline_random(3), tmp_path / "rand.json")
+    save_model(RandomBaseline(3), tmp_path / "rand.json")
     rand = load_model(tmp_path / "rand.json")
     assert isinstance(rand, RandomBaseline)
-    fresh = baseline_random(3)
+    fresh = RandomBaseline(3)
     assert [rand.predict(None)[0] for _ in range(10)] == \
            [fresh.predict(None)[0] for _ in range(10)]

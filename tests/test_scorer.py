@@ -9,7 +9,7 @@ from identminer.scorer import (WEIGHTINGS, ScoreParams, read_tuning_tsv,
                                score_description, score_grid, tune_params)
 from identminer.textprep import SelfReportLexicon, build_selfreport_lexicon
 
-from helpers import tag, tag_lexicon
+from helpers import default, score_params, tag, tag_lexicon
 from reference_description import reference_precision_recall, reference_tag
 
 # the tuning grid of the default config, as tune builds it
@@ -54,7 +54,7 @@ def match_at(tagged, index):
 
 def score(text, index, window=5, weighting="simple", lexicon=None):
     tagged = tag(text)
-    params = ScoreParams(window=window, weighting=weighting)
+    params = score_params(window=window, weighting=weighting)
     lexicon = lexicon if lexicon is not None else small_lexicon()
     return score_description(tagged, match_at(tagged, index), lexicon, params)
 
@@ -109,7 +109,7 @@ def test_score_empty_lexicon_errors():
     lexicon = SelfReportLexicon(os_counts={}, o_counts={})
     tagged = tag("black farmer")
     with pytest.raises(ValueError):
-        score_description(tagged, match_at(tagged, 0), lexicon, ScoreParams())
+        score_description(tagged, match_at(tagged, 0), lexicon, score_params())
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +157,7 @@ def test_score_bounded_by_harmonic_window_sum():
         window = rng.randrange(1, 6)
         for match in find_query_matches(tagged, text):
             got = score_description(tagged, match, small_lexicon(),
-                                    ScoreParams(window=window))
+                                    score_params(window=window))
             bound = sum(2.0 / d for d in range(1, window + 1))
             assert got <= bound + 1e-12
 
@@ -199,8 +199,8 @@ def test_score_matches_oracle_bitwise_on_random_inputs():
         if not records:
             continue
         lexicon = random_lexicon(rng)
-        params = ScoreParams(window=rng.randrange(1, 11),
-                             weighting=rng.choice(WEIGHTINGS))
+        params = score_params(window=rng.randrange(1, 11),
+                              weighting=rng.choice(WEIGHTINGS))
         matches = list(find_query_matches(tagged, text))
         matches.append(match_at(tagged, rng.randrange(len(records))))
         for match in matches:
@@ -216,7 +216,8 @@ def test_score_matches_oracle_bitwise_on_random_inputs():
 def build_tuning_fixture():
     descriptions = ["i am a black farmer", "i am a proud black woman",
                     "black coffee lover", "i am happy"]
-    lexicon = build_selfreport_lexicon(descriptions, tag_lexicon())
+    lexicon = build_selfreport_lexicon(descriptions, tag_lexicon(),
+                                       default("allow_im"))
     labeled = [("i am a black farmer", True),
                ("i am a proud black woman", True),
                ("black coffee lover", False),
@@ -307,7 +308,7 @@ def test_farmer_closer_than_padded_version_scores_higher():
             o_counts={"farmer": os_count + rng.randrange(0, 30),
                       "black": 50})
         for weighting in WEIGHTINGS:
-            params = ScoreParams(window=5, weighting=weighting)
+            params = score_params(window=5, weighting=weighting)
             near, far = "i am a black farmer", "i am a black beans farmer"
             score_near = score_description(
                 tag(near), find_query_matches(tag(near), near)[0], lexicon,

@@ -14,11 +14,13 @@ from identminer.textprep import (WORD_CODES, ChunkTable, SelfReportLexicon,
 
 from identminer.resources import load_contractions
 
-from helpers import TRICKY_PIECES, tag, tag_lexicon, tweet_texts
+from helpers import TRICKY_PIECES, default, tag, tag_lexicon, tweet_texts
 from reference_description import (reference_extract, reference_tag,
                                    reference_tokenize)
 from reference_tweet import reference_tweet_tokens, reference_tweet_words
 
+# the CLI's default: the "i'm" spelling is opt-in
+ALLOW_IM = default("allow_im")
 WORDS = ["black", "farmer", "coffee", "lover", "i", "am", "a", "proud",
          "woman", "happy", "so", "#tag", "@who", ":)", "it's"]
 
@@ -317,8 +319,8 @@ def test_tag_lexicon_default_for_oov():
     assert lex.tag("zorgle") == "NN"
     assert pos_tag(("cat", "zorgle"), lex) == (code_set((0,), (0,), (4,))
                                                + code_set((0,), (0,), (5,)))
-    assert selfreport_words(Tagger(lex).scan("i am cat")) == {"cat"}
-    assert selfreport_words(Tagger(lex).scan("i am zorgle")) == set()
+    assert selfreport_words(Tagger(lex).scan("i am cat"), ALLOW_IM) == {"cat"}
+    assert selfreport_words(Tagger(lex).scan("i am zorgle"), ALLOW_IM) == set()
 
 
 def test_pos_tag_uses_sentinels_for_non_words():
@@ -357,30 +359,31 @@ def test_extraction_pattern(text, expected):
     # words (every candidate here is singular and in the lexicon)
     assert reference_extract(reference_tag(text, tag_lexicon().tags)) == \
         expected
-    assert selfreport_words(tag(text)) == {word for word, _ in expected}
+    assert selfreport_words(tag(text), ALLOW_IM) == {
+        word for word, _ in expected}
 
 
 def test_extraction_is_case_insensitive():
-    lower = selfreport_words(tag("i am a Black Farmer".lower()))
-    mixed = selfreport_words(tag("I AM A BLACK FARMER"))
+    lower = selfreport_words(tag("i am a Black Farmer".lower()), ALLOW_IM)
+    mixed = selfreport_words(tag("I AM A BLACK FARMER"), ALLOW_IM)
     assert lower == mixed == {"black", "farmer"}
 
 
 def test_extraction_im_spelling_is_opt_in():
     tagged = tag("im asian")
-    assert selfreport_words(tagged) == set()
+    assert selfreport_words(tagged, ALLOW_IM) == set()
     assert selfreport_words(tagged, allow_im=True) == {"asian"}
 
 
 def test_extraction_multiple_triggers():
-    got = selfreport_words(tag("i am happy and i am a farmer"))
+    got = selfreport_words(tag("i am happy and i am a farmer"), ALLOW_IM)
     assert got == {"happy", "farmer"}
 
 
 def test_selfreport_words_drop_plurals_and_oov():
     # "people" is NNS; "zorgle" is out of vocabulary
-    assert selfreport_words(tag("i am a white people")) == {"white"}
-    assert selfreport_words(tag("i am a zorgle")) == set()
+    assert selfreport_words(tag("i am a white people"), ALLOW_IM) == {"white"}
+    assert selfreport_words(tag("i am a zorgle"), ALLOW_IM) == set()
 
 
 def test_lexicon_rejects_impossible_counts():
@@ -401,7 +404,7 @@ def test_lexicon_membership_and_total():
 def test_build_selfreport_lexicon_counts_by_description():
     descriptions = ["i am a black farmer", "i am a proud black woman",
                     "black coffee lover", "i am happy happy"]
-    lex = build_selfreport_lexicon(descriptions, tag_lexicon())
+    lex = build_selfreport_lexicon(descriptions, tag_lexicon(), ALLOW_IM)
     assert lex.os_counts == {"black": 2, "farmer": 1, "proud": 1,
                              "woman": 1, "happy": 1}
     assert lex.o_counts == {"black": 3, "farmer": 1, "proud": 1,
@@ -410,7 +413,7 @@ def test_build_selfreport_lexicon_counts_by_description():
 
 
 def test_build_selfreport_lexicon_empty_corpus():
-    lex = build_selfreport_lexicon([], tag_lexicon())
+    lex = build_selfreport_lexicon([], tag_lexicon(), ALLOW_IM)
     assert len(lex) == 0
 
 
@@ -432,6 +435,6 @@ def test_lexicon_counts_invariant_random(rng):
         words = [rng.choice(vocab) for _ in range(rng.randrange(1, 6))]
         prefix = "i am a black farmer " if rng.random() < 0.4 else ""
         corpus.append(prefix + " ".join(words))
-    lex = build_selfreport_lexicon(corpus, tag_lexicon())
+    lex = build_selfreport_lexicon(corpus, tag_lexicon(), ALLOW_IM)
     for word in lex.os_counts:
         assert 0 < lex.os_counts[word] <= lex.o_counts[word]
