@@ -1,11 +1,13 @@
 """Command-line surface: lexicon-build, dataset-build, tune, train, evaluate,
 analyze. One table (KEYS) gives each config and path key's default, rule,
-flag and the subcommands that read it: each subcommand resolves defaults <
-config file < flags over the keys it reads only, takes a flag only for a
-key it reads, and embeds those keys of the semantic config and their hash
-in its outputs. It derives all randomness from one root seed, so reruns
-with the same config and seed are byte-identical and results never depend
-on --workers.
+flag and the subcommands that read it. Subcommands compute and main
+writes: main resolves defaults < config file < flags over the keys the
+subcommand reads, refuses an --out that is not new or an empty directory,
+and writes the files the subcommand returns (see _write_files), adding to
+its result JSON the command, those keys of the semantic config, their hash
+and the seed. All randomness derives from one root seed, so reruns with
+the same config and seed are byte-identical and results never depend on
+--workers.
 
 Each subcommand imports only the modules it runs. At module level this
 file loads the standard library (but not logging: _log writes the few
@@ -28,8 +30,10 @@ import json
 import math
 import os
 import reprlib
+import shutil
 import sys
 from collections import Counter
+from functools import partial
 from pathlib import Path
 
 from . import resources
@@ -270,13 +274,6 @@ def _require(paths: dict, key: str) -> str:
     return value
 
 
-def _out_dir(paths: dict) -> Path:
-    """Create --out; called only after every input has been read."""
-    out = Path(paths["out"])
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _load_corpus(path: str, keep) -> tuple[dict, int]:
     """keep(line) of each user's latest snapshot, by user id in corpus
     order, for the users whose keep is not None; plus the count of lines that
@@ -354,31 +351,21 @@ def _description_pass(paths: dict, config: dict, descriptions, tag_lexicon):
     return lexicon, reports
 
 
-def _result_base(config: dict, command: str) -> dict:
-    return {"command": command, "config": config,
-            "config_sha256": config_hash(config), "seed": config["seed"]}
-
-
-def cmd_lexicon_build(args: argparse.Namespace) -> int:
+def cmd_lexicon_build(config: dict, paths: dict) -> dict:
     from .textprep import build_selfreport_lexicon
-    config, paths = _resolve(args)
     corpus_path = _require(paths, "corpus")
     tag_lexicon = _tag_lexicon(paths)
     descriptions, failures = _load_corpus(corpus_path,
                                            lambda line: line.description)
     lexicon = build_selfreport_lexicon(descriptions.values(), tag_lexicon,
                                        allow_im=config["allow_im"])
-    out = _out_dir(paths)
-    lexicon.to_tsv(out / "selfreport_lexicon.tsv")
-    summary = _result_base(config, "lexicon-build")
-    summary.update({
-        "n_users": len(descriptions),
-        "n_parse_failures": failures,
-        "n_words": len(lexicon.os_counts),
-        "total_selfreport": lexicon.total_selfreport,
-    })
-    write_json(out / "lexicon_summary.json", summary)
-    return 0
+    return {"selfreport_lexicon.tsv": lexicon.to_tsv,
+            "lexicon_summary.json": {
+                "n_users": len(descriptions),
+                "n_parse_failures": failures,
+                "n_words": len(lexicon.os_counts),
+                "total_selfreport": lexicon.total_selfreport,
+            }}
 
 
 def _filter_accounting(reports, filters: tuple[str, ...]):
@@ -407,12 +394,11 @@ def _filter_accounting(reports, filters: tuple[str, ...]):
     }
 
 
-def cmd_dataset_build(args: argparse.Namespace) -> int:
+def cmd_dataset_build(config: dict, paths: dict) -> dict:
     from .datasets import (build_cb, hf_users, merge_candidates, qb_users,
                            score_reports)
     from .filters import enabled_filters
     from .scorer import ScoreParams
-    config, paths = _resolve(args)
     kind = config["kind"]
     if kind is None:
         raise DataError(f"dataset-build needs --kind {'|'.join(DATASET_KINDS)}")
@@ -430,9 +416,7 @@ def cmd_dataset_build(args: argparse.Namespace) -> int:
     score_reports(reports, lexicon, params,
                   None if kind == "qb" else filters, colors, blocklist)
 
-    stats = _result_base(config, "dataset-build")
-    stats["kind"] = kind
-    stats["n_users"] = len(descriptions)
+    stats = {"kind": kind, "n_users": len(descriptions)}
 
     if kind == "qb":
         users = qb_users(reports)
@@ -453,16 +437,13 @@ def cmd_dataset_build(args: argparse.Namespace) -> int:
         label.value: sum(1 for user in users if user.label == label)
         for label in CLASS_ORDER}
     stats["n_output"] = len(users)
-    out = _out_dir(paths)
-    write_dataset_tsv(users, out / f"dataset_{kind}.tsv")
-    write_json(out / f"dataset_{kind}_stats.json", stats)
-    return 0
+    return {f"dataset_{kind}.tsv": partial(write_dataset_tsv, users),
+            f"dataset_{kind}_stats.json": stats}
 
 
-def cmd_tune(args: argparse.Namespace) -> int:
+def cmd_tune(config: dict, paths: dict) -> dict:
     from .scorer import (DISCARD, majority_vote, read_tuning_tsv, score_grid,
                          tune_params)
-    config, paths = _resolve(args)
     corpus_path = _require(paths, "corpus")
     rows = _read_input(paths, "tuning", read_tuning_tsv)
     tag_lexicon = _tag_lexicon(paths)
@@ -492,8 +473,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
     except ValueError as exc:
         raise DataError(str(exc)) from exc
 
-    result = _result_base(config, "tune")
-    result.update({
+    return {"tune_result.json": {
         "window": best.window,
         "threshold": best.threshold,
         "weighting": best.weighting,
@@ -501,9 +481,7 @@ def cmd_tune(args: argparse.Namespace) -> int:
         "recall": recall,
         "n_examples": len(tuning_set),
         "n_discarded": len(votes) - len(labels),
-    })
-    write_json(_out_dir(paths) / "tune_result.json", result)
-    return 0
+    }}
 
 
 def _corpus_pairs(paths: dict, dataset, project) -> list:
@@ -563,37 +541,32 @@ def _read_dataset(paths: dict, key: str):
     return dataset
 
 
-def _write_model(paths: dict, model, result: dict) -> int:
-    from .models import save_model
-    out = _out_dir(paths)
-    save_model(model, out / "model.json")
-    write_json(out / "train_result.json", result)
-    return 0
-
-
-def cmd_train(args: argparse.Namespace) -> int:
-    from .models import RandomBaseline, baseline_majority
-    config, paths = _resolve(args)
+def cmd_train(config: dict, paths: dict) -> dict:
+    from .models import RandomBaseline, baseline_majority, save_model
     model_name = config["model"]
     if model_name != "unigram" and paths["embeddings"]:
         raise DataError("--embeddings applies only to the unigram model")
     dataset = _read_dataset(paths, "train_data")
-
-    result = _result_base(config, "train")
-    result["model"] = model_name
-    result["n_train"] = len(dataset)
-
+    result = {"model": model_name, "n_train": len(dataset)}
     if model_name == "baseline-majority":
         model = baseline_majority([user.label for user in dataset])
         result["majority"] = model.majority.value
-        return _write_model(paths, model, result)
-    if model_name == "baseline-random":
+    elif model_name == "baseline-random":
         model = RandomBaseline(stage_seed(config["seed"], "baseline"))
-        return _write_model(paths, model, result)
+    else:
+        model = _fit(config, paths, dataset, result)
+    return {"model.json": partial(save_model, model),
+            "train_result.json": result}
 
+
+def _fit(config: dict, paths: dict, dataset, result: dict):
+    """The unigram or name model trained on dataset, with its counts added
+    to result; a parameter that training left non-finite is a data error."""
+    import numpy as np
     from .models.training import (TrainConfig, effective_weight_histogram,
                                   example_weights, inverse_class_weights,
                                   label_indices)
+    model_name = config["model"]
     pairs = _model_inputs(paths, config, dataset, model_name, "training")
     labels = [user.label for user, _ in pairs]
     if len(set(labels)) < 2:
@@ -611,7 +584,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         batch_size=config["batch_size"],
     )
     if model_name == "namecnn":
-        import numpy as np
         from .models.namecnn import train_name_cnn
         metas = np.vstack([meta for _, (_, meta) in pairs])
         model = train_name_cnn([name for _, (name, _) in pairs], metas,
@@ -634,18 +606,22 @@ def cmd_train(args: argparse.Namespace) -> int:
         rows = [featurize_user(counts, vocab) for counts in word_counts]
         result["vocab_size"] = len(vocab)
         model = train_unigram(rows, y_idx, sample_weights, train_config, vocab)
-
+    params = (model.params if model_name == "namecnn"
+              else {"weights": model.weights, "bias": model.bias})
+    for name, array in params.items():
+        if not np.isfinite(array).all():
+            raise DataError(f"training left model parameter {name!r} "
+                            f"non-finite; lower learning_rate or l2_strength")
     result["n_usable"] = len(pairs)
     result["class_weights"] = class_weights.tolist()
     result["effective_weight_histogram"] = effective_weight_histogram(
         sample_weights)
-    return _write_model(paths, model, result)
+    return model
 
 
-def cmd_evaluate(args: argparse.Namespace) -> int:
+def cmd_evaluate(config: dict, paths: dict) -> dict:
     from .evaluation import evaluate, format_report_table
     from .models import load_model
-    config, paths = _resolve(args)
     model_path = _require(paths, "model_file")
     try:
         model = load_model(model_path)
@@ -682,13 +658,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                           seed=stage_seed(config["seed"], "evaluate"))
     except ValueError as exc:
         raise DataError(str(exc)) from exc
-    result = _result_base(config, "evaluate")
-    result.update(report.to_dict())
-    out = _out_dir(paths)
-    write_json(out / "eval_result.json", result)
-    table = format_report_table([(kind, report)])
-    (out / "eval_report.txt").write_text(table + "\n", encoding="utf-8")
-    return 0
+    return {"eval_result.json": report.to_dict(),
+            "eval_report.txt": format_report_table([(kind, report)]) + "\n"}
 
 
 def _pair_table(labels, stat) -> dict:
@@ -704,9 +675,8 @@ def _pair_table(labels, stat) -> dict:
     return table
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(config: dict, paths: dict) -> dict:
     from . import analytics
-    config, paths = _resolve(args)
     dataset = _read_dataset(paths, "data")
     from .ingest import build_record
     # analyze reads whole records: profiles and every field of the tweets
@@ -754,8 +724,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
                    keywords[a][:k], keywords[b][:k], k))
            for k in tau_ks}
 
-    result = _result_base(config, "analyze")
-    result.update({
+    return {"analyze_result.json": {
         "groups": {label.value: len(groups[label]) for label in present},
         "lexical": {label.value: analytics.lexical_table(samples[label])
                     for label in present},
@@ -764,16 +733,46 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         "distinctive_keywords": {label.value: keywords[label][:top_n]
                                  for label in present},
         "kendall_tau": tau,
-    })
-    write_json(_out_dir(paths) / "analyze_result.json", result)
-    return 0
+    }}
+
+
+def _write_files(out: Path, files: dict, header: dict) -> None:
+    """Write files (name -> the result JSON as a dict, text, or its format's
+    writer, called with the path) into a new directory beside out, then
+    rename that onto out: a run leaves all of its files or none."""
+    staging = out.parent / f".{out.name}.{os.getpid()}.tmp"
+    staging.mkdir(parents=True)
+    try:
+        for name, content in files.items():
+            path = staging / name
+            if isinstance(content, dict):
+                write_json(path, {**content, **header})
+            elif isinstance(content, str):
+                path.write_text(content, encoding="utf-8")
+            else:
+                content(path)
+        os.replace(staging, out)
+    except BaseException:
+        shutil.rmtree(staging, ignore_errors=True)
+        raise
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        config, paths = _resolve(args)
+        # renaming onto the working directory would strand the caller's
+        # shell in a deleted directory
+        out = Path(paths["out"]).resolve()
+        if out == Path.cwd() or out.exists() and not (
+                out.is_dir() and not any(out.iterdir())):
+            raise DataError(f"--out must be a new or empty directory other "
+                            f"than the current one: {paths['out']}")
+        _write_files(out, args.func(config, paths), {
+            "command": args.command, "config": config,
+            "config_sha256": config_hash(config), "seed": config["seed"]})
+        return 0
     except DataError as exc:
         print(f"identminer: data error: {exc}", file=sys.stderr)
         return 2

@@ -119,8 +119,9 @@ def encode_array(array: np.ndarray) -> dict:
 
 def decode_array(entry: dict) -> np.ndarray:
     """The float64 array encode_array stored, bit for bit. A shape that is
-    not a list of sizes, malformed base64 or a byte count that does not match
-    the shape is a ValueError; data that is not a string is a TypeError."""
+    not a list of sizes, malformed base64, a byte count that does not match
+    the shape or a value that is not finite (no trained model holds one) is
+    a ValueError; data that is not a string is a TypeError."""
     shape, data = entry["shape"], entry["data"]
     if not isinstance(data, str):
         raise TypeError(f"array data must be a base64 string, not "
@@ -133,5 +134,8 @@ def decode_array(entry: dict) -> np.ndarray:
     if len(raw) != size:
         raise ValueError(f"array of shape {shape} needs {size} bytes, "
                          f"got {len(raw)}")
+    array = np.frombuffer(raw, dtype="<f8").reshape(shape)
+    if not np.isfinite(array).all():
+        raise ValueError(f"array of shape {shape} holds a non-finite value")
     # astype copies, so the array is writable and owns its memory
-    return np.frombuffer(raw, dtype="<f8").reshape(shape).astype(np.float64)
+    return array.astype(np.float64)

@@ -1,12 +1,16 @@
 import argparse
 import base64
+import builtins
+import errno
 import hashlib
 import importlib
+import io
 import json
 import os
 import random
 import re
 import shutil
+import struct
 import subprocess
 import sys
 from collections import Counter
@@ -1970,6 +1974,164 @@ def test_failed_run_leaves_no_out_dir(tmp_path):
         out = tmp_path / f"out_{name}"
         assert run(*argv, "--out", str(out)) == 2, name
         assert not out.exists(), name
+
+
+# ---------------------------------------------------------------------------
+# the output writer: a run leaves all of its files or none
+
+def two_file_argv(tmp_path, command: str) -> list[str]:
+    """A run of command, one of the subcommands that write two files."""
+    if command in ("lexicon-build", "dataset-build"):
+        corpus = write_jsonl(tmp_path / "corpus.jsonl", planted_payloads())
+        kind = ["--kind", "hf"] if command == "dataset-build" else []
+        return [command, *kind, "--corpus", str(corpus)]
+    corpus, data = tweet_group_fixture(tmp_path)
+    if command == "train":
+        return ["train", "--corpus", str(corpus), "--train-data", str(data)]
+    model = write_unigram_model(tmp_path / "model.json", {"alpha": 0}, 1)
+    return ["evaluate", "--corpus", str(corpus), "--test-data", str(data),
+            "--model-file", str(model)]
+
+
+@pytest.mark.parametrize("n", [1, 2])
+@pytest.mark.parametrize("command", ["lexicon-build", "dataset-build",
+                                     "train", "evaluate"])
+def test_a_failed_file_write_leaves_no_out_and_no_staging(
+        tmp_path, monkeypatch, capsys, command, n):
+    """The nth file a run opens for writing is created, then the disk is
+    full: the run exits 2, and the directory --out is in is as it was."""
+    argv = two_file_argv(tmp_path, command)
+    parent = tmp_path / "runs"
+    parent.mkdir()
+    opened = []
+    real_open = builtins.open
+
+    def open_failing(file, mode="r", *args, **kwargs):
+        if "w" in mode:
+            opened.append(file)
+            if len(opened) == n:
+                real_open(file, mode, *args, **kwargs).close()
+                raise OSError(errno.ENOSPC, "No space left on device", file)
+        return real_open(file, mode, *args, **kwargs)
+
+    # pathlib's write_text opens through io.open
+    monkeypatch.setattr(builtins, "open", open_failing)
+    monkeypatch.setattr(io, "open", open_failing)
+    capsys.readouterr()
+    assert run(*argv, "--out", str(parent / "out")) == 2
+    monkeypatch.undo()
+    assert len(opened) == n
+    assert f"i/o error: [Errno {errno.ENOSPC}] No space left on device" in (
+        capsys.readouterr().err)
+    assert list(parent.iterdir()) == []
+
+
+def test_an_empty_out_is_filled(planted_corpus, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (tmp_path / "link").symlink_to(out)
+    (tmp_path / "runs").mkdir()
+    # a symlink to an empty directory, and a path through ".."
+    for given, written in (("link", out), ("runs/../runs", tmp_path / "runs"),
+                           ("out", out)):
+        shutil.rmtree(written)
+        written.mkdir()
+        assert run("lexicon-build", "--corpus", str(planted_corpus),
+                   "--out", str(tmp_path / given)) == 0, given
+        assert sorted(path.name for path in written.iterdir()) == [
+            "lexicon_summary.json", "selfreport_lexicon.tsv"], given
+    assert (tmp_path / "link").resolve() == out
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "corpus.jsonl", "link", "out", "runs"]
+
+
+def test_an_out_that_is_not_empty_is_refused_before_any_input_is_read(
+        tmp_path, monkeypatch, capsys):
+    # every input named here is missing, so reading any would fail otherwise
+    missing = str(tmp_path / "missing")
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "keep.txt").write_text("mine\n", encoding="utf-8")
+    a_file = tmp_path / "file"
+    a_file.write_text("mine\n", encoding="utf-8")
+    # the working directory, even when it is empty
+    here = tmp_path / "here"
+    here.mkdir()
+    monkeypatch.chdir(here)
+    for target in (str(out), str(a_file), ".", str(here)):
+        for argv in (["lexicon-build", "--corpus", missing],
+                     ["train", "--corpus", missing, "--train-data", missing],
+                     ["evaluate", "--model-file", missing]):
+            capsys.readouterr()
+            assert run(*argv, "--out", target) == 2
+            assert capsys.readouterr().err == (
+                f"identminer: data error: --out must be a new or empty "
+                f"directory other than the current one: {target}\n")
+    assert [path.name for path in out.iterdir()] == ["keep.txt"]
+    assert (out / "keep.txt").read_text(encoding="utf-8") == "mine\n"
+    assert a_file.read_text(encoding="utf-8") == "mine\n"
+    assert list(here.iterdir()) == []
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o027])
+def test_out_gets_the_mode_of_the_umask(planted_corpus, tmp_path, umask):
+    out = tmp_path / "out"
+    old = os.umask(umask)
+    try:
+        assert run("lexicon-build", "--corpus", str(planted_corpus),
+                   "--out", str(out)) == 0
+    finally:
+        os.umask(old)
+    assert out.stat().st_mode & 0o777 == 0o777 & ~umask
+
+
+# training at a learning rate near the float maximum overflows, which numpy
+# warns of
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("model, parameter, extra", [
+    ("unigram", "weights", {}), ("namecnn", "E", {"min_char_count": 1})])
+def test_a_model_trained_to_non_finite_parameters_exits_2(
+        tmp_path, capsys, model, parameter, extra):
+    corpus, data = tweet_group_fixture(tmp_path)
+    config = write_config(tmp_path, "diverge.json", learning_rate=1e308,
+                          epochs=2, **extra)
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert run("train", "--model", model, "--corpus", str(corpus),
+               "--train-data", str(data), "--config", str(config),
+               "--out", str(out)) == 2
+    assert capsys.readouterr().err == (
+        f"identminer: data error: training left model parameter "
+        f"{parameter!r} non-finite; lower learning_rate or l2_strength\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("model", ["unigram", "namecnn"])
+def test_a_model_file_holding_a_non_finite_value_exits_2(
+        tmp_path, capsys, model, value):
+    """Before the corpus is read: the corpus named here is missing."""
+    corpus, data = tweet_group_fixture(tmp_path)
+    config = write_config(tmp_path, "small.json", epochs=1, min_char_count=1)
+    trained = tmp_path / "trained"
+    assert run("train", "--model", model, "--corpus", str(corpus),
+               "--train-data", str(data), "--config", str(config),
+               "--out", str(trained)) == 0
+    payload = json.loads((trained / "model.json").read_text(encoding="utf-8"))
+    # the second class's bias
+    entry = payload["params"]["b2"] if model == "namecnn" else payload["bias"]
+    raw = bytearray(base64.b64decode(entry["data"]))
+    raw[8:16] = struct.pack("<d", value)
+    entry["data"] = base64.b64encode(raw).decode("ascii")
+    planted = tmp_path / "planted.json"
+    planted.write_text(json.dumps(payload), encoding="utf-8")
+    capsys.readouterr()
+    assert run("evaluate", "--model-file", str(planted), "--test-data",
+               str(data), "--corpus", str(tmp_path / "missing"),
+               "--out", str(tmp_path / "out")) == 2
+    assert capsys.readouterr().err.startswith(
+        "identminer: data error: bad model file: array of shape ")
+    assert not (tmp_path / "out").exists()
 
 
 def test_every_config_key_has_one_type_rule():

@@ -1,13 +1,16 @@
 """Hostile input to the whole CLI, run in process on a tiny planted corpus:
 one more corpus line of arbitrary bytes (or a JSON object of arbitrary
 field values for a dataset user), and arbitrary JSON values for the config
-keys the subcommand reads. Every run exits 0 or 2 and raises nothing, and a
-run that exits 2 leaves no --out."""
+keys the subcommand reads. Every run exits 0 or 2 and raises nothing, a
+run that exits 2 leaves no --out, no run leaves a staging directory beside
+it, and a model that train saves loads and holds only finite numbers."""
+import base64
 import json
 import shutil
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, event, given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from hypothesis import strategies as st
 from identminer import cli
 from identminer.labels import (FILTER_ALIASES, FILTER_NAMES, SETTINGS,
                                WEIGHTINGS)
+from identminer.models import load_model
 
 from helpers import iso, tweet_payload, user_payload, write_jsonl
 
@@ -146,8 +150,18 @@ def argv_of(command: str, inputs: dict, corpus: Path, model: str) -> list:
     return [command, "--corpus", corpus, *paths]
 
 
+def saved_arrays(payload) -> list:
+    """Every array of a model file, decoded from its base64 bytes."""
+    if not isinstance(payload, dict):
+        return []
+    if payload.keys() == {"shape", "data"}:
+        return [np.frombuffer(base64.b64decode(payload["data"]), dtype="<f8")]
+    return [array for value in payload.values()
+            for array in saved_arrays(value)]
+
+
 # a learning rate or L2 strength near the float maximum overflows the
-# weights to inf or nan, which numpy warns of and a run survives
+# weights to inf or nan, which numpy warns of; the run then exits 2
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 @pytest.mark.parametrize("command", COMMANDS)
 @settings(max_examples=40, deadline=None,
@@ -169,5 +183,12 @@ def test_any_config_value_or_corpus_line_exits_0_or_2(inputs, command, data):
         event(f"exit {code}")
         assert code in (0, 2)
         assert code == 0 or not out.exists()
+        assert sorted(path.name for path in work.iterdir()) == sorted(
+            ["corpus.jsonl", "config.json", *(["out"] if code == 0 else [])])
+        if command == "train" and code == 0:
+            load_model(out / "model.json")
+            payload = json.loads((out / "model.json").read_bytes())
+            assert all(np.isfinite(array).all()
+                       for array in saved_arrays(payload))
     finally:
         shutil.rmtree(work)

@@ -238,21 +238,28 @@ def test_unigram_model_round_trip(tmp_path):
 # ---------------------------------------------------------------------------
 # model files: arrays as base64 of their float64 bytes
 
-# bit patterns a model file must keep exactly: +0.0, -0.0, +inf, -inf, the
-# quiet NaN, a negative NaN with a payload, a signalling NaN, the smallest
-# and the largest-magnitude negative subnormal
-SPECIAL_BITS = (0x0000000000000000, 0x8000000000000000, 0x7FF0000000000000,
-                0xFFF0000000000000, 0x7FF8000000000000, 0xFFF8000000000ABC,
-                0x7FF0000000000001, 0x0000000000000001, 0x800FFFFFFFFFFFFF)
+# bit patterns a model file must keep exactly: +0.0, -0.0, the smallest and
+# the largest-magnitude negative subnormal, the largest finite value
+SPECIAL_BITS = (0x0000000000000000, 0x8000000000000000, 0x0000000000000001,
+                0x800FFFFFFFFFFFFF, 0x7FEFFFFFFFFFFFFF)
+# and those no trained model holds, which a model file may not: +inf, -inf,
+# the quiet NaN, a negative NaN with a payload, a signalling NaN
+NON_FINITE_BITS = (0x7FF0000000000000, 0xFFF0000000000000, 0x7FF8000000000000,
+                   0xFFF8000000000ABC, 0x7FF0000000000001)
 
+
+def is_finite_bits(bits: int) -> bool:
+    # the exponent field of a non-finite float64 is all ones
+    return (bits >> 52) & 0x7FF != 0x7FF
 
 
 def float64_arrays(shape):
-    """Any float64 bit pattern, in the given shape or shape strategy."""
+    """Any finite float64 bit pattern, in the given shape or shape
+    strategy."""
     return hnp.arrays(
         np.uint64, shape,
         elements=st.one_of(st.sampled_from(SPECIAL_BITS),
-                           st.integers(0, 2 ** 64 - 1)),
+                           st.integers(0, 2 ** 64 - 1).filter(is_finite_bits)),
     ).map(lambda bits: bits.view(np.float64))
 
 
@@ -306,6 +313,20 @@ def b64(data: bytes) -> str:
 def test_decode_array_rejects_malformed_entries(entry, error, message):
     with pytest.raises(error, match=message):
         decode_array(entry)
+
+
+@pytest.mark.parametrize("bits", NON_FINITE_BITS)
+def test_decode_array_rejects_non_finite_values(bits):
+    values = np.array([0, bits, 0], dtype=np.uint64).view(np.float64)
+    entry = json.loads(json.dumps(encode_array(values)))
+    with pytest.raises(ValueError, match=r"shape \[3\] holds a non-finite"):
+        decode_array(entry)
+    model = UnigramModel(vocab={"a": 0, "b": 1, "c": 2},
+                         weights=np.zeros((4, 3)), bias=np.zeros(4))
+    payload = {**model.to_dict(), "weights": encode_array(
+        np.vstack([np.zeros((3, 3)), values]))}
+    with pytest.raises(ValueError, match="non-finite"):
+        UnigramModel.from_dict(json.loads(json.dumps(payload)))
 
 
 def test_model_file_holds_base64_arrays(tmp_path):
