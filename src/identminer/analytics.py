@@ -2,11 +2,17 @@
 correlation over top-k lists, inter-annotator agreement, and sparse log-odds
 distinctive keywords. (The majority vote over annotator labels that tune
 reads is scorer.majority_vote.)
+
+analyze keeps a UserSummary of each user, made (user_summary) straight from
+the checked line as the corpus streams: the user's lexical means and word
+counts, and the few tweet and profile fields the behavioral table reads,
+over the newest max_tweets tweets (ingest.newest_tweets). No record is
+built and no tweet outlives its line. group_lexical_pass and
+behavioral_profile then sum a group's summaries in dataset order.
 The lexical statistics of a tweet are read off the lexical summaries of its
 whitespace-separated chunks, kept in a textprep.ChunkTable (lexical_chunks)
-that every group of a run shares, so each distinct chunk is scanned once
-while it stays in the table. They read every tweet of a record, the newest
-that ingest.build_record kept.
+that the whole corpus pass shares, so each distinct chunk is scanned once
+while it stays in the table.
 """
 from __future__ import annotations
 
@@ -14,10 +20,10 @@ import math
 import operator
 from collections import Counter
 from itertools import chain, repeat
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .labels import MISSING_LABELS, ClassLabel
-from .ingest import UserRecord
+from .ingest import UserLine, newest_tweets
 from .textprep import ChunkTable, chunk_tokens
 from .util import mean
 
@@ -50,25 +56,25 @@ def lexical_chunks(stopwords: frozenset[str]) -> ChunkTable:
     return ChunkTable(summaries, plain_summaries)
 
 
-def user_lexical_means(user: UserRecord, chunks: ChunkTable,
+def user_lexical_means(texts: list[str], chunks: ChunkTable,
                        word_counts: Counter) -> dict | None:
-    """Per-user means over the record's tweets of TTR (distinct token texts /
+    """Per-user means over the tweet texts of TTR (distinct token texts /
     tokens), LD (tokens not URLs, mentions, or stopwords / tokens; both 0
     for a tweet without tokens), contractions/tweet, and hashtags/tweet;
     None for users with no tweets. Word and contraction tokens go to
     word_counts. chunks is a lexical_chunks table."""
-    if not user.tweets:
+    if not texts:
         return None
-    split = [tweet.text.split() for tweet in user.tweets]
+    split = [text.split() for text in texts]
     summaries = chunks.values(list(chain.from_iterable(split)))
     ttr, ld = [], []
     end = 0
     for tweet_chunks in split:
         start, end = end, end + len(tweet_chunks)
         tweet = summaries[start:end]
-        texts = list(chain.from_iterable(map(_TEXTS, tweet)))
-        n = len(texts)
-        ttr.append(len(set(texts)) / n if n else 0.0)
+        tokens = list(chain.from_iterable(map(_TEXTS, tweet)))
+        n = len(tokens)
+        ttr.append(len(set(tokens)) / n if n else 0.0)
         ld.append(sum(map(_CONTENT, tweet)) / n if n else 0.0)
     word_counts.update(chain.from_iterable(map(_WORDS, summaries)))
     # the mean of per-tweet counts is their total over the tweets
@@ -77,19 +83,86 @@ def user_lexical_means(user: UserRecord, chunks: ChunkTable,
             "hpt": sum(map(_HASHTAGS, summaries)) / len(split)}
 
 
-def group_lexical_pass(users: Iterable[UserRecord], chunks: ChunkTable
+class UserSummary(NamedTuple):
+    """What analyze keeps of a user: its lexical means (None without
+    tweets) and word counts (user_lexical_means), the devices and whether
+    any tweet is geotagged, the tweet count and the counts of its tweets
+    that mention a user, hold an image and hold a URL, the three profile
+    flags, statuses_count, and tweets per month (None without an account
+    creation time)."""
+    lexical: dict | None
+    words: Counter
+    devices: frozenset[str]
+    geotagged: bool
+    n_tweets: int
+    mentions: int
+    images: int
+    urls: int
+    has_profile_url: bool
+    has_custom_image: bool
+    geo_enabled: bool
+    statuses_count: int
+    tweets_per_month: float | None
+
+
+_MONTH_DAYS = 30.4375  # 365.25 / 12
+
+
+def _device(source_app: str) -> set[str]:
+    lowered = source_app.lower()
+    devices = set()
+    if "android" in lowered:
+        devices.add("android")
+    if "iphone" in lowered or "ios" in lowered:
+        devices.add("iphone")
+    if "web" in lowered or "desktop" in lowered:
+        devices.add("desktop")
+    return devices
+
+
+def user_summary(line: UserLine, max_tweets: int, chunks: ChunkTable
+                 ) -> UserSummary:
+    """The UserSummary of a checked line over its newest max_tweets tweets.
+    chunks is a lexical_chunks table."""
+    tweets = [tweet for _, tweet in newest_tweets(line, max_tweets)]
+    words: Counter[str] = Counter()
+    lexical = user_lexical_means([tweet["text"] for tweet in tweets], chunks,
+                                 words)
+    apps = {tweet.get("source_app") or "" for tweet in tweets}
+    # the flags are bools, absent meaning false, so each sum is the count
+    # of true ones
+    geotagged, mentions, images, urls = [
+        sum(map(dict.get, tweets, repeat(flag), repeat(False)))
+        for flag in ("geotagged", "mentions_user", "has_image", "has_url")]
+    profile = line.decoded.get("profile") or {}
+    statuses = profile.get("statuses_count", 0)
+    per_month = None
+    if line.account_created_at is not None:
+        # statuses over the months since account creation, at least one
+        days = (line.snapshot_time
+                - line.account_created_at).total_seconds() / 86400.0
+        per_month = statuses / max(1.0, days / _MONTH_DAYS)
+    return UserSummary(
+        lexical, words, frozenset().union(*map(_device, apps)),
+        geotagged > 0, len(tweets), mentions, images, urls,
+        profile.get("has_profile_url", False),
+        profile.get("has_custom_image", False),
+        profile.get("geo_enabled", False), statuses, per_month)
+
+
+def group_lexical_pass(users: Iterable[UserSummary]
                        ) -> tuple[list[dict], Counter]:
-    """One pass over a group's users, streaming one user at a time: the
-    per-user lexical means of users with tweets (the Mann-Whitney samples,
-    whose macro-average is lexical_table) and the group's word and
-    contraction counts (the input for distinctive_keywords). chunks is a
-    lexical_chunks table, which the groups of one run share."""
+    """A group's per-user lexical means of users with tweets (the
+    Mann-Whitney samples, whose macro-average is lexical_table) and its word
+    and contraction counts (the input for distinctive_keywords): the users'
+    word counts summed in order, so a word's place in the group Counter is
+    that of its first occurrence."""
     samples = []
     counts: Counter[str] = Counter()
     for user in users:
-        stats = user_lexical_means(user, chunks, counts)
-        if stats is not None:
-            samples.append(stats)
+        if user.lexical is not None:
+            samples.append(user.lexical)
+        counts.update(user.words)
     return samples, counts
 
 
@@ -104,13 +177,12 @@ def lexical_table(samples: Sequence[dict]) -> dict[str, float]:
     }
 
 
-def group_lexical_stats(users_by_group: dict[ClassLabel, Sequence[UserRecord]],
-                        stopwords: frozenset[str]
+def group_lexical_stats(users_by_group: dict[ClassLabel,
+                                               Sequence[UserSummary]]
                         ) -> dict[ClassLabel, dict[str, float]]:
     """Macro-average the per-user means within each group; users without
     tweets are skipped."""
-    chunks = lexical_chunks(stopwords)
-    return {group: lexical_table(group_lexical_pass(users, chunks)[0])
+    return {group: lexical_table(group_lexical_pass(users)[0])
             for group, users in users_by_group.items()}
 
 
@@ -230,83 +302,48 @@ def krippendorff_alpha_nominal(annotations: Sequence[Sequence]) -> float:
     return 1.0 - observed / expected
 
 
-_MONTH_DAYS = 30.4375  # 365.25 / 12
-_SOURCE_APP, _GEOTAGGED, _MENTIONS_USER, _HAS_IMAGE, _HAS_URL = map(
-    operator.attrgetter,
-    ("source_app", "geotagged", "mentions_user", "has_image", "has_url"))
-
-
-def _device(source_app: str) -> set[str]:
-    lowered = source_app.lower()
-    devices = set()
-    if "android" in lowered:
-        devices.add("android")
-    if "iphone" in lowered or "ios" in lowered:
-        devices.add("iphone")
-    if "web" in lowered or "desktop" in lowered:
-        devices.add("desktop")
-    return devices
-
-
-def behavioral_profile(users_by_group: dict[ClassLabel, Sequence[UserRecord]]
+def behavioral_profile(users_by_group: dict[ClassLabel,
+                                              Sequence[UserSummary]]
                        ) -> dict[ClassLabel, dict[str, float]]:
-    """Table of per-group behavioral features of the records, keyed by the
-    analyze_result.json names. Percent rows are macro (share of users) except
-    the per-tweet (pct_tweets_*) rows, which pool every tweet in the group.
-    Tweets/month divides statuses_count by months since account creation
-    (floored at one month); users without a creation time are skipped there."""
+    """Table of per-group behavioral features of the user summaries, keyed
+    by the analyze_result.json names. Percent rows are macro (share of
+    users) except the per-tweet (pct_tweets_*) rows, which pool every tweet
+    in the group. Tweets/month divides statuses_count by months since
+    account creation (floored at one month); users without a creation time
+    are skipped there."""
     out = {}
     for group, users in users_by_group.items():
-        n_users = len(users)
-        flags = Counter()
-        tweets_per_month = []
-        statuses = []
-        pooled = Counter()
-        pooled_total = 0
+        devices = Counter()
         for user in users:
-            tweets = user.tweets
-            for device in set().union(
-                    *map(_device, set(map(_SOURCE_APP, tweets)))):
-                flags[device] += 1
-            if any(map(_GEOTAGGED, tweets)):
-                flags["geotagged"] += 1
-            if user.profile.has_profile_url:
-                flags["profile_url"] += 1
-            if user.profile.has_custom_image:
-                flags["custom_image"] += 1
-            if user.profile.geo_enabled:
-                flags["geo_enabled"] += 1
-            statuses.append(float(user.profile.statuses_count))
-            created = user.profile.account_created_at
-            if created is not None:
-                days = (user.snapshot_time - created).total_seconds() / 86400.0
-                months = max(1.0, days / _MONTH_DAYS)
-                tweets_per_month.append(user.profile.statuses_count / months)
-            pooled_total += len(tweets)
-            # the flags are bools, so each sum is the count of true ones
-            pooled["mention"] += sum(map(_MENTIONS_USER, tweets))
-            pooled["image"] += sum(map(_HAS_IMAGE, tweets))
-            pooled["url"] += sum(map(_HAS_URL, tweets))
+            devices.update(user.devices)
 
-        def share(key: str) -> float:
-            return flags[key] * 100.0 / n_users if n_users else 0.0
+        def total(field: str) -> int:
+            # a bool field's total is the count of users it is true for
+            return sum(getattr(user, field) for user in users)
 
-        def pooled_share(key: str) -> float:
-            return pooled[key] * 100.0 / pooled_total if pooled_total else 0.0
+        def of_users(count: int) -> float:
+            return count * 100.0 / len(users) if users else 0.0
+
+        def of_tweets(field: str) -> float:
+            tweets = total("n_tweets")
+            return total(field) * 100.0 / tweets if tweets else 0.0
 
         out[group] = {
-            "pct_android": share("android"),
-            "pct_iphone": share("iphone"),
-            "pct_desktop": share("desktop"),
-            "pct_profile_url": share("profile_url"),
-            "pct_custom_image": share("custom_image"),
-            "pct_geo_enabled": share("geo_enabled"),
-            "pct_geotagged": share("geotagged"),
-            "avg_statuses": mean(statuses),
-            "avg_tweets_per_month": mean(tweets_per_month),
-            "pct_tweets_mention": pooled_share("mention"),
-            "pct_tweets_image": pooled_share("image"),
-            "pct_tweets_url": pooled_share("url"),
+            "pct_android": of_users(devices["android"]),
+            "pct_iphone": of_users(devices["iphone"]),
+            "pct_desktop": of_users(devices["desktop"]),
+            "pct_profile_url": of_users(total("has_profile_url")),
+            "pct_custom_image": of_users(total("has_custom_image")),
+            "pct_geo_enabled": of_users(total("geo_enabled")),
+            "pct_geotagged": of_users(total("geotagged")),
+            "avg_statuses": mean([float(user.statuses_count)
+                                  for user in users]),
+            "avg_tweets_per_month": mean([
+                user.tweets_per_month for user in users
+                if user.tweets_per_month is not None]),
+            "pct_tweets_mention": of_tweets("mentions"),
+            "pct_tweets_image": of_tweets("images"),
+            "pct_tweets_url": of_tweets("urls"),
         }
     return out
 
@@ -411,7 +448,7 @@ def distinctive_keywords(group_counts: dict[str, float],
     return [word for _, word in ranked[:top_n]]
 
 
-def group_token_counts(users: Iterable[UserRecord]) -> Counter:
-    """Token counts over the tweets of a group's records (word and
+def group_token_counts(users: Iterable[UserSummary]) -> Counter:
+    """Token counts over the tweets of a group's users (word and
     contraction kinds), the input for distinctive_keywords."""
-    return group_lexical_pass(users, lexical_chunks(frozenset()))[1]
+    return group_lexical_pass(users)[1]

@@ -20,11 +20,15 @@ stages load imports dataclasses or logging.
 
 Exit codes: 0 success, 1 usage error, 2 data error. The IDENTMINER_LOG
 environment variable (error, info, debug) sets which messages are written
-to stderr, each as one "LEVEL identminer: message" line.
+to stderr, each as one "LEVEL identminer: message" line. main returns the
+exit code; run, the process entry, ends the process with it as soon as
+main has returned and the atexit callbacks have run, skipping the
+interpreter's teardown of the loaded modules.
 """
 from __future__ import annotations
 
 import argparse
+import atexit
 import itertools
 import json
 import math
@@ -278,10 +282,11 @@ def _load_corpus(path: str, keep) -> tuple[dict, int]:
     """keep(line) of each user's latest snapshot, by user id in corpus
     order, for the users whose keep is not None; plus the count of lines that
     failed to parse. line is the snapshot's ingest.UserLine: the description
-    stages keep its description, and the others build the record
-    (ingest.build_record) of the users they keep. The lines stream from the
-    validator straight into dedupe_latest, so only the kept values outlive
-    their line."""
+    stages keep its description, train and evaluate of a unigram model the
+    word counts of its newest tweets, analyze its analytics.UserSummary and
+    the name model its name input. The lines stream from the validator
+    straight into dedupe_latest, so only the kept values outlive their
+    line."""
     from .ingest import ParseFailure, dedupe_latest, load_users
     parsed = failures = 0
 
@@ -487,9 +492,8 @@ def cmd_tune(config: dict, paths: dict) -> dict:
 def _corpus_pairs(paths: dict, dataset, project) -> list:
     """(dataset user, project(line of the latest snapshot)) for each dataset
     user in the corpus, where line is the validated ingest.UserLine. project
-    is called for dataset users only, builds the record
-    (ingest.build_record) if it reads one, and what it returns is all that
-    is kept of the corpus."""
+    is called for dataset users only, and what it returns is all that is
+    kept of the corpus."""
     ids = {user.user_id for user in dataset}
     kept, _ = _load_corpus(_require(paths, "corpus"), lambda line: (
         project(line) if line.user_id in ids else None))
@@ -505,13 +509,13 @@ def _model_inputs(paths: dict, config: dict, dataset, model_name: str,
     """(dataset user, model input) for each dataset user in the corpus:
     what train and evaluate read of a user's latest snapshot. namecnn reads
     namecnn.name_input of a record of no tweets; unigram with --embeddings
-    the user's row, if it has one (the corpus only shows the user is there,
-    so no record is built); unigram otherwise the user_word_counts of a
-    record of the newest max_tweets tweets (one word_chunks table for the
-    run) or, given a trained vocab, their featurize_user row, projected as
-    the corpus streams. role names the dataset if no user is left."""
-    from .ingest import build_record
+    the user's row, if it has one (the corpus only shows the user is there);
+    unigram otherwise the user_word_counts of the texts of the newest
+    max_tweets tweets (one word_chunks table for the run) or, given a
+    trained vocab, their featurize_user row, projected as the corpus streams
+    and building no record. role names the dataset if no user is left."""
     if model_name == "namecnn":
+        from .ingest import build_record
         from .models.namecnn import name_input
         return _corpus_pairs(paths, dataset,
                              lambda line: name_input(build_record(line, 0)))
@@ -524,14 +528,18 @@ def _model_inputs(paths: dict, config: dict, dataset, model_name: str,
         if not pairs:
             raise DataError(f"no embeddings match the {role} user ids")
         return pairs
+    from .ingest import newest_tweets
     from .models.features import featurize_user, user_word_counts, word_chunks
     max_tweets = config["max_tweets"]
     chunks = word_chunks()
+
+    def word_counts(line) -> Counter:
+        return user_word_counts([tweet["text"] for _, tweet
+                                 in newest_tweets(line, max_tweets)], chunks)
     if vocab is None:
-        return _corpus_pairs(paths, dataset, lambda line: user_word_counts(
-            build_record(line, max_tweets), chunks))
-    return _corpus_pairs(paths, dataset, lambda line: featurize_user(
-        user_word_counts(build_record(line, max_tweets), chunks), vocab))
+        return _corpus_pairs(paths, dataset, word_counts)
+    return _corpus_pairs(paths, dataset,
+                         lambda line: featurize_user(word_counts(line), vocab))
 
 
 def _read_dataset(paths: dict, key: str):
@@ -678,25 +686,22 @@ def _pair_table(labels, stat) -> dict:
 def cmd_analyze(config: dict, paths: dict) -> dict:
     from . import analytics
     dataset = _read_dataset(paths, "data")
-    from .ingest import build_record
-    # analyze reads whole records: profiles and every field of the tweets
+    # each user's summary is made as the corpus streams, with one chunk
+    # table for the whole pass: each distinct chunk is scanned once for the
+    # lexical means and the keyword counts
     max_tweets = config["max_tweets"]
-    pairs = _corpus_pairs(paths, dataset,
-                          lambda line: build_record(line, max_tweets))
+    chunks = analytics.lexical_chunks(resources.load_stopwords())
+    pairs = _corpus_pairs(paths, dataset, lambda line: analytics.user_summary(
+        line, max_tweets, chunks))
     groups: dict = {}
-    for user, record in pairs:
-        groups.setdefault(user.label, []).append(record)
+    for user, summary in pairs:
+        groups.setdefault(user.label, []).append(summary)
     present = [label for label in CLASS_ORDER if label in groups]
-    stopwords = resources.load_stopwords()
-
-    # one pass per group, one chunk table for all: each distinct chunk is
-    # scanned once for the lexical means and the keyword counts
-    chunks = analytics.lexical_chunks(stopwords)
     samples: dict = {}
     counts: dict = {}
     for label in present:
         samples[label], counts[label] = analytics.group_lexical_pass(
-            groups[label], chunks)
+            groups[label])
 
     def mann_whitney(metric, a, b) -> dict:
         u, p = analytics.mann_whitney_u([stats[metric] for stats in samples[a]],
@@ -781,5 +786,20 @@ def main(argv=None) -> int:
         return 2
 
 
+def run() -> None:
+    """The process entry (python -m identminer.cli, the identminer script):
+    main, then the atexit callbacks, a flush of stdout and stderr, and an
+    immediate exit with main's code, which skips the interpreter's teardown
+    of the loaded modules (numpy's among them). main has renamed its files
+    into place by then. A SystemExit (a usage error, --help) or any other
+    exception out of main leaves by the normal path."""
+    code = main()
+    atexit._run_exitfuncs()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:  # None when the descriptor was closed
+            stream.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

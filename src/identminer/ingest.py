@@ -1,13 +1,15 @@
-"""Stream archived user exports (JSON lines) into canonical UserRecord values.
+"""Stream archived user exports (JSON lines) into checked UserLine values.
 
 One line is one user snapshot. validate_user_line alone decides whether a
 line parses, and why not: a malformed line becomes a ParseFailure value
 instead of an exception, so a bad record never aborts the stream, while
 stream-level I/O errors still propagate. An accepted line is a UserLine,
 which holds the user id, snapshot time and description and builds no
-record; build_record makes its UserRecord, of the newest tweets only.
-Missing optional fields default to false/0/"" and are tallied in an
-optional per-field missingness counter.
+record. newest_tweets gives its newest max_tweets (created_at, tweet dict)
+pairs, the one statement of that cut: the tweet stages read what they keep
+straight from those checked dicts, and build_record makes a UserRecord of
+them for a caller that wants one. Missing optional fields default to
+false/0/"" and are tallied in an optional per-field missingness counter.
 dedupe_latest folds the stream into one value per user as it goes: the
 caller's projection of the user's latest snapshot, so memory grows with the
 users and with what the caller keeps of each, not with the lines.
@@ -238,19 +240,27 @@ def validate_user_line(line: str, line_no: int,
                       created))
 
 
+def newest_tweets(line: UserLine, max_tweets: int
+                  ) -> list[tuple[datetime, dict]]:
+    """The (created_at, tweet object) pairs of an accepted line's newest
+    max_tweets tweets, newest first (a stable sort: ties keep file order).
+    validate_user_line has checked each object: its text is a string, its
+    source_app a string, null or absent, and each flag a bool or absent."""
+    return sorted(zip(line.tweet_times, line.decoded.get("tweets") or ()),
+                  key=_first, reverse=True)[:max_tweets]
+
+
 def build_record(line: UserLine, max_tweets: int) -> UserRecord:
     """The UserRecord of an accepted line with only its newest max_tweets
-    tweets built, newest first (a stable sort: ties keep file order). It
-    checks nothing: validate_user_line has checked every field read here."""
+    tweets built (newest_tweets). It checks nothing: validate_user_line has
+    checked every field read here."""
     obj = line.decoded
-    newest = sorted(zip(line.tweet_times, obj.get("tweets") or ()),
-                    key=_first, reverse=True)[:max_tweets]
     tweets = [_new_tweet((tweet["text"], tweet.get("source_app") or "",
                           created, tweet.get("has_image", False),
                           tweet.get("has_url", False),
                           tweet.get("mentions_user", False),
                           tweet.get("geotagged", False)))
-              for created, tweet in newest]
+              for created, tweet in newest_tweets(line, max_tweets)]
     profile = obj.get("profile") or {}
     return _new_record((
         line.user_id, obj.get("name") or "", line.description, tweets,

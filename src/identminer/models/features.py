@@ -1,12 +1,12 @@
-"""Feature extraction: bag-of-words vocab and sparse count rows over the
-tweets of a user's record, and import of externally computed per-user
-embeddings.
+"""Feature extraction: bag-of-words vocab and sparse count rows over a
+user's tweet texts, and import of externally computed per-user embeddings.
 
-Each user's tweets become a word Counter (user_word_counts): the words of
-the whitespace-separated chunks of the record's tweet texts, read off a
-textprep.ChunkTable (word_chunks) that the run shares, so each distinct
-chunk is scanned once while it stays in the table. The vocabulary and the
-count rows are both built from those counters. A count row is a pair of
+Each user's tweet texts (the newest max_tweets of a checked line,
+ingest.newest_tweets) become a word Counter (user_word_counts): the words of
+their whitespace-separated chunks, read off a textprep.ChunkTable
+(word_chunks) that the run shares, so each distinct chunk is scanned once
+while it stays in the table. The vocabulary and the count rows are both
+built from those counters. A count row is a pair of
 arrays, the sorted vocab indices of the user's words and their float64
 counts; unigram.stack_rows joins many into one CSR matrix."""
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import Iterable
 
 import numpy as np
 
-from ..ingest import UserRecord
 from ..textprep import ChunkTable, chunk_words
 from ..util import decimal_float, read_rows
 
@@ -32,11 +31,10 @@ def word_chunks() -> ChunkTable:
     return ChunkTable(chunk_words, zip)
 
 
-def user_word_counts(user: UserRecord, chunks: ChunkTable) -> Counter[str]:
-    """Word and contraction token counts over the record's tweets, in token
+def user_word_counts(texts: list[str], chunks: ChunkTable) -> Counter[str]:
+    """Word and contraction token counts over a user's tweet texts, in token
     order, read off the word_chunks table chunks."""
-    return Counter(chain.from_iterable(chunks.values(" ".join(
-        [tweet.text for tweet in user.tweets]).split())))
+    return Counter(chain.from_iterable(chunks.values(" ".join(texts).split())))
 
 
 def build_vocab(word_counts: Iterable[Counter], min_count: int,

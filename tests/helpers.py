@@ -221,12 +221,58 @@ def make_user(user_id: str, description: str = "", name: str = "",
                       snapshot_time=ts(hours))
 
 
+def payload_line(payload: dict):
+    """The checked ingest.UserLine of a user payload's line."""
+    from identminer.ingest import validate_user_line
+    return validate_user_line(json.dumps(payload), 1)
+
+
 def payload_record(payload: dict, max_tweets: int) -> UserRecord:
     """The record that ingest builds of a user payload's line, with its
     newest max_tweets tweets."""
-    from identminer.ingest import build_record, validate_user_line
-    return build_record(validate_user_line(json.dumps(payload), 1),
-                        max_tweets)
+    from identminer.ingest import build_record
+    return build_record(payload_line(payload), max_tweets)
+
+
+def texts_of(user: UserRecord) -> list[str]:
+    """A record's tweet texts, newest first: what train and evaluate read
+    of a line's newest tweets."""
+    return [tweet.text for tweet in user.tweets]
+
+
+def record_line(record: UserRecord):
+    """The checked line whose record, of all its tweets, is record."""
+    from identminer.ingest import build_record
+    profile = record.profile
+    fields = {key: getattr(profile, key) for key in (
+        "has_profile_url", "has_custom_image", "geo_enabled",
+        "statuses_count", "followers_count")}
+    if profile.account_created_at is not None:
+        fields["account_created_at"] = profile.account_created_at.isoformat()
+    line = payload_line({
+        "user_id": record.user_id, "name": record.name,
+        "description": record.description,
+        "snapshot_time": record.snapshot_time.isoformat(),
+        "tweets": [{**tweet._asdict(),
+                    "created_at": tweet.created_at.isoformat()}
+                   for tweet in record.tweets],
+        "profile": fields})
+    assert build_record(line, len(record.tweets)) == record
+    return line
+
+
+def record_summary(record: UserRecord, chunks):
+    """analytics.user_summary of the line whose record is record, over all
+    its tweets; chunks is a lexical_chunks table."""
+    from identminer.analytics import user_summary
+    return user_summary(record_line(record), len(record.tweets), chunks)
+
+
+def summaries(users, stopwords: frozenset = frozenset()) -> list:
+    """The record_summary of each record, with one lexical_chunks table."""
+    from identminer.analytics import lexical_chunks
+    chunks = lexical_chunks(stopwords)
+    return [record_summary(user, chunks) for user in users]
 
 
 # ---------------------------------------------------------------------------

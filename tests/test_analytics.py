@@ -16,17 +16,17 @@ from identminer.analytics import (behavioral_profile, distinctive_keywords,
                                   group_token_counts, kendall_tau_top_k,
                                   krippendorff_alpha_nominal, lexical_chunks,
                                   mann_whitney_u, sage_deviations,
-                                  user_lexical_means)
+                                  user_lexical_means, user_summary)
 from identminer.datasets import read_dataset_tsv
 from identminer.filters import CLASS_ORDER
-from identminer.ingest import UserLine, build_record, dedupe_latest, load_users
+from identminer.ingest import UserLine, dedupe_latest, load_users
 from identminer.scorer import DISCARD, majority_vote
 from identminer.textprep import tokenize
 from identminer.util import mean
 
 from helpers import (default, make_profile, make_tweet, make_user,
-                     payload_record, tweet_payload, tweet_texts,
-                     user_payload)
+                     payload_line, summaries, texts_of, tweet_payload,
+                     tweet_texts, user_payload)
 from reference_description import reference_tokenize
 
 W, B, HL, A = CLASS_ORDER
@@ -228,8 +228,7 @@ def test_majority_vote_rejects_unknown_label():
 
 def one_tweet_means(text: str, stopwords: frozenset = frozenset()) -> dict:
     """user_lexical_means of a user whose only tweet is text."""
-    user = make_user("u1", tweets=(make_tweet(text),))
-    return user_lexical_means(user, lexical_chunks(stopwords), Counter())
+    return user_lexical_means([text], lexical_chunks(stopwords), Counter())
 
 
 def test_type_token_ratio():
@@ -312,7 +311,8 @@ def assert_lexical_means_match(reference, texts, stopwords):
         make_tweet(text, hours=-float(i)) for i, text in enumerate(texts)))
     stopwords = frozenset(stopwords)
     counts, expected_counts = Counter(), Counter()
-    stats = user_lexical_means(user, lexical_chunks(stopwords), counts)
+    stats = user_lexical_means(texts_of(user), lexical_chunks(stopwords),
+                               counts)
     assert stats == reference(user, stopwords, expected_counts)
     assert list(counts.items()) == list(expected_counts.items())
 
@@ -341,8 +341,8 @@ def test_user_lexical_means_hand_fixture():
         make_tweet("go go go", hours=-2.0),
     ))
     counts = Counter()
-    stats = user_lexical_means(user, lexical_chunks(frozenset({"happy"})),
-                               counts)
+    stats = user_lexical_means(texts_of(user),
+                               lexical_chunks(frozenset({"happy"})), counts)
     assert counts == {"i'm": 1, "happy": 1, "go": 3}
     assert stats["ttr"] == pytest.approx((1.0 + 1.0 / 3.0) / 2.0)
     assert stats["ld"] == pytest.approx((2.0 / 3.0 + 1.0) / 2.0)
@@ -352,19 +352,19 @@ def test_user_lexical_means_hand_fixture():
 
 def test_user_lexical_means_without_tweets_is_none():
     counts = Counter()
-    assert user_lexical_means(make_user("u1"), lexical_chunks(frozenset()),
+    assert user_lexical_means([], lexical_chunks(frozenset()),
                               counts) is None
     assert counts == {}
 
 
 def test_user_lexical_means_honors_max_tweets():
-    # the record of max_tweets 1 holds the newest tweet only
-    user = payload_record(user_payload("u1", tweets=(
+    # the summary of max_tweets 1 reads the newest tweet only
+    summary = user_summary(payload_line(user_payload("u1", tweets=(
         tweet_payload("#x #y", hours=-2.0),
         tweet_payload("one two three", hours=-1.0),
-    )), max_tweets=1)
-    stats = user_lexical_means(user, lexical_chunks(frozenset()), Counter())
-    assert stats["hpt"] == 0.0  # only the newest tweet counted
+    ))), 1, lexical_chunks(frozenset()))
+    assert summary.lexical["hpt"] == 0.0  # only the newest tweet counted
+    assert summary.n_tweets == 1
 
 
 def test_group_lexical_pass_gives_samples_and_counts_in_one_pass():
@@ -375,9 +375,9 @@ def test_group_lexical_pass_gives_samples_and_counts_in_one_pass():
     ))
     idle = make_user("u2")
     stopwords = frozenset({"happy"})
-    samples, counts = group_lexical_pass([busy, idle],
-                                         lexical_chunks(stopwords))
-    assert samples == [user_lexical_means(busy, lexical_chunks(stopwords),
+    samples, counts = group_lexical_pass(summaries([busy, idle], stopwords))
+    assert samples == [user_lexical_means(texts_of(busy),
+                                          lexical_chunks(stopwords),
                                           Counter())]
     assert counts == {"i'm": 1, "happy": 1, "go": 3, "old": 1, "words": 1}
 
@@ -385,7 +385,8 @@ def test_group_lexical_pass_gives_samples_and_counts_in_one_pass():
 def test_group_lexical_stats_skips_tweetless_and_macro_averages():
     busy = make_user("u1", tweets=(make_tweet("i'm happy #fun"),))
     idle = make_user("u2")
-    stats = group_lexical_stats({W: [busy, idle]}, frozenset({"happy"}))[W]
+    stats = group_lexical_stats(
+        {W: summaries([busy, idle], frozenset({"happy"}))})[W]
     assert set(stats) == {"type_token_ratio", "lexical_diversity",
                           "contractions_per_tweet", "hashtags_per_tweet"}
     assert stats["type_token_ratio"] == pytest.approx(1.0)
@@ -398,8 +399,8 @@ def test_group_lexical_stats_invariant_under_user_duplication():
     user = make_user("u1", tweets=(make_tweet("i'm happy #fun"),
                                    make_tweet("go go go", hours=-2.0)))
     clone = make_user("u2", tweets=user.tweets)
-    single = group_lexical_stats({B: [user]}, frozenset())[B]
-    doubled = group_lexical_stats({B: [user, clone]}, frozenset())[B]
+    single = group_lexical_stats({B: summaries([user])})[B]
+    doubled = group_lexical_stats({B: summaries([user, clone])})[B]
     assert single["type_token_ratio"] == pytest.approx(
         doubled["type_token_ratio"])
     assert single["lexical_diversity"] == pytest.approx(
@@ -411,7 +412,7 @@ def test_group_lexical_stats_invariant_under_user_duplication():
 
 
 def test_group_lexical_stats_all_tweetless_is_zero():
-    stats = group_lexical_stats({A: [make_user("u1")]}, frozenset())[A]
+    stats = group_lexical_stats({A: summaries([make_user("u1")])})[A]
     assert stats["type_token_ratio"] == 0.0
     assert stats["lexical_diversity"] == 0.0
 
@@ -435,7 +436,7 @@ def two_user_group():
 
 
 def test_behavioral_profile_hand_fixture():
-    profile = behavioral_profile({W: two_user_group()})[W]
+    profile = behavioral_profile({W: summaries(two_user_group())})[W]
     assert len(profile) == 12
     assert profile["pct_android"] == 50.0
     assert profile["pct_iphone"] == 50.0
@@ -454,13 +455,13 @@ def test_behavioral_profile_hand_fixture():
 
 def test_behavioral_profile_tweet_duplication_moves_pooled_rows_only():
     users = two_user_group()
-    base = behavioral_profile({W: users})[W]
+    base = behavioral_profile({W: summaries(users)})[W]
     u1 = users[0]
     extra = make_tweet("four", hours=-0.5, source_app="Twitter for Android",
                        mentions_user=True)
     noisy = make_user("u1", tweets=tuple(u1.tweets) + (extra,),
                       profile=u1.profile)
-    bumped = behavioral_profile({W: [noisy, users[1]]})[W]
+    bumped = behavioral_profile({W: summaries([noisy, users[1]])})[W]
     assert bumped["pct_android"] == base["pct_android"]
     assert bumped["pct_geotagged"] == base["pct_geotagged"]
     assert bumped["avg_statuses"] == base["avg_statuses"]
@@ -471,14 +472,14 @@ def test_behavioral_profile_tweet_duplication_moves_pooled_rows_only():
 def test_behavioral_profile_months_floor():
     user = make_user("u1", profile=make_profile(
         statuses_count=42, account_created_hours=-1.0))
-    profile = behavioral_profile({HL: [user]})[HL]
+    profile = behavioral_profile({HL: summaries([user])})[HL]
     assert profile["avg_tweets_per_month"] == 42.0
 
 
 def test_behavioral_profile_ios_source_counts_as_iphone():
     user = make_user("u1", tweets=(
         make_tweet("hi", source_app="Tweetbot for iOS"),))
-    profile = behavioral_profile({A: [user]})[A]
+    profile = behavioral_profile({A: summaries([user])})[A]
     assert profile["pct_iphone"] == 100.0
     assert profile["pct_android"] == 0.0
 
@@ -682,18 +683,18 @@ def _bench_corpus_module():
 def test_sage_kkt_on_timelines_groups(tmp_path, seed):
     # the groups analyze fits on the benchmark's timelines workload
     _bench_corpus_module().generate("timelines", seed, tmp_path)
+    chunks = lexical_chunks(frozenset())
     with open(tmp_path / "corpus.jsonl", "rb") as handle:
-        records = dedupe_latest((line for line in load_users(handle)
-                                 if isinstance(line, UserLine)),
-                                lambda line: build_record(
-                                    line, default("max_tweets")))
+        users = dedupe_latest((line for line in load_users(handle)
+                               if isinstance(line, UserLine)),
+                              lambda line: user_summary(
+                                  line, default("max_tweets"), chunks))
     groups: dict = {}
     for user in read_dataset_tsv(tmp_path / "train.tsv"):
-        if user.user_id in records:
-            groups.setdefault(user.label, []).append(records[user.user_id])
-    chunks = lexical_chunks(frozenset())
-    counts = {label: group_lexical_pass(users, chunks)[1]
-              for label, users in groups.items()}
+        if user.user_id in users:
+            groups.setdefault(user.label, []).append(users[user.user_id])
+    counts = {label: group_lexical_pass(group)[1]
+              for label, group in groups.items()}
     background: Counter = Counter()
     for counter in counts.values():
         background.update(counter)
@@ -735,15 +736,15 @@ def test_sage_large_vocabulary_is_fast():
 def test_group_token_counts_words_and_contractions_only():
     user = make_user("u1", tweets=(
         make_tweet("i'm happy happy #tag @mike https://x.co", hours=-1.0),))
-    counts = group_token_counts([user])
+    counts = group_token_counts(summaries([user]))
     assert counts == {"i'm": 1, "happy": 2}
 
 
 def test_group_token_counts_honors_max_tweets():
-    # the record of max_tweets 1 holds the newest tweet only
-    user = payload_record(user_payload("u1", tweets=(
+    # the summary of max_tweets 1 reads the newest tweet only
+    user = user_summary(payload_line(user_payload("u1", tweets=(
         tweet_payload("new words", hours=-1.0),
         tweet_payload("old words", hours=-5.0),
-    )), max_tweets=1)
+    ))), 1, lexical_chunks(frozenset()))
     counts = group_token_counts([user])
     assert counts == {"new": 1, "words": 1}

@@ -11,7 +11,8 @@ from identminer.models.features import user_word_counts, word_chunks
 from identminer.textprep import ChunkTable
 from identminer.util import mean
 
-from helpers import TRICKY_PIECES, make_tweet, make_user
+from helpers import (TRICKY_PIECES, make_tweet, make_user, record_summary,
+                     texts_of)
 from reference_tweet import reference_tweet_tokens, reference_tweet_words
 
 
@@ -84,7 +85,7 @@ def test_word_counts_equal_the_per_user_scan(groups, stopwords, limit):
     table.limit = limit
     for group in make_groups(groups):
         for user in group:
-            counts = user_word_counts(user, table)
+            counts = user_word_counts(texts_of(user), table)
             expected = reference_user_word_counts(user)
             assert list(counts.items()) == list(expected.items())
 
@@ -98,7 +99,8 @@ def test_lexical_pass_equals_the_per_tweet_scan(groups, stopwords, limit):
     table = lexical_chunks(stopwords)
     table.limit = limit
     for group in make_groups(groups):
-        samples, counts = group_lexical_pass(group, table)
+        samples, counts = group_lexical_pass(
+            [record_summary(user, table) for user in group])
         expected_counts = Counter()
         expected = [reference_user_lexical_means(user, stopwords,
                                                  expected_counts)

@@ -27,7 +27,7 @@ from identminer.textprep import SelfReportLexicon
 from identminer.util import DataError, canonical_json, config_hash
 
 from helpers import (PLANT_HEADS, iso, planted_descriptions,
-                     planted_payloads, score_params, tweet_payload,
+                     planted_payloads, score_params, ts, tweet_payload,
                      user_payload, write_jsonl, write_unigram_model)
 
 W, B, HL, A = CLASS_ORDER
@@ -785,8 +785,9 @@ def test_description_stages_build_no_record(planted_corpus, tmp_path,
                                             monkeypatch):
     """lexicon-build, dataset-build and tune keep each description straight
     from the validated line, and train and evaluate with --embeddings only
-    note that the user is there; analyze, which reads whole records, shows
-    that the refusing builder is the one the CLI calls."""
+    note that the user is there; train of the name model, which reads the
+    name and profile of a record, shows that the refusing builder is the one
+    the CLI calls."""
     from identminer import ingest
 
     def refuse(line, max_tweets):
@@ -809,9 +810,59 @@ def test_description_stages_build_no_record(planted_corpus, tmp_path,
     for name, argv in [*description_commands(planted_corpus, tmp_path),
                        *embedding_commands]:
         assert main(argv) == 0, name
+    config = write_config(tmp_path, "cfg.json", epochs=1, min_char_count=1)
     with pytest.raises(AssertionError, match="record built for"):
-        main(["analyze", "--corpus", str(corpus), "--data", str(data),
-              "--out", str(tmp_path / "analyze")])
+        main(["train", "--model", "namecnn", "--corpus", str(corpus),
+              "--train-data", str(data), "--config", str(config),
+              "--out", str(tmp_path / "namecnn")])
+
+
+def test_tweet_stages_read_each_users_newest_tweets_once_and_build_no_record(
+        tmp_path, monkeypatch):
+    """train and evaluate of a unigram model and analyze take what they keep
+    of each dataset user straight from the checked line: ingest.newest_tweets
+    once per dataset user, never for a superseded snapshot or a user outside
+    the dataset, and no UserRecord or Tweet is built."""
+    from identminer import analytics, ingest
+    corpus, data = tweet_group_fixture(tmp_path)
+    with open(corpus, "a", encoding="utf-8") as handle:
+        for payload in (
+                # an older snapshot of w0 is superseded and never read
+                user_payload("w0", hours=-5.0, tweets=(
+                    tweet_payload("stale words", hours=-9.0),)),
+                user_payload("outsider", tweets=(tweet_payload("alpha"),))):
+            handle.write(json.dumps(payload) + "\n")
+    # every dataset user's latest snapshot is at ts(0)
+    latest = sorted((user.user_id, ts()) for user in read_dataset_tsv(data))
+    read = []
+    newest = ingest.newest_tweets
+
+    def counted(line, max_tweets):
+        read.append((line.user_id, line.snapshot_time))
+        return newest(line, max_tweets)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a record or tweet was built")
+
+    for module in (ingest, analytics):
+        monkeypatch.setattr(module, "newest_tweets", counted)
+    monkeypatch.setattr(ingest, "build_record", refuse)
+    for name in ("_new_record", "_new_tweet"):
+        monkeypatch.setattr(ingest, name, refuse)
+    for cls in (ingest.UserRecord, ingest.Tweet):
+        monkeypatch.setattr(cls, "__new__", refuse)
+    model = tmp_path / "train" / "model.json"
+    stages = {
+        "train": ("train", "--model", "unigram", "--train-data", str(data)),
+        "evaluate": ("evaluate", "--model-file", str(model), "--test-data",
+                     str(data)),
+        "analyze": ("analyze", "--data", str(data)),
+    }
+    for stage, argv in stages.items():
+        read.clear()
+        assert run(*argv, "--corpus", str(corpus),
+                   "--out", str(tmp_path / stage)) == 0, stage
+        assert sorted(read) == latest, stage
 
 
 def test_analyze_loads_no_scipy(tmp_path):
@@ -1447,67 +1498,76 @@ def config_check_commands(tmp_path) -> dict[str, list[str]]:
     }
 
 
-# a list or float value has an explicit id, so that moving a row renames
-# no other test; the list ids keep the names that pytest first gave them
-# by row index
+# every row has an explicit id, so that moving, adding or removing a row
+# renames no other test; each id is the name pytest gave the row before it
+# had one, so a list value's id still holds the row index it had then
+# ("value44"), which is now only a label
 BAD_CONFIG_VALUES = [
     pytest.param("tune", "grid_windows", ["a"], id="tune-grid_windows-value0"),
     pytest.param("tune", "grid_thresholds", [0.1, "0.2"],
                  id="tune-grid_thresholds-value1"),
-    ("tune", "grid_weightings", "simple"),
-    ("dataset-build", "cb_k", -1),
-    ("dataset-build", "cb_k", 0),
-    ("dataset-build", "cb_k", "3"),
-    ("dataset-build", "cb_k", True),
-    ("dataset-build", "window", "5"),
+    pytest.param("tune", "grid_weightings", "simple",
+                 id="tune-grid_weightings-simple"),
+    pytest.param("dataset-build", "cb_k", -1, id="dataset-build-cb_k--1"),
+    pytest.param("dataset-build", "cb_k", 0, id="dataset-build-cb_k-0"),
+    pytest.param("dataset-build", "cb_k", "3", id="dataset-build-cb_k-3"),
+    pytest.param("dataset-build", "cb_k", True, id="dataset-build-cb_k-True"),
+    pytest.param("dataset-build", "window", "5", id="dataset-build-window-5"),
     pytest.param("dataset-build", "window", 5.9,
                  id="dataset-build-window-5.9"),
     pytest.param("dataset-build", "window", 5.0,
                  id="dataset-build-window-5.0"),
-    ("dataset-build", "threshold", "0.35"),
-    ("dataset-build", "filters", "color"),
-    ("dataset-build", "kind", 1),
-    ("lexicon-build", "allow_im", "false"),
-    ("lexicon-build", "allow_im", 0),
+    pytest.param("dataset-build", "threshold", "0.35",
+                 id="dataset-build-threshold-0.35"),
+    pytest.param("dataset-build", "filters", "color",
+                 id="dataset-build-filters-color"),
+    pytest.param("dataset-build", "kind", 1, id="dataset-build-kind-1"),
+    pytest.param("lexicon-build", "allow_im", "false",
+                 id="lexicon-build-allow_im-false"),
+    pytest.param("lexicon-build", "allow_im", 0,
+                 id="lexicon-build-allow_im-0"),
     pytest.param("lexicon-build", "seed", 1.5, id="lexicon-build-seed-1.5"),
-    ("lexicon-build", "tag_lexicon", 5),  # a path key
-    ("analyze", "max_tweets", -1),
-    ("analyze", "max_tweets", 0),
-    ("analyze", "top_n", "a"),
+    pytest.param("lexicon-build", "tag_lexicon", 5,
+                 id="lexicon-build-tag_lexicon-5"),  # a path key
+    pytest.param("analyze", "max_tweets", -1, id="analyze-max_tweets--1"),
+    pytest.param("analyze", "max_tweets", 0, id="analyze-max_tweets-0"),
+    pytest.param("analyze", "top_n", "a", id="analyze-top_n-a"),
     pytest.param("analyze", "tau_ks", [20, 0], id="analyze-tau_ks-value20"),
     pytest.param("analyze", "sage_lambda", float("inf"),
                  id="analyze-sage_lambda-inf"),
-    ("analyze", "sage_lambda", -1),
-    ("train", "learning_rate", "x"),
+    pytest.param("analyze", "sage_lambda", -1, id="analyze-sage_lambda--1"),
+    pytest.param("train", "learning_rate", "x", id="train-learning_rate-x"),
     pytest.param("train", "learning_rate", float("nan"),
                  id="train-learning_rate-nan"),
     pytest.param("train", "learning_rate", 10 ** 400,
                  id="train-learning_rate-beyond-float"),
-    ("train", "epochs", True),
-    ("train", "epochs", 0),
-    ("train", "learning_rate", 0),
-    ("dataset-build", "window", 0),
+    pytest.param("train", "epochs", True, id="train-epochs-True"),
+    pytest.param("train", "epochs", 0, id="train-epochs-0"),
+    pytest.param("train", "learning_rate", 0, id="train-learning_rate-0"),
+    pytest.param("dataset-build", "window", 0, id="dataset-build-window-0"),
     pytest.param("train", "min_count", 1.5, id="train-min_count-1.5"),
-    ("train", "batch_size", 0),
+    pytest.param("train", "batch_size", 0, id="train-batch_size-0"),
     pytest.param("dataset-build", "threshold", 1.5,
                  id="dataset-build-threshold-1.5"),
     pytest.param("dataset-build", "threshold", -0.1,
                  id="dataset-build-threshold--0.1"),
     pytest.param("train", "learning_rate", -0.5,
                  id="train-learning_rate--0.5"),
-    pytest.param("train", "l2_strength", -1e-9,
-                 id="train-l2_strength--1e-09"),
+    pytest.param("train", "l2_strength", -1e-9, id="train-l2_strength--1e-09"),
     pytest.param("train", "l2_strength", float("inf"),
                  id="train-l2_strength-inf"),
     pytest.param("train", "instance_downweight", 0.0,
                  id="train-instance_downweight-0.0"),
     pytest.param("train", "instance_downweight", 1.5,
                  id="train-instance_downweight-1.5"),
-    ("train", "instance_downweight", 2),
-    ("dataset-build", "weighting", "log"),
-    ("evaluate", "setting", "mystery"),
-    ("train", "model", "x"),
-    ("dataset-build", "kind", "xx"),
+    pytest.param("train", "instance_downweight", 2,
+                 id="train-instance_downweight-2"),
+    pytest.param("dataset-build", "weighting", "log",
+                 id="dataset-build-weighting-log"),
+    pytest.param("evaluate", "setting", "mystery",
+                 id="evaluate-setting-mystery"),
+    pytest.param("train", "model", "x", id="train-model-x"),
+    pytest.param("dataset-build", "kind", "xx", id="dataset-build-kind-xx"),
     pytest.param("dataset-build", "filters", ["sparkle"],
                  id="dataset-build-filters-value44"),
     pytest.param("dataset-build", "filters", ["colour"],
@@ -1517,7 +1577,7 @@ BAD_CONFIG_VALUES = [
                  id="tune-grid_thresholds-value47"),
     pytest.param("tune", "grid_weightings", ["x"],
                  id="tune-grid_weightings-value48"),
-    ("train", "min_char_count", "5"),
+    pytest.param("train", "min_char_count", "5", id="train-min_char_count-5"),
     pytest.param("tune", "grid_windows", [], id="tune-grid_windows-value50"),
     pytest.param("tune", "grid_thresholds", [],
                  id="tune-grid_thresholds-value51"),

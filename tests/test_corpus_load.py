@@ -17,7 +17,8 @@ from identminer import cli
 from identminer.cli import main
 from identminer.datasets import LabeledUser, write_dataset_tsv
 from identminer.filters import CLASS_ORDER
-from identminer.ingest import ParseFailure, build_record, load_users
+from identminer.ingest import (ParseFailure, build_record, load_users,
+                               newest_tweets)
 from identminer.models.features import user_word_counts, word_chunks
 
 from helpers import (PLANT_HEADS, PLANT_QUERIES, default, tweet_payload,
@@ -334,8 +335,8 @@ def test_a_tweet_load_retains_only_the_dataset_users(tmp_path, monkeypatch):
         chunks = word_chunks()
         cli._corpus_pairs({"corpus": str(corpus)}, dataset,
                           lambda line: user_word_counts(
-                              build_record(line, default("max_tweets")),
-                              chunks))
+                              [tweet["text"] for _, tweet in newest_tweets(
+                                  line, default("max_tweets"))], chunks))
         return sizes.pop()
 
     small_corpus = tweet_load(100, 20)

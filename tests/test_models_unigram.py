@@ -25,8 +25,8 @@ from identminer.models.unigram import (UnigramModel, train_unigram,
                                        weighted_ce_loss)
 
 from helpers import (make_tweet, make_user, make_profile,
-                     payload_record, train_config, training_arrays,
-                     tweet_payload, user_payload)
+                     payload_record, texts_of, train_config,
+                     training_arrays, tweet_payload, user_payload)
 
 W, B, HL, A = CLASS_ORDER
 
@@ -376,13 +376,15 @@ def vocab_corpus():
 
 def vocab_counts():
     table = word_chunks()
-    return [user_word_counts(user, table) for user in vocab_corpus()]
+    return [user_word_counts(texts_of(user), table)
+            for user in vocab_corpus()]
 
 
 def test_user_word_counts_words_and_contractions_only():
     user = make_user("u1", tweets=(
         make_tweet("i'm happy happy #tag @mike https://x.co :)", hours=-1.0),))
-    assert user_word_counts(user, word_chunks()) == {"i'm": 1, "happy": 2}
+    assert user_word_counts(texts_of(user), word_chunks()) == {
+        "i'm": 1, "happy": 2}
 
 
 def test_build_vocab_lexicographic_with_min_count():
@@ -401,7 +403,7 @@ def test_build_vocab_respects_max_tweets():
     user = payload_record(user_payload("v1", tweets=(
         tweet_payload("older older", hours=-2),
         tweet_payload("newest newest", hours=-1))), max_tweets=1)
-    vocab = build_vocab([user_word_counts(user, word_chunks())],
+    vocab = build_vocab([user_word_counts(texts_of(user), word_chunks())],
                         min_count=2, stopwords=frozenset())
     assert "newest" in vocab and "older" not in vocab
 
@@ -421,8 +423,7 @@ def test_featurize_user_counts():
 
 
 def test_featurize_user_ignores_oov():
-    counts = user_word_counts(
-        make_user("x", tweets=(make_tweet("nothing known"),)), word_chunks())
+    counts = user_word_counts(["nothing known"], word_chunks())
     cols, counts = featurize_user(counts, {"brunch": 0})
     assert cols.dtype == np.int64 and counts.dtype == np.float64
     assert cols.size == 0 and counts.size == 0

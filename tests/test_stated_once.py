@@ -2,7 +2,7 @@
 src/identminer gives a default to a parameter named after a configured
 value, and no record field of that name has one, so the library cannot
 drift from the CLI; and only ingest cuts a record's tweet list (the newest
-max_tweets, in build_record), so no stage keeps a second copy of that rule.
+max_tweets, in newest_tweets), so no stage keeps a second copy of that rule.
 The modules are parsed with ast, and nothing of the program is imported to
 inspect it."""
 import ast
@@ -66,7 +66,7 @@ def test_only_ingest_cuts_a_records_tweets():
              for name, path, tree in parsed_sources()
              if name != "identminer.ingest"
              for line in tweet_slices(tree)]
-    assert not found, ("tweets sliced outside ingest.build_record:\n"
+    assert not found, ("tweets sliced outside ingest.newest_tweets:\n"
                        + "\n".join(found))
 
 
