@@ -1,14 +1,14 @@
 """Group-level lexical and behavioral statistics, nonparametric tests, rank
-correlation over top-k lists, inter-annotator agreement, and sparse log-odds
-distinctive keywords. (The majority vote over annotator labels that tune
-reads is scorer.majority_vote.)
+correlation over top-k lists, and sparse log-odds distinctive keywords.
+(The majority vote over annotator labels that tune reads is
+scorer.majority_vote.)
 
 analyze keeps a UserSummary of each user, made (user_summary) straight from
 the checked line as the corpus streams: the user's lexical means and word
 counts, and the few tweet and profile fields the behavioral table reads,
-over the newest max_tweets tweets (ingest.newest_tweets). No record is
-built and no tweet outlives its line. group_lexical_pass and
-behavioral_profile then sum a group's summaries in dataset order.
+over the newest max_tweets tweets (ingest.newest_tweets). No tweet
+outlives its line. group_lexical_pass and behavioral_profile then sum a
+group's summaries in dataset order.
 The lexical statistics of a tweet are read off the lexical summaries of its
 whitespace-separated chunks, kept in a textprep.ChunkTable (lexical_chunks)
 that the whole corpus pass shares, so each distinct chunk is scanned once
@@ -22,7 +22,7 @@ from collections import Counter
 from itertools import chain, repeat
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .labels import MISSING_LABELS, ClassLabel
+from .labels import ClassLabel
 from .ingest import UserLine, newest_tweets
 from .textprep import ChunkTable, chunk_tokens
 from .util import mean
@@ -134,7 +134,7 @@ def user_summary(line: UserLine, max_tweets: int, chunks: ChunkTable
     geotagged, mentions, images, urls = [
         sum(map(dict.get, tweets, repeat(flag), repeat(False)))
         for flag in ("geotagged", "mentions_user", "has_image", "has_url")]
-    profile = line.decoded.get("profile") or {}
+    profile = line.profile
     statuses = profile.get("statuses_count", 0)
     per_month = None
     if line.account_created_at is not None:
@@ -267,39 +267,6 @@ def kendall_tau_top_k(list_a: Sequence, list_b: Sequence, k: int) -> float:
     if denom == 0:
         raise ValueError("tau undefined: all pairs tied in one ranking")
     return (concordant - discordant) / denom
-
-
-def krippendorff_alpha_nominal(annotations: Sequence[Sequence]) -> float:
-    """Nominal-metric alpha = 1 - D_o/D_e from the coincidence matrix over
-    non-missing labels (None/""/"missing" are missing). Items with fewer than
-    two labels are skipped."""
-    if not annotations:
-        raise ValueError("no items")
-    if any(len(row) < 2 for row in annotations):
-        raise ValueError("need at least two annotators per item row")
-    coincidence: Counter[tuple] = Counter()
-    for row in annotations:
-        labels = [label for label in row if label not in MISSING_LABELS]
-        m = len(labels)
-        if m < 2:
-            continue
-        for i, label_i in enumerate(labels):
-            for j, label_j in enumerate(labels):
-                if i != j:
-                    coincidence[(label_i, label_j)] += 1.0 / (m - 1)
-    if not coincidence:
-        raise ValueError("no item has two or more non-missing labels")
-    categories = sorted({c for pair in coincidence for c in pair})
-    totals = {c: sum(coincidence[(c, k)] for k in categories) for c in categories}
-    n = sum(totals.values())
-    observed = sum(coincidence[(c, k)] for c in categories for k in categories
-                   if c != k)
-    expected = sum(totals[c] * totals[k] for c in categories for k in categories
-                   if c != k) / (n - 1)
-    if expected == 0:
-        # a single category in use; agreement is perfect by definition
-        return 1.0
-    return 1.0 - observed / expected
 
 
 def behavioral_profile(users_by_group: dict[ClassLabel,

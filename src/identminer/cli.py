@@ -284,9 +284,9 @@ def _load_corpus(path: str, keep) -> tuple[dict, int]:
     failed to parse. line is the snapshot's ingest.UserLine: the description
     stages keep its description, train and evaluate of a unigram model the
     word counts of its newest tweets, analyze its analytics.UserSummary and
-    the name model its name input. The lines stream from the validator
-    straight into dedupe_latest, so only the kept values outlive their
-    line."""
+    the name model its name and profile vector (namecnn.name_input). The
+    lines stream from the validator straight into dedupe_latest, so only
+    the kept values outlive their line."""
     from .ingest import ParseFailure, dedupe_latest, load_users
     parsed = failures = 0
 
@@ -507,18 +507,17 @@ def _corpus_pairs(paths: dict, dataset, project) -> list:
 def _model_inputs(paths: dict, config: dict, dataset, model_name: str,
                   role: str, vocab: dict | None = None) -> list:
     """(dataset user, model input) for each dataset user in the corpus:
-    what train and evaluate read of a user's latest snapshot. namecnn reads
-    namecnn.name_input of a record of no tweets; unigram with --embeddings
-    the user's row, if it has one (the corpus only shows the user is there);
-    unigram otherwise the user_word_counts of the texts of the newest
-    max_tweets tweets (one word_chunks table for the run) or, given a
-    trained vocab, their featurize_user row, projected as the corpus streams
-    and building no record. role names the dataset if no user is left."""
+    what train and evaluate read of a user's latest snapshot, each taken
+    from the checked line as the corpus streams. namecnn reads
+    namecnn.name_input, the name and profile vector; unigram with
+    --embeddings the user's row, if it has one (the corpus only shows the
+    user is there); unigram otherwise the user_word_counts of the texts of
+    the newest max_tweets tweets (one word_chunks table for the run) or,
+    given a trained vocab, their featurize_user row. role names the dataset
+    if no user is left."""
     if model_name == "namecnn":
-        from .ingest import build_record
         from .models.namecnn import name_input
-        return _corpus_pairs(paths, dataset,
-                             lambda line: name_input(build_record(line, 0)))
+        return _corpus_pairs(paths, dataset, name_input)
     if paths["embeddings"]:
         from .models.features import read_embeddings
         present = _corpus_pairs(paths, dataset, lambda line: True)

@@ -2,19 +2,18 @@
 
 One line is one user snapshot. validate_user_line alone decides whether a
 line parses, and why not: a malformed line becomes a ParseFailure value
-instead of an exception, so a bad record never aborts the stream, while
+instead of an exception, so a bad line never aborts the stream, while
 stream-level I/O errors still propagate. An accepted line is a UserLine,
-which holds the user id, snapshot time and description and builds no
-record. newest_tweets gives its newest max_tweets (created_at, tweet dict)
-pairs, the one statement of that cut: the tweet stages read what they keep
-straight from those checked dicts, and build_record makes a UserRecord of
-them for a caller that wants one. Missing optional fields default to
-false/0/"" and are tallied in an optional per-field missingness counter.
+the one user value every stage reads: the user id, snapshot time, name,
+description, the checked tweet and profile objects, and the timestamps the
+checks parsed. newest_tweets gives its newest max_tweets (created_at, tweet
+dict) pairs, the one statement of that cut. Missing optional fields read
+as false/0/"" and are tallied in an optional per-field missingness counter.
 dedupe_latest folds the stream into one value per user as it goes: the
 caller's projection of the user's latest snapshot, so memory grows with the
 users and with what the caller keeps of each, not with the lines.
-The records are named tuples built through tuple.__new__, several times
-cheaper than a dataclass; each equals the plain tuple of its fields.
+UserLine and ParseFailure are named tuples; a UserLine is built through
+tuple.__new__, several times cheaper than a dataclass.
 """
 from __future__ import annotations
 
@@ -27,69 +26,34 @@ from datetime import datetime, timezone
 from typing import IO, Callable, Iterable, Iterator, NamedTuple, TypeVar, Union
 
 
-class Tweet(NamedTuple):
-    text: str
-    source_app: str
-    created_at: datetime
-    has_image: bool = False
-    has_url: bool = False
-    mentions_user: bool = False
-    geotagged: bool = False
-
-
-_new_tweet = functools.partial(tuple.__new__, Tweet)
-
-
-class ProfileMeta(NamedTuple):
-    has_profile_url: bool = False
-    has_custom_image: bool = False
-    geo_enabled: bool = False
-    statuses_count: int = 0
-    account_created_at: datetime | None = None
-    # not part of the minimal export schema, but some archives carry it and the
-    # name model wants it; absent -> 0
-    followers_count: int = 0
-
-
-_new_profile = functools.partial(tuple.__new__, ProfileMeta)
-
-
-class UserRecord(NamedTuple):
-    """A user's snapshot. tweets holds the newest max_tweets tweets that
-    build_record was asked for, newest first; nothing reads older ones."""
-    user_id: str
-    name: str
-    description: str
-    tweets: list[Tweet]
-    profile: ProfileMeta
-    snapshot_time: datetime
-
-
-_new_record = functools.partial(tuple.__new__, UserRecord)
-
-
 class ParseFailure(NamedTuple):
     line_no: int
     reason: str
 
 
 class UserLine(NamedTuple):
-    """A line that validate_user_line accepted: the user id, snapshot time
-    and description, which are all that the description stages read, and
-    what build_record makes the rest of the record from: the decoded object
-    and the timestamps that the checks parsed."""
+    """A line that validate_user_line accepted, every field checked. name
+    and description are "" when null or absent; tweets holds the checked
+    tweet objects in file order ([] when null or absent), tweet_times their
+    parsed created_at; profile is the checked profile object ({} when null
+    or absent), account_created_at its parsed creation time or None. An
+    absent tweet or profile flag reads as false, an absent count as 0."""
     user_id: str
     snapshot_time: datetime
+    name: str
     description: str
-    decoded: dict
+    tweets: list[dict]
     tweet_times: list[datetime]
+    profile: dict
     account_created_at: datetime | None
 
 
 _new_line = functools.partial(tuple.__new__, UserLine)
 
-# (key, field name in missingness counts and failure reasons), in field order
-_TWEET_FLAGS = tuple((key, f"tweet.{key}") for key in Tweet._fields[3:])
+# (key, field name in missingness counts and failure reasons), in the order
+# they are checked
+_TWEET_FLAGS = tuple((key, f"tweet.{key}") for key in (
+    "has_image", "has_url", "mentions_user", "geotagged"))
 _PROFILE_FLAGS = tuple((key, f"profile.{key}") for key in (
     "has_profile_url", "has_custom_image", "geo_enabled"))
 _ABSENT = object()
@@ -160,9 +124,10 @@ def _check_count(obj: dict, key: str, missingness: Counter) -> None:
         raise ValueError(f"{key} is too large for a float")
 
 
-def _check_profile(profile, snapshot: datetime,
-                   missingness: Counter) -> datetime | None:
-    """Check a profile object; its account_created_at, None if absent."""
+def _check_profile(profile, snapshot: datetime, missingness: Counter
+                   ) -> tuple[dict, datetime | None]:
+    """Check a profile object: the object ({} if null or absent) and its
+    account_created_at, None if absent."""
     if profile is None:
         missingness["profile"] += 1
         profile = {}
@@ -179,7 +144,7 @@ def _check_profile(profile, snapshot: datetime,
         if created > snapshot:
             raise ValueError("account_created_at is after snapshot_time")
     _check_count(profile, "followers_count", missingness)
-    return created
+    return profile, created
 
 
 def validate_user_line(line: str, line_no: int,
@@ -187,8 +152,8 @@ def validate_user_line(line: str, line_no: int,
                        ) -> Union[UserLine, ParseFailure]:
     """The one decision whether a line parses, and why not: a UserLine if
     every check passes, else the ParseFailure of the first check that
-    fails. It builds no record. Fields that are absent (or null, where a
-    field may be) are counted in missingness, if given, up to that check."""
+    fails. Fields that are absent (or null, where a field may be) are
+    counted in missingness, if given, up to that check."""
     # a throwaway tally when none is given: cheaper to make than a Counter
     counter = missingness if missingness is not None else defaultdict(int)
     try:
@@ -212,7 +177,7 @@ def validate_user_line(line: str, line_no: int,
         if "snapshot_time" not in obj:
             raise ValueError("snapshot_time missing")
         snapshot = parse_timestamp(obj["snapshot_time"])
-        _text(obj, "name", "name", counter)
+        name = _text(obj, "name", "name", counter)
         description = _text(obj, "description", "description", counter)
         tweets = obj.get("tweets")
         if tweets is None:
@@ -231,13 +196,14 @@ def validate_user_line(line: str, line_no: int,
             tweet_times.append(parse_timestamp(tweet["created_at"]))
             _text(tweet, "source_app", "tweet.source_app", counter)
             _check_flags(tweet, _TWEET_FLAGS, counter)
-        created = _check_profile(obj.get("profile"), snapshot, counter)
+        profile, created = _check_profile(obj.get("profile"), snapshot,
+                                          counter)
     except (ValueError, TypeError, OverflowError) as exc:
         # OverflowError: a timestamp whose UTC conversion leaves the datetime
         # range, such as 0001-01-01T00:00:00+01:00
         return ParseFailure(line_no, str(exc))
-    return _new_line((user_id, snapshot, description, obj, tweet_times,
-                      created))
+    return _new_line((user_id, snapshot, name, description, tweets,
+                      tweet_times, profile, created))
 
 
 def newest_tweets(line: UserLine, max_tweets: int
@@ -246,39 +212,17 @@ def newest_tweets(line: UserLine, max_tweets: int
     max_tweets tweets, newest first (a stable sort: ties keep file order).
     validate_user_line has checked each object: its text is a string, its
     source_app a string, null or absent, and each flag a bool or absent."""
-    return sorted(zip(line.tweet_times, line.decoded.get("tweets") or ()),
+    return sorted(zip(line.tweet_times, line.tweets),
                   key=_first, reverse=True)[:max_tweets]
 
 
-def build_record(line: UserLine, max_tweets: int) -> UserRecord:
-    """The UserRecord of an accepted line with only its newest max_tweets
-    tweets built (newest_tweets). It checks nothing: validate_user_line has
-    checked every field read here."""
-    obj = line.decoded
-    tweets = [_new_tweet((tweet["text"], tweet.get("source_app") or "",
-                          created, tweet.get("has_image", False),
-                          tweet.get("has_url", False),
-                          tweet.get("mentions_user", False),
-                          tweet.get("geotagged", False)))
-              for created, tweet in newest_tweets(line, max_tweets)]
-    profile = obj.get("profile") or {}
-    return _new_record((
-        line.user_id, obj.get("name") or "", line.description, tweets,
-        _new_profile((profile.get("has_profile_url", False),
-                      profile.get("has_custom_image", False),
-                      profile.get("geo_enabled", False),
-                      profile.get("statuses_count", 0),
-                      line.account_created_at,
-                      profile.get("followers_count", 0))),
-        line.snapshot_time))
-
-
 def parse_user_line(line: str, line_no: int, missingness: Counter | None = None
-                    ) -> Union[UserRecord, ParseFailure]:
-    """validate_user_line, and the record of an accepted line, all tweets."""
-    result = validate_user_line(line, line_no, missingness)
-    return (result if isinstance(result, ParseFailure)
-            else build_record(result, len(result.tweet_times)))
+                    ) -> Union[UserLine, ParseFailure]:
+    """validate_user_line under its former name, which the benchmark tracer
+    (perfbench/spans.py) wraps. Its own function, not an alias: the tracer
+    swaps bindings by function identity, so an alias would trace every
+    validator call under this name."""
+    return validate_user_line(line, line_no, missingness)
 
 
 def load_users(stream: IO[bytes], missingness: Counter | None = None
@@ -303,12 +247,12 @@ def load_users(stream: IO[bytes], missingness: Counter | None = None
 
 def dedupe_latest(snapshots: Iterable[S], keep: Callable[[S], T]
                   ) -> dict[str, T]:
-    """keep(snapshot) of each user's snapshot (a UserLine or UserRecord)
-    with the largest snapshot_time, by user id in the order the ids first
-    appear; on a tie the later stream position wins. Only the winner's
-    snapshot_time and keep(snapshot) are held per user, so a snapshot lives
-    no longer than its own step of the stream and keep is never called on
-    one older than the current winner."""
+    """keep(snapshot) of each user's snapshot (a UserLine) with the largest
+    snapshot_time, by user id in the order the ids first appear; on a tie
+    the later stream position wins. Only the winner's snapshot_time and
+    keep(snapshot) are held per user, so a snapshot lives no longer than its
+    own step of the stream and keep is never called on one older than the
+    current winner."""
     times: dict[str, datetime] = {}
     latest: dict[str, T] = {}
     for snapshot in snapshots:

@@ -46,8 +46,7 @@ SETTINGS = ("imbalanced", "balanced")
 FILTER_NAMES = ("color", "plural", "bigram_blocklist", "quote")
 # the short config name of a filter -> its FILTER_NAMES entry
 FILTER_ALIASES = {"bigram": "bigram_blocklist"}
-# an annotator label that is no vote: skipped by the majority vote
-# (scorer) and by the agreement statistic (analytics)
+# an annotator label that is no vote: skipped by the majority vote (scorer)
 MISSING_LABELS = (None, "", "missing")
 
 

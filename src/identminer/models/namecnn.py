@@ -19,7 +19,7 @@ probabilities do not depend on the other names in its batch.
 
 Training, loading and predicting need numpy alone. The profile metadata
 vector (name_meta_features) and a user's (name, vector) input (name_input)
-are built here too.
+are read here too, straight from the checked ingest.UserLine.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ from typing import Sequence
 import numpy as np
 
 from ..labels import CLASS_ORDER, ClassLabel
-from ..ingest import UserRecord
+from ..ingest import UserLine
 from .training import (N_CLASSES, TrainConfig, argmax_labels, decode_array,
                        encode_array, minibatches, one_hot, softmax,
                        weighted_cross_entropy)
@@ -51,23 +51,24 @@ META_DIM = 5  # the width of the profile vector of name_meta_features
 _REGULARIZED = ("Wc", "W1", "W2")
 
 
-def name_meta_features(user: UserRecord) -> np.ndarray:
+def name_meta_features(line: UserLine) -> np.ndarray:
     """The META_DIM-feature profile vector for the name model: log1p
-    followers, log1p statuses, and the three profile flags."""
-    profile = user.profile
+    followers, log1p statuses, and the three profile flags of the checked
+    profile; an absent count is 0 and an absent flag false."""
+    profile = line.profile
     return np.array([
-        math.log1p(profile.followers_count),
-        math.log1p(profile.statuses_count),
-        float(profile.has_profile_url),
-        float(profile.has_custom_image),
-        float(profile.geo_enabled),
+        math.log1p(profile.get("followers_count", 0)),
+        math.log1p(profile.get("statuses_count", 0)),
+        float(profile.get("has_profile_url", False)),
+        float(profile.get("has_custom_image", False)),
+        float(profile.get("geo_enabled", False)),
     ], dtype=np.float64).reshape(META_DIM)  # any other length fails here
 
 
-def name_input(user: UserRecord) -> tuple[str, np.ndarray]:
+def name_input(line: UserLine) -> tuple[str, np.ndarray]:
     """What the name model reads of a user: the display name and its
     profile vector."""
-    return user.name, name_meta_features(user)
+    return line.name, name_meta_features(line)
 
 
 def build_char_vocab(names: Sequence[str], min_count: int) -> dict[str, int]:

@@ -67,11 +67,9 @@ _TOKEN_RE = re.compile(
 
 
 class TagLexicon(NamedTuple):
-    """Context-free tagger: word -> majority Penn tag, NN for OOV."""
+    """Context-free tagger: word -> majority Penn tag. A word out of the
+    lexicon is an NN by default to the tagging (pos_tag, Tagger)."""
     tags: dict[str, str]
-
-    def tag(self, word: str) -> str:
-        return self.tags.get(word, "NN")
 
     @classmethod
     def from_tsv(cls, path) -> "TagLexicon":

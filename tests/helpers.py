@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from identminer import resources
 from identminer.cli import KEYS
 from identminer.filters import DEFAULT_QUERY_MAP
-from identminer.ingest import ProfileMeta, Tweet, UserRecord
 from identminer.scorer import ScoreParams
 from identminer.textprep import TagLexicon, Tagger
 
@@ -189,94 +188,7 @@ def load_spans():
 
 
 # ---------------------------------------------------------------------------
-# object factories
-
-def make_tweet(text: str = "just another update", hours: float = -1.0,
-               source_app: str = "Twitter for iPhone", **flags) -> Tweet:
-    defaults = dict(has_image=False, has_url=False, mentions_user=False,
-                    geotagged=False)
-    defaults.update(flags)
-    return Tweet(text=text, source_app=source_app, created_at=ts(hours),
-                 **defaults)
-
-
-def make_profile(statuses_count: int = 0, account_created_hours: float | None = None,
-                 followers_count: int = 0, **flags) -> ProfileMeta:
-    defaults = dict(has_profile_url=False, has_custom_image=False,
-                    geo_enabled=False)
-    defaults.update(flags)
-    created = None if account_created_hours is None else ts(account_created_hours)
-    return ProfileMeta(statuses_count=statuses_count,
-                       account_created_at=created,
-                       followers_count=followers_count, **defaults)
-
-
-def make_user(user_id: str, description: str = "", name: str = "",
-              hours: float = 0.0, tweets: tuple = (),
-              profile: ProfileMeta | None = None) -> UserRecord:
-    return UserRecord(user_id=user_id, name=name, description=description,
-                      tweets=sorted(tweets, key=lambda t: t.created_at,
-                                    reverse=True),
-                      profile=profile if profile is not None else make_profile(),
-                      snapshot_time=ts(hours))
-
-
-def payload_line(payload: dict):
-    """The checked ingest.UserLine of a user payload's line."""
-    from identminer.ingest import validate_user_line
-    return validate_user_line(json.dumps(payload), 1)
-
-
-def payload_record(payload: dict, max_tweets: int) -> UserRecord:
-    """The record that ingest builds of a user payload's line, with its
-    newest max_tweets tweets."""
-    from identminer.ingest import build_record
-    return build_record(payload_line(payload), max_tweets)
-
-
-def texts_of(user: UserRecord) -> list[str]:
-    """A record's tweet texts, newest first: what train and evaluate read
-    of a line's newest tweets."""
-    return [tweet.text for tweet in user.tweets]
-
-
-def record_line(record: UserRecord):
-    """The checked line whose record, of all its tweets, is record."""
-    from identminer.ingest import build_record
-    profile = record.profile
-    fields = {key: getattr(profile, key) for key in (
-        "has_profile_url", "has_custom_image", "geo_enabled",
-        "statuses_count", "followers_count")}
-    if profile.account_created_at is not None:
-        fields["account_created_at"] = profile.account_created_at.isoformat()
-    line = payload_line({
-        "user_id": record.user_id, "name": record.name,
-        "description": record.description,
-        "snapshot_time": record.snapshot_time.isoformat(),
-        "tweets": [{**tweet._asdict(),
-                    "created_at": tweet.created_at.isoformat()}
-                   for tweet in record.tweets],
-        "profile": fields})
-    assert build_record(line, len(record.tweets)) == record
-    return line
-
-
-def record_summary(record: UserRecord, chunks):
-    """analytics.user_summary of the line whose record is record, over all
-    its tweets; chunks is a lexical_chunks table."""
-    from identminer.analytics import user_summary
-    return user_summary(record_line(record), len(record.tweets), chunks)
-
-
-def summaries(users, stopwords: frozenset = frozenset()) -> list:
-    """The record_summary of each record, with one lexical_chunks table."""
-    from identminer.analytics import lexical_chunks
-    chunks = lexical_chunks(stopwords)
-    return [record_summary(user, chunks) for user in users]
-
-
-# ---------------------------------------------------------------------------
-# JSONL payload factories (mirror the objects above for CLI fixtures)
+# JSONL payload factories, and the checked lines ingest makes of them
 
 def tweet_payload(text: str = "just another update", hours: float = -1.0,
                   source_app: str = "Twitter for iPhone", **flags) -> dict:
@@ -296,6 +208,21 @@ def user_payload(user_id: str, description: str = "", name: str = "",
         "tweets": list(tweets),
         "profile": profile if profile is not None else {},
     }
+
+
+def payload_line(payload: dict):
+    """The checked ingest.UserLine of a user payload's line."""
+    from identminer.ingest import validate_user_line
+    return validate_user_line(json.dumps(payload), 1)
+
+
+def summaries(payloads, stopwords: frozenset = frozenset()) -> list:
+    """analytics.user_summary of each user payload's line over all its
+    tweets, with one lexical_chunks table."""
+    from identminer.analytics import lexical_chunks, user_summary
+    chunks = lexical_chunks(stopwords)
+    return [user_summary(payload_line(payload), len(payload["tweets"]),
+                         chunks) for payload in payloads]
 
 
 def write_jsonl(path, rows) -> Path:

@@ -1,8 +1,8 @@
 """analyze as it was before it kept a summary per user: each dataset user's
-latest snapshot built into a record of its newest max_tweets tweets
-(ingest.build_record), the records grouped, and the lexical pass and the
-behavioral profile run over each group's records, with one chunk table
-filled in group order. Kept as the oracle of analytics.user_summary,
+latest snapshot parsed into a record of its newest max_tweets tweets (the
+one-pass parser of reference_ingest), the records grouped, and the lexical
+pass and the behavioral profile run over each group's records, with one
+chunk table filled in group order. Kept as the oracle of analytics.user_summary,
 group_lexical_pass, behavioral_profile and cli.cmd_analyze
 (tests/test_analyze_summaries.py); nothing here is fast."""
 from __future__ import annotations
@@ -12,10 +12,11 @@ import operator
 from collections import Counter
 
 from identminer import analytics, cli, resources
-from identminer.ingest import build_record
 from identminer.labels import CLASS_ORDER
 from identminer.textprep import ChunkTable
 from identminer.util import mean
+
+from reference_ingest import reference_latest_records
 
 _TEXTS, _CONTENT, _WORDS, _CONTRACTIONS, _HASHTAGS = map(operator.itemgetter,
                                                          range(5))
@@ -131,12 +132,11 @@ def reference_analyze(config: dict, paths: dict) -> dict:
     """What analyze wrote to analyze_result.json (before main adds the
     header), computed from the records of the dataset users."""
     dataset = cli._read_dataset(paths, "data")
-    max_tweets = config["max_tweets"]
-    pairs = cli._corpus_pairs(paths, dataset,
-                              lambda line: build_record(line, max_tweets))
+    records = reference_latest_records(paths["corpus"], config["max_tweets"])
     groups: dict = {}
-    for user, record in pairs:
-        groups.setdefault(user.label, []).append(record)
+    for user in dataset:
+        if user.user_id in records:
+            groups.setdefault(user.label, []).append(records[user.user_id])
     present = [label for label in CLASS_ORDER if label in groups]
     chunks = analytics.lexical_chunks(resources.load_stopwords())
     samples: dict = {}

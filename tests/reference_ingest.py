@@ -1,16 +1,28 @@
-"""The corpus line parser as it was before validation and record building
-were split: each line parsed into its record in one pass, the checks made
-as the record was built. Kept as the oracle of ingest.validate_user_line
-and ingest.build_record (tests/test_ingest.py); a record is returned as the
-plain tuple of its fields, its tweets and profile as tuples too.
+"""The corpus line parser as it was when every line became a record: each
+line parsed into its record in one pass, the checks made as the record was
+built, its tweets sorted newest first and every absent flag or count read
+as false or 0. Kept as the oracle of ingest.validate_user_line, of what
+newest_tweets and the stages read of the checked line
+(tests/test_ingest.py), and of the corpus that the record-based analyze
+oracle reads (tests/reference_analytics.py). A record, its tweets and its
+profile are named tuples, each equal to the plain tuple of its fields.
 """
 from __future__ import annotations
 
 import json
 import sys
-from collections import Counter
+from collections import Counter, namedtuple
 
 from identminer.ingest import ParseFailure, parse_timestamp
+
+Record = namedtuple("Record", ("user_id", "name", "description", "tweets",
+                               "profile", "snapshot_time"))
+RecordTweet = namedtuple("RecordTweet", (
+    "text", "source_app", "created_at", "has_image", "has_url",
+    "mentions_user", "geotagged"))
+RecordProfile = namedtuple("RecordProfile", (
+    "has_profile_url", "has_custom_image", "geo_enabled", "statuses_count",
+    "account_created_at", "followers_count"))
 
 TWEET_FLAGS = tuple((key, f"tweet.{key}") for key in (
     "has_image", "has_url", "mentions_user", "geotagged"))
@@ -66,7 +78,8 @@ def parse_tweet(obj, missingness):
         raise ValueError("tweet created_at missing")
     created = parse_timestamp(obj["created_at"])
     source = text(obj, "source_app", "tweet.source_app", missingness)
-    return (body, source, created, *flags(obj, TWEET_FLAGS, missingness))
+    return RecordTweet(body, source, created,
+                       *flags(obj, TWEET_FLAGS, missingness))
 
 
 def parse_profile(obj, snapshot, missingness):
@@ -85,12 +98,11 @@ def parse_profile(obj, snapshot, missingness):
         if created > snapshot:
             raise ValueError("account_created_at is after snapshot_time")
     followers = count(obj, "followers_count", missingness)
-    return (*profile_flags, statuses, created, followers)
+    return RecordProfile(*profile_flags, statuses, created, followers)
 
 
 def reference_parse_user_line(line, line_no, missingness=None):
-    """(user_id, name, description, tweets, profile, snapshot_time) of an
-    accepted line, else its ParseFailure."""
+    """The Record of an accepted line, else its ParseFailure."""
     counter = missingness if missingness is not None else Counter()
     try:
         obj = json.loads(line)
@@ -120,7 +132,7 @@ def reference_parse_user_line(line, line_no, missingness=None):
         tweets = [parse_tweet(t, counter) for t in raw_tweets]
         tweets.sort(key=lambda tweet: tweet[2], reverse=True)
         profile = parse_profile(obj.get("profile"), snapshot, counter)
-        return (user_id, name, description, tweets, profile, snapshot)
+        return Record(user_id, name, description, tweets, profile, snapshot)
     except (ValueError, TypeError, OverflowError) as exc:
         return ParseFailure(line_no, str(exc))
 
@@ -137,3 +149,20 @@ def reference_load_users(stream, missingness=None):
             yield ParseFailure(line_no, "blank line")
             continue
         yield reference_parse_user_line(line, line_no, missingness)
+
+
+def reference_latest_records(path, max_tweets: int) -> dict:
+    """Each user's Record of the corpus file at path, with its newest
+    max_tweets tweets: the latest snapshot wins, the later line on a tie,
+    each user in the place where its id first appeared."""
+    latest = {}
+    with open(path, "rb") as handle:
+        for record in reference_load_users(handle):
+            if isinstance(record, ParseFailure):
+                continue
+            current = latest.get(record.user_id)
+            if (current is None
+                    or record.snapshot_time >= current.snapshot_time):
+                latest[record.user_id] = record
+    return {user_id: record._replace(tweets=record.tweets[:max_tweets])
+            for user_id, record in latest.items()}

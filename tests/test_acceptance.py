@@ -13,8 +13,7 @@ import pytest
 import scipy.stats
 
 from identminer import resources
-from identminer.analytics import (kendall_tau_top_k,
-                                  krippendorff_alpha_nominal, mann_whitney_u)
+from identminer.analytics import kendall_tau_top_k, mann_whitney_u
 from identminer.cli import main as cli_main
 from identminer.datasets import (LabeledUser, build_cb, build_hf, build_qb,
                                  match_reports, merge_candidates)
@@ -302,13 +301,6 @@ def test_criterion_7_statistics_oracles(capsys):
             rb = [rank_b.get(item, k + 1) for item in universe]
             expected = scipy.stats.kendalltau(ra, rb).statistic
             assert abs(tau - expected) < 1e-12
-
-        rows = [["yes", "yes", "yes"], ["yes", "yes", "no"],
-                ["no", "no", "no"], ["unsure", "no", None]]
-        alpha = krippendorff_alpha_nominal(rows)
-        assert round(alpha, 4) == round(3.0 / 7.0, 4)
-        assert alpha == pytest.approx(3.0 / 7.0, abs=1e-12)
-        assert krippendorff_alpha_nominal([["yes", "yes"], ["no", "no"]]) == 1.0
 
 
 def test_criterion_8_cli_determinism(capsys, tmp_path):

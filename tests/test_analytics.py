@@ -14,9 +14,9 @@ from hypothesis import strategies as st
 from identminer.analytics import (behavioral_profile, distinctive_keywords,
                                   group_lexical_pass, group_lexical_stats,
                                   group_token_counts, kendall_tau_top_k,
-                                  krippendorff_alpha_nominal, lexical_chunks,
-                                  mann_whitney_u, sage_deviations,
-                                  user_lexical_means, user_summary)
+                                  lexical_chunks, mann_whitney_u,
+                                  sage_deviations, user_lexical_means,
+                                  user_summary)
 from identminer.datasets import read_dataset_tsv
 from identminer.filters import CLASS_ORDER
 from identminer.ingest import UserLine, dedupe_latest, load_users
@@ -24,8 +24,7 @@ from identminer.scorer import DISCARD, majority_vote
 from identminer.textprep import tokenize
 from identminer.util import mean
 
-from helpers import (default, make_profile, make_tweet, make_user,
-                     payload_line, summaries, texts_of, tweet_payload,
+from helpers import (default, iso, payload_line, summaries, tweet_payload,
                      tweet_texts, user_payload)
 from reference_description import reference_tokenize
 
@@ -160,53 +159,7 @@ def test_kendall_tau_rejects_bad_input():
 
 
 # ---------------------------------------------------------------------------
-# agreement and adjudication
-
-def test_krippendorff_alpha_hand_fixture():
-    rows = [
-        ["yes", "yes", "yes"],
-        ["yes", "yes", "no"],
-        ["no", "no", "no"],
-        ["unsure", "no", None],
-    ]
-    # coincidence totals: yes 5, no 5, unsure 1; D_o = 4, D_e = 7
-    alpha = krippendorff_alpha_nominal(rows)
-    assert alpha == pytest.approx(3.0 / 7.0, abs=1e-12)
-    assert round(alpha, 4) == 0.4286
-
-
-def test_krippendorff_alpha_relabel_invariance():
-    rows = [["yes", "yes", "no"], ["no", "no", "no"], ["yes", "no", "yes"]]
-    swapped = [[{"yes": "q", "no": "z"}[label] for label in row]
-               for row in rows]
-    assert krippendorff_alpha_nominal(rows) == pytest.approx(
-        krippendorff_alpha_nominal(swapped), abs=1e-12)
-
-
-def test_krippendorff_alpha_perfect_agreement():
-    assert krippendorff_alpha_nominal([["yes", "yes"], ["no", "no"]]) == 1.0
-
-
-def test_krippendorff_alpha_single_category_is_one():
-    assert krippendorff_alpha_nominal([["yes", "yes"], ["yes", "yes"]]) == 1.0
-
-
-def test_krippendorff_alpha_skips_sparse_rows():
-    # first row has one valid label and must not contribute
-    rows = [["yes", None, "missing"], ["yes", "yes", ""], ["no", "no", "no"]]
-    trimmed = [["yes", "yes"], ["no", "no", "no"]]
-    assert krippendorff_alpha_nominal(rows) == pytest.approx(
-        krippendorff_alpha_nominal(trimmed), abs=1e-12)
-
-
-def test_krippendorff_alpha_rejects_bad_input():
-    with pytest.raises(ValueError):
-        krippendorff_alpha_nominal([])
-    with pytest.raises(ValueError):
-        krippendorff_alpha_nominal([["yes"]])
-    with pytest.raises(ValueError):
-        krippendorff_alpha_nominal([["yes", None], [None, "no"]])
-
+# adjudication
 
 def test_majority_vote_outcomes():
     assert majority_vote(["yes", "yes", "no"]) == "yes"
@@ -245,15 +198,14 @@ def test_lexical_diversity_drops_urls_mentions_stopwords():
     assert one_tweet_means("")["ld"] == 0.0
 
 
-def reference_lexical_means(user, stopwords, word_counts):
+def reference_lexical_means(texts, stopwords, word_counts):
     """user_lexical_means as four passes over the token records of each
-    tweet (reference_tokenize)."""
-    tweets = user.tweets
-    if not tweets:
+    tweet text (reference_tokenize)."""
+    if not texts:
         return None
     ttr, ld, cpt, hpt = [], [], [], []
-    for tweet in tweets:
-        tokens = reference_tokenize(tweet.text)
+    for text in texts:
+        tokens = reference_tokenize(text)
         n = len(tokens)
         ttr.append(len({tok.text for tok in tokens}) / n if n else 0.0)
         content = [tok for tok in tokens if tok.kind not in ("url", "mention")
@@ -267,18 +219,16 @@ def reference_lexical_means(user, stopwords, word_counts):
             "hpt": mean(hpt)}
 
 
-def per_token_lexical_means(user, stopwords, word_counts):
+def per_token_lexical_means(texts, stopwords, word_counts):
     """user_lexical_means as one loop over the (text, kind) of the token
-    records of each tweet, the way it was computed before the tweet scan
-    returned token texts sorted by kind."""
-    tweets = user.tweets
-    if not tweets:
+    records of each tweet text, the way it was computed before the tweet
+    scan returned token texts sorted by kind."""
+    if not texts:
         return None
     ttr, ld, cpt, hpt = [], [], [], []
     words = []
-    for tweet in tweets:
-        pairs = [(tok.text, tok.kind)
-                 for tok in reference_tokenize(tweet.text)]
+    for tweet in texts:
+        pairs = [(tok.text, tok.kind) for tok in reference_tokenize(tweet)]
         types = set()
         content = contractions = hashtags = 0
         for text, kind in pairs:
@@ -307,13 +257,10 @@ def per_token_lexical_means(user, stopwords, word_counts):
 def assert_lexical_means_match(reference, texts, stopwords):
     """The same dict, and the same word_counts items in the same insertion
     order, as the reference."""
-    user = make_user("u1", tweets=tuple(
-        make_tweet(text, hours=-float(i)) for i, text in enumerate(texts)))
     stopwords = frozenset(stopwords)
     counts, expected_counts = Counter(), Counter()
-    stats = user_lexical_means(texts_of(user), lexical_chunks(stopwords),
-                               counts)
-    assert stats == reference(user, stopwords, expected_counts)
+    stats = user_lexical_means(texts, lexical_chunks(stopwords), counts)
+    assert stats == reference(texts, stopwords, expected_counts)
     assert list(counts.items()) == list(expected_counts.items())
 
 
@@ -336,12 +283,8 @@ def test_user_lexical_means_equals_the_per_token_formula(texts, stopwords):
 
 
 def test_user_lexical_means_hand_fixture():
-    user = make_user("u1", tweets=(
-        make_tweet("i'm happy #fun", hours=-1.0),
-        make_tweet("go go go", hours=-2.0),
-    ))
     counts = Counter()
-    stats = user_lexical_means(texts_of(user),
+    stats = user_lexical_means(["i'm happy #fun", "go go go"],
                                lexical_chunks(frozenset({"happy"})), counts)
     assert counts == {"i'm": 1, "happy": 1, "go": 3}
     assert stats["ttr"] == pytest.approx((1.0 + 1.0 / 3.0) / 2.0)
@@ -368,23 +311,20 @@ def test_user_lexical_means_honors_max_tweets():
 
 
 def test_group_lexical_pass_gives_samples_and_counts_in_one_pass():
-    busy = make_user("u1", tweets=(
-        make_tweet("i'm happy #fun", hours=-1.0),
-        make_tweet("go go go", hours=-2.0),
-        make_tweet("old words", hours=-3.0),
-    ))
-    idle = make_user("u2")
+    texts = ["i'm happy #fun", "go go go", "old words"]
+    busy = user_payload("u1", tweets=tuple(
+        tweet_payload(text, hours=-1.0 - i) for i, text in enumerate(texts)))
+    idle = user_payload("u2")
     stopwords = frozenset({"happy"})
     samples, counts = group_lexical_pass(summaries([busy, idle], stopwords))
-    assert samples == [user_lexical_means(texts_of(busy),
-                                          lexical_chunks(stopwords),
+    assert samples == [user_lexical_means(texts, lexical_chunks(stopwords),
                                           Counter())]
     assert counts == {"i'm": 1, "happy": 1, "go": 3, "old": 1, "words": 1}
 
 
 def test_group_lexical_stats_skips_tweetless_and_macro_averages():
-    busy = make_user("u1", tweets=(make_tweet("i'm happy #fun"),))
-    idle = make_user("u2")
+    busy = user_payload("u1", tweets=(tweet_payload("i'm happy #fun"),))
+    idle = user_payload("u2")
     stats = group_lexical_stats(
         {W: summaries([busy, idle], frozenset({"happy"}))})[W]
     assert set(stats) == {"type_token_ratio", "lexical_diversity",
@@ -396,9 +336,9 @@ def test_group_lexical_stats_skips_tweetless_and_macro_averages():
 
 
 def test_group_lexical_stats_invariant_under_user_duplication():
-    user = make_user("u1", tweets=(make_tweet("i'm happy #fun"),
-                                   make_tweet("go go go", hours=-2.0)))
-    clone = make_user("u2", tweets=user.tweets)
+    user = user_payload("u1", tweets=(tweet_payload("i'm happy #fun"),
+                                      tweet_payload("go go go", hours=-2.0)))
+    clone = user_payload("u2", tweets=user["tweets"])
     single = group_lexical_stats({B: summaries([user])})[B]
     doubled = group_lexical_stats({B: summaries([user, clone])})[B]
     assert single["type_token_ratio"] == pytest.approx(
@@ -412,7 +352,7 @@ def test_group_lexical_stats_invariant_under_user_duplication():
 
 
 def test_group_lexical_stats_all_tweetless_is_zero():
-    stats = group_lexical_stats({A: summaries([make_user("u1")])})[A]
+    stats = group_lexical_stats({A: summaries([user_payload("u1")])})[A]
     assert stats["type_token_ratio"] == 0.0
     assert stats["lexical_diversity"] == 0.0
 
@@ -421,17 +361,17 @@ def test_group_lexical_stats_all_tweetless_is_zero():
 # behavioral profile
 
 def two_user_group():
-    u1 = make_user("u1", tweets=(
-        make_tweet("one", hours=-2.0, source_app="Twitter for Android",
-                   mentions_user=True, has_url=True, geotagged=True),
-        make_tweet("two", hours=-1.0, source_app="Twitter Web App",
-                   has_image=True),
-    ), profile=make_profile(statuses_count=100,
-                            account_created_hours=-1461.0,  # 60.875 days
-                            has_profile_url=True, geo_enabled=True))
-    u2 = make_user("u2", tweets=(
-        make_tweet("three", source_app="Twitter for iPhone"),
-    ), profile=make_profile(statuses_count=30, has_custom_image=True))
+    u1 = user_payload("u1", tweets=(
+        tweet_payload("one", hours=-2.0, source_app="Twitter for Android",
+                      mentions_user=True, has_url=True, geotagged=True),
+        tweet_payload("two", hours=-1.0, source_app="Twitter Web App",
+                      has_image=True),
+    ), profile={"statuses_count": 100,
+                "account_created_at": iso(-1461.0),  # 60.875 days
+                "has_profile_url": True, "geo_enabled": True})
+    u2 = user_payload("u2", tweets=(
+        tweet_payload("three", source_app="Twitter for iPhone"),
+    ), profile={"statuses_count": 30, "has_custom_image": True})
     return [u1, u2]
 
 
@@ -457,10 +397,10 @@ def test_behavioral_profile_tweet_duplication_moves_pooled_rows_only():
     users = two_user_group()
     base = behavioral_profile({W: summaries(users)})[W]
     u1 = users[0]
-    extra = make_tweet("four", hours=-0.5, source_app="Twitter for Android",
-                       mentions_user=True)
-    noisy = make_user("u1", tweets=tuple(u1.tweets) + (extra,),
-                      profile=u1.profile)
+    extra = tweet_payload("four", hours=-0.5,
+                          source_app="Twitter for Android", mentions_user=True)
+    noisy = user_payload("u1", tweets=(*u1["tweets"], extra),
+                         profile=u1["profile"])
     bumped = behavioral_profile({W: summaries([noisy, users[1]])})[W]
     assert bumped["pct_android"] == base["pct_android"]
     assert bumped["pct_geotagged"] == base["pct_geotagged"]
@@ -470,15 +410,15 @@ def test_behavioral_profile_tweet_duplication_moves_pooled_rows_only():
 
 
 def test_behavioral_profile_months_floor():
-    user = make_user("u1", profile=make_profile(
-        statuses_count=42, account_created_hours=-1.0))
+    user = user_payload("u1", profile={"statuses_count": 42,
+                                       "account_created_at": iso(-1.0)})
     profile = behavioral_profile({HL: summaries([user])})[HL]
     assert profile["avg_tweets_per_month"] == 42.0
 
 
 def test_behavioral_profile_ios_source_counts_as_iphone():
-    user = make_user("u1", tweets=(
-        make_tweet("hi", source_app="Tweetbot for iOS"),))
+    user = user_payload("u1", tweets=(
+        tweet_payload("hi", source_app="Tweetbot for iOS"),))
     profile = behavioral_profile({A: summaries([user])})[A]
     assert profile["pct_iphone"] == 100.0
     assert profile["pct_android"] == 0.0
@@ -734,8 +674,8 @@ def test_sage_large_vocabulary_is_fast():
 
 
 def test_group_token_counts_words_and_contractions_only():
-    user = make_user("u1", tweets=(
-        make_tweet("i'm happy happy #tag @mike https://x.co", hours=-1.0),))
+    user = user_payload("u1", tweets=(
+        tweet_payload("i'm happy happy #tag @mike https://x.co", hours=-1.0),))
     counts = group_token_counts(summaries([user]))
     assert counts == {"i'm": 1, "happy": 2}
 

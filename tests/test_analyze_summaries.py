@@ -1,8 +1,9 @@
 """analyze keeps a summary per user, made straight from the checked line
-(analytics.user_summary); the record-based pass it replaced
-(tests/reference_analytics.py) is the oracle: the same per-user lexical
-means, word counts in the same order and behavioral rows, the same group
-Counters in the same key order, and the same analyze_result.json bytes. Run
+(analytics.user_summary); the record-based pass it replaced, over the
+records of the one-pass parser (tests/reference_analytics.py and
+reference_ingest.py), is the oracle: the same per-user lexical means, word
+counts in the same order and behavioral rows, the same group Counters in
+the same key order, and the same analyze_result.json bytes. Run
 on the benchmark's planted timelines corpus, on the seeded digest fixture,
 and on generated corpora with more tweets than max_tweets, ties in
 created_at, users without tweets, absent flags and fields, and older and
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 from identminer import analytics, cli, resources
 from identminer.datasets import LabeledUser, read_dataset_tsv, write_dataset_tsv
 from identminer.filters import CLASS_ORDER
-from identminer.ingest import UserLine, build_record, dedupe_latest, load_users
+from identminer.ingest import UserLine, dedupe_latest, load_users
 from identminer.textprep import ChunkTable
 
 from helpers import KEYS, default, write_jsonl
@@ -28,6 +29,7 @@ from reference_analytics import (reference_analyze,
                                  reference_behavioral_profile,
                                  reference_group_lexical_pass,
                                  reference_user_lexical_means)
+from reference_ingest import reference_latest_records
 from test_analytics import _bench_corpus_module
 from test_model_digests import seeded_fixture
 
@@ -57,6 +59,7 @@ def assert_summaries_match_the_records(corpus: Path, data: Path,
         lines = dedupe_latest((line for line in load_users(handle)
                                if isinstance(line, UserLine)),
                               lambda line: line)
+    latest_records = reference_latest_records(corpus, max_tweets)
     stopwords = resources.load_stopwords()
     chunks = analytics.lexical_chunks(stopwords)
     reference_chunks = analytics.lexical_chunks(stopwords)
@@ -67,7 +70,7 @@ def assert_summaries_match_the_records(corpus: Path, data: Path,
         if line is None:
             continue
         summary = analytics.user_summary(line, max_tweets, chunks)
-        record = build_record(line, max_tweets)
+        record = latest_records[user.user_id]
         words = Counter()
         # per user: the lexical means, the words in order and the table rows
         assert summary.lexical == reference_user_lexical_means(

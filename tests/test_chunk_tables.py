@@ -6,33 +6,31 @@ from collections import Counter
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from identminer.analytics import group_lexical_pass, lexical_chunks
+from identminer.analytics import (group_lexical_pass, lexical_chunks,
+                                  user_summary)
 from identminer.models.features import user_word_counts, word_chunks
 from identminer.textprep import ChunkTable
 from identminer.util import mean
 
-from helpers import (TRICKY_PIECES, make_tweet, make_user, record_summary,
-                     texts_of)
+from helpers import TRICKY_PIECES, payload_line, tweet_payload, user_payload
 from reference_tweet import reference_tweet_tokens, reference_tweet_words
 
 
-def reference_user_word_counts(user):
-    """user_word_counts as the reference words of the user's tweet texts
+def reference_user_word_counts(texts):
+    """user_word_counts as the reference words of a user's tweet texts
     joined by newlines."""
-    return Counter(reference_tweet_words(
-        "\n".join([tweet.text for tweet in user.tweets])))
+    return Counter(reference_tweet_words("\n".join(texts)))
 
 
-def reference_user_lexical_means(user, stopwords, word_counts):
-    """user_lexical_means from the reference tokens of each tweet."""
-    tweets = user.tweets
-    if not tweets:
+def reference_user_lexical_means(texts, stopwords, word_counts):
+    """user_lexical_means from the reference tokens of each tweet text."""
+    if not texts:
         return None
     ttr, ld, cpt, hpt = [], [], [], []
     words: list[str] = []
-    for tweet in tweets:
+    for text in texts:
         word_texts, links, others, contractions, hashtags = \
-            reference_tweet_tokens(tweet.text)
+            reference_tweet_tokens(text)
         n = len(word_texts) + len(links) + len(others)
         content = (len([text for text in word_texts if text not in stopwords])
                    + len([text for text in others if text not in stopwords]))
@@ -70,12 +68,12 @@ run_cases = given(
     limit=st.sampled_from([1, 4, 16, ChunkTable.limit]))
 
 
-def make_groups(groups):
-    """Users u<group>_<index> of each group's tweet texts, newest first."""
-    return [[make_user(f"u{g}_{i}", tweets=tuple(
-                make_tweet(text, hours=-1.0 - k) for k, text in enumerate(texts)))
-             for i, texts in enumerate(group)]
-            for g, group in enumerate(groups)]
+def texts_summary(texts, table):
+    """analytics.user_summary, with table, of the checked line of a user
+    whose tweet texts are texts, newest first."""
+    line = payload_line(user_payload("u1", tweets=tuple(
+        tweet_payload(text, hours=-1.0 - k) for k, text in enumerate(texts))))
+    return user_summary(line, len(texts), table)
 
 
 @run_cases
@@ -83,10 +81,10 @@ def make_groups(groups):
 def test_word_counts_equal_the_per_user_scan(groups, stopwords, limit):
     table = word_chunks()
     table.limit = limit
-    for group in make_groups(groups):
-        for user in group:
-            counts = user_word_counts(texts_of(user), table)
-            expected = reference_user_word_counts(user)
+    for group in groups:
+        for texts in group:
+            counts = user_word_counts(texts, table)
+            expected = reference_user_word_counts(texts)
             assert list(counts.items()) == list(expected.items())
 
 
@@ -98,12 +96,12 @@ def test_lexical_pass_equals_the_per_tweet_scan(groups, stopwords, limit):
     stopwords = frozenset(stopwords)
     table = lexical_chunks(stopwords)
     table.limit = limit
-    for group in make_groups(groups):
+    for group in groups:
         samples, counts = group_lexical_pass(
-            [record_summary(user, table) for user in group])
+            [texts_summary(texts, table) for texts in group])
         expected_counts = Counter()
-        expected = [reference_user_lexical_means(user, stopwords,
+        expected = [reference_user_lexical_means(texts, stopwords,
                                                  expected_counts)
-                    for user in group]
+                    for texts in group]
         assert repr(samples) == repr([s for s in expected if s is not None])
         assert list(counts.items()) == list(expected_counts.items())

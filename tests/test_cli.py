@@ -784,14 +784,16 @@ def test_text_and_baseline_subcommands_load_neither_numpy_nor_scipy(
 def test_description_stages_build_no_record(planted_corpus, tmp_path,
                                             monkeypatch):
     """lexicon-build, dataset-build and tune keep each description straight
-    from the validated line, and train and evaluate with --embeddings only
-    note that the user is there; train of the name model, which reads the
-    name and profile of a record, shows that the refusing builder is the one
+    from the checked line, and train and evaluate with --embeddings only
+    note that the user is there: none of them reads a user's newest tweets
+    (ingest.newest_tweets) or name input (namecnn.name_input). train of the
+    unigram and the name model shows that the refusing readers are the ones
     the CLI calls."""
     from identminer import ingest
+    from identminer.models import namecnn
 
-    def refuse(line, max_tweets):
-        raise AssertionError(f"record built for {line.user_id}")
+    def refuse(line, *args):
+        raise AssertionError(f"tweets or name read for {line.user_id}")
 
     corpus, data = tweet_group_fixture(tmp_path)
     emb = group_embeddings(tmp_path)
@@ -806,15 +808,18 @@ def test_description_stages_build_no_record(planted_corpus, tmp_path,
                                    str(data), "--out",
                                    str(tmp_path / "emb_eval")]),
     ]
-    monkeypatch.setattr(ingest, "build_record", refuse)
+    monkeypatch.setattr(ingest, "newest_tweets", refuse)
+    monkeypatch.setattr(namecnn, "name_input", refuse)
     for name, argv in [*description_commands(planted_corpus, tmp_path),
                        *embedding_commands]:
         assert main(argv) == 0, name
     config = write_config(tmp_path, "cfg.json", epochs=1, min_char_count=1)
-    with pytest.raises(AssertionError, match="record built for"):
-        main(["train", "--model", "namecnn", "--corpus", str(corpus),
-              "--train-data", str(data), "--config", str(config),
-              "--out", str(tmp_path / "namecnn")])
+    for model_name, extra in (("unigram", []),
+                              ("namecnn", ["--config", str(config)])):
+        with pytest.raises(AssertionError, match="read for"):
+            main(["train", "--model", model_name, "--corpus", str(corpus),
+                  "--train-data", str(data), *extra,
+                  "--out", str(tmp_path / model_name)])
 
 
 def test_tweet_stages_read_each_users_newest_tweets_once_and_build_no_record(
@@ -822,8 +827,10 @@ def test_tweet_stages_read_each_users_newest_tweets_once_and_build_no_record(
     """train and evaluate of a unigram model and analyze take what they keep
     of each dataset user straight from the checked line: ingest.newest_tweets
     once per dataset user, never for a superseded snapshot or a user outside
-    the dataset, and no UserRecord or Tweet is built."""
+    the dataset; train and evaluate of the name model likewise take
+    namecnn.name_input once per dataset user."""
     from identminer import analytics, ingest
+    from identminer.models import namecnn
     corpus, data = tweet_group_fixture(tmp_path)
     with open(corpus, "a", encoding="utf-8") as handle:
         for payload in (
@@ -834,35 +841,44 @@ def test_tweet_stages_read_each_users_newest_tweets_once_and_build_no_record(
             handle.write(json.dumps(payload) + "\n")
     # every dataset user's latest snapshot is at ts(0)
     latest = sorted((user.user_id, ts()) for user in read_dataset_tsv(data))
-    read = []
-    newest = ingest.newest_tweets
+    read = {"newest_tweets": [], "name_input": []}
+    newest, name_input = ingest.newest_tweets, namecnn.name_input
 
-    def counted(line, max_tweets):
-        read.append((line.user_id, line.snapshot_time))
+    def counted_newest(line, max_tweets):
+        read["newest_tweets"].append((line.user_id, line.snapshot_time))
         return newest(line, max_tweets)
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("a record or tweet was built")
+    def counted_name_input(line):
+        read["name_input"].append((line.user_id, line.snapshot_time))
+        return name_input(line)
 
     for module in (ingest, analytics):
-        monkeypatch.setattr(module, "newest_tweets", counted)
-    monkeypatch.setattr(ingest, "build_record", refuse)
-    for name in ("_new_record", "_new_tweet"):
-        monkeypatch.setattr(ingest, name, refuse)
-    for cls in (ingest.UserRecord, ingest.Tweet):
-        monkeypatch.setattr(cls, "__new__", refuse)
+        monkeypatch.setattr(module, "newest_tweets", counted_newest)
+    monkeypatch.setattr(namecnn, "name_input", counted_name_input)
     model = tmp_path / "train" / "model.json"
+    name_model = tmp_path / "train_namecnn" / "model.json"
+    config = write_config(tmp_path, "cfg.json", epochs=1, min_char_count=1)
     stages = {
-        "train": ("train", "--model", "unigram", "--train-data", str(data)),
-        "evaluate": ("evaluate", "--model-file", str(model), "--test-data",
-                     str(data)),
-        "analyze": ("analyze", "--data", str(data)),
+        "train": ("newest_tweets", ("train", "--model", "unigram",
+                                    "--train-data", str(data))),
+        "evaluate": ("newest_tweets", ("evaluate", "--model-file", str(model),
+                                       "--test-data", str(data))),
+        "analyze": ("newest_tweets", ("analyze", "--data", str(data))),
+        "train_namecnn": ("name_input", ("train", "--model", "namecnn",
+                                         "--config", str(config),
+                                         "--train-data", str(data))),
+        "evaluate_namecnn": ("name_input", (
+            "evaluate", "--model-file", str(name_model), "--test-data",
+            str(data))),
     }
-    for stage, argv in stages.items():
-        read.clear()
+    for stage, (reader, argv) in stages.items():
+        for calls in read.values():
+            calls.clear()
         assert run(*argv, "--corpus", str(corpus),
                    "--out", str(tmp_path / stage)) == 0, stage
-        assert sorted(read) == latest, stage
+        assert sorted(read[reader]) == latest, stage
+        assert [name for name, calls in read.items() if calls] == [reader], \
+            stage
 
 
 def test_analyze_loads_no_scipy(tmp_path):

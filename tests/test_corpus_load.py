@@ -17,26 +17,27 @@ from identminer import cli
 from identminer.cli import main
 from identminer.datasets import LabeledUser, write_dataset_tsv
 from identminer.filters import CLASS_ORDER
-from identminer.ingest import (ParseFailure, build_record, load_users,
-                               newest_tweets)
+from identminer.ingest import ParseFailure, newest_tweets
 from identminer.models.features import user_word_counts, word_chunks
 
 from helpers import (PLANT_HEADS, PLANT_QUERIES, default, tweet_payload,
                      user_payload, write_jsonl)
+from reference_ingest import reference_load_users
 
 
 def reference_load(path, keep):
-    """The list-then-dedupe loader: the record of every parsed line is
-    appended to one list, then the latest snapshot of each user wins (the
-    later line on a tie), each user in the place where its id first
-    appeared; keep of each winner, the users whose keep is None left out."""
+    """The list-then-dedupe loader: the record of every parsed line (the
+    one-pass parser of reference_ingest) is appended to one list, then the
+    latest snapshot of each user wins (the later line on a tie), each user
+    in the place where its id first appeared; keep of each winner, the
+    users whose keep is None left out."""
     records, failures = [], 0
     with open(path, "rb") as handle:
-        for result in load_users(handle):
+        for result in reference_load_users(handle):
             if isinstance(result, ParseFailure):
                 failures += 1
             else:
-                records.append(build_record(result, default("max_tweets")))
+                records.append(result)
     latest = {}
     for record in records:
         current = latest.get(record.user_id)
@@ -70,9 +71,18 @@ def corpus_line(index: int, user_id: str, snapshot: str, defect) -> str:
     return "" if defect == "blank" else line
 
 
-def projection(record):
+def projection(line):
+    """What the test keeps of a checked line: its description, name,
+    snapshot time and newest max_tweets tweet texts."""
+    return (line.description, line.name, line.snapshot_time,
+            [tweet["text"] for _, tweet
+             in newest_tweets(line, default("max_tweets"))])
+
+
+def record_projection(record):
+    """projection of the line whose one-pass record is record."""
     return (record.description, record.name, record.snapshot_time,
-            [tweet.text for tweet in record.tweets])
+            [tweet.text for tweet in record.tweets[:default("max_tweets")]])
 
 
 corpus_lines = st.lists(st.tuples(
@@ -95,12 +105,11 @@ def test_streamed_load_matches_the_list_then_dedupe_loader(tmp_path_factory,
 
     def keep(line):
         calls.append(line.user_id)
-        return (projection(build_record(line, default("max_tweets")))
-                if line.user_id in kept_ids else None)
+        return projection(line) if line.user_id in kept_ids else None
 
     kept, failures = cli._load_corpus(str(path), keep)
     expected, expected_failures = reference_load(str(path), lambda record: (
-        projection(record) if record.user_id in kept_ids else None))
+        record_projection(record) if record.user_id in kept_ids else None))
     assert list(kept.items()) == list(expected.items())
     assert failures == expected_failures
     assert type(failures) is int

@@ -1,6 +1,7 @@
 import copy
 import io
 import json
+import math
 import sys
 from collections import Counter
 from datetime import datetime, timezone
@@ -11,13 +12,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from identminer import ingest
-from identminer.ingest import (ParseFailure, ProfileMeta, Tweet, UserLine,
-                               UserRecord, dedupe_latest, load_users,
-                               parse_timestamp, parse_user_line)
+from identminer.ingest import (ParseFailure, UserLine, dedupe_latest,
+                               load_users, newest_tweets, parse_timestamp,
+                               parse_user_line, validate_user_line)
+from identminer.models.namecnn import name_input
 
-from helpers import (iso, make_profile, make_user, payload_record,
-                     tweet_payload, user_payload)
-from reference_ingest import reference_load_users, reference_parse_user_line
+from helpers import iso, payload_line, tweet_payload, user_payload
+from reference_ingest import (PROFILE_FLAGS, TWEET_FLAGS, reference_load_users,
+                             reference_parse_user_line)
 
 
 def load_all(payloads, missingness=None):
@@ -27,9 +29,14 @@ def load_all(payloads, missingness=None):
                            missingness))
 
 
-def same(record):
-    """The dedupe_latest projection that keeps the whole record."""
-    return record
+def same(line):
+    """The dedupe_latest projection that keeps the whole line."""
+    return line
+
+
+def texts(line, max_tweets: int) -> list[str]:
+    """The texts of a line's newest max_tweets tweets, newest first."""
+    return [tweet["text"] for _, tweet in newest_tweets(line, max_tweets)]
 
 
 def test_parse_timestamp_accepts_z_suffix():
@@ -125,29 +132,28 @@ def test_parse_timestamp_fast_path_cases():
     assert ingest._FROMISOFORMAT_TAKES_Z is (sys.version_info >= (3, 11))
 
 
-def test_profile_meta_is_a_named_tuple_with_defaults():
-    profile = ProfileMeta()
-    assert profile == (False, False, False, 0, None, 0)
-    assert ProfileMeta._fields == (
-        "has_profile_url", "has_custom_image", "geo_enabled",
-        "statuses_count", "account_created_at", "followers_count")
-    made = make_profile(statuses_count=3, followers_count=7, geo_enabled=True)
-    assert made == ProfileMeta(geo_enabled=True, statuses_count=3,
-                               followers_count=7)
+def test_line_carries_the_checked_name_and_profile():
+    profile = {"statuses_count": 3, "followers_count": 7,
+               "geo_enabled": True, "account_created_at": iso(-5)}
+    line = validate_user_line(json.dumps(user_payload(
+        "u1", name="Ann", profile=profile)), 1)
+    assert UserLine._fields == (
+        "user_id", "snapshot_time", "name", "description", "tweets",
+        "tweet_times", "profile", "account_created_at")
+    assert line.name == "Ann"
+    assert line.profile == profile
+    assert line.account_created_at == parse_timestamp(iso(-5))
+    # a named tuple: immutable
     with pytest.raises(AttributeError):
-        made.statuses_count = 4
-    record = parse_user_line(json.dumps(user_payload("u1", profile={
-        "statuses_count": 3, "followers_count": 7, "geo_enabled": True})), 1)
-    assert type(record.profile) is ProfileMeta and record.profile == made
+        line.name = "x"
 
 
 def test_minimal_record_parses():
-    record = parse_user_line(json.dumps(user_payload("u1")), 1)
-    assert isinstance(record, UserRecord)
-    assert record.user_id == "u1"
-    assert record.tweets == []
-    assert record.profile.statuses_count == 0
-    assert record.profile.followers_count == 0
+    line = validate_user_line(json.dumps(user_payload("u1")), 1)
+    assert isinstance(line, UserLine)
+    assert line.user_id == "u1"
+    assert line.tweets == [] and line.tweet_times == []
+    assert line.profile == {} and line.account_created_at is None
 
 
 def test_tweets_sorted_newest_first():
@@ -156,8 +162,11 @@ def test_tweets_sorted_newest_first():
         tweet_payload("newest", hours=-1),
         tweet_payload("middle", hours=-10),
     ))
-    record = parse_user_line(json.dumps(payload), 1)
-    assert [t.text for t in record.tweets] == ["newest", "middle", "oldest"]
+    line = validate_user_line(json.dumps(payload), 1)
+    assert texts(line, 3) == ["newest", "middle", "oldest"]
+    # the line keeps its tweets in file order
+    assert [tweet["text"] for tweet in line.tweets] == [
+        "oldest", "newest", "middle"]
     # tweets with the same created_at keep their input order
     payload = user_payload("u1", tweets=(
         tweet_payload("tie-a", hours=-5),
@@ -166,47 +175,47 @@ def test_tweets_sorted_newest_first():
         tweet_payload("old", hours=-9),
         tweet_payload("tie-c", hours=-5),
     ))
-    record = parse_user_line(json.dumps(payload), 1)
-    assert [t.text for t in record.tweets] == [
-        "new", "tie-a", "tie-b", "tie-c", "old"]
+    line = validate_user_line(json.dumps(payload), 1)
+    assert texts(line, 5) == ["new", "tie-a", "tie-b", "tie-c", "old"]
+
+
+def test_newest_tweets_gives_the_newest_max_tweets_ties_in_file_order():
+    line = payload_line(user_payload("u1", tweets=(
+        tweet_payload("old", hours=-5.0), tweet_payload("tie a", hours=-1.0),
+        tweet_payload("new", hours=-0.5), tweet_payload("tie b", hours=-1.0))))
+    assert texts(line, 4) == texts(line, 10) == ["new", "tie a", "tie b",
+                                                 "old"]
+    assert texts(line, 2) == ["new", "tie a"]
+    assert texts(line, 0) == []
 
 
 def test_parsed_tweet_fields():
-    payload = user_payload("u1", tweets=(
-        tweet_payload("full", hours=-2, source_app="Twitter Web App",
-                      has_image=True, has_url=False, mentions_user=True,
-                      geotagged=True),
-        {"text": "bare", "created_at": "2024-06-01T13:00:00+02:00"},
-    ))
+    full = tweet_payload("full", hours=-2, source_app="Twitter Web App",
+                         has_image=True, has_url=False, mentions_user=True,
+                         geotagged=True)
+    bare = {"text": "bare", "created_at": "2024-06-01T13:00:00+02:00"}
     counter = Counter()
+    line = validate_user_line(json.dumps(user_payload("u1", tweets=(
+        full, bare))), 1, counter)
+    # the checked objects in file order, each with its parsed created_at
+    assert line.tweets == [full, bare]
+    assert line.tweet_times == [parse_timestamp(iso(-2)),
+                                parse_timestamp("2024-06-01T11:00:00Z")]
+    assert all(created.tzinfo == timezone.utc for created in line.tweet_times)
     # newest first: bare is an hour old, full two
-    bare, full = parse_user_line(json.dumps(payload), 1, counter).tweets
-    assert full == Tweet(text="full", source_app="Twitter Web App",
-                         created_at=parse_timestamp(iso(-2)), has_image=True,
-                         has_url=False, mentions_user=True, geotagged=True)
-    assert (full.text, full.source_app, full.created_at, full.has_image,
-            full.has_url, full.mentions_user, full.geotagged) == (
-        "full", "Twitter Web App", parse_timestamp(iso(-2)), True, False,
-        True, True)
-    assert bare == Tweet("bare", "", parse_timestamp("2024-06-01T11:00:00Z"))
-    assert bare.created_at.tzinfo == timezone.utc
-    assert not (bare.has_image or bare.has_url or bare.mentions_user
-                or bare.geotagged)
+    assert newest_tweets(line, 2) == [(line.tweet_times[1], bare),
+                                      (line.tweet_times[0], full)]
     assert {key: n for key, n in counter.items() if key.startswith("tweet.")} \
         == {"tweet.source_app": 1, "tweet.has_image": 1, "tweet.has_url": 1,
             "tweet.mentions_user": 1, "tweet.geotagged": 1}
-    # a named tuple: immutable, and equal to the plain tuple of its fields
-    with pytest.raises(AttributeError):
-        full.text = "x"
-    assert tuple(bare) == ("bare", "", bare.created_at, False, False, False,
-                           False)
 
 
 def test_missing_optionals_default_and_count():
     counter = Counter()
     payload = {"user_id": "u1", "snapshot_time": iso()}
-    record = parse_user_line(json.dumps(payload), 1, counter)
-    assert record.name == "" and record.description == ""
+    line = validate_user_line(json.dumps(payload), 1, counter)
+    assert line.name == "" and line.description == ""
+    assert line.tweets == [] and line.profile == {}
     assert counter["name"] == 1
     assert counter["description"] == 1
     assert counter["tweets"] == 1
@@ -230,20 +239,21 @@ def test_bad_records_become_failures_not_exceptions():
                                      "a\rb", "\t", "a\r\n"])
 def test_user_id_with_a_tab_or_line_break_is_a_failure(user_id):
     """A dataset row is user_id<TAB>...<LF>, so such an id could forge rows."""
-    result = parse_user_line(json.dumps(user_payload(user_id)), 1)
+    result = validate_user_line(json.dumps(user_payload(user_id)), 1)
     assert result == ParseFailure(1, "user_id contains a tab or line break")
 
 
 @pytest.mark.parametrize("user_id", ["a b", "a\u2028b", "a\x0bb", "a\x85b"])
 def test_user_id_with_other_whitespace_parses(user_id):
-    assert parse_user_line(json.dumps(user_payload(user_id)), 1).user_id == user_id
+    line = validate_user_line(json.dumps(user_payload(user_id)), 1)
+    assert line.user_id == user_id
 
 
 def test_negative_counts_rejected():
     payload = user_payload("u1", profile={"statuses_count": -3})
-    assert isinstance(parse_user_line(json.dumps(payload), 1), ParseFailure)
+    assert isinstance(validate_user_line(json.dumps(payload), 1), ParseFailure)
     payload = user_payload("u1", profile={"followers_count": -1})
-    assert isinstance(parse_user_line(json.dumps(payload), 1), ParseFailure)
+    assert isinstance(validate_user_line(json.dumps(payload), 1), ParseFailure)
 
 
 @pytest.mark.parametrize("field", ["followers_count", "statuses_count"])
@@ -252,7 +262,7 @@ def test_non_finite_counts_become_failures(field, value):
     # json.loads reads all four as floats that int() cannot convert
     line = json.dumps(user_payload("u1", profile={field: "VALUE"}))
     line = line.replace('"VALUE"', value)
-    result = parse_user_line(line, 7)
+    result = validate_user_line(line, 7)
     assert isinstance(result, ParseFailure)
     assert result.line_no == 7
 
@@ -266,7 +276,7 @@ def test_non_finite_counts_become_failures(field, value):
 def test_counts_too_large_for_a_float_become_failures(field, literal):
     # the behavioral statistics and the name model take float(count)
     line = json.dumps(user_payload("u1", profile={field: "VALUE"}))
-    result = parse_user_line(line.replace('"VALUE"', literal), 7)
+    result = validate_user_line(line.replace('"VALUE"', literal), 7)
     assert isinstance(result, ParseFailure)
     assert result.line_no == 7
 
@@ -275,9 +285,9 @@ def test_counts_too_large_for_a_float_become_failures(field, literal):
 def test_largest_float_sized_count_parses(field):
     count = int(sys.float_info.max)
     line = json.dumps(user_payload("u1", profile={field: count}))
-    result = parse_user_line(line, 1)
-    assert isinstance(result, UserRecord)
-    assert getattr(result.profile, field) == count
+    result = validate_user_line(line, 1)
+    assert isinstance(result, UserLine)
+    assert result.profile[field] == count
 
 
 @pytest.mark.parametrize("line", ["[" * 100000, "[" * 100000 + "]" * 100000,
@@ -285,7 +295,7 @@ def test_largest_float_sized_count_parses(field):
                          ids=["unclosed_arrays", "closed_arrays", "objects"])
 def test_deeply_nested_json_becomes_a_failure(line):
     # nesting past the decoder's recursion limit raises RecursionError
-    result = parse_user_line(line, 3)
+    result = validate_user_line(line, 3)
     assert isinstance(result, ParseFailure)
     assert result.line_no == 3
     assert result.reason.startswith("bad JSON: ")
@@ -323,7 +333,7 @@ def _with_field(where: str, key: str, value) -> dict:
 ])
 def test_mistyped_fields_become_failures_naming_the_field(where, key, value,
                                                           reason):
-    result = parse_user_line(json.dumps(_with_field(where, key, value)), 4)
+    result = validate_user_line(json.dumps(_with_field(where, key, value)), 4)
     assert result == ParseFailure(4, reason)
 
 
@@ -334,18 +344,21 @@ def test_mistyped_fields_become_failures_naming_the_field(where, key, value,
 ])
 def test_null_text_fields_count_as_missing(where, key, missing):
     counter = Counter()
-    result = parse_user_line(json.dumps(_with_field(where, key, None)), 1,
-                             counter)
-    assert isinstance(result, UserRecord)
+    result = validate_user_line(json.dumps(_with_field(where, key, None)), 1,
+                                counter)
+    assert isinstance(result, UserLine)
     assert counter[missing] == 1
-    assert (result.tweets[0].source_app if where == "tweet"
-            else getattr(result, key)) == ""
+    if where == "tweet":
+        # the checked tweet object keeps its null; its readers take it as ""
+        assert result.tweets[0][key] is None
+    else:
+        assert getattr(result, key) == ""
 
 
 def test_account_created_after_snapshot_rejected():
     payload = user_payload("u1", hours=0,
                            profile={"account_created_at": iso(hours=5)})
-    assert isinstance(parse_user_line(json.dumps(payload), 1), ParseFailure)
+    assert isinstance(validate_user_line(json.dumps(payload), 1), ParseFailure)
 
 
 def test_failures_plus_records_equal_line_count():
@@ -367,27 +380,29 @@ def test_load_users_accepts_bytes_and_flags_bad_utf8():
 
 
 def test_dedupe_latest_keeps_newest_snapshot():
-    records = [make_user("u1", hours=0), make_user("u1", hours=5),
-               make_user("u2", hours=1)]
-    kept = dedupe_latest(records, same)
+    lines = [payload_line(user_payload("u1", hours=0)),
+             payload_line(user_payload("u1", hours=5)),
+             payload_line(user_payload("u2", hours=1))]
+    kept = dedupe_latest(lines, same)
     assert set(kept) == {"u1", "u2"}
-    assert kept["u1"].snapshot_time == records[1].snapshot_time
+    assert kept["u1"].snapshot_time == lines[1].snapshot_time
 
 
 def test_dedupe_latest_tie_prefers_later_position():
-    first = make_user("u1", description="first", hours=0)
-    second = make_user("u1", description="second", hours=0)
+    first = payload_line(user_payload("u1", description="first", hours=0))
+    second = payload_line(user_payload("u1", description="second", hours=0))
     assert dedupe_latest([first, second], same)["u1"].description == "second"
     assert dedupe_latest([second, first], same)["u1"].description == "first"
 
 
 def test_dedupe_latest_is_idempotent(rng):
-    records = [make_user(f"u{rng.randrange(10)}", hours=rng.randrange(100))
-               for _ in range(200)]
-    once = dedupe_latest(records, same)
+    lines = [payload_line(user_payload(f"u{rng.randrange(10)}",
+                                       hours=rng.randrange(100)))
+             for _ in range(200)]
+    once = dedupe_latest(lines, same)
     twice = dedupe_latest(once.values(), same)
     assert once == twice
-    assert set(once) == {r.user_id for r in records}
+    assert set(once) == {line.user_id for line in lines}
 
 
 def test_missingness_counter_accumulates():
@@ -492,13 +507,28 @@ def hostile_lines(draw) -> str:
 
 
 def plain(value):
-    """A record or failure as nested lists, each timestamp with its offset,
-    so that equal values mean equal fields and equal time zones."""
+    """A record, line or failure as nested lists, each timestamp with its
+    offset, so that equal values mean equal fields and equal time zones."""
     if isinstance(value, datetime):
         return ("datetime", value.isoformat())
     if isinstance(value, (tuple, list)):
         return [type(value) is ParseFailure, *map(plain, value)]
     return value
+
+
+def as_read(line: UserLine, max_tweets: int):
+    """A checked line in the one-pass parser's record shape, with its newest
+    max_tweets tweets: each tweet and profile field as the stages read it,
+    an absent flag false, an absent count 0 and a null source_app ""."""
+    profile = line.profile
+    return (line.user_id, line.name, line.description,
+            [(tweet["text"], tweet.get("source_app") or "", created,
+              *(tweet.get(key, False) for key, _ in TWEET_FLAGS))
+             for created, tweet in newest_tweets(line, max_tweets)],
+            (*(profile.get(key, False) for key, _ in PROFILE_FLAGS),
+             profile.get("statuses_count", 0), line.account_created_at,
+             profile.get("followers_count", 0)),
+            line.snapshot_time)
 
 
 def _with_raw(payload: dict, raw: str) -> str:
@@ -538,35 +568,44 @@ def with_rare_lines(test):
 @with_rare_lines
 @given(line=hostile_lines(), line_no=st.integers(1, 10))
 def test_validator_and_builder_equal_the_one_pass_parser(line, line_no):
+    """validate_user_line makes the one-pass parser's decision, with its
+    reason and missingness; an accepted line holds each field the parser's
+    record holds, its newest_tweets in the record's order."""
     counts, reference_counts = Counter(), Counter()
-    result = ingest.validate_user_line(line, line_no, counts)
+    result = validate_user_line(line, line_no, counts)
     expected = reference_parse_user_line(line, line_no, reference_counts)
     if isinstance(expected, ParseFailure):
         assert result == expected
     else:
-        assert isinstance(result, ingest.UserLine)
-        assert (result.user_id, result.snapshot_time, result.description) == \
-            (expected[0], expected[5], expected[2])
-        assert plain(ingest.build_record(
-            result, len(result.tweet_times))) == plain(expected)
+        assert isinstance(result, UserLine)
+        assert plain((result.user_id, result.snapshot_time, result.name,
+                      result.description, result.account_created_at)) == \
+            plain((expected.user_id, expected.snapshot_time, expected.name,
+                   expected.description,
+                   expected.profile.account_created_at))
+        assert plain(as_read(result, len(result.tweets))) == plain(expected)
         for n in range(3):  # the newest n tweets of the whole record
-            assert plain(ingest.build_record(result, n)) == plain(
-                (*expected[:3], expected[3][:n], *expected[4:]))
+            assert plain(as_read(result, n)) == plain(
+                expected._replace(tweets=expected.tweets[:n]))
     assert counts == reference_counts
-    assert plain(parse_user_line(line, line_no)) == plain(expected)
+    # the tracer's name for the validator gives the same value
+    assert plain(parse_user_line(line, line_no)) == plain(result)
 
 
-def test_build_record_builds_the_newest_max_tweets_ties_in_file_order():
-    payload = user_payload("u1", tweets=(
-        tweet_payload("old", hours=-5.0), tweet_payload("tie a", hours=-1.0),
-        tweet_payload("new", hours=-0.5), tweet_payload("tie b", hours=-1.0)))
-
-    def texts(max_tweets):
-        return [tweet.text for tweet in
-                payload_record(payload, max_tweets).tweets]
-    assert texts(4) == texts(10) == ["new", "tie a", "tie b", "old"]
-    assert texts(2) == ["new", "tie a"]
-    assert texts(0) == []
+@settings(max_examples=150, deadline=None)
+@given(line=hostile_lines(), line_no=st.integers(1, 10))
+def test_name_input_equals_the_reference_name_and_profile_vector(line,
+                                                                 line_no):
+    expected = reference_parse_user_line(line, line_no)
+    if isinstance(expected, ParseFailure):
+        return
+    name, vector = name_input(validate_user_line(line, line_no))
+    profile = expected.profile
+    assert name == expected.name
+    assert vector.tolist() == [
+        math.log1p(profile.followers_count),
+        math.log1p(profile.statuses_count), float(profile.has_profile_url),
+        float(profile.has_custom_image), float(profile.geo_enabled)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -579,7 +618,7 @@ def test_load_users_equals_the_one_pass_loader(lines):
     data = b"\n".join(lines) + b"\n"
     counts, reference_counts = Counter(), Counter()
     results = [result if isinstance(result, ParseFailure)
-               else ingest.build_record(result, len(result.tweet_times))
+               else as_read(result, len(result.tweets))
                for result in load_users(io.BytesIO(data), counts)]
     expected = list(reference_load_users(io.BytesIO(data), reference_counts))
     assert plain(results) == plain(expected)

@@ -24,9 +24,10 @@ from identminer.models.training import (decode_array,
 from identminer.models.unigram import (UnigramModel, train_unigram,
                                        weighted_ce_loss)
 
-from helpers import (make_tweet, make_user, make_profile,
-                     payload_record, texts_of, train_config,
-                     training_arrays, tweet_payload, user_payload)
+from identminer.ingest import newest_tweets
+
+from helpers import (payload_line, train_config, training_arrays,
+                     tweet_payload, user_payload)
 
 W, B, HL, A = CLASS_ORDER
 
@@ -367,24 +368,19 @@ def test_load_model_reads_only_the_current_format_version(tmp_path, kind,
 # feature extraction
 
 def vocab_corpus():
-    return [
-        make_user("v1", tweets=(make_tweet("brunch brunch gaming the"),
-                                make_tweet("garden time"))),
-        make_user("v2", tweets=(make_tweet("gaming garden brunch"),)),
-    ]
+    """Two users' tweet texts, newest first."""
+    return [["brunch brunch gaming the", "garden time"],
+            ["gaming garden brunch"]]
 
 
 def vocab_counts():
     table = word_chunks()
-    return [user_word_counts(texts_of(user), table)
-            for user in vocab_corpus()]
+    return [user_word_counts(texts, table) for texts in vocab_corpus()]
 
 
 def test_user_word_counts_words_and_contractions_only():
-    user = make_user("u1", tweets=(
-        make_tweet("i'm happy happy #tag @mike https://x.co :)", hours=-1.0),))
-    assert user_word_counts(texts_of(user), word_chunks()) == {
-        "i'm": 1, "happy": 2}
+    assert user_word_counts(["i'm happy happy #tag @mike https://x.co :)"],
+                            word_chunks()) == {"i'm": 1, "happy": 2}
 
 
 def test_build_vocab_lexicographic_with_min_count():
@@ -399,11 +395,12 @@ def test_build_vocab_lexicographic_with_min_count():
 
 
 def test_build_vocab_respects_max_tweets():
-    # the record of max_tweets 1 holds the newest tweet only
-    user = payload_record(user_payload("v1", tweets=(
+    # the newest max_tweets 1 tweets are the newest tweet only
+    line = payload_line(user_payload("v1", tweets=(
         tweet_payload("older older", hours=-2),
-        tweet_payload("newest newest", hours=-1))), max_tweets=1)
-    vocab = build_vocab([user_word_counts(texts_of(user), word_chunks())],
+        tweet_payload("newest newest", hours=-1))))
+    texts = [tweet["text"] for _, tweet in newest_tweets(line, 1)]
+    vocab = build_vocab([user_word_counts(texts, word_chunks())],
                         min_count=2, stopwords=frozenset())
     assert "newest" in vocab and "older" not in vocab
 
@@ -430,11 +427,14 @@ def test_featurize_user_ignores_oov():
 
 
 def test_name_meta_features_vector():
-    user = make_user("x", profile=make_profile(
-        statuses_count=99, followers_count=10, has_profile_url=True,
-        geo_enabled=False, has_custom_image=True))
-    got = name_meta_features(user)
+    line = payload_line(user_payload("x", profile={
+        "statuses_count": 99, "followers_count": 10, "has_profile_url": True,
+        "geo_enabled": False, "has_custom_image": True}))
+    got = name_meta_features(line)
     assert got.tolist() == [math.log1p(10), math.log1p(99), 1.0, 1.0, 0.0]
+    # an absent count is 0 and an absent flag false
+    bare = name_meta_features(payload_line(user_payload("x")))
+    assert bare.tolist() == [0.0, 0.0, 0.0, 0.0, 0.0]
 
 
 def test_read_embeddings_checks_dimension(tmp_path):

@@ -17,6 +17,26 @@ def test_every_layer_function_resolves():
                 f"{module_name}.{function}"
 
 
+def test_no_wrapped_function_is_bound_under_another_name():
+    """The tracer swaps every binding of a wrapped function object, found
+    by identity, so an alias (parse_user_line = validate_user_line, say)
+    would trace each call of the other name under the wrapped one."""
+    import pkgutil
+
+    import identminer
+    spans = load_spans()
+    modules = [importlib.import_module(info.name) for info in
+               pkgutil.walk_packages(identminer.__path__, "identminer.")]
+    for module_name, functions in spans.LAYER_FUNCTIONS.items():
+        module = importlib.import_module(module_name)
+        for function in functions:
+            wrapped = getattr(module, function)
+            aliases = [f"{other.__name__}.{name}" for other in modules
+                       for name, value in vars(other).items()
+                       if value is wrapped and name != function]
+            assert not aliases, f"{module_name}.{function}: {aliases}"
+
+
 def test_every_layer_method_is_defined_on_its_class():
     spans = load_spans()
     for module_name, cls_name, method in spans.LAYER_METHODS:
