@@ -14,9 +14,9 @@ file loads the standard library (but not logging: _log writes the few
 messages there are), util, resources and labels, which is all that
 argument parsing, config resolution, messages and result writing need;
 every stage module is imported inside the function that uses it. So the
-baselines load no text-processing module, only train and evaluate of a
-unigram or name model load numpy, and no module that the description
-stages load imports dataclasses or logging.
+baselines load no text-processing module, and only train and evaluate of a
+unigram or name model load numpy. Every record is a named tuple, so no
+module imports dataclasses, and no subcommand loads logging.
 
 Exit codes: 0 success, 1 usage error, 2 data error. The IDENTMINER_LOG
 environment variable (error, info, debug) sets which messages are written
@@ -418,8 +418,9 @@ def cmd_dataset_build(config: dict, paths: dict) -> dict:
     lexicon, reports = _description_pass(paths, config, descriptions.items(),
                                          tag_lexicon)
     # qb reads no filter verdicts
-    score_reports(reports, lexicon, params,
-                  None if kind == "qb" else filters, colors, blocklist)
+    reports = score_reports(reports, lexicon, params,
+                            None if kind == "qb" else filters, colors,
+                            blocklist)
 
     stats = {"kind": kind, "n_users": len(descriptions)}
 
@@ -666,7 +667,7 @@ def cmd_evaluate(config: dict, paths: dict) -> dict:
     except ValueError as exc:
         raise DataError(str(exc)) from exc
     return {"eval_result.json": report.to_dict(),
-            "eval_report.txt": format_report_table([(kind, report)]) + "\n"}
+            "eval_report.txt": format_report_table(kind, report) + "\n"}
 
 
 def _pair_table(labels, stat) -> dict:
@@ -740,12 +741,26 @@ def cmd_analyze(config: dict, paths: dict) -> dict:
     }}
 
 
+def _staging_dir(out: Path) -> Path:
+    """A new directory beside out, made by mkdir and so with the mode a
+    plain mkdir gives. Its name, .identminer.PID.N.tmp, is short whatever
+    out is called; N is the first number whose name is free, so a leftover
+    of an earlier run is passed over and left as it is."""
+    for attempt in itertools.count():
+        staging = out.parent / f".identminer.{os.getpid()}.{attempt}.tmp"
+        try:
+            staging.mkdir(parents=True)
+            return staging
+        except FileExistsError:
+            pass
+
+
 def _write_files(out: Path, files: dict, header: dict) -> None:
     """Write files (name -> the result JSON as a dict, text, or its format's
-    writer, called with the path) into a new directory beside out, then
-    rename that onto out: a run leaves all of its files or none."""
-    staging = out.parent / f".{out.name}.{os.getpid()}.tmp"
-    staging.mkdir(parents=True)
+    writer, called with the path) into a new directory beside out
+    (_staging_dir), then rename that onto out: a run leaves all of its files
+    or none."""
+    staging = _staging_dir(out)
     try:
         for name, content in files.items():
             path = staging / name

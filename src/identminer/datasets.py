@@ -10,36 +10,36 @@ the smallest class count unless one is given.
 """
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import functools
+from typing import Iterable, NamedTuple, Sequence
 
 from .filters import (DEFAULT_QUERY_MAP, QueryMatch, apply_filter_chain,
                       assign_class, find_query_matches, person_bigram_match)
-from .labels import (AUTO_SOURCES, CLASS_ORDER, SOURCES,  # noqa: F401
-                     ClassLabel, LabeledUser, read_dataset_tsv,
-                     write_dataset_tsv)
+from .labels import CLASS_ORDER, ClassLabel, LabeledUser
+from .labels import read_dataset_tsv, write_dataset_tsv  # noqa: F401
 from .scorer import ScoreParams, score_matches
 from .textprep import (SelfReportCounter, SelfReportLexicon, TagLexicon,
                        Tagged, Tagger)
 
 
-class UserMatchReport:
+class UserMatchReport(NamedTuple):
     """Per-user query analysis shared by the dataset builders and tune, with
     what they and the filters read of a description: its Tagged tokens,
-    text and query matches. score_reports fills scores and outcomes, both
-    aligned with matches; an outcome is the tuple of rejecting filter names,
-    empty when the match passed."""
-    __slots__ = ("user_id", "label", "tagged", "raw_text", "matches",
-                 "scores", "outcomes")
+    text and query matches. scan_descriptions builds it unscored: no
+    scores and outcomes None. score_reports builds the scored copy, whose
+    scores and, when filters ran, outcomes are aligned with matches; an
+    outcome is the tuple of rejecting filter names, empty when the match
+    passed."""
+    user_id: str
+    label: ClassLabel
+    tagged: Tagged
+    raw_text: str
+    matches: list[QueryMatch]
+    scores: Sequence[float] = ()
+    outcomes: list[tuple[str, ...]] | None = None
 
-    def __init__(self, user_id: str, label: ClassLabel, tagged: Tagged,
-                 raw_text: str, matches: list[QueryMatch]):
-        self.user_id = user_id
-        self.label = label
-        self.tagged = tagged
-        self.raw_text = raw_text
-        self.matches = matches
-        self.scores: list[float] = []
-        self.outcomes: list[tuple[str, ...]] | None = None
+
+_new_report = functools.partial(tuple.__new__, UserMatchReport)
 
 
 def scan_descriptions(corpus: Iterable[tuple[str, str]],
@@ -65,23 +65,23 @@ def scan_descriptions(corpus: Iterable[tuple[str, str]],
     return reports
 
 
-def score_reports(reports: list[UserMatchReport], lexicon: SelfReportLexicon,
-                  params: ScoreParams, filters: tuple[str, ...] | None,
-                  colors: frozenset[str],
+def score_reports(reports: Iterable[UserMatchReport],
+                  lexicon: SelfReportLexicon, params: ScoreParams,
+                  filters: tuple[str, ...] | None, colors: frozenset[str],
                   blocklist: frozenset[tuple[str, str]]
                   ) -> list[UserMatchReport]:
-    """Score every match against the final lexicon and, given the enabled
-    filters (not None), run the filter chain once per match. Fills the
-    reports in place and returns them."""
-    for report in reports:
-        report.scores = score_matches(report.tagged, report.matches, lexicon,
-                                      params)
-        if filters is not None:
-            report.outcomes = [
-                apply_filter_chain(report.tagged, report.raw_text, match,
-                                   filters, colors, blocklist)
-                for match in report.matches]
-    return reports
+    """New reports, in the given order: each match scored against the final
+    lexicon and, given the enabled filters (not None), its one filter-chain
+    outcome. The given reports are left as they are."""
+    scored = []
+    for user_id, label, tagged, raw_text, matches, _, _ in reports:
+        outcomes = None if filters is None else [
+            apply_filter_chain(tagged, raw_text, match, filters, colors,
+                               blocklist) for match in matches]
+        scored.append(_new_report((
+            user_id, label, tagged, raw_text, matches,
+            score_matches(tagged, matches, lexicon, params), outcomes)))
+    return scored
 
 
 def match_reports(corpus: Iterable, tag_lexicon: TagLexicon,
@@ -125,8 +125,8 @@ def build_hf(corpus: Iterable, tag_lexicon: TagLexicon,
              lexicon: SelfReportLexicon, params: ScoreParams,
              filters: tuple[str, ...], colors: frozenset[str],
              blocklist: frozenset[tuple[str, str]]) -> list[LabeledUser]:
-    reports = scan_descriptions(corpus, tag_lexicon)
-    score_reports(reports, lexicon, params, filters, colors, blocklist)
+    reports = score_reports(scan_descriptions(corpus, tag_lexicon), lexicon,
+                            params, filters, colors, blocklist)
     return hf_users(reports, params.threshold)
 
 

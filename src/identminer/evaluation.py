@@ -7,14 +7,12 @@ textbook formula."""
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
-from .labels import CLASS_ORDER, SETTINGS, ClassLabel  # noqa: F401
+from .labels import CLASS_ORDER, ClassLabel
 
 
-@dataclass
-class EvalReport:
+class EvalReport(NamedTuple):
     accuracy: float
     macro_f1: float
     per_class_accuracy: list[float]  # percent, fixed class order
@@ -23,15 +21,8 @@ class EvalReport:
     setting: str
 
     def to_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "macro_f1": self.macro_f1,
-            "per_class_accuracy": self.per_class_accuracy,
-            "confusion": self.confusion,
-            "classes": [label.value for label in CLASS_ORDER],
-            "n": self.n,
-            "setting": self.setting,
-        }
+        return {**self._asdict(),
+                "classes": [label.value for label in CLASS_ORDER]}
 
 
 def count_table(labels: Sequence[ClassLabel],
@@ -108,14 +99,13 @@ def evaluate(predictor, test_set: Sequence[tuple[object, ClassLabel]],
                       n=len(pairs), setting=setting)
 
 
-def format_report_table(rows: Sequence[tuple[str, EvalReport]]) -> str:
-    """Aligned text table: one row per (name, report), F1 to 3 decimals and
-    accuracy percent to 1 decimal, like the classifier comparison tables."""
-    name_width = max([len(name) for name, _ in rows] + [len("model")])
-    lines = [f"{'model':<{name_width}}  {'F1':>6}  {'Acc%':>6}  "
-             f"{'W':>6}  {'B':>6}  {'HL':>6}  {'A':>6}"]
-    for name, report in rows:
-        cells = "  ".join(f"{value:>6.1f}" for value in report.per_class_accuracy)
-        lines.append(f"{name:<{name_width}}  {report.macro_f1:>6.3f}  "
-                     f"{report.accuracy * 100:>6.1f}  {cells}")
-    return "\n".join(lines)
+def format_report_table(name: str, report: EvalReport) -> str:
+    """Aligned text table of one model's report under a header row: F1 to 3
+    decimals and accuracy percent to 1 decimal, like the classifier
+    comparison tables."""
+    width = max(len(name), len("model"))
+    cells = "  ".join(f"{value:>6.1f}" for value in report.per_class_accuracy)
+    return (f"{'model':<{width}}  {'F1':>6}  {'Acc%':>6}  "
+            f"{'W':>6}  {'B':>6}  {'HL':>6}  {'A':>6}\n"
+            f"{name:<{width}}  {report.macro_f1:>6.3f}  "
+            f"{report.accuracy * 100:>6.1f}  {cells}")

@@ -5,10 +5,9 @@ missing.
 
 This module imports nothing of the package but util, so a subcommand that
 only reads a dataset TSV or checks its config loads no text-processing
-module; LabeledUser is a named tuple, not a dataclass, so that no module
-of the description stages loads dataclasses. The stage modules that
-define their use (filters, datasets, scorer, evaluation) import these
-names from here.
+module. LabeledUser is a named tuple, like every record of the package.
+The stage modules that define their use (filters, datasets, scorer,
+evaluation) import these names from here.
 """
 from __future__ import annotations
 

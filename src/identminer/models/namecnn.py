@@ -25,8 +25,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -207,8 +206,7 @@ def loss_and_grads(params: dict, ids: np.ndarray, metas: np.ndarray,
     return loss, grads
 
 
-@dataclass
-class NameModel:
+class NameModel(NamedTuple):
     char_vocab: dict[str, int]
     params: dict[str, np.ndarray]
     meta_dim: int

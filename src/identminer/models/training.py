@@ -8,8 +8,7 @@ from __future__ import annotations
 import base64
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -18,8 +17,7 @@ from ..labels import AUTO_SOURCES, CLASS_ORDER, ClassLabel
 N_CLASSES = len(CLASS_ORDER)
 
 
-@dataclass
-class TrainConfig:
+class TrainConfig(NamedTuple):
     learning_rate: float
     epochs: int
     l2_strength: float

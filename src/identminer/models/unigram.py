@@ -10,8 +10,7 @@ products, in the same order and from 0.0, as the CSR (X @ M) and CSC
 trained model has the bytes those loops would give it."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,8 +78,7 @@ def matmul_t(X, M: np.ndarray, width: int) -> np.ndarray:
                                  minlength=width) for column in M.T])
 
 
-@dataclass
-class UnigramModel:
+class UnigramModel(NamedTuple):
     vocab: dict[str, int]
     weights: np.ndarray  # (4, |vocab|)
     bias: np.ndarray  # (4,)

@@ -43,12 +43,9 @@ def score_params(**given) -> ScoreParams:
 def train_config(**given):
     """A TrainConfig of the given fields, each other field at the CLI
     default of its config key."""
-    from dataclasses import fields
-
     from identminer.models.training import TrainConfig
-    return TrainConfig(**{field.name: given.get(field.name,
-                                                default(field.name))
-                          for field in fields(TrainConfig)})
+    return TrainConfig(**{field: given.get(field, default(field))
+                          for field in TrainConfig._fields})
 
 
 def ts(hours: float = 0.0) -> datetime:

@@ -661,8 +661,9 @@ def test_train_evaluate_random_baseline(tmp_path):
 # what each subcommand imports
 
 # the modules besides identminer's that the probe below reports: the two
-# that no text or baseline subcommand needs, and the two that no module of
-# the CLI or the description stages imports
+# that no text or baseline subcommand needs, and the two that no subcommand
+# loads (no module of the package imports dataclasses, since its records are
+# named tuples, and the CLI writes its messages without logging)
 WATCHED = {"numpy", "scipy", "dataclasses", "logging"}
 # runs the CLI command whose argv is argv[1] (JSON), if one is given, in this
 # fresh process, and prints as a JSON list the identminer modules then
@@ -685,9 +686,8 @@ print(json.dumps(sorted(loaded)))
 CLI_MODULES = {"cli", "labels", "resources", "util"}
 _DESCRIPTION = ("ingest", "textprep", "filters", "scorer", "datasets")
 _BASELINE = ("models", "models.baselines")
-# the model configuration and the evaluation report are dataclasses
-_TRAINING = ("models.training", "dataclasses")
-_EVALUATION = ("evaluation", "dataclasses")
+_TRAINING = ("models.training",)
+_EVALUATION = ("evaluation",)
 _UNIGRAM = ("ingest", "textprep", *_BASELINE, *_TRAINING,
             "models.features", "models.unigram", "numpy")
 _NAMECNN = ("ingest", *_BASELINE, *_TRAINING, "models.namecnn", "numpy")
@@ -735,6 +735,13 @@ def assert_each_loads_its_modules(commands) -> dict[str, set[str]]:
     assert loaded == {name: CLI_MODULES | set(SUBCOMMAND_MODULES[name])
                       for name, _ in commands}
     return loaded
+
+
+def test_no_subcommand_loads_dataclasses_or_logging():
+    """The module table, which the tests below compare with what each
+    subcommand loads, lists neither for any subcommand."""
+    assert not any({"dataclasses", "logging"} & set(modules)
+                   for modules in SUBCOMMAND_MODULES.values())
 
 
 def test_importing_the_cli_loads_no_stage_module():
@@ -2159,6 +2166,49 @@ def test_out_gets_the_mode_of_the_umask(planted_corpus, tmp_path, umask):
     finally:
         os.umask(old)
     assert out.stat().st_mode & 0o777 == 0o777 & ~umask
+
+
+def train_majority(tmp_path, out: Path) -> int:
+    """Exit code of train baseline-majority into out; it writes
+    model.json and train_result.json."""
+    data = tmp_path / "d.tsv"
+    write_dataset_tsv([LabeledUser(user_id="w0", label=W, source="crowd",
+                                   score=None)], data)
+    return run("train", "--model", "baseline-majority",
+               "--train-data", str(data), "--out", str(out))
+
+
+def test_an_out_whose_name_is_near_the_length_limit_is_written(tmp_path):
+    """The staging directory's name is short whatever --out is called."""
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    out = runs / ("a" * 250)
+    out.mkdir()  # the name is a valid one
+    assert train_majority(tmp_path, out) == 0
+    assert sorted(path.name for path in out.iterdir()) == [
+        "model.json", "train_result.json"]
+    assert list(runs.iterdir()) == [out]
+
+
+def test_a_leftover_staging_directory_is_passed_over(tmp_path):
+    """Directories that a killed run with this process's id left beside
+    --out, under the staging names of this and of earlier versions, are
+    neither reused nor touched."""
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    leftovers = [runs / f".out.{os.getpid()}.tmp",
+                 runs / f".identminer.{os.getpid()}.0.tmp"]
+    for leftover in leftovers:
+        leftover.mkdir()
+        (leftover / "model.json").write_text("mine\n", encoding="utf-8")
+    assert train_majority(tmp_path, runs / "out") == 0
+    assert sorted(path.name for path in (runs / "out").iterdir()) == [
+        "model.json", "train_result.json"]
+    assert sorted(runs.iterdir()) == sorted([runs / "out", *leftovers])
+    for leftover in leftovers:
+        assert [path.name for path in leftover.iterdir()] == ["model.json"]
+        assert (leftover / "model.json").read_text(encoding="utf-8") == \
+            "mine\n"
 
 
 # training at a learning rate near the float maximum overflows, which numpy

@@ -70,10 +70,14 @@ def test_scan_descriptions_counts_the_lexicon_from_the_same_pass():
     assert lexicon == build_selfreport_lexicon(descriptions.values(),
                                                tag_lexicon(),
                                                default("allow_im"))
-    assert all(report.scores == [] and report.outcomes is None
-               for report in scanned)
+    unscored = [(report.scores, report.outcomes) for report in scanned]
+    assert unscored == [((), None)] * len(scanned)
     scored = score_reports(scanned, lexicon, score_params(), FILTER_NAMES,
                            COLORS, BLOCKLIST)
+    # the scored reports are new; the scanned ones are left unscored
+    assert [(report.scores, report.outcomes) for report in scanned] == unscored
+    assert [report._replace(scores=(), outcomes=None)
+            for report in scored] == scanned
     reference = match_reports(corpus, tag_lexicon(), lexicon, score_params())
     assert [(r.user_id, r.matches, r.scores) for r in scored] == \
         [(r.user_id, r.matches, r.scores) for r in reference]

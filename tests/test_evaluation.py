@@ -249,7 +249,7 @@ def test_format_report_table_layout():
                         per_class_accuracy=[100.0, 0.0, 0.0, 0.0],
                         confusion=[[0.0] * 4] * 4, n=1000,
                         setting="imbalanced")
-    table = format_report_table([("majority", report)])
+    table = format_report_table("majority", report)
     lines = table.splitlines()
     assert lines[0].split() == ["model", "F1", "Acc%", "W", "B", "HL", "A"]
     assert lines[1].split() == ["majority", "0.223", "80.8",

@@ -19,8 +19,8 @@ CONFIGURED = frozenset({
 
 def defaulted(tree: ast.AST) -> list[tuple[int, str]]:
     """(line, name) of each parameter of a def or lambda, and each annotated
-    class-level field (a NamedTuple or dataclass field), that is named in
-    CONFIGURED and has a default."""
+    class-level field (a NamedTuple field), that is named in CONFIGURED and
+    has a default."""
     found = []
     for node in ast.walk(tree):
         if isinstance(node, ast.arguments):
