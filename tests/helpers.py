@@ -9,6 +9,9 @@ from __future__ import annotations
 
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from datetime import datetime, timedelta, timezone
 from functools import lru_cache
 from itertools import islice
@@ -16,13 +19,15 @@ from pathlib import Path
 
 from hypothesis import strategies as st
 
+import identminer
 from identminer import resources
 from identminer.cli import KEYS
 from identminer.filters import DEFAULT_QUERY_MAP
 from identminer.scorer import ScoreParams
 from identminer.textprep import TagLexicon, Tagger
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = Path(identminer.__file__).resolve().parents[1]
 
 EPOCH = datetime(2024, 6, 1, 12, 0, 0, tzinfo=timezone.utc)
 
@@ -52,6 +57,7 @@ def ts(hours: float = 0.0) -> datetime:
     return EPOCH + timedelta(hours=hours)
 
 
+@lru_cache(maxsize=None)
 def iso(hours: float = 0.0) -> str:
     return ts(hours).isoformat().replace("+00:00", "Z")
 
@@ -173,12 +179,23 @@ def tweet_texts():
         st.text(max_size=30)).map(_joined_pieces))
 
 
-def load_spans():
-    """The benchmark tracer module perfbench/spans.py, loaded from its file
-    to be read only: its install() patches the program's modules for the
-    whole process, so tests never call it."""
-    spec = importlib.util.spec_from_file_location("perfbench_spans",
-                                                  SPANS_PATH)
+def cli_process(*argv: str, code: str | None = None,
+                **env: str) -> subprocess.CompletedProcess:
+    """python -m identminer.cli argv, or python -c code with argv as its
+    arguments, with src on the path and env added to the environment."""
+    command = ["-m", "identminer.cli"] if code is None else ["-c", code]
+    return subprocess.run(
+        [sys.executable, *command, *argv], capture_output=True, text=True,
+        timeout=120, env={**os.environ, **env, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))})
+
+
+def load_perfbench(name: str):
+    """The benchmark module perfbench/NAME.py, loaded from its file. The
+    tracer module spans is loaded to be read only: its install() patches
+    the program's modules for the whole process, so tests never call it."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module

@@ -1,9 +1,7 @@
-import importlib.util
 import math
 import random
 import time
 from collections import Counter
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -520,11 +518,13 @@ def _sage_arrays(group, background):
 
 
 def sage_objective(counts, bg, lam, eta):
-    """The penalized negative log-likelihood that SAGE minimizes."""
-    logits = np.log(bg) + eta
-    top = logits.max()
-    log_z = top + math.log(np.exp(logits - top).sum())
-    return -float(counts @ (logits - log_z)) + lam * float(np.abs(eta).sum())
+    """The penalized negative log-likelihood that SAGE minimizes, in plain
+    floats: on a few words numpy's cost per call would dominate."""
+    logits = [math.log(b) + e for b, e in zip(bg, eta)]
+    top = max(logits)
+    log_z = top + math.log(sum([math.exp(x - top) for x in logits]))
+    return (-sum([c * (x - log_z) for c, x in zip(counts, logits)])
+            + lam * sum(map(abs, eta)))
 
 
 def sage_kkt_residual(group, background, lam, deviations):
@@ -545,24 +545,29 @@ def sage_kkt_residual(group, background, lam, deviations):
 
 def fista_objective(counts, bg, lam, iterations=3000):
     """Objective value reached by accelerated proximal gradient (step 1/C,
-    a bound on the likelihood's curvature) with restart on any increase."""
-    step = 1.0 / counts.sum()
-    x = np.zeros_like(counts)
-    y = x.copy()
+    a bound on the likelihood's curvature) with restart on any increase, in
+    plain floats like sage_objective."""
+    total = sum(counts)
+    step = 1.0 / total
+    x = y = [0.0] * len(counts)
     momentum = 1.0
     best = sage_objective(counts, bg, lam, x)
     for _ in range(iterations):
-        logits = np.log(bg) + y
-        probs = np.exp(logits - logits.max())
-        probs /= probs.sum()
-        moved = y - step * (counts.sum() * probs - counts)
-        x_new = np.sign(moved) * np.maximum(np.abs(moved) - lam * step, 0.0)
+        logits = [math.log(b) + v for b, v in zip(bg, y)]
+        top = max(logits)
+        weights = [math.exp(v - top) for v in logits]
+        norm = sum(weights)
+        moved = [v - step * (total * w / norm - c)
+                 for v, w, c in zip(y, weights, counts)]
+        x_new = [math.copysign(max(abs(v) - lam * step, 0.0), v)
+                 for v in moved]
         value = sage_objective(counts, bg, lam, x_new)
         if value > best:
-            momentum, y = 1.0, x.copy()
+            momentum, y = 1.0, x
             continue
         next_momentum = (1.0 + math.sqrt(1.0 + 4.0 * momentum ** 2)) / 2.0
-        y = x_new + (momentum - 1.0) / next_momentum * (x_new - x)
+        y = [new + (momentum - 1.0) / next_momentum * (new - old)
+             for new, old in zip(x_new, x)]
         x, best, momentum = x_new, value, next_momentum
     return best
 
@@ -611,26 +616,17 @@ def test_sage_kkt_on_random_small_instances():
         assert sage_kkt_residual(group, background, lam, eta) <= 1e-9
 
 
-def _bench_corpus_module():
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "corpus.py"
-    spec = importlib.util.spec_from_file_location("bench_corpus", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 @pytest.mark.parametrize("seed", [3, 5])
-def test_sage_kkt_on_timelines_groups(tmp_path, seed):
+def test_sage_kkt_on_timelines_groups(timelines, seed):
     # the groups analyze fits on the benchmark's timelines workload
-    _bench_corpus_module().generate("timelines", seed, tmp_path)
     chunks = lexical_chunks(frozenset())
-    with open(tmp_path / "corpus.jsonl", "rb") as handle:
+    with open(timelines[seed] / "corpus.jsonl", "rb") as handle:
         users = dedupe_latest((line for line in load_users(handle)
                                if isinstance(line, UserLine)),
                               lambda line: user_summary(
                                   line, default("max_tweets"), chunks))
     groups: dict = {}
-    for user in read_dataset_tsv(tmp_path / "train.tsv"):
+    for user in read_dataset_tsv(timelines[seed] / "train.tsv"):
         if user.user_id in users:
             groups.setdefault(user.label, []).append(users[user.user_id])
     counts = {label: group_lexical_pass(group)[1]

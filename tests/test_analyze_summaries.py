@@ -30,7 +30,6 @@ from reference_analytics import (reference_analyze,
                                  reference_group_lexical_pass,
                                  reference_user_lexical_means)
 from reference_ingest import reference_latest_records
-from test_analytics import _bench_corpus_module
 from test_model_digests import seeded_fixture
 
 ANALYZE_KEYS = [key for key, row in KEYS.items() if "analyze" in row[2]]
@@ -94,11 +93,10 @@ def assert_summaries_match_the_records(corpus: Path, data: Path,
 
 
 def test_summaries_match_the_records_on_the_planted_timelines_corpus(
-        tmp_path):
+        timelines):
     # every user there has 80-120 tweets, so max_tweets 37 cuts each one
-    _bench_corpus_module().generate("timelines", 3, tmp_path)
-    assert_summaries_match_the_records(tmp_path / "corpus.jsonl",
-                                       tmp_path / "train.tsv", 37)
+    assert_summaries_match_the_records(timelines[3] / "corpus.jsonl",
+                                       timelines[3] / "train.tsv", 37)
 
 
 @pytest.mark.parametrize("max_tweets", [default("max_tweets"), 3])
@@ -150,10 +148,9 @@ corpus_lines = st.fixed_dictionaries(
        sage_lambda=st.sampled_from([0.0, 0.5, 1.0]),
        limit=st.sampled_from([1, 4, ChunkTable.limit]))
 def test_summaries_match_the_records_on_generated_corpora(
-        tmp_path_factory, corpus, labels, max_tweets, sage_lambda, limit):
-    work = tmp_path_factory.mktemp("analyze")
-    path = write_jsonl(work / "corpus.jsonl", corpus)
-    data = work / "data.tsv"
+        example_dir, corpus, labels, max_tweets, sage_lambda, limit):
+    path = write_jsonl(example_dir / "corpus.jsonl", corpus)
+    data = example_dir / "data.tsv"
     write_dataset_tsv([LabeledUser(user_id=user_id, label=label,
                                    source="crowd", score=None)
                        for user_id, label in zip(USER_IDS, labels)], data)

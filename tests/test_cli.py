@@ -11,9 +11,9 @@ import random
 import re
 import shutil
 import struct
-import subprocess
 import sys
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
@@ -26,7 +26,7 @@ from identminer.models import RandomBaseline, baseline_majority, save_model
 from identminer.textprep import SelfReportLexicon
 from identminer.util import DataError, canonical_json, config_hash
 
-from helpers import (PLANT_HEADS, iso, planted_descriptions,
+from helpers import (PLANT_HEADS, cli_process, iso, planted_descriptions,
                      planted_payloads, score_params, ts, tweet_payload,
                      user_payload, write_jsonl, write_unigram_model)
 
@@ -37,9 +37,10 @@ def run(*argv) -> int:
     return main(list(argv))
 
 
-@pytest.fixture()
-def planted_corpus(tmp_path):
-    return write_jsonl(tmp_path / "corpus.jsonl", planted_payloads())
+@pytest.fixture(scope="module")
+def planted_corpus(request, shared):
+    return shared(request, lambda root: write_jsonl(root / "corpus.jsonl",
+                                                    planted_payloads()))
 
 
 def tweet_group_fixture(tmp_path):
@@ -713,27 +714,27 @@ SUBCOMMAND_MODULES = {
 }
 
 
-def modules_loaded_by(commands) -> dict[str, set[str]]:
-    """The modules loaded by each (name, argv) of commands, each run in a
-    fresh process after the ones before it, as IMPORT_PROBE prints them."""
-    import identminer
-    src = str(Path(identminer.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
+def modules_loaded_by(*stages) -> dict[str, set[str]]:
+    """The modules loaded by each (name, argv) of each stage, as
+    IMPORT_PROBE prints them. Each command runs in a fresh process, side
+    by side with the others of its stage (as many at once as there are
+    CPUs), after every command of the stages before."""
     loaded = {}
-    for name, argv in commands:
-        proc = subprocess.run([sys.executable, "-c", IMPORT_PROBE,
-                               *([json.dumps(argv)] if argv else [])],
-                              capture_output=True, text=True, env=env)
-        assert proc.returncode == 0, (name, proc.stderr)
-        loaded[name] = set(json.loads(proc.stdout))
+    with ThreadPoolExecutor(os.cpu_count()) as pool:
+        for commands in stages:
+            procs = pool.map(lambda argv: cli_process(
+                *([json.dumps(argv)] if argv else []), code=IMPORT_PROBE),
+                [argv for _, argv in commands])
+            for (name, _), proc in zip(commands, procs):
+                assert proc.returncode == 0, (name, proc.stderr)
+                loaded[name] = set(json.loads(proc.stdout))
     return loaded
 
 
-def assert_each_loads_its_modules(commands) -> dict[str, set[str]]:
-    loaded = modules_loaded_by(commands)
+def assert_each_loads_its_modules(*stages) -> dict[str, set[str]]:
+    loaded = modules_loaded_by(*stages)
     assert loaded == {name: CLI_MODULES | set(SUBCOMMAND_MODULES[name])
-                      for name, _ in commands}
+                      for commands in stages for name, _ in commands}
     return loaded
 
 
@@ -769,23 +770,21 @@ def description_commands(planted_corpus, tmp_path) -> list:
 def test_text_and_baseline_subcommands_load_neither_numpy_nor_scipy(
         planted_corpus, tmp_path):
     """Nor do the description stages load dataclasses or logging."""
-    commands = description_commands(planted_corpus, tmp_path)
+    description = description_commands(planted_corpus, tmp_path)
     data = str(tmp_path / "hf" / "dataset_hf.tsv")
-    description = [name for name, _ in commands]
-    for model in ("baseline-majority", "baseline-random"):
-        model_dir = tmp_path / model
-        commands += [
-            (f"train {model}", ["train", "--model", model, "--train-data", data,
-                                "--out", str(model_dir)]),
-            (f"evaluate {model}", ["evaluate", "--model-file",
-                                   str(model_dir / "model.json"),
-                                   "--test-data", data,
-                                   "--out", str(tmp_path / f"eval-{model}")]),
-        ]
-    assert not any("numpy" in SUBCOMMAND_MODULES[name] for name, _ in commands)
-    loaded = assert_each_loads_its_modules(commands)
+    models = ("baseline-majority", "baseline-random")
+    train = [(f"train {model}", ["train", "--model", model, "--train-data",
+                                 data, "--out", str(tmp_path / model)])
+             for model in models]
+    evaluate = [(f"evaluate {model}", [
+        "evaluate", "--model-file", str(tmp_path / model / "model.json"),
+        "--test-data", data, "--out", str(tmp_path / f"eval-{model}")])
+        for model in models]
+    assert not any("numpy" in SUBCOMMAND_MODULES[name]
+                   for name, _ in [*description, *train, *evaluate])
+    loaded = assert_each_loads_its_modules(description, train, evaluate)
     assert not any(loaded[name] & {"dataclasses", "logging"}
-                   for name in description)
+                   for name, _ in description)
 
 
 def test_description_stages_build_no_record(planted_corpus, tmp_path,
@@ -902,13 +901,14 @@ def test_evaluate_name_model_loads_numpy_but_not_scipy(tmp_path):
                           min_char_count=1)
     model_dir = tmp_path / "train"
     inputs = ["--corpus", str(corpus), "--config", str(config)]
-    assert_each_loads_its_modules([
-        ("train namecnn", ["train", "--model", "namecnn", *inputs,
-                           "--train-data", str(data), "--out", str(model_dir)]),
-        ("evaluate namecnn", ["evaluate", "--model-file",
-                              str(model_dir / "model.json"), *inputs,
-                              "--test-data", str(data),
-                              "--out", str(tmp_path / "eval")])])
+    assert_each_loads_its_modules(
+        [("train namecnn", ["train", "--model", "namecnn", *inputs,
+                            "--train-data", str(data),
+                            "--out", str(model_dir)])],
+        [("evaluate namecnn", ["evaluate", "--model-file",
+                               str(model_dir / "model.json"), *inputs,
+                               "--test-data", str(data),
+                               "--out", str(tmp_path / "eval")])])
     assert json.loads((tmp_path / "eval" / "eval_result.json")
                       .read_text())["n"] == 8
 
@@ -923,7 +923,7 @@ def test_no_train_or_evaluate_loads_scipy(tmp_path):
         for i, user in enumerate(read_dataset_tsv(data))),
         encoding="utf-8")
     inputs = ["--corpus", str(corpus), "--config", str(config)]
-    commands = []
+    train, evaluate = [], []
     for name, model, extra in (
             ("unigram", "unigram", []),
             ("unigram embeddings", "unigram",
@@ -932,17 +932,15 @@ def test_no_train_or_evaluate_loads_scipy(tmp_path):
             ("baseline-majority", "baseline-majority", []),
             ("baseline-random", "baseline-random", [])):
         model_file = tmp_path / f"train {name}" / "model.json"
-        commands += [
-            (f"train {name}", ["train", "--model", model, *inputs, *extra,
-                               "--train-data", str(data),
-                               "--out", str(model_file.parent)]),
-            (f"evaluate {name}", ["evaluate", *inputs, *extra,
-                                  "--model-file", str(model_file),
-                                  "--test-data", str(data),
-                                  "--out", str(tmp_path / f"eval {name}")]),
-        ]
+        train.append((f"train {name}", [
+            "train", "--model", model, *inputs, *extra,
+            "--train-data", str(data), "--out", str(model_file.parent)]))
+        evaluate.append((f"evaluate {name}", [
+            "evaluate", *inputs, *extra, "--model-file", str(model_file),
+            "--test-data", str(data),
+            "--out", str(tmp_path / f"eval {name}")]))
     assert not any("scipy" in modules for modules in SUBCOMMAND_MODULES.values())
-    assert_each_loads_its_modules(commands)
+    assert_each_loads_its_modules(train, evaluate)
 
 
 # ---------------------------------------------------------------------------
@@ -1499,12 +1497,17 @@ def test_config_values_apply_and_flags_override(planted_corpus, tmp_path):
     assert stats["filter_accounting"]["passed_filters"] == 100
 
 
-def config_check_commands(tmp_path) -> dict[str, list[str]]:
+@pytest.fixture(scope="module")
+def config_checks(request, shared) -> dict[str, list[str]]:
+    return shared(request, config_check_commands)
+
+
+def config_check_commands(root) -> dict[str, list[str]]:
     """One valid invocation of each subcommand that reads the checked keys."""
-    planted = write_jsonl(tmp_path / "corpus.jsonl", planted_payloads())
-    tune_corpus, tuning = tune_fixture(tmp_path)
-    group_corpus, data = tweet_group_fixture(tmp_path)
-    model = write_unigram_model(tmp_path / "model.json", {"alpha": 0}, 1)
+    planted = write_jsonl(root / "corpus.jsonl", planted_payloads())
+    tune_corpus, tuning = tune_fixture(root)
+    group_corpus, data = tweet_group_fixture(root)
+    model = write_unigram_model(root / "model.json", {"alpha": 0}, 1)
     return {
         "lexicon-build": ["lexicon-build", "--corpus", str(planted)],
         # no --kind, so that a config "kind" applies
@@ -1609,9 +1612,8 @@ BAD_CONFIG_VALUES = [
 ]
 
 
-def assert_bad_config_exits_2(tmp_path, capsys, command, key, value):
+def assert_bad_config_exits_2(tmp_path, capsys, argv, key, value):
     config = write_config(tmp_path, "cfg.json", **{key: value})
-    argv = config_check_commands(tmp_path)[command]
     out = tmp_path / "out"
     assert run(*argv, "--config", str(config), "--out", str(out)) == 2
     err = capsys.readouterr().err
@@ -1622,19 +1624,21 @@ def assert_bad_config_exits_2(tmp_path, capsys, command, key, value):
 
 
 @pytest.mark.parametrize("command,key,value", BAD_CONFIG_VALUES)
-def test_bad_config_value_is_a_data_error(tmp_path, capsys, command, key,
-                                          value):
-    assert_bad_config_exits_2(tmp_path, capsys, command, key, value)
+def test_bad_config_value_is_a_data_error(config_checks, tmp_path, capsys,
+                                          command, key, value):
+    assert_bad_config_exits_2(tmp_path, capsys, config_checks[command], key,
+                              value)
 
 
 @pytest.mark.parametrize("command,key,value", BAD_CONFIG_VALUES)
 def test_bad_config_value_fails_before_the_corpus_is_read(
-        tmp_path, capsys, monkeypatch, command, key, value):
+        config_checks, tmp_path, capsys, monkeypatch, command, key, value):
     def refuse(path, keep):
         raise AssertionError(f"corpus {path} read before the config check")
 
     monkeypatch.setattr(cli, "_load_corpus", refuse)
-    assert_bad_config_exits_2(tmp_path, capsys, command, key, value)
+    assert_bad_config_exits_2(tmp_path, capsys, config_checks[command], key,
+                              value)
 
 
 # every config and path key in the order they are checked: a config with
@@ -1673,39 +1677,39 @@ def test_a_config_with_several_bad_values_names_the_first_checked(tmp_path,
                 cli._resolve(args)
 
 
-def bad_input_commands(tmp_path) -> dict[str, list[str]]:
+def bad_input_commands(root) -> dict[str, list[str]]:
     """One invocation per malformed user-supplied resource or model file."""
-    planted = write_jsonl(tmp_path / "corpus.jsonl", planted_payloads())
-    group_corpus, data = tweet_group_fixture(tmp_path)
-    penn = tmp_path / "penn.tsv"
+    planted = write_jsonl(root / "corpus.jsonl", planted_payloads())
+    group_corpus, data = tweet_group_fixture(root)
+    penn = root / "penn.tsv"
     penn.write_text("a\tXX\n", encoding="utf-8")
-    latin1 = tmp_path / "latin1.tsv"
+    latin1 = root / "latin1.tsv"
     latin1.write_bytes(b"caf\xe9\tNN\n")
-    trigram = tmp_path / "trigram.txt"
+    trigram = root / "trigram.txt"
     trigram.write_text("one two three\n", encoding="utf-8")
-    blocklist_config = write_config(tmp_path, "blocklist.json",
+    blocklist_config = write_config(root, "blocklist.json",
                                     blocklist_file=str(trigram))
-    narrow = tmp_path / "narrow.tsv"
+    narrow = root / "narrow.tsv"
     narrow.write_text("w0\t0.1 0.2 0.3\n", encoding="utf-8")
-    infinite = tmp_path / "infinite.tsv"
+    infinite = root / "infinite.tsv"
     infinite.write_text("w0\t" + " ".join(["1e999"] * 768) + "\n",
                         encoding="utf-8")
     # the same w0 embedding row twice
-    twice = tmp_path / "twice.tsv"
+    twice = root / "twice.tsv"
     twice.write_text(2 * ("w0\t" + " ".join(["0.5"] * 768) + "\n"),
                      encoding="utf-8")
     # a zero unigram model over embeddings, so evaluate reaches --embeddings
-    model = write_unigram_model(tmp_path / "model.json", {}, 768)
-    shapeless = tmp_path / "shapeless.json"
+    model = write_unigram_model(root / "model.json", {}, 768)
+    shapeless = root / "shapeless.json"
     shapeless.write_text('{"kind": "unigram", "version": 2}', encoding="utf-8")
     # a name model whose params is a number instead of an object
-    mistyped = tmp_path / "mistyped.json"
+    mistyped = root / "mistyped.json"
     mistyped.write_text(json.dumps({"kind": "namecnn", "version": 2,
                                     "params": 5, "char_vocab": {},
                                     "meta_dim": 5, "max_len": 10}),
                         encoding="utf-8")
     # a unigram model as format version 1 wrote it: arrays as JSON floats
-    version_1 = tmp_path / "version_1.json"
+    version_1 = root / "version_1.json"
     version_1.write_text(json.dumps({"kind": "unigram", "version": 1,
                                      "vocab": {}, "weights": [0.0] * 3072,
                                      "shape": [4, 768], "bias": [0.0] * 4}),
@@ -1718,13 +1722,13 @@ def bad_input_commands(tmp_path) -> dict[str, list[str]]:
         "not-string": [0.0] * 3072,
     }
     bad_arrays = {
-        defect: write_unigram_model(tmp_path / f"{defect}.json", {}, 768,
+        defect: write_unigram_model(root / f"{defect}.json", {}, 768,
                                     weights={"shape": [4, 768], "data": data})
         for defect, data in weights.items()}
-    listed = tmp_path / "listed.json"
+    listed = root / "listed.json"
     listed.write_text("[1, 2]", encoding="utf-8")
     # nesting past the JSON decoder's recursion limit
-    nested = tmp_path / "nested.json"
+    nested = root / "nested.json"
     nested.write_text("[" * 100000, encoding="utf-8")
     # a name model over the characters a and b, then the defects of
     # MODEL_DEFECTS planted in it or in a unigram model
@@ -1749,34 +1753,34 @@ def bad_input_commands(tmp_path) -> dict[str, list[str]]:
            for defect, (field, value) in MISTYPED_INTEGERS.items()},
     }
     model_defects = {
-        **{defect: tmp_path / f"{defect}.json" for defect in named},
+        **{defect: root / f"{defect}.json" for defect in named},
         "unigram-weights-shape": write_unigram_model(
-            tmp_path / "wide.json", {"hi": 0}, 2),
+            root / "wide.json", {"hi": 0}, 2),
         "unigram-bias-shape": write_unigram_model(
-            tmp_path / "bias.json", {"hi": 0}, 1,
+            root / "bias.json", {"hi": 0}, 1,
             bias=encode_array(np.zeros(3))),
         "unigram-vocab-index": write_unigram_model(
-            tmp_path / "index.json", {"hi": 1}, 1),
+            root / "index.json", {"hi": 1}, 1),
     }
     for defect, payload in named.items():
         model_defects[defect].write_text(json.dumps(payload), encoding="utf-8")
     evaluate = ["evaluate", "--test-data", str(data), "--corpus",
                 str(group_corpus)]
     # the eight fixture rows, then w0 again or a row whose score is nan
-    repeated = tmp_path / "repeated.tsv"
+    repeated = root / "repeated.tsv"
     repeated.write_text(data.read_text(encoding="utf-8") + "w0\tB\t\tcrowd\n",
                         encoding="utf-8")
-    nonfinite = tmp_path / "nonfinite.tsv"
+    nonfinite = root / "nonfinite.tsv"
     nonfinite.write_text(data.read_text(encoding="utf-8")
                          + "x9\tB\tnan\tcrowd\n", encoding="utf-8")
     datasets = {"repeated-id": repeated, "nonfinite-score": nonfinite}
     # --embeddings with a model that takes no embeddings; no input file
     # exists, so the refusal must come before each is read
-    absent = str(tmp_path / "absent")
+    absent = str(root / "absent")
     unused = ["--corpus", absent, "--embeddings", absent]
-    trained = {"namecnn": tmp_path / "name.json",
-               "baseline-majority": tmp_path / "majority.json",
-               "baseline-random": tmp_path / "random.json"}
+    trained = {"namecnn": root / "name.json",
+               "baseline-majority": root / "majority.json",
+               "baseline-random": root / "random.json"}
     trained["namecnn"].write_text(json.dumps(name), encoding="utf-8")
     save_model(baseline_majority([W]), trained["baseline-majority"])
     save_model(RandomBaseline(0), trained["baseline-random"])
@@ -1840,6 +1844,11 @@ def bad_input_commands(tmp_path) -> dict[str, list[str]]:
     }
 
 
+@pytest.fixture(scope="module")
+def bad_inputs(request, shared) -> dict[str, list[str]]:
+    return shared(request, bad_input_commands)
+
+
 # defect -> (field, value) of an integer model-file field that holds no
 # JSON integer: a null seed would seed from the OS, so two runs would
 # differ, and meta_dim 5.0 would pass as 5
@@ -1892,9 +1901,9 @@ MODEL_DEFECTS = {
     *[f"{command}-{kind}-embeddings-unused" for command in ("train", "evaluate")
       for kind in ("namecnn", "baseline-majority", "baseline-random")],
 ])
-def test_malformed_input_file_is_a_data_error(tmp_path, capsys, case):
-    argv = bad_input_commands(tmp_path)[case]
-    capsys.readouterr()
+def test_malformed_input_file_is_a_data_error(bad_inputs, tmp_path, capsys,
+                                              case):
+    argv = bad_inputs[case]
     out = tmp_path / "out"
     assert run(*argv, "--out", str(out)) == 2
     err = capsys.readouterr().err
@@ -2125,7 +2134,7 @@ def test_an_empty_out_is_filled(planted_corpus, tmp_path):
             "lexicon_summary.json", "selfreport_lexicon.tsv"], given
     assert (tmp_path / "link").resolve() == out
     assert sorted(path.name for path in tmp_path.iterdir()) == [
-        "corpus.jsonl", "link", "out", "runs"]
+        "link", "out", "runs"]
 
 
 def test_an_out_that_is_not_empty_is_refused_before_any_input_is_read(
@@ -2364,12 +2373,13 @@ def test_a_flag_for_a_key_the_subcommand_does_not_read_is_a_usage_error(
 UNREAD_VALUE = {"not": "a value"}
 
 
-def test_a_key_the_subcommand_does_not_read_is_ignored(tmp_path):
+def test_a_key_the_subcommand_does_not_read_is_ignored(config_checks,
+                                                       tmp_path):
     """A bad value of every key that a subcommand does not read, in the
     config file, leaves its exit code and every output byte as they are."""
     assert not any(check(UNREAD_VALUE)
                    for _, (_, check), _, _ in cli.KEYS.values())
-    for name, argv in config_check_commands(tmp_path).items():
+    for name, argv in config_checks.items():
         read = {"kind": "cb"} if "kind" in reads(name) else {}
         configs = [write_config(tmp_path, f"{name}_plain.json", **read),
                    write_config(tmp_path, f"{name}_unread.json", **read, **{
@@ -2400,16 +2410,16 @@ READ_CONFIG_KEYS = {
 }
 
 
-def test_one_config_of_every_key_runs_every_subcommand(tmp_path):
+def test_one_config_of_every_key_runs_every_subcommand(config_checks,
+                                                       tmp_path):
     """One config file holding every key drives the whole pipeline: each
     subcommand takes just the keys it reads, and its result's config block
     and hash hold exactly the config keys of those, at the file's values."""
     shared = {**{key: row[0] for key, row in cli.KEYS.items()}, "kind": "cb",
               "seed": 7, "epochs": 3, "max_tweets": 5, "top_n": 5}
     config = write_config(tmp_path, "pipeline.json", **shared)
-    commands = config_check_commands(tmp_path)
-    assert commands.keys() == READ_CONFIG_KEYS.keys()
-    for name, argv in commands.items():
+    assert config_checks.keys() == READ_CONFIG_KEYS.keys()
+    for name, argv in config_checks.items():
         out = tmp_path / name
         argv = [*argv, "--config", str(config), "--out", str(out)]
         config_values, paths = cli._resolve(cli.build_parser().parse_args(argv))
@@ -2460,14 +2470,14 @@ def test_each_flag_overrides_the_config_file_and_absent_keeps_it(tmp_path):
                 (name, action.dest)
 
 
-def test_integer_for_a_number_key_trains_the_same_model(tmp_path):
-    commands = config_check_commands(tmp_path)
+def test_integer_for_a_number_key_trains_the_same_model(config_checks,
+                                                        tmp_path):
     models = []
     for rate in (1, 1.0):
         config = write_config(tmp_path, f"cfg{rate!r}.json", learning_rate=rate,
                               epochs=3, batch_size=4)
         out = tmp_path / f"out{rate!r}"
-        assert run(*commands["train"], "--config", str(config),
+        assert run(*config_checks["train"], "--config", str(config),
                    "--out", str(out)) == 0
         models.append((out / "model.json").read_bytes())
     assert models[0] == models[1]
@@ -2523,19 +2533,3 @@ def test_usage_errors_exit_1():
             main([*argv, "--out", "x"])
         assert exc.value.code == 1
 
-
-def test_console_script_runs_with_logging(tmp_path):
-    if shutil.which("identminer") is None:
-        pytest.skip("console script not installed")
-    corpus = write_jsonl(tmp_path / "c.jsonl",
-                         [user_payload("u1", description="i am a farmer")])
-    out = tmp_path / "out"
-    proc = subprocess.run(
-        ["identminer", "lexicon-build", "--corpus", str(corpus),
-         "--out", str(out)],
-        capture_output=True, text=True,
-        env={"PATH": "/usr/local/bin:/usr/bin:/bin",
-             "IDENTMINER_LOG": "info"})
-    assert proc.returncode == 0
-    assert "corpus:" in proc.stderr
-    assert (out / "lexicon_summary.json").exists()

@@ -5,6 +5,7 @@ keys the subcommand reads. Every run exits 0 or 2 and raises nothing, a
 run that exits 2 leaves no --out, no run leaves a staging directory beside
 it, and a model that train saves loads and holds only finite numbers."""
 import base64
+import functools
 import json
 import shutil
 import tempfile
@@ -51,11 +52,9 @@ def planted_users() -> list[dict]:
     return payloads
 
 
-@pytest.fixture(scope="module")
-def inputs(tmp_path_factory):
+def build_inputs(root: Path) -> dict:
     """The corpus, its dataset, votes and one trained model file of each
     kind."""
-    root = tmp_path_factory.mktemp("fuzz")
     users = planted_users()
     corpus = write_jsonl(root / "corpus.jsonl", users)
     data = root / "data.tsv"
@@ -78,8 +77,12 @@ def inputs(tmp_path_factory):
                          "--train-data", str(data), "--config", str(config),
                          "--out", str(out)]) == 0
         models[model] = out / "model.json"
-    return {"root": root, "corpus": corpus, "data": data, "votes": votes,
-            "models": models}
+    return {"corpus": corpus, "data": data, "votes": votes, "models": models}
+
+
+@pytest.fixture(scope="module")
+def inputs(request, shared):
+    return shared(request, build_inputs)
 
 
 json_values = st.recursive(
@@ -105,39 +108,43 @@ def config_keys(command: str) -> list[str]:
             if command in commands and rule is not cli._PATH]
 
 
-def accepted(key: str) -> list:
-    """The edge values that key's rule accepts."""
+@functools.cache
+def accepted(key: str):
+    """The edge values that key's rule accepts, to draw from."""
     check = cli.KEYS[key][1][1]
-    return [value for value in EDGES if check(value)]
+    return st.sampled_from([value for value in EDGES if check(value)])
+
+
+# the strategies a run draws from, built once rather than once per example
+BAD_VALUES = st.sampled_from(EDGES) | json_values
+LINES = st.one_of(
+    st.binary(max_size=40),
+    st.fixed_dictionaries(
+        {"user_id": st.sampled_from(("w0", "b1", "hl2", "new"))},
+        optional={field: json_values | st.sampled_from(EDGES)
+                  for field in ("snapshot_time", "name", "description",
+                                "tweets", "profile")}
+    ).map(lambda obj: json.dumps(obj).encode()),
+    st.builds(lambda user_id, description, statuses, hours: json.dumps(
+        user_payload(user_id, description=description, hours=hours,
+                     tweets=(tweet_payload("x", hours=hours - 1),),
+                     profile={"statuses_count": statuses})).encode(),
+        st.sampled_from(("w0", "a2", "new")), st.text(max_size=20),
+        st.integers(0, 2 ** 70), st.floats(-10.0, 10.0)))
 
 
 @st.composite
 def runs(draw, command: str):
     keys = config_keys(command)
-    config = {key: draw(st.sampled_from(accepted(key))) for key in keys}
+    config = {key: draw(accepted(key)) for key in keys}
     # at most one key takes any JSON value, mostly one its rule refuses
     bad = draw(st.none() | st.sampled_from(keys))
     if bad is not None:
-        config[bad] = draw(st.sampled_from(EDGES) | json_values)
+        config[bad] = draw(BAD_VALUES)
     # epochs sets how long training runs; any other value of it stays
     if type(config.get("epochs")) is int and config["epochs"] > 3:
         config["epochs"] = 3
-    line = draw(st.one_of(
-        st.binary(max_size=40),
-        st.fixed_dictionaries(
-            {"user_id": st.sampled_from(("w0", "b1", "hl2", "new"))},
-            optional={field: json_values | st.sampled_from(EDGES)
-                      for field in ("snapshot_time", "name", "description",
-                                    "tweets", "profile")}
-        ).map(lambda obj: json.dumps(obj).encode()),
-        st.builds(lambda user_id, description, statuses, hours: json.dumps(
-            user_payload(user_id, description=description, hours=hours,
-                         tweets=(tweet_payload("x", hours=hours - 1),),
-                         profile={"statuses_count": statuses})).encode(),
-            st.sampled_from(("w0", "a2", "new")), st.text(max_size=20),
-            st.integers(0, 2 ** 70), st.floats(-10.0, 10.0))))
-    model = draw(st.sampled_from(cli.MODEL_NAMES))
-    return config, line, model
+    return config, draw(LINES), draw(st.sampled_from(cli.MODEL_NAMES))
 
 
 def argv_of(command: str, inputs: dict, corpus: Path, model: str) -> list:
@@ -168,9 +175,10 @@ def saved_arrays(payload) -> list:
           suppress_health_check=[HealthCheck.too_slow,
                                  HealthCheck.data_too_large])
 @given(data=st.data())
-def test_any_config_value_or_corpus_line_exits_0_or_2(inputs, command, data):
+def test_any_config_value_or_corpus_line_exits_0_or_2(inputs, example_dir,
+                                                     command, data):
     config, line, model = data.draw(runs(command))
-    work = Path(tempfile.mkdtemp(dir=inputs["root"]))
+    work = Path(tempfile.mkdtemp(dir=example_dir))
     try:
         corpus = work / "corpus.jsonl"
         corpus.write_bytes(inputs["corpus"].read_bytes() + line + b"\n")

@@ -4,31 +4,13 @@ os._exit as soon as main has returned, so these check what the normal exit
 would have done: the exit code, stderr written to its end, the files in
 place, and the atexit callbacks run."""
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import identminer
 from identminer.cli import main
 
-from helpers import tweet_payload, user_payload, write_jsonl
+from helpers import SRC, cli_process, tweet_payload, user_payload, write_jsonl
 from test_model_digests import seeded_fixture
-
-SRC = Path(identminer.__file__).resolve().parents[1]
-
-
-def cli_process(*argv: str, code: str | None = None,
-                **env: str) -> subprocess.CompletedProcess:
-    """python -m identminer.cli argv, or python -c code with argv as its
-    arguments, with src on the path and env added to the environment."""
-    command = ["-m", "identminer.cli"] if code is None else ["-c", code]
-    return subprocess.run(
-        [sys.executable, *command, *argv], capture_output=True, text=True,
-        timeout=120, env={**os.environ, **env, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))})
 
 
 def test_a_run_exits_0_with_its_files_and_its_whole_log(tmp_path):

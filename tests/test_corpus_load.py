@@ -96,9 +96,9 @@ corpus_lines = st.lists(st.tuples(
 @settings(max_examples=150)
 @given(lines=corpus_lines,
        kept_ids=st.sets(st.sampled_from(("u0", "u1", "u2", "u3", "u9"))))
-def test_streamed_load_matches_the_list_then_dedupe_loader(tmp_path_factory,
+def test_streamed_load_matches_the_list_then_dedupe_loader(example_dir,
                                                            lines, kept_ids):
-    path = write_jsonl(tmp_path_factory.mktemp("corpus") / "corpus.jsonl", [
+    path = write_jsonl(example_dir / "corpus.jsonl", [
         corpus_line(index, user_id, snapshot, defect)
         for index, (user_id, snapshot, defect) in enumerate(lines)])
     calls = []

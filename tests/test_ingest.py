@@ -462,6 +462,11 @@ any_value = st.one_of(
                      for value in values]))
 WHOLE_LINES = ("", "   ", "\t", "{not json", "[1, 2]", "null", '"text"',
                "7", "{}", "[" * 100000, '{"a":' * 100000, '{"user_id": "u1"')
+# what a field is set to, by its kind: built once, not once per draw
+FIELD_VALUES = {kind: st.one_of(st.just("delete"), any_value,
+                                st.sampled_from(values))
+                for kind, values in KIND_VALUES.items()}
+EDITED_FIELDS = st.lists(st.sampled_from(sorted(FIELDS)), max_size=4)
 
 
 @st.composite
@@ -480,12 +485,9 @@ def hostile_lines(draw) -> str:
                  "account_created_at": iso(hours=-100),
                  "has_profile_url": True})
     raw = []
-    for where, key in draw(st.lists(st.sampled_from(sorted(FIELDS)),
-                                    max_size=4)):
+    for where, key in draw(EDITED_FIELDS):
         # a copy: a later edit may change a list or object set here
-        value = copy.deepcopy(draw(st.one_of(
-            st.just("delete"), any_value,
-            st.sampled_from(KIND_VALUES[FIELDS[where, key]]))))
+        value = copy.deepcopy(draw(FIELD_VALUES[FIELDS[where, key]]))
         tweets = payload.get("tweets")
         target = {"user": payload, "profile": payload.get("profile"),
                   "tweet": tweets[0] if isinstance(tweets, list) and tweets

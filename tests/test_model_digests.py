@@ -11,16 +11,21 @@ here. Both digests were last re-recorded on purpose, together:
   one product over each window's concatenated embeddings, so its sums run
   in another order; the file also no longer holds "max_len".
 They pin the bytes of this numpy build and its BLAS (the name model's dense
-products go through BLAS, whose kernels differ between CPU families)."""
+products go through BLAS, whose kernels differ between CPU families). The
+name model's bytes are also pinned in a process at one and at two BLAS
+threads: the benchmark runs each stage at as many threads as CPUs, while
+the tests run at whatever their environment sets."""
 import hashlib
 import json
 import random
+
+import pytest
 
 from identminer.cli import main
 from identminer.datasets import LabeledUser, write_dataset_tsv
 from identminer.filters import CLASS_ORDER
 
-from helpers import tweet_payload, user_payload, write_jsonl
+from helpers import cli_process, tweet_payload, user_payload, write_jsonl
 
 UNIGRAM_SHA256 = ("236300a8e98e215f9b5aa68524658353"
                   "77727c9c7e1babe133d8092763a4c811")
@@ -75,16 +80,28 @@ def seeded_fixture(tmp_path, seed=7, per_class=12):
             "--config", str(config), "--seed", "5"]
 
 
-def trained_model_sha256(tmp_path, model: str) -> str:
-    out = tmp_path / model
-    assert main(["train", "--model", model, *seeded_fixture(tmp_path),
-                 "--out", str(out)]) == 0
-    return hashlib.sha256((out / "model.json").read_bytes()).hexdigest()
+def trained_model_sha256(tmp_path, model: str,
+                         blas_threads: str | None = None) -> str:
+    """The sha256 of model trained on seeded_fixture: in process, or in a
+    python -m identminer.cli process at blas_threads OpenBLAS threads."""
+    argv = ["train", "--model", model, *seeded_fixture(tmp_path),
+            "--out", str(tmp_path / model)]
+    if blas_threads is None:
+        assert main(argv) == 0
+    else:
+        proc = cli_process(*argv, OPENBLAS_NUM_THREADS=blas_threads)
+        assert proc.returncode == 0, proc.stderr
+    return hashlib.sha256((tmp_path / model / "model.json").read_bytes()
+                          ).hexdigest()
 
 
 def test_unigram_model_bytes_are_pinned(tmp_path):
     assert trained_model_sha256(tmp_path, "unigram") == UNIGRAM_SHA256
 
 
-def test_name_model_bytes_are_pinned(tmp_path):
-    assert trained_model_sha256(tmp_path, "namecnn") == NAMECNN_SHA256
+@pytest.mark.parametrize("blas_threads", [None, "1", "2"],
+                         ids=["in-process", "blas-threads-1",
+                              "blas-threads-2"])
+def test_name_model_bytes_are_pinned(tmp_path, blas_threads):
+    assert trained_model_sha256(tmp_path, "namecnn", blas_threads) == \
+        NAMECNN_SHA256

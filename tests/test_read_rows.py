@@ -161,8 +161,8 @@ def byte_lines():
 @settings(max_examples=60)
 @given(lines=byte_lines())
 def test_hostile_lines_only_raise_value_error_naming_their_line(
-        tmp_path_factory, reader, lines):
-    path = tmp_path_factory.mktemp("fuzz") / "input.tsv"
+        example_dir, reader, lines):
+    path = example_dir / "input.tsv"
     path.write_bytes(b"\n".join(lines) + b"\n")
     try:
         READERS[reader][0](path)

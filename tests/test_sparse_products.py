@@ -5,6 +5,8 @@ scipy is an oracle here and nowhere in the program: the models' products are
 np.bincount sums, which have to add the same float64 values in the same
 order, from 0.0, as scipy's loops do, so that a model trained with either
 has the same bytes."""
+import functools
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,13 @@ from identminer.models.unigram import matmul, matmul_t, stack_rows, take_rows
 FLOATS = st.floats(-1e6, 1e6, allow_nan=False, allow_subnormal=True)
 
 
+@functools.cache
+def float_arrays(shape):
+    """float64 arrays of shape with FLOATS elements, built once per shape
+    rather than once per draw."""
+    return hnp.arrays(np.float64, shape, elements=FLOATS)
+
+
 @st.composite
 def count_matrices(draw):
     """(count rows, width): 1 to 9 rows over 1 to 7 columns, rows empty or
@@ -24,7 +33,7 @@ def count_matrices(draw):
     rows = []
     for _ in range(draw(st.integers(1, 9))):
         cols = sorted(draw(st.sets(st.integers(0, width - 1))))
-        values = draw(hnp.arrays(np.float64, len(cols), elements=FLOATS))
+        values = draw(float_arrays(len(cols)))
         rows.append((np.array(cols, dtype=np.int64), values))
     return rows, width
 
@@ -60,9 +69,8 @@ def test_count_products_equal_scipy_csr_bitwise(matrix, data):
     assert same_csr(X, theirs)
 
     n_classes = data.draw(st.integers(1, 4))
-    W = data.draw(hnp.arrays(np.float64, (n_classes, width), elements=FLOATS))
-    delta = data.draw(hnp.arrays(np.float64, (n, n_classes),
-                                 elements=FLOATS))
+    W = data.draw(float_arrays((n_classes, width)))
+    delta = data.draw(float_arrays((n, n_classes)))
     assert same_bytes(matmul(X, W.T), theirs @ W.T)
     assert same_bytes(matmul_t(X, delta, width), theirs.T @ delta)
 

@@ -14,7 +14,7 @@ import ast
 from collections import defaultdict
 from pathlib import Path
 
-from helpers import load_spans
+from helpers import load_perfbench
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -28,7 +28,7 @@ EXEMPT = {
 def tracer_bound() -> set[tuple[str, str]]:
     """The (module, qualified name) of each function and method that the
     benchmark tracer wraps and so calls."""
-    spans = load_spans()
+    spans = load_perfbench("spans")
     return ({(module, function)
              for module, functions in spans.LAYER_FUNCTIONS.items()
              for function in functions}

@@ -1,14 +1,14 @@
 """Every program name the benchmark tracer wraps must exist, or
 `perfbench/run.py --trace 1` fails when it installs its spans. The tracer
-module perfbench/spans.py is read through helpers.load_spans, never
+module perfbench/spans.py is read through helpers.load_perfbench, never
 installed."""
 import importlib
 
-from helpers import load_spans, user_payload, write_jsonl
+from helpers import load_perfbench, user_payload, write_jsonl
 
 
 def test_every_layer_function_resolves():
-    spans = load_spans()
+    spans = load_perfbench("spans")
     for module_name, functions in spans.LAYER_FUNCTIONS.items():
         module = importlib.import_module(module_name)
         for function in functions:
@@ -23,7 +23,7 @@ def test_no_wrapped_function_is_bound_under_another_name():
     import pkgutil
 
     import identminer
-    spans = load_spans()
+    spans = load_perfbench("spans")
     modules = [importlib.import_module(info.name) for info in
                pkgutil.walk_packages(identminer.__path__, "identminer.")]
     for module_name, functions in spans.LAYER_FUNCTIONS.items():
@@ -37,7 +37,7 @@ def test_no_wrapped_function_is_bound_under_another_name():
 
 
 def test_every_layer_method_is_defined_on_its_class():
-    spans = load_spans()
+    spans = load_perfbench("spans")
     for module_name, cls_name, method in spans.LAYER_METHODS:
         cls = getattr(importlib.import_module(module_name), cls_name)
         assert method in cls.__dict__, f"{cls_name}.{method}"
